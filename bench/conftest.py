@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+# The benchmark imports the package from the checkout's src/, as run.py does.
+SRC = Path(__file__).resolve().parents[1] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
