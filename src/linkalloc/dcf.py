@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError, SolverError
 
 __all__ = [
@@ -151,14 +153,15 @@ def airtime_durations(params: DcfParams, mcs_rate: float) -> AirtimeDurations:
 
 
 def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
-                          per: float, params: DcfParams) -> float:
+                          per, params: DcfParams):
     """Fraction of channel time carrying successfully delivered payload.
 
     Success requires winning the slot (single transmitter) and surviving the
     PHY with probability 1 - per; collided and errored transmissions burn
-    t_collision / t_phy_error respectively.
+    t_collision / t_phy_error respectively. `per` is a float or an array of
+    links sharing the channel, and the result has the same shape.
     """
-    if not 0.0 <= per <= 1.0:
+    if not np.all((0.0 <= per) & (per <= 1.0)):
         raise InvalidInputError(f"per must be in [0, 1], got {per!r}")
     n = state.n_contenders
     tau = state.tau

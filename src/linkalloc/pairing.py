@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError, InvalidInputError, SizeLimitError, SolverError
 from .rates import RateTensor, edge_endpoints
@@ -310,6 +309,8 @@ def pair_optimal_lp(instance: PairingInstance, *, relaxed: bool = False):
         a_eq, b_eq = None, None
     else:
         b_eq = np.ones(m_stas)
+
+    from scipy.optimize import linprog  # imported on first use: scipy is slow to load
 
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=(0.0, 1.0), method="highs-ds")

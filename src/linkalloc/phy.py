@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidInputError
 
@@ -125,12 +124,14 @@ def eesm_effective_snr(grid: SubcarrierSinrGrid, params: EesmParams) -> float:
     """Collapse a SINR grid to a scalar effective SNR (linear scale).
 
     Computes -beta * ln(mean(exp(-gamma / beta))) over all grid entries,
-    in log space so large gamma/beta ratios cannot underflow to -inf.
+    as a max-shifted log-sum-exp so large gamma/beta ratios cannot underflow
+    to -inf.
     """
     beta = params.beta
     a = -grid.values / beta
-    eff = -beta * (logsumexp(a) - math.log(grid.values.size))
-    return float(eff)
+    a_max = a.max()
+    log_sum = np.log(np.exp(a - a_max).sum()) + a_max
+    return float(-beta * (log_sum - math.log(grid.values.size)))
 
 
 @dataclass(frozen=True)
@@ -212,18 +213,22 @@ class PerCurve:
         return cls.from_points(mcs_index, np.array(x), np.array(y))
 
 
-def per_lookup(curve: PerCurve, esnr_db: float) -> float:
-    """Evaluate a PER curve at an effective SNR given in dB."""
-    if not math.isfinite(esnr_db):
+def per_lookup(curve: PerCurve, esnr_db):
+    """Evaluate a PER curve at effective SNRs in dB.
+
+    Returns a float for a scalar `esnr_db` and an array for an array.
+    """
+    esnr_db = np.asarray(esnr_db, dtype=float)
+    if not np.isfinite(esnr_db).all():
         raise InvalidInputError("esnr_db must be finite")
     if curve.is_tabulated:
         # np.interp clamps to the endpoint values outside the grid
-        return float(np.interp(esnr_db, curve.esnr_db, curve.per))
-    z = curve.slope_per_db * (esnr_db - curve.midpoint_db)
-    # guard exp overflow far below the midpoint
-    if z < -700.0:
-        return 1.0
-    return float(1.0 / (1.0 + math.exp(z)))
+        per = np.interp(esnr_db, curve.esnr_db, curve.per)
+    else:
+        # far above the midpoint exp(z) overflows to inf, which is PER 0
+        with np.errstate(over="ignore"):
+            per = 1.0 / (1.0 + np.exp(curve.slope_per_db * (esnr_db - curve.midpoint_db)))
+    return float(per) if per.ndim == 0 else per
 
 
 # --- MCS table ---------------------------------------------------------------

@@ -4,7 +4,8 @@ The central object is the rate tensor C[f, n, m]: the throughput STA m would
 see on channel f if served by AP n, given the channel's MCS, the link SNR,
 and the number of stations currently contending on f. The per-channel MAC
 efficiency comes from the saturated-contention fixed point in `dcf`; the PHY
-error probability comes from the EESM/PER chain in `phy`.
+error probability comes from the PER curves in `phy`. One vectorized kernel
+evaluates each block of links that share a channel and an MCS.
 
 Edges flatten AP-major: edge e = n * M + m pairs AP n with STA m. The same
 convention is shared by the pairing and allocation stages.
@@ -122,22 +123,18 @@ class AverageRateMatrix:
         object.__setattr__(self, "values", v)
 
 
-def channel_rate(per: float, tpt: float, mcs_rate: float, *,
-                 literal_pe_factor: bool = False) -> float:
+def channel_rate(per, tpt, mcs_rate: float):
     """Link throughput in bit/s from PER, MAC efficiency and the MCS rate.
 
     The MAC efficiency already discounts channel time lost to errored frames
     (the throughput expression only counts successfully delivered payload),
-    so the default is Tpt * rate. `literal_pe_factor` applies the error
-    probability a second time, reading the composition as (1-PER)*Tpt*rate
-    with an error-blind Tpt; kept for comparison, not used by the pipeline.
+    so the rate is Tpt * rate and `per` is only range-checked. `per` and
+    `tpt` are floats or arrays of the same shape.
     """
-    if not 0.0 <= per <= 1.0:
+    if not np.all((0.0 <= per) & (per <= 1.0)):
         raise InvalidInputError(f"per must be in [0, 1], got {per}")
-    if tpt < 0 or mcs_rate <= 0:
+    if np.any(tpt < 0) or mcs_rate <= 0:
         raise InvalidInputError("tpt must be >= 0 and mcs_rate > 0")
-    if literal_pe_factor:
-        return (1.0 - per) * tpt * mcs_rate
     return tpt * mcs_rate
 
 
@@ -151,26 +148,40 @@ def _mcs_rate(mcs_index: int, bandwidth_mhz: int) -> float:
     return phy.mcs_data_rate(phy.mcs_entry(mcs_index, bandwidth_mhz))
 
 
+def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
+                state, params: DcfParams) -> np.ndarray:
+    """Rates in bit/s of links that share one MCS and one contention state.
+
+    Each link is one SINR sample, which must be finite and > 0 in linear
+    scale. The EESM of a single sample is the sample itself, so the
+    effective SNR is that linear SINR back in dB. NaN marks an out-of-range
+    link, whose rate is 0.
+    """
+    live = ~np.isnan(snr_db)
+    with np.errstate(over="ignore"):
+        linear = phy.db_to_linear(snr_db[live])
+    if not (np.isfinite(linear) & (linear > 0)).all():
+        raise InvalidInputError("SINR grid entries must be finite and > 0")
+    per = phy.per_lookup(curve, phy.linear_to_db(linear))
+    tpt = normalized_throughput(state, airtime_durations(params, rate), per, params)
+    out = np.zeros(snr_db.shape)
+    out[live] = channel_rate(per, tpt, rate)
+    return out
+
+
 def link_rate(snr_db: float, mcs_index: int, bandwidth_mhz: int, *,
               n_contenders: int = 1, params: DcfParams | None = None,
-              per_model=None, eesm_beta: float = 1.0) -> float:
-    """Single-link convenience wrapper over the full PHY+MAC chain."""
-    if np.isnan(snr_db):
-        return 0.0
+              per_model=None) -> float:
+    """Rate in bit/s of one link: the rate-tensor kernel on a single link."""
     params = params if params is not None else DcfParams()
-    grid = phy.SubcarrierSinrGrid.uniform(phy.db_to_linear(snr_db))
-    eff = phy.eesm_effective_snr(grid, phy.EesmParams(beta=eesm_beta))
-    esnr_db = phy.linear_to_db(eff)
     if per_model is None:
         curve = phy.default_per_curve(mcs_index)
     else:
         curve = per_model.curve_for(mcs_index)
-    per = phy.per_lookup(curve, esnr_db)
-    rate = _mcs_rate(mcs_index, bandwidth_mhz)
-    state = _contention(params, n_contenders)
-    durations = airtime_durations(params, rate)
-    tpt = normalized_throughput(state, durations, per, params)
-    return channel_rate(per, tpt, rate)
+    rates = _link_rates(np.array([snr_db], dtype=float), curve,
+                        _mcs_rate(mcs_index, bandwidth_mhz),
+                        _contention(params, n_contenders), params)
+    return float(rates[0])
 
 
 def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:
@@ -213,23 +224,14 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     params = scenario.dcf
     out = np.zeros(expect)
     for f, chan in enumerate(scenario.channels):
-        n_eff = max(1, int(contenders[f]))
-        state = _contention(params, n_eff)
-        for n, ap in enumerate(scenario.aps):
-            mcs = scenario.mcs_for(f, ap) if mcs_override is None else mcs_override
-            rate = _mcs_rate(mcs, chan.bandwidth_mhz)
-            durations = airtime_durations(params, rate)
-            curve = scenario.per_model.curve_for(mcs)
-            beta = phy.EesmParams(beta=scenario.per_model.beta_for(mcs))
-            for m in range(scenario.m_stas):
-                snr_db = snr_field[f, n, m]
-                if np.isnan(snr_db):
-                    continue
-                grid = phy.SubcarrierSinrGrid.uniform(phy.db_to_linear(snr_db))
-                esnr_db = phy.linear_to_db(phy.eesm_effective_snr(grid, beta))
-                per = phy.per_lookup(curve, esnr_db)
-                tpt = normalized_throughput(state, durations, per, params)
-                out[f, n, m] = channel_rate(per, tpt, rate)
+        state = _contention(params, max(1, int(contenders[f])))
+        ap_mcs = np.array([scenario.mcs_for(f, ap) if mcs_override is None else mcs_override
+                           for ap in scenario.aps])
+        # one kernel call per MCS in use on the channel: usually all APs share it
+        for mcs in np.unique(ap_mcs).tolist():
+            rows = ap_mcs == mcs
+            out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_model.curve_for(mcs),
+                                       _mcs_rate(mcs, chan.bandwidth_mhz), state, params)
     return RateTensor(out)
 
 

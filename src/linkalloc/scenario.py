@@ -17,12 +17,11 @@ Schema (all SNR values in dB)::
       - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 9}
     rr_weights: {1: 1}              # optional round-robin slice counts
     dcf: {cw_min: 16}               # optional DcfParams overrides
-    per_model:                      # optional PER / EESM configuration
+    per_model:                      # optional PER configuration
       kind: logistic                # or "table"
       slope_per_db: 1.0
       midpoints_db: {9: 26.0}       # per-MCS logistic midpoints
       tables: {9: per_mcs9.csv}     # per-MCS CSV tables (kind: table)
-      eesm_beta: 1.0                # scalar or {mcs: beta}
     aps:
       - {id: ap1, radios: 5, slo_channel: 1, mcs: {1: 9}}
     stas:
@@ -125,14 +124,12 @@ class StaConfig:
 
 @dataclass(frozen=True)
 class PerModel:
-    """PER curve source and EESM calibration for every MCS in use."""
+    """PER curve source for every MCS in use."""
 
     kind: str = "logistic"
     midpoints_db: dict = field(default_factory=dict)
     slope_per_db: float = DEFAULT_PER_SLOPE_PER_DB
     tables: dict = field(default_factory=dict)     # mcs -> PerCurve
-    default_beta: float = 1.0
-    betas: dict = field(default_factory=dict)      # mcs -> beta
 
     def curve_for(self, mcs_index: int) -> PerCurve:
         if self.kind == "table":
@@ -144,9 +141,6 @@ class PerModel:
         if midpoint is None:
             raise ConfigurationError(f"no PER midpoint known for MCS {mcs_index}")
         return PerCurve.logistic(mcs_index, midpoint, self.slope_per_db)
-
-    def beta_for(self, mcs_index: int) -> float:
-        return self.betas.get(mcs_index, self.default_beta)
 
 
 @dataclass(frozen=True)
@@ -409,7 +403,7 @@ def _parse_dcf(doc, ctx: str) -> DcfParams:
 
 def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
     doc = _as_mapping(doc, ctx)
-    _reject_unknown(doc, {"kind", "midpoints_db", "slope_per_db", "tables", "eesm_beta"}, ctx)
+    _reject_unknown(doc, {"kind", "midpoints_db", "slope_per_db", "tables"}, ctx)
     kind = str(doc.get("kind", "logistic"))
     if kind not in ("logistic", "table"):
         raise ValidationError(f"{ctx}.kind: must be 'logistic' or 'table', got {kind!r}")
@@ -425,17 +419,8 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
         if not path.exists():
             raise ConfigurationError(f"{ctx}.tables[{mcs}]: PER table not found: {path}")
         tables[mcs] = PerCurve.from_csv(mcs, path)
-    beta_raw = doc.get("eesm_beta", 1.0)
-    betas = {}
-    if isinstance(beta_raw, dict):
-        default_beta = 1.0
-        for mcs, b in beta_raw.items():
-            betas[_as_int(mcs, f"{ctx}.eesm_beta")] = _as_number(b, f"{ctx}.eesm_beta[{mcs}]")
-    else:
-        default_beta = _as_number(beta_raw, f"{ctx}.eesm_beta")
     slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
-    return PerModel(kind=kind, midpoints_db=midpoints, slope_per_db=slope,
-                    tables=tables, default_beta=default_beta, betas=betas)
+    return PerModel(kind=kind, midpoints_db=midpoints, slope_per_db=slope, tables=tables)
 
 
 _TOP_FIELDS = {

@@ -7,6 +7,7 @@ bit-mask enumeration instead of recursive search, plain `math` instead of
 numpy log-sum-exp.
 """
 
+import bisect
 import itertools
 import math
 
@@ -14,9 +15,56 @@ import numpy as np
 
 
 def eesm_scalar(values, beta):
-    """Exponential effective SNR of a flat list, straight from the formula."""
-    acc = math.fsum(math.exp(-g / beta) for g in values) / len(values)
-    return -beta * math.log(acc)
+    """Exponential effective SNR of a flat list, straight from the formula.
+
+    The exponent is shifted by the smallest value, which changes nothing
+    mathematically but keeps exp(-g / beta) from underflowing to 0 for a
+    high SINR (a lone 30 dB sample is g = 1000).
+    """
+    g_min = min(values)
+    acc = math.fsum(math.exp(-(g - g_min) / beta) for g in values) / len(values)
+    return g_min - beta * math.log(acc)
+
+
+def link_rate_scalar(snr_db, curve, mcs_rate, tau, n_contenders, params):
+    """One link's rate in bit/s by the per-link PHY+MAC chain, in plain `math`.
+
+    The link SNR becomes a one-sample linear SINR grid, goes through EESM
+    (beta 1) and back to dB, indexes the logistic or tabulated PER curve, and
+    feeds the saturated-DCF throughput expression at the given tau. NaN is an
+    out-of-range link with rate 0.
+    """
+    if math.isnan(snr_db):
+        return 0.0
+    esnr_db = 10.0 * math.log10(eesm_scalar([10.0 ** (snr_db / 10.0)], 1.0))
+    if curve.is_tabulated:
+        xs, ys = list(curve.esnr_db), list(curve.per)
+        if esnr_db <= xs[0]:
+            per = ys[0]
+        elif esnr_db >= xs[-1]:
+            per = ys[-1]
+        else:
+            i = bisect.bisect_right(xs, esnr_db)
+            w = (esnr_db - xs[i - 1]) / (xs[i] - xs[i - 1])
+            per = ys[i - 1] + w * (ys[i] - ys[i - 1])
+    else:
+        z = curve.slope_per_db * (esnr_db - curve.midpoint_db)
+        per = 0.0 if z > 700.0 else 1.0 / (1.0 + math.exp(z))
+
+    payload = params.payload_bytes * 8 / mcs_rate
+    ack = params.ack_bytes * 8 / mcs_rate + params.phy_header
+    eifs = params.eifs if params.eifs is not None else params.sifs + ack + params.difs
+    t_success = (params.phy_header + payload + ack + params.sifs + params.difs
+                 + 2 * params.prop_delay)
+    t_fail = params.phy_header + payload + params.prop_delay + eifs
+
+    n = n_contenders
+    p_tr = 1.0 - (1.0 - tau) ** n
+    p_s = n * tau * (1.0 - tau) ** (n - 1) / p_tr
+    idle = (1.0 - p_tr) * params.slot_time
+    success = p_tr * p_s * (1.0 - per)
+    busy = success * t_success + p_tr * (1.0 - p_s) * t_fail + p_tr * p_s * per * t_fail
+    return success * payload / (idle + busy) * mcs_rate
 
 
 def picard_tau(cw_min, m_stages, n_contenders, damping=0.5, iterations=20000):

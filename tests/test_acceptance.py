@@ -5,13 +5,16 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 verdict. Tolerances and budgets are stated inline.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linkalloc
 import oracles
 from linkalloc.allocation import fairness_spread
 from linkalloc.harness import (
@@ -219,9 +222,15 @@ def test_criterion_11_pf_stationarity():
 
 
 def test_criterion_12_cli_byte_determinism(tmp_path):
+    # the subprocesses run in tmp_path, so a relative PYTHONPATH would not
+    # resolve there: put the directory of the imported package first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
+
     def run(args):
         proc = subprocess.run([sys.executable, "-m", "linkalloc", *args],
-                              capture_output=True, cwd=str(tmp_path))
+                              capture_output=True, cwd=str(tmp_path), env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import linkalloc
 from linkalloc.cli import main
 from linkalloc.scenario import bundled_scenario_path
 
@@ -45,6 +51,29 @@ def test_run_deterministic_outputs(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_extreme_snr_base_outcomes(tmp_path, capsys):
+    args = ["run", "--scenario", "scenario_3ap_15sta", "--iterations", "2",
+            "--out", str(tmp_path / "run.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every PER is 0 far above the curves' midpoints
+        assert main(args + ["--snr-base", "800"]) == 0
+        # 5000 dB has no finite linear SINR: a configuration error, one line
+        assert main(args + ["--snr-base", "5000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "linkalloc: SINR grid entries must be finite and > 0\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = "import sys, linkalloc; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_slo_allocator(tmp_path):

@@ -17,7 +17,7 @@ from linkalloc.rates import (
     edge_index,
     link_rate,
 )
-from linkalloc.scenario import load_scenario
+from linkalloc.scenario import bundled_scenario_path, load_scenario
 
 ONE_LINK_YAML = """
 name: one_link
@@ -54,6 +54,29 @@ def _load(text):
     return load_scenario(io.StringIO(text))
 
 
+def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
+                                        mcs_override=None):
+    if snr_field is None:
+        snr_field = sc.snr_field(rng=np.random.default_rng(sc.rng_seed))
+    if contenders is None:
+        contenders = bootstrap_contenders(sc, snr_field)
+    got = build_rate_tensor(sc, contenders=contenders, snr_field=snr_field,
+                            mcs_override=mcs_override).values
+    want = np.zeros_like(got)
+    for f, chan in enumerate(sc.channels):
+        n_eff = max(1, int(contenders[f]))
+        tau = solve_bianchi_fixed_point(sc.dcf, n_eff).tau
+        for n, ap in enumerate(sc.aps):
+            mcs = sc.mcs_for(f, ap) if mcs_override is None else mcs_override
+            rate = mcs_data_rate(mcs_entry(mcs, chan.bandwidth_mhz))
+            curve = sc.per_model.curve_for(mcs)
+            for m in range(sc.m_stas):
+                want[f, n, m] = oracles.link_rate_scalar(
+                    float(snr_field[f, n, m]), curve, rate, tau, n_eff, sc.dcf)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_edge_index_round_trip():
     for m_stas in (1, 3, 7):
         for e in range(4 * m_stas):
@@ -77,12 +100,6 @@ def test_channel_rate_never_exceeds_mcs_rate():
         assert channel_rate(per, tpt, 68.8e6) <= 68.8e6
 
 
-def test_channel_rate_literal_form_flag():
-    # compatibility path treats tpt as error-blind and applies (1-per) on top
-    assert channel_rate(0.25, 0.8, 100.0, literal_pe_factor=True) == pytest.approx(0.75 * 0.8 * 100.0)
-    assert channel_rate(0.25, 0.8, 100.0) == pytest.approx(0.8 * 100.0)
-
-
 def test_channel_rate_composition_against_simulator():
     p = DcfParams()
     rate = mcs_data_rate(mcs_entry(3, 40))
@@ -104,6 +121,37 @@ def test_single_link_tensor_matches_closed_form():
     want = oracles.closed_form_n1_throughput(p, d) * rate
     # 45 dB effective SNR leaves no measurable error probability at MCS3
     assert t.values[0, 0, 0] == pytest.approx(want, rel=1e-9)
+
+
+def test_tensor_matches_scalar_chain_on_fixture():
+    sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
+    for contenders in ([1, 1, 1], [5, 7, 3], [40, 2, 9]):
+        for mcs_override in (None, 0, 11):
+            _assert_tensor_matches_scalar_chain(sc, contenders=contenders,
+                                                mcs_override=mcs_override)
+    for base_db in (-30.0, 60.0):
+        _assert_tensor_matches_scalar_chain(sc, snr_field=sc.snr_field(base_db=base_db))
+
+
+def test_tensor_matches_scalar_chain_with_out_of_range_links():
+    _assert_tensor_matches_scalar_chain(_load(TWO_BY_TWO_YAML))
+    # APs on one channel at different MCS fall into separate kernel blocks
+    mixed = TWO_BY_TWO_YAML.replace("slo_channel: 2}", "slo_channel: 2, mcs: {1: 7}}")
+    sc = _load(mixed)
+    assert sc.mcs_for(0, sc.aps[0]) != sc.mcs_for(0, sc.aps[1])
+    _assert_tensor_matches_scalar_chain(sc)
+
+
+def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
+    table = tmp_path / "per_mcs3.csv"
+    table.write_text("esnr_db,per\n0.0,1.0\n8.0,0.6\n14.0,0.1\n20.0,0.0\n")
+    text = TWO_BY_TWO_YAML.replace(
+        "aps:\n", f"per_model: {{kind: table, tables: {{3: {table}}}}}\naps:\n", 1)
+    sc = _load(text)
+    assert sc.per_model.curve_for(3).is_tabulated
+    _assert_tensor_matches_scalar_chain(sc)
+    for base_db in (-30.0, 60.0, 10.0):
+        _assert_tensor_matches_scalar_chain(sc, snr_field=sc.snr_field(base_db=base_db))
 
 
 def test_out_of_range_link_is_zero():

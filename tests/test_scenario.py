@@ -55,10 +55,13 @@ def test_empty_channel_list_rejected():
 
 
 def test_unknown_field_named_in_error():
-    bad = MINIMAL.replace("seed: 1", "seed: 1\nfrobnicate: 3")
-    with pytest.raises(ValidationError) as exc:
-        _load(bad)
-    assert "frobnicate" in str(exc.value)
+    # a field the schema no longer has (eesm_beta) fails like a typo
+    for extra, name in (("frobnicate: 3", "frobnicate"),
+                        ("per_model: {eesm_beta: 1.0}", "eesm_beta")):
+        bad = MINIMAL.replace("seed: 1", f"seed: 1\n{extra}")
+        with pytest.raises(ValidationError) as exc:
+            _load(bad)
+        assert name in str(exc.value)
 
 
 def test_unknown_ap_reference_rejected():
