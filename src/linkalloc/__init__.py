@@ -53,6 +53,7 @@ from .harness import (
     run_monte_carlo,
     run_slo_baseline,
     validate_dcf,
+    write_table,
 )
 from .pairing import (
     IncidenceMatrix,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pairing import PairingMatrix
-from .rates import EdgeRateMatrix, edge_endpoints, edge_index
+from .rates import EdgeRateMatrix, edge_endpoints
 
 __all__ = [
     "LinkSelection",
@@ -54,7 +54,7 @@ class LinkSelection:
             raise InvalidInputError(
                 f"selection must be (F, {self.n_aps * self.m_stas}), got {s.shape}"
             )
-        if not np.isin(s, (0, 1)).all():
+        if not ((s == 0) | (s == 1)).all():
             raise InvalidInputError("selection entries must be 0 or 1")
         s = s.astype(np.int8)
         s.setflags(write=False)
@@ -185,12 +185,18 @@ def pf_metric(state: ThroughputState, selection, c: EdgeRateMatrix, f: int) -> f
 
 
 def fairness_spread(metrics) -> float:
-    """Relative spread (max - min) / mean of the per-channel PF metrics."""
+    """Relative spread (max - min) / mean of the per-channel PF metrics.
+
+    Equal metrics spread 0.0, which covers a network where no link is active
+    and every metric is 0.
+    """
     vals = np.asarray(list(metrics), dtype=float)
     if vals.size == 0:
         raise InvalidInputError("need at least one metric")
     if np.isinf(vals).any():
         return float("inf")
+    if vals.max() == vals.min():
+        return 0.0
     mean = vals.mean()
     if mean <= 0:
         raise InvalidInputError("metrics must have positive mean")
@@ -198,7 +204,7 @@ def fairness_spread(metrics) -> float:
 
 
 def _pairing_edges(pairing: PairingMatrix) -> list:
-    return [edge_index(n, m, pairing.m_stas) for n, m in pairing.pairs()]
+    return np.flatnonzero(pairing.x).tolist()     # row-major X is AP-major edge ids
 
 
 def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
@@ -209,7 +215,7 @@ def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, c: EdgeRateMatrix,
-                state: ThroughputState, *, recompute_per_edge: bool = False):
+                state: ThroughputState):
     """Proportional-fair channel selection for every paired link.
 
     Channel priority is fixed once per call from the committed averages:
@@ -217,10 +223,6 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, c: EdgeRateMatrix,
     visited by descending peak rate and each takes its best min(r(m), F)
     distinct channels that respect the AP budget. Returns the selection plus
     the state with the resulting rates folded in and committed.
-
-    `recompute_per_edge` re-scores channels against the partial selection
-    before each edge (slower, occasionally shifts a tie); the default
-    single-shot priority is what the iteration loop uses.
     """
     _check_budget(pairing, budget)
     if c.n_aps != pairing.n_aps or c.m_stas != pairing.m_stas:
@@ -235,27 +237,18 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, c: EdgeRateMatrix,
     if edges:
         cand = c.values[:, edges]                      # (F, |edges|)
         phi = state.phi_cur
-
-        def rank(score_src: np.ndarray) -> list:
-            with np.errstate(divide="ignore"):
-                score = np.where(phi > 0, score_src / np.where(phi > 0, phi, 1.0),
-                                 np.where(score_src > 0, np.inf, 0.0))
-            return sorted(range(f_count),
-                          key=lambda f: (-score[f], -score_src[f], f))
-
-        order = rank(cand.mean(axis=1))
+        mean_rate = cand.mean(axis=1)
+        with np.errstate(divide="ignore"):
+            score = np.where(phi > 0, mean_rate / np.where(phi > 0, phi, 1.0),
+                             np.where(mean_rate > 0, np.inf, 0.0))
+        order = sorted(range(f_count), key=lambda f: (-score[f], -mean_rate[f], f))
         ap_left = budget.r_tilde.astype(int).copy()
-        visit = sorted(range(len(edges)),
-                       key=lambda i: (-float(cand[:, i].max()), edges[i]))
+        peak = cand.max(axis=0).tolist()
+        visit = sorted(range(len(edges)), key=lambda i: (-peak[i], edges[i]))
         for i in visit:
             e = edges[i]
             n, m = edge_endpoints(e, pairing.m_stas)
             want = min(int(budget.sta_radio_limits[m]), f_count)
-            if recompute_per_edge:
-                # score each channel as if this edge joined it now
-                sel_sum = (s * c.values).sum(axis=1)
-                sel_cnt = s.sum(axis=1)
-                order = rank((sel_sum + c.values[:, e]) / (sel_cnt + 1.0))
             got = 0
             for f in order:
                 if got == want or ap_left[n] == 0:

@@ -33,8 +33,8 @@ from .harness import (
     emit_sweep_stats,
     run_apc_loop,
     run_monte_carlo,
-    run_slo_baseline,
     validate_dcf,
+    write_table,
 )
 from .pairing import build_incidence, check_total_unimodularity
 from .scenario import bundled_scenario_path, list_bundled_scenarios, load_scenario
@@ -69,13 +69,6 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                    help="write results to a file instead of stdout")
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkalloc",
@@ -90,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           f"({', '.join(list_bundled_scenarios())})")
     run.add_argument("--solver", choices=("optimal", "greedy"), default="optimal")
     run.add_argument("--allocator", choices=("pf", "rr", "slo"), default="pf",
-                     help="'slo' runs the single-link baseline loop")
+                     help="'slo' runs the single-link baseline (optimal solver only)")
     run.add_argument("--iterations", type=int, default=30)
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario RNG seed")
@@ -145,36 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_table(records, header) -> str:
-    import csv as _csv
-    import io as _io
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for rec in records:
-        writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                         for v in (rec[k] for k in header)])
-    return buf.getvalue()
-
-
-def _json_table(records, key) -> str:
-    import json as _json
-    return _json.dumps({key: records}, indent=2) + "\n"
-
-
 def _cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    if args.allocator == "slo":
-        result = run_slo_baseline(scenario, iterations=args.iterations,
-                                  snr_base_db=args.snr_base, mcs_override=args.mcs,
-                                  rng_seed=args.seed, timing=args.timing)
-    else:
-        result = run_apc_loop(scenario, solver=args.solver, allocator=args.allocator,
-                              iterations=args.iterations, snr_base_db=args.snr_base,
-                              mcs_override=args.mcs, rng_seed=args.seed,
-                              timing=args.timing)
-    text = emit_results(result.reports, fmt=args.format)
-    _emit(text, args.out)
+    result = run_apc_loop(scenario, solver=args.solver, allocator=args.allocator,
+                          iterations=args.iterations, snr_base_db=args.snr_base,
+                          mcs_override=args.mcs, rng_seed=args.seed, timing=args.timing)
+    emit_results(result.reports, fmt=args.format, out=args.out or sys.stdout)
     return 0
 
 
@@ -184,8 +153,7 @@ def _cmd_sweep(args) -> int:
                             rounds=args.rounds, solver=args.solver,
                             allocator=args.allocator, iterations=args.iterations,
                             workers=args.workers)
-    text = emit_sweep_stats(stats, fmt=args.format)
-    _emit(text, args.out)
+    emit_sweep_stats(stats, fmt=args.format, out=args.out or sys.stdout)
     return 0
 
 
@@ -193,10 +161,7 @@ def _cmd_validate_dcf(args) -> int:
     records = validate_dcf(DcfParams(), contenders=args.contenders, pers=args.per,
                            mcs_index=args.mcs, bandwidth_mhz=args.bandwidth,
                            n_slots=args.slots, seed=args.seed)
-    header = ["n_contenders", "per", "analytic", "simulated", "rel_err"]
-    text = _csv_table(records, header) if args.format == "csv" \
-        else _json_table(records, "validate_dcf")
-    _emit(text, args.out)
+    write_table(records, "validate_dcf", args.format, args.out or sys.stdout)
     if args.tolerance is not None:
         worst = max(r["rel_err"] for r in records)
         if worst > args.tolerance:
@@ -215,11 +180,7 @@ def _cmd_oracle(args) -> int:
         if not args.timing:
             rec = dict(rec, two_stage_wall_s=0.0, joint_wall_s=0.0)
         records.append(rec)
-    header = ["m_stas", "two_stage_objective_bps", "joint_objective_bps", "ratio",
-              "two_stage_wall_s", "joint_wall_s"]
-    text = _csv_table(records, header) if args.format == "csv" \
-        else _json_table(records, "oracle")
-    _emit(text, args.out)
+    write_table(records, "oracle", args.format, args.out or sys.stdout)
     return 0
 
 
@@ -232,10 +193,7 @@ def _cmd_check_tu(args) -> int:
             res = check_total_unimodularity(inc.stacked, max_submatrix=args.submatrix)
             records.append({"n_aps": n, "m_stas": m, "is_tu": res.is_tu})
             worst_ok = worst_ok and res.is_tu
-    header = ["n_aps", "m_stas", "is_tu"]
-    text = _csv_table(records, header) if args.format == "csv" \
-        else _json_table(records, "check_tu")
-    _emit(text, args.out)
+    write_table(records, "check_tu", args.format, args.out or sys.stdout)
     return 0 if worst_ok else 2
 
 

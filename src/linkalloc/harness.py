@@ -4,8 +4,10 @@ One iteration of the controller: rebuild the rate tensor under the contention
 left by the previous selection, pair stations to APs on channel-averaged
 rates, allocate radio links per channel, fold the outcome into the moving
 averages. `run_apc_loop` iterates that to a fixed count and reports per
-iteration; `run_monte_carlo` repeats runs over SNR/MCS grids with per-round
-seeds; `run_slo_baseline` forces single-link operation for comparison.
+iteration; its `allocator="slo"` is the single-link baseline, the same loop
+restricted to each AP's home channel (`run_slo_baseline` is an alias).
+`run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds, and
+`write_table` serializes every table the package emits.
 
 Timing is opt-in: by default every report carries wall_time_s = 0.0 so that
 repeated runs of the same scenario produce byte-identical output files.
@@ -39,8 +41,8 @@ from .dcf import DcfParams, airtime_durations, normalized_throughput, simulate_d
 from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp, \
     solve_joint_mmkp_bruteforce
-from .rates import average_over_channels, bootstrap_contenders, build_rate_tensor, \
-    edge_index
+from .rates import RateTensor, average_over_channels, bootstrap_contenders, \
+    build_rate_tensor, edge_index
 from .scenario import Scenario
 
 __all__ = [
@@ -54,12 +56,13 @@ __all__ = [
     "run_slo_baseline",
     "emit_results",
     "emit_sweep_stats",
+    "write_table",
     "validate_dcf",
     "compare_joint_vs_two_stage",
 ]
 
 SOLVERS = ("optimal", "greedy")
-ALLOCATORS = ("pf", "rr")
+ALLOCATORS = ("pf", "rr", "slo")
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,21 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
+def _home_channel_mask(scenario: Scenario) -> np.ndarray:
+    """usable[f, n]: True on AP n's single-link home channel only, its
+    `slo_channel` or else channel n % F (round-robin order)."""
+    usable = np.zeros((scenario.f_count, scenario.n_aps), dtype=bool)
+    for n, ap in enumerate(scenario.aps):
+        f = n % scenario.f_count if ap.slo_channel is None \
+            else scenario.channel_index(ap.slo_channel)
+        usable[f, n] = True
+    return usable
+
+
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
                  iterations: int = 30, carry: LoopCarry | None = None,
                  snr_base_db: float | None = None, mcs_override: int | None = None,
-                 rng_seed=None, timing: bool = False,
-                 recompute_per_edge: bool = False) -> RunResult:
+                 rng_seed=None, timing: bool = False) -> RunResult:
     """Run the pairing+allocation loop for a fixed number of iterations.
 
     The per-link SNR field is drawn once per run (seeded), so iterations see a
@@ -154,26 +167,47 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     and the moving averages. Passing the previous run's `carry` continues its
     averages and contention instead of cold-starting, which is how operating
     changes (say, an MCS switch) are evaluated mid-flight.
+
+    `allocator="slo"` is single-link operation, the reference the multi-link
+    gains are measured against: every AP serves only on its home channel (its
+    `slo_channel`, else channels in round-robin order), each station uses one
+    radio, and AP capacities are balanced at ceil(M/N). Contention bootstrap,
+    pairing weights and PF allocation see only the home-channel links, so the
+    LP pairs on home-channel rates and each paired link runs on its home
+    channel when that rate is > 0. It pairs with the optimal solver only.
     """
     if solver not in SOLVERS:
         raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if allocator not in ALLOCATORS:
         raise InvalidInputError(f"allocator must be one of {ALLOCATORS}, got {allocator!r}")
+    if allocator == "slo" and solver != "optimal":
+        raise InvalidInputError(f"allocator 'slo' pairs with solver 'optimal' only, "
+                                f"got {solver!r}")
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
 
     seed = scenario.rng_seed if rng_seed is None else rng_seed
     rng = np.random.default_rng(seed)
     snr_field = scenario.snr_field(base_db=snr_base_db, rng=rng)
-    algorithm = f"{solver}+{allocator}"
     label = _mcs_label(scenario, mcs_override)
     base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
-    limits = scenario.sta_radio_limits()
-    caps = scenario.ap_capacities()
+    if allocator == "slo":
+        algorithm = "slo"
+        usable = _home_channel_mask(scenario)
+        m_stas, n_aps = scenario.m_stas, scenario.n_aps
+        caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
+        limits = np.ones(m_stas, dtype=int)
+    else:
+        algorithm = f"{solver}+{allocator}"
+        usable = np.ones((scenario.f_count, scenario.n_aps), dtype=bool)
+        caps = scenario.ap_capacities()
+        limits = scenario.sta_radio_limits()
+    link_usable = usable[:, :, None]
+    usable_count = usable.sum(axis=0)[:, None]
 
     state = carry.state if carry is not None else None
     contenders = list(carry.contenders) if carry is not None \
-        else bootstrap_contenders(scenario, snr_field)
+        else bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan))
     start_iter = carry.next_iteration if carry is not None else 1
 
     reports = []
@@ -186,16 +220,18 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         c = tensor.to_edges()
         if state is None:
             state = ThroughputState.cold_start(c, scenario.ewma_horizon_t)
-        instance = PairingInstance(average_over_channels(tensor).values, caps, limits)
+        usable_rates = RateTensor(tensor.values * link_usable)
+        # mean over usable channels: the plain channel mean unless SLO masks links
+        instance = PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
+                                   caps, limits)
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
         budget = RadioBudget.from_pairing(pairing, limits)
         decision_state = state
-        if allocator == "pf":
-            selection, state = allocate_pf(pairing, budget, c, state,
-                                           recompute_per_edge=recompute_per_edge)
-        else:
+        if allocator == "rr":
             selection = allocate_rr(pairing, budget, scenario.f_count, scenario.rr_weights)
             state = commit_state(ewma_update(state, selection, c))
+        else:
+            selection, state = allocate_pf(pairing, budget, usable_rates.to_edges(), state)
         wall = (time.perf_counter() - t0) if timing else 0.0
 
         metrics = tuple(pf_metric(decision_state, selection, c, f)
@@ -223,94 +259,9 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
                      carry=carry_out)
 
 
-def run_slo_baseline(scenario: Scenario, *, iterations: int = 30,
-                     snr_base_db: float | None = None, mcs_override: int | None = None,
-                     rng_seed=None, timing: bool = False) -> RunResult:
-    """Single-link operation: one radio per station on its AP's home channel.
-
-    Every AP serves on its configured `slo_channel` (defaulting to channels in
-    round-robin order), station capacities are balanced at ceil(M/N), and the
-    pairing is re-optimized each iteration on the home-channel rates. This is
-    the no-multi-link reference the multi-link gains are measured against.
-    """
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
-    seed = scenario.rng_seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
-    snr_field = scenario.snr_field(base_db=snr_base_db, rng=rng)
-    label = _mcs_label(scenario, mcs_override)
-    base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
-
-    f_of_ap = []
-    for n, ap in enumerate(scenario.aps):
-        if ap.slo_channel is not None:
-            f_of_ap.append(scenario.channel_index(ap.slo_channel))
-        else:
-            f_of_ap.append(n % scenario.f_count)
-    m_stas, n_aps = scenario.m_stas, scenario.n_aps
-    caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
-    limits = np.ones(m_stas, dtype=int)
-
-    contenders = [0] * scenario.f_count
-    masked = snr_field.copy()
-    for n in range(n_aps):
-        keep = f_of_ap[n]
-        for f in range(scenario.f_count):
-            if f != keep:
-                masked[f, n, :] = np.nan
-    for m in range(m_stas):
-        per_sta = np.where(np.isnan(masked[:, :, m]), -np.inf, masked[:, :, m])
-        if np.isfinite(per_sta).any():
-            contenders[int(np.unravel_index(np.argmax(per_sta), per_sta.shape)[0])] += 1
-
-    state = None
-    reports = []
-    pairing = None
-    selection = None
-    for it in range(1, iterations + 1):
-        t0 = time.perf_counter() if timing else 0.0
-        tensor = build_rate_tensor(scenario, contenders=contenders,
-                                   snr_field=snr_field, mcs_override=mcs_override)
-        c = tensor.to_edges()
-        if state is None:
-            state = ThroughputState.cold_start(c, scenario.ewma_horizon_t)
-        d = np.zeros((n_aps, m_stas))
-        for n in range(n_aps):
-            d[n, :] = tensor.values[f_of_ap[n], n, :]
-        instance = PairingInstance(d, caps, limits)
-        pairing = pair_optimal_lp(instance)
-        s = np.zeros((scenario.f_count, n_aps * m_stas), dtype=np.int8)
-        for n, m in pairing.pairs():
-            if tensor.values[f_of_ap[n], n, m] > 0.0:
-                s[f_of_ap[n], edge_index(n, m, m_stas)] = 1
-        selection = LinkSelection(s, n_aps=n_aps, m_stas=m_stas)
-        decision_state = state
-        state = commit_state(ewma_update(state, selection, c))
-        wall = (time.perf_counter() - t0) if timing else 0.0
-
-        metrics = tuple(pf_metric(decision_state, selection, c, f)
-                        for f in range(scenario.f_count))
-        reports.append(IterationReport(
-            iteration=it,
-            algorithm="slo",
-            snr_base_db=base_reported,
-            mcs_label=label,
-            aggregate_throughput_bps=_aggregate_throughput(selection, c),
-            fairness_spread=fairness_spread(metrics),
-            per_channel_phi=tuple(float(v) for v in state.phi_cur),
-            per_channel_metric=metrics,
-            channel_ids=tuple(ch.channel_id for ch in scenario.channels),
-            wall_time_s=wall,
-            pairing=pairing,
-            selection=selection,
-        ))
-        contenders = selection.per_channel_counts().tolist()
-
-    carry_out = LoopCarry(state=state, contenders=tuple(contenders),
-                          next_iteration=iterations + 1)
-    return RunResult(reports=reports,
-                     recommendations=_recommendations(scenario, pairing, selection),
-                     carry=carry_out)
+def run_slo_baseline(scenario: Scenario, **kwargs) -> RunResult:
+    """Single-link baseline: `run_apc_loop(scenario, allocator="slo", ...)`."""
+    return run_apc_loop(scenario, allocator="slo", **kwargs)
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -393,23 +344,48 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
 # --- emission -------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
+def write_table(records, key: str, fmt: str = "csv", out=None) -> str:
+    """Serialize flat records to CSV or JSON; returns the text.
+
+    CSV has one header row of the first record's keys, floats written as
+    repr(float(v)); JSON is {key: records}. `out` may be a path or a
+    writable stream.
+    """
+    records = list(records)
+    if not records:
+        raise InvalidInputError(f"no {key} records to write")
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"format must be csv or json, got {fmt!r}")
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        header = list(records[0].keys())
+        writer.writerow(header)
+        for rec in records:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
+                             for v in (rec[k] for k in header)])
+        text = buf.getvalue()
+    else:
+        text = json.dumps({key: records}, indent=2) + "\n"
+
+    if out is not None:
+        if hasattr(out, "write"):
+            out.write(text)
+        else:
+            with open(out, "w") as fh:
+                fh.write(text)
+    return text
 
 
 def emit_results(reports, fmt: str = "csv", out=None) -> str:
-    """Serialize iteration reports to CSV or JSON; returns the text.
+    """Serialize iteration reports with `write_table`; returns the text.
 
-    `out` may be a path or a writable stream. Column order is fixed:
-    iteration, algorithm, snr_db, mcs, aggregate_throughput_bps,
-    fairness_spread, one phi_<channel id> column per channel, wall_time_s.
+    Column order is fixed: iteration, algorithm, snr_db, mcs,
+    aggregate_throughput_bps, fairness_spread, one phi_<channel id> column
+    per channel, wall_time_s.
     """
     reports = list(reports)
-    if not reports:
-        raise InvalidInputError("no reports to emit")
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"format must be csv or json, got {fmt!r}")
-    cids = reports[0].channel_ids
+    cids = reports[0].channel_ids if reports else ()
     records = []
     for r in reports:
         if r.channel_ids != cids:
@@ -426,35 +402,12 @@ def emit_results(reports, fmt: str = "csv", out=None) -> str:
             rec[f"phi_{cid}"] = value
         rec["wall_time_s"] = r.wall_time_s
         records.append(rec)
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = list(records[0].keys())
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([_fmt(rec[k]) for k in header])
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"results": records}, indent=2) + "\n"
-
-    if out is not None:
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
-    return text
+    return write_table(records, "results", fmt, out)
 
 
 def emit_sweep_stats(stats, fmt: str = "csv", out=None) -> str:
-    """Serialize sweep summaries; same conventions as `emit_results`."""
-    stats = list(stats)
-    if not stats:
-        raise InvalidInputError("no sweep stats to emit")
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"format must be csv or json, got {fmt!r}")
-    records = [{
+    """Serialize sweep summaries with `write_table`; returns the text."""
+    return write_table(({
         "snr_db": s.snr_base_db,
         "mcs": s.mcs_label,
         "rounds": s.rounds,
@@ -463,24 +416,7 @@ def emit_sweep_stats(stats, fmt: str = "csv", out=None) -> str:
         "spread_mean": s.spread_mean,
         "spread_std": s.spread_std,
         "min_spread_mean": s.min_spread_mean,
-    } for s in stats]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = list(records[0].keys())
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow([_fmt(rec[k]) for k in header])
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"sweep": records}, indent=2) + "\n"
-    if out is not None:
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
-    return text
+    } for s in stats), "sweep", fmt, out)
 
 
 # --- model validation and exact-solver comparison ---------------------------------

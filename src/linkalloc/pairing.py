@@ -86,7 +86,7 @@ class PairingMatrix:
         x = np.array(self.x)
         if x.ndim != 2:
             raise InvalidInputError(f"pairing matrix must be (N, M), got {x.shape}")
-        if not np.isin(x, (0, 1)).all():
+        if not ((x == 0) | (x == 1)).all():
             raise InvalidInputError("pairing matrix entries must be 0 or 1")
         x = x.astype(np.int8)
         if (x.sum(axis=0) > 1).any():
@@ -129,45 +129,33 @@ class IncidenceMatrix:
     """Constraint incidence of the assignment polytope.
 
     Rows are the M station equality constraints followed by the N AP capacity
-    constraints; columns are assignment edges. Each column has exactly one
-    station 1 and one AP 1. `edge_order` records whether edges enumerate
-    STA-major ((n, m) for m outer) or AP-major (n outer, matching the flat
-    edge ids used by the rate tensor).
+    constraints; columns are assignment edges, STA-major ((n, m) with m
+    outer). Each column has exactly one station 1 and one AP 1.
     """
 
     sta_rows: np.ndarray
     ap_rows: np.ndarray
-    edge_order: str
 
     @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.sta_rows, self.ap_rows])
 
 
-def build_incidence(n_aps: int, m_stas: int, edge_order: str = "sta_major") -> IncidenceMatrix:
+def build_incidence(n_aps: int, m_stas: int) -> IncidenceMatrix:
     if n_aps < 1 or m_stas < 1:
         raise InvalidInputError("need at least one AP and one STA")
-    if edge_order not in ("sta_major", "ap_major"):
-        raise InvalidInputError(f"edge_order must be sta_major or ap_major, got {edge_order!r}")
     e = n_aps * m_stas
     sta_rows = np.zeros((m_stas, e), dtype=np.int8)
     ap_rows = np.zeros((n_aps, e), dtype=np.int8)
     col = 0
-    if edge_order == "sta_major":
-        for m in range(m_stas):
-            for n in range(n_aps):
-                sta_rows[m, col] = 1
-                ap_rows[n, col] = 1
-                col += 1
-    else:
+    for m in range(m_stas):
         for n in range(n_aps):
-            for m in range(m_stas):
-                sta_rows[m, col] = 1
-                ap_rows[n, col] = 1
-                col += 1
+            sta_rows[m, col] = 1
+            ap_rows[n, col] = 1
+            col += 1
     sta_rows.setflags(write=False)
     ap_rows.setflags(write=False)
-    return IncidenceMatrix(sta_rows=sta_rows, ap_rows=ap_rows, edge_order=edge_order)
+    return IncidenceMatrix(sta_rows=sta_rows, ap_rows=ap_rows)
 
 
 @dataclass(frozen=True)
@@ -270,7 +258,7 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
     return PairingMatrix(x)
 
 
-def pair_optimal_lp(instance: PairingInstance, *, relaxed: bool = False):
+def pair_optimal_lp(instance: PairingInstance):
     """Capacity-respecting assignment maximizing total weight, via simplex.
 
     The LP relaxation of the assignment integer program is solved directly;
@@ -279,13 +267,9 @@ def pair_optimal_lp(instance: PairingInstance, *, relaxed: bool = False):
     are broken deterministically: a linearly decaying penalty far below solver
     tolerance is folded into the objective to prefer lexicographically earlier
     selections, and the simplex pivoting itself is deterministic.
-
-    With `relaxed=True` the per-station equality becomes <= 1 and stations may
-    be left unassigned when capacity is short, instead of raising
-    InfeasibleError.
     """
     n_aps, m_stas = instance.n_aps, instance.m_stas
-    if not relaxed and instance.ap_capacity.sum() < m_stas:
+    if instance.ap_capacity.sum() < m_stas:
         raise InfeasibleError(
             f"total AP capacity {int(instance.ap_capacity.sum())} < {m_stas} stations"
         )
@@ -303,16 +287,9 @@ def pair_optimal_lp(instance: PairingInstance, *, relaxed: bool = False):
         a_ub[n, n * m_stas:(n + 1) * m_stas] = 1.0
     b_ub = instance.ap_capacity.astype(float)
 
-    if relaxed:
-        a_ub = np.vstack([a_ub, a_eq])
-        b_ub = np.concatenate([b_ub, np.ones(m_stas)])
-        a_eq, b_eq = None, None
-    else:
-        b_eq = np.ones(m_stas)
-
     from scipy.optimize import linprog  # imported on first use: scipy is slow to load
 
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(m_stas),
                   bounds=(0.0, 1.0), method="highs-ds")
     if not res.success:
         raise SolverError(f"assignment LP failed: {res.message}")

@@ -35,7 +35,6 @@ __all__ = [
     "DATA_SUBCARRIERS",
     "OFDM_SYMBOL_S",
     "GUARD_INTERVAL_S",
-    "LEGACY_SYMBOL_S",
     "DEFAULT_PER_MIDPOINT_DB",
     "DEFAULT_PER_SLOPE_PER_DB",
 ]
@@ -254,7 +253,6 @@ DATA_SUBCARRIERS = {20: 234, 40: 468, 80: 980, 160: 1960}
 
 OFDM_SYMBOL_S = 12.8e-6     # default DFT period
 GUARD_INTERVAL_S = 0.8e-6   # default guard interval
-LEGACY_SYMBOL_S = 3.2e-6    # selectable legacy DFT period
 
 # logistic PER curve defaults per MCS (midpoints in dB); denser constellations
 # need more SNR for the same error rate

@@ -105,10 +105,6 @@ class EdgeRateMatrix:
     def f_count(self) -> int:
         return self.values.shape[0]
 
-    def to_tensor(self) -> RateTensor:
-        f = self.values.shape[0]
-        return RateTensor(self.values.reshape(f, self.n_aps, self.m_stas))
-
 
 @dataclass(frozen=True)
 class AverageRateMatrix:

@@ -252,7 +252,10 @@ class Scenario:
             lo, hi = self.snr_random_range_db
             base = rng.uniform(lo, hi, size=(f, n, m))
         else:
-            base = np.full((f, n, m), self.snr_base_db if base_db is None else float(base_db))
+            base_db = self.snr_base_db if base_db is None else float(base_db)
+            if math.isnan(base_db):    # NaN would mark every link out of range
+                raise ValidationError("SNR base must be a number, got nan")
+            base = np.full((f, n, m), base_db)
         out = np.full((f, n, m), np.nan)
         for mi, sta in enumerate(self.stas):
             for ni, ap in enumerate(self.aps):

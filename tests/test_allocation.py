@@ -241,7 +241,8 @@ def test_rr_rejects_bad_weights():
 
 
 def test_fairness_spread_uniform_is_zero():
-    assert fairness_spread([2.0, 2.0, 2.0]) == 0.0
+    for metrics in ([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]):   # all 0: no active link
+        assert fairness_spread(metrics) == 0.0
 
 
 def test_fairness_spread_hand_value():

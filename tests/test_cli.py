@@ -66,6 +66,31 @@ def test_run_extreme_snr_base_outcomes(tmp_path, capsys):
     assert err == "linkalloc: SINR grid entries must be finite and > 0\n"
 
 
+def test_dead_network_runs(tmp_path, capsys):
+    # no link is active at these SNRs: every metric is 0, the spread 0.0
+    out = str(tmp_path / "out.csv")
+    dead = ["--scenario", "scenario_3ap_15sta", "--iterations", "2", "--out", out]
+    assert main(["run", "--snr-base", "-30"] + dead) == 0
+    assert main(["run", "--snr-base", "-30", "--allocator", "slo"] + dead) == 0
+    rows = list(csv.DictReader(io.StringIO(Path(out).read_text())))
+    assert {(r["aggregate_throughput_bps"], r["fairness_spread"]) for r in rows} \
+        == {("0.0", "0.0")}
+    assert main(["sweep", "--snr=-40,10", "--rounds", "1"] + dead) == 0
+    assert capsys.readouterr().err == ""
+    # NaN is no SNR, not a network without links
+    assert main(["run", "--snr-base", "nan"] + dead) == 1
+    assert main(["sweep", "--snr=nan", "--rounds", "1"] + dead) == 1
+    assert capsys.readouterr().err == "linkalloc: SNR base must be a number, got nan\n" * 2
+
+
+def test_run_slo_rejects_greedy_solver(capsys):
+    args = ["run", "--scenario", "scenario_3ap_15sta", "--allocator", "slo",
+            "--solver", "greedy", "--iterations", "1"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        "linkalloc: allocator 'slo' pairs with solver 'optimal' only, got 'greedy'\n"
+
+
 def test_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

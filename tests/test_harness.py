@@ -1,10 +1,18 @@
 import csv
+import hashlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from linkalloc import harness
+from linkalloc.cli import main
 from linkalloc.harness import (
     compare_joint_vs_two_stage,
     emit_results,
@@ -153,6 +161,83 @@ def test_slo_below_multi_link_on_fixture():
     slo = run_slo_baseline(sc, iterations=10, snr_base_db=15.0, mcs_override=3)
     mlo = run_apc_loop(sc, iterations=10, snr_base_db=15.0, mcs_override=3)
     assert slo.final.aggregate_throughput_bps < mlo.final.aggregate_throughput_bps
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_slo_outputs_pinned(capsys):
+    # SHA-256 of the separate single-link loop's outputs before it became
+    # allocator="slo" of run_apc_loop
+    sc = _fixture()
+    ladder = "".join(emit_results(run_slo_baseline(sc, iterations=10, snr_base_db=snr,
+                                                   mcs_override=mcs).reports)
+                     for snr in (5.0, 10.0, 15.0, 20.0) for mcs in (3, 9))
+    assert _sha256(ladder) == "63c3511754851bb450694250942a603af6c4db843ff1c82d4654680609ab7b8e"
+    default = "3c6fb6b9d04ef675ae2eaa04ad20dcaa2c96a838ebc7f30f1c851bd44e460c1e"
+    assert _sha256(emit_results(run_slo_baseline(sc).reports)) == default
+    assert main(["run", "--scenario", "scenario_3ap_15sta", "--allocator", "slo"]) == 0
+    assert _sha256(capsys.readouterr().out) == default
+
+
+@st.composite
+def _small_scenarios(draw):
+    """1-3 channels, 1-3 APs, 1-5 STAs; None offsets are out-of-range links."""
+    cids = list(range(1, draw(st.integers(1, 3)) + 1))
+    ap_ids = [f"ap{n}" for n in range(draw(st.integers(1, 3)))]
+    offset = st.one_of(st.none(), st.integers(-30, 30).map(float))
+    stas = []
+    for m in range(draw(st.integers(1, 5))):
+        offsets = {ap: {cid: draw(offset) for cid in cids} for ap in ap_ids}
+        if all(v is None for per_ap in offsets.values() for v in per_ap.values()):
+            offsets[ap_ids[0]][cids[0]] = 0.0   # the schema needs one in-range link
+        stas.append({"id": f"sta{m}", "radios": draw(st.integers(1, 3)),
+                     "snr_offset_db": offsets})
+    aps = []
+    for ap in ap_ids:
+        doc = {"id": ap, "radios": draw(st.integers(1, 4))}
+        home = draw(st.sampled_from([None] + cids))
+        if home is not None:
+            doc["slo_channel"] = home
+        aps.append(doc)
+    doc = {
+        "seed": draw(st.integers(0, 100)),
+        "snr_base_db": float(draw(st.sampled_from([0, 10, 20, 30]))),
+        "channels": [{"id": cid, "band": "5GHz", "bandwidth_mhz": 40,
+                      "mcs": draw(st.integers(0, 11))} for cid in cids],
+        "aps": aps,
+        "stas": stas,
+    }
+    return load_scenario(io.StringIO(yaml.safe_dump(doc)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios())
+def test_slo_links_home_channel_only_and_pairing_optimal(sc):
+    tensors = []
+    build = harness.build_rate_tensor
+
+    def recording_build(*args, **kwargs):
+        tensors.append(build(*args, **kwargs))
+        return tensors[-1]
+
+    with mock.patch.object(harness, "build_rate_tensor", recording_build):
+        result = run_slo_baseline(sc, iterations=3)
+    home = [n % sc.f_count if ap.slo_channel is None else sc.channel_index(ap.slo_channel)
+            for n, ap in enumerate(sc.aps)]
+    caps = [-(-sc.m_stas // sc.n_aps)] * sc.n_aps
+    for report, tensor in zip(result.reports, tensors, strict=True):
+        home_rates = np.array([tensor.values[home[n], n] for n in range(sc.n_aps)])
+        links = sorted(report.selection.links())
+        want = sorted((home[n], n, m) for n, m in report.pairing.pairs()
+                      if home_rates[n, m] > 0.0)
+        assert links == want
+        assert len({m for _, _, m in links}) == len(links)    # one link per station
+        assert report.pairing.x.sum(axis=0).tolist() == [1] * sc.m_stas
+        objective = float((home_rates * report.pairing.x).sum())
+        assert objective == pytest.approx(oracles.best_assignment_value(home_rates, caps),
+                                          rel=1e-9, abs=1e-6)
 
 
 def test_slo_deterministic():

@@ -35,12 +35,6 @@ def test_incidence_two_by_two_pattern():
     assert inc.ap_rows.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
 
 
-def test_incidence_ap_major_transposes_roles():
-    inc = build_incidence(2, 2, edge_order="ap_major")
-    assert inc.ap_rows.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]]
-    assert inc.sta_rows.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
-
-
 def test_incidence_columns_sum_to_two():
     for n, m in ((1, 1), (2, 3), (4, 5), (6, 6)):
         inc = build_incidence(n, m)

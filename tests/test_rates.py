@@ -191,13 +191,6 @@ def test_contender_count_never_raises_rates():
         prev = r
 
 
-def test_tensor_round_trip_identity():
-    rng = np.random.default_rng(5)
-    vals = rng.uniform(0, 1e8, size=(3, 2, 4))
-    t = RateTensor(values=vals)
-    np.testing.assert_array_equal(t.to_edges().to_tensor().values, t.values)
-
-
 def test_edge_matrix_layout_is_ap_major():
     vals = np.arange(12, dtype=float).reshape(2, 2, 3)
     edges = RateTensor(values=vals).to_edges()
