@@ -2,11 +2,12 @@
 
 The pipeline: a PHY abstraction maps per-link SNR through an effective-SNR
 compression and PER curves to sustainable data rates; a saturated-contention
-MAC model discounts them for medium sharing; an LP-exact assignment pairs
-stations to APs on channel-averaged rates; and a proportional-fair allocator
-spreads each pairing's radios over the channels. Oracles (slot-level MAC
-simulation, exhaustive joint search, determinant enumeration) ship alongside
-for validating every analytical shortcut.
+MAC model discounts them for medium sharing; an exact assignment (the optimum
+of the paper's pairing LP, found by Kuhn-Munkres) pairs stations to APs on
+channel-averaged rates; and a proportional-fair allocator spreads each
+pairing's radios over the channels. Oracles (slot-level MAC simulation,
+exhaustive joint search, determinant enumeration) ship alongside for
+validating every analytical shortcut.
 """
 
 __version__ = "0.1.0"

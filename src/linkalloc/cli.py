@@ -63,6 +63,17 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the configuration-error code (not 2).
+
+    Subparsers are built from the root parser's class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", default=None,
@@ -70,7 +81,7 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linkalloc",
         description="Multi-link AP-STA pairing and channel allocation toolkit.",
     )

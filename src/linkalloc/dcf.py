@@ -39,14 +39,13 @@ class DcfParams:
     phy_header: float = 20e-6      # PHY preamble + header airtime
     ack_bytes: int = 14
     payload_bytes: int = 1500
-    ack_timeout: float = 300e-6
     cw_min: int = 16
     cw_max: int = 1024
     m_max_backoff_stages: int = 6
     prop_delay: float = 0.1e-6
 
     def __post_init__(self):
-        for name in ("slot_time", "sifs", "difs", "phy_header", "ack_timeout"):
+        for name in ("slot_time", "sifs", "difs", "phy_header"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be > 0")
         if self.eifs is not None and self.eifs <= 0:
@@ -178,18 +177,16 @@ def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
 
 
 def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
-                       n_slots: int, seed: int, durations: AirtimeDurations, *,
-                       phy_error_doubles_backoff: bool = False) -> float:
+                       n_slots: int, seed: int, durations: AirtimeDurations) -> float:
     """Empirical normalized throughput from a slot-level backoff replay.
 
     Runs `n_slots` contention slots (idle slots and transmission events each
     count as one). Backoff counters freeze while the channel is busy, double
     on collision up to cw_max, and reset on success. PHY errors are drawn
-    i.i.d. with probability `per` on single-transmitter slots; by default an
-    errored attempt redraws its backoff from the current window without
-    doubling it (set `phy_error_doubles_backoff` to treat it like a
-    collision), keeping the simulator aligned with the analytical fixed point
-    whose conditional failure probability counts collisions only.
+    i.i.d. with probability `per` on single-transmitter slots; an errored
+    attempt redraws its backoff from the current window without doubling it,
+    keeping the simulator aligned with the analytical fixed point whose
+    conditional failure probability counts collisions only.
     """
     if n_contenders < 1:
         raise InvalidInputError("n_contenders must be >= 1")
@@ -220,8 +217,6 @@ def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
             i = tx[0]
             if per > 0.0 and rng.random() < per:
                 busy_time += durations.t_phy_error
-                if phy_error_doubles_backoff:
-                    windows[i] = min(2 * windows[i], params.cw_max)
             else:
                 payload_time += durations.payload_airtime
                 busy_time += durations.t_success

@@ -173,8 +173,9 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     `slo_channel`, else channels in round-robin order), each station uses one
     radio, and AP capacities are balanced at ceil(M/N). Contention bootstrap,
     pairing weights and PF allocation see only the home-channel links, so the
-    LP pairs on home-channel rates and each paired link runs on its home
-    channel when that rate is > 0. It pairs with the optimal solver only.
+    optimal pairing weighs home-channel rates and each paired link runs on
+    its home channel when that rate is > 0. It pairs with the optimal solver
+    only.
     """
     if solver not in SOLVERS:
         raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")

@@ -1,14 +1,15 @@
-"""AP-STA pairing: LP-optimal assignment, greedy baseline, and exact oracles.
+"""AP-STA pairing: exact optimal assignment, greedy baseline, and exact oracles.
 
 Pairing assigns every station to exactly one AP, maximizing the sum of
-channel-averaged rates subject to per-AP capacity R(n). The LP relaxation's
-constraint matrix is an interval/incidence structure whose total
-unimodularity makes every basic optimum integral, so a plain simplex solve
-returns a binary assignment without branch-and-bound. `check_total_
-unimodularity` verifies the property by brute determinant enumeration, and
-`solve_joint_mmkp_bruteforce` solves the un-decomposed pairing+allocation
-problem exactly on small instances for comparison against the two-stage
-pipeline.
+channel-averaged rates subject to per-AP capacity R(n). The paper states this
+as an LP whose constraint matrix is a bipartite incidence matrix; its total
+unimodularity makes every basic optimum integral, so the LP optimum is the
+optimum of the integer assignment. `pair_optimal_lp` computes that optimum
+directly by Kuhn-Munkres on capacity-repeated AP rows (the LP itself is kept
+as a test oracle). `check_total_unimodularity` verifies the property by brute
+determinant enumeration, and `solve_joint_mmkp_bruteforce` solves the
+un-decomposed pairing+allocation problem exactly on small instances for
+comparison against the two-stage pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError, SizeLimitError, SolverError
+from .errors import InfeasibleError, InvalidInputError, SizeLimitError
 from .rates import RateTensor, edge_endpoints
 
 __all__ = [
@@ -258,50 +259,30 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
     return PairingMatrix(x)
 
 
-def pair_optimal_lp(instance: PairingInstance):
-    """Capacity-respecting assignment maximizing total weight, via simplex.
+def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
+    """Capacity-respecting assignment maximizing total weight.
 
-    The LP relaxation of the assignment integer program is solved directly;
-    total unimodularity of its constraint matrix guarantees the simplex vertex
-    is already binary, which is asserted before rounding. Exact objective ties
-    are broken deterministically: a linearly decaying penalty far below solver
-    tolerance is folded into the objective to prefer lexicographically earlier
-    selections, and the simplex pivoting itself is deterministic.
+    Returns the optimum of the paper's assignment LP, computed exactly by
+    Kuhn-Munkres: AP n's weight row is repeated min(R(n), M) times, one row
+    per usable radio, and `linear_sum_assignment` pairs every station with
+    one row. Total unimodularity makes the LP's vertex an optimum of this
+    same integer problem, so the objectives agree. Equal-weight optima are
+    broken deterministically by scipy's augmenting-path order over the
+    repeated AP rows, taken in AP index order; no particular optimum among
+    ties is promised.
     """
     n_aps, m_stas = instance.n_aps, instance.m_stas
     if instance.ap_capacity.sum() < m_stas:
         raise InfeasibleError(
             f"total AP capacity {int(instance.ap_capacity.sum())} < {m_stas} stations"
         )
-    e = n_aps * m_stas
-    d_flat = instance.d.reshape(e)          # edge e = n * M + m
-    scale = max(1.0, float(d_flat.max()))
-    tie_break = scale * 1e-11 * (np.arange(e, dtype=float)[::-1] + 1.0) / e
-    c = -(d_flat - tie_break)
+    from scipy.optimize import linear_sum_assignment  # first use: scipy is slow to load
 
-    a_eq = np.zeros((m_stas, e))
-    for m in range(m_stas):
-        a_eq[m, m::m_stas] = 1.0            # every AP's copy of station m
-    a_ub = np.zeros((n_aps, e))
-    for n in range(n_aps):
-        a_ub[n, n * m_stas:(n + 1) * m_stas] = 1.0
-    b_ub = instance.ap_capacity.astype(float)
-
-    from scipy.optimize import linprog  # imported on first use: scipy is slow to load
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(m_stas),
-                  bounds=(0.0, 1.0), method="highs-ds")
-    if not res.success:
-        raise SolverError(f"assignment LP failed: {res.message}")
-    x_frac = res.x.reshape(n_aps, m_stas)
-    x_round = np.round(x_frac)
-    drift = float(np.abs(x_frac - x_round).max())
-    if drift > 1e-6:
-        raise SolverError(
-            f"assignment LP returned a fractional vertex (max deviation {drift:.3e}); "
-            "the constraint matrix should be totally unimodular"
-        )
-    return PairingMatrix(x_round.astype(np.int8))
+    rows = np.repeat(np.arange(n_aps), np.minimum(instance.ap_capacity, m_stas))
+    r, c = linear_sum_assignment(instance.d[rows], maximize=True)
+    x = np.zeros((n_aps, m_stas), dtype=np.int8)
+    x[rows[r], c] = 1
+    return PairingMatrix(x)
 
 
 # --- joint exact solver ----------------------------------------------------------

@@ -32,7 +32,9 @@ Schema (all SNR values in dB)::
 `snr_offset_db` may be a scalar (all APs, all channels), a per-AP scalar, or
 a per-AP per-channel map; APs absent from the map are out of range. The
 effective SNR of a link is `snr_base_db + offset` unless the scenario draws
-random bases from `snr_random_range_db`.
+random bases from `snr_random_range_db`. Every number must be finite: YAML
+`.nan` and `.inf` are rejected with their field path, so only
+`out-of-range` marks a link out of range.
 """
 
 from __future__ import annotations
@@ -299,7 +301,13 @@ def _need(mapping: dict, key: str, ctx: str):
 def _as_number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{ctx}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:   # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{ctx}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, ctx: str) -> int:
@@ -359,8 +367,9 @@ def _parse_sta(doc, ctx: str, ap_ids: list, channel_ids: list) -> StaConfig:
     octx = f"{ctx}.snr_offset_db"
     offsets: dict = {}
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        v = _as_number(raw, octx)
         for ap in ap_ids:
-            offsets[ap] = {cid: float(raw) for cid in channel_ids}
+            offsets[ap] = {cid: v for cid in channel_ids}
     elif isinstance(raw, dict):
         for ap_key, ap_val in raw.items():
             ap_key = str(ap_key)
@@ -388,8 +397,7 @@ def _parse_dcf(doc, ctx: str) -> DcfParams:
     doc = _as_mapping(doc, ctx)
     fields = {
         "slot_time", "sifs", "difs", "eifs", "phy_header", "ack_bytes",
-        "payload_bytes", "ack_timeout", "cw_min", "cw_max",
-        "m_max_backoff_stages", "prop_delay",
+        "payload_bytes", "cw_min", "cw_max", "m_max_backoff_stages", "prop_delay",
     }
     _reject_unknown(doc, fields, ctx)
     kwargs = {}

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written with different algorithms (and, where
 possible, different libraries) than the code under test: damped Picard instead
-of bisection, dynamic programming over capacity states instead of an LP,
-bit-mask enumeration instead of recursive search, plain `math` instead of
-numpy log-sum-exp.
+of bisection, the paper's assignment LP and dynamic programming over capacity
+states instead of Kuhn-Munkres, bit-mask enumeration instead of recursive
+search, plain `math` instead of numpy log-sum-exp.
 """
 
 import bisect
@@ -116,6 +116,33 @@ def best_assignment_value(d, caps):
             np.maximum(new[tuple(dst)], cand, out=new[tuple(dst)])
         val = new
     return float(val.max())
+
+
+def assignment_lp_vertex(d, caps):
+    """Vertex of the paper's assignment LP relaxation, as an (N, M) float array.
+
+    maximize sum(d * x) subject to sum_n x[n, m] = 1 for every station,
+    sum_m x[n, m] <= caps[n] for every AP and 0 <= x <= 1, solved by dual
+    simplex on dense constraint matrices. Edge e = n * M + m. The vertex is
+    returned unrounded, so callers can check that total unimodularity made
+    it integral.
+    """
+    from scipy.optimize import linprog
+
+    d = np.asarray(d, dtype=float)
+    n_aps, m_stas = d.shape
+    e = n_aps * m_stas
+    a_eq = np.zeros((m_stas, e))
+    for m in range(m_stas):
+        a_eq[m, m::m_stas] = 1.0            # every AP's copy of station m
+    a_ub = np.zeros((n_aps, e))
+    for n in range(n_aps):
+        a_ub[n, n * m_stas:(n + 1) * m_stas] = 1.0
+    res = linprog(-d.reshape(e), A_ub=a_ub, b_ub=np.asarray(caps, dtype=float),
+                  A_eq=a_eq, b_eq=np.ones(m_stas), bounds=(0.0, 1.0), method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"assignment LP failed: {res.message}")
+    return res.x.reshape(n_aps, m_stas)
 
 
 def exhaustive_mmkp_value(values, ap_caps, sta_limits):

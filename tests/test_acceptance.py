@@ -54,6 +54,7 @@ def test_criterion_01_lp_integral_and_optimal():
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
     worst = 0.0
+    drift = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 11))
@@ -62,14 +63,21 @@ def test_criterion_01_lp_integral_and_optimal():
             caps[int(rng.integers(n))] += 1
         d = rng.uniform(0.0, 1.0, size=(n, m))
         inst = PairingInstance(d=d, ap_capacity=caps, sta_radio_limits=np.ones(m, dtype=int))
+        want = oracles.best_assignment_value(d, caps)
+        # the paper's claim: total unimodularity makes the LP vertex 0/1 and optimal
+        vertex = oracles.assignment_lp_vertex(d, caps)
+        drift = max(drift, float(np.abs(vertex - np.round(vertex)).max()))
+        lp = float((d * np.round(vertex)).sum())
+        # the production pairing reaches the optimum of both oracles
         x = pair_optimal_lp(inst)
         assert set(np.unique(x.x)) <= {0, 1}
         got = objective_value(x, d)
-        want = oracles.best_assignment_value(d, caps)
-        worst = max(worst, abs(got - want) / max(want, 1e-300))
+        for a, b in ((lp, want), (got, want), (got, lp)):
+            worst = max(worst, abs(a - b) / max(b, 1e-300))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 10.0
-    _verdict(1, ok, f"1000 instances, worst rel dev {worst:.2e}, {elapsed:.2f}s")
+    ok = worst <= 1e-9 and drift <= 1e-6 and elapsed < 10.0
+    _verdict(1, ok, f"1000 instances, LP vertex drift {drift:.1e}, worst rel dev "
+                    f"{worst:.2e} (LP vs DP, pairing vs DP and LP), {elapsed:.2f}s")
 
 
 def test_criterion_02_total_unimodularity():

@@ -39,8 +39,19 @@ def test_run_accepts_explicit_path(tmp_path):
     assert rc == 0
 
 
-def test_run_missing_scenario_is_validation_exit():
+def test_run_missing_scenario_is_validation_exit(capsys):
     assert main(["run", "--scenario", "no_such_scenario"]) == 1
+    capsys.readouterr()
+    # usage errors are configuration errors too; exit 2 is for solver failures
+    for argv, msg in ((["run", "--scenario", "scenario_slo", "--iterations", "abc"],
+                       "argument --iterations: invalid int value: 'abc'"),
+                      (["bogus"], "invalid choice: 'bogus'"),
+                      (["run"], "the following arguments are required: --scenario")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: linkalloc") and msg in err
 
 
 def test_run_deterministic_outputs(tmp_path):

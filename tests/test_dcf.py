@@ -20,7 +20,6 @@ def test_default_params_match_reference_table():
     assert p.phy_header == 20e-6
     assert p.ack_bytes == 14
     assert p.payload_bytes == 1500
-    assert p.ack_timeout == 300e-6
     assert p.cw_min == 16
     assert p.cw_max == 1024
     assert p.m_max_backoff_stages == 6

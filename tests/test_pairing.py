@@ -116,21 +116,30 @@ def test_lp_argmax_when_one_ap_has_slack():
 
 def test_lp_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 11))
-        caps = rng.integers(1, 5, size=n)
-        while caps.sum() < m:
-            caps[rng.integers(n)] += 1
-        d = rng.uniform(0, 100, size=(n, m))
-        inst = _instance(d, caps)
-        x = pair_optimal_lp(inst)
-        assert set(np.unique(x.x)) <= {0, 1}
-        got = objective_value(x, d)
-        want = oracles.best_assignment_value(d, caps)
-        assert got == pytest.approx(want, rel=1e-9)
-        assert (x.x.sum(axis=0) == 1).all()
-        assert (x.x.sum(axis=1) <= caps).all()
+    for ties in (False, True):
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 11))
+            caps = rng.integers(1, 5, size=n)
+            while caps.sum() < m:
+                caps[rng.integers(n)] += 1
+            if ties:
+                # weights in {0, 1, 2} with all-zero rows and columns: many tied optima
+                d = rng.integers(0, 3, size=(n, m)).astype(float)
+                d[rng.random(n) < 0.3, :] = 0.0
+                d[:, rng.random(m) < 0.3] = 0.0
+            else:
+                d = rng.uniform(0, 100, size=(n, m))
+            inst = _instance(d, caps)
+            x = pair_optimal_lp(inst)
+            assert set(np.unique(x.x)) <= {0, 1}
+            got = objective_value(x, d)
+            want = oracles.best_assignment_value(d, caps)
+            lp = float((d * np.round(oracles.assignment_lp_vertex(d, caps))).sum())
+            assert got == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(lp, rel=1e-9)
+            assert (x.x.sum(axis=0) == 1).all()
+            assert (x.x.sum(axis=1) <= caps).all()
 
 
 def test_lp_dominates_greedy_everywhere():

@@ -55,9 +55,10 @@ def test_empty_channel_list_rejected():
 
 
 def test_unknown_field_named_in_error():
-    # a field the schema no longer has (eesm_beta) fails like a typo
+    # fields the schema no longer has (eesm_beta, ack_timeout) fail like a typo
     for extra, name in (("frobnicate: 3", "frobnicate"),
-                        ("per_model: {eesm_beta: 1.0}", "eesm_beta")):
+                        ("per_model: {eesm_beta: 1.0}", "eesm_beta"),
+                        ("dcf: {ack_timeout: 3.0e-4}", "ack_timeout")):
         bad = MINIMAL.replace("seed: 1", f"seed: 1\n{extra}")
         with pytest.raises(ValidationError) as exc:
             _load(bad)
@@ -192,6 +193,18 @@ def test_booleans_rejected_as_numbers():
     bad = MINIMAL.replace("radios: 2, slo_channel: 1", "radios: true, slo_channel: 1")
     with pytest.raises(ValidationError):
         _load(bad)
+    # nor are numbers with no finite float value (NaN, +-inf, an integer beyond
+    # the float range), in the scalar, per-AP and per-channel offset forms
+    for value in (".nan", ".inf", "-.inf", "1" + "0" * 400):
+        for old, new, path in (
+                ("snr_offset_db: 0.0", f"snr_offset_db: {value}", "stas[0].snr_offset_db"),
+                ("snr_offset_db: 0.0", f"snr_offset_db: {{ap1: {value}}}",
+                 "stas[0].snr_offset_db.ap1"),
+                ("{1: -3.0, 2: out-of-range}", f"{{1: {value}, 2: out-of-range}}",
+                 "stas[1].snr_offset_db.ap1[1]")):
+            with pytest.raises(ValidationError) as exc:
+                _load(MINIMAL.replace(old, new))
+            assert f"{path}: expected a finite number" in str(exc.value)
 
 
 def test_missing_required_field():
