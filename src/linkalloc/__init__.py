@@ -18,7 +18,6 @@ from .allocation import (
     ThroughputState,
     allocate_pf,
     allocate_rr,
-    commit_state,
     ewma_update,
     fairness_spread,
     pf_metric,
@@ -82,15 +81,10 @@ from .phy import (
     sinr,
 )
 from .rates import (
-    AverageRateMatrix,
-    EdgeRateMatrix,
     RateTensor,
-    average_over_channels,
     bootstrap_contenders,
     build_rate_tensor,
     channel_rate,
-    edge_endpoints,
-    edge_index,
     link_rate,
 )
 from .scenario import (

@@ -31,7 +31,6 @@ from .allocation import (
     ThroughputState,
     allocate_pf,
     allocate_rr,
-    commit_state,
     ewma_update,
     fairness_spread,
     pf_metric,
@@ -41,8 +40,7 @@ from .dcf import DcfParams, airtime_durations, normalized_throughput, simulate_d
 from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp, \
     solve_joint_mmkp_bruteforce
-from .rates import RateTensor, average_over_channels, bootstrap_contenders, \
-    build_rate_tensor, edge_index
+from .rates import RateTensor, bootstrap_contenders, build_rate_tensor
 from .scenario import Scenario
 
 __all__ = [
@@ -121,14 +119,14 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
     return str(values.pop()) if len(values) == 1 else "mixed"
 
 
-def _aggregate_throughput(selection: LinkSelection, c) -> float:
+def _aggregate_throughput(selection: LinkSelection, tensor: RateTensor) -> float:
     """Network total: sum of every active link's contention-discounted rate.
 
     Each link's rate already carries its channel's contention factor for the
     link count the tensor was built with, so the sum is the model's aggregate
     delivered throughput.
     """
-    return float((selection.s * c.values).sum())
+    return float((selection.s * tensor.values).sum())
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -138,11 +136,19 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
         if n is None:
             recs.append(Recommendation(sta.sta_id, None, ()))
             continue
-        e = edge_index(n, m, scenario.m_stas)
         cids = tuple(scenario.channels[f].channel_id
-                     for f in np.flatnonzero(selection.s[:, e]))
+                     for f in np.flatnonzero(selection.s[:, n, m]))
         recs.append(Recommendation(sta.sta_id, scenario.aps[n].ap_id, cids))
     return recs
+
+
+def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator:
+    """The run's generator: `rng_seed`, else the scenario's seed."""
+    seed = scenario.rng_seed if rng_seed is None else rng_seed
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:    # negative or non-integer seeds
+        raise InvalidInputError(f"invalid seed {seed!r}: {exc}") from exc
 
 
 def _home_channel_mask(scenario: Scenario) -> np.ndarray:
@@ -187,9 +193,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
 
-    seed = scenario.rng_seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
-    snr_field = scenario.snr_field(base_db=snr_base_db, rng=rng)
+    snr_field = scenario.snr_field(base_db=snr_base_db, rng=_seeded_rng(scenario, rng_seed))
     label = _mcs_label(scenario, mcs_override)
     base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
     if allocator == "slo":
@@ -218,9 +222,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         t0 = time.perf_counter() if timing else 0.0
         tensor = build_rate_tensor(scenario, contenders=contenders,
                                    snr_field=snr_field, mcs_override=mcs_override)
-        c = tensor.to_edges()
         if state is None:
-            state = ThroughputState.cold_start(c, scenario.ewma_horizon_t)
+            state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
         usable_rates = RateTensor(tensor.values * link_usable)
         # mean over usable channels: the plain channel mean unless SLO masks links
         instance = PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
@@ -229,22 +232,22 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         budget = RadioBudget.from_pairing(pairing, limits)
         decision_state = state
         if allocator == "rr":
-            selection = allocate_rr(pairing, budget, scenario.f_count, scenario.rr_weights)
-            state = commit_state(ewma_update(state, selection, c))
+            selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights)
+            state = ewma_update(state, selection, tensor)
         else:
-            selection, state = allocate_pf(pairing, budget, usable_rates.to_edges(), state)
+            selection, state = allocate_pf(pairing, budget, usable_rates, state)
         wall = (time.perf_counter() - t0) if timing else 0.0
 
-        metrics = tuple(pf_metric(decision_state, selection, c, f)
+        metrics = tuple(pf_metric(decision_state, selection, tensor, f)
                         for f in range(scenario.f_count))
         reports.append(IterationReport(
             iteration=it,
             algorithm=algorithm,
             snr_base_db=base_reported,
             mcs_label=label,
-            aggregate_throughput_bps=_aggregate_throughput(selection, c),
+            aggregate_throughput_bps=_aggregate_throughput(selection, tensor),
             fairness_spread=fairness_spread(metrics),
-            per_channel_phi=tuple(float(v) for v in state.phi_cur),
+            per_channel_phi=tuple(float(v) for v in state.phi),
             per_channel_metric=metrics,
             channel_ids=tuple(ch.channel_id for ch in scenario.channels),
             wall_time_s=wall,
@@ -463,22 +466,19 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     """
     if m_stas is not None:
         scenario = scenario.truncated(m_stas)
-    seed = scenario.rng_seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
-    snr_field = scenario.snr_field(rng=rng)
+    snr_field = scenario.snr_field(rng=_seeded_rng(scenario, rng_seed))
     tensor = build_rate_tensor(scenario, snr_field=snr_field)
-    c = tensor.to_edges()
     caps = scenario.ap_capacities()
     limits = scenario.sta_radio_limits()
-    instance = PairingInstance(average_over_channels(tensor).values, caps, limits)
+    instance = PairingInstance(tensor.values.mean(axis=0), caps, limits)
 
     t0 = time.perf_counter()
     pairing = pair_optimal_lp(instance)
     budget = RadioBudget.from_pairing(pairing, limits)
-    state = ThroughputState.cold_start(c, scenario.ewma_horizon_t)
-    selection, _ = allocate_pf(pairing, budget, c, state)
+    state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
+    selection, _ = allocate_pf(pairing, budget, tensor, state)
     two_stage_wall = time.perf_counter() - t0
-    two_stage_value = float((selection.s * c.values).sum())
+    two_stage_value = _aggregate_throughput(selection, tensor)
 
     t0 = time.perf_counter()
     joint = solve_joint_mmkp_bruteforce(tensor, instance)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError, SizeLimitError
-from .rates import RateTensor, edge_endpoints
+from .rates import RateTensor
 
 __all__ = [
     "PairingInstance",
@@ -116,7 +116,7 @@ class PairingMatrix:
 
 def objective_value(pairing: PairingMatrix, d) -> float:
     """Total pairing weight sum(d * X)."""
-    dv = d.values if hasattr(d, "values") else np.asarray(d, dtype=float)
+    dv = np.asarray(d, dtype=float)
     if dv.shape != pairing.x.shape:
         raise InvalidInputError(f"shape mismatch: d {dv.shape} vs X {pairing.x.shape}")
     return float((dv * pairing.x).sum())

@@ -7,8 +7,9 @@ efficiency comes from the saturated-contention fixed point in `dcf`; the PHY
 error probability comes from the PER curves in `phy`. One vectorized kernel
 evaluates each block of links that share a channel and an MCS.
 
-Edges flatten AP-major: edge e = n * M + m pairs AP n with STA m. The same
-convention is shared by the pairing and allocation stages.
+The (F, N, M) layout is the only link layout: the pairing weights are the
+tensor's mean over channels (N, M), and a link selection is an (F, N, M)
+0/1 array indexed like the tensor.
 """
 
 from __future__ import annotations
@@ -25,32 +26,11 @@ from .scenario import Scenario
 
 __all__ = [
     "RateTensor",
-    "EdgeRateMatrix",
-    "AverageRateMatrix",
     "channel_rate",
     "link_rate",
     "bootstrap_contenders",
     "build_rate_tensor",
-    "average_over_channels",
-    "edge_index",
-    "edge_endpoints",
 ]
-
-
-def edge_index(n: int, m: int, m_stas: int) -> int:
-    """Flat edge id of the (AP n, STA m) pair."""
-    return n * m_stas + m
-
-
-def edge_endpoints(e: int, m_stas: int) -> tuple:
-    """Inverse of `edge_index`."""
-    return e // m_stas, e % m_stas
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -60,63 +40,17 @@ class RateTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(self.values)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 3:
             raise InvalidInputError(f"rate tensor must be (F, N, M), got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("rates must be finite and non-negative")
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def f_count(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_aps(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def m_stas(self) -> int:
-        return self.values.shape[2]
-
-    def to_edges(self) -> "EdgeRateMatrix":
-        f, n, m = self.values.shape
-        return EdgeRateMatrix(self.values.reshape(f, n * m), n_aps=n, m_stas=m)
-
-
-@dataclass(frozen=True)
-class EdgeRateMatrix:
-    """Rates indexed (channel, edge) with edges AP-major: e = n * M + m."""
-
-    values: np.ndarray
-    n_aps: int
-    m_stas: int
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 2 or v.shape[1] != self.n_aps * self.m_stas:
-            raise InvalidInputError(
-                f"edge matrix must be (F, N*M) = (F, {self.n_aps * self.m_stas}), "
-                f"got shape {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def f_count(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class AverageRateMatrix:
-    """Channel-averaged rates D[n, m] used as pairing weights."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 2:
-            raise InvalidInputError(f"average rate matrix must be (N, M), got {v.shape}")
-        object.__setattr__(self, "values", v)
 
 
 def channel_rate(per, tpt, mcs_rate: float):
@@ -230,7 +164,3 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
                                        _mcs_rate(mcs, chan.bandwidth_mhz), state, params)
     return RateTensor(out)
 
-
-def average_over_channels(tensor: RateTensor) -> AverageRateMatrix:
-    """Pairing weights D[n, m]: the unweighted mean of C over channels."""
-    return AverageRateMatrix(tensor.values.mean(axis=0))

@@ -8,7 +8,7 @@ loaded `Scenario` echoes the exact numbers the pipeline will use.
 Schema (all SNR values in dB)::
 
     name: demo                      # optional
-    seed: 7                         # RNG seed for everything downstream
+    seed: 7                         # RNG seed (>= 0) for everything downstream
     ewma_horizon_t: 100             # averaging horizon T of the allocator
     monte_carlo_rounds: 100         # default rounds for sweeps
     snr_base_db: 20.0               # base SNR added to every per-link offset
@@ -34,7 +34,8 @@ a per-AP per-channel map; APs absent from the map are out of range. The
 effective SNR of a link is `snr_base_db + offset` unless the scenario draws
 random bases from `snr_random_range_db`. Every number must be finite: YAML
 `.nan` and `.inf` are rejected with their field path, so only
-`out-of-range` marks a link out of range.
+`out-of-range` marks a link out of range. Integers must fit in signed 64
+bits, and radio counts are at most 2**31 - 1.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
 
 BAND_MAX_BANDWIDTH_MHZ = {"2.4GHz": 40, "5GHz": 80, "6GHz": 160}
 OUT_OF_RANGE = "out-of-range"
+MAX_RADIOS = 2**31 - 1    # small enough that no sum of radio counts wraps int64
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class ApConfig:
     mcs_overrides: dict = field(default_factory=dict)  # channel id -> MCS
 
     def __post_init__(self):
-        if self.radios < 1:
-            raise ValidationError(f"ap {self.ap_id}: radios must be >= 1")
+        if not 1 <= self.radios <= MAX_RADIOS:
+            raise ValidationError(f"ap {self.ap_id}: radios must be in [1, {MAX_RADIOS}]")
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ class StaConfig:
     snr_offsets_db: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.radios < 1:
-            raise ValidationError(f"sta {self.sta_id}: radios must be >= 1")
+        if not 1 <= self.radios <= MAX_RADIOS:
+            raise ValidationError(f"sta {self.sta_id}: radios must be in [1, {MAX_RADIOS}]")
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,8 @@ class Scenario:
             raise ValidationError("scenario needs at least one channel")
         if not self.aps or not self.stas:
             raise ValidationError("scenario needs at least one AP and one STA")
+        if self.rng_seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.rng_seed}")
         if self.ewma_horizon_t < 1:
             raise ValidationError("ewma_horizon_t must be >= 1")
         if self.monte_carlo_rounds < 1:
@@ -276,12 +280,6 @@ class Scenario:
             raise ValidationError(f"cannot truncate to {m_stas} of {self.m_stas} STAs")
         return replace(self, stas=self.stas[:m_stas])
 
-    def with_mcs(self, mcs_index: int) -> "Scenario":
-        """A copy running every channel at the given MCS."""
-        chans = tuple(replace(c, mcs_index=mcs_index) for c in self.channels)
-        aps = tuple(replace(a, mcs_overrides={}) for a in self.aps)
-        return replace(self, channels=chans, aps=aps)
-
 
 # --- YAML parsing -------------------------------------------------------------
 
@@ -313,6 +311,8 @@ def _as_number(value, ctx: str) -> float:
 def _as_int(value, ctx: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{ctx}: expected an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValidationError(f"{ctx}: integer {value} is outside the signed 64-bit range")
     return value
 
 

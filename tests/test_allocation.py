@@ -9,7 +9,6 @@ from linkalloc.allocation import (
     ThroughputState,
     allocate_pf,
     allocate_rr,
-    commit_state,
     ewma_update,
     fairness_spread,
     instantaneous_rates,
@@ -18,11 +17,16 @@ from linkalloc.allocation import (
 )
 from linkalloc.errors import InvalidInputError
 from linkalloc.pairing import PairingMatrix
-from linkalloc.rates import EdgeRateMatrix
+from linkalloc.rates import RateTensor
 
 
-def _edge_rates(values, n_aps, m_stas):
-    return EdgeRateMatrix(values=np.asarray(values, dtype=float), n_aps=n_aps, m_stas=m_stas)
+def _rates(values, n_aps, m_stas):
+    """Rate tensor from rows of per-channel rates listed AP-major."""
+    return RateTensor(np.asarray(values, dtype=float).reshape(-1, n_aps, m_stas))
+
+
+def _unit_rates(f_count, pairing):
+    return RateTensor(np.ones((f_count,) + pairing.x.shape))
 
 
 def _full_pairing(n_aps, m_stas):
@@ -32,69 +36,65 @@ def _full_pairing(n_aps, m_stas):
 
 
 def test_ewma_horizon_one_is_instantaneous():
-    c = _edge_rates([[100.0, 50.0]], 1, 2)
-    state = ThroughputState(phi_prev=np.array([7.0]), phi_cur=np.array([7.0]), horizon_t=1)
-    s = np.array([[1, 1]])
+    c = _rates([[100.0, 50.0]], 1, 2)
+    state = ThroughputState(phi=np.array([7.0]), horizon_t=1)
+    s = np.array([[[1, 1]]])
     out = ewma_update(state, s, c)
-    assert out.phi_cur[0] == pytest.approx(75.0)
+    assert out.phi[0] == pytest.approx(75.0)
 
 
 def test_ewma_idle_channel_decays():
-    c = _edge_rates([[100.0], [100.0]], 1, 1)
-    state = ThroughputState(phi_prev=np.array([8.0, 8.0]), phi_cur=np.array([8.0, 8.0]), horizon_t=4)
-    s = np.array([[1], [0]])
+    c = _rates([[100.0], [100.0]], 1, 1)
+    state = ThroughputState(phi=np.array([8.0, 8.0]), horizon_t=4)
+    s = np.array([[[1]], [[0]]])
     out = ewma_update(state, s, c)
-    assert out.phi_cur[1] == pytest.approx(0.75 * 8.0)
-    assert out.phi_cur[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
-    # phi_prev is only advanced by an explicit commit
-    assert out.phi_prev[0] == 8.0
-    committed = commit_state(out)
-    assert committed.phi_prev[0] == out.phi_cur[0]
+    assert out.phi[1] == pytest.approx(0.75 * 8.0)
+    assert out.phi[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
+    assert state.phi.tolist() == [8.0, 8.0]     # the input state is left as it was
 
 
 def test_ewma_geometric_convergence():
     t = 8
-    c = _edge_rates([[60.0]], 1, 1)
-    s = np.array([[1]])
-    state = ThroughputState(phi_prev=np.array([0.0]), phi_cur=np.array([0.0]), horizon_t=t)
+    c = _rates([[60.0]], 1, 1)
+    s = np.array([[[1]]])
+    state = ThroughputState(phi=np.array([0.0]), horizon_t=t)
     errors = []
     for _ in range(40):
-        state = commit_state(ewma_update(state, s, c))
-        errors.append(abs(state.phi_cur[0] - 60.0))
+        state = ewma_update(state, s, c)
+        errors.append(abs(state.phi[0] - 60.0))
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
 
 
 def test_pf_metric_steady_state_is_one():
-    c = _edge_rates([[42.0]], 1, 1)
-    s = np.array([[1]])
-    state = ThroughputState(phi_prev=np.array([42.0]), phi_cur=np.array([42.0]), horizon_t=5)
+    c = _rates([[42.0]], 1, 1)
+    s = np.array([[[1]]])
+    state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
     assert pf_metric(state, s, c, 0) == pytest.approx(1.0)
 
 
 def test_pf_metric_reciprocal_scaling():
-    c = _edge_rates([[42.0]], 1, 1)
-    s = np.array([[1]])
-    full = ThroughputState(phi_prev=np.array([10.0]), phi_cur=np.array([10.0]), horizon_t=5)
-    half = ThroughputState(phi_prev=np.array([5.0]), phi_cur=np.array([5.0]), horizon_t=5)
+    c = _rates([[42.0]], 1, 1)
+    s = np.array([[[1]]])
+    full = ThroughputState(phi=np.array([10.0]), horizon_t=5)
+    half = ThroughputState(phi=np.array([5.0]), horizon_t=5)
     assert pf_metric(half, s, c, 0) == pytest.approx(2 * pf_metric(full, s, c, 0))
 
 
 def test_pf_metric_cold_channel_is_infinite():
-    c = _edge_rates([[42.0]], 1, 1)
-    s = np.array([[1]])
-    state = ThroughputState(phi_prev=np.array([0.0]), phi_cur=np.array([0.0]), horizon_t=5)
+    c = _rates([[42.0]], 1, 1)
+    s = np.array([[[1]]])
+    state = ThroughputState(phi=np.array([0.0]), horizon_t=5)
     assert pf_metric(state, s, c, 0) == math.inf
 
 
 def test_pf_picks_dominant_rate_channel():
     pairing = _full_pairing(1, 1)
     budget = RadioBudget.from_pairing(pairing, [1])
-    c = _edge_rates([[100.0], [10.0]], 1, 1)
-    state = ThroughputState(phi_prev=np.array([50.0, 50.0]), phi_cur=np.array([50.0, 50.0]), horizon_t=10)
+    c = _rates([[100.0], [10.0]], 1, 1)
+    state = ThroughputState(phi=np.array([50.0, 50.0]), horizon_t=10)
     selection, _ = allocate_pf(pairing, budget, c, state)
-    assert selection.s[0, 0] == 1
-    assert selection.s[1, 0] == 0
+    assert selection.s[:, 0, 0].tolist() == [1, 0]
 
 
 def test_pf_single_channel_respects_budget():
@@ -104,30 +104,30 @@ def test_pf_single_channel_respects_budget():
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
     assert budget.r_tilde.tolist() == [3]
     tight = RadioBudget(r_tilde=np.array([2]), sta_radio_limits=np.array([1, 1, 1]))
-    c = _edge_rates([[30.0, 20.0, 10.0]], 1, 3)
+    c = _rates([[30.0, 20.0, 10.0]], 1, 3)
     state = ThroughputState.cold_start(c, horizon_t=10)
     selection, _ = allocate_pf(pairing, tight, c, state)
     assert selection.s.sum() == 2
-    assert selection.unallocated_edges == (2,)
+    assert selection.unallocated_edges == ((0, 2),)
 
 
 def test_pf_multi_radio_sta_takes_distinct_channels():
     pairing = _full_pairing(1, 1)
     budget = RadioBudget.from_pairing(pairing, [3])
-    c = _edge_rates([[100.0], [80.0], [60.0]], 1, 1)
+    c = _rates([[100.0], [80.0], [60.0]], 1, 1)
     state = ThroughputState.cold_start(c, horizon_t=10)
     selection, _ = allocate_pf(pairing, budget, c, state)
-    assert selection.s[:, 0].tolist() == [1, 1, 1]
+    assert selection.s[:, 0, 0].tolist() == [1, 1, 1]
 
 
 def test_pf_skips_dead_links():
     pairing = _full_pairing(1, 2)
     budget = RadioBudget.from_pairing(pairing, [1, 1])
-    c = _edge_rates([[100.0, 0.0]], 1, 2)
+    c = _rates([[100.0, 0.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
     selection, _ = allocate_pf(pairing, budget, c, state)
-    assert selection.s[0].tolist() == [1, 0]
-    assert selection.unallocated_edges == (1,)
+    assert selection.s[0].tolist() == [[1, 0]]
+    assert selection.unallocated_edges == ((0, 1),)
 
 
 def test_pf_determinism():
@@ -135,12 +135,12 @@ def test_pf_determinism():
     x = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 2, 1])
-    c = _edge_rates(rng.uniform(1, 100, size=(3, 8)), 2, 4)
+    c = _rates(rng.uniform(1, 100, size=(3, 8)), 2, 4)
     state = ThroughputState.cold_start(c, horizon_t=7)
     a, sa = allocate_pf(pairing, budget, c, state)
     b, sb = allocate_pf(pairing, budget, c, state)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(sa.phi_cur, sb.phi_cur)
+    np.testing.assert_array_equal(sa.phi, sb.phi)
 
 
 def test_pf_selection_always_feasible():
@@ -153,7 +153,7 @@ def test_pf_selection_always_feasible():
         pairing = PairingMatrix(x=x)
         limits = rng.integers(1, 4, size=m)
         budget = RadioBudget.from_pairing(pairing, limits)
-        c = _edge_rates(rng.uniform(0, 100, size=(f, n * m)), n, m)
+        c = _rates(rng.uniform(0, 100, size=(f, n * m)), n, m)
         state = ThroughputState.cold_start(c, horizon_t=5)
         selection, _ = allocate_pf(pairing, budget, c, state)
         assert selection_feasible(selection, pairing, budget)
@@ -165,7 +165,7 @@ def test_pf_converges_on_static_rates():
     x = np.array([[1, 1]])
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [2, 1])
-    c = _edge_rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
+    c = _rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
     spread = None
     for _ in range(120):
@@ -174,7 +174,7 @@ def test_pf_converges_on_static_rates():
     spread = fairness_spread(metrics)
     assert spread < 0.05
     inst = instantaneous_rates(selection.s, c)
-    ratios = inst / state.phi_cur
+    ratios = inst / state.phi
     rel = (ratios.max() - ratios.min()) / ratios.mean()
     assert rel < 0.05
 
@@ -184,12 +184,12 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     x = np.array([[1, 1, 1]])
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 1])
-    c = _edge_rates([[80.0, 20.0, 35.0], [50.0, 45.0, 10.0]], 1, 3)
+    c = _rates([[80.0, 20.0, 35.0], [50.0, 45.0, 10.0]], 1, 3)
     state = ThroughputState.cold_start(c, horizon_t=t)
     utilities = []
     for _ in range(80):
         _, state = allocate_pf(pairing, budget, c, state)
-        utilities.append(float(np.log(state.phi_cur).sum()))
+        utilities.append(float(np.log(state.phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
 
@@ -198,7 +198,7 @@ def test_rr_uniform_weights_deal_one_each():
     x = np.array([[1, 1, 1]])
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
-    selection = allocate_rr(pairing, budget, 3, [1, 1, 1])
+    selection = allocate_rr(pairing, budget, _unit_rates(3, pairing), [1, 1, 1])
     assert selection.per_channel_counts().tolist() == [1, 1, 1]
     assert selection.s.sum() == 3
 
@@ -208,7 +208,7 @@ def test_rr_weighted_slices():
     x = np.ones((1, 7), dtype=int)
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [1] * 7)
-    selection = allocate_rr(pairing, budget, 3, [1, 2, 4])
+    selection = allocate_rr(pairing, budget, _unit_rates(3, pairing), [1, 2, 4])
     assert selection.per_channel_counts().tolist() == [1, 2, 4]
 
 
@@ -216,8 +216,8 @@ def test_rr_determinism():
     x = np.array([[1, 0, 1], [0, 1, 0]])
     pairing = PairingMatrix(x=x)
     budget = RadioBudget.from_pairing(pairing, [2, 2, 1])
-    a = allocate_rr(pairing, budget, 2, [2, 1])
-    b = allocate_rr(pairing, budget, 2, [2, 1])
+    a = allocate_rr(pairing, budget, _unit_rates(2, pairing), [2, 1])
+    b = allocate_rr(pairing, budget, _unit_rates(2, pairing), [2, 1])
     np.testing.assert_array_equal(a.s, b.s)
 
 
@@ -225,9 +225,9 @@ def test_rr_respects_budget():
     x = np.array([[1, 1]])
     pairing = PairingMatrix(x=x)
     tight = RadioBudget(r_tilde=np.array([1]), sta_radio_limits=np.array([1, 1]))
-    selection = allocate_rr(pairing, tight, 2, [1, 1])
+    selection = allocate_rr(pairing, tight, _unit_rates(2, pairing), [1, 1])
     assert selection.s.sum() == 1
-    assert selection.unallocated_edges == (1,)
+    assert selection.unallocated_edges == ((0, 1),)
     assert selection_feasible(selection, pairing, tight)
 
 
@@ -235,9 +235,9 @@ def test_rr_rejects_bad_weights():
     pairing = _full_pairing(1, 1)
     budget = RadioBudget.from_pairing(pairing, [1])
     with pytest.raises(InvalidInputError):
-        allocate_rr(pairing, budget, 2, [1])
+        allocate_rr(pairing, budget, _unit_rates(2, pairing), [1])
     with pytest.raises(InvalidInputError):
-        allocate_rr(pairing, budget, 2, [1, 0])
+        allocate_rr(pairing, budget, _unit_rates(2, pairing), [1, 0])
 
 
 def test_fairness_spread_uniform_is_zero():
@@ -259,14 +259,37 @@ def test_fairness_spread_infinite_metric_passthrough():
 
 
 def test_cold_start_state_is_channel_mean():
-    c = _edge_rates([[10.0, 30.0], [40.0, 0.0]], 1, 2)
+    c = _rates([[10.0, 30.0], [40.0, 0.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=5)
-    assert state.phi_cur.tolist() == [20.0, 20.0]
-    assert state.phi_prev.tolist() == [20.0, 20.0]
+    assert state.phi.tolist() == [20.0, 20.0]
 
 
 def test_selection_reports_links():
-    s = np.array([[1, 0], [1, 1]], dtype=np.int8)
-    sel = LinkSelection(s, n_aps=1, m_stas=2, unallocated_edges=())
-    assert sel.f_count == 2
-    assert set(sel.links()) == {(0, 0, 0), (1, 0, 0), (1, 0, 1)}
+    s = np.array([[[1, 0]], [[1, 1]]], dtype=np.int8)
+    sel = LinkSelection(s)
+    assert (sel.f_count, sel.n_aps, sel.m_stas) == (2, 1, 2)
+    assert sel.links() == [(0, 0, 0), (1, 0, 0), (1, 0, 1)]
+    with pytest.raises(InvalidInputError):
+        LinkSelection(s[0])                      # (N, M) is not a selection
+
+
+def test_selection_feasible_checks_whole_arrays():
+    # AP 0 serves STA 0 and AP 1 serves STA 1; 2 channels
+    pairing = PairingMatrix(x=np.array([[1, 0], [0, 1]]))
+    budget = RadioBudget(r_tilde=np.array([2, 1]), sta_radio_limits=np.array([2, 1]))
+
+    def feasible(links):
+        s = np.zeros((2, 2, 2), dtype=np.int8)
+        for f, n, m in links:
+            s[f, n, m] = 1
+        return selection_feasible(LinkSelection(s), pairing, budget)
+
+    assert feasible([(0, 0, 0), (1, 0, 0), (1, 1, 1)])
+    assert not feasible([(0, 1, 0)])                       # link of an unpaired pair
+    assert not feasible([(0, 1, 1), (1, 1, 1)])            # STA 1 has one radio
+    tight = RadioBudget(r_tilde=np.array([1, 1]), sta_radio_limits=np.array([2, 1]))
+    s = np.zeros((2, 2, 2), dtype=np.int8)
+    s[:, 0, 0] = 1
+    assert not selection_feasible(LinkSelection(s), pairing, tight)   # AP 0 budget
+    with pytest.raises(InvalidInputError):
+        selection_feasible(LinkSelection(np.zeros((2, 2, 3))), pairing, budget)

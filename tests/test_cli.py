@@ -39,9 +39,26 @@ def test_run_accepts_explicit_path(tmp_path):
     assert rc == 0
 
 
-def test_run_missing_scenario_is_validation_exit(capsys):
+def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
     assert main(["run", "--scenario", "no_such_scenario"]) == 1
     capsys.readouterr()
+    # negative seeds, oversized integers and radio sums that would wrap int64
+    slo = bundled_scenario_path("scenario_slo").read_text()
+    bad = {"seed.yaml": slo.replace("seed: 3", "seed: -4"),
+           "huge.yaml": slo.replace("{id: sta1, radios: 1,", f"{{id: sta1, radios: {10**29},"),
+           "wrap.yaml": slo.replace("radios: 1, slo_channel", f"radios: {2**62}, slo_channel")}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    for argv, msg in ((["run", "--scenario", "scenario_slo", "--seed", "-1"], "invalid seed -1"),
+                      (["oracle", "--seed", "-3"], "invalid seed -3"),
+                      (["run", "--scenario", str(tmp_path / "seed.yaml")], "seed must be >= 0"),
+                      (["run", "--scenario", str(tmp_path / "huge.yaml")],
+                       "stas[0].radios: integer 1000"),
+                      (["run", "--scenario", str(tmp_path / "wrap.yaml")],
+                       "ap ap1: radios must be in [1, 2147483647]")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"linkalloc: {msg}") and err.count("\n") == 1
     # usage errors are configuration errors too; exit 2 is for solver failures
     for argv, msg in ((["run", "--scenario", "scenario_slo", "--iterations", "abc"],
                        "argument --iterations: invalid int value: 'abc'"),
@@ -168,3 +185,14 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's library example runs as printed, so a renamed or removed
+    # public name fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[1].startswith("sta")

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from linkalloc import harness
+from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
+from linkalloc.errors import InfeasibleError
 from linkalloc.harness import (
     compare_joint_vs_two_stage,
     emit_results,
@@ -53,7 +55,7 @@ def test_single_link_loop_is_forced():
     result = run_apc_loop(sc, iterations=1)
     report = result.final
     assert report.pairing.x.tolist() == [[1]]
-    assert report.selection.s.tolist() == [[1]]
+    assert report.selection.s.tolist() == [[[1]]]
     tensor = build_rate_tensor(sc, contenders=np.array([1]))
     assert report.aggregate_throughput_bps == pytest.approx(tensor.values[0, 0, 0])
     assert [r.sta_id for r in result.recommendations] == ["sta1"]
@@ -167,9 +169,11 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_slo_outputs_pinned(capsys):
-    # SHA-256 of the separate single-link loop's outputs before it became
-    # allocator="slo" of run_apc_loop
+def test_loop_outputs_pinned(capsys):
+    # SHA-256 of the loop's outputs recorded before two refactors: the SLO
+    # hashes before the separate single-link loop became allocator="slo" of
+    # run_apc_loop, the PF/RR hashes before links moved from flat edge ids to
+    # the (F, N, M) layout
     sc = _fixture()
     ladder = "".join(emit_results(run_slo_baseline(sc, iterations=10, snr_base_db=snr,
                                                    mcs_override=mcs).reports)
@@ -179,6 +183,15 @@ def test_slo_outputs_pinned(capsys):
     assert _sha256(emit_results(run_slo_baseline(sc).reports)) == default
     assert main(["run", "--scenario", "scenario_3ap_15sta", "--allocator", "slo"]) == 0
     assert _sha256(capsys.readouterr().out) == default
+    pinned = {
+        ("optimal", "pf"): "b2ff0f1c0e8e273d6d88031f5715be5bc37b2ab935649abac7dcd5bba60b58a6",
+        ("optimal", "rr"): "1e0f8ff3b9580b6e457aca1bad246ea6b9f03fc3b0c38a309d3d72dfa3cf2e47",
+        ("greedy", "pf"): "daed72fe906ee0ddfe539e896240f22b689af17286b53ac1055789368c32cdea",
+        ("greedy", "rr"): "b3e68201d48f8f2c73e10f0970bf6cdfc225af004efe4b0f87116ea25a9aa71c",
+    }
+    for (solver, allocator), digest in pinned.items():
+        result = run_apc_loop(sc, solver=solver, allocator=allocator)
+        assert _sha256(emit_results(result.reports)) == digest, (solver, allocator)
 
 
 @st.composite
@@ -212,9 +225,8 @@ def _small_scenarios(draw):
     return load_scenario(io.StringIO(yaml.safe_dump(doc)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_small_scenarios())
-def test_slo_links_home_channel_only_and_pairing_optimal(sc):
+def _recorded_run(sc, allocator):
+    """Three loop iterations, with the rate tensor each step was built on."""
     tensors = []
     build = harness.build_rate_tensor
 
@@ -223,7 +235,32 @@ def test_slo_links_home_channel_only_and_pairing_optimal(sc):
         return tensors[-1]
 
     with mock.patch.object(harness, "build_rate_tensor", recording_build):
-        result = run_slo_baseline(sc, iterations=3)
+        result = run_apc_loop(sc, allocator=allocator, iterations=3)
+    return result, tensors
+
+
+def _check_steps_feasible(result, limits):
+    for report in result.reports:
+        budget = RadioBudget.from_pairing(report.pairing, limits)
+        assert selection_feasible(report.selection, report.pairing, budget)
+
+
+def _check_recommendations(sc, result):
+    """The recommendations name exactly the final step's pairing and links."""
+    report = result.final
+    ap_ids = [ap.ap_id for ap in sc.aps]
+    assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
+    assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
+        [report.pairing.ap_of(m) for m in range(sc.m_stas)]
+    links = sorted((sc.channel_index(cid), ap_ids.index(r.ap_id), m)
+                   for m, r in enumerate(result.recommendations) for cid in r.channel_ids)
+    assert links == report.selection.links()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios())
+def test_slo_links_home_channel_only_and_pairing_optimal(sc):
+    result, tensors = _recorded_run(sc, "slo")
     home = [n % sc.f_count if ap.slo_channel is None else sc.channel_index(ap.slo_channel)
             for n, ap in enumerate(sc.aps)]
     caps = [-(-sc.m_stas // sc.n_aps)] * sc.n_aps
@@ -238,6 +275,27 @@ def test_slo_links_home_channel_only_and_pairing_optimal(sc):
         objective = float((home_rates * report.pairing.x).sum())
         assert objective == pytest.approx(oracles.best_assignment_value(home_rates, caps),
                                           rel=1e-9, abs=1e-6)
+    _check_steps_feasible(result, np.ones(sc.m_stas, dtype=int))
+    _check_recommendations(sc, result)
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr"])
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios())
+def test_pf_rr_steps_feasible_and_pairing_optimal(allocator, sc):
+    caps = sc.ap_capacities()
+    if caps.sum() < sc.m_stas:
+        with pytest.raises(InfeasibleError):
+            run_apc_loop(sc, allocator=allocator, iterations=1)
+        return
+    result, tensors = _recorded_run(sc, allocator)
+    for report, tensor in zip(result.reports, tensors, strict=True):
+        d = tensor.values.mean(axis=0)
+        objective = float((d * report.pairing.x).sum())
+        assert objective == pytest.approx(oracles.best_assignment_value(d, caps),
+                                          rel=1e-9, abs=1e-6)
+    _check_steps_feasible(result, sc.sta_radio_limits())
+    _check_recommendations(sc, result)
 
 
 def test_slo_deterministic():

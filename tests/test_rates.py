@@ -9,12 +9,9 @@ from linkalloc.errors import InvalidInputError
 from linkalloc.phy import mcs_data_rate, mcs_entry
 from linkalloc.rates import (
     RateTensor,
-    average_over_channels,
     bootstrap_contenders,
     build_rate_tensor,
     channel_rate,
-    edge_endpoints,
-    edge_index,
     link_rate,
 )
 from linkalloc.scenario import bundled_scenario_path, load_scenario
@@ -75,13 +72,6 @@ def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
                     float(snr_field[f, n, m]), curve, rate, tau, n_eff, sc.dcf)
     np.testing.assert_array_equal(got == 0.0, want == 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-def test_edge_index_round_trip():
-    for m_stas in (1, 3, 7):
-        for e in range(4 * m_stas):
-            n, m = edge_endpoints(e, m_stas)
-            assert edge_index(n, m, m_stas) == e
 
 
 def test_channel_rate_dead_channel():
@@ -189,36 +179,6 @@ def test_contender_count_never_raises_rates():
         if prev is not None:
             assert r <= prev + 1e-9
         prev = r
-
-
-def test_edge_matrix_layout_is_ap_major():
-    vals = np.arange(12, dtype=float).reshape(2, 2, 3)
-    edges = RateTensor(values=vals).to_edges()
-    for n in range(2):
-        for m in range(3):
-            assert edges.values[1, edge_index(n, m, 3)] == vals[1, n, m]
-
-
-def test_average_single_channel_is_identity():
-    vals = np.random.default_rng(0).uniform(0, 1e8, size=(1, 3, 4))
-    avg = average_over_channels(RateTensor(values=vals))
-    np.testing.assert_allclose(avg.values, vals[0])
-
-
-def test_average_hand_value():
-    vals = np.array([[[10.0]], [[20.0]], [[30.0]]])
-    assert average_over_channels(RateTensor(values=vals)).values[0, 0] == 20.0
-
-
-def test_average_matches_summation_oracle():
-    rng = np.random.default_rng(8)
-    vals = rng.uniform(0, 1e8, size=(4, 3, 5))
-    avg = average_over_channels(RateTensor(values=vals)).values
-    brute = np.zeros((3, 5))
-    for f in range(4):
-        brute += vals[f]
-    brute /= 4
-    np.testing.assert_allclose(avg, brute, rtol=1e-12)
 
 
 def test_rate_tensor_rejects_bad_values():

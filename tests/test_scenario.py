@@ -153,13 +153,6 @@ def test_truncated_keeps_prefix():
     assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
 
 
-def test_with_mcs_rewrites_all_channels():
-    sc = _load(MINIMAL)
-    swapped = sc.with_mcs(1)
-    assert all(c.mcs_index == 1 for c in swapped.channels)
-    assert swapped.name == sc.name
-
-
 def test_dcf_overrides_parsed():
     doc = MINIMAL.replace("snr_base_db: 20.0",
                           "snr_base_db: 20.0\ndcf: {payload_bytes: 500, cw_min: 32, cw_max: 2048}")
@@ -205,6 +198,24 @@ def test_booleans_rejected_as_numbers():
             with pytest.raises(ValidationError) as exc:
                 _load(MINIMAL.replace(old, new))
             assert f"{path}: expected a finite number" in str(exc.value)
+    # integers must fit in int64, radio counts in 2**31 - 1 so no sum wraps,
+    # and the seed must be one numpy accepts
+    huge = "9" * 30
+    two_aps = MINIMAL.replace(
+        "  - {id: ap1, radios: 2, slo_channel: 1}",
+        f"  - {{id: ap1, radios: {2**62}}}\n  - {{id: ap2, radios: {2**62}}}")
+    for doc, msg in (
+            (MINIMAL.replace("{id: ap1, radios: 2,", f"{{id: ap1, radios: {huge},"),
+             f"aps[0].radios: integer {huge} is outside the signed 64-bit range"),
+            (MINIMAL.replace("{id: sta1, radios: 2,", f"{{id: sta1, radios: {huge},"),
+             f"stas[0].radios: integer {huge} is outside the signed 64-bit range"),
+            (two_aps, "ap ap1: radios must be in [1, 2147483647]"),
+            (MINIMAL.replace("{id: sta1, radios: 2,", f"{{id: sta1, radios: {2**31},"),
+             "sta sta1: radios must be in [1, 2147483647]"),
+            (MINIMAL.replace("seed: 1", "seed: -4"), "seed must be >= 0, got -4")):
+        with pytest.raises(ValidationError) as exc:
+            _load(doc)
+        assert str(exc.value) == msg
 
 
 def test_missing_required_field():
