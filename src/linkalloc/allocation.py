@@ -31,6 +31,7 @@ __all__ = [
     "RadioBudget",
     "ewma_update",
     "pf_metric",
+    "pf_metrics",
     "instantaneous_rates",
     "allocate_pf",
     "allocate_rr",
@@ -160,16 +161,22 @@ def ewma_update(state: ThroughputState, selection, rates: RateTensor) -> Through
     return ThroughputState(phi=phi, horizon_t=state.horizon_t)
 
 
+def pf_metrics(state: ThroughputState, selection, rates: RateTensor) -> np.ndarray:
+    """Per-channel instantaneous rate over its average; inf where a channel
+    has history zero but traffic now (maximally under-served), 0 where it has
+    neither."""
+    inst = instantaneous_rates(_selection_array(selection), rates)
+    phi = state.phi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = inst / phi
+    return np.where(phi == 0.0, np.where(inst > 0, np.inf, 0.0), ratio)
+
+
 def pf_metric(state: ThroughputState, selection, rates: RateTensor, f: int) -> float:
-    """Instantaneous channel rate over its average; inf when the channel has
-    history zero but traffic now (maximally under-served)."""
+    """The PF metric of channel f (see `pf_metrics`)."""
     if not 0 <= f < state.phi.shape[0]:
         raise InvalidInputError(f"channel index {f} out of range")
-    inst = instantaneous_rates(_selection_array(selection), rates)[f]
-    phi = state.phi[f]
-    if phi == 0.0:
-        return float("inf") if inst > 0 else 0.0
-    return float(inst / phi)
+    return float(pf_metrics(state, selection, rates)[f])
 
 
 def fairness_spread(metrics) -> float:

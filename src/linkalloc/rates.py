@@ -118,17 +118,15 @@ def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:
     """Initial per-channel contender counts before any allocation exists.
 
     Each STA is assumed to camp on its single strongest link, which is how
-    stations behave before the controller has made any decision.
+    stations behave before the controller has made any decision. Ties go to
+    the first link in (channel, AP) order; a STA with no finite link camps
+    nowhere.
     """
-    counts = [0] * scenario.f_count
-    flat = np.where(np.isnan(snr_field), -np.inf, snr_field)
-    for m in range(scenario.m_stas):
-        per_sta = flat[:, :, m]
-        if not np.isfinite(per_sta).any():
-            continue
-        f_best = int(np.unravel_index(np.argmax(per_sta), per_sta.shape)[0])
-        counts[f_best] += 1
-    return counts
+    f_count, n_aps = scenario.f_count, scenario.n_aps
+    flat = np.where(np.isnan(snr_field), -np.inf, snr_field).reshape(f_count * n_aps, -1)
+    camps = np.isfinite(flat).any(axis=0)
+    f_best = flat.argmax(axis=0)[camps] // n_aps
+    return np.bincount(f_best, minlength=f_count).tolist()
 
 
 def build_rate_tensor(scenario: Scenario, *, contenders=None,

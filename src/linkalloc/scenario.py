@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -169,8 +170,7 @@ class Scenario:
             raise ValidationError("scenario needs at least one channel")
         if not self.aps or not self.stas:
             raise ValidationError("scenario needs at least one AP and one STA")
-        if self.rng_seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.rng_seed}")
+        check_seed(self.rng_seed)
         if self.ewma_horizon_t < 1:
             raise ValidationError("ewma_horizon_t must be >= 1")
         if self.monte_carlo_rounds < 1:
@@ -246,33 +246,37 @@ class Scenario:
     def sta_radio_limits(self) -> np.ndarray:
         return np.array([s.radios for s in self.stas], dtype=int)
 
+    @cached_property
+    def _snr_offsets_db(self) -> np.ndarray:
+        """offsets[f, n, m] in dB, NaN where the link is out of range; built on
+        first use and kept, read-only, for the life of the scenario."""
+        ap_index = {ap.ap_id: n for n, ap in enumerate(self.aps)}
+        channel_index = {c.channel_id: f for f, c in enumerate(self.channels)}
+        out = np.full((self.f_count, self.n_aps, self.m_stas), np.nan)
+        for m, sta in enumerate(self.stas):
+            for ap_id, per_channel in sta.snr_offsets_db.items():
+                for cid, off in per_channel.items():
+                    if off is not None:
+                        out[channel_index[cid], ap_index[ap_id], m] = off
+        out.setflags(write=False)
+        return out
+
     def snr_field(self, base_db: float | None = None, rng=None) -> np.ndarray:
         """Per-link SNR in dB, shape (F, N, M); NaN marks out-of-range links.
 
         When the scenario declares `snr_random_range_db` and an `rng` is
         given, each link's base is drawn uniformly from the range; otherwise
         the scalar base (argument, falling back to `snr_base_db`) is used.
+        The field is that base plus the per-link offsets.
         """
-        f, n, m = self.f_count, self.n_aps, self.m_stas
         if self.snr_random_range_db is not None and rng is not None:
             lo, hi = self.snr_random_range_db
-            base = rng.uniform(lo, hi, size=(f, n, m))
+            base = rng.uniform(lo, hi, size=(self.f_count, self.n_aps, self.m_stas))
         else:
-            base_db = self.snr_base_db if base_db is None else float(base_db)
-            if math.isnan(base_db):    # NaN would mark every link out of range
+            base = self.snr_base_db if base_db is None else float(base_db)
+            if math.isnan(base):    # NaN would mark every link out of range
                 raise ValidationError("SNR base must be a number, got nan")
-            base = np.full((f, n, m), base_db)
-        out = np.full((f, n, m), np.nan)
-        for mi, sta in enumerate(self.stas):
-            for ni, ap in enumerate(self.aps):
-                per_channel = sta.snr_offsets_db.get(ap.ap_id)
-                if per_channel is None:
-                    continue
-                for fi, chan in enumerate(self.channels):
-                    off = per_channel.get(chan.channel_id)
-                    if off is not None:
-                        out[fi, ni, mi] = base[fi, ni, mi] + off
-        return out
+        return base + self._snr_offsets_db
 
     def truncated(self, m_stas: int) -> "Scenario":
         """A copy keeping only the first `m_stas` stations."""
@@ -313,6 +317,15 @@ def _as_int(value, ctx: str) -> int:
         raise ValidationError(f"{ctx}: expected an integer, got {value!r}")
     if not -2**63 <= value < 2**63:
         raise ValidationError(f"{ctx}: integer {value} is outside the signed 64-bit range")
+    return value
+
+
+def check_seed(value) -> int:
+    """The one seed rule, for scenario seeds and run-time overrides alike: an
+    integer in [0, 2**63)."""
+    value = _as_int(int(value) if isinstance(value, np.integer) else value, "seed")
+    if value < 0:
+        raise ValidationError(f"seed must be >= 0, got {value}")
     return value
 
 
@@ -507,7 +520,7 @@ def load_scenario(source) -> Scenario:
 
     return Scenario(
         name=str(doc.get("name", name_default)),
-        rng_seed=_as_int(doc.get("seed", 0), "seed"),
+        rng_seed=check_seed(doc.get("seed", 0)),
         ewma_horizon_t=_as_int(doc.get("ewma_horizon_t", 100), "ewma_horizon_t"),
         monte_carlo_rounds=_as_int(doc.get("monte_carlo_rounds", 100), "monte_carlo_rounds"),
         snr_base_db=_as_number(doc.get("snr_base_db", 20.0), "snr_base_db"),

@@ -187,3 +187,56 @@ def tu_by_direct_enumeration(matrix, max_k):
                 if abs(det - round(det)) > 1e-6 or abs(round(det)) > 1:
                     return False
     return True
+
+
+def snr_field_loops(scenario, base_db=None, rng=None):
+    """Per-link SNR field (F, N, M) by a loop over every (station, AP, channel),
+    NaN for out-of-range links: the scenario's own field, built link by link.
+    Draws the same random bases as the package when the scenario has a range.
+    """
+    f, n, m = scenario.f_count, scenario.n_aps, scenario.m_stas
+    if scenario.snr_random_range_db is not None and rng is not None:
+        lo, hi = scenario.snr_random_range_db
+        base = rng.uniform(lo, hi, size=(f, n, m))
+    else:
+        base = np.full((f, n, m), scenario.snr_base_db if base_db is None else float(base_db))
+    out = np.full((f, n, m), np.nan)
+    for mi, sta in enumerate(scenario.stas):
+        for ni, ap in enumerate(scenario.aps):
+            per_channel = sta.snr_offsets_db.get(ap.ap_id)
+            if per_channel is None:
+                continue
+            for fi, chan in enumerate(scenario.channels):
+                off = per_channel.get(chan.channel_id)
+                if off is not None:
+                    out[fi, ni, mi] = base[fi, ni, mi] + off
+    return out
+
+
+def bootstrap_contenders_per_station(scenario, snr_field):
+    """Contenders per channel when every station camps on its strongest link,
+    found station by station (first of equal links in (channel, AP) order)."""
+    counts = [0] * scenario.f_count
+    flat = np.where(np.isnan(snr_field), -np.inf, snr_field)
+    for m in range(scenario.m_stas):
+        per_sta = flat[:, :, m]
+        if not np.isfinite(per_sta).any():
+            continue
+        f_best = int(np.unravel_index(np.argmax(per_sta), per_sta.shape)[0])
+        counts[f_best] += 1
+    return counts
+
+
+def recommendations_per_station(scenario, pairing, selection):
+    """(station id, AP id or None, channel ids) per station, read one station
+    at a time off the pairing and the selection."""
+    recs = []
+    for m, sta in enumerate(scenario.stas):
+        n = pairing.ap_of(m)
+        if n is None:
+            recs.append((sta.sta_id, None, ()))
+            continue
+        cids = tuple(scenario.channels[f].channel_id
+                     for f in np.flatnonzero(selection.s[:, n, m]))
+        recs.append((sta.sta_id, scenario.aps[n].ap_id, cids))
+    return recs

@@ -47,10 +47,22 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
     bad = {"seed.yaml": slo.replace("seed: 3", "seed: -4"),
            "huge.yaml": slo.replace("{id: sta1, radios: 1,", f"{{id: sta1, radios: {10**29},"),
            "wrap.yaml": slo.replace("radios: 1, slo_channel", f"radios: {2**62}, slo_channel")}
+    huge = "99999999999999999999999"
+    bad["huge_seed.yaml"] = slo.replace("seed: 3", f"seed: {huge}")
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
-    for argv, msg in ((["run", "--scenario", "scenario_slo", "--seed", "-1"], "invalid seed -1"),
-                      (["oracle", "--seed", "-3"], "invalid seed -3"),
+    # one seed rule, 0 <= seed < 2**63, with one message for YAML and flags
+    beyond = f"seed: integer {huge} is outside the signed 64-bit range"
+    for argv, msg in ((["run", "--scenario", "scenario_slo", "--seed", "-1"],
+                       "seed must be >= 0, got -1"),
+                      (["oracle", "--seed", "-3"], "seed must be >= 0, got -3"),
+                      (["run", "--scenario", "scenario_slo", "--seed", huge], beyond),
+                      (["oracle", "--seed", huge], beyond),
+                      (["run", "--scenario", str(tmp_path / "huge_seed.yaml")], beyond),
+                      (["sweep", "--scenario", "scenario_slo", "--rounds", "1",
+                        "--workers", "0"], "workers must be >= 1, got 0"),
+                      (["sweep", "--scenario", "scenario_slo", "--rounds", "1",
+                        "--workers", "-3"], "workers must be >= 1, got -3"),
                       (["run", "--scenario", str(tmp_path / "seed.yaml")], "seed must be >= 0"),
                       (["run", "--scenario", str(tmp_path / "huge.yaml")],
                        "stas[0].radios: integer 1000"),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,10 @@ import oracles
 from linkalloc import harness
 from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
+from linkalloc.dcf import DcfParams
 from linkalloc.errors import InfeasibleError
+from linkalloc.pairing import PairingMatrix
+from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 from linkalloc.harness import (
     compare_joint_vs_two_stage,
     emit_results,
@@ -225,17 +229,33 @@ def _small_scenarios(draw):
     return load_scenario(io.StringIO(yaml.safe_dump(doc)))
 
 
+def _home_channels(sc):
+    return [n % sc.f_count if ap.slo_channel is None else sc.channel_index(ap.slo_channel)
+            for n, ap in enumerate(sc.aps)]
+
+
+def _home_links(sc, field):
+    """The SNR field with every link off its AP's home channel out of range."""
+    home = np.zeros((sc.f_count, sc.n_aps, 1), dtype=bool)
+    home[_home_channels(sc), range(sc.n_aps)] = True
+    return np.where(home, field, np.nan)
+
+
 def _recorded_run(sc, allocator):
-    """Three loop iterations, with the rate tensor each step was built on."""
+    """Three loop iterations, with the rate tensor of each step rebuilt apart
+    from the loop: step 1 under the bootstrap contenders (of the home-channel
+    links for SLO), step k under the per-channel counts of step k - 1's
+    selection. Each step's throughput must be read off that very tensor."""
+    result = run_apc_loop(sc, allocator=allocator, iterations=3)
+    field = oracles.snr_field_loops(sc, rng=np.random.default_rng(sc.rng_seed))
+    camp = _home_links(sc, field) if allocator == "slo" else field
+    contenders = oracles.bootstrap_contenders_per_station(sc, camp)
     tensors = []
-    build = harness.build_rate_tensor
-
-    def recording_build(*args, **kwargs):
-        tensors.append(build(*args, **kwargs))
-        return tensors[-1]
-
-    with mock.patch.object(harness, "build_rate_tensor", recording_build):
-        result = run_apc_loop(sc, allocator=allocator, iterations=3)
+    for report in result.reports:
+        tensor = build_rate_tensor(sc, contenders=contenders, snr_field=field)
+        assert report.aggregate_throughput_bps == float((report.selection.s * tensor.values).sum())
+        tensors.append(tensor)
+        contenders = report.selection.per_channel_counts().tolist()
     return result, tensors
 
 
@@ -261,8 +281,7 @@ def _check_recommendations(sc, result):
 @given(_small_scenarios())
 def test_slo_links_home_channel_only_and_pairing_optimal(sc):
     result, tensors = _recorded_run(sc, "slo")
-    home = [n % sc.f_count if ap.slo_channel is None else sc.channel_index(ap.slo_channel)
-            for n, ap in enumerate(sc.aps)]
+    home = _home_channels(sc)
     caps = [-(-sc.m_stas // sc.n_aps)] * sc.n_aps
     for report, tensor in zip(result.reports, tensors, strict=True):
         home_rates = np.array([tensor.values[home[n], n] for n in range(sc.n_aps)])
@@ -296,6 +315,138 @@ def test_pf_rr_steps_feasible_and_pairing_optimal(allocator, sc):
                                           rel=1e-9, abs=1e-6)
     _check_steps_feasible(result, sc.sta_radio_limits())
     _check_recommendations(sc, result)
+
+
+OUT_OF_RANGE_LINKS = """
+name: gaps
+seed: 2
+snr_base_db: 12.0
+channels:
+  - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 3}
+  - {id: 2, band: 5GHz, bandwidth_mhz: 80, mcs: 5}
+  - {id: 3, band: 6GHz, bandwidth_mhz: 160, mcs: 7}
+aps:
+  - {id: ap1, radios: 2}
+  - {id: ap2, radios: 2, slo_channel: 3}
+stas:
+  - {id: sta1, radios: 2, snr_offset_db: {ap1: {1: 3.0, 2: out-of-range, 3: 3.0}}}
+  - {id: sta2, radios: 1, snr_offset_db: {ap2: {1: out-of-range, 2: -2.0, 3: -2.0}}}
+  - {id: sta3, radios: 3, snr_offset_db: {ap1: {2: 1.0}, ap2: {1: 1.0, 3: out-of-range}}}
+  - {id: sta4, radios: 1, snr_offset_db: {ap1: -50.0, ap2: {2: -50.0}}}
+"""
+
+
+def _assert_array_builds_match_loop_oracles(sc, base_db=None):
+    """SNR field, bootstrap contenders and recommendations equal the
+    link-by-link and station-by-station oracles bit for bit."""
+    fields = []
+    for rng in (None, 4):
+        got = sc.snr_field(base_db=base_db, rng=None if rng is None else np.random.default_rng(rng))
+        want = oracles.snr_field_loops(sc, base_db=base_db,
+                                       rng=None if rng is None else np.random.default_rng(rng))
+        assert got.tobytes() == want.tobytes()
+        fields.append(got)
+    for field in fields + [_home_links(sc, f) for f in fields]:
+        assert bootstrap_contenders(sc, field) == \
+            oracles.bootstrap_contenders_per_station(sc, field)
+    for allocator in ("pf", "rr", "slo"):
+        try:
+            result = run_apc_loop(sc, allocator=allocator, iterations=2, snr_base_db=base_db)
+        except InfeasibleError:
+            continue
+        final = result.final
+        assert [(r.sta_id, r.ap_id, r.channel_ids) for r in result.recommendations] == \
+            oracles.recommendations_per_station(sc, final.pairing, final.selection)
+        # a station left unpaired is recommended no AP and no channel
+        x = final.pairing.x.copy()
+        x[:, 0] = 0
+        pairing = PairingMatrix(x)
+        assert [(r.sta_id, r.ap_id, r.channel_ids)
+                for r in harness._recommendations(sc, pairing, final.selection)] == \
+            oracles.recommendations_per_station(sc, pairing, final.selection)
+
+
+@pytest.mark.parametrize("name", ["scenario_3ap_15sta", "scenario_slo", "scenario_2ap_joint"])
+@pytest.mark.parametrize("base_db", [None, 5.0, -30.0])
+def test_array_builds_match_loop_oracles_on_fixtures(name, base_db):
+    sc = load_scenario(bundled_scenario_path(name))
+    # with and without per-link base draws, whichever the fixture declares
+    drawn = (6.0, 9.0) if sc.snr_random_range_db is None else None
+    for variant in (sc, dataclasses.replace(sc, snr_random_range_db=drawn)):
+        _assert_array_builds_match_loop_oracles(variant, base_db)
+
+
+def test_array_builds_match_loop_oracles_with_out_of_range_links():
+    sc = load_scenario(io.StringIO(OUT_OF_RANGE_LINKS))
+    for base_db in (None, 5.0, -30.0):
+        _assert_array_builds_match_loop_oracles(sc, base_db)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenarios())
+def test_array_builds_match_loop_oracles_on_small_scenarios(sc):
+    _assert_array_builds_match_loop_oracles(sc)
+
+
+def _outputs(result):
+    """Everything a run reports, as comparable values."""
+    return (emit_results(result.reports),
+            [(r.pairing.x.tolist(), r.selection.s.tolist(), r.per_channel_metric)
+             for r in result.reports],
+            result.recommendations, result.carry.contenders,
+            result.carry.state.phi.tolist())
+
+
+def test_carried_rate_memo_reused_only_when_valid():
+    fx = _fixture()
+    drawn = load_scenario(bundled_scenario_path("scenario_2ap_joint"))   # per-link draws
+    changes = [
+        (fx, fx, {"mcs_override": 3}),             # the criterion 08 MCS switch
+        (fx, fx, {"snr_base_db": 15.0}),
+        (drawn, drawn, {"rng_seed": 5}),
+        # another scenario object with an equal SNR field: only its identity
+        # tells the memo apart
+        (fx, dataclasses.replace(fx, dcf=DcfParams(payload_bytes=500)), {}),
+    ]
+    for first, second, kwargs in changes:
+        carry = run_apc_loop(first, iterations=3).carry
+        entries = carry.rate_memo.entries
+        assert entries
+        reused = run_apc_loop(second, iterations=3, carry=carry, **kwargs)
+        fresh = run_apc_loop(second, iterations=3,
+                             carry=dataclasses.replace(carry, rate_memo=None), **kwargs)
+        assert _outputs(reused) == _outputs(fresh), kwargs
+        # the change matters: the same carry without it reports otherwise
+        assert _outputs(reused) != _outputs(run_apc_loop(first, iterations=3, carry=carry))
+        assert carry.rate_memo.entries is entries    # the old carry is left alone
+
+
+def test_rate_memo_bounded_and_built_once_per_contention():
+    sc = _fixture()
+    build = harness.build_rate_tensor
+    with mock.patch.object(harness, "build_rate_tensor", side_effect=build) as spy:
+        result = run_apc_loop(sc, iterations=30)
+    bootstrap = tuple(oracles.bootstrap_contenders_per_station(sc, sc.snr_field()))
+    entering = [bootstrap] + [tuple(r.selection.per_channel_counts().tolist())
+                              for r in result.reports[:-1]]
+    assert spy.call_count == len(set(entering)) < 30
+    # equal decisions under one contention share their arrays
+    for attr, array in (("pairing", "x"), ("selection", "s")):
+        groups = {}
+        for key, r in zip(entering, result.reports):
+            obj = getattr(r, attr)
+            groups.setdefault((key, getattr(obj, array).tobytes()), set()).add(id(obj))
+        assert all(len(ids) == 1 for ids in groups.values())
+        assert len(groups) < 30
+    sizes = []
+    carry = result.carry
+    for solver, allocator in [("optimal", "rr"), ("greedy", "pf"), ("optimal", "slo")]:
+        for load in range(1, 4):    # resume from other contention states too
+            carry = dataclasses.replace(carry, contenders=(load, 2 * load, 3 * load))
+            carry = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=2,
+                                 carry=carry).carry
+            sizes.append(len(carry.rate_memo.entries))
+    assert max(sizes) == harness.RATE_MEMO_SIZE
 
 
 def test_slo_deterministic():
