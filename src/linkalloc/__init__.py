@@ -20,7 +20,6 @@ from .allocation import (
     allocate_rr,
     ewma_update,
     fairness_spread,
-    pf_metric,
 )
 from .dcf import (
     AirtimeDurations,

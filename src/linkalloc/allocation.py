@@ -2,7 +2,8 @@
 
 Given the pairing and the rate tensor C[f, n, m], the allocator decides which
 channels each paired link actually runs on, limited by the station's r(m)
-radios and the AP's aggregate radio budget. A selection S[f, n, m] is indexed
+radios. The AP's R(n) counts the stations it serves, which pairing already
+enforces, so no AP link budget applies here. A selection S[f, n, m] is indexed
 like the tensor. The proportional-fair policy scores channels by
 instantaneous candidate rate over the exponentially averaged served rate (the
 classic PF metric applied per channel), so a channel that has been starved
@@ -30,7 +31,6 @@ __all__ = [
     "ThroughputState",
     "RadioBudget",
     "ewma_update",
-    "pf_metric",
     "pf_metrics",
     "instantaneous_rates",
     "allocate_pf",
@@ -111,31 +111,24 @@ class ThroughputState:
 
 @dataclass(frozen=True)
 class RadioBudget:
-    """Radio-count limits: per-AP aggregate and per-STA simultaneous links."""
+    """Per-STA limits r(m) on simultaneous links."""
 
-    r_tilde: np.ndarray          # per-AP total radios across its paired STAs
     sta_radio_limits: np.ndarray
 
     def __post_init__(self):
-        rt = np.array(self.r_tilde, dtype=int)
         lim = np.array(self.sta_radio_limits, dtype=int)
-        if rt.ndim != 1 or lim.ndim != 1:
-            raise InvalidInputError("budget vectors must be 1-D")
-        if (rt < 0).any() or (lim < 1).any():
-            raise InvalidInputError("budgets must be non-negative, radio limits positive")
-        rt.setflags(write=False)
+        if lim.ndim != 1 or (lim < 1).any():
+            raise InvalidInputError("radio limits must be a vector of positive counts")
         lim.setflags(write=False)
-        object.__setattr__(self, "r_tilde", rt)
         object.__setattr__(self, "sta_radio_limits", lim)
 
     @classmethod
     def from_pairing(cls, pairing: PairingMatrix, sta_radio_limits) -> "RadioBudget":
-        """Aggregate the paired stations' radios into each AP's budget."""
+        """The limits of the pairing's stations, checked against its size."""
         lim = np.asarray(sta_radio_limits, dtype=int)
         if lim.shape != (pairing.m_stas,):
             raise InvalidInputError("need one radio limit per STA")
-        r_tilde = pairing.x @ lim
-        return cls(r_tilde=r_tilde, sta_radio_limits=lim)
+        return cls(sta_radio_limits=lim)
 
 
 def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> np.ndarray:
@@ -172,13 +165,6 @@ def pf_metrics(state: ThroughputState, selection, rates: RateTensor) -> np.ndarr
     return np.where(phi == 0.0, np.where(inst > 0, np.inf, 0.0), ratio)
 
 
-def pf_metric(state: ThroughputState, selection, rates: RateTensor, f: int) -> float:
-    """The PF metric of channel f (see `pf_metrics`)."""
-    if not 0 <= f < state.phi.shape[0]:
-        raise InvalidInputError(f"channel index {f} out of range")
-    return float(pf_metrics(state, selection, rates)[f])
-
-
 def fairness_spread(metrics) -> float:
     """Relative spread (max - min) / mean of the per-channel PF metrics.
 
@@ -201,8 +187,6 @@ def fairness_spread(metrics) -> float:
 def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
     if budget.sta_radio_limits.shape != (pairing.m_stas,):
         raise InvalidInputError("budget covers a different station count")
-    if budget.r_tilde.shape != (pairing.n_aps,):
-        raise InvalidInputError("budget covers a different AP count")
 
 
 def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor) -> tuple:
@@ -221,7 +205,7 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     Channel priority is fixed once per call from the averages: score(f) =
     mean candidate rate on f over phi[f], descending. Links are visited by
     descending peak rate, ties in AP-major order, and each takes its best
-    min(r(m), F) channels with a positive rate that respect the AP budget.
+    min(r(m), F) channels with a positive rate.
     Returns the selection and the state updated by it.
     """
     ns, ms = _paired_links(pairing, budget, rates)
@@ -239,18 +223,16 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
             score = np.where(phi > 0, mean_rate / np.where(phi > 0, phi, 1.0),
                              np.where(mean_rate > 0, np.inf, 0.0))
         order = sorted(range(f_count), key=lambda f: (-score[f], -mean_rate[f], f))
-        ap_left = budget.r_tilde.astype(int).copy()
         peak = cand.max(axis=0).tolist()
         for i in sorted(range(len(ns)), key=lambda i: (-peak[i], i)):
             n, m = ns[i], ms[i]
             want = min(int(budget.sta_radio_limits[m]), f_count)
             got = 0
             for f in order:
-                if got == want or ap_left[n] == 0:
+                if got == want:
                     break
                 if cand[f, i] > 0.0:
                     s[f, n, m] = 1
-                    ap_left[n] -= 1
                     got += 1
             if got == 0:
                 unallocated.append((n, m))
@@ -266,7 +248,8 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     The cycle holds each channel `weights[f]` times (e.g. weights (1, 2, 4)
     yield the cycle [0, 1, 1, 2, 2, 2, 2]), and links are dealt in AP-major
     order, ignoring rates entirely; `rates` only fixes the layout. A cycle
-    position already used by the link or blocked by the AP budget is skipped.
+    position already used by the link is skipped. Every paired link gets
+    min(r(m), F) channels, so no link is left unallocated.
     """
     ns, ms = _paired_links(pairing, budget, rates)
     f_count = rates.f_count
@@ -276,37 +259,22 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     cycle = [f for f in range(f_count) for _ in range(weights[f])]
 
     s = np.zeros(rates.values.shape, dtype=np.int8)
-    ap_left = budget.r_tilde.astype(int).copy()
-    unallocated = []
     pos = 0
     for n, m in zip(ns, ms):
-        want = min(int(budget.sta_radio_limits[m]), f_count)
-        got = 0
-        for _ in range(want):
-            if ap_left[n] == 0:
-                break
-            for _ in range(len(cycle)):
-                f = cycle[pos % len(cycle)]
+        for _ in range(min(int(budget.sta_radio_limits[m]), f_count)):
+            # the link holds fewer than F channels, so the cycle has a free one
+            while s[cycle[pos % len(cycle)], n, m]:
                 pos += 1
-                if not s[f, n, m]:
-                    s[f, n, m] = 1
-                    ap_left[n] -= 1
-                    got += 1
-                    break
-            else:
-                break
-        if got == 0:
-            unallocated.append((n, m))
-    return LinkSelection(s, unallocated_edges=tuple(unallocated))
+            s[cycle[pos % len(cycle)], n, m] = 1
+            pos += 1
+    return LinkSelection(s)
 
 
 def selection_feasible(selection: LinkSelection, pairing: PairingMatrix,
                        budget: RadioBudget) -> bool:
-    """True when every link is paired, within its STA's radios, and every AP
-    within its aggregate budget."""
+    """True when every link is paired and within its STA's radios."""
     _check_budget(pairing, budget)
     if selection.s.shape[1:] != pairing.x.shape:
         raise InvalidInputError("selection does not match the pairing dimensions")
     per_link = selection.s.sum(axis=0)
-    return bool((per_link <= pairing.x * budget.sta_radio_limits).all()
-                and (per_link.sum(axis=1) <= budget.r_tilde).all())
+    return bool((per_link <= pairing.x * budget.sta_radio_limits).all())

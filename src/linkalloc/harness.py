@@ -15,10 +15,11 @@ of the scenario, the SNR field, the MCS override and the contenders per
 channel, and the loop revisits the same few contender vectors (two on the
 bundled fixture, three on a 30-AP/1000-STA network), so tensors are kept in
 a `RateMemo` keyed by the contender tuple and carried from run to run in
-`LoopCarry`. Pairing and allocation still run on every step. Allocation
-reads the averages, which move on every step. Pairing is a pure function of
-the tensor, but each step's pairing stays its own call, which the benchmark
-counts and checks against an independent solver. A decision equal to the
+`LoopCarry`, each beside the pairing weights read off it. Pairing and
+allocation still run on every step. Allocation reads the averages, which
+move on every step. Pairing is a pure function of the tensor, but each
+step's pairing stays its own call, which the benchmark counts and checks
+against an independent solver. A decision equal to the
 last one made under the same contention shares that one's arrays, so the
 reports of a cycling loop do not grow memory.
 
@@ -110,14 +111,17 @@ class Recommendation:
 @dataclass(frozen=True)
 class RateMemo:
     """Rate tensors already built, keyed by contender tuple, least recently
-    used first, each with the last pairing and selection made on it. They
-    hold only for the scenario object, MCS override and SNR field (compared
-    bit for bit) they were built from."""
+    used first, each with the pairing input weighed from it and the last
+    pairing and selection made on it. They hold only for the scenario
+    object, MCS override and SNR field (compared bit for bit) they were
+    built from."""
 
     scenario: Scenario
     mcs_override: int | None
     snr_field: np.ndarray
-    entries: tuple = ()     # ((contenders, (RateTensor, pairing, selection)), ...)
+    # ((contenders, (RateTensor, (slo?, usable rates, PairingInstance), pairing,
+    #   selection)), ...)
+    entries: tuple = ()
 
     def serves(self, scenario: Scenario, mcs_override, snr_field: np.ndarray) -> bool:
         return (self.scenario is scenario and self.mcs_override == mcs_override
@@ -245,7 +249,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     snr_field.setflags(write=False)     # a carried memo holds it
     label = _mcs_label(scenario, mcs_override)
     base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
-    if allocator == "slo":
+    slo = allocator == "slo"
+    if slo:
         algorithm = "slo"
         usable = _home_channel_mask(scenario)
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
@@ -258,6 +263,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         limits = scenario.sta_radio_limits()
     link_usable = usable[:, :, None]
     usable_count = usable.sum(axis=0)[:, None]
+    budget = RadioBudget(limits)
 
     state = carry.state if carry is not None else None
     contenders = list(carry.contenders) if carry is not None \
@@ -273,18 +279,19 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     for it in range(start_iter, start_iter + iterations):
         t0 = time.perf_counter() if timing else 0.0
         key = tuple(contenders)
-        tensor, seen_pairing, seen_selection = tensors.pop(key, (None, None, None))
+        tensor, weighed, seen_pairing, seen_selection = tensors.pop(key, (None,) * 4)
         if tensor is None:
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
+        if weighed is None or weighed[0] != slo:    # a carry may cross allocators
+            masked = RateTensor(tensor.values * link_usable) if slo else tensor
+            # mean over usable channels: the plain channel mean unless SLO masks links
+            weighed = (slo, masked, PairingInstance(masked.values.sum(axis=0) / usable_count,
+                                                    caps, limits))
+        _, usable_rates, instance = weighed
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
-        usable_rates = RateTensor(tensor.values * link_usable)
-        # mean over usable channels: the plain channel mean unless SLO masks links
-        instance = PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
-                                   caps, limits)
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
-        budget = RadioBudget.from_pairing(pairing, limits)
         decision_state = state
         if allocator == "rr":
             selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights)
@@ -298,7 +305,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if seen_selection is not None and np.array_equal(selection.s, seen_selection.s) \
                 and selection.unallocated_edges == seen_selection.unallocated_edges:
             selection = seen_selection
-        tensors[key] = (tensor, pairing, selection)     # most recently used last
+        tensors[key] = (tensor, weighed, pairing, selection)    # most recently used last
         if len(tensors) > RATE_MEMO_SIZE:
             del tensors[next(iter(tensors))]
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -542,7 +549,7 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
 
     t0 = time.perf_counter()
     pairing = pair_optimal_lp(instance)
-    budget = RadioBudget.from_pairing(pairing, limits)
+    budget = RadioBudget(limits)
     state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
     selection, _ = allocate_pf(pairing, budget, tensor, state)
     two_stage_wall = time.perf_counter() - t0

@@ -42,8 +42,9 @@ class PairingInstance:
     """Weights and capacities of one pairing round.
 
     d[n, m] is the value of assigning STA m to AP n (channel-averaged rate),
-    ap_capacity[n] = R(n) radios at the AP, sta_radio_limits[m] = r(m) radios
-    at the STA (carried along for the later per-AP radio budget).
+    ap_capacity[n] = R(n) stations the AP may serve (the LP's constraint
+    sum over m of x[n, m] <= R(n)), sta_radio_limits[m] = r(m) links the STA
+    may run at once (read by the joint solver; pairing ignores it).
     """
 
     d: np.ndarray
@@ -232,26 +233,27 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
 
     Each station is fixed the first time it appears in the scan, so a heavy
     early edge can strand capacity that a coordinated choice would have used
-    elsewhere. Ties break toward the lowest (n, m).
+    elsewhere. Ties break toward the lowest (n, m): the stable sort keeps
+    the AP-major order of the flattened weights.
     """
     n_aps, m_stas = instance.n_aps, instance.m_stas
-    order = sorted(
-        ((n, m) for n in range(n_aps) for m in range(m_stas)),
-        key=lambda nm: (-instance.d[nm[0], nm[1]], nm[0], nm[1]),
-    )
+    order = np.argsort(-instance.d, axis=None, kind="stable")
     x = np.zeros((n_aps, m_stas), dtype=np.int8)
-    remaining = instance.ap_capacity.copy()
+    taken = np.zeros(m_stas, dtype=bool)
+    remaining = instance.ap_capacity.tolist()
     assigned = 0
-    for n, m in order:
+    ns, ms = np.divmod(order, m_stas)
+    for n, m in zip(ns.tolist(), ms.tolist()):
         if assigned == m_stas:
             break
-        if x[:, m].any() or remaining[n] == 0:
+        if taken[m] or remaining[n] == 0:
             continue
         x[n, m] = 1
+        taken[m] = True
         remaining[n] -= 1
         assigned += 1
     if assigned < m_stas:
-        unserved = [m for m in range(m_stas) if not x[:, m].any()]
+        unserved = np.flatnonzero(~taken).tolist()
         raise InfeasibleError(
             f"total AP capacity {int(instance.ap_capacity.sum())} cannot serve "
             f"{m_stas} stations; unserved: {unserved}"
@@ -304,8 +306,8 @@ def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance, *
     """Exhaustive search over every feasible link activation.
 
     Enumerates, per station, the choice of serving AP and the subset of that
-    AP's channels (up to r(m) links), subject to the per-AP radio budget R(n)
-    shared across its stations and channels. This is the multidimensional
+    AP's channels (up to r(m) links), subject to each AP serving at most R(n)
+    stations, the pairing LP's constraint. This is the multidimensional
     knapsack the two-stage pipeline approximates; cost grows as a product of
     per-station choice counts, so instances are capped at
     N*M <= max_cells and F <= max_channels.
@@ -358,14 +360,13 @@ def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance, *
             return
         for i, (g, n, chans) in enumerate(options[m]):
             if n >= 0:
-                need = len(chans)
-                if caps[n] < need:
+                if caps[n] == 0:
                     continue
-                caps[n] -= need
+                caps[n] -= 1
             choice[m] = i
             descend(m + 1, gain + g)
             if n >= 0:
-                caps[n] += need
+                caps[n] += 1
 
     descend(0, 0.0)
     selection = np.zeros((f_count, n_aps, m_stas), dtype=np.int8)

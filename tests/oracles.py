@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms (and, where
 possible, different libraries) than the code under test: damped Picard instead
 of bisection, the paper's assignment LP and dynamic programming over capacity
-states instead of Kuhn-Munkres, bit-mask enumeration instead of recursive
-search, plain `math` instead of numpy log-sum-exp.
+states instead of Kuhn-Munkres, bit-mask enumeration and a per-station
+assignment instead of recursive search, plain `math` instead of numpy
+log-sum-exp.
 """
 
 import bisect
@@ -149,8 +150,8 @@ def exhaustive_mmkp_value(values, ap_caps, sta_limits):
     """Global optimum of the joint link-activation problem by bit enumeration.
 
     values has shape (F, N, M); a selection is any subset of the F*N*M cells.
-    Feasible selections give each station at most one AP, at most
-    sta_limits[m] links, and each AP at most ap_caps[n] links in total.
+    Feasible selections give each station at most one AP and at most
+    sta_limits[m] links, and each AP at most ap_caps[n] stations.
     Only usable for tiny instances (F*N*M <= ~14).
     """
     values = np.asarray(values, dtype=float)
@@ -165,12 +166,31 @@ def exhaustive_mmkp_value(values, ap_caps, sta_limits):
     per_ap_sta = sel.sum(axis=1)                       # (K, N, M) links per pair
     links_per_sta = per_ap_sta.sum(axis=1)             # (K, M)
     aps_per_sta = (per_ap_sta > 0).sum(axis=1)         # (K, M)
-    links_per_ap = per_ap_sta.sum(axis=2)              # (K, N)
+    stas_per_ap = (per_ap_sta > 0).sum(axis=2)         # (K, N)
     ok = ((aps_per_sta <= 1).all(axis=1)
           & (links_per_sta <= np.asarray(sta_limits)).all(axis=1)
-          & (links_per_ap <= np.asarray(ap_caps)).all(axis=1))
+          & (stas_per_ap <= np.asarray(ap_caps)).all(axis=1))
     gains = (sel * values).sum(axis=(1, 2, 3))
     return float(gains[ok].max())
+
+
+def joint_assignment_value(values, ap_caps, sta_limits):
+    """Optimum of the same joint problem as an assignment.
+
+    With each AP capped in stations, a station served by AP n does best on
+    its top min(r(m), F) rates of link (n, m), whatever the other stations
+    do, so the joint problem is the assignment with those sums as weights.
+    A zero-weight dummy AP that can hold every station lets a station stay
+    unserved, and `best_assignment_value` solves the assignment.
+    """
+    values = np.asarray(values, dtype=float)
+    f_count, n_aps, m_stas = values.shape
+    top = -np.sort(-values, axis=0)                    # rates descending per link
+    w = np.zeros((n_aps + 1, m_stas))
+    for m in range(m_stas):
+        k = min(int(sta_limits[m]), f_count)
+        w[:n_aps, m] = top[:k, :, m].sum(axis=0)
+    return best_assignment_value(w, list(ap_caps) + [m_stas])
 
 
 def tu_by_direct_enumeration(matrix, max_k):

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -199,7 +202,7 @@ def test_loop_outputs_pinned(capsys):
 
 
 @st.composite
-def _small_scenarios(draw):
+def _small_scenario_docs(draw):
     """1-3 channels, 1-3 APs, 1-5 STAs; None offsets are out-of-range links."""
     cids = list(range(1, draw(st.integers(1, 3)) + 1))
     ap_ids = [f"ap{n}" for n in range(draw(st.integers(1, 3)))]
@@ -226,7 +229,11 @@ def _small_scenarios(draw):
         "aps": aps,
         "stas": stas,
     }
-    return load_scenario(io.StringIO(yaml.safe_dump(doc)))
+    return doc
+
+
+def _small_scenarios():
+    return _small_scenario_docs().map(lambda doc: load_scenario(io.StringIO(yaml.safe_dump(doc))))
 
 
 def _home_channels(sc):
@@ -317,6 +324,58 @@ def test_pf_rr_steps_feasible_and_pairing_optimal(allocator, sc):
     _check_recommendations(sc, result)
 
 
+@st.composite
+def _cli_argvs(draw):
+    """A subcommand with a flag set; each value is valid four times in five."""
+    command = draw(st.sampled_from(["run", "sweep", "oracle"]))
+
+    def pick(valid, invalid):
+        return draw(st.sampled_from(valid * 4 + invalid))
+
+    flags = ["--format", pick(["csv", "json"], [])]
+    if command != "sweep":      # a sweep seeds from the scenario
+        flags.append(f"--seed={pick(['0', '7'], ['-1', str(2 ** 63)])}")
+    if command == "oracle":
+        return command, flags + [f"--stas={pick(['1', '1,2'], ['0', '9'])}"]
+    flags += ["--solver", pick(["optimal", "greedy"], []),
+              "--iterations", pick(["1", "3"], ["0"])]
+    if command == "run":
+        flags += ["--allocator", pick(["pf", "rr", "slo"], []),
+                  f"--snr-base={pick(['-30', '20', '800'], ['5000', 'nan'])}",
+                  f"--mcs={pick(['0', '11'], ['12', '-1'])}"]
+    else:
+        flags += ["--rounds", pick(["1"], ["0"]), f"--snr={pick(['-30,20'], ['5000', 'nan'])}",
+                  f"--mcs={pick(['3'], ['12'])}"]
+    return command, flags
+
+
+def _cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_scenario_docs(), _cli_argvs())
+def test_cli_exit_code_contract(doc, command_flags):
+    # every valid scenario and flag set ends in a documented exit code with
+    # at most one line on stderr, and the same bytes on a second run
+    command, flags = command_flags
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = [command, "--scenario", str(path), *flags]
+        rc, out, err = _cli_outcome(argv)
+        assert _cli_outcome(argv) == (rc, out, err), argv
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if rc == 0:
+        assert err == "" and out, argv
+    else:
+        assert err.startswith("linkalloc: ") and err.count("\n") == 1, (argv, err)
+
+
 OUT_OF_RANGE_LINKS = """
 name: gaps
 seed: 2
@@ -404,6 +463,7 @@ def test_carried_rate_memo_reused_only_when_valid():
         (fx, fx, {"mcs_override": 3}),             # the criterion 08 MCS switch
         (fx, fx, {"snr_base_db": 15.0}),
         (drawn, drawn, {"rng_seed": 5}),
+        (fx, fx, {"allocator": "slo"}),            # other pairing weights, same tensors
         # another scenario object with an equal SNR field: only its identity
         # tells the memo apart
         (fx, dataclasses.replace(fx, dcf=DcfParams(payload_bytes=500)), {}),
@@ -517,3 +577,29 @@ def test_joint_never_below_two_stage_on_small_fixture():
     out = compare_joint_vs_two_stage(sc, m_stas=4, rng_seed=0)
     assert out["joint_objective_bps"] >= out["two_stage_objective_bps"] - 1e-6
     assert out["m_stas"] == 4
+
+
+TIGHT_APS = """
+name: tight_aps
+seed: 3
+snr_base_db: 30.0
+channels:
+  - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 3}
+  - {id: 2, band: 5GHz, bandwidth_mhz: 80, mcs: 5}
+  - {id: 3, band: 6GHz, bandwidth_mhz: 160, mcs: 7}
+aps:
+  - {id: ap1, radios: 2}
+  - {id: ap2, radios: 2}
+stas:
+  - {id: sta1, radios: 3, snr_offset_db: 0.0}
+  - {id: sta2, radios: 3, snr_offset_db: 0.0}
+  - {id: sta3, radios: 3, snr_offset_db: 0.0}
+  - {id: sta4, radios: 3, snr_offset_db: 0.0}
+"""
+
+
+def test_joint_bounds_two_stage_when_stations_outnumber_ap_radios():
+    # R(n) = 2 stations per AP, each station runs 3 links: the joint oracle
+    # reads R(n) as the pairing LP does, so the pipeline cannot beat it
+    out = compare_joint_vs_two_stage(load_scenario(io.StringIO(TIGHT_APS)), rng_seed=0)
+    assert out["ratio"] <= 1

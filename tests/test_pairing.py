@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from linkalloc.errors import InfeasibleError, InvalidInputError, SizeLimitError
@@ -200,17 +202,33 @@ def test_mmkp_all_zero_tensor():
     assert sol.objective == 0.0
 
 
-def test_mmkp_matches_exhaustive_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        f, n, m = 2, 2, 2
-        vals = rng.uniform(0, 100, size=(f, n, m))
-        caps = rng.integers(1, 4, size=n)
-        limits = rng.integers(1, 3, size=m)
-        inst = _instance(vals.mean(axis=0), caps, limits=limits)
-        sol = solve_joint_mmkp_bruteforce(RateTensor(values=vals), inst)
-        want = oracles.exhaustive_mmkp_value(vals, caps, limits)
-        assert sol.objective == pytest.approx(want, rel=1e-12)
+@st.composite
+def _joint_instances(draw):
+    """Rates (F, N, M) with F * N * M <= 16, some links dead, plus R(n) and r(m)."""
+    f = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 16 // (f * n)))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+    vals = np.array(draw(st.lists(rate, min_size=f * n * m, max_size=f * n * m)))
+    caps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    limits = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    return vals.reshape(f, n, m), np.array(caps), np.array(limits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_joint_instances())
+def test_mmkp_matches_exhaustive_oracle(case):
+    vals, caps, limits = case
+    sol = solve_joint_mmkp_bruteforce(RateTensor(values=vals),
+                                      _instance(vals.mean(axis=0), caps, limits=limits))
+    assert sol.objective == pytest.approx(oracles.exhaustive_mmkp_value(vals, caps, limits),
+                                          rel=1e-12, abs=1e-12)
+    assert sol.objective == pytest.approx(oracles.joint_assignment_value(vals, caps, limits),
+                                          rel=1e-12, abs=1e-12)
+    per_pair = sol.selection.sum(axis=0)
+    assert ((per_pair > 0).sum(axis=1) <= caps).all()        # R(n) stations per AP
+    assert (per_pair.sum(axis=0) <= limits).all()             # r(m) links per STA
+    assert float((sol.selection * vals).sum()) == pytest.approx(sol.objective, rel=1e-12)
 
 
 def test_mmkp_selection_is_feasible():
@@ -223,7 +241,7 @@ def test_mmkp_selection_is_feasible():
     per_pair = s.sum(axis=0)
     assert ((per_pair > 0).sum(axis=0) <= 1).all()          # one AP per STA
     assert (per_pair.sum(axis=0) <= limits).all()           # radio limits
-    assert (per_pair.sum(axis=1) <= caps).all()             # AP capacity
+    assert ((per_pair > 0).sum(axis=1) <= caps).all()       # R(n) stations per AP
 
 
 def test_mmkp_size_guard():
