@@ -33,7 +33,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,6 +393,9 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
             jobs.append((scenario, solver, allocator, iterations, snr, mcs,
                          [scenario.rng_seed, i, k]))
     if workers > 1:
+        # imported here: `import linkalloc` should not load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_mc_round, jobs, chunksize=1))
     else:
@@ -546,6 +548,10 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     caps = scenario.ap_capacities()
     limits = scenario.sta_radio_limits()
     instance = PairingInstance(tensor.values.mean(axis=0), caps, limits)
+
+    # scipy loads on first use: load it before the clock starts, or the first
+    # call in a process times that import (about 0.5 s) as the two-stage solve
+    import scipy.optimize  # noqa: F401
 
     t0 = time.perf_counter()
     pairing = pair_optimal_lp(instance)

@@ -228,14 +228,25 @@ def check_total_unimodularity(matrix, max_submatrix: int = 5) -> TuCheckResult:
 # --- solvers -------------------------------------------------------------------
 
 
+def _require_capacity(instance: PairingInstance) -> None:
+    """Every station needs an AP slot: raise unless total R(n) covers M."""
+    total = int(instance.ap_capacity.sum())
+    if total < instance.m_stas:
+        raise InfeasibleError(
+            f"total AP capacity {total} cannot serve {instance.m_stas} stations")
+
+
 def pair_greedy(instance: PairingInstance) -> PairingMatrix:
     """Locally best assignment: scan edges by descending weight.
 
     Each station is fixed the first time it appears in the scan, so a heavy
     early edge can strand capacity that a coordinated choice would have used
     elsewhere. Ties break toward the lowest (n, m): the stable sort keeps
-    the AP-major order of the flattened weights.
+    the AP-major order of the flattened weights. Once total R(n) covers M,
+    the scan over every edge serves every station: one left over would mean
+    every AP was full.
     """
+    _require_capacity(instance)
     n_aps, m_stas = instance.n_aps, instance.m_stas
     order = np.argsort(-instance.d, axis=None, kind="stable")
     x = np.zeros((n_aps, m_stas), dtype=np.int8)
@@ -252,12 +263,6 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
         taken[m] = True
         remaining[n] -= 1
         assigned += 1
-    if assigned < m_stas:
-        unserved = np.flatnonzero(~taken).tolist()
-        raise InfeasibleError(
-            f"total AP capacity {int(instance.ap_capacity.sum())} cannot serve "
-            f"{m_stas} stations; unserved: {unserved}"
-        )
     return PairingMatrix(x)
 
 
@@ -273,11 +278,8 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
     repeated AP rows, taken in AP index order; no particular optimum among
     ties is promised.
     """
+    _require_capacity(instance)
     n_aps, m_stas = instance.n_aps, instance.m_stas
-    if instance.ap_capacity.sum() < m_stas:
-        raise InfeasibleError(
-            f"total AP capacity {int(instance.ap_capacity.sum())} < {m_stas} stations"
-        )
     from scipy.optimize import linear_sum_assignment  # first use: scipy is slow to load
 
     rows = np.repeat(np.arange(n_aps), np.minimum(instance.ap_capacity, m_stas))

@@ -459,6 +459,17 @@ def _default_rr_weights(channels) -> tuple:
     return tuple(max(1, c.bandwidth_mhz // 40) for c in channels)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line saying where the parse stopped and why."""
+    mark = getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None)
+    if mark is not None and problem:
+        text = f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    else:
+        text = str(exc)     # a ReaderError has a reason and a position, no mark
+    return " ".join(text.split())
+
+
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path or an open text stream."""
     base_dir = None
@@ -469,13 +480,15 @@ def load_scenario(source) -> Scenario:
         path = Path(source)
         if not path.exists():
             raise ValidationError(f"scenario file not found: {path}")
-        text = path.read_text()
+        text = path.read_bytes()    # YAML picks the encoding: UTF-8, or UTF-16 with a BOM
         base_dir = path.parent
         name_default = path.stem
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it; both loaders share
+        # SafeLoader's constructor and resolver, so they accept the same documents
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
-        raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
+        raise ValidationError(f"scenario is not valid YAML: {_yaml_problem(exc)}") from exc
     doc = _as_mapping(doc, "scenario")
     _reject_unknown(doc, _TOP_FIELDS, "scenario")
 

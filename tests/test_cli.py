@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 
 import linkalloc
 from linkalloc.cli import main
@@ -83,6 +84,31 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
         assert err.startswith("usage: linkalloc") and msg in err
 
 
+@pytest.mark.parametrize("parser", ["libyaml", "pure-python"])
+def test_yaml_syntax_error_is_one_line(parser, tmp_path, capsys, monkeypatch):
+    if parser == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    # the two parsers word a problem differently but mark the same place;
+    # a reader error (a control character, a byte that is not UTF-8) carries
+    # a position, not a mark
+    malformed = {"unclosed_flow": (b"name: bad\nchannels: [{id: 1, band: 5GHz\naps: []\n",
+                                   "line 3, column 4: "),
+                 "tab_indent": (b"name: bad\nchannels:\n\t- {id: 1}\n", "line 3, column 1: "),
+                 "dedented_item": (b"name: bad\nchannels:\n  - id: 1\n - id: 2\n",
+                                   "line 4, column 2: "),
+                 "control_char": (b"name: bad\x07\n", "unacceptable character #x0007: "),
+                 "not_utf8": (b"name: \xff\n", "position 6")}
+    for name, (text, where) in malformed.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_bytes(text)
+        assert main(["run", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("linkalloc: scenario is not valid YAML: ") and where in err, err
+        assert err.count("\n") == 1, err
+
+
 def test_run_deterministic_outputs(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -132,13 +158,15 @@ def test_run_slo_rejects_greedy_solver(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
+    # neither scipy nor the process pool, which only `sweep --workers` uses
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    code = "import sys, linkalloc; print('scipy' in sys.modules)"
+    code = ("import sys, linkalloc; "
+            "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_run_slo_allocator(tmp_path):

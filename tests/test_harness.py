@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -577,6 +580,23 @@ def test_joint_never_below_two_stage_on_small_fixture():
     out = compare_joint_vs_two_stage(sc, m_stas=4, rng_seed=0)
     assert out["joint_objective_bps"] >= out["two_stage_objective_bps"] - 1e-6
     assert out["m_stas"] == 4
+
+
+def test_first_comparison_in_a_process_times_only_the_solve():
+    # a fresh interpreter has not loaded scipy yet; that first import (about
+    # 0.5 s) must stay outside the two-stage wall, which takes about 0.2 ms
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = ("import sys\n"
+            "from linkalloc.harness import compare_joint_vs_two_stage\n"
+            "from linkalloc.scenario import bundled_scenario_path, load_scenario\n"
+            "sc = load_scenario(bundled_scenario_path('scenario_2ap_joint'))\n"
+            "assert 'scipy' not in sys.modules\n"
+            "print(compare_joint_vs_two_stage(sc, m_stas=4, rng_seed=0)['two_stage_wall_s'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert float(proc.stdout) < 0.1
 
 
 TIGHT_APS = """

@@ -99,11 +99,12 @@ def test_greedy_tie_break_low_index_first():
     assert x.x.tolist() == [[1, 0], [0, 1]]
 
 
-def test_greedy_reports_unserved_on_infeasible():
+def test_infeasible_capacity_same_message_from_both_solvers():
     inst = _instance([[1.0, 2.0, 3.0]], [2], limits=[1, 1, 1])
-    with pytest.raises(InfeasibleError) as exc:
-        pair_greedy(inst)
-    assert "sta" in str(exc.value).lower() or "2" in str(exc.value)
+    for solver in (pair_greedy, pair_optimal_lp):
+        with pytest.raises(InfeasibleError) as exc:
+            solver(inst)
+        assert str(exc.value) == "total AP capacity 2 cannot serve 3 stations"
 
 
 def test_lp_argmax_when_one_ap_has_slack():

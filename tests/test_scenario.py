@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import yaml
 
 from linkalloc.errors import ValidationError
 from linkalloc.scenario import (
@@ -30,6 +31,54 @@ def _load(text):
     return load_scenario(io.StringIO(text))
 
 
+def _multi_station_doc(seed: int) -> str:
+    """A seeded scenario that mixes YAML styles and every offset form.
+
+    Block and flow collections, comments, an anchor with its aliases, quoted
+    keys, and scalars whose type rests on the YAML 1.1 resolver (`0x18`,
+    `03`, `.5`, `1.0e+1`, `-1_0.25`) are where two parsers could disagree.
+    """
+    rng = np.random.default_rng(seed)
+    n_aps, m_stas = 5, 60
+    floats = ("{:.2f}", "{:+.3f}", "{:.1e}", "{:.0f}.")
+    lines = [
+        f"name: multi_{seed}  # comment after a scalar",
+        f"seed: {seed}",
+        "snr_base_db: 1.0e+1",
+        "dcf: {cw_min: 0x10, payload_bytes: 1_500, slot_time: 9.0e-6}",
+        "per_model:",
+        "  midpoints_db: {3: .5e+1, 9: 26.}",
+        "rr_weights: {1: 1, 2: 2, 3: 03}",
+        "channels:",
+        "  - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 3}",
+        "  - id: 2\n    band: '5GHz'\n    bandwidth_mhz: 80\n    mcs: 9",
+        '  - {id: 3, band: "6GHz", bandwidth_mhz: 160, mcs: 7}',
+        "aps:",
+    ]
+    lines += [f"  - {{id: ap{n}, radios: 0x{2 * m_stas // n_aps:x}, slo_channel: {n % 3 + 1},"
+              f" mcs: {{{n % 3 + 1}: {n % 10}}}}}" for n in range(n_aps)]
+    lines += ["stas:", "  - id: sta0", "    radios: 2",
+              "    snr_offset_db: &shared {ap0: -1_0.25, ap1: .5, ap2: out-of-range}"]
+    for m in range(1, m_stas):
+        form = m % 4
+        if form == 0:
+            offsets = "*shared"
+        elif form == 1:
+            offsets = floats[m // 4 % 4].format(rng.normal(0, 4))
+        else:
+            maps = []
+            for n in rng.choice(n_aps, size=int(rng.integers(1, n_aps + 1)), replace=False):
+                if form == 2:
+                    maps.append(f"ap{n}: {floats[n % 4].format(rng.normal(0, 4))}")
+                else:
+                    chans = ", ".join(f"{c}: out-of-range" if rng.random() < 0.2
+                                      else f"{c}: {rng.normal(0, 4):.3f}" for c in (1, 2, 3))
+                    maps.append(f'"ap{n}": {{{chans}}}')
+            offsets = "{" + ", ".join(maps) + "}"
+        lines += [f"  - id: sta{m}", f"    radios: {m % 3 + 1}", f"    snr_offset_db: {offsets}"]
+    return "\n".join(lines) + "\n"
+
+
 def test_bundled_fixture_matches_reference_topology():
     sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
     assert sc.n_aps == 3
@@ -44,6 +93,28 @@ def test_bundled_listing_contains_all_fixtures():
     assert {"scenario_3ap_15sta", "scenario_2ap_joint", "scenario_slo"} <= set(names)
     for name in names:
         load_scenario(bundled_scenario_path(name))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_libyaml_and_pure_python_parsers_load_equal_scenarios(monkeypatch):
+    texts = [bundled_scenario_path(name).read_text() for name in list_bundled_scenarios()]
+    texts += [_multi_station_doc(seed) for seed in (0, 1)]
+    parsed = []
+
+    class CountingCSafeLoader(yaml.CSafeLoader):
+        def __init__(self, stream):
+            parsed.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", CountingCSafeLoader)
+    with_libyaml = [_load(text) for text in texts]
+    assert len(parsed) == len(texts)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    pure_python = [_load(text) for text in texts]
+    assert len(parsed) == len(texts)
+    assert with_libyaml == pure_python
+    multi = with_libyaml[-1]
+    assert (multi.m_stas, multi.snr_base_db, multi.rr_weights) == (60, 10.0, (1, 2, 3))
 
 
 def test_empty_channel_list_rejected():
