@@ -8,12 +8,13 @@ like the tensor. The proportional-fair policy scores channels by
 instantaneous candidate rate over the exponentially averaged served rate (the
 classic PF metric applied per channel), so a channel that has been starved
 rises in priority until the loop equalizes rate-per-history across channels.
-The round-robin policy is rate-blind and spreads links over a weighted
-channel cycle. Both visit the paired links in AP-major order, as
-`np.nonzero(pairing.x)` lists them.
+Links share no budget, so PF decides all of them at once. The round-robin
+policy is rate-blind and deals links a weighted channel cycle in AP-major
+order, as `np.nonzero(pairing.x)` lists them.
 
-State is carried between loop iterations by `ThroughputState`: one
-per-channel average `phi`, which `ewma_update` advances by one selection.
+Both allocators return a `LinkSelection` and leave the state alone. State is
+carried between loop iterations by `ThroughputState`: one per-channel average
+`phi`, which the loop advances by one selection with `ewma_update`.
 """
 
 from __future__ import annotations
@@ -154,15 +155,17 @@ def ewma_update(state: ThroughputState, selection, rates: RateTensor) -> Through
     return ThroughputState(phi=phi, horizon_t=state.horizon_t)
 
 
-def pf_metrics(state: ThroughputState, selection, rates: RateTensor) -> np.ndarray:
-    """Per-channel instantaneous rate over its average; inf where a channel
-    has history zero but traffic now (maximally under-served), 0 where it has
-    neither."""
-    inst = instantaneous_rates(_selection_array(selection), rates)
-    phi = state.phi
+def _pf_ratio(rate: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """rate / phi per channel; inf where phi is zero but the rate is not
+    (maximally under-served), 0 where both are zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = inst / phi
-    return np.where(phi == 0.0, np.where(inst > 0, np.inf, 0.0), ratio)
+        ratio = rate / phi
+    return np.where(phi == 0.0, np.where(rate > 0, np.inf, 0.0), ratio)
+
+
+def pf_metrics(state: ThroughputState, selection, rates: RateTensor) -> np.ndarray:
+    """Per-channel instantaneous rate over its average (see `_pf_ratio`)."""
+    return _pf_ratio(instantaneous_rates(_selection_array(selection), rates), state.phi)
 
 
 def fairness_spread(metrics) -> float:
@@ -190,55 +193,39 @@ def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
 
 
 def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor) -> tuple:
-    """AP and STA index lists of the paired links, AP-major."""
+    """AP and STA index arrays of the paired links, AP-major."""
     _check_budget(pairing, budget)
     if rates.values.shape[1:] != pairing.x.shape:
         raise InvalidInputError("rate tensor does not match the pairing dimensions")
-    ns, ms = np.nonzero(pairing.x)
-    return ns.tolist(), ms.tolist()
+    return np.nonzero(pairing.x)
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
-                state: ThroughputState):
+                state: ThroughputState) -> LinkSelection:
     """Proportional-fair channel selection for every paired link.
 
     Channel priority is fixed once per call from the averages: score(f) =
-    mean candidate rate on f over phi[f], descending. Links are visited by
-    descending peak rate, ties in AP-major order, and each takes its best
-    min(r(m), F) channels with a positive rate.
-    Returns the selection and the state updated by it.
+    mean candidate rate on f over phi[f], descending, then mean candidate
+    rate descending, then channel index. Each paired link takes the first
+    min(r(m), F) channels in that order on which its rate is > 0; a link
+    with no such channel is unallocated.
     """
     ns, ms = _paired_links(pairing, budget, rates)
-    f_count = rates.f_count
-    if state.phi.shape[0] != f_count:
+    if state.phi.shape[0] != rates.f_count:
         raise InvalidInputError("state covers a different channel count")
 
     s = np.zeros(rates.values.shape, dtype=np.int8)
-    unallocated = []
-    if ns:
-        cand = rates.values[:, ns, ms]                 # (F, links)
-        phi = state.phi
-        mean_rate = cand.mean(axis=1)
-        with np.errstate(divide="ignore"):
-            score = np.where(phi > 0, mean_rate / np.where(phi > 0, phi, 1.0),
-                             np.where(mean_rate > 0, np.inf, 0.0))
-        order = sorted(range(f_count), key=lambda f: (-score[f], -mean_rate[f], f))
-        peak = cand.max(axis=0).tolist()
-        for i in sorted(range(len(ns)), key=lambda i: (-peak[i], i)):
-            n, m = ns[i], ms[i]
-            want = min(int(budget.sta_radio_limits[m]), f_count)
-            got = 0
-            for f in order:
-                if got == want:
-                    break
-                if cand[f, i] > 0.0:
-                    s[f, n, m] = 1
-                    got += 1
-            if got == 0:
-                unallocated.append((n, m))
-
-    selection = LinkSelection(s, unallocated_edges=tuple(sorted(unallocated)))
-    return selection, ewma_update(state, selection, rates)
+    if ns.size == 0:
+        return LinkSelection(s)
+    cand = rates.values[:, ns, ms]                      # (F, links)
+    mean_rate = cand.mean(axis=1)
+    score = _pf_ratio(mean_rate, state.phi)
+    order = np.lexsort((np.arange(rates.f_count), -mean_rate, -score))
+    live = cand[order] > 0.0
+    s[order[:, None], ns, ms] = live & (live.cumsum(axis=0) <= budget.sta_radio_limits[ms])
+    dead = ~live.any(axis=0)
+    return LinkSelection(s, unallocated_edges=tuple(zip(ns[dead].tolist(),
+                                                        ms[dead].tolist())))
 
 
 def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -260,7 +247,7 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
 
     s = np.zeros(rates.values.shape, dtype=np.int8)
     pos = 0
-    for n, m in zip(ns, ms):
+    for n, m in zip(ns.tolist(), ms.tolist()):
         for _ in range(min(int(budget.sta_radio_limits[m]), f_count)):
             # the link holds fewer than F channels, so the cycle has a free one
             while s[cycle[pos % len(cycle)], n, m]:

@@ -34,6 +34,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -147,12 +148,18 @@ class LoopCarry:
 @dataclass(frozen=True)
 class RunResult:
     reports: list
-    recommendations: list
     carry: LoopCarry
+    scenario: Scenario
 
     @property
     def final(self) -> IterationReport:
         return self.reports[-1]
+
+    @cached_property
+    def recommendations(self) -> list:
+        """One `Recommendation` per station, read off the final pairing and
+        selection when first asked for."""
+        return _recommendations(self.scenario, self.final.pairing, self.final.selection)
 
 
 def _mcs_label(scenario: Scenario, mcs_override) -> str:
@@ -273,8 +280,6 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if memo is not None and memo.serves(scenario, mcs_override, snr_field) else {}
 
     reports = []
-    pairing = None
-    selection = None
     for it in range(start_iter, start_iter + iterations):
         t0 = time.perf_counter() if timing else 0.0
         key = tuple(contenders)
@@ -291,12 +296,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
-        decision_state = state
-        if allocator == "rr":
-            selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights)
-            state = ewma_update(state, selection, tensor)
-        else:
-            selection, state = allocate_pf(pairing, budget, usable_rates, state)
+        selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights) \
+            if allocator == "rr" else allocate_pf(pairing, budget, usable_rates, state)
         # a decision equal to the last one under this contention shares its
         # arrays, so the reports of a loop that cycles do not grow memory
         if seen_pairing is not None and np.array_equal(pairing.x, seen_pairing.x):
@@ -307,9 +308,10 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         tensors[key] = (tensor, weighed, pairing, selection)    # most recently used last
         if len(tensors) > RATE_MEMO_SIZE:
             del tensors[next(iter(tensors))]
+        metrics = tuple(pf_metrics(state, selection, tensor).tolist())
+        state = ewma_update(state, selection, usable_rates)
         wall = (time.perf_counter() - t0) if timing else 0.0
 
-        metrics = tuple(pf_metrics(decision_state, selection, tensor).tolist())
         reports.append(IterationReport(
             iteration=it,
             algorithm=algorithm,
@@ -330,9 +332,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
                           next_iteration=start_iter + iterations,
                           rate_memo=RateMemo(scenario, mcs_override, snr_field,
                                              tuple(tensors.items())))
-    return RunResult(reports=reports,
-                     recommendations=_recommendations(scenario, pairing, selection),
-                     carry=carry_out)
+    return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 
 
 def run_slo_baseline(scenario: Scenario, **kwargs) -> RunResult:
@@ -430,7 +430,7 @@ def write_table(records, key: str, fmt: str = "csv", out=None) -> str:
 
     CSV has one header row of the first record's keys, floats written as
     repr(float(v)); JSON is {key: records}. `out` may be a path or a
-    writable stream.
+    writable stream; a path that cannot be written raises `ValidationError`.
     """
     records = list(records)
     if not records:
@@ -453,8 +453,11 @@ def write_table(records, key: str, fmt: str = "csv", out=None) -> str:
         if hasattr(out, "write"):
             out.write(text)
         else:
-            with open(out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {out}: {exc.strerror}") from exc
     return text
 
 
@@ -557,7 +560,7 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     pairing = pair_optimal_lp(instance)
     budget = RadioBudget(limits)
     state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
-    selection, _ = allocate_pf(pairing, budget, tensor, state)
+    selection = allocate_pf(pairing, budget, tensor, state)
     two_stage_wall = time.perf_counter() - t0
     two_stage_value = _aggregate_throughput(selection, tensor)
 

@@ -164,8 +164,8 @@ class PerCurve:
                 raise InvalidInputError("PER table needs matching 1-D arrays of length >= 2")
             if not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
                 raise InvalidInputError("esnr_db grid must be finite and strictly increasing")
-            if np.any(y < 0) or np.any(y > 1):
-                raise InvalidInputError("PER values must lie in [0, 1]")
+            if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y > 1):
+                raise InvalidInputError("PER values must be finite and lie in [0, 1]")
             if np.any(np.diff(y) > 1e-12):
                 raise InvalidInputError("PER must be non-increasing in effective SNR")
             x = x.copy(); x.flags.writeable = False
@@ -196,20 +196,30 @@ class PerCurve:
 
     @classmethod
     def from_csv(cls, mcs_index: int, path) -> "PerCurve":
-        """Load a table from a CSV file with header ``esnr_db,per``."""
+        """Load a table from a UTF-8 CSV file with header ``esnr_db,per``.
+
+        A table that is not valid raises `InvalidInputError` naming the file;
+        a file that cannot be opened raises the `OSError`.
+        """
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["esnr_db", "per"]:
-                raise InvalidInputError(
-                    f"{path}: expected CSV header 'esnr_db,per', got {header!r}"
-                )
-            rows = [(float(a), float(b)) for a, b in reader]
-        if len(rows) < 2:
-            raise InvalidInputError(f"{path}: PER table needs at least 2 rows")
-        x, y = zip(*rows)
-        return cls.from_points(mcs_index, np.array(x), np.array(y))
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["esnr_db", "per"]:
+                    raise InvalidInputError(f"expected CSV header 'esnr_db,per', got {header!r}")
+                rows = []
+                for row in reader:
+                    if len(row) != 2:
+                        raise InvalidInputError(
+                            f"line {reader.line_num}: expected 2 fields, got {len(row)}")
+                    rows.append((float(row[0]), float(row[1])))
+            if len(rows) < 2:
+                raise InvalidInputError("PER table needs at least 2 rows")
+            x, y = zip(*rows)
+            return cls.from_points(mcs_index, np.array(x), np.array(y))
+        except ValueError as exc:    # also bytes that are not UTF-8, and InvalidInputError
+            raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def per_lookup(curve: PerCurve, esnr_db):

@@ -440,9 +440,11 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
         path = Path(str(rel))
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        if not path.exists():
-            raise ConfigurationError(f"{ctx}.tables[{mcs}]: PER table not found: {path}")
-        tables[mcs] = PerCurve.from_csv(mcs, path)
+        try:
+            tables[mcs] = PerCurve.from_csv(mcs, path)
+        except OSError as exc:
+            raise ConfigurationError(f"{ctx}.tables[{mcs}]: cannot read PER table {path}: "
+                                     f"{exc.strerror}") from exc
     slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
     return PerModel(kind=kind, midpoints_db=midpoints, slope_per_db=slope, tables=tables)
 
@@ -478,9 +480,10 @@ def load_scenario(source) -> Scenario:
         name_default = "scenario"
     else:
         path = Path(source)
-        if not path.exists():
-            raise ValidationError(f"scenario file not found: {path}")
-        text = path.read_bytes()    # YAML picks the encoding: UTF-8, or UTF-16 with a BOM
+        try:
+            text = path.read_bytes()    # YAML picks the encoding: UTF-8, or UTF-16 with a BOM
+        except OSError as exc:
+            raise ValidationError(f"cannot read scenario file {path}: {exc.strerror}") from exc
         base_dir = path.parent
         name_default = path.stem
     try:

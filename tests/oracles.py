@@ -260,3 +260,34 @@ def recommendations_per_station(scenario, pairing, selection):
                      for f in np.flatnonzero(selection.s[:, n, m]))
         recs.append((sta.sta_id, scenario.aps[n].ap_id, cids))
     return recs
+
+
+def allocate_pf_per_link(x, limits, values, phi):
+    """PF selection one link at a time: one channel order from Python `sorted`
+    on (-score, -mean rate, channel), score the mean rate over phi (inf where
+    phi is 0 and the mean is not, 0 where both are), then each paired link,
+    AP-major, takes the first min(r(m), F) channels in that order on which
+    its rate is > 0. Returns the selection (F, N, M) and the links left
+    without a channel."""
+    f_count, n_aps, m_stas = values.shape
+    links = [(n, m) for n in range(n_aps) for m in range(m_stas) if x[n][m]]
+    s = np.zeros(values.shape, dtype=np.int8)
+    if not links:
+        return s, ()
+    means = [sum(float(values[f, n, m]) for n, m in links) / len(links)
+             for f in range(f_count)]
+    scores = [(math.inf if mean > 0 else 0.0) if p == 0 else mean / p
+              for mean, p in zip(means, phi)]
+    order = sorted(range(f_count), key=lambda f: (-scores[f], -means[f], f))
+    unallocated = []
+    for n, m in links:
+        got = 0
+        for f in order:
+            if got == min(int(limits[m]), f_count):
+                break
+            if values[f, n, m] > 0:
+                s[f, n, m] = 1
+                got += 1
+        if got == 0:
+            unallocated.append((n, m))
+    return s, tuple(unallocated)

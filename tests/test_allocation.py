@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from linkalloc.allocation import (
     LinkSelection,
@@ -93,7 +97,7 @@ def test_pf_picks_dominant_rate_channel():
     budget = RadioBudget.from_pairing(pairing, [1])
     c = _rates([[100.0], [10.0]], 1, 1)
     state = ThroughputState(phi=np.array([50.0, 50.0]), horizon_t=10)
-    selection, _ = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, state)
     assert selection.s[:, 0, 0].tolist() == [1, 0]
 
 
@@ -105,7 +109,7 @@ def test_pf_single_channel_respects_budget():
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
     c = _rates([[30.0, 20.0, 10.0]], 1, 3)
     state = ThroughputState.cold_start(c, horizon_t=10)
-    selection, _ = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, state)
     assert selection.s.tolist() == [[[1, 1, 1]]]
     assert selection.unallocated_edges == ()
 
@@ -115,7 +119,7 @@ def test_pf_multi_radio_sta_takes_distinct_channels():
     budget = RadioBudget.from_pairing(pairing, [3])
     c = _rates([[100.0], [80.0], [60.0]], 1, 1)
     state = ThroughputState.cold_start(c, horizon_t=10)
-    selection, _ = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, state)
     assert selection.s[:, 0, 0].tolist() == [1, 1, 1]
 
 
@@ -124,7 +128,7 @@ def test_pf_skips_dead_links():
     budget = RadioBudget.from_pairing(pairing, [1, 1])
     c = _rates([[100.0, 0.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
-    selection, _ = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, state)
     assert selection.s[0].tolist() == [[1, 0]]
     assert selection.unallocated_edges == ((0, 1),)
 
@@ -136,10 +140,10 @@ def test_pf_determinism():
     budget = RadioBudget.from_pairing(pairing, [2, 1, 2, 1])
     c = _rates(rng.uniform(1, 100, size=(3, 8)), 2, 4)
     state = ThroughputState.cold_start(c, horizon_t=7)
-    a, sa = allocate_pf(pairing, budget, c, state)
-    b, sb = allocate_pf(pairing, budget, c, state)
+    a = allocate_pf(pairing, budget, c, state)
+    b = allocate_pf(pairing, budget, c, state)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(sa.phi, sb.phi)
+    np.testing.assert_array_equal(ewma_update(state, a, c).phi, ewma_update(state, b, c).phi)
 
 
 def test_pf_selection_always_feasible():
@@ -154,7 +158,7 @@ def test_pf_selection_always_feasible():
         budget = RadioBudget.from_pairing(pairing, limits)
         c = _rates(rng.uniform(0, 100, size=(f, n * m)), n, m)
         state = ThroughputState.cold_start(c, horizon_t=5)
-        selection, _ = allocate_pf(pairing, budget, c, state)
+        selection = allocate_pf(pairing, budget, c, state)
         assert selection_feasible(selection, pairing, budget)
 
 
@@ -168,7 +172,8 @@ def test_pf_converges_on_static_rates():
     state = ThroughputState.cold_start(c, horizon_t=10)
     spread = None
     for _ in range(120):
-        selection, state = allocate_pf(pairing, budget, c, state)
+        selection = allocate_pf(pairing, budget, c, state)
+        state = ewma_update(state, selection, c)
     spread = fairness_spread(pf_metrics(state, selection, c))
     assert spread < 0.05
     inst = instantaneous_rates(selection.s, c)
@@ -186,10 +191,40 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     state = ThroughputState.cold_start(c, horizon_t=t)
     utilities = []
     for _ in range(80):
-        _, state = allocate_pf(pairing, budget, c, state)
+        state = ewma_update(state, allocate_pf(pairing, budget, c, state), c)
         utilities.append(float(np.log(state.phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
+
+
+@st.composite
+def _pf_cases(draw):
+    """Pairing, r(m) up to F + 1, phi and rates from small integer sets, so
+    that channel scores and means tie, some links are dead and some phi are 0."""
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    x = np.zeros((n, m), dtype=int)
+    for j, ap in enumerate(draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))):
+        if ap >= 0:
+            x[ap, j] = 1
+    limits = draw(st.lists(st.integers(1, f + 1), min_size=m, max_size=m))
+    phi = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=f, max_size=f))
+    rates = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                          min_size=f * n * m, max_size=f * n * m))
+    return x, np.array(limits), np.array(phi), np.array(rates).reshape(f, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pf_cases())
+def test_pf_matches_per_link_oracle(case):
+    x, limits, phi, values = case
+    pairing = PairingMatrix(x=x)
+    selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, limits),
+                            RateTensor(values), ThroughputState(phi=phi, horizon_t=5))
+    s, unallocated = oracles.allocate_pf_per_link(x, limits, values, phi)
+    np.testing.assert_array_equal(selection.s, s)
+    assert selection.unallocated_edges == unallocated
 
 
 def test_rr_uniform_weights_deal_one_each():

@@ -109,6 +109,50 @@ def test_yaml_syntax_error_is_one_line(parser, tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1, err
 
 
+def _per_table_scenario(tmp_path, table: str) -> tuple:
+    """argv running scenario_slo with every MCS's PER read from `table`, and
+    the file name the error should give."""
+    slo = bundled_scenario_path("scenario_slo").read_text()
+    tables = ", ".join(f"{mcs}: {table}" for mcs in range(12))
+    path = tmp_path / "table.yaml"
+    per_model = f"per_model: {{kind: table, tables: {{{tables}}}}}\n"
+    path.write_text(slo.replace("aps:", per_model + "aps:", 1))
+    return ["run", "--scenario", str(path), "--iterations", "1"], table
+
+
+def _per_table(tmp_path, body: bytes) -> tuple:
+    (tmp_path / "per.csv").write_bytes(b"esnr_db,per\n" + body)
+    return _per_table_scenario(tmp_path, "per.csv")
+
+
+def _run_out(path) -> tuple:
+    return ["run", "--scenario", "scenario_slo", "--iterations", "1", "--out", str(path)], \
+        str(path)
+
+
+_UNREADABLE_FILES = {
+    "scenario_is_dir": lambda tmp: (["run", "--scenario", str(tmp)], str(tmp)),
+    "out_is_dir": lambda tmp: _run_out(tmp),
+    "out_dir_missing": lambda tmp: _run_out(tmp / "missing" / "x.csv"),
+    "table_is_dir": lambda tmp: (tmp / "per.csv").mkdir() or _per_table_scenario(tmp, "per.csv"),
+    "table_missing": lambda tmp: _per_table_scenario(tmp, "per.csv"),
+    "table_not_numeric": lambda tmp: _per_table(tmp, b"0,abc\n10,0\n"),
+    "table_three_fields": lambda tmp: _per_table(tmp, b"0,1,0\n10,0\n"),
+    "table_one_field": lambda tmp: _per_table(tmp, b"0\n10,0\n"),
+    "table_not_utf8": lambda tmp: _per_table(tmp, b"0,1\n10,\xff0\n"),
+    "table_nan_per": lambda tmp: _per_table(tmp, b"0,nan\n10,0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_FILES))
+def test_unreadable_files_fail_in_one_line(case, tmp_path, capsys):
+    argv, name = _UNREADABLE_FILES[case](tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("linkalloc: ") and err.count("\n") == 1, err
+    assert name in err and "Traceback" not in err
+
+
 def test_run_deterministic_outputs(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

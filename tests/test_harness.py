@@ -102,6 +102,19 @@ def test_recommendations_consistent_with_selection():
     assert sum(len(r.channel_ids) for r in result.recommendations) == n_links
 
 
+def test_recommendations_built_when_first_read():
+    sc = _fixture()
+    with mock.patch.object(harness, "_recommendations",
+                           wraps=harness._recommendations) as build:
+        result = run_apc_loop(sc, iterations=3)
+        assert build.call_count == 0
+        recs = result.recommendations
+        assert result.recommendations is recs
+        assert build.call_count == 1
+    final = result.final
+    build.assert_called_once_with(sc, final.pairing, final.selection)
+
+
 def test_loop_carry_continues_state():
     sc = _fixture()
     first = run_apc_loop(sc, iterations=4)
