@@ -3,8 +3,8 @@
 The pipeline: a PHY abstraction maps per-link SNR through an effective-SNR
 compression and PER curves to sustainable data rates; a saturated-contention
 MAC model discounts them for medium sharing; an exact assignment (the optimum
-of the paper's pairing LP, found by Kuhn-Munkres) pairs stations to APs on
-channel-averaged rates; and a proportional-fair allocator spreads each
+of the paper's pairing LP, found by successive shortest paths) pairs stations
+to APs on channel-averaged rates; and a proportional-fair allocator spreads each
 pairing's radios over the channels. Oracles (slot-level MAC simulation,
 exhaustive joint search, determinant enumeration) ship alongside for
 validating every analytical shortcut.
@@ -71,13 +71,11 @@ from .phy import (
     EesmParams,
     McsEntry,
     PerCurve,
-    SinrComponents,
     SubcarrierSinrGrid,
     eesm_effective_snr,
     mcs_data_rate,
     mcs_entry,
     per_lookup,
-    sinr,
 )
 from .rates import (
     RateTensor,

@@ -14,6 +14,7 @@ feasibility failure (including a failed validation threshold).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -217,10 +218,25 @@ _COMMANDS = {
 }
 
 
+def _check_writable(path: str) -> None:
+    """Raise `ValidationError` now, before any work, if `path` cannot be
+    written. An existing file keeps its bytes; a new one is not left behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_writable(args.out)
         return _COMMANDS[args.command](args)
     except (ValidationError, ConfigurationError, InvalidInputError) as exc:
         print(f"linkalloc: {exc}", file=sys.stderr)

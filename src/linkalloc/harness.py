@@ -197,14 +197,17 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
-def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator:
+def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator | None:
     """The run's generator: `rng_seed` (an integer or a list of integers,
-    each under the scenario's seed rule), else the scenario's seed."""
-    if rng_seed is None:
-        return np.random.default_rng(scenario.rng_seed)
-    for part in rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]:
-        check_seed(part)
-    return np.random.default_rng(rng_seed)
+    each under the scenario's seed rule), else the scenario's seed. None when
+    the scenario draws nothing (no `snr_random_range_db`); the seed is
+    checked all the same."""
+    if rng_seed is not None:
+        for part in rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]:
+            check_seed(part)
+    if scenario.snr_random_range_db is None:
+        return None
+    return np.random.default_rng(scenario.rng_seed if rng_seed is None else rng_seed)
 
 
 def _home_channel_mask(scenario: Scenario) -> np.ndarray:
@@ -551,10 +554,6 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     caps = scenario.ap_capacities()
     limits = scenario.sta_radio_limits()
     instance = PairingInstance(tensor.values.mean(axis=0), caps, limits)
-
-    # scipy loads on first use: load it before the clock starts, or the first
-    # call in a process times that import (about 0.5 s) as the two-stage solve
-    import scipy.optimize  # noqa: F401
 
     t0 = time.perf_counter()
     pairing = pair_optimal_lp(instance)

@@ -5,9 +5,12 @@ channel-averaged rates subject to per-AP capacity R(n). The paper states this
 as an LP whose constraint matrix is a bipartite incidence matrix; its total
 unimodularity makes every basic optimum integral, so the LP optimum is the
 optimum of the integer assignment. `pair_optimal_lp` computes that optimum
-directly by Kuhn-Munkres on capacity-repeated AP rows (the LP itself is kept
-as a test oracle). `check_total_unimodularity` verifies the property by brute
-determinant enumeration, and `solve_joint_mmkp_bruteforce` solves the
+directly as a min-cost flow: every station starts at its best AP, and
+successive shortest paths over the APs move stations out of over-full APs
+at the least loss (the LP itself is kept as a test oracle). Ties go to the
+lowest AP index at the start and in the path search; no particular optimum
+among ties is promised. `check_total_unimodularity` verifies the property by
+brute determinant enumeration, and `solve_joint_mmkp_bruteforce` solves the
 un-decomposed pairing+allocation problem exactly on small instances for
 comparison against the two-stage pipeline.
 """
@@ -15,6 +18,7 @@ comparison against the two-stage pipeline.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +59,8 @@ class PairingInstance:
         d = np.array(self.d, dtype=float)
         caps = np.array(self.ap_capacity, dtype=int)
         limits = np.array(self.sta_radio_limits, dtype=int)
-        if d.ndim != 2:
-            raise InvalidInputError(f"d must be (N, M), got shape {d.shape}")
+        if d.ndim != 2 or d.shape[0] < 1:
+            raise InvalidInputError(f"d must be (N, M) with N >= 1, got shape {d.shape}")
         if not np.isfinite(d).all() or (d < 0).any():
             raise InvalidInputError("pairing weights must be finite and non-negative")
         if caps.shape != (d.shape[0],) or (caps < 1).any():
@@ -85,14 +89,20 @@ class PairingMatrix:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x)
+        x = np.asarray(self.x)
         if x.ndim != 2:
             raise InvalidInputError(f"pairing matrix must be (N, M), got {x.shape}")
-        if not ((x == 0) | (x == 1)).all():
+        if x.dtype != np.int8 and not ((x == 0) | (x == 1)).all():
             raise InvalidInputError("pairing matrix entries must be 0 or 1")
         x = x.astype(np.int8)
-        if (x.sum(axis=0) > 1).any():
-            bad = int(np.argmax(x.sum(axis=0) > 1))
+        # an int8 entry outside {0, 1} reads as >= 2 unsigned, and so does its
+        # column's sum: one pass checks entries and stations together
+        unsigned = x.view(np.uint8)
+        per_sta = unsigned.sum(axis=0)
+        if per_sta.max(initial=0) > 1:
+            if unsigned.max() > 1:
+                raise InvalidInputError("pairing matrix entries must be 0 or 1")
+            bad = int(np.argmax(per_sta > 1))
             raise InvalidInputError(f"sta {bad} is assigned to more than one AP")
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -269,24 +279,89 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
 def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
     """Capacity-respecting assignment maximizing total weight.
 
-    Returns the optimum of the paper's assignment LP, computed exactly by
-    Kuhn-Munkres: AP n's weight row is repeated min(R(n), M) times, one row
-    per usable radio, and `linear_sum_assignment` pairs every station with
-    one row. Total unimodularity makes the LP's vertex an optimum of this
-    same integer problem, so the objectives agree. Equal-weight optima are
-    broken deterministically by scipy's augmenting-path order over the
-    repeated AP rows, taken in AP index order; no particular optimum among
-    ties is promised.
+    Returns an optimum of the paper's assignment LP (total unimodularity
+    makes its vertex integral), found as a min-cost flow. Every station
+    starts at its best AP; no assignment beats that sum, so when no AP holds
+    more than R(n) stations it is the optimum. Otherwise successive shortest
+    paths repair it: one multi-source Dijkstra over the APs runs from every
+    over-full AP to the nearest AP with a free slot, where edge a -> b costs
+    the least loss of moving one of a's stations to b, reduced by AP prices;
+    each station on the path moves one hop, and the prices rise by the path
+    distances (capped at the target's), which keeps every reduced cost
+    non-negative. An AP's loss row is built when Dijkstra first pops it and
+    kept until a path changes that AP's stations.
+
+    Ties: the start takes the lowest AP index, Dijkstra pops equal
+    distances in AP index order, and an edge moves the lowest-indexed of
+    equally cheap stations. No particular optimum among ties is promised.
     """
     _require_capacity(instance)
-    n_aps, m_stas = instance.n_aps, instance.m_stas
-    from scipy.optimize import linear_sum_assignment  # first use: scipy is slow to load
-
-    rows = np.repeat(np.arange(n_aps), np.minimum(instance.ap_capacity, m_stas))
-    r, c = linear_sum_assignment(instance.d[rows], maximize=True)
+    d = instance.d
+    n_aps, m_stas = d.shape
+    owner = d.argmax(axis=0)
+    load = np.bincount(owner, minlength=n_aps).tolist()
+    caps = instance.ap_capacity.tolist()
+    if any(l > c for l, c in zip(load, caps)):
+        _repair_overflow(d, owner, load, caps)
     x = np.zeros((n_aps, m_stas), dtype=np.int8)
-    x[rows[r], c] = 1
+    x[owner, np.arange(m_stas)] = 1
     return PairingMatrix(x)
+
+
+def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -> None:
+    """Successive shortest paths: move stations (in `owner` and `load`) until
+    no AP is over capacity, at the least total loss of weight."""
+    n_aps = len(caps)
+    aps = range(n_aps)
+    ap_index = np.arange(n_aps)
+    price = [0.0] * n_aps
+    # members[a]: a's stations in ascending order, listed once needed; rows[a]:
+    # the least loss of a move from a to each AP, and which of members[a] moves
+    members = [None] * n_aps
+    rows = [None] * n_aps
+    while True:
+        sources = [a for a in aps if load[a] > caps[a]]
+        if not sources:
+            return
+        dist = [None] * n_aps       # final distance of each popped AP
+        tentative = [math.inf] * n_aps
+        pred = [-1] * n_aps
+        for a in sources:
+            tentative[a] = 0.0
+        while True:
+            a = min(aps, key=tentative.__getitem__)     # the first of equals
+            da = dist[a] = tentative[a]
+            tentative[a] = math.inf
+            if load[a] < caps[a]:
+                break
+            if rows[a] is None:
+                if members[a] is None:
+                    members[a] = (owner == a).nonzero()[0].tolist()
+                sub = d[:, members[a]]
+                loss = sub[a] - sub
+                best = loss.argmin(axis=1)
+                rows[a] = (loss[ap_index, best].tolist(), best.tolist())
+            losses = rows[a][0]
+            base = da + price[a]
+            for b in aps:
+                nd = base + losses[b] - price[b]
+                if nd < tentative[b] and dist[b] is None:
+                    tentative[b] = nd
+                    pred[b] = a
+        for b in aps:
+            price[b] += da if dist[b] is None else dist[b]
+        load[a] += 1
+        while pred[a] >= 0:
+            src = pred[a]
+            m = members[src].pop(rows[src][1][a])
+            owner[m] = a
+            if members[a] is not None:
+                members[a].append(m)
+                members[a].sort()
+            rows[a] = None
+            a = src
+        rows[a] = None
+        load[a] -= 1
 
 
 # --- joint exact solver ----------------------------------------------------------

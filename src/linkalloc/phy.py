@@ -18,12 +18,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "SinrComponents",
     "SubcarrierSinrGrid",
     "EesmParams",
     "PerCurve",
     "McsEntry",
-    "sinr",
     "eesm_effective_snr",
     "per_lookup",
     "mcs_entry",
@@ -51,32 +49,6 @@ def linear_to_db(value):
     if np.any(value <= 0):
         raise InvalidInputError("linear value must be > 0 to convert to dB")
     return 10.0 * np.log10(value)
-
-
-@dataclass(frozen=True)
-class SinrComponents:
-    """Link budget terms, all linear power quantities."""
-
-    signal: float            # received signal power S
-    inter_stream_interference: float  # residual inter-stream power I_s
-    noise: float             # thermal noise power N (> 0)
-
-    def __post_init__(self):
-        for name in ("signal", "inter_stream_interference", "noise"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} must be finite, got {v!r}")
-        if self.signal < 0:
-            raise InvalidInputError("signal power must be >= 0")
-        if self.inter_stream_interference < 0:
-            raise InvalidInputError("interference power must be >= 0")
-        if self.noise <= 0:
-            raise InvalidInputError("noise power must be > 0")
-
-
-def sinr(components: SinrComponents) -> float:
-    """Post-processing SINR: S / (I_s + N), linear scale."""
-    return components.signal / (components.inter_stream_interference + components.noise)
 
 
 @dataclass(frozen=True)

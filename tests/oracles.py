@@ -2,10 +2,10 @@
 
 Everything here is deliberately written with different algorithms (and, where
 possible, different libraries) than the code under test: damped Picard instead
-of bisection, the paper's assignment LP and dynamic programming over capacity
-states instead of Kuhn-Munkres, bit-mask enumeration and a per-station
-assignment instead of recursive search, plain `math` instead of numpy
-log-sum-exp.
+of bisection, the paper's assignment LP, dynamic programming over capacity
+states and Kuhn-Munkres on repeated AP rows instead of successive shortest
+paths, bit-mask enumeration and a per-station assignment instead of recursive
+search, plain `math` instead of numpy log-sum-exp.
 """
 
 import bisect
@@ -117,6 +117,24 @@ def best_assignment_value(d, caps):
             np.maximum(new[tuple(dst)], cand, out=new[tuple(dst)])
         val = new
     return float(val.max())
+
+
+def hungarian_assignment_value(d, caps):
+    """Optimum of the capacity-limited assignment by Kuhn-Munkres.
+
+    AP n's weight row is repeated min(caps[n], M) times, one row per slot,
+    and scipy's `linear_sum_assignment` gives every station one row. Unlike
+    the DP it scales to thousands of stations.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    d = np.asarray(d, dtype=float)
+    n_aps, m_stas = d.shape
+    rows = np.repeat(np.arange(n_aps), np.minimum(np.asarray(caps, dtype=int), m_stas))
+    r, c = linear_sum_assignment(d[rows], maximize=True)
+    if len(c) != m_stas:
+        raise ValueError("capacity cannot hold every station")
+    return float(d[rows[r], c].sum())
 
 
 def assignment_lp_vertex(d, caps):

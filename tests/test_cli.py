@@ -201,8 +201,9 @@ def test_run_slo_rejects_greedy_solver(capsys):
         "linkalloc: allocator 'slo' pairs with solver 'optimal' only, got 'greedy'\n"
 
 
-def test_import_leaves_scipy_unloaded():
-    # neither scipy nor the process pool, which only `sweep --workers` uses
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # neither scipy nor the process pool, which only `sweep --workers` uses;
+    # scipy is a test dependency, so no command on the fixtures loads it either
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
@@ -211,6 +212,50 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "False False"
+
+    out = ["--out", str(tmp_path / "out.csv")]
+    commands = (["run", "--scenario", "scenario_3ap_15sta"],
+                ["sweep", "--scenario", "scenario_3ap_15sta", "--rounds", "1",
+                 "--iterations", "5"],
+                ["oracle"])
+    code = ("import sys; from linkalloc.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'scipy' in sys.modules)")
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv, *out], capture_output=True,
+                              text=True, env=env, check=True)
+        assert proc.stdout.strip() == "0 False", (argv, proc.stdout, proc.stderr)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the run started before --out was checked")
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["run", "--scenario", "scenario_3ap_15sta"], "run_apc_loop"),
+    (["sweep", "--scenario", "scenario_3ap_15sta", "--rounds", "1"], "run_monte_carlo"),
+    (["oracle"], "compare_joint_vs_two_stage"),
+])
+def test_bad_out_fails_before_the_work(argv, entry, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(f"linkalloc.cli.{entry}", _refuse)
+    for bad in (tmp_path, tmp_path / "missing" / "x.csv"):
+        assert main(argv + ["--out", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"linkalloc: cannot write {bad}: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_check_keeps_an_existing_file(tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier results\n")
+    argv = ["run", "--scenario", "scenario_3ap_15sta", "--out", str(out)]
+    assert main(argv + ["--snr-base", "nan"]) == 1     # fails after the check
+    assert out.read_text() == "earlier results\n"
+    assert main(argv + ["--iterations", "1"]) == 0
+    assert out.read_text().startswith("iteration,")
+    fresh = tmp_path / "fresh.csv"
+    assert main(["run", "--scenario", "scenario_3ap_15sta", "--snr-base", "nan",
+                 "--out", str(fresh)]) == 1
+    assert not fresh.exists()
 
 
 def test_run_slo_allocator(tmp_path):

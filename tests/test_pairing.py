@@ -145,6 +145,68 @@ def test_lp_matches_brute_force_on_random_instances():
             assert (x.x.sum(axis=1) <= caps).all()
 
 
+@st.composite
+def _pairing_instances(draw):
+    """d (N, M) with N <= 4, M <= 10: uniform, {0, 1, 2} or all-zero weights,
+    some rows and columns zeroed, under tight ceil(M/N) or drawn capacities."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 10))
+    weight = draw(st.sampled_from([st.floats(0.0, 100.0), st.sampled_from([0.0, 1.0, 2.0]),
+                                   st.just(0.0)]))
+    d = np.array(draw(st.lists(weight, min_size=n * m, max_size=n * m))).reshape(n, m)
+    d[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    d[:, np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    if draw(st.booleans()):
+        caps = [-(-m // n)] * n
+    else:
+        caps = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        for i in range(m - sum(caps)):
+            caps[i % n] += 1
+    return d, np.array(caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairing_instances())
+def test_optimal_pairing_matches_dp_and_lp_oracles(case):
+    d, caps = case
+    x = pair_optimal_lp(_instance(d, caps)).x
+    assert (x.sum(axis=0) == 1).all()
+    assert (x.sum(axis=1) <= caps).all()
+    got = objective_value(PairingMatrix(x), d)
+    lp = float((d * np.round(oracles.assignment_lp_vertex(d, caps))).sum())
+    assert got == pytest.approx(oracles.best_assignment_value(d, caps), rel=1e-9, abs=1e-9)
+    assert got == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, m", [(20, 300), (40, 700), (60, 1200)])
+def test_optimal_pairing_matches_hungarian_at_scale(n, m):
+    rng = np.random.default_rng(n * m)
+    dense = rng.uniform(0.0, 100.0, size=(n, m))
+    # as on a synthetic network: each station hears a few APs, the rest weigh 0
+    heard = np.zeros((n, m))
+    for col in range(m):
+        aps = rng.choice(n, size=4, replace=False)
+        heard[aps, col] = rng.uniform(0.0, 100.0, size=4)
+    for d in (dense, heard):
+        for slack in (0, 2):
+            caps = np.full(n, -(-m // n) + slack)
+            x = pair_optimal_lp(_instance(d, caps)).x
+            assert (x.sum(axis=0) == 1).all()
+            assert (x.sum(axis=1) <= caps).all()
+            assert float((d * x).sum()) == pytest.approx(
+                oracles.hungarian_assignment_value(d, caps), rel=1e-9)
+
+
+def test_optimal_pairing_tie_rule():
+    # the start takes the lowest AP index
+    assert pair_optimal_lp(_instance(np.ones((2, 2)), [2, 2])).x.tolist() == [[1, 1], [0, 0]]
+    # AP 0 is one over: APs 1 and 2 are equally cheap targets, and stations
+    # 0-2 equally cheap to move; the lowest index wins both ties
+    d = [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    assert pair_optimal_lp(_instance(d, [2, 3, 3])).x.tolist() == \
+        [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
+
+
 def test_lp_dominates_greedy_everywhere():
     rng = np.random.default_rng(23)
     for _ in range(60):
@@ -183,6 +245,8 @@ def test_instance_validation():
         _instance([[np.inf]], [1])
     with pytest.raises(InvalidInputError):
         _instance([[1.0]], [0])
+    with pytest.raises(InvalidInputError):
+        _instance(np.zeros((0, 0)), [])
 
 
 def test_pairing_matrix_rejects_shared_sta():

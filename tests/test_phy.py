@@ -9,7 +9,6 @@ from linkalloc.phy import (
     EesmParams,
     McsEntry,
     PerCurve,
-    SinrComponents,
     SubcarrierSinrGrid,
     db_to_linear,
     default_per_curve,
@@ -18,29 +17,7 @@ from linkalloc.phy import (
     mcs_data_rate,
     mcs_entry,
     per_lookup,
-    sinr,
 )
-
-
-def test_sinr_unit_ratio():
-    assert sinr(SinrComponents(signal=1.0, inter_stream_interference=0.0, noise=1.0)) == 1.0
-
-
-def test_sinr_exact_arithmetic():
-    assert sinr(SinrComponents(signal=10.0, inter_stream_interference=4.0, noise=1.0)) == 2.0
-
-
-def test_sinr_zero_signal():
-    assert sinr(SinrComponents(signal=0.0, inter_stream_interference=0.0, noise=1.0)) == 0.0
-
-
-def test_sinr_rejects_bad_inputs():
-    with pytest.raises(InvalidInputError):
-        SinrComponents(signal=-1.0, inter_stream_interference=0.0, noise=1.0)
-    with pytest.raises(InvalidInputError):
-        SinrComponents(signal=1.0, inter_stream_interference=0.0, noise=0.0)
-    with pytest.raises(InvalidInputError):
-        SinrComponents(signal=float("nan"), inter_stream_interference=0.0, noise=1.0)
 
 
 def test_db_round_trip():
