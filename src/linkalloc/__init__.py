@@ -55,7 +55,6 @@ from .harness import (
     write_table,
 )
 from .pairing import (
-    IncidenceMatrix,
     JointSolution,
     PairingInstance,
     PairingMatrix,
@@ -81,8 +80,6 @@ from .rates import (
     RateTensor,
     bootstrap_contenders,
     build_rate_tensor,
-    channel_rate,
-    link_rate,
 )
 from .scenario import (
     ApConfig,

@@ -14,7 +14,8 @@ order, as `np.nonzero(pairing.x)` lists them.
 
 Both allocators return a `LinkSelection` and leave the state alone. State is
 carried between loop iterations by `ThroughputState`: one per-channel average
-`phi`, which the loop advances by one selection with `ewma_update`.
+`phi`. The loop computes each step's served rates once with
+`instantaneous_rates`; `pf_metrics` and `ewma_update` both read them.
 """
 
 from __future__ import annotations
@@ -62,25 +63,9 @@ class LinkSelection:
         s.setflags(write=False)
         object.__setattr__(self, "s", s)
 
-    @property
-    def f_count(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def n_aps(self) -> int:
-        return self.s.shape[1]
-
-    @property
-    def m_stas(self) -> int:
-        return self.s.shape[2]
-
     def per_channel_counts(self) -> np.ndarray:
         """Active link count per channel; feeds the next contention rebuild."""
         return self.s.sum(axis=(1, 2))
-
-    def links(self) -> list:
-        """(f, n, m) triples of active links."""
-        return [tuple(t) for t in np.argwhere(self.s).tolist()]
 
 
 @dataclass(frozen=True)
@@ -133,7 +118,8 @@ class RadioBudget:
 
 
 def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> np.ndarray:
-    """Mean rate of the links active on each channel; 0 for idle channels."""
+    """Rate each channel served: the mean rate of its active links, 0 when
+    idle. It drives both the PF metric and the average update."""
     s = np.asarray(selection_s)
     counts = s.sum(axis=(1, 2))
     totals = (s * rates.values).sum(axis=(1, 2))
@@ -141,17 +127,13 @@ def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> np.ndarra
                      where=counts > 0)
 
 
-def _selection_array(selection) -> np.ndarray:
-    return selection.s if isinstance(selection, LinkSelection) else np.asarray(selection)
-
-
-def ewma_update(state: ThroughputState, selection, rates: RateTensor) -> ThroughputState:
-    """The state after one selection: phi[f] <- (1 - 1/T) phi[f] + inst[f] / T."""
-    s = _selection_array(selection)
-    if s.shape != rates.values.shape or s.shape[0] != state.phi.shape[0]:
-        raise InvalidInputError("selection shape does not match state and rates")
+def ewma_update(state: ThroughputState, inst: np.ndarray) -> ThroughputState:
+    """The state after one step that served `inst[f]` (see
+    `instantaneous_rates`): phi[f] <- (1 - 1/T) phi[f] + inst[f] / T."""
+    if np.shape(inst) != state.phi.shape:
+        raise InvalidInputError("served rates do not match the state's channels")
     t = float(state.horizon_t)
-    phi = (1.0 - 1.0 / t) * state.phi + instantaneous_rates(s, rates) / t
+    phi = (1.0 - 1.0 / t) * state.phi + inst / t
     return ThroughputState(phi=phi, horizon_t=state.horizon_t)
 
 
@@ -163,9 +145,9 @@ def _pf_ratio(rate: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.where(phi == 0.0, np.where(rate > 0, np.inf, 0.0), ratio)
 
 
-def pf_metrics(state: ThroughputState, selection, rates: RateTensor) -> np.ndarray:
-    """Per-channel instantaneous rate over its average (see `_pf_ratio`)."""
-    return _pf_ratio(instantaneous_rates(_selection_array(selection), rates), state.phi)
+def pf_metrics(state: ThroughputState, inst: np.ndarray) -> np.ndarray:
+    """Per-channel served rate `inst` over its average (see `_pf_ratio`)."""
+    return _pf_ratio(inst, state.phi)
 
 
 def fairness_spread(metrics) -> float:

@@ -201,8 +201,7 @@ def _cmd_check_tu(args) -> int:
     worst_ok = True
     for n in range(1, args.aps + 1):
         for m in range(1, args.stas + 1):
-            inc = build_incidence(n, m)
-            res = check_total_unimodularity(inc.stacked, max_submatrix=args.submatrix)
+            res = check_total_unimodularity(build_incidence(n, m), max_submatrix=args.submatrix)
             records.append({"n_aps": n, "m_stas": m, "is_tu": res.is_tu})
             worst_ok = worst_ok and res.is_tu
     write_table(records, "check_tu", args.format, args.out or sys.stdout)

@@ -123,7 +123,6 @@ class AirtimeDurations:
     t_collision: float
     t_phy_error: float
     payload_airtime: float   # E[Pkt]: payload bits at the MCS data rate
-    ack_airtime: float
 
     def __post_init__(self):
         if min(self.t_success, self.t_collision, self.t_phy_error) <= 0:
@@ -148,7 +147,7 @@ def airtime_durations(params: DcfParams, mcs_rate: float) -> AirtimeDurations:
     eifs = params.eifs if params.eifs is not None else params.sifs + ack + params.difs
     t_c = h + payload + delta + eifs
     return AirtimeDurations(t_success=t_s, t_collision=t_c, t_phy_error=t_c,
-                            payload_airtime=payload, ack_airtime=ack)
+                            payload_airtime=payload)
 
 
 def normalized_throughput(state: ContentionState, durations: AirtimeDurations,

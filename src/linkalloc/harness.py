@@ -47,6 +47,7 @@ from .allocation import (
     allocate_rr,
     ewma_update,
     fairness_spread,
+    instantaneous_rates,
     pf_metrics,
 )
 from .dcf import DcfParams, airtime_durations, normalized_throughput, simulate_dcf_slots, \
@@ -311,8 +312,11 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         tensors[key] = (tensor, weighed, pairing, selection)    # most recently used last
         if len(tensors) > RATE_MEMO_SIZE:
             del tensors[next(iter(tensors))]
-        metrics = tuple(pf_metrics(state, selection, tensor).tolist())
-        state = ewma_update(state, selection, usable_rates)
+        # SLO links run only where its mask keeps the rates, so the full
+        # tensor gives the same served rates
+        inst = instantaneous_rates(selection.s, tensor)
+        metrics = tuple(pf_metrics(state, inst).tolist())
+        state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
 
         reports.append(IterationReport(
@@ -527,7 +531,8 @@ def validate_dcf(params: DcfParams | None = None, *, contenders=(2, 5, 10, 20),
             analytic = normalized_throughput(state, durations, per, params)
             sim = simulate_dcf_slots(params, n, per, n_slots=n_slots,
                                      seed=seed, durations=durations)
-            rel = abs(sim - analytic) / analytic if analytic > 0 else float("inf")
+            rel = abs(sim - analytic) / analytic if analytic > 0 \
+                else 0.0 if sim == analytic else float("inf")
             records.append({
                 "n_contenders": n,
                 "per": per,
@@ -571,7 +576,8 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
         "m_stas": scenario.m_stas,
         "two_stage_objective_bps": two_stage_value,
         "joint_objective_bps": joint.objective,
-        "ratio": two_stage_value / joint.objective if joint.objective > 0 else float("inf"),
+        # both are 0 on a network with no usable link
+        "ratio": two_stage_value / joint.objective if joint.objective > 0 else 1.0,
         "two_stage_wall_s": two_stage_wall,
         "joint_wall_s": joint_wall,
     }

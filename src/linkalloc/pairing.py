@@ -29,7 +29,6 @@ from .rates import RateTensor
 __all__ = [
     "PairingInstance",
     "PairingMatrix",
-    "IncidenceMatrix",
     "TuCheckResult",
     "JointSolution",
     "build_incidence",
@@ -115,15 +114,6 @@ class PairingMatrix:
     def m_stas(self) -> int:
         return self.x.shape[1]
 
-    def pairs(self) -> list:
-        """(n, m) tuples of assigned links, AP-major order."""
-        ns, ms = np.nonzero(self.x)
-        return list(zip(ns.tolist(), ms.tolist()))
-
-    def ap_of(self, m: int) -> int | None:
-        col = self.x[:, m]
-        return int(np.argmax(col)) if col.any() else None
-
 
 def objective_value(pairing: PairingMatrix, d) -> float:
     """Total pairing weight sum(d * X)."""
@@ -136,38 +126,22 @@ def objective_value(pairing: PairingMatrix, d) -> float:
 # --- incidence structure and total unimodularity -------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Constraint incidence of the assignment polytope.
+def build_incidence(n_aps: int, m_stas: int) -> np.ndarray:
+    """Constraint incidence of the assignment polytope, (M + N, N * M).
 
     Rows are the M station equality constraints followed by the N AP capacity
     constraints; columns are assignment edges, STA-major ((n, m) with m
     outer). Each column has exactly one station 1 and one AP 1.
     """
-
-    sta_rows: np.ndarray
-    ap_rows: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.sta_rows, self.ap_rows])
-
-
-def build_incidence(n_aps: int, m_stas: int) -> IncidenceMatrix:
     if n_aps < 1 or m_stas < 1:
         raise InvalidInputError("need at least one AP and one STA")
-    e = n_aps * m_stas
-    sta_rows = np.zeros((m_stas, e), dtype=np.int8)
-    ap_rows = np.zeros((n_aps, e), dtype=np.int8)
-    col = 0
+    inc = np.zeros((m_stas + n_aps, n_aps * m_stas), dtype=np.int8)
     for m in range(m_stas):
         for n in range(n_aps):
-            sta_rows[m, col] = 1
-            ap_rows[n, col] = 1
-            col += 1
-    sta_rows.setflags(write=False)
-    ap_rows.setflags(write=False)
-    return IncidenceMatrix(sta_rows=sta_rows, ap_rows=ap_rows)
+            inc[m, m * n_aps + n] = 1
+            inc[m_stas + n, m * n_aps + n] = 1
+    inc.setflags(write=False)
+    return inc
 
 
 @dataclass(frozen=True)
@@ -373,9 +347,6 @@ class JointSolution:
 
     selection: np.ndarray    # (F, N, M) binary link activations
     objective: float
-
-    def pairing(self) -> PairingMatrix:
-        return PairingMatrix((self.selection.sum(axis=0) > 0).astype(np.int8))
 
 
 def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance, *,

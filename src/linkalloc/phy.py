@@ -26,7 +26,6 @@ __all__ = [
     "per_lookup",
     "mcs_entry",
     "mcs_data_rate",
-    "default_per_curve",
     "db_to_linear",
     "linear_to_db",
     "MCS_MODULATION",
@@ -70,14 +69,6 @@ class SubcarrierSinrGrid:
     @classmethod
     def uniform(cls, value: float, n_sc: int = 1, n_ss: int = 1) -> "SubcarrierSinrGrid":
         return cls(np.full((n_sc, n_ss), float(value)))
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_streams(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -269,8 +260,7 @@ class McsEntry:
             raise InvalidInputError("t_dft must be > 0 and t_gi >= 0")
 
 
-def mcs_entry(mcs_index: int, bandwidth_mhz: int, *,
-              t_dft: float = OFDM_SYMBOL_S, t_gi: float = GUARD_INTERVAL_S) -> McsEntry:
+def mcs_entry(mcs_index: int, bandwidth_mhz: int) -> McsEntry:
     """Build the McsEntry for an (MCS, bandwidth) pair from the standard tables."""
     if mcs_index not in MCS_MODULATION:
         raise InvalidInputError(f"unknown MCS index {mcs_index}")
@@ -278,18 +268,10 @@ def mcs_entry(mcs_index: int, bandwidth_mhz: int, *,
         raise InvalidInputError(f"unsupported bandwidth {bandwidth_mhz} MHz")
     n_bpscs, rate = MCS_MODULATION[mcs_index]
     return McsEntry(mcs_index=mcs_index, n_sd=DATA_SUBCARRIERS[bandwidth_mhz],
-                    n_bpscs=n_bpscs, coding_rate=rate, t_dft=t_dft, t_gi=t_gi)
+                    n_bpscs=n_bpscs, coding_rate=rate, t_dft=OFDM_SYMBOL_S,
+                    t_gi=GUARD_INTERVAL_S)
 
 
-def mcs_data_rate(entry: McsEntry, n_streams: int = 1) -> float:
-    """Raw PHY data rate in bit/s for `n_streams` spatial streams."""
-    if n_streams < 1:
-        raise InvalidInputError("n_streams must be >= 1")
-    return n_streams * entry.n_sd * entry.n_bpscs * entry.coding_rate / (entry.t_dft + entry.t_gi)
-
-
-def default_per_curve(mcs_index: int, *, slope_per_db: float = DEFAULT_PER_SLOPE_PER_DB) -> PerCurve:
-    """Default logistic PER curve for an MCS."""
-    if mcs_index not in DEFAULT_PER_MIDPOINT_DB:
-        raise InvalidInputError(f"no default PER midpoint for MCS {mcs_index}")
-    return PerCurve.logistic(mcs_index, DEFAULT_PER_MIDPOINT_DB[mcs_index], slope_per_db)
+def mcs_data_rate(entry: McsEntry) -> float:
+    """Raw PHY data rate in bit/s of one spatial stream."""
+    return entry.n_sd * entry.n_bpscs * entry.coding_rate / (entry.t_dft + entry.t_gi)

@@ -26,8 +26,6 @@ from .scenario import Scenario
 
 __all__ = [
     "RateTensor",
-    "channel_rate",
-    "link_rate",
     "bootstrap_contenders",
     "build_rate_tensor",
 ]
@@ -53,21 +51,6 @@ class RateTensor:
         return self.values.shape[0]
 
 
-def channel_rate(per, tpt, mcs_rate: float):
-    """Link throughput in bit/s from PER, MAC efficiency and the MCS rate.
-
-    The MAC efficiency already discounts channel time lost to errored frames
-    (the throughput expression only counts successfully delivered payload),
-    so the rate is Tpt * rate and `per` is only range-checked. `per` and
-    `tpt` are floats or arrays of the same shape.
-    """
-    if not np.all((0.0 <= per) & (per <= 1.0)):
-        raise InvalidInputError(f"per must be in [0, 1], got {per}")
-    if np.any(tpt < 0) or mcs_rate <= 0:
-        raise InvalidInputError("tpt must be >= 0 and mcs_rate > 0")
-    return tpt * mcs_rate
-
-
 @lru_cache(maxsize=4096)
 def _contention(params: DcfParams, n: int):
     return solve_bianchi_fixed_point(params, n)
@@ -85,7 +68,9 @@ def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
     Each link is one SINR sample, which must be finite and > 0 in linear
     scale. The EESM of a single sample is the sample itself, so the
     effective SNR is that linear SINR back in dB. NaN marks an out-of-range
-    link, whose rate is 0.
+    link, whose rate is 0. The MAC efficiency already discounts the channel
+    time lost to errored frames (it counts delivered payload only), so a
+    link's rate is that efficiency times the MCS rate.
     """
     live = ~np.isnan(snr_db)
     with np.errstate(over="ignore"):
@@ -95,23 +80,8 @@ def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
     per = phy.per_lookup(curve, phy.linear_to_db(linear))
     tpt = normalized_throughput(state, airtime_durations(params, rate), per, params)
     out = np.zeros(snr_db.shape)
-    out[live] = channel_rate(per, tpt, rate)
+    out[live] = tpt * rate
     return out
-
-
-def link_rate(snr_db: float, mcs_index: int, bandwidth_mhz: int, *,
-              n_contenders: int = 1, params: DcfParams | None = None,
-              per_model=None) -> float:
-    """Rate in bit/s of one link: the rate-tensor kernel on a single link."""
-    params = params if params is not None else DcfParams()
-    if per_model is None:
-        curve = phy.default_per_curve(mcs_index)
-    else:
-        curve = per_model.curve_for(mcs_index)
-    rates = _link_rates(np.array([snr_db], dtype=float), curve,
-                        _mcs_rate(mcs_index, bandwidth_mhz),
-                        _contention(params, n_contenders), params)
-    return float(rates[0])
 
 
 def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:

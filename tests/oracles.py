@@ -270,10 +270,11 @@ def recommendations_per_station(scenario, pairing, selection):
     at a time off the pairing and the selection."""
     recs = []
     for m, sta in enumerate(scenario.stas):
-        n = pairing.ap_of(m)
-        if n is None:
+        column = pairing.x[:, m]
+        if not column.any():
             recs.append((sta.sta_id, None, ()))
             continue
+        n = int(column.argmax())
         cids = tuple(scenario.channels[f].channel_id
                      for f in np.flatnonzero(selection.s[:, n, m]))
         recs.append((sta.sta_id, scenario.aps[n].ap_id, cids))

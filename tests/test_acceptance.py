@@ -85,7 +85,7 @@ def test_criterion_02_total_unimodularity():
     bad = []
     for n in range(1, 7):
         for m in range(1, 7):
-            res = check_total_unimodularity(build_incidence(n, m).stacked, max_submatrix=5)
+            res = check_total_unimodularity(build_incidence(n, m), max_submatrix=5)
             if not res:
                 bad.append((n, m))
     elapsed = time.perf_counter() - t0

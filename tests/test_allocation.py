@@ -43,15 +43,17 @@ def test_ewma_horizon_one_is_instantaneous():
     c = _rates([[100.0, 50.0]], 1, 2)
     state = ThroughputState(phi=np.array([7.0]), horizon_t=1)
     s = np.array([[[1, 1]]])
-    out = ewma_update(state, s, c)
+    out = ewma_update(state, instantaneous_rates(s, c))
     assert out.phi[0] == pytest.approx(75.0)
+    with pytest.raises(InvalidInputError):
+        ewma_update(state, np.zeros(2))         # one served rate per channel
 
 
 def test_ewma_idle_channel_decays():
     c = _rates([[100.0], [100.0]], 1, 1)
     state = ThroughputState(phi=np.array([8.0, 8.0]), horizon_t=4)
     s = np.array([[[1]], [[0]]])
-    out = ewma_update(state, s, c)
+    out = ewma_update(state, instantaneous_rates(s, c))
     assert out.phi[1] == pytest.approx(0.75 * 8.0)
     assert out.phi[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
     assert state.phi.tolist() == [8.0, 8.0]     # the input state is left as it was
@@ -64,7 +66,7 @@ def test_ewma_geometric_convergence():
     state = ThroughputState(phi=np.array([0.0]), horizon_t=t)
     errors = []
     for _ in range(40):
-        state = ewma_update(state, s, c)
+        state = ewma_update(state, instantaneous_rates(s, c))
         errors.append(abs(state.phi[0] - 60.0))
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
@@ -74,7 +76,7 @@ def test_pf_metric_steady_state_is_one():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
-    assert pf_metrics(state, s, c)[0] == pytest.approx(1.0)
+    assert pf_metrics(state, instantaneous_rates(s, c))[0] == pytest.approx(1.0)
 
 
 def test_pf_metric_reciprocal_scaling():
@@ -82,14 +84,15 @@ def test_pf_metric_reciprocal_scaling():
     s = np.array([[[1]]])
     full = ThroughputState(phi=np.array([10.0]), horizon_t=5)
     half = ThroughputState(phi=np.array([5.0]), horizon_t=5)
-    assert pf_metrics(half, s, c)[0] == pytest.approx(2 * pf_metrics(full, s, c)[0])
+    inst = instantaneous_rates(s, c)
+    assert pf_metrics(half, inst)[0] == pytest.approx(2 * pf_metrics(full, inst)[0])
 
 
 def test_pf_metric_cold_channel_is_infinite():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([0.0]), horizon_t=5)
-    assert pf_metrics(state, s, c)[0] == math.inf
+    assert pf_metrics(state, instantaneous_rates(s, c))[0] == math.inf
 
 
 def test_pf_picks_dominant_rate_channel():
@@ -143,7 +146,8 @@ def test_pf_determinism():
     a = allocate_pf(pairing, budget, c, state)
     b = allocate_pf(pairing, budget, c, state)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(ewma_update(state, a, c).phi, ewma_update(state, b, c).phi)
+    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a.s, c)).phi,
+                                  ewma_update(state, instantaneous_rates(b.s, c)).phi)
 
 
 def test_pf_selection_always_feasible():
@@ -170,13 +174,11 @@ def test_pf_converges_on_static_rates():
     budget = RadioBudget.from_pairing(pairing, [2, 1])
     c = _rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
-    spread = None
     for _ in range(120):
-        selection = allocate_pf(pairing, budget, c, state)
-        state = ewma_update(state, selection, c)
-    spread = fairness_spread(pf_metrics(state, selection, c))
+        inst = instantaneous_rates(allocate_pf(pairing, budget, c, state).s, c)
+        state = ewma_update(state, inst)
+    spread = fairness_spread(pf_metrics(state, inst))
     assert spread < 0.05
-    inst = instantaneous_rates(selection.s, c)
     ratios = inst / state.phi
     rel = (ratios.max() - ratios.min()) / ratios.mean()
     assert rel < 0.05
@@ -191,7 +193,8 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     state = ThroughputState.cold_start(c, horizon_t=t)
     utilities = []
     for _ in range(80):
-        state = ewma_update(state, allocate_pf(pairing, budget, c, state), c)
+        selection = allocate_pf(pairing, budget, c, state)
+        state = ewma_update(state, instantaneous_rates(selection.s, c))
         utilities.append(float(np.log(state.phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
@@ -290,8 +293,9 @@ def test_cold_start_state_is_channel_mean():
 def test_selection_reports_links():
     s = np.array([[[1, 0]], [[1, 1]]], dtype=np.int8)
     sel = LinkSelection(s)
-    assert (sel.f_count, sel.n_aps, sel.m_stas) == (2, 1, 2)
-    assert sel.links() == [(0, 0, 0), (1, 0, 0), (1, 0, 1)]
+    assert sel.s.shape == (2, 1, 2) and sel.s.dtype == np.int8
+    assert np.argwhere(sel.s).tolist() == [[0, 0, 0], [1, 0, 0], [1, 0, 1]]
+    assert sel.per_channel_counts().tolist() == [1, 2]
     with pytest.raises(InvalidInputError):
         LinkSelection(s[0])                      # (N, M) is not a selection
 

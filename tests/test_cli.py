@@ -187,6 +187,27 @@ def test_dead_network_runs(tmp_path, capsys):
         == {("0.0", "0.0")}
     assert main(["sweep", "--snr=-40,10", "--rounds", "1"] + dead) == 0
     assert capsys.readouterr().err == ""
+    # both objectives are 0, and the two-stage value never exceeds the joint
+    # optimum, so the ratio is 1.0 (JSON has no Infinity)
+    text = bundled_scenario_path("scenario_2ap_joint").read_text()
+    text = text.replace("snr_base_db: 7.5", "snr_base_db: -40")
+    text = "\n".join(line for line in text.splitlines()
+                     if not line.startswith("snr_random_range_db"))
+    scenario = tmp_path / "dead.yaml"
+    scenario.write_text(text)
+    assert main(["oracle", "--scenario", str(scenario), "--stas", "3,4", "--format", "json"]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"not valid JSON: {name}")
+
+    records = json.loads(capsys.readouterr().out, parse_constant=no_constant)["oracle"]
+    assert [(r["two_stage_objective_bps"], r["joint_objective_bps"], r["ratio"])
+            for r in records] == [(0.0, 0.0, 1.0)] * 2
+    # every frame errored: model and simulator both read 0.0, which agree
+    assert main(["validate-dcf", "--per", "1.0", "--contenders", "2", "--slots", "2000",
+                 "--tolerance", "0.05", "--format", "json"]) == 0
+    (record,) = json.loads(capsys.readouterr().out, parse_constant=no_constant)["validate_dcf"]
+    assert (record["analytic"], record["simulated"], record["rel_err"]) == (0.0, 0.0, 0.0)
     # NaN is no SNR, not a network without links
     assert main(["run", "--snr-base", "nan"] + dead) == 1
     assert main(["sweep", "--snr=nan", "--rounds", "1"] + dead) == 1

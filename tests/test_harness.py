@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -88,7 +89,7 @@ def test_recommendations_consistent_with_selection():
     sta_ids = [s.sta_id for s in sc.stas]
     ap_ids = [a.ap_id for a in sc.aps]
     by_sta = {r.sta_id: r for r in result.recommendations}
-    triples = {(f, n, m) for (f, n, m) in report.selection.links()}
+    triples = {tuple(t) for t in np.argwhere(report.selection.s).tolist()}
     for m, sta in enumerate(sta_ids):
         rec = by_sta.get(sta)
         if rec is None:
@@ -294,10 +295,10 @@ def _check_recommendations(sc, result):
     ap_ids = [ap.ap_id for ap in sc.aps]
     assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
     assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
-        [report.pairing.ap_of(m) for m in range(sc.m_stas)]
-    links = sorted((sc.channel_index(cid), ap_ids.index(r.ap_id), m)
+        report.pairing.x.argmax(axis=0).tolist()
+    links = sorted([sc.channel_index(cid), ap_ids.index(r.ap_id), m]
                    for m, r in enumerate(result.recommendations) for cid in r.channel_ids)
-    assert links == report.selection.links()
+    assert links == np.argwhere(report.selection.s).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -308,8 +309,8 @@ def test_slo_links_home_channel_only_and_pairing_optimal(sc):
     caps = [-(-sc.m_stas // sc.n_aps)] * sc.n_aps
     for report, tensor in zip(result.reports, tensors, strict=True):
         home_rates = np.array([tensor.values[home[n], n] for n in range(sc.n_aps)])
-        links = sorted(report.selection.links())
-        want = sorted((home[n], n, m) for n, m in report.pairing.pairs()
+        links = np.argwhere(report.selection.s).tolist()
+        want = sorted([home[n], n, m] for n, m in zip(*np.nonzero(report.pairing.x))
                       if home_rates[n, m] > 0.0)
         assert links == want
         assert len({m for _, _, m in links}) == len(links)    # one link per station
@@ -523,6 +524,33 @@ def test_rate_memo_bounded_and_built_once_per_contention():
                                  carry=carry).carry
             sizes.append(len(carry.rate_memo.entries))
     assert max(sizes) == harness.RATE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_served_rates_computed_once_per_step(allocator):
+    sc = _fixture()
+    served = harness.instantaneous_rates
+    with mock.patch.object(harness, "instantaneous_rates", side_effect=served) as spy:
+        result = run_apc_loop(sc, allocator=allocator, iterations=7)
+    # one call per step, on that step's selection
+    assert spy.call_count == 7
+    assert all(c.args[0] is r.selection.s
+               for c, r in zip(spy.call_args_list, result.reports, strict=True))
+
+
+def test_bench_span_targets_resolve(monkeypatch):
+    # the benchmark's tracer skips a name the package no longer has, which a
+    # traced run would only show as zero spans
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    targets = spans.ENTRY_TARGETS + spans.STAGE_TARGETS + spans.LEAF_TARGETS
+    tracer = spans.Tracer()
+    with tracer.patched(targets):
+        pass
+    assert tracer.missing == set()
 
 
 def test_slo_deterministic():

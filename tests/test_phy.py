@@ -11,13 +11,13 @@ from linkalloc.phy import (
     PerCurve,
     SubcarrierSinrGrid,
     db_to_linear,
-    default_per_curve,
     eesm_effective_snr,
     linear_to_db,
     mcs_data_rate,
     mcs_entry,
     per_lookup,
 )
+from linkalloc.scenario import PerModel
 
 
 def test_db_round_trip():
@@ -95,7 +95,7 @@ def test_per_lookup_interpolates_linearly():
 
 def test_per_curve_monotone_nonincreasing_everywhere():
     rng = np.random.default_rng(11)
-    curves = [default_per_curve(m) for m in range(12)]
+    curves = [PerModel().curve_for(m) for m in range(12)]
     curves.append(PerCurve.from_points(0, [-5.0, 0.0, 3.0, 9.0], [1.0, 0.7, 0.7, 0.0]))
     for curve in curves:
         q = np.sort(rng.uniform(-40.0, 60.0, size=64))
@@ -123,7 +123,7 @@ def test_per_curve_from_csv(tmp_path):
 
 def test_default_per_curve_midpoints():
     for m, mid in DEFAULT_PER_MIDPOINT_DB.items():
-        assert per_lookup(default_per_curve(m), float(mid)) == pytest.approx(0.5)
+        assert per_lookup(PerModel().curve_for(m), float(mid)) == pytest.approx(0.5)
 
 
 def test_mcs3_rates_match_handbook_values():
@@ -143,7 +143,6 @@ def test_mcs_data_rate_unit_case():
 
 def test_mcs_data_rate_scaling():
     base = mcs_entry(3, 40)
-    assert mcs_data_rate(base, n_streams=2) == pytest.approx(2 * mcs_data_rate(base))
     wider = mcs_entry(3, 80)
     assert mcs_data_rate(wider) / mcs_data_rate(base) == pytest.approx(DATA_SUBCARRIERS[80] / DATA_SUBCARRIERS[40])
     slow = McsEntry(mcs_index=3, n_sd=468, n_bpscs=4, coding_rate=0.5, t_dft=25.6e-6, t_gi=1.6e-6)

@@ -7,13 +7,7 @@ import oracles
 from linkalloc.dcf import DcfParams, airtime_durations, simulate_dcf_slots, solve_bianchi_fixed_point, normalized_throughput
 from linkalloc.errors import InvalidInputError
 from linkalloc.phy import mcs_data_rate, mcs_entry
-from linkalloc.rates import (
-    RateTensor,
-    bootstrap_contenders,
-    build_rate_tensor,
-    channel_rate,
-    link_rate,
-)
+from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 
 ONE_LINK_YAML = """
@@ -74,20 +68,44 @@ def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_channel_rate_dead_channel():
-    assert channel_rate(0.3, 0.0, 68.8e6) == 0.0
+def _flat_per_table(tmp_path, per):
+    """TWO_BY_TWO_YAML whose MCS 3 PER is `per` at every effective SNR."""
+    table = tmp_path / "flat_per.csv"
+    table.write_text(f"esnr_db,per\n-100.0,{per}\n100.0,{per}\n")
+    return _load(TWO_BY_TWO_YAML.replace(
+        "aps:\n", f"per_model: {{kind: table, tables: {{3: {table}}}}}\naps:\n", 1))
 
 
-def test_channel_rate_perfect_channel():
-    assert channel_rate(0.0, 1.0, 68.8e6) == 68.8e6
+def test_channel_rate_dead_channel(tmp_path):
+    # every frame errored: in-range links deliver nothing
+    sc = _flat_per_table(tmp_path, 1.0)
+    assert (build_rate_tensor(sc).values == 0.0).all()
+
+
+def test_channel_rate_perfect_channel(tmp_path):
+    # no frame errored: a link's rate is the error-free MAC efficiency times
+    # the MCS rate
+    sc = _flat_per_table(tmp_path, 0.0)
+    contenders = [2, 1]
+    t = build_rate_tensor(sc, contenders=contenders)
+    for f, chan in enumerate(sc.channels):
+        rate = mcs_data_rate(mcs_entry(3, chan.bandwidth_mhz))
+        tpt = normalized_throughput(solve_bianchi_fixed_point(sc.dcf, contenders[f]),
+                                    airtime_durations(sc.dcf, rate), 0.0, sc.dcf)
+        live = t.values[f] > 0
+        assert live.sum() == 5                  # sta3 cannot hear ap1
+        assert (t.values[f][live] == tpt * rate).all()
 
 
 def test_channel_rate_never_exceeds_mcs_rate():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        per = float(rng.uniform(0, 1))
-        tpt = float(rng.uniform(0, 1))
-        assert channel_rate(per, tpt, 68.8e6) <= 68.8e6
+    sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
+    for base_db in (10.0, 30.0, 60.0):
+        for contenders in ([1, 1, 1], [2, 5, 9]):
+            for mcs in (0, 3, 11):
+                t = build_rate_tensor(sc, contenders=contenders, mcs_override=mcs,
+                                      snr_field=sc.snr_field(base_db=base_db))
+                for f, chan in enumerate(sc.channels):
+                    assert t.values[f].max() <= mcs_data_rate(mcs_entry(mcs, chan.bandwidth_mhz))
 
 
 def test_channel_rate_composition_against_simulator():
@@ -95,9 +113,7 @@ def test_channel_rate_composition_against_simulator():
     rate = mcs_data_rate(mcs_entry(3, 40))
     d = airtime_durations(p, rate)
     s = solve_bianchi_fixed_point(p, 10)
-    tpt = normalized_throughput(s, d, 0.05, p)
-    composed = channel_rate(0.05, tpt, rate)
-    assert composed == pytest.approx(tpt * rate)
+    composed = normalized_throughput(s, d, 0.05, p) * rate
     sim = simulate_dcf_slots(p, 10, 0.05, 150_000, seed=9, durations=d)
     assert abs(composed - sim * rate) / composed < 0.05
 
@@ -171,10 +187,16 @@ def test_sta_permutation_permutes_tensor_axis():
 def test_contender_count_never_raises_rates():
     # a lone station wastes idle backoff slots, so utilization peaks just
     # above n=1; the decline is monotone from two contenders onward
-    assert link_rate(18.0, 3, 40, n_contenders=1) < link_rate(18.0, 3, 40, n_contenders=2)
+    sc = _load(ONE_LINK_YAML)
+    snr_field = sc.snr_field(base_db=18.0)
+
+    def rate(n):
+        return float(build_rate_tensor(sc, contenders=[n], snr_field=snr_field).values[0, 0, 0])
+
+    assert rate(1) < rate(2)
     prev = None
     for n in range(2, 51):
-        r = link_rate(18.0, 3, 40, n_contenders=n)
+        r = rate(n)
         assert r > 0
         if prev is not None:
             assert r <= prev + 1e-9
