@@ -68,12 +68,10 @@ from .pairing import (
 )
 from .phy import (
     EesmParams,
-    McsEntry,
     PerCurve,
     SubcarrierSinrGrid,
     eesm_effective_snr,
     mcs_data_rate,
-    mcs_entry,
     per_lookup,
 )
 from .rates import (

@@ -14,8 +14,9 @@ order, as `np.nonzero(pairing.x)` lists them.
 
 Both allocators return a `LinkSelection` and leave the state alone. State is
 carried between loop iterations by `ThroughputState`: one per-channel average
-`phi`. The loop computes each step's served rates once with
-`instantaneous_rates`; `pf_metrics` and `ewma_update` both read them.
+`phi`. The loop computes each step's served rates and network total once,
+from one selection x rate product, with `instantaneous_rates`; `pf_metrics`
+and `ewma_update` both read the rates.
 """
 
 from __future__ import annotations
@@ -117,19 +118,22 @@ class RadioBudget:
         return cls(sta_radio_limits=lim)
 
 
-def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> np.ndarray:
-    """Rate each channel served: the mean rate of its active links, 0 when
-    idle. It drives both the PF metric and the average update."""
+def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> tuple:
+    """The step's served rates, both read off one selection x rate product:
+    per channel, the mean rate of its active links (0 when idle), which drives
+    the PF metric and the average update; and the network total, the sum of
+    every active link's contention-discounted rate."""
     s = np.asarray(selection_s)
+    served = s * rates.values
     counts = s.sum(axis=(1, 2))
-    totals = (s * rates.values).sum(axis=(1, 2))
-    return np.divide(totals, counts, out=np.zeros_like(totals, dtype=float),
-                     where=counts > 0)
+    totals = served.sum(axis=(1, 2))
+    return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
+            float(served.sum()))
 
 
 def ewma_update(state: ThroughputState, inst: np.ndarray) -> ThroughputState:
-    """The state after one step that served `inst[f]` (see
-    `instantaneous_rates`): phi[f] <- (1 - 1/T) phi[f] + inst[f] / T."""
+    """The state after one step that served `inst[f]` (the rates
+    `instantaneous_rates` returns): phi[f] <- (1 - 1/T) phi[f] + inst[f] / T."""
     if np.shape(inst) != state.phi.shape:
         raise InvalidInputError("served rates do not match the state's channels")
     t = float(state.horizon_t)

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dcf import DcfParams
 from .errors import (
     ConfigurationError,
     InfeasibleError,
@@ -170,9 +169,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate_dcf(args) -> int:
-    records = validate_dcf(DcfParams(), contenders=args.contenders, pers=args.per,
-                           mcs_index=args.mcs, bandwidth_mhz=args.bandwidth,
-                           n_slots=args.slots, seed=args.seed)
+    if args.tolerance is not None and not args.tolerance >= 0:     # NaN compares false
+        raise ValidationError(f"--tolerance must be a number >= 0, got {args.tolerance}")
+    records = validate_dcf(contenders=args.contenders, pers=args.per, mcs_index=args.mcs,
+                           bandwidth_mhz=args.bandwidth, n_slots=args.slots, seed=args.seed)
     write_table(records, "validate_dcf", args.format, args.out or sys.stdout)
     if args.tolerance is not None:
         worst = max(r["rel_err"] for r in records)

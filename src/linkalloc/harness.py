@@ -13,15 +13,18 @@ A step pays only for what changed. The SNR field is the scenario's offset
 table, built once, plus the run's base. The rate tensor is a pure function
 of the scenario, the SNR field, the MCS override and the contenders per
 channel, and the loop revisits the same few contender vectors (two on the
-bundled fixture, three on a 30-AP/1000-STA network), so tensors are kept in
-a `RateMemo` keyed by the contender tuple and carried from run to run in
-`LoopCarry`, each beside the pairing weights read off it. Pairing and
-allocation still run on every step. Allocation reads the averages, which
-move on every step. Pairing is a pure function of the tensor, but each
-step's pairing stays its own call, which the benchmark counts and checks
-against an independent solver. A decision equal to the
+bundled fixture, three on a 30-AP/1000-STA network). So each contention
+gets one record, built on its first visit: the tensor, the rates the
+allocator may use, the pairing input weighed from them, and the last
+pairing and selection made on it. `LoopCarry` carries the records from run
+to run, for the same scenario object, MCS override, SLO-or-not mode and SNR
+field only. Pairing and allocation still run on every step. Allocation
+reads the averages, which move on every step. Pairing is a pure function of
+the tensor, but each step's pairing stays its own call, which the benchmark
+counts and checks against an independent solver. A decision equal to the
 last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory.
+reports of a cycling loop do not grow memory. Each step's served rates and
+network total come from one selection x rate product.
 
 Timing is opt-in: by default every report carries wall_time_s = 0.0 so that
 repeated runs of the same scenario produce byte-identical output files.
@@ -62,7 +65,6 @@ __all__ = [
     "IterationReport",
     "Recommendation",
     "LoopCarry",
-    "RateMemo",
     "RunResult",
     "SweepStat",
     "run_apc_loop",
@@ -110,40 +112,32 @@ class Recommendation:
 
 
 @dataclass(frozen=True)
-class RateMemo:
-    """Rate tensors already built, keyed by contender tuple, least recently
-    used first, each with the pairing input weighed from it and the last
-    pairing and selection made on it. They hold only for the scenario
-    object, MCS override and SNR field (compared bit for bit) they were
-    built from."""
-
-    scenario: Scenario
-    mcs_override: int | None
-    snr_field: np.ndarray
-    # ((contenders, (RateTensor, (slo?, usable rates, PairingInstance), pairing,
-    #   selection)), ...)
-    entries: tuple = ()
-
-    def serves(self, scenario: Scenario, mcs_override, snr_field: np.ndarray) -> bool:
-        return (self.scenario is scenario and self.mcs_override == mcs_override
-                and np.array_equal(self.snr_field.view(np.uint64), snr_field.view(np.uint64)))
-
-
-@dataclass(frozen=True)
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
-    Besides the averages and the contention it carries the run's `RateMemo`
-    (at most `RATE_MEMO_SIZE` tensors, each with the last decision made on
-    it), which the next run reuses when it sees the same scenario object,
-    MCS override and SNR field, and ignores otherwise. A run never alters
-    the memo of the carry it was given.
+    Besides the averages and the contention it carries the run's memo: at
+    most `RATE_MEMO_SIZE` records keyed by contender tuple, least recently
+    used first, each (tensor, usable rates, PairingInstance, pairing,
+    selection), the last two being the last decision made under that
+    contention. The next run reuses them only for the same scenario object,
+    MCS override and SLO-or-not mode and a bit-equal SNR field, and ignores
+    them otherwise. A run never alters the carry it was given.
     """
 
     state: ThroughputState
     contenders: tuple
     next_iteration: int
-    rate_memo: RateMemo | None = None
+    scenario: Scenario | None = None
+    mcs_override: int | None = None
+    slo: bool = False
+    snr_field: np.ndarray | None = None
+    memo: tuple = ()
+
+    def serves(self, scenario: Scenario, mcs_override, slo: bool,
+               snr_field: np.ndarray) -> bool:
+        return (self.scenario is scenario and self.mcs_override == mcs_override
+                and self.slo == slo
+                and np.array_equal(self.snr_field.view(np.uint64), snr_field.view(np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -170,16 +164,6 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
     for ap in scenario.aps:
         values.update(ap.mcs_overrides.values())
     return str(values.pop()) if len(values) == 1 else "mixed"
-
-
-def _aggregate_throughput(selection: LinkSelection, tensor: RateTensor) -> float:
-    """Network total: sum of every active link's contention-discounted rate.
-
-    Each link's rate already carries its channel's contention factor for the
-    link count the tensor was built with, so the sum is the model's aggregate
-    delivered throughput.
-    """
-    return float((selection.s * tensor.values).sum())
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -233,8 +217,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     and the moving averages. Passing the previous run's `carry` continues its
     averages and contention instead of cold-starting, which is how operating
     changes (say, an MCS switch) are evaluated mid-flight. The carry's rate
-    tensors are reused only while the scenario object, the MCS override and
-    the SNR field stay the same.
+    tensors are reused only while the scenario object, the MCS override, the
+    SLO-or-not mode and the SNR field stay the same.
 
     `allocator="slo"` is single-link operation, the reference the multi-link
     gains are measured against: every AP serves only on its home channel (its
@@ -256,7 +240,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         raise InvalidInputError("iterations must be >= 1")
 
     snr_field = scenario.snr_field(base_db=snr_base_db, rng=_seeded_rng(scenario, rng_seed))
-    snr_field.setflags(write=False)     # a carried memo holds it
+    snr_field.setflags(write=False)     # the carry holds it
     label = _mcs_label(scenario, mcs_override)
     base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
     slo = allocator == "slo"
@@ -279,24 +263,23 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     contenders = list(carry.contenders) if carry is not None \
         else bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan))
     start_iter = carry.next_iteration if carry is not None else 1
-    memo = carry.rate_memo if carry is not None else None
-    tensors = dict(memo.entries) \
-        if memo is not None and memo.serves(scenario, mcs_override, snr_field) else {}
+    memo = dict(carry.memo) if carry is not None \
+        and carry.serves(scenario, mcs_override, slo, snr_field) else {}
 
     reports = []
     for it in range(start_iter, start_iter + iterations):
         t0 = time.perf_counter() if timing else 0.0
         key = tuple(contenders)
-        tensor, weighed, seen_pairing, seen_selection = tensors.pop(key, (None,) * 4)
-        if tensor is None:
+        record = memo.pop(key, None)
+        if record is None:
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
-        if weighed is None or weighed[0] != slo:    # a carry may cross allocators
-            masked = RateTensor(tensor.values * link_usable) if slo else tensor
+            usable_rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
-            weighed = (slo, masked, PairingInstance(masked.values.sum(axis=0) / usable_count,
-                                                    caps, limits))
-        _, usable_rates, instance = weighed
+            record = (tensor, usable_rates,
+                      PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
+                                      caps, limits), None, None)
+        tensor, usable_rates, instance, seen_pairing, seen_selection = record
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
@@ -309,12 +292,12 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if seen_selection is not None and np.array_equal(selection.s, seen_selection.s) \
                 and selection.unallocated_edges == seen_selection.unallocated_edges:
             selection = seen_selection
-        tensors[key] = (tensor, weighed, pairing, selection)    # most recently used last
-        if len(tensors) > RATE_MEMO_SIZE:
-            del tensors[next(iter(tensors))]
+        memo[key] = (tensor, usable_rates, instance, pairing, selection)   # most recent last
+        if len(memo) > RATE_MEMO_SIZE:
+            del memo[next(iter(memo))]
         # SLO links run only where its mask keeps the rates, so the full
         # tensor gives the same served rates
-        inst = instantaneous_rates(selection.s, tensor)
+        inst, total = instantaneous_rates(selection.s, tensor)
         metrics = tuple(pf_metrics(state, inst).tolist())
         state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -324,7 +307,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             algorithm=algorithm,
             snr_base_db=base_reported,
             mcs_label=label,
-            aggregate_throughput_bps=_aggregate_throughput(selection, tensor),
+            aggregate_throughput_bps=total,
             fairness_spread=fairness_spread(metrics),
             per_channel_phi=tuple(float(v) for v in state.phi),
             per_channel_metric=metrics,
@@ -336,9 +319,9 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         contenders = selection.per_channel_counts().tolist()
 
     carry_out = LoopCarry(state=state, contenders=tuple(contenders),
-                          next_iteration=start_iter + iterations,
-                          rate_memo=RateMemo(scenario, mcs_override, snr_field,
-                                             tuple(tensors.items())))
+                          next_iteration=start_iter + iterations, scenario=scenario,
+                          mcs_override=mcs_override, slo=slo, snr_field=snr_field,
+                          memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 
 
@@ -513,16 +496,16 @@ def emit_sweep_stats(stats, fmt: str = "csv", out=None) -> str:
 # --- model validation and exact-solver comparison ---------------------------------
 
 
-def validate_dcf(params: DcfParams | None = None, *, contenders=(2, 5, 10, 20),
-                 pers=(0.0, 0.1, 0.3), mcs_index: int = 6, bandwidth_mhz: int = 40,
-                 n_slots: int = 200_000, seed: int = 1) -> list:
-    """Cross-check the contention fixed point against the slot simulation.
+def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: int = 6,
+                 bandwidth_mhz: int = 40, n_slots: int = 200_000, seed: int = 1) -> list:
+    """Cross-check the contention fixed point against the slot simulation,
+    both with the default `DcfParams`.
 
     Returns one record per (n, per) cell with the analytical and simulated
     normalized throughput and their relative error.
     """
-    params = params if params is not None else DcfParams()
-    rate = phy.mcs_data_rate(phy.mcs_entry(mcs_index, bandwidth_mhz))
+    params = DcfParams()
+    rate = phy.mcs_data_rate(mcs_index, bandwidth_mhz)
     durations = airtime_durations(params, rate)
     records = []
     for n in contenders:
@@ -566,7 +549,7 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
     selection = allocate_pf(pairing, budget, tensor, state)
     two_stage_wall = time.perf_counter() - t0
-    two_stage_value = _aggregate_throughput(selection, tensor)
+    _, two_stage_value = instantaneous_rates(selection.s, tensor)
 
     t0 = time.perf_counter()
     joint = solve_joint_mmkp_bruteforce(tensor, instance)

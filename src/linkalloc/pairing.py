@@ -349,8 +349,7 @@ class JointSolution:
     objective: float
 
 
-def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance, *,
-                                max_cells: int = 16, max_channels: int = 3) -> JointSolution:
+def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance) -> JointSolution:
     """Exhaustive search over every feasible link activation.
 
     Enumerates, per station, the choice of serving AP and the subset of that
@@ -358,17 +357,15 @@ def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance, *
     stations, the pairing LP's constraint. This is the multidimensional
     knapsack the two-stage pipeline approximates; cost grows as a product of
     per-station choice counts, so instances are capped at
-    N*M <= max_cells and F <= max_channels.
+    N*M <= 16 and F <= 3.
     """
     f_count, n_aps, m_stas = tensor.values.shape
     if (n_aps, m_stas) != instance.d.shape:
         raise InvalidInputError("tensor and instance dimensions disagree")
-    if n_aps * m_stas > max_cells:
-        raise SizeLimitError(
-            f"{n_aps} APs x {m_stas} STAs exceeds the {max_cells}-cell enumeration cap"
-        )
-    if f_count > max_channels:
-        raise SizeLimitError(f"{f_count} channels exceeds the {max_channels}-channel cap")
+    if n_aps * m_stas > 16:
+        raise SizeLimitError(f"{n_aps} APs x {m_stas} STAs exceeds the 16-cell enumeration cap")
+    if f_count > 3:
+        raise SizeLimitError(f"{f_count} channels exceeds the 3-channel cap")
 
     channel_sets = [
         list(itertools.combinations(range(f_count), k))

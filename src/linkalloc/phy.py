@@ -21,10 +21,8 @@ __all__ = [
     "SubcarrierSinrGrid",
     "EesmParams",
     "PerCurve",
-    "McsEntry",
     "eesm_effective_snr",
     "per_lookup",
-    "mcs_entry",
     "mcs_data_rate",
     "db_to_linear",
     "linear_to_db",
@@ -236,42 +234,13 @@ DEFAULT_PER_MIDPOINT_DB = {
 DEFAULT_PER_SLOPE_PER_DB = 1.0
 
 
-@dataclass(frozen=True)
-class McsEntry:
-    """OFDM layout and coding parameters of one MCS on one bandwidth."""
-
-    mcs_index: int
-    n_sd: int            # data subcarriers
-    n_bpscs: int         # coded bits per subcarrier per stream
-    coding_rate: float
-    t_dft: float         # DFT period, seconds
-    t_gi: float          # guard interval, seconds
-
-    def __post_init__(self):
-        if self.mcs_index < 0:
-            raise InvalidInputError("mcs_index must be >= 0")
-        if self.n_sd <= 0:
-            raise InvalidInputError("n_sd must be > 0")
-        if self.n_bpscs not in (1, 2, 4, 6, 8, 10):
-            raise InvalidInputError(f"n_bpscs must be one of 1,2,4,6,8,10, got {self.n_bpscs}")
-        if not 0 < self.coding_rate <= 1:
-            raise InvalidInputError("coding_rate must be in (0, 1]")
-        if self.t_dft <= 0 or self.t_gi < 0:
-            raise InvalidInputError("t_dft must be > 0 and t_gi >= 0")
-
-
-def mcs_entry(mcs_index: int, bandwidth_mhz: int) -> McsEntry:
-    """Build the McsEntry for an (MCS, bandwidth) pair from the standard tables."""
+def mcs_data_rate(mcs_index: int, bandwidth_mhz: int) -> float:
+    """Raw PHY data rate in bit/s of one spatial stream of an MCS on a
+    channel bandwidth, from the standard tables."""
     if mcs_index not in MCS_MODULATION:
         raise InvalidInputError(f"unknown MCS index {mcs_index}")
     if bandwidth_mhz not in DATA_SUBCARRIERS:
         raise InvalidInputError(f"unsupported bandwidth {bandwidth_mhz} MHz")
-    n_bpscs, rate = MCS_MODULATION[mcs_index]
-    return McsEntry(mcs_index=mcs_index, n_sd=DATA_SUBCARRIERS[bandwidth_mhz],
-                    n_bpscs=n_bpscs, coding_rate=rate, t_dft=OFDM_SYMBOL_S,
-                    t_gi=GUARD_INTERVAL_S)
-
-
-def mcs_data_rate(entry: McsEntry) -> float:
-    """Raw PHY data rate in bit/s of one spatial stream."""
-    return entry.n_sd * entry.n_bpscs * entry.coding_rate / (entry.t_dft + entry.t_gi)
+    n_bpscs, coding_rate = MCS_MODULATION[mcs_index]
+    return (DATA_SUBCARRIERS[bandwidth_mhz] * n_bpscs * coding_rate
+            / (OFDM_SYMBOL_S + GUARD_INTERVAL_S))

@@ -56,11 +56,6 @@ def _contention(params: DcfParams, n: int):
     return solve_bianchi_fixed_point(params, n)
 
 
-@lru_cache(maxsize=4096)
-def _mcs_rate(mcs_index: int, bandwidth_mhz: int) -> float:
-    return phy.mcs_data_rate(phy.mcs_entry(mcs_index, bandwidth_mhz))
-
-
 def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
                 state, params: DcfParams) -> np.ndarray:
     """Rates in bit/s of links that share one MCS and one contention state.
@@ -129,6 +124,6 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
         for mcs in np.unique(ap_mcs).tolist():
             rows = ap_mcs == mcs
             out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_model.curve_for(mcs),
-                                       _mcs_rate(mcs, chan.bandwidth_mhz), state, params)
+                                       phy.mcs_data_rate(mcs, chan.bandwidth_mhz), state, params)
     return RateTensor(out)
 

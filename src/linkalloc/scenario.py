@@ -269,13 +269,12 @@ class Scenario:
         the scalar base (argument, falling back to `snr_base_db`) is used.
         The field is that base plus the per-link offsets.
         """
+        base = self.snr_base_db if base_db is None else float(base_db)
+        if not math.isfinite(base):     # NaN would mark every link out of range
+            raise ValidationError(f"SNR base must be a finite number, got {base}")
         if self.snr_random_range_db is not None and rng is not None:
             lo, hi = self.snr_random_range_db
             base = rng.uniform(lo, hi, size=(self.f_count, self.n_aps, self.m_stas))
-        else:
-            base = self.snr_base_db if base_db is None else float(base_db)
-            if math.isnan(base):    # NaN would mark every link out of range
-                raise ValidationError("SNR base must be a number, got nan")
         return base + self._snr_offsets_db
 
     def truncated(self, m_stas: int) -> "Scenario":

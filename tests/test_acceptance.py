@@ -36,7 +36,6 @@ from linkalloc.phy import (
     SubcarrierSinrGrid,
     eesm_effective_snr,
     mcs_data_rate,
-    mcs_entry,
 )
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 
@@ -103,9 +102,9 @@ def test_criterion_03_greedy_suboptimality_exhibit():
 
 
 def test_criterion_04_mcs_rate_reproduction():
-    r20 = mcs_data_rate(mcs_entry(3, 20)) / 1e6
-    r40 = mcs_data_rate(mcs_entry(3, 40)) / 1e6
-    r80 = mcs_data_rate(mcs_entry(3, 80)) / 1e6
+    r20 = mcs_data_rate(3, 20) / 1e6
+    r40 = mcs_data_rate(3, 40) / 1e6
+    r80 = mcs_data_rate(3, 80) / 1e6
     ok = abs(r20 - 34.4) < 0.05 and abs(r40 - 68.8) < 0.05 and abs(r80 - 144.1) < 0.05
     _verdict(4, ok, f"MCS3 rates {r20:.4f}/{r40:.4f}/{r80:.4f} Mbps vs 34.4/68.8/144.1")
 

@@ -43,7 +43,9 @@ def test_ewma_horizon_one_is_instantaneous():
     c = _rates([[100.0, 50.0]], 1, 2)
     state = ThroughputState(phi=np.array([7.0]), horizon_t=1)
     s = np.array([[[1, 1]]])
-    out = ewma_update(state, instantaneous_rates(s, c))
+    inst, total = instantaneous_rates(s, c)
+    assert total == 150.0                       # the network total sums the links
+    out = ewma_update(state, inst)
     assert out.phi[0] == pytest.approx(75.0)
     with pytest.raises(InvalidInputError):
         ewma_update(state, np.zeros(2))         # one served rate per channel
@@ -53,7 +55,7 @@ def test_ewma_idle_channel_decays():
     c = _rates([[100.0], [100.0]], 1, 1)
     state = ThroughputState(phi=np.array([8.0, 8.0]), horizon_t=4)
     s = np.array([[[1]], [[0]]])
-    out = ewma_update(state, instantaneous_rates(s, c))
+    out = ewma_update(state, instantaneous_rates(s, c)[0])
     assert out.phi[1] == pytest.approx(0.75 * 8.0)
     assert out.phi[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
     assert state.phi.tolist() == [8.0, 8.0]     # the input state is left as it was
@@ -66,7 +68,7 @@ def test_ewma_geometric_convergence():
     state = ThroughputState(phi=np.array([0.0]), horizon_t=t)
     errors = []
     for _ in range(40):
-        state = ewma_update(state, instantaneous_rates(s, c))
+        state = ewma_update(state, instantaneous_rates(s, c)[0])
         errors.append(abs(state.phi[0] - 60.0))
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
@@ -76,7 +78,7 @@ def test_pf_metric_steady_state_is_one():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(s, c))[0] == pytest.approx(1.0)
+    assert pf_metrics(state, instantaneous_rates(s, c)[0])[0] == pytest.approx(1.0)
 
 
 def test_pf_metric_reciprocal_scaling():
@@ -84,7 +86,7 @@ def test_pf_metric_reciprocal_scaling():
     s = np.array([[[1]]])
     full = ThroughputState(phi=np.array([10.0]), horizon_t=5)
     half = ThroughputState(phi=np.array([5.0]), horizon_t=5)
-    inst = instantaneous_rates(s, c)
+    inst, _ = instantaneous_rates(s, c)
     assert pf_metrics(half, inst)[0] == pytest.approx(2 * pf_metrics(full, inst)[0])
 
 
@@ -92,7 +94,7 @@ def test_pf_metric_cold_channel_is_infinite():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([0.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(s, c))[0] == math.inf
+    assert pf_metrics(state, instantaneous_rates(s, c)[0])[0] == math.inf
 
 
 def test_pf_picks_dominant_rate_channel():
@@ -146,8 +148,8 @@ def test_pf_determinism():
     a = allocate_pf(pairing, budget, c, state)
     b = allocate_pf(pairing, budget, c, state)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a.s, c)).phi,
-                                  ewma_update(state, instantaneous_rates(b.s, c)).phi)
+    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a.s, c)[0]).phi,
+                                  ewma_update(state, instantaneous_rates(b.s, c)[0]).phi)
 
 
 def test_pf_selection_always_feasible():
@@ -175,7 +177,7 @@ def test_pf_converges_on_static_rates():
     c = _rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
     for _ in range(120):
-        inst = instantaneous_rates(allocate_pf(pairing, budget, c, state).s, c)
+        inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, state).s, c)
         state = ewma_update(state, inst)
     spread = fairness_spread(pf_metrics(state, inst))
     assert spread < 0.05
@@ -194,7 +196,7 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     utilities = []
     for _ in range(80):
         selection = allocate_pf(pairing, budget, c, state)
-        state = ewma_update(state, instantaneous_rates(selection.s, c))
+        state = ewma_update(state, instantaneous_rates(selection.s, c)[0])
         utilities.append(float(np.log(state.phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))

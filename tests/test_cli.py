@@ -208,10 +208,15 @@ def test_dead_network_runs(tmp_path, capsys):
                  "--tolerance", "0.05", "--format", "json"]) == 0
     (record,) = json.loads(capsys.readouterr().out, parse_constant=no_constant)["validate_dcf"]
     assert (record["analytic"], record["simulated"], record["rel_err"]) == (0.0, 0.0, 0.0)
-    # NaN is no SNR, not a network without links
-    assert main(["run", "--snr-base", "nan"] + dead) == 1
-    assert main(["sweep", "--snr=nan", "--rounds", "1"] + dead) == 1
-    assert capsys.readouterr().err == "linkalloc: SNR base must be a number, got nan\n" * 2
+    # NaN and the infinities are no SNR, not a network without links
+    # (also where the scenario draws each link's base and never reads it)
+    drawn = ["--scenario", "scenario_2ap_joint", "--iterations", "2", "--out", out]
+    for value in ("nan", "inf", "-inf"):
+        assert main(["run", f"--snr-base={value}"] + dead) == 1
+        assert main(["sweep", f"--snr={value}", "--rounds", "1"] + dead) == 1
+        assert main(["run", f"--snr-base={value}"] + drawn) == 1
+        assert capsys.readouterr().err == \
+            f"linkalloc: SNR base must be a finite number, got {value}\n" * 3
 
 
 def test_run_slo_rejects_greedy_solver(capsys):
@@ -306,6 +311,16 @@ def test_validate_dcf_within_tolerance(capsys):
     text = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["n_contenders", "per", "analytic", "simulated", "rel_err"]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-0.1"])
+def test_validate_dcf_rejects_unusable_tolerance(tolerance, capsys):
+    # NaN would compare false against every error and pass unchecked
+    assert main(["validate-dcf", "--contenders", "2", "--per", "0.0", "--slots", "2000",
+                 f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""       # refused before any simulation
+    assert captured.err == f"linkalloc: --tolerance must be a number >= 0, got {float(tolerance)}\n"
 
 
 def test_validate_dcf_flags_exceedance(capsys):

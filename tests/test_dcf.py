@@ -9,7 +9,7 @@ from linkalloc.dcf import (
     solve_bianchi_fixed_point,
 )
 from linkalloc.errors import InvalidInputError
-from linkalloc.phy import mcs_data_rate, mcs_entry
+from linkalloc.phy import mcs_data_rate
 
 
 def test_default_params_match_reference_table():
@@ -59,7 +59,7 @@ def test_residual_small_up_to_128_contenders():
 
 
 def test_payload_airtime_at_mcs3():
-    rate = mcs_data_rate(mcs_entry(3, 40))
+    rate = mcs_data_rate(3, 40)
     d = airtime_durations(DcfParams(), rate)
     assert d.payload_airtime == pytest.approx(1500 * 8 / rate)
     assert d.payload_airtime == pytest.approx(174.4e-6, rel=1e-3)
@@ -77,7 +77,7 @@ def test_zero_payload_success_time():
 def test_collision_time_is_success_minus_prop_delay():
     # with the default EIFS = SIFS + ACK + DIFS the algebra collapses
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     assert d.t_collision == pytest.approx(d.t_success - p.prop_delay, rel=1e-12)
     assert d.t_phy_error == d.t_collision
     assert d.t_success >= d.payload_airtime
@@ -92,7 +92,7 @@ def test_throughput_zero_when_per_is_one():
 
 def test_throughput_single_contender_reduction():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     s = solve_bianchi_fixed_point(p, 1)
     got = normalized_throughput(s, d, 0.0, p)
     assert got == pytest.approx(oracles.closed_form_n1_throughput(p, d), rel=1e-12)
@@ -110,7 +110,7 @@ def test_throughput_rejects_bad_per():
 
 def test_throughput_bounded_and_monotone_in_per():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     for n in (1, 2, 5, 10, 20):
         s = solve_bianchi_fixed_point(p, n)
         vals = [normalized_throughput(s, d, per / 10.0, p) for per in range(11)]
@@ -121,7 +121,7 @@ def test_throughput_bounded_and_monotone_in_per():
 
 def test_simulator_matches_closed_form_single_station():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     got = simulate_dcf_slots(p, 1, 0.0, 100_000, seed=5, durations=d)
     want = oracles.closed_form_n1_throughput(p, d)
     assert abs(got - want) / want < 0.02
@@ -129,7 +129,7 @@ def test_simulator_matches_closed_form_single_station():
 
 def test_simulator_seed_determinism():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     a = simulate_dcf_slots(p, 5, 0.1, 20_000, seed=42, durations=d)
     b = simulate_dcf_slots(p, 5, 0.1, 20_000, seed=42, durations=d)
     c = simulate_dcf_slots(p, 5, 0.1, 20_000, seed=43, durations=d)
@@ -139,7 +139,7 @@ def test_simulator_seed_determinism():
 
 def test_analytic_vs_simulator_at_ten_contenders():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     s = solve_bianchi_fixed_point(p, 10)
     analytic = normalized_throughput(s, d, 0.1, p)
     sim = simulate_dcf_slots(p, 10, 0.1, 150_000, seed=2, durations=d)
@@ -148,7 +148,7 @@ def test_analytic_vs_simulator_at_ten_contenders():
 
 def test_analytic_vs_simulator_at_twenty_contenders():
     p = DcfParams()
-    d = airtime_durations(p, mcs_data_rate(mcs_entry(6, 40)))
+    d = airtime_durations(p, mcs_data_rate(6, 40))
     s = solve_bianchi_fixed_point(p, 20)
     analytic = normalized_throughput(s, d, 0.0, p)
     sim = simulate_dcf_slots(p, 20, 0.0, 150_000, seed=3, durations=d)

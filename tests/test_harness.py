@@ -480,22 +480,50 @@ def test_carried_rate_memo_reused_only_when_valid():
         (fx, fx, {"mcs_override": 3}),             # the criterion 08 MCS switch
         (fx, fx, {"snr_base_db": 15.0}),
         (drawn, drawn, {"rng_seed": 5}),
-        (fx, fx, {"allocator": "slo"}),            # other pairing weights, same tensors
+        (fx, fx, {"allocator": "slo"}),            # other pairing weights
         # another scenario object with an equal SNR field: only its identity
         # tells the memo apart
         (fx, dataclasses.replace(fx, dcf=DcfParams(payload_bytes=500)), {}),
     ]
     for first, second, kwargs in changes:
         carry = run_apc_loop(first, iterations=3).carry
-        entries = carry.rate_memo.entries
-        assert entries
+        memo = carry.memo
+        assert memo
         reused = run_apc_loop(second, iterations=3, carry=carry, **kwargs)
         fresh = run_apc_loop(second, iterations=3,
-                             carry=dataclasses.replace(carry, rate_memo=None), **kwargs)
+                             carry=dataclasses.replace(carry, memo=()), **kwargs)
         assert _outputs(reused) == _outputs(fresh), kwargs
         # the change matters: the same carry without it reports otherwise
         assert _outputs(reused) != _outputs(run_apc_loop(first, iterations=3, carry=carry))
-        assert carry.rate_memo.entries is entries    # the old carry is left alone
+        assert carry.memo is memo    # the old carry is left alone
+
+
+def test_carry_reuse_rule_counted_in_tensor_builds():
+    fx = _fixture()
+    build = harness.build_rate_tensor
+
+    def builds(sc, carry, **kwargs):
+        with mock.patch.object(harness, "build_rate_tensor", side_effect=build) as spy:
+            result = run_apc_loop(sc, iterations=3, carry=carry, **kwargs)
+        return spy.call_count, result.carry
+
+    pf = run_apc_loop(fx, iterations=3).carry
+    records = pf.memo
+    snapshot = [tuple(map(id, record)) for _, record in records]
+    assert builds(fx, pf)[0] == 0       # every contention it meets is carried
+    # an equal scenario with a bit-equal SNR field is still another object
+    twin = dataclasses.replace(fx)
+    assert twin is not fx and np.array_equal(twin.snr_field(), fx.snr_field(), equal_nan=True)
+    cold = builds(fx, dataclasses.replace(pf, memo=()))[0]
+    assert builds(twin, pf)[0] == cold > 0
+    # an SLO <-> PF switch rebuilds both ways, and then reuses again
+    n_slo, slo = builds(fx, pf, allocator="slo")
+    assert n_slo == builds(fx, dataclasses.replace(pf, memo=()), allocator="slo")[0] > 0
+    assert builds(fx, slo, allocator="slo")[0] == 0
+    assert builds(fx, slo)[0] == builds(fx, dataclasses.replace(slo, memo=()))[0] > 0
+    # the carries passed in are left as they were
+    assert pf.memo is records
+    assert [tuple(map(id, record)) for _, record in pf.memo] == snapshot
 
 
 def test_rate_memo_bounded_and_built_once_per_contention():
@@ -522,7 +550,7 @@ def test_rate_memo_bounded_and_built_once_per_contention():
             carry = dataclasses.replace(carry, contenders=(load, 2 * load, 3 * load))
             carry = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=2,
                                  carry=carry).carry
-            sizes.append(len(carry.rate_memo.entries))
+            sizes.append(len(carry.memo))
     assert max(sizes) == harness.RATE_MEMO_SIZE
 
 

@@ -7,14 +7,12 @@ from linkalloc.phy import (
     DATA_SUBCARRIERS,
     DEFAULT_PER_MIDPOINT_DB,
     EesmParams,
-    McsEntry,
     PerCurve,
     SubcarrierSinrGrid,
     db_to_linear,
     eesm_effective_snr,
     linear_to_db,
     mcs_data_rate,
-    mcs_entry,
     per_lookup,
 )
 from linkalloc.scenario import PerModel
@@ -127,32 +125,30 @@ def test_default_per_curve_midpoints():
 
 
 def test_mcs3_rates_match_handbook_values():
-    e40 = mcs_entry(3, 40)
-    e80 = mcs_entry(3, 80)
-    assert mcs_data_rate(e40) == pytest.approx(68823529.41176471)
-    assert mcs_data_rate(e80) == pytest.approx(144117647.05882356)
+    r40 = mcs_data_rate(3, 40)
+    r80 = mcs_data_rate(3, 80)
+    assert r40 == pytest.approx(68823529.41176471)
+    assert r80 == pytest.approx(144117647.05882356)
     # three significant figures: 68.8 / 144.1 Mbps
-    assert round(mcs_data_rate(e40) / 1e6, 1) == 68.8
-    assert round(mcs_data_rate(e80) / 1e6, 1) == 144.1
+    assert round(r40 / 1e6, 1) == 68.8
+    assert round(r80 / 1e6, 1) == 144.1
 
 
 def test_mcs_data_rate_unit_case():
-    entry = McsEntry(mcs_index=0, n_sd=1, n_bpscs=1, coding_rate=1.0, t_dft=1.0, t_gi=0.0)
-    assert mcs_data_rate(entry) == 1.0
+    # MCS 0 on 20 MHz: one coded bit at rate 1/2 on each of 234 data
+    # subcarriers per 12.8 + 0.8 us symbol
+    assert mcs_data_rate(0, 20) == pytest.approx(234 * 0.5 / 13.6e-6)
 
 
 def test_mcs_data_rate_scaling():
-    base = mcs_entry(3, 40)
-    wider = mcs_entry(3, 80)
-    assert mcs_data_rate(wider) / mcs_data_rate(base) == pytest.approx(DATA_SUBCARRIERS[80] / DATA_SUBCARRIERS[40])
-    slow = McsEntry(mcs_index=3, n_sd=468, n_bpscs=4, coding_rate=0.5, t_dft=25.6e-6, t_gi=1.6e-6)
-    assert mcs_data_rate(slow) == pytest.approx(mcs_data_rate(base) / 2)
+    base = mcs_data_rate(3, 40)
+    assert mcs_data_rate(3, 80) / base == pytest.approx(DATA_SUBCARRIERS[80] / DATA_SUBCARRIERS[40])
+    # MCS 4 keeps MCS 3's 16-QAM and raises the coding rate from 1/2 to 3/4
+    assert mcs_data_rate(4, 40) / base == pytest.approx(1.5)
 
 
-def test_mcs_entry_rejects_unknown_combinations():
+def test_mcs_data_rate_rejects_unknown_combinations():
     with pytest.raises(InvalidInputError):
-        mcs_entry(12, 40)
+        mcs_data_rate(12, 40)
     with pytest.raises(InvalidInputError):
-        mcs_entry(3, 30)
-    with pytest.raises(InvalidInputError):
-        McsEntry(mcs_index=0, n_sd=10, n_bpscs=3, coding_rate=0.5, t_dft=1.0, t_gi=0.0)
+        mcs_data_rate(3, 30)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from linkalloc.dcf import DcfParams, airtime_durations, simulate_dcf_slots, solve_bianchi_fixed_point, normalized_throughput
 from linkalloc.errors import InvalidInputError
-from linkalloc.phy import mcs_data_rate, mcs_entry
+from linkalloc.phy import mcs_data_rate
 from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 
@@ -59,7 +59,7 @@ def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
         tau = solve_bianchi_fixed_point(sc.dcf, n_eff).tau
         for n, ap in enumerate(sc.aps):
             mcs = sc.mcs_for(f, ap) if mcs_override is None else mcs_override
-            rate = mcs_data_rate(mcs_entry(mcs, chan.bandwidth_mhz))
+            rate = mcs_data_rate(mcs, chan.bandwidth_mhz)
             curve = sc.per_model.curve_for(mcs)
             for m in range(sc.m_stas):
                 want[f, n, m] = oracles.link_rate_scalar(
@@ -89,7 +89,7 @@ def test_channel_rate_perfect_channel(tmp_path):
     contenders = [2, 1]
     t = build_rate_tensor(sc, contenders=contenders)
     for f, chan in enumerate(sc.channels):
-        rate = mcs_data_rate(mcs_entry(3, chan.bandwidth_mhz))
+        rate = mcs_data_rate(3, chan.bandwidth_mhz)
         tpt = normalized_throughput(solve_bianchi_fixed_point(sc.dcf, contenders[f]),
                                     airtime_durations(sc.dcf, rate), 0.0, sc.dcf)
         live = t.values[f] > 0
@@ -105,12 +105,12 @@ def test_channel_rate_never_exceeds_mcs_rate():
                 t = build_rate_tensor(sc, contenders=contenders, mcs_override=mcs,
                                       snr_field=sc.snr_field(base_db=base_db))
                 for f, chan in enumerate(sc.channels):
-                    assert t.values[f].max() <= mcs_data_rate(mcs_entry(mcs, chan.bandwidth_mhz))
+                    assert t.values[f].max() <= mcs_data_rate(mcs, chan.bandwidth_mhz)
 
 
 def test_channel_rate_composition_against_simulator():
     p = DcfParams()
-    rate = mcs_data_rate(mcs_entry(3, 40))
+    rate = mcs_data_rate(3, 40)
     d = airtime_durations(p, rate)
     s = solve_bianchi_fixed_point(p, 10)
     composed = normalized_throughput(s, d, 0.05, p) * rate
@@ -122,7 +122,7 @@ def test_single_link_tensor_matches_closed_form():
     sc = _load(ONE_LINK_YAML)
     t = build_rate_tensor(sc)
     p = sc.dcf
-    rate = mcs_data_rate(mcs_entry(3, 40))
+    rate = mcs_data_rate(3, 40)
     d = airtime_durations(p, rate)
     want = oracles.closed_form_n1_throughput(p, d) * rate
     # 45 dB effective SNR leaves no measurable error probability at MCS3
