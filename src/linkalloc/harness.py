@@ -160,10 +160,8 @@ class RunResult:
 def _mcs_label(scenario: Scenario, mcs_override) -> str:
     if mcs_override is not None:
         return str(mcs_override)
-    values = {c.mcs_index for c in scenario.channels}
-    for ap in scenario.aps:
-        values.update(ap.mcs_overrides.values())
-    return str(values.pop()) if len(values) == 1 else "mixed"
+    values = np.unique(scenario.mcs_table).tolist()
+    return str(values[0]) if len(values) == 1 else "mixed"
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -196,13 +194,9 @@ def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator | None:
 
 
 def _home_channel_mask(scenario: Scenario) -> np.ndarray:
-    """usable[f, n]: True on AP n's single-link home channel only, its
-    `slo_channel` or else channel n % F (round-robin order)."""
+    """usable[f, n]: True on AP n's single-link home channel only."""
     usable = np.zeros((scenario.f_count, scenario.n_aps), dtype=bool)
-    for n, ap in enumerate(scenario.aps):
-        f = n % scenario.f_count if ap.slo_channel is None \
-            else scenario.channel_index(ap.slo_channel)
-        usable[f, n] = True
+    usable[scenario.home_channel, np.arange(scenario.n_aps)] = True
     return usable
 
 
@@ -218,13 +212,15 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     averages and contention instead of cold-starting, which is how operating
     changes (say, an MCS switch) are evaluated mid-flight. The carry's rate
     tensors are reused only while the scenario object, the MCS override, the
-    SLO-or-not mode and the SNR field stay the same.
+    SLO-or-not mode and the SNR field stay the same. `snr_base_db` replaces
+    the scenario's base; a scenario that draws each link's base from its
+    `snr_random_range_db` refuses it with `ValidationError`.
 
     `allocator="slo"` is single-link operation, the reference the multi-link
-    gains are measured against: every AP serves only on its home channel (its
-    `slo_channel`, else channels in round-robin order), each station uses one
-    radio, and AP capacities are balanced at ceil(M/N). Contention bootstrap,
-    pairing weights and PF allocation see only the home-channel links, so the
+    gains are measured against: every AP serves only on its home channel
+    (`Scenario.home_channel`), each station uses one radio, and AP
+    capacities are balanced at ceil(M/N). Contention bootstrap, pairing
+    weights and PF allocation see only the home-channel links, so the
     optimal pairing weighs home-channel rates and each paired link runs on
     its home channel when that rate is > 0. It pairs with the optimal solver
     only.
@@ -369,7 +365,8 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
     the sweep is reproducible in isolation. Returns one `SweepStat` per grid
     point, grid ordered SNR-major.
     """
-    snrs = list(snr_points) if snr_points is not None else [scenario.snr_base_db]
+    # no explicit base by default: a scenario that draws its bases takes none
+    snrs = list(snr_points) if snr_points is not None else [None]
     mcss = list(mcs_points) if mcs_points is not None else [None]
     rounds = scenario.monte_carlo_rounds if rounds is None else rounds
     if rounds < 1:
@@ -400,7 +397,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         spreads = np.array([o[1] for o in chunk])
         min_spreads = np.array([o[2] for o in chunk])
         stats.append(SweepStat(
-            snr_base_db=float(snr),
+            snr_base_db=float(scenario.snr_base_db if snr is None else snr),
             mcs_label=_mcs_label(scenario, mcs),
             rounds=rounds,
             throughput_mean_bps=float(tputs.mean()),

@@ -61,8 +61,10 @@ def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
     """Rates in bit/s of links that share one MCS and one contention state.
 
     Each link is one SINR sample, which must be finite and > 0 in linear
-    scale. The EESM of a single sample is the sample itself, so the
-    effective SNR is that linear SINR back in dB. NaN marks an out-of-range
+    scale; a link SNR outside that range (say 5000 dB, whose linear value
+    overflows) is a configuration error naming it. The EESM of a single
+    sample is the sample itself, so the effective SNR is that linear SINR
+    back in dB. NaN marks an out-of-range
     link, whose rate is 0. The MAC efficiency already discounts the channel
     time lost to errored frames (it counts delivered payload only), so a
     link's rate is that efficiency times the MCS rate.
@@ -70,8 +72,10 @@ def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
     live = ~np.isnan(snr_db)
     with np.errstate(over="ignore"):
         linear = phy.db_to_linear(snr_db[live])
-    if not (np.isfinite(linear) & (linear > 0)).all():
-        raise InvalidInputError("SINR grid entries must be finite and > 0")
+    usable = np.isfinite(linear) & (linear > 0)
+    if not usable.all():
+        raise InvalidInputError(f"a link SNR of {float(snr_db[live][~usable][0])} dB is out of "
+                                f"the PHY model's range: its linear value must be finite and > 0")
     per = phy.per_lookup(curve, phy.linear_to_db(linear))
     tpt = normalized_throughput(state, airtime_durations(params, rate), per, params)
     out = np.zeros(snr_db.shape)
@@ -118,8 +122,8 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     out = np.zeros(expect)
     for f, chan in enumerate(scenario.channels):
         state = _contention(params, max(1, int(contenders[f])))
-        ap_mcs = np.array([scenario.mcs_for(f, ap) if mcs_override is None else mcs_override
-                           for ap in scenario.aps])
+        ap_mcs = scenario.mcs_table[f] if mcs_override is None \
+            else np.array([mcs_override] * scenario.n_aps)
         # one kernel call per MCS in use on the channel: usually all APs share it
         for mcs in np.unique(ap_mcs).tolist():
             rows = ap_mcs == mcs

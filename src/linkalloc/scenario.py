@@ -1,9 +1,23 @@
 """Scenario configuration: schema, validation, and bundled fixtures.
 
 A scenario is a YAML document describing channels, APs, STAs, per-link SNR,
-MAC parameters, and run settings. Unknown fields are rejected with the field
-path so typos fail loudly. All defaults are materialized at load time, so a
-loaded `Scenario` echoes the exact numbers the pipeline will use.
+MAC parameters, and run settings. `load_scenario` reads it in one pass: it
+checks each schema rule where it reads the value and names the field path
+of a violation (`stas[3].snr_offset_db.ap2[1]: expected a finite number`),
+unknown fields included, so typos fail loudly. All defaults are
+materialized at load time, so a loaded `Scenario` echoes the exact numbers
+the pipeline will use.
+
+This module is the only one that knows the document's layout. The parser
+writes the links straight into three read-only arrays of `Scenario`, and
+the rest of the package reads the AP and station settings from them only:
+
+- `snr_offsets_db[f, n, m]`: the SNR offset in dB of station m from AP n on
+  channel f, NaN where the link is out of range;
+- `mcs_table[f, n]`: the MCS AP n runs on channel f, its `mcs` overrides
+  applied over the channel's;
+- `home_channel[n]`: the position in `channels` of AP n's single-link home
+  channel, its `slo_channel`, else channel n % F.
 
 Schema (all SNR values in dB)::
 
@@ -31,9 +45,10 @@ Schema (all SNR values in dB)::
 
 `snr_offset_db` may be a scalar (all APs, all channels), a per-AP scalar, or
 a per-AP per-channel map; APs absent from the map are out of range. The
-effective SNR of a link is `snr_base_db + offset` unless the scenario draws
-random bases from `snr_random_range_db`. Every number must be finite: YAML
-`.nan` and `.inf` are rejected with their field path, so only
+effective SNR of a link is `snr_base_db + offset`. A scenario that declares
+`snr_random_range_db` instead draws each link's base uniformly from that
+range on every run, and refuses an explicit base. Every number must be
+finite: YAML `.nan` and `.inf` are rejected with their field path, so only
 `out-of-range` marks a link out of range. Integers must fit in signed 64
 bits, and radio counts are at most 2**31 - 1.
 """
@@ -42,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -84,47 +98,21 @@ class ChannelSpec:
     bandwidth_mhz: int
     mcs_index: int
 
-    def __post_init__(self):
-        if self.band not in BAND_MAX_BANDWIDTH_MHZ:
-            raise ValidationError(
-                f"channel {self.channel_id}: band must be one of "
-                f"{sorted(BAND_MAX_BANDWIDTH_MHZ)}, got {self.band!r}"
-            )
-        if self.bandwidth_mhz not in (20, 40, 80, 160):
-            raise ValidationError(
-                f"channel {self.channel_id}: bandwidth_mhz must be 20/40/80/160"
-            )
-        if self.bandwidth_mhz > BAND_MAX_BANDWIDTH_MHZ[self.band]:
-            raise ValidationError(
-                f"channel {self.channel_id}: {self.bandwidth_mhz} MHz is not "
-                f"available on {self.band}"
-            )
-        if self.mcs_index not in MCS_MODULATION:
-            raise ValidationError(f"channel {self.channel_id}: unknown MCS {self.mcs_index}")
-
 
 @dataclass(frozen=True)
 class ApConfig:
     ap_id: str
     radios: int                       # R(n): pairing capacity of the AP
-    slo_channel: int | None = None    # channel id used by the single-link baseline
-    mcs_overrides: dict = field(default_factory=dict)  # channel id -> MCS
-
-    def __post_init__(self):
-        if not 1 <= self.radios <= MAX_RADIOS:
-            raise ValidationError(f"ap {self.ap_id}: radios must be in [1, {MAX_RADIOS}]")
 
 
 @dataclass(frozen=True)
 class StaConfig:
     sta_id: str
     radios: int                       # r(m): radio links the STA can run at once
-    # ap id -> channel id -> offset dB, or None when the link is out of range
-    snr_offsets_db: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 1 <= self.radios <= MAX_RADIOS:
-            raise ValidationError(f"sta {self.sta_id}: radios must be in [1, {MAX_RADIOS}]")
+    # ap id -> that link's offsets by channel position, for each AP the
+    # station hears: read-only views of `Scenario.snr_offsets_db`, which is
+    # what the package reads
+    snr_offsets_db: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,9 +136,11 @@ class PerModel:
         return PerCurve.logistic(mcs_index, midpoint, self.slope_per_db)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully validated, defaults-filled run configuration."""
+    """A validated, defaults-filled run configuration, as `load_scenario`
+    builds it; the three arrays are described in the module docstring.
+    Scenarios compare by identity."""
 
     name: str
     rng_seed: int
@@ -163,60 +153,10 @@ class Scenario:
     stas: tuple
     dcf: DcfParams
     per_model: PerModel
-    rr_weights: tuple   # slice counts by channel position
-
-    def __post_init__(self):
-        if not self.channels:
-            raise ValidationError("scenario needs at least one channel")
-        if not self.aps or not self.stas:
-            raise ValidationError("scenario needs at least one AP and one STA")
-        check_seed(self.rng_seed)
-        if self.ewma_horizon_t < 1:
-            raise ValidationError("ewma_horizon_t must be >= 1")
-        if self.monte_carlo_rounds < 1:
-            raise ValidationError("monte_carlo_rounds must be >= 1")
-        ids = [c.channel_id for c in self.channels]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate channel ids")
-        ap_ids = [a.ap_id for a in self.aps]
-        if len(set(ap_ids)) != len(ap_ids):
-            raise ValidationError("duplicate ap ids")
-        sta_ids = [s.sta_id for s in self.stas]
-        if len(set(sta_ids)) != len(sta_ids):
-            raise ValidationError("duplicate sta ids")
-        if self.snr_random_range_db is not None:
-            lo, hi = self.snr_random_range_db
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValidationError("snr_random_range_db must be a finite [lo, hi] pair")
-        if len(self.rr_weights) != len(self.channels) or any(w < 1 for w in self.rr_weights):
-            raise ValidationError("rr_weights needs one positive weight per channel")
-        id_set = set(ids)
-        for ap in self.aps:
-            if ap.slo_channel is not None and ap.slo_channel not in id_set:
-                raise ValidationError(f"ap {ap.ap_id}: slo_channel {ap.slo_channel} is not a channel id")
-            for cid, mcs in ap.mcs_overrides.items():
-                if cid not in id_set:
-                    raise ValidationError(f"ap {ap.ap_id}: mcs override for unknown channel {cid}")
-                if mcs not in MCS_MODULATION:
-                    raise ValidationError(f"ap {ap.ap_id}: unknown MCS {mcs} in override")
-        ap_id_set = set(ap_ids)
-        for sta in self.stas:
-            unknown = set(sta.snr_offsets_db) - ap_id_set
-            if unknown:
-                raise ValidationError(f"sta {sta.sta_id}: snr_offset_db names unknown ap "
-                                      f"{sorted(unknown)[0]!r}")
-            in_range = False
-            for per_channel in sta.snr_offsets_db.values():
-                unknown_c = set(per_channel) - id_set
-                if unknown_c:
-                    raise ValidationError(f"sta {sta.sta_id}: snr_offset_db names unknown "
-                                          f"channel {sorted(unknown_c)[0]}")
-                if any(v is not None for v in per_channel.values()):
-                    in_range = True
-            if not in_range:
-                raise ValidationError(f"sta {sta.sta_id}: no in-range AP on any channel")
-
-    # --- lookups -------------------------------------------------------------
+    rr_weights: tuple               # slice counts by channel position
+    snr_offsets_db: np.ndarray      # (F, N, M) dB, NaN = out of range
+    mcs_table: np.ndarray           # (F, N) MCS index, AP overrides applied
+    home_channel: np.ndarray        # (N,) channel position
 
     @property
     def f_count(self) -> int:
@@ -230,58 +170,38 @@ class Scenario:
     def m_stas(self) -> int:
         return len(self.stas)
 
-    def channel_index(self, channel_id: int) -> int:
-        for i, c in enumerate(self.channels):
-            if c.channel_id == channel_id:
-                return i
-        raise ValidationError(f"unknown channel id {channel_id}")
-
-    def mcs_for(self, f_index: int, ap: ApConfig) -> int:
-        chan = self.channels[f_index]
-        return ap.mcs_overrides.get(chan.channel_id, chan.mcs_index)
-
     def ap_capacities(self) -> np.ndarray:
         return np.array([a.radios for a in self.aps], dtype=int)
 
     def sta_radio_limits(self) -> np.ndarray:
         return np.array([s.radios for s in self.stas], dtype=int)
 
-    @cached_property
-    def _snr_offsets_db(self) -> np.ndarray:
-        """offsets[f, n, m] in dB, NaN where the link is out of range; built on
-        first use and kept, read-only, for the life of the scenario."""
-        ap_index = {ap.ap_id: n for n, ap in enumerate(self.aps)}
-        channel_index = {c.channel_id: f for f, c in enumerate(self.channels)}
-        out = np.full((self.f_count, self.n_aps, self.m_stas), np.nan)
-        for m, sta in enumerate(self.stas):
-            for ap_id, per_channel in sta.snr_offsets_db.items():
-                for cid, off in per_channel.items():
-                    if off is not None:
-                        out[channel_index[cid], ap_index[ap_id], m] = off
-        out.setflags(write=False)
-        return out
-
     def snr_field(self, base_db: float | None = None, rng=None) -> np.ndarray:
         """Per-link SNR in dB, shape (F, N, M); NaN marks out-of-range links.
 
-        When the scenario declares `snr_random_range_db` and an `rng` is
-        given, each link's base is drawn uniformly from the range; otherwise
-        the scalar base (argument, falling back to `snr_base_db`) is used.
+        The base is `base_db`, else `snr_base_db`. When the scenario declares
+        `snr_random_range_db` and an `rng` is given, each link's base is
+        drawn uniformly from the range instead, and a `base_db` is refused.
         The field is that base plus the per-link offsets.
         """
         base = self.snr_base_db if base_db is None else float(base_db)
         if not math.isfinite(base):     # NaN would mark every link out of range
             raise ValidationError(f"SNR base must be a finite number, got {base}")
         if self.snr_random_range_db is not None and rng is not None:
-            lo, hi = self.snr_random_range_db
-            base = rng.uniform(lo, hi, size=(self.f_count, self.n_aps, self.m_stas))
-        return base + self._snr_offsets_db
+            if base_db is not None:
+                raise ValidationError(
+                    f"scenario {self.name} draws each link's SNR base from its "
+                    f"snr_random_range_db {list(self.snr_random_range_db)}, so it takes "
+                    f"no SNR base (got {base})")
+            base = rng.uniform(*self.snr_random_range_db, size=self.snr_offsets_db.shape)
+        return base + self.snr_offsets_db
 
     def truncated(self, m_stas: int) -> "Scenario":
         """A copy keeping only the first `m_stas` stations."""
         if not 1 <= m_stas <= self.m_stas:
             raise ValidationError(f"cannot truncate to {m_stas} of {self.m_stas} STAs")
-        return replace(self, stas=self.stas[:m_stas])
+        return replace(self, stas=self.stas[:m_stas],
+                       snr_offsets_db=self.snr_offsets_db[:, :, :m_stas])
 
 
 # --- YAML parsing -------------------------------------------------------------
@@ -319,6 +239,22 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_count(value, ctx: str, most: int | None = None) -> int:
+    """An integer >= 1, and at most `most` when given."""
+    value = _as_int(value, ctx)
+    if value < 1 or (most is not None and value > most):
+        bound = ">= 1" if most is None else f"in [1, {most}]"
+        raise ValidationError(f"{ctx}: must be {bound}, got {value}")
+    return value
+
+
+def _as_mcs(value, ctx: str) -> int:
+    value = _as_int(value, ctx)
+    if value not in MCS_MODULATION:
+        raise ValidationError(f"{ctx}: unknown MCS {value}")
+    return value
+
+
 def check_seed(value) -> int:
     """The one seed rule, for scenario seeds and run-time overrides alike: an
     integer in [0, 2**63)."""
@@ -340,69 +276,114 @@ def _as_list(value, ctx: str) -> list:
     return value
 
 
-def _parse_channel(doc, ctx: str) -> ChannelSpec:
-    doc = _as_mapping(doc, ctx)
-    _reject_unknown(doc, {"id", "band", "bandwidth_mhz", "mcs"}, ctx)
-    return ChannelSpec(
-        channel_id=_as_int(_need(doc, "id", ctx), f"{ctx}.id"),
-        band=str(_need(doc, "band", ctx)),
-        bandwidth_mhz=_as_int(_need(doc, "bandwidth_mhz", ctx), f"{ctx}.bandwidth_mhz"),
-        mcs_index=_as_int(_need(doc, "mcs", ctx), f"{ctx}.mcs"),
-    )
+def _entries(doc: dict, key: str, fields: set) -> list:
+    """(field path, mapping) of each entry of the required top-level list
+    `key`, which must not be empty; an entry may hold `fields` only."""
+    entries = _as_list(_need(doc, key, "scenario"), key)
+    if not entries:
+        raise ValidationError(f"{key}: scenario needs at least one entry")
+    out = []
+    for i, entry in enumerate(entries):
+        ctx = f"{key}[{i}]"
+        _reject_unknown(_as_mapping(entry, ctx), fields, ctx)
+        out.append((ctx, entry))
+    return out
 
 
-def _parse_ap(doc, ctx: str) -> ApConfig:
-    doc = _as_mapping(doc, ctx)
-    _reject_unknown(doc, {"id", "radios", "slo_channel", "mcs"}, ctx)
-    overrides = {}
-    for cid, mcs in _as_mapping(doc.get("mcs", {}), f"{ctx}.mcs").items():
-        overrides[_as_int(cid, f"{ctx}.mcs")] = _as_int(mcs, f"{ctx}.mcs[{cid}]")
-    slo = doc.get("slo_channel")
-    return ApConfig(
-        ap_id=str(_need(doc, "id", ctx)),
-        radios=_as_int(_need(doc, "radios", ctx), f"{ctx}.radios"),
-        slo_channel=None if slo is None else _as_int(slo, f"{ctx}.slo_channel"),
-        mcs_overrides=overrides,
-    )
+def _index(ids: list, key: str) -> dict:
+    """id -> position in the list `key`, whose ids must be distinct."""
+    index = {}
+    for i, entry_id in enumerate(ids):
+        if index.setdefault(entry_id, i) != i:
+            raise ValidationError(f"{key}[{i}].id: duplicate id {entry_id!r}")
+    return index
 
 
-def _offset_value(value, ctx: str):
-    if value is None or (isinstance(value, str) and value == OUT_OF_RANGE):
-        return None
-    return _as_number(value, ctx)
+def _position(index: dict, entry_id, ctx: str, what: str) -> int:
+    """Position of the channel or AP that a field refers to by id."""
+    if entry_id not in index:
+        raise ValidationError(f"{ctx}: unknown {what} {entry_id!r}")
+    return index[entry_id]
 
 
-def _parse_sta(doc, ctx: str, ap_ids: list, channel_ids: list) -> StaConfig:
-    doc = _as_mapping(doc, ctx)
-    _reject_unknown(doc, {"id", "radios", "snr_offset_db"}, ctx)
-    raw = _need(doc, "snr_offset_db", ctx)
-    octx = f"{ctx}.snr_offset_db"
-    offsets: dict = {}
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        v = _as_number(raw, octx)
-        for ap in ap_ids:
-            offsets[ap] = {cid: v for cid in channel_ids}
-    elif isinstance(raw, dict):
-        for ap_key, ap_val in raw.items():
-            ap_key = str(ap_key)
-            if isinstance(ap_val, str) and ap_val == OUT_OF_RANGE:
-                continue
-            if isinstance(ap_val, dict):
-                per_chan = {}
-                for cid, v in ap_val.items():
-                    off = _offset_value(v, f"{octx}.{ap_key}[{cid}]")
-                    per_chan[_as_int(cid, f"{octx}.{ap_key}")] = off
-                offsets[ap_key] = per_chan
-            else:
-                v = _as_number(ap_val, f"{octx}.{ap_key}")
-                offsets[ap_key] = {cid: v for cid in channel_ids}
-    else:
-        raise ValidationError(f"{octx}: expected a number or mapping, got {raw!r}")
-    return StaConfig(
-        sta_id=str(_need(doc, "id", ctx)),
-        radios=_as_int(_need(doc, "radios", ctx), f"{ctx}.radios"),
-        snr_offsets_db=offsets,
-    )
+def _parse_channels(doc: dict) -> tuple:
+    channels = []
+    for ctx, c in _entries(doc, "channels", {"id", "band", "bandwidth_mhz", "mcs"}):
+        band = str(_need(c, "band", ctx))
+        if band not in BAND_MAX_BANDWIDTH_MHZ:
+            raise ValidationError(f"{ctx}.band: must be one of "
+                                  f"{sorted(BAND_MAX_BANDWIDTH_MHZ)}, got {band!r}")
+        width = _as_int(_need(c, "bandwidth_mhz", ctx), f"{ctx}.bandwidth_mhz")
+        if width not in (20, 40, 80, 160):
+            raise ValidationError(f"{ctx}.bandwidth_mhz: must be 20/40/80/160, got {width}")
+        if width > BAND_MAX_BANDWIDTH_MHZ[band]:
+            raise ValidationError(f"{ctx}.bandwidth_mhz: {width} MHz is not available "
+                                  f"on {band}")
+        channels.append(ChannelSpec(_as_int(_need(c, "id", ctx), f"{ctx}.id"), band, width,
+                                    _as_mcs(_need(c, "mcs", ctx), f"{ctx}.mcs")))
+    return tuple(channels)
+
+
+def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
+    """The APs, the MCS table (F, N) and each AP's home channel (N)."""
+    entries = _entries(doc, "aps", {"id", "radios", "slo_channel", "mcs"})
+    mcs_table = np.array([[c.mcs_index] * len(entries) for c in channels])
+    home = np.arange(len(entries)) % len(channels)
+    aps = []
+    for n, (ctx, a) in enumerate(entries):
+        for cid, mcs in _as_mapping(a.get("mcs", {}), f"{ctx}.mcs").items():
+            f = _position(channel_index, _as_int(cid, f"{ctx}.mcs"), f"{ctx}.mcs", "channel")
+            mcs_table[f, n] = _as_mcs(mcs, f"{ctx}.mcs[{cid}]")
+        if a.get("slo_channel") is not None:
+            home[n] = _position(channel_index, _as_int(a["slo_channel"], f"{ctx}.slo_channel"),
+                                f"{ctx}.slo_channel", "channel")
+        aps.append(ApConfig(str(_need(a, "id", ctx)),
+                            _as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS)))
+    mcs_table.setflags(write=False)
+    home.setflags(write=False)
+    return tuple(aps), mcs_table, home
+
+
+def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
+    """The stations and the SNR offset table (F, N, M)."""
+    entries = _entries(doc, "stas", {"id", "radios", "snr_offset_db"})
+    table = np.full((len(channel_index), len(ap_index), len(entries)), np.nan)
+    ids, radios = [], []
+    for m, (ctx, s) in enumerate(entries):
+        raw = _need(s, "snr_offset_db", ctx)
+        octx = f"{ctx}.snr_offset_db"
+        links = table[:, :, m]      # (F, N), written in place
+        if isinstance(raw, dict):
+            for ap_key, value in raw.items():
+                if value == OUT_OF_RANGE:
+                    continue
+                actx = f"{octx}.{ap_key}"
+                n = _position(ap_index, str(ap_key), actx, "ap")
+                if isinstance(value, dict):
+                    links[:, n] = np.nan    # a repeated AP key replaces the earlier map
+                    for cid, off in value.items():
+                        f = _position(channel_index, _as_int(cid, actx), actx, "channel")
+                        links[f, n] = np.nan if off is None or off == OUT_OF_RANGE \
+                            else _as_number(off, f"{actx}[{cid}]")
+                else:
+                    links[:, n] = _as_number(value, actx)
+        elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            links[:] = _as_number(raw, octx)
+        else:
+            raise ValidationError(f"{octx}: expected a number or mapping, got {raw!r}")
+        ids.append(str(_need(s, "id", ctx)))
+        radios.append(_as_count(_need(s, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
+    _index(ids, "stas")
+    heard = ~np.isnan(table).all(axis=0)        # (N, M)
+    deaf = np.flatnonzero(~heard.any(axis=0))
+    if deaf.size:
+        raise ValidationError(f"stas[{deaf[0]}].snr_offset_db: no in-range AP on any channel")
+    table.setflags(write=False)
+    ap_ids = list(ap_index)
+    stas = tuple(StaConfig(sta_id, r, {ap_ids[n]: table[:, n, m]
+                                       for n in np.flatnonzero(heard[:, m]).tolist()})
+                 for m, (sta_id, r) in enumerate(zip(ids, radios)))
+    return stas, table
 
 
 def _parse_dcf(doc, ctx: str) -> DcfParams:
@@ -455,9 +436,32 @@ _TOP_FIELDS = {
 }
 
 
-def _default_rr_weights(channels) -> tuple:
-    # wider channels get proportionally more round-robin slices
-    return tuple(max(1, c.bandwidth_mhz // 40) for c in channels)
+def _parse_rr_weights(doc: dict, channels: tuple, channel_index: dict) -> tuple:
+    weights_doc = doc.get("rr_weights")
+    if weights_doc is None:
+        # wider channels get proportionally more round-robin slices
+        return tuple(max(1, c.bandwidth_mhz // 40) for c in channels)
+    weights = [None] * len(channels)
+    for cid, w in _as_mapping(weights_doc, "rr_weights").items():
+        f = _position(channel_index, _as_int(cid, "rr_weights"), "rr_weights", "channel")
+        weights[f] = _as_count(w, f"rr_weights[{cid}]")
+    if None in weights:
+        raise ValidationError(f"rr_weights: missing weight for channel "
+                              f"{channels[weights.index(None)].channel_id}")
+    return tuple(weights)
+
+
+def _parse_random_range(doc: dict) -> tuple | None:
+    value = doc.get("snr_random_range_db")
+    if value is None:
+        return None
+    value = _as_list(value, "snr_random_range_db")
+    if len(value) != 2:
+        raise ValidationError("snr_random_range_db: expected [lo, hi]")
+    lo, hi = (_as_number(v, f"snr_random_range_db[{i}]") for i, v in enumerate(value))
+    if lo > hi:
+        raise ValidationError(f"snr_random_range_db: expected lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _yaml_problem(exc: yaml.YAMLError) -> str:
@@ -494,58 +498,26 @@ def load_scenario(source) -> Scenario:
     doc = _as_mapping(doc, "scenario")
     _reject_unknown(doc, _TOP_FIELDS, "scenario")
 
-    channels = tuple(
-        _parse_channel(c, f"channels[{i}]")
-        for i, c in enumerate(_as_list(_need(doc, "channels", "scenario"), "channels"))
-    )
-    channel_ids = [c.channel_id for c in channels]
-    aps = tuple(
-        _parse_ap(a, f"aps[{i}]")
-        for i, a in enumerate(_as_list(_need(doc, "aps", "scenario"), "aps"))
-    )
-    ap_ids = [a.ap_id for a in aps]
-    stas = tuple(
-        _parse_sta(s, f"stas[{i}]", ap_ids, channel_ids)
-        for i, s in enumerate(_as_list(_need(doc, "stas", "scenario"), "stas"))
-    )
-
-    rng_range = doc.get("snr_random_range_db")
-    if rng_range is not None:
-        rng_range = _as_list(rng_range, "snr_random_range_db")
-        if len(rng_range) != 2:
-            raise ValidationError("snr_random_range_db: expected [lo, hi]")
-        rng_range = (_as_number(rng_range[0], "snr_random_range_db[0]"),
-                     _as_number(rng_range[1], "snr_random_range_db[1]"))
-
-    weights_doc = doc.get("rr_weights")
-    if weights_doc is None:
-        rr_weights = _default_rr_weights(channels)
-    else:
-        weights_doc = _as_mapping(weights_doc, "rr_weights")
-        by_id = {}
-        for cid, w in weights_doc.items():
-            by_id[_as_int(cid, "rr_weights")] = _as_int(w, f"rr_weights[{cid}]")
-        missing = set(channel_ids) - set(by_id)
-        if missing:
-            raise ValidationError(f"rr_weights: missing weight for channel {sorted(missing)[0]}")
-        extra = set(by_id) - set(channel_ids)
-        if extra:
-            raise ValidationError(f"rr_weights: unknown channel {sorted(extra)[0]}")
-        rr_weights = tuple(by_id[cid] for cid in channel_ids)
-
+    channels = _parse_channels(doc)
+    channel_index = _index([c.channel_id for c in channels], "channels")
+    aps, mcs_table, home_channel = _parse_aps(doc, channels, channel_index)
+    stas, offsets = _parse_stas(doc, channel_index, _index([a.ap_id for a in aps], "aps"))
     return Scenario(
         name=str(doc.get("name", name_default)),
         rng_seed=check_seed(doc.get("seed", 0)),
-        ewma_horizon_t=_as_int(doc.get("ewma_horizon_t", 100), "ewma_horizon_t"),
-        monte_carlo_rounds=_as_int(doc.get("monte_carlo_rounds", 100), "monte_carlo_rounds"),
+        ewma_horizon_t=_as_count(doc.get("ewma_horizon_t", 100), "ewma_horizon_t"),
+        monte_carlo_rounds=_as_count(doc.get("monte_carlo_rounds", 100), "monte_carlo_rounds"),
         snr_base_db=_as_number(doc.get("snr_base_db", 20.0), "snr_base_db"),
-        snr_random_range_db=rng_range,
+        snr_random_range_db=_parse_random_range(doc),
         channels=channels,
         aps=aps,
         stas=stas,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
         per_model=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir),
-        rr_weights=rr_weights,
+        rr_weights=_parse_rr_weights(doc, channels, channel_index),
+        snr_offsets_db=offsets,
+        mcs_table=mcs_table,
+        home_channel=home_channel,
     )
 
 

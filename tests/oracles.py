@@ -227,27 +227,51 @@ def tu_by_direct_enumeration(matrix, max_k):
     return True
 
 
-def snr_field_loops(scenario, base_db=None, rng=None):
-    """Per-link SNR field (F, N, M) by a loop over every (station, AP, channel),
-    NaN for out-of-range links: the scenario's own field, built link by link.
-    Draws the same random bases as the package when the scenario has a range.
-    """
-    f, n, m = scenario.f_count, scenario.n_aps, scenario.m_stas
-    if scenario.snr_random_range_db is not None and rng is not None:
-        lo, hi = scenario.snr_random_range_db
-        base = rng.uniform(lo, hi, size=(f, n, m))
-    else:
-        base = np.full((f, n, m), scenario.snr_base_db if base_db is None else float(base_db))
-    out = np.full((f, n, m), np.nan)
-    for mi, sta in enumerate(scenario.stas):
-        for ni, ap in enumerate(scenario.aps):
-            per_channel = sta.snr_offsets_db.get(ap.ap_id)
-            if per_channel is None:
+def document_arrays(doc):
+    """The scenario arrays (offsets (F, N, M) in dB with NaN out of range,
+    MCS table (F, N), home channel (N)) walked link by link off a raw
+    scenario document, the mapping `yaml.safe_load` returns, by the schema
+    rather than by the package's parser."""
+    cids = [c["id"] for c in doc["channels"]]
+    aps = doc["aps"]
+    f_count, n_aps, m_stas = len(cids), len(aps), len(doc["stas"])
+    offsets = np.full((f_count, n_aps, m_stas), np.nan)
+    for mi, sta in enumerate(doc["stas"]):
+        raw = sta["snr_offset_db"]
+        for ni, ap in enumerate(aps):
+            if isinstance(raw, dict):
+                per_ap = {str(key): value for key, value in raw.items()}.get(str(ap["id"]))
+            else:
+                per_ap = raw
+            if per_ap is None or per_ap == "out-of-range":
                 continue
-            for fi, chan in enumerate(scenario.channels):
-                off = per_channel.get(chan.channel_id)
-                if off is not None:
-                    out[fi, ni, mi] = base[fi, ni, mi] + off
+            for fi, cid in enumerate(cids):
+                off = per_ap.get(cid) if isinstance(per_ap, dict) else per_ap
+                if off is not None and off != "out-of-range":
+                    offsets[fi, ni, mi] = off
+    mcs = np.array([[ap.get("mcs", {}).get(cid, chan["mcs"]) for ap in aps]
+                    for cid, chan in zip(cids, doc["channels"])])
+    home = np.array([ni % f_count if ap.get("slo_channel") is None
+                     else cids.index(ap["slo_channel"]) for ni, ap in enumerate(aps)])
+    return offsets, mcs, home
+
+
+def snr_field_loops(doc, base_db=None, rng=None):
+    """Per-link SNR field (F, N, M) of a raw scenario document, by a loop
+    over every (station, AP, channel), NaN for out-of-range links. Draws the
+    same random bases as the package when the document has a range.
+    """
+    offsets = document_arrays(doc)[0]
+    span = doc.get("snr_random_range_db")
+    if span is not None and rng is not None:
+        base = rng.uniform(float(span[0]), float(span[1]), size=offsets.shape)
+    else:
+        base = np.full(offsets.shape,
+                       float(doc.get("snr_base_db", 20.0) if base_db is None else base_db))
+    out = np.full(offsets.shape, np.nan)
+    for fi, ni, mi in itertools.product(*map(range, offsets.shape)):
+        if not math.isnan(offsets[fi, ni, mi]):
+            out[fi, ni, mi] = base[fi, ni, mi] + offsets[fi, ni, mi]
     return out
 
 

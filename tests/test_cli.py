@@ -68,7 +68,7 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
                       (["run", "--scenario", str(tmp_path / "huge.yaml")],
                        "stas[0].radios: integer 1000"),
                       (["run", "--scenario", str(tmp_path / "wrap.yaml")],
-                       "ap ap1: radios must be in [1, 2147483647]")):
+                       "aps[0].radios: must be in [1, 2147483647]")):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"linkalloc: {msg}") and err.count("\n") == 1
@@ -170,10 +170,19 @@ def test_run_extreme_snr_base_outcomes(tmp_path, capsys):
         warnings.simplefilter("error")
         # every PER is 0 far above the curves' midpoints
         assert main(args + ["--snr-base", "800"]) == 0
-        # 5000 dB has no finite linear SINR: a configuration error, one line
+        # a link SNR whose linear value overflows to inf or underflows to 0,
+        # from the base or from an offset in the file, is a configuration
+        # error naming that SNR, one line
         assert main(args + ["--snr-base", "5000"]) == 1
-    err = capsys.readouterr().err
-    assert err == "linkalloc: SINR grid entries must be finite and > 0\n"
+        assert main(args + ["--snr-base=-5000"]) == 1
+        slo = bundled_scenario_path("scenario_slo").read_text()
+        offset = tmp_path / "offset.yaml"
+        offset.write_text(slo.replace("{ap1: -6.0, ap2: 0.0}", "{ap1: 5000, ap2: 0.0}"))
+        assert main(["run", "--scenario", str(offset), "--iterations", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"linkalloc: a link SNR of {snr} dB is out of the PHY model's range: "
+        "its linear value must be finite and > 0"
+        for snr in ("5001.28", "-4998.72", "5020.0")]
 
 
 def test_dead_network_runs(tmp_path, capsys):
@@ -217,6 +226,26 @@ def test_dead_network_runs(tmp_path, capsys):
         assert main(["run", f"--snr-base={value}"] + drawn) == 1
         assert capsys.readouterr().err == \
             f"linkalloc: SNR base must be a finite number, got {value}\n" * 3
+
+
+def test_explicit_snr_base_refused_where_bases_are_drawn(capsys):
+    # scenario_2ap_joint draws each link's base from [6, 9] dB on every run,
+    # so a base given to run or sweep could only be reported, never used
+    drawn = ["--scenario", "scenario_2ap_joint", "--iterations", "2"]
+    refused = ("linkalloc: scenario scenario_2ap_joint draws each link's SNR base from "
+               "its snr_random_range_db [6.0, 9.0], so it takes no SNR base (got 5.0)\n")
+    for argv in (["run", "--snr-base", "5"] + drawn,
+                 ["sweep", "--snr", "5,50", "--rounds", "1"] + drawn,
+                 ["sweep", "--snr", "5", "--rounds", "2", "--workers", "2"] + drawn):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", refused), argv
+    # without one, the scenario's own base is reported
+    assert main(["run"] + drawn) == 0
+    assert main(["sweep", "--rounds", "1"] + drawn) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[2] for line in out[1:3]] == ["7.5", "7.5"]
+    assert out[-1].startswith("7.5,mixed,1,")
 
 
 def test_run_slo_rejects_greedy_solver(capsys):
@@ -360,4 +389,5 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and lines[1].startswith("sta")
+    assert len(lines) == 5 and lines[1].startswith("sta")
+    assert lines[4] == "(3, 3, 15) (3, 3) [0, 1, 2]"

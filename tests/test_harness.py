@@ -23,7 +23,7 @@ from linkalloc import harness
 from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
-from linkalloc.errors import InfeasibleError
+from linkalloc.errors import InfeasibleError, ValidationError
 from linkalloc.pairing import PairingMatrix
 from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 from linkalloc.harness import (
@@ -132,6 +132,30 @@ def test_optimal_pf_beats_greedy_rr_at_high_snr():
     assert best.final.aggregate_throughput_bps > worst.final.aggregate_throughput_bps
 
 
+MCS_OVERRIDDEN = """
+name: overridden
+channels:
+  - {id: 1, band: 5GHz, bandwidth_mhz: 40, mcs: 3}
+  - {id: 2, band: 5GHz, bandwidth_mhz: 80, mcs: 7}
+aps:
+  - {id: ap1, radios: 2, mcs: {2: 3}}
+stas:
+  - {id: sta1, radios: 2, snr_offset_db: 0.0}
+"""
+
+
+def test_mcs_label_names_the_mcs_every_link_runs():
+    # the AP's override puts channel 2 on MCS 3 too, so every link runs MCS 3
+    sc = load_scenario(io.StringIO(MCS_OVERRIDDEN))
+    assert run_apc_loop(sc, iterations=1).final.mcs_label == "3"
+    assert [s.mcs_label for s in run_monte_carlo(sc, rounds=1, iterations=1)] == ["3"]
+    assert run_apc_loop(sc, iterations=1, mcs_override=9).final.mcs_label == "9"
+    # a second AP without the override runs MCS 7 on channel 2
+    two_aps = MCS_OVERRIDDEN.replace("aps:\n", "aps:\n  - {id: ap0, radios: 1}\n")
+    assert run_apc_loop(load_scenario(io.StringIO(two_aps)), iterations=1).final.mcs_label \
+        == "mixed"
+
+
 def test_unknown_solver_or_allocator():
     from linkalloc.errors import InvalidInputError
 
@@ -220,15 +244,27 @@ def test_loop_outputs_pinned(capsys):
 
 @st.composite
 def _small_scenario_docs(draw):
-    """1-3 channels, 1-3 APs, 1-5 STAs; None offsets are out-of-range links."""
+    """1-3 channels, 1-3 APs, 1-5 STAs. A station's `snr_offset_db` takes any
+    of the schema's forms: one scalar, or per AP a scalar, `out-of-range` or
+    a map by channel whose None and `out-of-range` entries, like the APs and
+    channels left out, are out-of-range links. APs may override channel MCSs
+    and name a home channel."""
     cids = list(range(1, draw(st.integers(1, 3)) + 1))
     ap_ids = [f"ap{n}" for n in range(draw(st.integers(1, 3)))]
-    offset = st.one_of(st.none(), st.integers(-30, 30).map(float))
+    offset = st.integers(-30, 30).map(float)
+    per_channel = st.dictionaries(st.sampled_from(cids),
+                                  st.one_of(offset, st.none(), st.just("out-of-range")))
+    per_ap = st.one_of(per_channel, offset, st.just("out-of-range"))
     stas = []
     for m in range(draw(st.integers(1, 5))):
-        offsets = {ap: {cid: draw(offset) for cid in cids} for ap in ap_ids}
-        if all(v is None for per_ap in offsets.values() for v in per_ap.values()):
-            offsets[ap_ids[0]][cids[0]] = 0.0   # the schema needs one in-range link
+        if draw(st.integers(0, 4)) == 0:
+            offsets = draw(offset)
+        else:
+            offsets = {ap: draw(per_ap) for ap in ap_ids if draw(st.integers(0, 3))}
+            if not any(isinstance(v, float) or isinstance(v, dict)
+                       and any(isinstance(x, float) for x in v.values())
+                       for v in offsets.values()):
+                offsets[ap_ids[0]] = {cids[0]: 0.0}   # the schema needs one in-range link
         stas.append({"id": f"sta{m}", "radios": draw(st.integers(1, 3)),
                      "snr_offset_db": offsets})
     aps = []
@@ -237,6 +273,9 @@ def _small_scenario_docs(draw):
         home = draw(st.sampled_from([None] + cids))
         if home is not None:
             doc["slo_channel"] = home
+        overrides = draw(st.dictionaries(st.sampled_from(cids), st.integers(0, 11), max_size=2))
+        if overrides:
+            doc["mcs"] = overrides
         aps.append(doc)
     doc = {
         "seed": draw(st.integers(0, 100)),
@@ -250,29 +289,48 @@ def _small_scenario_docs(draw):
 
 
 def _small_scenarios():
-    return _small_scenario_docs().map(lambda doc: load_scenario(io.StringIO(yaml.safe_dump(doc))))
+    """(raw document, loaded scenario) pairs."""
+    return _small_scenario_docs().map(
+        lambda doc: (doc, load_scenario(io.StringIO(yaml.safe_dump(doc)))))
 
 
-def _home_channels(sc):
-    return [n % sc.f_count if ap.slo_channel is None else sc.channel_index(ap.slo_channel)
-            for n, ap in enumerate(sc.aps)]
+@settings(max_examples=60, deadline=None)
+@given(_small_scenarios())
+def test_loaded_arrays_match_a_walk_of_the_document(doc_sc):
+    doc, sc = doc_sc
+    offsets, mcs, home = oracles.document_arrays(doc)
+    for got, want in ((sc.snr_offsets_db, offsets), (sc.mcs_table, mcs),
+                      (sc.home_channel, home)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+    ap_ids = [ap.ap_id for ap in sc.aps]
+    for m, sta in enumerate(sc.stas):
+        heard = [ap_ids[n] for n in range(sc.n_aps) if not np.isnan(offsets[:, n, m]).all()]
+        assert list(sta.snr_offsets_db) == heard
+        for ap_id, row in sta.snr_offsets_db.items():
+            assert row.tobytes() == offsets[:, ap_ids.index(ap_id), m].tobytes()
 
 
-def _home_links(sc, field):
+def _home_channels(doc):
+    """Channel position of each AP's home channel, read off the document."""
+    return oracles.document_arrays(doc)[2].tolist()
+
+
+def _home_links(doc, field):
     """The SNR field with every link off its AP's home channel out of range."""
-    home = np.zeros((sc.f_count, sc.n_aps, 1), dtype=bool)
-    home[_home_channels(sc), range(sc.n_aps)] = True
+    home = np.zeros(field.shape[:2] + (1,), dtype=bool)
+    home[_home_channels(doc), range(field.shape[1])] = True
     return np.where(home, field, np.nan)
 
 
-def _recorded_run(sc, allocator):
+def _recorded_run(doc, sc, allocator):
     """Three loop iterations, with the rate tensor of each step rebuilt apart
     from the loop: step 1 under the bootstrap contenders (of the home-channel
     links for SLO), step k under the per-channel counts of step k - 1's
     selection. Each step's throughput must be read off that very tensor."""
     result = run_apc_loop(sc, allocator=allocator, iterations=3)
-    field = oracles.snr_field_loops(sc, rng=np.random.default_rng(sc.rng_seed))
-    camp = _home_links(sc, field) if allocator == "slo" else field
+    field = oracles.snr_field_loops(doc, rng=np.random.default_rng(sc.rng_seed))
+    camp = _home_links(doc, field) if allocator == "slo" else field
     contenders = oracles.bootstrap_contenders_per_station(sc, camp)
     tensors = []
     for report in result.reports:
@@ -296,16 +354,18 @@ def _check_recommendations(sc, result):
     assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
     assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
         report.pairing.x.argmax(axis=0).tolist()
-    links = sorted([sc.channel_index(cid), ap_ids.index(r.ap_id), m]
+    cids = [c.channel_id for c in sc.channels]
+    links = sorted([cids.index(cid), ap_ids.index(r.ap_id), m]
                    for m, r in enumerate(result.recommendations) for cid in r.channel_ids)
     assert links == np.argwhere(report.selection.s).tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_scenarios())
-def test_slo_links_home_channel_only_and_pairing_optimal(sc):
-    result, tensors = _recorded_run(sc, "slo")
-    home = _home_channels(sc)
+def test_slo_links_home_channel_only_and_pairing_optimal(doc_sc):
+    doc, sc = doc_sc
+    result, tensors = _recorded_run(doc, sc, "slo")
+    home = _home_channels(doc)
     caps = [-(-sc.m_stas // sc.n_aps)] * sc.n_aps
     for report, tensor in zip(result.reports, tensors, strict=True):
         home_rates = np.array([tensor.values[home[n], n] for n in range(sc.n_aps)])
@@ -325,13 +385,14 @@ def test_slo_links_home_channel_only_and_pairing_optimal(sc):
 @pytest.mark.parametrize("allocator", ["pf", "rr"])
 @settings(max_examples=40, deadline=None)
 @given(_small_scenarios())
-def test_pf_rr_steps_feasible_and_pairing_optimal(allocator, sc):
+def test_pf_rr_steps_feasible_and_pairing_optimal(allocator, doc_sc):
+    doc, sc = doc_sc
     caps = sc.ap_capacities()
     if caps.sum() < sc.m_stas:
         with pytest.raises(InfeasibleError):
             run_apc_loop(sc, allocator=allocator, iterations=1)
         return
-    result, tensors = _recorded_run(sc, allocator)
+    result, tensors = _recorded_run(doc, sc, allocator)
     for report, tensor in zip(result.reports, tensors, strict=True):
         d = tensor.values.mean(axis=0)
         objective = float((d * report.pairing.x).sum())
@@ -412,20 +473,30 @@ stas:
 """
 
 
-def _assert_array_builds_match_loop_oracles(sc, base_db=None):
+def _assert_array_builds_match_loop_oracles(doc, sc, base_db=None):
     """SNR field, bootstrap contenders and recommendations equal the
-    link-by-link and station-by-station oracles bit for bit."""
+    link-by-link and station-by-station oracles bit for bit. A scenario that
+    draws each link's base refuses an explicit one, in the field and the loop."""
+    refused = base_db is not None and sc.snr_random_range_db is not None
     fields = []
     for rng in (None, 4):
+        if refused and rng is not None:
+            with pytest.raises(ValidationError, match="draws each link's SNR base"):
+                sc.snr_field(base_db=base_db, rng=np.random.default_rng(rng))
+            continue
         got = sc.snr_field(base_db=base_db, rng=None if rng is None else np.random.default_rng(rng))
-        want = oracles.snr_field_loops(sc, base_db=base_db,
+        want = oracles.snr_field_loops(doc, base_db=base_db,
                                        rng=None if rng is None else np.random.default_rng(rng))
         assert got.tobytes() == want.tobytes()
         fields.append(got)
-    for field in fields + [_home_links(sc, f) for f in fields]:
+    for field in fields + [_home_links(doc, f) for f in fields]:
         assert bootstrap_contenders(sc, field) == \
             oracles.bootstrap_contenders_per_station(sc, field)
     for allocator in ("pf", "rr", "slo"):
+        if refused:
+            with pytest.raises(ValidationError, match="draws each link's SNR base"):
+                run_apc_loop(sc, allocator=allocator, iterations=2, snr_base_db=base_db)
+            continue
         try:
             result = run_apc_loop(sc, allocator=allocator, iterations=2, snr_base_db=base_db)
         except InfeasibleError:
@@ -445,23 +516,28 @@ def _assert_array_builds_match_loop_oracles(sc, base_db=None):
 @pytest.mark.parametrize("name", ["scenario_3ap_15sta", "scenario_slo", "scenario_2ap_joint"])
 @pytest.mark.parametrize("base_db", [None, 5.0, -30.0])
 def test_array_builds_match_loop_oracles_on_fixtures(name, base_db):
-    sc = load_scenario(bundled_scenario_path(name))
+    path = bundled_scenario_path(name)
+    sc, doc = load_scenario(path), yaml.safe_load(path.read_text())
     # with and without per-link base draws, whichever the fixture declares
     drawn = (6.0, 9.0) if sc.snr_random_range_db is None else None
-    for variant in (sc, dataclasses.replace(sc, snr_random_range_db=drawn)):
-        _assert_array_builds_match_loop_oracles(variant, base_db)
+    variant_doc = {key: value for key, value in doc.items() if key != "snr_random_range_db"}
+    if drawn is not None:
+        variant_doc["snr_random_range_db"] = list(drawn)
+    for variant in ((doc, sc),
+                    (variant_doc, dataclasses.replace(sc, snr_random_range_db=drawn))):
+        _assert_array_builds_match_loop_oracles(*variant, base_db)
 
 
 def test_array_builds_match_loop_oracles_with_out_of_range_links():
     sc = load_scenario(io.StringIO(OUT_OF_RANGE_LINKS))
     for base_db in (None, 5.0, -30.0):
-        _assert_array_builds_match_loop_oracles(sc, base_db)
+        _assert_array_builds_match_loop_oracles(yaml.safe_load(OUT_OF_RANGE_LINKS), sc, base_db)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_scenarios())
-def test_array_builds_match_loop_oracles_on_small_scenarios(sc):
-    _assert_array_builds_match_loop_oracles(sc)
+def test_array_builds_match_loop_oracles_on_small_scenarios(doc_sc):
+    _assert_array_builds_match_loop_oracles(*doc_sc)
 
 
 def _outputs(result):

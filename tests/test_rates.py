@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import yaml
 
 import oracles
 from linkalloc.dcf import DcfParams, airtime_durations, simulate_dcf_slots, solve_bianchi_fixed_point, normalized_throughput
@@ -45,8 +46,10 @@ def _load(text):
     return load_scenario(io.StringIO(text))
 
 
-def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
+def _assert_tensor_matches_scalar_chain(sc, doc, *, contenders=None, snr_field=None,
                                         mcs_override=None):
+    """The tensor against the per-link scalar chain, each link's MCS read off
+    the raw scenario document `doc`."""
     if snr_field is None:
         snr_field = sc.snr_field(rng=np.random.default_rng(sc.rng_seed))
     if contenders is None:
@@ -54,11 +57,12 @@ def _assert_tensor_matches_scalar_chain(sc, *, contenders=None, snr_field=None,
     got = build_rate_tensor(sc, contenders=contenders, snr_field=snr_field,
                             mcs_override=mcs_override).values
     want = np.zeros_like(got)
+    mcs_table = oracles.document_arrays(doc)[1]
     for f, chan in enumerate(sc.channels):
         n_eff = max(1, int(contenders[f]))
         tau = solve_bianchi_fixed_point(sc.dcf, n_eff).tau
-        for n, ap in enumerate(sc.aps):
-            mcs = sc.mcs_for(f, ap) if mcs_override is None else mcs_override
+        for n in range(sc.n_aps):
+            mcs = int(mcs_table[f, n]) if mcs_override is None else mcs_override
             rate = mcs_data_rate(mcs, chan.bandwidth_mhz)
             curve = sc.per_model.curve_for(mcs)
             for m in range(sc.m_stas):
@@ -130,22 +134,23 @@ def test_single_link_tensor_matches_closed_form():
 
 
 def test_tensor_matches_scalar_chain_on_fixture():
-    sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
+    path = bundled_scenario_path("scenario_3ap_15sta")
+    sc, doc = load_scenario(path), yaml.safe_load(path.read_text())
     for contenders in ([1, 1, 1], [5, 7, 3], [40, 2, 9]):
         for mcs_override in (None, 0, 11):
-            _assert_tensor_matches_scalar_chain(sc, contenders=contenders,
+            _assert_tensor_matches_scalar_chain(sc, doc, contenders=contenders,
                                                 mcs_override=mcs_override)
     for base_db in (-30.0, 60.0):
-        _assert_tensor_matches_scalar_chain(sc, snr_field=sc.snr_field(base_db=base_db))
+        _assert_tensor_matches_scalar_chain(sc, doc, snr_field=sc.snr_field(base_db=base_db))
 
 
 def test_tensor_matches_scalar_chain_with_out_of_range_links():
-    _assert_tensor_matches_scalar_chain(_load(TWO_BY_TWO_YAML))
+    _assert_tensor_matches_scalar_chain(_load(TWO_BY_TWO_YAML), yaml.safe_load(TWO_BY_TWO_YAML))
     # APs on one channel at different MCS fall into separate kernel blocks
     mixed = TWO_BY_TWO_YAML.replace("slo_channel: 2}", "slo_channel: 2, mcs: {1: 7}}")
     sc = _load(mixed)
-    assert sc.mcs_for(0, sc.aps[0]) != sc.mcs_for(0, sc.aps[1])
-    _assert_tensor_matches_scalar_chain(sc)
+    assert sc.mcs_table[0, 0] != sc.mcs_table[0, 1]
+    _assert_tensor_matches_scalar_chain(sc, yaml.safe_load(mixed))
 
 
 def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
@@ -153,11 +158,11 @@ def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
     table.write_text("esnr_db,per\n0.0,1.0\n8.0,0.6\n14.0,0.1\n20.0,0.0\n")
     text = TWO_BY_TWO_YAML.replace(
         "aps:\n", f"per_model: {{kind: table, tables: {{3: {table}}}}}\naps:\n", 1)
-    sc = _load(text)
+    sc, doc = _load(text), yaml.safe_load(text)
     assert sc.per_model.curve_for(3).is_tabulated
-    _assert_tensor_matches_scalar_chain(sc)
+    _assert_tensor_matches_scalar_chain(sc, doc)
     for base_db in (-30.0, 60.0, 10.0):
-        _assert_tensor_matches_scalar_chain(sc, snr_field=sc.snr_field(base_db=base_db))
+        _assert_tensor_matches_scalar_chain(sc, doc, snr_field=sc.snr_field(base_db=base_db))
 
 
 def test_out_of_range_link_is_zero():
