@@ -26,15 +26,23 @@ last one made under the same contention shares that one's arrays, so the
 reports of a cycling loop do not grow memory. Each step's served rates and
 network total come from one selection x rate product.
 
+A sweep with `workers` > 1 runs its rounds in a process pool. The pool
+starts on the first such sweep and is reused by later sweeps with the same
+worker count; another count replaces it, and it is shut down at exit. Each
+worker gets its jobs as one chunk, so the scenario is pickled once per
+worker, not once per round.
+
 Timing is opt-in: by default every report carries wall_time_s = 0.0 so that
 repeated runs of the same scenario produce byte-identical output files.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,7 +246,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     snr_field = scenario.snr_field(base_db=snr_base_db, rng=_seeded_rng(scenario, rng_seed))
     snr_field.setflags(write=False)     # the carry holds it
     label = _mcs_label(scenario, mcs_override)
-    base_reported = scenario.snr_base_db if snr_base_db is None else float(snr_base_db)
+    base_reported = scenario.snr_base(snr_base_db)
     slo = allocator == "slo"
     if slo:
         algorithm = "slo"
@@ -355,6 +363,32 @@ def _mc_round(args):
             min(finite) if finite else float("inf"))
 
 
+_pool = None    # (workers, ProcessPoolExecutor) of the last pooled sweep
+_pool_lock = threading.Lock()   # pooled sweeps from several threads take turns
+
+
+def _shared_pool(workers: int):
+    """The pooled sweeps' process pool: started on first use, kept for later
+    sweeps with the same worker count, replaced for another count."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _shutdown_pool()
+    if _pool is None:
+        # imported here: `import linkalloc` should not load the process pool
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+@atexit.register    # before module teardown, which the pool's own clean-up needs
+def _shutdown_pool():
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
 def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
                     rounds: int | None = None, solver: str = "optimal",
                     allocator: str = "pf", iterations: int = 30,
@@ -364,6 +398,11 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
     Round k of point i runs with seed [scenario seed, i, k], so any cell of
     the sweep is reproducible in isolation. Returns one `SweepStat` per grid
     point, grid ordered SNR-major.
+
+    With `workers` > 1 the rounds run in the shared process pool (see the
+    module docstring) and give the serial result. If a worker dies, the sweep
+    raises `concurrent.futures.process.BrokenProcessPool` and the next pooled
+    sweep starts a new pool.
     """
     # no explicit base by default: a scenario that draws its bases takes none
     snrs = list(snr_points) if snr_points is not None else [None]
@@ -373,6 +412,9 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         raise InvalidInputError("rounds must be >= 1")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    # a refused base fails here, before any job reaches the pool
+    drawn = scenario.snr_random_range_db is not None
+    bases = [scenario.snr_base(snr, drawn=drawn) for snr in snrs]
 
     jobs = []
     for i, (snr, mcs) in enumerate((s, m) for s in snrs for m in mcss):
@@ -380,24 +422,30 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
             jobs.append((scenario, solver, allocator, iterations, snr, mcs,
                          [scenario.rng_seed, i, k]))
     if workers > 1:
-        # imported here: `import linkalloc` should not load the process pool
-        from concurrent.futures import ProcessPoolExecutor
+        with _pool_lock:
+            pool = _shared_pool(workers)
+            from concurrent.futures.process import BrokenProcessPool   # loaded by now
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_mc_round, jobs, chunksize=1))
+            try:
+                # one message per worker: pickle sends the scenario once per chunk
+                outcomes = list(pool.map(_mc_round, jobs,
+                                         chunksize=-(-len(jobs) // workers)))
+            except BrokenProcessPool:
+                _shutdown_pool()    # so that the next sweep starts a new pool
+                raise
     else:
         outcomes = [_mc_round(j) for j in jobs]
 
     stats = []
     idx = 0
-    for snr, mcs in ((s, m) for s in snrs for m in mcss):
+    for base, mcs in ((b, m) for b in bases for m in mcss):
         chunk = outcomes[idx:idx + rounds]
         idx += rounds
         tputs = np.array([o[0] for o in chunk])
         spreads = np.array([o[1] for o in chunk])
         min_spreads = np.array([o[2] for o in chunk])
         stats.append(SweepStat(
-            snr_base_db=float(scenario.snr_base_db if snr is None else snr),
+            snr_base_db=base,
             mcs_label=_mcs_label(scenario, mcs),
             rounds=rounds,
             throughput_mean_bps=float(tputs.mean()),

@@ -184,17 +184,25 @@ class Scenario:
         drawn uniformly from the range instead, and a `base_db` is refused.
         The field is that base plus the per-link offsets.
         """
+        drawn = self.snr_random_range_db is not None and rng is not None
+        base = self.snr_base(base_db, drawn=drawn)
+        if drawn:
+            base = rng.uniform(*self.snr_random_range_db, size=self.snr_offsets_db.shape)
+        return base + self.snr_offsets_db
+
+    def snr_base(self, base_db: float | None = None, *, drawn: bool = False) -> float:
+        """The SNR base a run reports: `base_db`, else `snr_base_db`, as a
+        finite float. When the run draws its bases from `snr_random_range_db`
+        (`drawn`), a `base_db` is refused."""
         base = self.snr_base_db if base_db is None else float(base_db)
         if not math.isfinite(base):     # NaN would mark every link out of range
             raise ValidationError(f"SNR base must be a finite number, got {base}")
-        if self.snr_random_range_db is not None and rng is not None:
-            if base_db is not None:
-                raise ValidationError(
-                    f"scenario {self.name} draws each link's SNR base from its "
-                    f"snr_random_range_db {list(self.snr_random_range_db)}, so it takes "
-                    f"no SNR base (got {base})")
-            base = rng.uniform(*self.snr_random_range_db, size=self.snr_offsets_db.shape)
-        return base + self.snr_offsets_db
+        if drawn and base_db is not None:
+            raise ValidationError(
+                f"scenario {self.name} draws each link's SNR base from its "
+                f"snr_random_range_db {list(self.snr_random_range_db)}, so it takes "
+                f"no SNR base (got {base})")
+        return base
 
     def truncated(self, m_stas: int) -> "Scenario":
         """A copy keeping only the first `m_stas` stations."""

@@ -6,9 +6,12 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +26,7 @@ from linkalloc import harness
 from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
-from linkalloc.errors import InfeasibleError, ValidationError
+from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError
 from linkalloc.pairing import PairingMatrix
 from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 from linkalloc.harness import (
@@ -196,6 +199,135 @@ def test_monte_carlo_grid_order_snr_major():
     stats = run_monte_carlo(sc, snr_points=[5.0, 10.0], mcs_points=[1, 3], rounds=1, iterations=2)
     assert [(s.snr_base_db, s.mcs_label) for s in stats] == [
         (5.0, "1"), (5.0, "3"), (10.0, "1"), (10.0, "3")]
+
+
+# --- the sweep's process pool ---------------------------------------------------
+
+POOL_GRID = dict(snr_points=[5.0, 20.0], mcs_points=[3, 9], rounds=2, iterations=5)
+
+
+@pytest.fixture
+def pool_builds():
+    """A spy on the pools the sweep builds, from no pool; none is left running."""
+    from concurrent.futures import process
+
+    harness._shutdown_pool()
+    with mock.patch.object(process, "ProcessPoolExecutor",
+                           wraps=process.ProcessPoolExecutor) as spy:
+        yield spy
+    harness._shutdown_pool()
+
+
+def test_explicit_snr_base_refused_before_the_pool():
+    sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))   # draws its bases
+    with mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")), \
+            pytest.raises(ValidationError, match=r"so it takes no SNR base \(got 5\.0\)"):
+        run_monte_carlo(sc, snr_points=[5.0], rounds=2, workers=2)
+
+
+@pytest.mark.parametrize("solver,allocator", [("optimal", "pf"), ("greedy", "pf"),
+                                              ("greedy", "rr")])
+def test_pooled_sweep_equals_serial(solver, allocator):
+    sc = _fixture()
+    serial = run_monte_carlo(sc, solver=solver, allocator=allocator, workers=1, **POOL_GRID)
+    pooled = run_monte_carlo(sc, solver=solver, allocator=allocator, workers=2, **POOL_GRID)
+    assert len(pooled) == 4 and pooled == serial
+
+
+@pytest.mark.parametrize("snrs", [[5.0, 20.0, 5000.0, 6000.0],    # the second chunk fails
+                                  [5.0, 5000.0, 20.0, 6000.0]])   # both chunks fail
+def test_pooled_sweep_raises_the_first_failure_in_order(snrs):
+    sc = _fixture()
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(InvalidInputError) as exc:
+            run_monte_carlo(sc, snr_points=snrs, rounds=1, iterations=2, workers=workers)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+    assert "5001.28 dB" in raised[0]
+
+
+def test_pool_kept_for_its_worker_count_and_replaced_for_another(pool_builds):
+    sc = _fixture()
+    serial = run_monte_carlo(sc, **POOL_GRID)
+    assert run_monte_carlo(sc, workers=2, **POOL_GRID) == serial
+    old = harness._shared_pool(2)
+    assert run_monte_carlo(sc, workers=2, **POOL_GRID) == serial
+    assert pool_builds.call_count == 1
+    assert run_monte_carlo(sc, workers=3, **POOL_GRID) == serial
+    assert pool_builds.call_count == 2
+    with pytest.raises(RuntimeError, match="after shutdown"):
+        old.submit(int)
+
+
+def test_pooled_sweeps_from_threads_share_one_pool(pool_builds):
+    sc = _fixture()
+    serial = run_monte_carlo(sc, **POOL_GRID)
+    results = []
+
+    def sweep():
+        results.append(run_monte_carlo(sc, workers=2, **POOL_GRID))
+
+    threads = [threading.Thread(target=sweep) for _ in range(4)]   # more than the cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    assert pool_builds.call_count == 1
+
+
+def test_pool_rebuilt_after_a_worker_dies(pool_builds):
+    from concurrent.futures.process import BrokenProcessPool
+
+    sc = _fixture()
+    serial = run_monte_carlo(sc, **POOL_GRID)
+    assert run_monte_carlo(sc, workers=2, **POOL_GRID) == serial
+    pid = harness._shared_pool(2).submit(os.getpid).result()
+    assert pid != os.getpid()
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while True:     # the pool reaps its workers once it sees that one died
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "the killed worker was never reaped"
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        run_monte_carlo(sc, workers=2, **POOL_GRID)
+    assert run_monte_carlo(sc, workers=2, **POOL_GRID) == serial
+    assert pool_builds.call_count == 2
+
+
+def test_pooled_sweeps_exit_cleanly():
+    # The pool is shut down at exit. Left to module teardown, its clean-up
+    # would find its own module cleared and print an ignored exception; a
+    # daemon thread still running at exit keeps the package alive into that
+    # teardown, as a test runner does.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = """
+import threading, time
+import linkalloc
+from linkalloc import harness
+sc = linkalloc.load_scenario(linkalloc.bundled_scenario_path("scenario_3ap_15sta"))
+a = linkalloc.run_monte_carlo(sc, rounds=2, iterations=3, workers=2)
+b = linkalloc.run_monte_carlo(sc, rounds=2, iterations=3, workers=2)
+assert a == b
+threading.Thread(target=lambda: time.sleep(3600), daemon=True).start()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_slo_single_channel_coincides_with_mlo():
