@@ -374,6 +374,37 @@ def test_loop_outputs_pinned(capsys):
         assert _sha256(emit_results(result.reports)) == digest, (solver, allocator)
 
 
+# bench/synth.py's synth_yaml(1, 10, 200), checked in so that it does not
+# move when the generator does
+SYNTH_10X200 = Path(__file__).parent / "data" / "synth_10x200_seed1.yaml"
+
+
+def test_decisions_pinned_at_scale():
+    # SHA-256 of 40 iterations on a 10-AP/200-station network: the CSV, and
+    # every report's dense pairing, selection and unallocated links, which
+    # the CSV sees only through the rates they produce
+    sc = load_scenario(SYNTH_10X200)
+    pinned = {
+        ("optimal", "pf"): ("0c920b63d9ee3718334f197b15360bcd4d8999bda8938bd3714619b03e8a941f",
+                            "d33b7429aa03f318f9af48690d0d769ee7c54c2e22287852afe77fca90eb8d16"),
+        ("greedy", "pf"): ("cfee915735f25a891e59bb7f55d29913f5a10bcf78a7205c9520e443ca4a1468",
+                           "d33b7429aa03f318f9af48690d0d769ee7c54c2e22287852afe77fca90eb8d16"),
+        ("greedy", "rr"): ("18941e44179f7488f718b8d6ec679e73a9ceb54c8b1ae18ff5195da778da61b7",
+                           "5a138f8aa6fa052a38bc332f38526bb8219aaed6acda96e169a935e3cadbc1f7"),
+        ("optimal", "slo"): ("c9e526925e20fc9be6006a4fb80475fbb4d58de0ae29b3ff9649ee00d1d545fa",
+                             "b1cfc827d910ed6d888e9b0f58c86019e79d75d0faba1ff5a21f3fb4e159688d"),
+    }
+    for (solver, allocator), (csv_digest, decisions_digest) in pinned.items():
+        reports = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=40).reports
+        decisions = hashlib.sha256()
+        for r in reports:
+            decisions.update(r.pairing.x.tobytes())
+            decisions.update(r.selection.s.tobytes())
+            decisions.update(repr(r.selection.unallocated_edges).encode())
+        assert _sha256(emit_results(reports)) == csv_digest, (solver, allocator)
+        assert decisions.hexdigest() == decisions_digest, (solver, allocator)
+
+
 @st.composite
 def _small_scenario_docs(draw):
     """1-3 channels, 1-3 APs, 1-5 STAs. A station's `snr_offset_db` takes any
