@@ -3,14 +3,15 @@
 Given the pairing and the rate tensor C[f, n, m], the allocator decides which
 channels each paired link actually runs on, limited by the station's r(m)
 radios. The AP's R(n) counts the stations it serves, which pairing already
-enforces, so no AP link budget applies here. A selection S[f, n, m] is indexed
-like the tensor. The proportional-fair policy scores channels by
+enforces, so no AP link budget applies here. A station has one AP at most,
+so a selection holds links[f, m], STA m's link to its AP on channel f, and
+the pairing that names the APs. The proportional-fair policy scores channels by
 instantaneous candidate rate over the exponentially averaged served rate (the
 classic PF metric applied per channel), so a channel that has been starved
 rises in priority until the loop equalizes rate-per-history across channels.
 Links share no budget, so PF decides all of them at once. The round-robin
 policy is rate-blind and deals links a weighted channel cycle in AP-major
-order, as `np.nonzero(pairing.x)` lists them.
+order: by AP, then by station.
 
 Both allocators return a `LinkSelection` and leave the state alone. State is
 carried between loop iterations by `ThroughputState`: one per-channel average
@@ -22,6 +23,7 @@ and `ewma_update` both read the rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,28 +47,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinkSelection:
-    """Binary activation S[f, n, m] of the AP n - STA m link on channel f.
-
-    `unallocated_edges` holds the sorted (n, m) pairs that were paired but
-    given no channel.
+    """Binary activation links[f, m] of STA m's link to its AP
+    `pairing.owner[m]` on channel f. `unallocated_edges` holds the sorted
+    (n, m) pairs that were paired but given no channel. `s` is the dense
+    S[f, n, m], indexed like the rate tensor, read-only, built when first read.
     """
 
-    s: np.ndarray
+    links: np.ndarray
+    pairing: PairingMatrix
     unallocated_edges: tuple = ()
 
     def __post_init__(self):
-        s = np.array(self.s)
-        if s.ndim != 3:
-            raise InvalidInputError(f"selection must be (F, N, M), got {s.shape}")
-        if not ((s == 0) | (s == 1)).all():
-            raise InvalidInputError("selection entries must be 0 or 1")
-        s = s.astype(np.int8)
+        links = np.array(self.links)
+        if links.ndim != 2 or links.shape[1] != self.pairing.m_stas \
+                or links.dtype != bool and not ((links == 0) | (links == 1)).all() \
+                or links[:, self.pairing.owner < 0].any():
+            raise InvalidInputError(f"selection must be 0/1 of shape (F, {self.pairing.m_stas}), "
+                                    "with no link for an unpaired station")
+        links = links.astype(np.int8, copy=False)
+        links.setflags(write=False)
+        object.__setattr__(self, "links", links)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        s = self.links[:, None, :] * self.pairing.x
         s.setflags(write=False)
-        object.__setattr__(self, "s", s)
+        return s
 
     def per_channel_counts(self) -> np.ndarray:
         """Active link count per channel; feeds the next contention rebuild."""
-        return self.s.sum(axis=(1, 2))
+        return self.links.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -118,14 +128,18 @@ class RadioBudget:
         return cls(sta_radio_limits=lim)
 
 
-def instantaneous_rates(selection_s: np.ndarray, rates: RateTensor) -> tuple:
+def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
     """The step's served rates, both read off one selection x rate product:
     per channel, the mean rate of its active links (0 when idle), which drives
     the PF metric and the average update; and the network total, the sum of
-    every active link's contention-discounted rate."""
-    s = np.asarray(selection_s)
-    served = s * rates.values
-    counts = s.sum(axis=(1, 2))
+    every active link's contention-discounted rate. The product of the paired
+    links is laid out like the tensor, so each sum adds what a product over
+    every link would, in the same order."""
+    ms = np.flatnonzero(selection.pairing.owner >= 0)
+    ns = selection.pairing.owner[ms]
+    served = np.zeros(rates.values.shape)
+    served[:, ns, ms] = selection.links[:, ms] * rates.values[:, ns, ms]
+    counts = selection.per_channel_counts()
     totals = served.sum(axis=(1, 2))
     return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
             float(served.sum()))
@@ -181,9 +195,12 @@ def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
 def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor) -> tuple:
     """AP and STA index arrays of the paired links, AP-major."""
     _check_budget(pairing, budget)
-    if rates.values.shape[1:] != pairing.x.shape:
+    if rates.values.shape[1:] != (pairing.n_aps, pairing.m_stas):
         raise InvalidInputError("rate tensor does not match the pairing dimensions")
-    return np.nonzero(pairing.x)
+    owner = pairing.owner
+    # a stable sort keeps each AP's stations ascending; the unpaired (-1) lead
+    ms = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
+    return owner[ms], ms
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -200,18 +217,18 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     if state.phi.shape[0] != rates.f_count:
         raise InvalidInputError("state covers a different channel count")
 
-    s = np.zeros(rates.values.shape, dtype=np.int8)
+    links = np.zeros((rates.f_count, pairing.m_stas), dtype=bool)
     if ns.size == 0:
-        return LinkSelection(s)
+        return LinkSelection(links, pairing)
     cand = rates.values[:, ns, ms]                      # (F, links)
     mean_rate = cand.mean(axis=1)
     score = _pf_ratio(mean_rate, state.phi)
     order = np.lexsort((np.arange(rates.f_count), -mean_rate, -score))
     live = cand[order] > 0.0
-    s[order[:, None], ns, ms] = live & (live.cumsum(axis=0) <= budget.sta_radio_limits[ms])
+    links[order[:, None], ms] = live & (live.cumsum(axis=0) <= budget.sta_radio_limits[ms])
     dead = ~live.any(axis=0)
-    return LinkSelection(s, unallocated_edges=tuple(zip(ns[dead].tolist(),
-                                                        ms[dead].tolist())))
+    return LinkSelection(links, pairing, unallocated_edges=tuple(zip(ns[dead].tolist(),
+                                                                     ms[dead].tolist())))
 
 
 def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -224,23 +241,23 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     position already used by the link is skipped. Every paired link gets
     min(r(m), F) channels, so no link is left unallocated.
     """
-    ns, ms = _paired_links(pairing, budget, rates)
+    _, ms = _paired_links(pairing, budget, rates)
     f_count = rates.f_count
     weights = [int(w) for w in weights]
     if len(weights) != f_count or any(w < 1 for w in weights):
         raise InvalidInputError("need one positive weight per channel")
     cycle = [f for f in range(f_count) for _ in range(weights[f])]
 
-    s = np.zeros(rates.values.shape, dtype=np.int8)
+    links = np.zeros((f_count, pairing.m_stas), dtype=bool)
     pos = 0
-    for n, m in zip(ns.tolist(), ms.tolist()):
+    for m in ms.tolist():
         for _ in range(min(int(budget.sta_radio_limits[m]), f_count)):
             # the link holds fewer than F channels, so the cycle has a free one
-            while s[cycle[pos % len(cycle)], n, m]:
+            while links[cycle[pos % len(cycle)], m]:
                 pos += 1
-            s[cycle[pos % len(cycle)], n, m] = 1
+            links[cycle[pos % len(cycle)], m] = True
             pos += 1
-    return LinkSelection(s)
+    return LinkSelection(links, pairing)
 
 
 def selection_feasible(selection: LinkSelection, pairing: PairingMatrix,
@@ -249,5 +266,4 @@ def selection_feasible(selection: LinkSelection, pairing: PairingMatrix,
     _check_budget(pairing, budget)
     if selection.s.shape[1:] != pairing.x.shape:
         raise InvalidInputError("selection does not match the pairing dimensions")
-    per_link = selection.s.sum(axis=0)
-    return bool((per_link <= pairing.x * budget.sta_radio_limits).all())
+    return bool((selection.s.sum(axis=0) <= pairing.x * budget.sta_radio_limits).all())

@@ -16,15 +16,15 @@ channel, and the loop revisits the same few contender vectors (two on the
 bundled fixture, three on a 30-AP/1000-STA network). So each contention
 gets one record, built on its first visit: the tensor, the rates the
 allocator may use, the pairing input weighed from them, and the last
-pairing and selection made on it. `LoopCarry` carries the records from run
-to run, for the same scenario object, MCS override, SLO-or-not mode and SNR
-field only. Pairing and allocation still run on every step. Allocation
+pairing and selection made on it, which `LoopCarry` carries from run to run
+(see there). Pairing and allocation still run on every step. Allocation
 reads the averages, which move on every step. Pairing is a pure function of
 the tensor, but each step's pairing stays its own call, which the benchmark
 counts and checks against an independent solver. A decision equal to the
 last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory. Each step's served rates and
-network total come from one selection x rate product.
+reports of a cycling loop do not grow memory; a selection is equal only
+under an equal pairing. Each step's served rates and network total come
+from one selection x rate product.
 
 A sweep with `workers` > 1 runs its rounds in a process pool. The pool
 starts on the first such sweep and is reused by later sweeps with the same
@@ -173,14 +173,10 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
-    x = pairing.x
-    ap = x.argmax(axis=0)
-    # used[m][f]: station m runs a link on channel f with its paired AP
-    used = selection.s[:, ap, np.arange(scenario.m_stas)].T.tolist()
     cids = [ch.channel_id for ch in scenario.channels]
     recs = []
-    for sta, paired, n, row in zip(scenario.stas, x.any(axis=0).tolist(), ap.tolist(), used):
-        if paired:
+    for sta, n, row in zip(scenario.stas, pairing.owner.tolist(), selection.links.T.tolist()):
+        if n >= 0:
             recs.append(Recommendation(sta.sta_id, scenario.aps[n].ap_id,
                                        tuple(c for c, on in zip(cids, row) if on)))
         else:
@@ -199,13 +195,6 @@ def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator | None:
     if scenario.snr_random_range_db is None:
         return None
     return np.random.default_rng(scenario.rng_seed if rng_seed is None else rng_seed)
-
-
-def _home_channel_mask(scenario: Scenario) -> np.ndarray:
-    """usable[f, n]: True on AP n's single-link home channel only."""
-    usable = np.zeros((scenario.f_count, scenario.n_aps), dtype=bool)
-    usable[scenario.home_channel, np.arange(scenario.n_aps)] = True
-    return usable
 
 
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
@@ -250,8 +239,9 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     slo = allocator == "slo"
     if slo:
         algorithm = "slo"
-        usable = _home_channel_mask(scenario)
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
+        usable = np.zeros((scenario.f_count, n_aps), dtype=bool)    # home channels only
+        usable[scenario.home_channel, np.arange(n_aps)] = True
         caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
         limits = np.ones(m_stas, dtype=int)
     else:
@@ -286,22 +276,24 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         tensor, usable_rates, instance, seen_pairing, seen_selection = record
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
+        # an equal decision shares the arrays of the last one under this
+        # contention; a carry may come from a run with the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
+        if seen_pairing is not None and np.array_equal(pairing.owner, seen_pairing.owner):
+            pairing = seen_pairing
         selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, usable_rates, state)
-        # a decision equal to the last one under this contention shares its
-        # arrays, so the reports of a loop that cycles do not grow memory
-        if seen_pairing is not None and np.array_equal(pairing.x, seen_pairing.x):
-            pairing = seen_pairing
-        if seen_selection is not None and np.array_equal(selection.s, seen_selection.s) \
-                and selection.unallocated_edges == seen_selection.unallocated_edges:
+        if seen_selection is not None \
+                and selection.unallocated_edges == seen_selection.unallocated_edges \
+                and np.array_equal(selection.pairing.owner, seen_selection.pairing.owner) \
+                and np.array_equal(selection.links, seen_selection.links):
             selection = seen_selection
         memo[key] = (tensor, usable_rates, instance, pairing, selection)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
         # SLO links run only where its mask keeps the rates, so the full
         # tensor gives the same served rates
-        inst, total = instantaneous_rates(selection.s, tensor)
+        inst, total = instantaneous_rates(selection, tensor)
         metrics = tuple(pf_metrics(state, inst).tolist())
         state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -584,17 +576,16 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
         scenario = scenario.truncated(m_stas)
     snr_field = scenario.snr_field(rng=_seeded_rng(scenario, rng_seed))
     tensor = build_rate_tensor(scenario, snr_field=snr_field)
-    caps = scenario.ap_capacities()
-    limits = scenario.sta_radio_limits()
-    instance = PairingInstance(tensor.values.mean(axis=0), caps, limits)
+    instance = PairingInstance(tensor.values.mean(axis=0), scenario.ap_capacities(),
+                               scenario.sta_radio_limits())
 
     t0 = time.perf_counter()
     pairing = pair_optimal_lp(instance)
-    budget = RadioBudget(limits)
+    budget = RadioBudget(scenario.sta_radio_limits())
     state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
     selection = allocate_pf(pairing, budget, tensor, state)
     two_stage_wall = time.perf_counter() - t0
-    _, two_stage_value = instantaneous_rates(selection.s, tensor)
+    _, two_stage_value = instantaneous_rates(selection, tensor)
 
     t0 = time.perf_counter()
     joint = solve_joint_mmkp_bruteforce(tensor, instance)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,47 +73,34 @@ class PairingInstance:
         object.__setattr__(self, "ap_capacity", caps)
         object.__setattr__(self, "sta_radio_limits", limits)
 
-    @property
-    def n_aps(self) -> int:
-        return self.d.shape[0]
-
-    @property
-    def m_stas(self) -> int:
-        return self.d.shape[1]
-
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """Binary assignment X[n, m]; every STA belongs to at most one AP."""
+    """Assignment of STAs to APs: `owner[m]` is the AP of STA m, -1 when
+    unpaired, so every STA belongs to at most one AP. `x` is the dense binary
+    X[n, m], read-only, built when first read."""
 
-    x: np.ndarray
+    owner: np.ndarray
+    n_aps: int
 
     def __post_init__(self):
-        x = np.asarray(self.x)
-        if x.ndim != 2:
-            raise InvalidInputError(f"pairing matrix must be (N, M), got {x.shape}")
-        if x.dtype != np.int8 and not ((x == 0) | (x == 1)).all():
-            raise InvalidInputError("pairing matrix entries must be 0 or 1")
-        x = x.astype(np.int8)
-        # an int8 entry outside {0, 1} reads as >= 2 unsigned, and so does its
-        # column's sum: one pass checks entries and stations together
-        unsigned = x.view(np.uint8)
-        per_sta = unsigned.sum(axis=0)
-        if per_sta.max(initial=0) > 1:
-            if unsigned.max() > 1:
-                raise InvalidInputError("pairing matrix entries must be 0 or 1")
-            bad = int(np.argmax(per_sta > 1))
-            raise InvalidInputError(f"sta {bad} is assigned to more than one AP")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n_aps(self) -> int:
-        return self.x.shape[0]
+        owner = np.array(self.owner)
+        if owner.ndim != 1 or owner.dtype.kind not in "iu" or self.n_aps < 1 \
+                or owner.min(initial=0) < -1 or owner.max(initial=0) >= self.n_aps:
+            raise InvalidInputError(f"owner must hold one AP index below {self.n_aps}, "
+                                    f"or -1, per STA; got {owner.dtype} of shape {owner.shape}")
+        owner.setflags(write=False)
+        object.__setattr__(self, "owner", owner)
 
     @property
     def m_stas(self) -> int:
-        return self.x.shape[1]
+        return self.owner.shape[0]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        x = (np.arange(self.n_aps)[:, None] == self.owner).astype(np.int8)
+        x.setflags(write=False)
+        return x
 
 
 def objective_value(pairing: PairingMatrix, d) -> float:
@@ -136,10 +124,8 @@ def build_incidence(n_aps: int, m_stas: int) -> np.ndarray:
     if n_aps < 1 or m_stas < 1:
         raise InvalidInputError("need at least one AP and one STA")
     inc = np.zeros((m_stas + n_aps, n_aps * m_stas), dtype=np.int8)
-    for m in range(m_stas):
-        for n in range(n_aps):
-            inc[m, m * n_aps + n] = 1
-            inc[m_stas + n, m * n_aps + n] = 1
+    edge = np.arange(n_aps * m_stas)
+    inc[edge // n_aps, edge] = inc[m_stas + edge % n_aps, edge] = 1
     inc.setflags(write=False)
     return inc
 
@@ -215,9 +201,9 @@ def check_total_unimodularity(matrix, max_submatrix: int = 5) -> TuCheckResult:
 def _require_capacity(instance: PairingInstance) -> None:
     """Every station needs an AP slot: raise unless total R(n) covers M."""
     total = int(instance.ap_capacity.sum())
-    if total < instance.m_stas:
+    if total < instance.d.shape[1]:
         raise InfeasibleError(
-            f"total AP capacity {total} cannot serve {instance.m_stas} stations")
+            f"total AP capacity {total} cannot serve {instance.d.shape[1]} stations")
 
 
 def pair_greedy(instance: PairingInstance) -> PairingMatrix:
@@ -231,23 +217,21 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
     every AP was full.
     """
     _require_capacity(instance)
-    n_aps, m_stas = instance.n_aps, instance.m_stas
+    n_aps, m_stas = instance.d.shape
     order = np.argsort(-instance.d, axis=None, kind="stable")
-    x = np.zeros((n_aps, m_stas), dtype=np.int8)
-    taken = np.zeros(m_stas, dtype=bool)
+    owner = [-1] * m_stas
     remaining = instance.ap_capacity.tolist()
     assigned = 0
     ns, ms = np.divmod(order, m_stas)
     for n, m in zip(ns.tolist(), ms.tolist()):
         if assigned == m_stas:
             break
-        if taken[m] or remaining[n] == 0:
+        if owner[m] >= 0 or remaining[n] == 0:
             continue
-        x[n, m] = 1
-        taken[m] = True
+        owner[m] = n
         remaining[n] -= 1
         assigned += 1
-    return PairingMatrix(x)
+    return PairingMatrix(np.array(owner, dtype=np.intp), n_aps)
 
 
 def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
@@ -271,15 +255,13 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
     """
     _require_capacity(instance)
     d = instance.d
-    n_aps, m_stas = d.shape
+    n_aps = d.shape[0]
     owner = d.argmax(axis=0)
     load = np.bincount(owner, minlength=n_aps).tolist()
     caps = instance.ap_capacity.tolist()
     if any(l > c for l, c in zip(load, caps)):
         _repair_overflow(d, owner, load, caps)
-    x = np.zeros((n_aps, m_stas), dtype=np.int8)
-    x[owner, np.arange(m_stas)] = 1
-    return PairingMatrix(x)
+    return PairingMatrix(owner, n_aps)
 
 
 def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -> None:

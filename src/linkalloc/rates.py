@@ -7,9 +7,9 @@ efficiency comes from the saturated-contention fixed point in `dcf`; the PHY
 error probability comes from the PER curves in `phy`. One vectorized kernel
 evaluates each block of links that share a channel and an MCS.
 
-The (F, N, M) layout is the only link layout: the pairing weights are the
-tensor's mean over channels (N, M), and a link selection is an (F, N, M)
-0/1 array indexed like the tensor.
+The (F, N, M) layout is the only rate layout: the pairing weights are the
+tensor's mean over channels (N, M), and a selection's (F, M) links read
+their rates at the one AP each station's pairing names.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ materialized at load time, so a loaded `Scenario` echoes the exact numbers
 the pipeline will use.
 
 This module is the only one that knows the document's layout. The parser
-writes the links straight into three read-only arrays of `Scenario`, and
-the rest of the package reads the AP and station settings from them only:
+writes the links and radios straight into read-only arrays of `Scenario`,
+and the rest of the package reads the AP and station settings from them only:
 
 - `snr_offsets_db[f, n, m]`: the SNR offset in dB of station m from AP n on
   channel f, NaN where the link is out of range;
 - `mcs_table[f, n]`: the MCS AP n runs on channel f, its `mcs` overrides
   applied over the channel's;
 - `home_channel[n]`: the position in `channels` of AP n's single-link home
-  channel, its `slo_channel`, else channel n % F.
+  channel, its `slo_channel`, else channel n % F;
+- `ap_radios[n]` and `sta_radios[m]`: R(n) and r(m), as `ap_capacities()`
+  and `sta_radio_limits()` return them.
 
 Schema (all SNR values in dB)::
 
@@ -139,7 +141,7 @@ class PerModel:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A validated, defaults-filled run configuration, as `load_scenario`
-    builds it; the three arrays are described in the module docstring.
+    builds it; the arrays are described in the module docstring.
     Scenarios compare by identity."""
 
     name: str
@@ -157,6 +159,8 @@ class Scenario:
     snr_offsets_db: np.ndarray      # (F, N, M) dB, NaN = out of range
     mcs_table: np.ndarray           # (F, N) MCS index, AP overrides applied
     home_channel: np.ndarray        # (N,) channel position
+    ap_radios: np.ndarray           # (N,) R(n)
+    sta_radios: np.ndarray          # (M,) r(m)
 
     @property
     def f_count(self) -> int:
@@ -171,10 +175,10 @@ class Scenario:
         return len(self.stas)
 
     def ap_capacities(self) -> np.ndarray:
-        return np.array([a.radios for a in self.aps], dtype=int)
+        return self.ap_radios
 
     def sta_radio_limits(self) -> np.ndarray:
-        return np.array([s.radios for s in self.stas], dtype=int)
+        return self.sta_radios
 
     def snr_field(self, base_db: float | None = None, rng=None) -> np.ndarray:
         """Per-link SNR in dB, shape (F, N, M); NaN marks out-of-range links.
@@ -209,7 +213,8 @@ class Scenario:
         if not 1 <= m_stas <= self.m_stas:
             raise ValidationError(f"cannot truncate to {m_stas} of {self.m_stas} STAs")
         return replace(self, stas=self.stas[:m_stas],
-                       snr_offsets_db=self.snr_offsets_db[:, :, :m_stas])
+                       snr_offsets_db=self.snr_offsets_db[:, :, :m_stas],
+                       sta_radios=self.sta_radios[:m_stas])
 
 
 # --- YAML parsing -------------------------------------------------------------
@@ -298,6 +303,12 @@ def _entries(doc: dict, key: str, fields: set) -> list:
     return out
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
 def _index(ids: list, key: str) -> dict:
     """id -> position in the list `key`, whose ids must be distinct."""
     index = {}
@@ -347,9 +358,7 @@ def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
                                 f"{ctx}.slo_channel", "channel")
         aps.append(ApConfig(str(_need(a, "id", ctx)),
                             _as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS)))
-    mcs_table.setflags(write=False)
-    home.setflags(write=False)
-    return tuple(aps), mcs_table, home
+    return tuple(aps), _read_only(mcs_table), _read_only(home)
 
 
 def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
@@ -526,6 +535,8 @@ def load_scenario(source) -> Scenario:
         snr_offsets_db=offsets,
         mcs_table=mcs_table,
         home_channel=home_channel,
+        ap_radios=_read_only([a.radios for a in aps]),
+        sta_radios=_read_only([s.radios for s in stas]),
     )
 
 

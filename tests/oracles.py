@@ -5,7 +5,10 @@ possible, different libraries) than the code under test: damped Picard instead
 of bisection, the paper's assignment LP, dynamic programming over capacity
 states and Kuhn-Munkres on repeated AP rows instead of successive shortest
 paths, bit-mask enumeration and a per-station assignment instead of recursive
-search, plain `math` instead of numpy log-sum-exp.
+search, plain `math` instead of numpy log-sum-exp. The one exception is the
+dense allocation path at the end: the package's PF, RR and served-rate code
+as it ran on the (N, M) pairing matrix and the (F, N, M) selection, kept to
+pin the owner-vector form to it bit for bit.
 """
 
 import bisect
@@ -334,3 +337,52 @@ def allocate_pf_per_link(x, limits, values, phi):
         if got == 0:
             unallocated.append((n, m))
     return s, tuple(unallocated)
+
+
+# --- the dense allocation path -------------------------------------------------
+
+
+def allocate_pf_dense(x, limits, values, phi):
+    """PF selection over the dense pairing X[n, m], links gathered AP-major
+    through `np.nonzero`: the (F, N, M) selection and the links left without
+    a channel."""
+    ns, ms = np.nonzero(x)
+    s = np.zeros(values.shape, dtype=np.int8)
+    if ns.size == 0:
+        return s, ()
+    cand = values[:, ns, ms]
+    mean_rate = cand.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = mean_rate / phi
+    score = np.where(phi == 0.0, np.where(mean_rate > 0, np.inf, 0.0), ratio)
+    order = np.lexsort((np.arange(values.shape[0]), -mean_rate, -score))
+    live = cand[order] > 0.0
+    s[order[:, None], ns, ms] = live & (live.cumsum(axis=0) <= limits[ms])
+    dead = ~live.any(axis=0)
+    return s, tuple(zip(ns[dead].tolist(), ms[dead].tolist()))
+
+
+def allocate_rr_dense(x, limits, f_count, weights):
+    """Weighted round robin over the dense pairing: links dealt AP-major
+    from the cycle holding channel f `weights[f]` times, skipping a channel
+    the link already holds. The (F, N, M) selection."""
+    cycle = [f for f in range(f_count) for _ in range(weights[f])]
+    s = np.zeros((f_count,) + np.shape(x), dtype=np.int8)
+    pos = 0
+    for n, m in zip(*np.nonzero(x)):
+        for _ in range(min(int(limits[m]), f_count)):
+            while s[cycle[pos % len(cycle)], n, m]:
+                pos += 1
+            s[cycle[pos % len(cycle)], n, m] = 1
+            pos += 1
+    return s
+
+
+def instantaneous_rates_dense(s, values):
+    """Per-channel mean rate of the active links and the network total, from
+    the product of the dense selection and the rate tensor."""
+    served = s * values
+    counts = s.sum(axis=(1, 2))
+    totals = served.sum(axis=(1, 2))
+    return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
+            float(served.sum()))

@@ -34,16 +34,23 @@ def _unit_rates(f_count, pairing):
 
 
 def _full_pairing(n_aps, m_stas):
-    x = np.zeros((n_aps, m_stas), dtype=int)
-    x[0] = 1
-    return PairingMatrix(x=x)
+    return PairingMatrix(np.zeros(m_stas, dtype=int), n_aps)
+
+
+def _selection(s):
+    """The selection of a dense (F, N, M) array whose stations each run
+    links to one AP at most; a station with no link is unpaired."""
+    active = np.asarray(s).any(axis=0)                  # (N, M)
+    assert (active.sum(axis=0) <= 1).all()
+    owner = np.where(active.any(axis=0), active.argmax(axis=0), -1)
+    return LinkSelection(np.asarray(s).sum(axis=1), PairingMatrix(owner, active.shape[0]))
 
 
 def test_ewma_horizon_one_is_instantaneous():
     c = _rates([[100.0, 50.0]], 1, 2)
     state = ThroughputState(phi=np.array([7.0]), horizon_t=1)
     s = np.array([[[1, 1]]])
-    inst, total = instantaneous_rates(s, c)
+    inst, total = instantaneous_rates(_selection(s), c)
     assert total == 150.0                       # the network total sums the links
     out = ewma_update(state, inst)
     assert out.phi[0] == pytest.approx(75.0)
@@ -55,7 +62,7 @@ def test_ewma_idle_channel_decays():
     c = _rates([[100.0], [100.0]], 1, 1)
     state = ThroughputState(phi=np.array([8.0, 8.0]), horizon_t=4)
     s = np.array([[[1]], [[0]]])
-    out = ewma_update(state, instantaneous_rates(s, c)[0])
+    out = ewma_update(state, instantaneous_rates(_selection(s), c)[0])
     assert out.phi[1] == pytest.approx(0.75 * 8.0)
     assert out.phi[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
     assert state.phi.tolist() == [8.0, 8.0]     # the input state is left as it was
@@ -68,7 +75,7 @@ def test_ewma_geometric_convergence():
     state = ThroughputState(phi=np.array([0.0]), horizon_t=t)
     errors = []
     for _ in range(40):
-        state = ewma_update(state, instantaneous_rates(s, c)[0])
+        state = ewma_update(state, instantaneous_rates(_selection(s), c)[0])
         errors.append(abs(state.phi[0] - 60.0))
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
@@ -78,7 +85,7 @@ def test_pf_metric_steady_state_is_one():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(s, c)[0])[0] == pytest.approx(1.0)
+    assert pf_metrics(state, instantaneous_rates(_selection(s), c)[0])[0] == pytest.approx(1.0)
 
 
 def test_pf_metric_reciprocal_scaling():
@@ -86,7 +93,7 @@ def test_pf_metric_reciprocal_scaling():
     s = np.array([[[1]]])
     full = ThroughputState(phi=np.array([10.0]), horizon_t=5)
     half = ThroughputState(phi=np.array([5.0]), horizon_t=5)
-    inst, _ = instantaneous_rates(s, c)
+    inst, _ = instantaneous_rates(_selection(s), c)
     assert pf_metrics(half, inst)[0] == pytest.approx(2 * pf_metrics(full, inst)[0])
 
 
@@ -94,7 +101,7 @@ def test_pf_metric_cold_channel_is_infinite():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([0.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(s, c)[0])[0] == math.inf
+    assert pf_metrics(state, instantaneous_rates(_selection(s), c)[0])[0] == math.inf
 
 
 def test_pf_picks_dominant_rate_channel():
@@ -109,8 +116,7 @@ def test_pf_picks_dominant_rate_channel():
 def test_pf_single_channel_respects_budget():
     # 1 AP serving 3 single-radio STAs on one channel: one link each, since
     # R(n) counts the AP's stations, not its links
-    x = np.array([[1, 1, 1]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
     c = _rates([[30.0, 20.0, 10.0]], 1, 3)
     state = ThroughputState.cold_start(c, horizon_t=10)
@@ -140,26 +146,22 @@ def test_pf_skips_dead_links():
 
 def test_pf_determinism():
     rng = np.random.default_rng(2)
-    x = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 0, 1, 1], 2)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 2, 1])
     c = _rates(rng.uniform(1, 100, size=(3, 8)), 2, 4)
     state = ThroughputState.cold_start(c, horizon_t=7)
     a = allocate_pf(pairing, budget, c, state)
     b = allocate_pf(pairing, budget, c, state)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a.s, c)[0]).phi,
-                                  ewma_update(state, instantaneous_rates(b.s, c)[0]).phi)
+    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a, c)[0]).phi,
+                                  ewma_update(state, instantaneous_rates(b, c)[0]).phi)
 
 
 def test_pf_selection_always_feasible():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n, m, f = 2, 4, 3
-        x = np.zeros((n, m), dtype=int)
-        for j in range(m):
-            x[rng.integers(n), j] = 1
-        pairing = PairingMatrix(x=x)
+        pairing = PairingMatrix([rng.integers(n) for _ in range(m)], n)
         limits = rng.integers(1, 4, size=m)
         budget = RadioBudget.from_pairing(pairing, limits)
         c = _rates(rng.uniform(0, 100, size=(f, n * m)), n, m)
@@ -171,13 +173,12 @@ def test_pf_selection_always_feasible():
 def test_pf_converges_on_static_rates():
     # a dual-radio link spanning both channels plus a single-radio link that
     # only hears channel 1; the split is stable and the C/phi ratios level out
-    x = np.array([[1, 1]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [2, 1])
     c = _rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=10)
     for _ in range(120):
-        inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, state).s, c)
+        inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, state), c)
         state = ewma_update(state, inst)
     spread = fairness_spread(pf_metrics(state, inst))
     assert spread < 0.05
@@ -188,15 +189,14 @@ def test_pf_converges_on_static_rates():
 
 def test_pf_log_utility_nondecreasing_after_burn_in():
     t = 10
-    x = np.array([[1, 1, 1]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 1])
     c = _rates([[80.0, 20.0, 35.0], [50.0, 45.0, 10.0]], 1, 3)
     state = ThroughputState.cold_start(c, horizon_t=t)
     utilities = []
     for _ in range(80):
         selection = allocate_pf(pairing, budget, c, state)
-        state = ewma_update(state, instantaneous_rates(selection.s, c)[0])
+        state = ewma_update(state, instantaneous_rates(selection, c)[0])
         utilities.append(float(np.log(state.phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
@@ -209,22 +209,29 @@ def _pf_cases(draw):
     f = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 6))
-    x = np.zeros((n, m), dtype=int)
-    for j, ap in enumerate(draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))):
-        if ap >= 0:
-            x[ap, j] = 1
+    owner = draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))
     limits = draw(st.lists(st.integers(1, f + 1), min_size=m, max_size=m))
     phi = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=f, max_size=f))
     rates = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
                           min_size=f * n * m, max_size=f * n * m))
-    return x, np.array(limits), np.array(phi), np.array(rates).reshape(f, n, m)
+    return (PairingMatrix(owner, n), np.array(limits), np.array(phi),
+            np.array(rates).reshape(f, n, m))
+
+
+def _dense(pairing):
+    """X[n, m] of a pairing, built here rather than read off its view."""
+    x = np.zeros((pairing.n_aps, pairing.m_stas), dtype=int)
+    for m, n in enumerate(pairing.owner.tolist()):
+        if n >= 0:
+            x[n, m] = 1
+    return x
 
 
 @settings(max_examples=300, deadline=None)
 @given(_pf_cases())
 def test_pf_matches_per_link_oracle(case):
-    x, limits, phi, values = case
-    pairing = PairingMatrix(x=x)
+    pairing, limits, phi, values = case
+    x = _dense(pairing)
     selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, limits),
                             RateTensor(values), ThroughputState(phi=phi, horizon_t=5))
     s, unallocated = oracles.allocate_pf_per_link(x, limits, values, phi)
@@ -232,9 +239,48 @@ def test_pf_matches_per_link_oracle(case):
     assert selection.unallocated_edges == unallocated
 
 
+@st.composite
+def _owner_cases(draw):
+    """A pairing with unpaired stations, r(m) up to F + 1, RR weights, phi
+    with zeros, and rates that are 0 or any float up to 1e9, so that sums
+    round."""
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    owner = draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))
+    limits = draw(st.lists(st.integers(1, f + 1), min_size=m, max_size=m))
+    weights = draw(st.lists(st.integers(1, 4), min_size=f, max_size=f))
+    phi = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 7e8]), min_size=f, max_size=f))
+    rate = st.one_of(st.just(0.0), st.floats(1e-3, 1e9, allow_nan=False))
+    rates = draw(st.lists(rate, min_size=f * n * m, max_size=f * n * m))
+    return (PairingMatrix(owner, n), np.array(limits), weights, np.array(phi),
+            np.array(rates).reshape(f, n, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_owner_cases())
+def test_owner_form_matches_dense_path(case):
+    pairing, limits, weights, phi, values = case
+    x, c = _dense(pairing), RateTensor(values)
+    budget = RadioBudget.from_pairing(pairing, limits)
+    pf = allocate_pf(pairing, budget, c, ThroughputState(phi=phi, horizon_t=5))
+    s, unallocated = oracles.allocate_pf_dense(x, limits, values, phi)
+    np.testing.assert_array_equal(pf.s, s)
+    assert pf.unallocated_edges == unallocated == tuple(sorted(unallocated))
+    rr = allocate_rr(pairing, budget, c, weights)
+    np.testing.assert_array_equal(rr.s, oracles.allocate_rr_dense(x, limits, len(weights),
+                                                                   weights))
+    for selection in (pf, rr):
+        assert selection.pairing is pairing
+        inst, total = instantaneous_rates(selection, c)
+        want_inst, want_total = oracles.instantaneous_rates_dense(selection.s, values)
+        assert inst.tobytes() == want_inst.tobytes()
+        assert total.hex() == want_total.hex()
+        assert selection.per_channel_counts().tolist() == selection.s.sum(axis=(1, 2)).tolist()
+
+
 def test_rr_uniform_weights_deal_one_each():
-    x = np.array([[1, 1, 1]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
     selection = allocate_rr(pairing, budget, _unit_rates(3, pairing), [1, 1, 1])
     assert selection.per_channel_counts().tolist() == [1, 1, 1]
@@ -243,16 +289,14 @@ def test_rr_uniform_weights_deal_one_each():
 
 def test_rr_weighted_slices():
     # seven single-radio links, weights 1/2/4 -> 1, 2 and 4 links per channel
-    x = np.ones((1, 7), dtype=int)
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0] * 7, 1)
     budget = RadioBudget.from_pairing(pairing, [1] * 7)
     selection = allocate_rr(pairing, budget, _unit_rates(3, pairing), [1, 2, 4])
     assert selection.per_channel_counts().tolist() == [1, 2, 4]
 
 
 def test_rr_determinism():
-    x = np.array([[1, 0, 1], [0, 1, 0]])
-    pairing = PairingMatrix(x=x)
+    pairing = PairingMatrix([0, 1, 0], 2)
     budget = RadioBudget.from_pairing(pairing, [2, 2, 1])
     a = allocate_rr(pairing, budget, _unit_rates(2, pairing), [2, 1])
     b = allocate_rr(pairing, budget, _unit_rates(2, pairing), [2, 1])
@@ -293,28 +337,39 @@ def test_cold_start_state_is_channel_mean():
 
 
 def test_selection_reports_links():
-    s = np.array([[[1, 0]], [[1, 1]]], dtype=np.int8)
-    sel = LinkSelection(s)
-    assert sel.s.shape == (2, 1, 2) and sel.s.dtype == np.int8
-    assert np.argwhere(sel.s).tolist() == [[0, 0, 0], [1, 0, 0], [1, 0, 1]]
+    # STA 0 runs channels 0 and 1 with AP 1, STA 1 channel 1 with AP 0,
+    # STA 2 is unpaired
+    pairing = PairingMatrix([1, 0, -1], 2)
+    sel = LinkSelection([[1, 0, 0], [1, 1, 0]], pairing)
+    assert sel.links.dtype == np.int8 and not sel.links.flags.writeable
+    assert sel.s.shape == (2, 2, 3) and sel.s.dtype == np.int8
+    assert not sel.s.flags.writeable
+    assert np.argwhere(sel.s).tolist() == [[0, 1, 0], [1, 0, 1], [1, 1, 0]]
     assert sel.per_channel_counts().tolist() == [1, 2]
     with pytest.raises(InvalidInputError):
-        LinkSelection(s[0])                      # (N, M) is not a selection
+        LinkSelection(sel.s, pairing)            # (F, N, M) is not a selection
+    with pytest.raises(InvalidInputError):
+        LinkSelection([[1, 0]], pairing)         # one column per station
+    with pytest.raises(InvalidInputError):
+        LinkSelection([[0, 0, 2]], pairing)      # entries are 0 or 1
+    with pytest.raises(InvalidInputError):
+        LinkSelection([[0, 0, 1]], pairing)      # STA 2 has no AP to run it with
 
 
 def test_selection_feasible_checks_whole_arrays():
     # AP 0 serves STA 0 and AP 1 serves STA 1; 2 channels
-    pairing = PairingMatrix(x=np.array([[1, 0], [0, 1]]))
+    pairing = PairingMatrix([0, 1], 2)
     budget = RadioBudget(sta_radio_limits=np.array([2, 1]))
 
     def feasible(links):
         s = np.zeros((2, 2, 2), dtype=np.int8)
         for f, n, m in links:
             s[f, n, m] = 1
-        return selection_feasible(LinkSelection(s), pairing, budget)
+        return selection_feasible(_selection(s), pairing, budget)
 
     assert feasible([(0, 0, 0), (1, 0, 0), (1, 1, 1)])
     assert not feasible([(0, 1, 0)])                       # link of an unpaired pair
     assert not feasible([(0, 1, 1), (1, 1, 1)])            # STA 1 has one radio
     with pytest.raises(InvalidInputError):
-        selection_feasible(LinkSelection(np.zeros((2, 2, 3))), pairing, budget)
+        selection_feasible(LinkSelection(np.zeros((2, 3)), PairingMatrix([0, 0, 0], 2)),
+                           pairing, budget)

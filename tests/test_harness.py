@@ -668,9 +668,9 @@ def _assert_array_builds_match_loop_oracles(doc, sc, base_db=None):
         assert [(r.sta_id, r.ap_id, r.channel_ids) for r in result.recommendations] == \
             oracles.recommendations_per_station(sc, final.pairing, final.selection)
         # a station left unpaired is recommended no AP and no channel
-        x = final.pairing.x.copy()
-        x[:, 0] = 0
-        pairing = PairingMatrix(x)
+        owner = final.pairing.owner.copy()
+        owner[0] = -1
+        pairing = PairingMatrix(owner, sc.n_aps)
         assert [(r.sta_id, r.ap_id, r.channel_ids)
                 for r in harness._recommendations(sc, pairing, final.selection)] == \
             oracles.recommendations_per_station(sc, pairing, final.selection)
@@ -793,6 +793,40 @@ def test_rate_memo_bounded_and_built_once_per_contention():
     assert max(sizes) == harness.RATE_MEMO_SIZE
 
 
+SWAPPED = """
+name: swapped
+channels:
+  - {id: 1, band: 5GHz, bandwidth_mhz: 40, mcs: 5}
+aps:
+  - {id: ap1, radios: 1}
+  - {id: ap2, radios: 1}
+stas:
+  - {id: sta1, radios: 1, snr_offset_db: {ap1: 2.0, ap2: 1.0}}
+  - {id: sta2, radios: 1, snr_offset_db: {ap1: 0.0, ap2: -8.0}}
+"""
+
+
+def test_equal_links_under_another_pairing_are_not_shared():
+    # greedy gives sta1 its best AP and strands sta2 on ap2's weak link; the
+    # optimum swaps them. Each station runs one link on the one channel, so
+    # the two selections hold equal links that name different APs.
+    sc = load_scenario(io.StringIO(SWAPPED))
+    optimal = run_apc_loop(sc, solver="optimal", iterations=1)
+    # the greedy step resumes under the same contention, so it reads the
+    # record the optimal step left
+    assert optimal.carry.contenders == (2,) and len(optimal.carry.memo) == 1
+    greedy = run_apc_loop(sc, solver="greedy", iterations=1, carry=optimal.carry)
+    first, second = optimal.final, greedy.final
+    assert first.pairing.owner.tolist() == [1, 0]
+    assert second.pairing.owner.tolist() == [0, 1]
+    assert first.selection.links.tolist() == second.selection.links.tolist() == [[1, 1]]
+    assert second.selection is not first.selection
+    assert second.selection.pairing.owner.tolist() == [0, 1]
+    assert second.selection.s.tolist() == [[[1, 0], [0, 1]]]
+    assert selection_feasible(second.selection, second.pairing,
+                              RadioBudget(sc.sta_radio_limits()))
+
+
 @pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
 def test_served_rates_computed_once_per_step(allocator):
     sc = _fixture()
@@ -801,7 +835,7 @@ def test_served_rates_computed_once_per_step(allocator):
         result = run_apc_loop(sc, allocator=allocator, iterations=7)
     # one call per step, on that step's selection
     assert spy.call_count == 7
-    assert all(c.args[0] is r.selection.s
+    assert all(c.args[0] is r.selection
                for c, r in zip(spy.call_args_list, result.reports, strict=True))
 
 

@@ -168,7 +168,7 @@ def test_optimal_pairing_matches_dp_and_lp_oracles(case):
     x = pair_optimal_lp(_instance(d, caps)).x
     assert (x.sum(axis=0) == 1).all()
     assert (x.sum(axis=1) <= caps).all()
-    got = objective_value(PairingMatrix(x), d)
+    got = objective_value(PairingMatrix(x.argmax(axis=0), len(caps)), d)
     lp = float((d * np.round(oracles.assignment_lp_vertex(d, caps))).sum())
     assert got == pytest.approx(oracles.best_assignment_value(d, caps), rel=1e-9, abs=1e-9)
     assert got == pytest.approx(lp, rel=1e-9, abs=1e-9)
@@ -246,8 +246,17 @@ def test_instance_validation():
 
 
 def test_pairing_matrix_rejects_shared_sta():
+    # one AP index per station: a station listed under two APs is no owner
+    # vector, and neither is an index outside the APs
     with pytest.raises(InvalidInputError):
-        PairingMatrix(x=np.array([[1, 0], [1, 0]]))
+        PairingMatrix(np.array([[0, 1], [0, 1]]), 2)
+    for owner in ([2, 0], [-2, 0], [0.0, 1.0]):
+        with pytest.raises(InvalidInputError):
+            PairingMatrix(owner, 2)
+    pairing = PairingMatrix([1, -1, 1], 2)
+    assert pairing.x.tolist() == [[0, 0, 0], [1, 0, 1]]
+    assert pairing.m_stas == 3 and not pairing.x.flags.writeable
+    assert not pairing.owner.flags.writeable
 
 
 def test_mmkp_single_cell():
@@ -316,23 +325,23 @@ def test_mmkp_size_guard():
 
 
 def test_objective_zero_matrix():
-    x = PairingMatrix(x=np.zeros((2, 2), dtype=int))
+    x = PairingMatrix([-1, -1], 2)
     assert objective_value(x, np.array([[9.0, 8.0], [7.0, 1.0]])) == 0.0
 
 
 def test_objective_hand_value():
-    x = PairingMatrix(x=np.array([[0, 1], [1, 0]]))
+    x = PairingMatrix([1, 0], 2)
     assert objective_value(x, np.array([[9.0, 8.0], [7.0, 1.0]])) == 15.0
 
 
 def test_objective_equals_trace_form():
     rng = np.random.default_rng(41)
     d = rng.uniform(0, 1, size=(3, 4))
-    x = PairingMatrix(x=np.array([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]))
+    x = PairingMatrix([0, 1, 2, 1], 3)
     assert objective_value(x, d) == pytest.approx(float(np.trace(x.x.T @ d)))
 
 
 def test_objective_shape_mismatch():
-    x = PairingMatrix(x=np.array([[1]]))
+    x = PairingMatrix([0], 1)
     with pytest.raises(InvalidInputError):
         objective_value(x, np.zeros((2, 2)))
