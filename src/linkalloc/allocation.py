@@ -3,9 +3,9 @@
 Given the pairing and the rate tensor C[f, n, m], the allocator decides which
 channels each paired link actually runs on, limited by the station's r(m)
 radios. The AP's R(n) counts the stations it serves, which pairing already
-enforces, so no AP link budget applies here. A station has one AP at most,
-so a selection holds links[f, m], STA m's link to its AP on channel f, and
-the pairing that names the APs. The proportional-fair policy scores channels by
+enforces, so no AP link budget applies here. A station has one AP at most, so
+a selection holds links[f, m], STA m's link to its AP on channel f, and the
+pairing that names the APs. The proportional-fair policy scores channels by
 instantaneous candidate rate over the exponentially averaged served rate (the
 classic PF metric applied per channel), so a channel that has been starved
 rises in priority until the loop equalizes rate-per-history across channels.
@@ -62,8 +62,7 @@ class LinkSelection:
         if links.ndim != 2 or links.shape[1] != self.pairing.m_stas \
                 or links.dtype != bool and not ((links == 0) | (links == 1)).all() \
                 or links[:, self.pairing.owner < 0].any():
-            raise InvalidInputError(f"selection must be 0/1 of shape (F, {self.pairing.m_stas}), "
-                                    "with no link for an unpaired station")
+            raise InvalidInputError(f"need 0/1 links, (F, {self.pairing.m_stas}), on paired STAs")
         links = links.astype(np.int8, copy=False)
         links.setflags(write=False)
         object.__setattr__(self, "links", links)
@@ -266,4 +265,5 @@ def selection_feasible(selection: LinkSelection, pairing: PairingMatrix,
     _check_budget(pairing, budget)
     if selection.s.shape[1:] != pairing.x.shape:
         raise InvalidInputError("selection does not match the pairing dimensions")
-    return bool((selection.s.sum(axis=0) <= pairing.x * budget.sta_radio_limits).all())
+    per_link = selection.s.sum(axis=0)
+    return bool((per_link <= pairing.x * budget.sta_radio_limits).all())

@@ -16,15 +16,14 @@ channel, and the loop revisits the same few contender vectors (two on the
 bundled fixture, three on a 30-AP/1000-STA network). So each contention
 gets one record, built on its first visit: the tensor, the rates the
 allocator may use, the pairing input weighed from them, and the last
-pairing and selection made on it, which `LoopCarry` carries from run to run
-(see there). Pairing and allocation still run on every step. Allocation
+selection made on it, with its pairing; `LoopCarry` carries the records
+from run to run. Pairing and allocation still run on every step. Allocation
 reads the averages, which move on every step. Pairing is a pure function of
 the tensor, but each step's pairing stays its own call, which the benchmark
 counts and checks against an independent solver. A decision equal to the
 last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory; a selection is equal only
-under an equal pairing. Each step's served rates and network total come
-from one selection x rate product.
+reports of a cycling loop do not grow memory. Each step's served rates and
+network total come from one selection x rate product.
 
 A sweep with `workers` > 1 runs its rounds in a process pool. The pool
 starts on the first such sweep and is reused by later sweeps with the same
@@ -125,9 +124,9 @@ class LoopCarry:
 
     Besides the averages and the contention it carries the run's memo: at
     most `RATE_MEMO_SIZE` records keyed by contender tuple, least recently
-    used first, each (tensor, usable rates, PairingInstance, pairing,
-    selection), the last two being the last decision made under that
-    contention. The next run reuses them only for the same scenario object,
+    used first, each (tensor, usable rates, PairingInstance, selection), the
+    last being the last decision made under that contention, its pairing
+    included. The next run reuses them only for the same scenario object,
     MCS override and SLO-or-not mode and a bit-equal SNR field, and ignores
     them otherwise. A run never alters the carry it was given.
     """
@@ -272,23 +271,23 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             # mean over usable channels: the plain channel mean unless SLO masks links
             record = (tensor, usable_rates,
                       PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
-                                      caps, limits), None, None)
-        tensor, usable_rates, instance, seen_pairing, seen_selection = record
+                                      caps, limits), None)
+        tensor, usable_rates, instance, seen = record
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
         # an equal decision shares the arrays of the last one under this
         # contention; a carry may come from a run with the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
-        if seen_pairing is not None and np.array_equal(pairing.owner, seen_pairing.owner):
-            pairing = seen_pairing
+        if seen is not None and np.array_equal(pairing.owner, seen.pairing.owner):
+            pairing = seen.pairing
         selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, usable_rates, state)
-        if seen_selection is not None \
-                and selection.unallocated_edges == seen_selection.unallocated_edges \
-                and np.array_equal(selection.pairing.owner, seen_selection.pairing.owner) \
-                and np.array_equal(selection.links, seen_selection.links):
-            selection = seen_selection
-        memo[key] = (tensor, usable_rates, instance, pairing, selection)   # most recent last
+        # the pairing is shared above exactly when its owner vector is equal
+        if seen is not None and selection.pairing is seen.pairing \
+                and selection.unallocated_edges == seen.unallocated_edges \
+                and np.array_equal(selection.links, seen.links):
+            selection = seen
+        memo[key] = (tensor, usable_rates, instance, selection)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
         # SLO links run only where its mask keeps the rates, so the full

@@ -87,8 +87,7 @@ class PairingMatrix:
         owner = np.array(self.owner)
         if owner.ndim != 1 or owner.dtype.kind not in "iu" or self.n_aps < 1 \
                 or owner.min(initial=0) < -1 or owner.max(initial=0) >= self.n_aps:
-            raise InvalidInputError(f"owner must hold one AP index below {self.n_aps}, "
-                                    f"or -1, per STA; got {owner.dtype} of shape {owner.shape}")
+            raise InvalidInputError(f"owner must be an AP index below {self.n_aps}, or -1, per STA")
         owner.setflags(write=False)
         object.__setattr__(self, "owner", owner)
 
@@ -124,8 +123,10 @@ def build_incidence(n_aps: int, m_stas: int) -> np.ndarray:
     if n_aps < 1 or m_stas < 1:
         raise InvalidInputError("need at least one AP and one STA")
     inc = np.zeros((m_stas + n_aps, n_aps * m_stas), dtype=np.int8)
-    edge = np.arange(n_aps * m_stas)
-    inc[edge // n_aps, edge] = inc[m_stas + edge % n_aps, edge] = 1
+    for m in range(m_stas):
+        for n in range(n_aps):
+            inc[m, m * n_aps + n] = 1
+            inc[m_stas + n, m * n_aps + n] = 1
     inc.setflags(write=False)
     return inc
 

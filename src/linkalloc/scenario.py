@@ -18,8 +18,8 @@ and the rest of the package reads the AP and station settings from them only:
   applied over the channel's;
 - `home_channel[n]`: the position in `channels` of AP n's single-link home
   channel, its `slo_channel`, else channel n % F;
-- `ap_radios[n]` and `sta_radios[m]`: R(n) and r(m), as `ap_capacities()`
-  and `sta_radio_limits()` return them.
+- `ap_radios[n]` and `sta_radios[m]`: R(n) and r(m), which `ap_capacities()`
+  and `sta_radio_limits()` return.
 
 Schema (all SNR values in dB)::
 

@@ -228,6 +228,14 @@ def test_truncated_keeps_prefix():
     small = sc.truncated(4)
     assert small.m_stas == 4
     assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
+    # the radio counts are built once at load, read-only, and sliced along
+    for scenario in (sc, small):
+        assert scenario.sta_radio_limits().tolist() == [s.radios for s in scenario.stas]
+        assert scenario.ap_capacities().tolist() == [a.radios for a in scenario.aps]
+        assert scenario.sta_radio_limits() is scenario.sta_radio_limits()
+        assert scenario.ap_capacities() is scenario.ap_capacities()
+        assert not scenario.sta_radio_limits().flags.writeable
+        assert not scenario.ap_capacities().flags.writeable
 
 
 def test_dcf_overrides_parsed():
