@@ -121,10 +121,9 @@ class RadioBudget:
     @classmethod
     def from_pairing(cls, pairing: PairingMatrix, sta_radio_limits) -> "RadioBudget":
         """The limits of the pairing's stations, checked against its size."""
-        lim = np.asarray(sta_radio_limits, dtype=int)
-        if lim.shape != (pairing.m_stas,):
-            raise InvalidInputError("need one radio limit per STA")
-        return cls(sta_radio_limits=lim)
+        budget = cls(sta_radio_limits=sta_radio_limits)
+        _check_budget(pairing, budget)
+        return budget
 
 
 def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
@@ -134,8 +133,7 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
     every active link's contention-discounted rate. The product of the paired
     links is laid out like the tensor, so each sum adds what a product over
     every link would, in the same order."""
-    ms = np.flatnonzero(selection.pairing.owner >= 0)
-    ns = selection.pairing.owner[ms]
+    ns, ms = selection.pairing.paired
     served = np.zeros(rates.values.shape)
     served[:, ns, ms] = selection.links[:, ms] * rates.values[:, ns, ms]
     counts = selection.per_channel_counts()
@@ -196,10 +194,7 @@ def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor
     _check_budget(pairing, budget)
     if rates.values.shape[1:] != (pairing.n_aps, pairing.m_stas):
         raise InvalidInputError("rate tensor does not match the pairing dimensions")
-    owner = pairing.owner
-    # a stable sort keeps each AP's stations ascending; the unpaired (-1) lead
-    ms = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
-    return owner[ms], ms
+    return pairing.paired
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,

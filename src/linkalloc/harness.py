@@ -275,14 +275,13 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         tensor, usable_rates, instance, seen = record
         if state is None:
             state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
-        # an equal decision shares the arrays of the last one under this
-        # contention; a carry may come from a run with the other solver
+        # an equal decision shares the last one's arrays under this contention; a
+        # selection only with its pairing, as a carry may come from the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
         if seen is not None and np.array_equal(pairing.owner, seen.pairing.owner):
             pairing = seen.pairing
         selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, usable_rates, state)
-        # the pairing is shared above exactly when its owner vector is equal
         if seen is not None and selection.pairing is seen.pairing \
                 and selection.unallocated_edges == seen.unallocated_edges \
                 and np.array_equal(selection.links, seen.links):

@@ -77,8 +77,8 @@ class PairingInstance:
 @dataclass(frozen=True)
 class PairingMatrix:
     """Assignment of STAs to APs: `owner[m]` is the AP of STA m, -1 when
-    unpaired, so every STA belongs to at most one AP. `x` is the dense binary
-    X[n, m], read-only, built when first read."""
+    unpaired. `paired` lists the (AP, STA) pairs AP-major; it and the dense
+    binary X[n, m] `x` are read-only and built when first read."""
 
     owner: np.ndarray
     n_aps: int
@@ -94,6 +94,12 @@ class PairingMatrix:
     @property
     def m_stas(self) -> int:
         return self.owner.shape[0]
+
+    @cached_property
+    def paired(self) -> tuple:
+        # a stable sort keeps each AP's stations ascending; the unpaired (-1) lead
+        ms = np.argsort(self.owner, kind="stable")[np.count_nonzero(self.owner < 0):]
+        return self.owner[ms], ms
 
     @cached_property
     def x(self) -> np.ndarray:
