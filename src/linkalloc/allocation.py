@@ -130,9 +130,8 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
     """The step's served rates, both read off one selection x rate product:
     per channel, the mean rate of its active links (0 when idle), which drives
     the PF metric and the average update; and the network total, the sum of
-    every active link's contention-discounted rate. The product of the paired
-    links is laid out like the tensor, so each sum adds what a product over
-    every link would, in the same order."""
+    every active link's contention-discounted rate. The paired links' product
+    is summed in the tensor's layout, so it rounds as a dense product would."""
     ns, ms = selection.pairing.paired
     served = np.zeros(rates.values.shape)
     served[:, ns, ms] = selection.links[:, ms] * rates.values[:, ns, ms]

@@ -77,8 +77,8 @@ class PairingInstance:
 @dataclass(frozen=True)
 class PairingMatrix:
     """Assignment of STAs to APs: `owner[m]` is the AP of STA m, -1 when
-    unpaired. `paired` lists the (AP, STA) pairs AP-major; it and the dense
-    binary X[n, m] `x` are read-only and built when first read."""
+    unpaired. Read-only and built when first read: `paired`, the AP and STA
+    index rows of the pairs, AP-major, and `x`, the dense binary X[n, m]."""
 
     owner: np.ndarray
     n_aps: int
@@ -96,10 +96,12 @@ class PairingMatrix:
         return self.owner.shape[0]
 
     @cached_property
-    def paired(self) -> tuple:
+    def paired(self) -> np.ndarray:
         # a stable sort keeps each AP's stations ascending; the unpaired (-1) lead
         ms = np.argsort(self.owner, kind="stable")[np.count_nonzero(self.owner < 0):]
-        return self.owner[ms], ms
+        pairs = np.stack((self.owner[ms], ms))
+        pairs.setflags(write=False)
+        return pairs
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -18,8 +18,7 @@ and the rest of the package reads the AP and station settings from them only:
   applied over the channel's;
 - `home_channel[n]`: the position in `channels` of AP n's single-link home
   channel, its `slo_channel`, else channel n % F;
-- `ap_radios[n]` and `sta_radios[m]`: R(n) and r(m), which `ap_capacities()`
-  and `sta_radio_limits()` return.
+- `ap_radios[n]` and `sta_radios[m]`: the radio counts R(n) and r(m).
 
 Schema (all SNR values in dB)::
 
