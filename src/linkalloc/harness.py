@@ -10,20 +10,22 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 `write_table` serializes every table the package emits.
 
 A step pays only for what changed. The SNR field is the scenario's offset
-table, built once, plus the run's base. The rate tensor is a pure function
-of the scenario, the SNR field, the MCS override and the contenders per
-channel, and the loop revisits the same few contender vectors (two on the
-bundled fixture, three on a 30-AP/1000-STA network). So each contention
-gets one record, built on its first visit: the tensor, the rates the
-allocator may use, the pairing input weighed from them, and the last
-selection made on it, with its pairing; `LoopCarry` carries the records
-from run to run. Pairing and allocation still run on every step. Allocation
-reads the averages, which move on every step. Pairing is a pure function of
-the tensor, but each step's pairing stays its own call, which the benchmark
-counts and checks against an independent solver. A decision equal to the
-last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory. Each step's served rates and
-network total come from one selection x rate product.
+table plus the run's base, built once per run. The rate tensor is a pure
+function of the scenario, the SNR field, the MCS override and the
+contenders per channel, and the loop revisits the same few contender
+vectors (two on the bundled fixture, three on a 30-AP/1000-STA network).
+So each contention gets one record, built on its first visit: the tensor,
+the rates the allocator may use, the pairing input weighed from them, and
+the last selection made on it, with its pairing. `LoopCarry` carries the
+field and the records to the next run, which reuses them when it has the
+same scenario object, MCS override, SLO-or-not mode, SNR base and (for
+drawn scenarios) seed. Pairing and allocation still run on every step.
+Allocation reads the averages, which move on every step. Pairing is a pure
+function of the tensor, but each step's pairing stays its own call, which
+the benchmark counts and checks against an independent solver. A decision
+equal to the last one made under the same contention shares that one's
+arrays, so the reports of a cycling loop do not grow memory. Each step's
+served rates and network total come from one selection x rate product.
 
 A sweep with `workers` > 1 runs its rounds in a process pool. The pool
 starts on the first such sweep and is reused by later sweeps with the same
@@ -122,29 +124,23 @@ class Recommendation:
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
-    Besides the averages and the contention it carries the run's memo: at
-    most `RATE_MEMO_SIZE` records keyed by contender tuple, least recently
-    used first, each (tensor, usable rates, PairingInstance, selection), the
-    last being the last decision made under that contention, its pairing
-    included. The next run reuses them only for the same scenario object,
-    MCS override and SLO-or-not mode and a bit-equal SNR field, and ignores
-    them otherwise. A run never alters the carry it was given.
+    Besides the averages and the contention it carries the run's SNR field
+    and memo: at most `RATE_MEMO_SIZE` records keyed by contender tuple,
+    least recently used first, each (tensor, usable rates, PairingInstance,
+    selection), the last being the last decision made under that
+    contention, its pairing included. `run` keys both on the run's checked
+    inputs: the scenario object, MCS override, SLO-or-not mode, SNR base
+    (by its exact bits) and, for a scenario that draws its bases, the seed.
+    The next run reuses them only under an equal key, and ignores them
+    otherwise. A run never alters the carry it was given.
     """
 
     state: ThroughputState
     contenders: tuple
     next_iteration: int
-    scenario: Scenario | None = None
-    mcs_override: int | None = None
-    slo: bool = False
+    run: tuple | None = None
     snr_field: np.ndarray | None = None
     memo: tuple = ()
-
-    def serves(self, scenario: Scenario, mcs_override, slo: bool,
-               snr_field: np.ndarray) -> bool:
-        return (self.scenario is scenario and self.mcs_override == mcs_override
-                and self.slo == slo
-                and np.array_equal(self.snr_field.view(np.uint64), snr_field.view(np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -183,17 +179,15 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
-def _seeded_rng(scenario: Scenario, rng_seed) -> np.random.Generator | None:
-    """The run's generator: `rng_seed` (an integer or a list of integers,
-    each under the scenario's seed rule), else the scenario's seed. None when
-    the scenario draws nothing (no `snr_random_range_db`); the seed is
-    checked all the same."""
-    if rng_seed is not None:
-        for part in rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]:
-            check_seed(part)
-    if scenario.snr_random_range_db is None:
-        return None
-    return np.random.default_rng(scenario.rng_seed if rng_seed is None else rng_seed)
+def _run_seed(scenario: Scenario, rng_seed) -> tuple | None:
+    """The seed the run draws its SNR bases with, as a tuple of ints
+    (`default_rng` draws the same stream from 7 and (7,)): `rng_seed` (an
+    integer or a list of integers, each under the scenario's seed rule),
+    else the scenario's seed. None when the scenario draws nothing (no
+    `snr_random_range_db`); the seed is checked all the same."""
+    seed = (scenario.rng_seed,) if rng_seed is None else tuple(
+        map(check_seed, rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]))
+    return None if scenario.snr_random_range_db is None else seed
 
 
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
@@ -206,9 +200,10 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     static radio environment and all dynamics come from contention feedback
     and the moving averages. Passing the previous run's `carry` continues its
     averages and contention instead of cold-starting, which is how operating
-    changes (say, an MCS switch) are evaluated mid-flight. The carry's rate
-    tensors are reused only while the scenario object, the MCS override, the
-    SLO-or-not mode and the SNR field stay the same. `snr_base_db` replaces
+    changes (say, an MCS switch) are evaluated mid-flight. The carry's SNR
+    field and rate tensors are reused only while the scenario object, the
+    MCS override, the SLO-or-not mode, the SNR base and (for a scenario that
+    draws its bases) the seed stay the same. `snr_base_db` replaces
     the scenario's base; a scenario that draws each link's base from its
     `snr_random_range_db` refuses it with `ValidationError`.
 
@@ -231,11 +226,17 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
 
-    snr_field = scenario.snr_field(base_db=snr_base_db, rng=_seeded_rng(scenario, rng_seed))
-    snr_field.setflags(write=False)     # the carry holds it
-    label = _mcs_label(scenario, mcs_override)
-    base_reported = scenario.snr_base(snr_base_db)
+    seed = _run_seed(scenario, rng_seed)
+    base_reported = scenario.snr_base(snr_base_db, drawn=seed is not None)
     slo = allocator == "slo"
+    run = (scenario, mcs_override, slo, base_reported.hex(), seed)
+    if carry is not None and carry.run == run:
+        snr_field, memo = carry.snr_field, dict(carry.memo)
+    else:
+        rng = None if seed is None else np.random.default_rng(seed)
+        snr_field, memo = scenario.snr_field(base_db=snr_base_db, rng=rng), {}
+        snr_field.setflags(write=False)     # the carry holds it
+    label = _mcs_label(scenario, mcs_override)
     if slo:
         algorithm = "slo"
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
@@ -256,8 +257,6 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     contenders = list(carry.contenders) if carry is not None \
         else bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan))
     start_iter = carry.next_iteration if carry is not None else 1
-    memo = dict(carry.memo) if carry is not None \
-        and carry.serves(scenario, mcs_override, slo, snr_field) else {}
 
     reports = []
     for it in range(start_iter, start_iter + iterations):
@@ -313,9 +312,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         contenders = selection.per_channel_counts().tolist()
 
     carry_out = LoopCarry(state=state, contenders=tuple(contenders),
-                          next_iteration=start_iter + iterations, scenario=scenario,
-                          mcs_override=mcs_override, slo=slo, snr_field=snr_field,
-                          memo=tuple(memo.items()))
+                          next_iteration=start_iter + iterations, run=run,
+                          snr_field=snr_field, memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 
 
@@ -572,7 +570,8 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     """
     if m_stas is not None:
         scenario = scenario.truncated(m_stas)
-    snr_field = scenario.snr_field(rng=_seeded_rng(scenario, rng_seed))
+    seed = _run_seed(scenario, rng_seed)
+    snr_field = scenario.snr_field(rng=None if seed is None else np.random.default_rng(seed))
     tensor = build_rate_tensor(scenario, snr_field=snr_field)
     instance = PairingInstance(tensor.values.mean(axis=0), scenario.ap_capacities(),
                                scenario.sta_radio_limits())

@@ -147,7 +147,8 @@ def assignment_lp_vertex(d, caps):
     sum_m x[n, m] <= caps[n] for every AP and 0 <= x <= 1, solved by dual
     simplex on dense constraint matrices. Edge e = n * M + m. The vertex is
     returned unrounded, so callers can check that total unimodularity made
-    it integral.
+    it integral. The tolerances are tighter than HiGHS's 1e-7 defaults, which
+    stop at a vertex short of the optimum by a weight below 1e-7.
     """
     from scipy.optimize import linprog
 
@@ -161,7 +162,9 @@ def assignment_lp_vertex(d, caps):
     for n in range(n_aps):
         a_ub[n, n * m_stas:(n + 1) * m_stas] = 1.0
     res = linprog(-d.reshape(e), A_ub=a_ub, b_ub=np.asarray(caps, dtype=float),
-                  A_eq=a_eq, b_eq=np.ones(m_stas), bounds=(0.0, 1.0), method="highs-ds")
+                  A_eq=a_eq, b_eq=np.ones(m_stas), bounds=(0.0, 1.0), method="highs-ds",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"assignment LP failed: {res.message}")
     return res.x.reshape(n_aps, m_stas)

@@ -367,6 +367,24 @@ def test_oracle_dominance(capsys):
     assert float(rec["joint_objective_bps"]) >= float(rec["two_stage_objective_bps"]) - 1e-6
 
 
+def _table(capsys, argv) -> list:
+    assert main(argv) == 0
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def test_timing_flag_fills_only_the_wall_columns(capsys):
+    for argv, walls in (
+            (["run", "--scenario", "scenario_3ap_15sta", "--iterations", "5"],
+             ["wall_time_s"]),
+            (["oracle", "--scenario", "scenario_2ap_joint", "--stas", "3,4", "--seed", "0"],
+             ["two_stage_wall_s", "joint_wall_s"])):
+        plain, timed = _table(capsys, argv), _table(capsys, argv + ["--timing"])
+        assert all(row[w] == "0.0" for row in plain for w in walls)
+        assert all(float(row[w]) > 0 for row in timed for w in walls)
+        blank = dict.fromkeys(walls)
+        assert [dict(row, **blank) for row in timed] == [dict(row, **blank) for row in plain]
+
+
 def test_check_tu_passes(capsys):
     rc = main(["check-tu", "--aps", "3", "--stas", "3", "--submatrix", "3"])
     assert rc == 0

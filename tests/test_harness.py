@@ -38,7 +38,7 @@ from linkalloc.harness import (
     run_slo_baseline,
     validate_dcf,
 )
-from linkalloc.scenario import bundled_scenario_path, load_scenario
+from linkalloc.scenario import Scenario, bundled_scenario_path, load_scenario
 
 ONE_OF_EVERYTHING = """
 name: single
@@ -750,6 +750,20 @@ def test_carry_reuse_rule_counted_in_tensor_builds():
     records = pf.memo
     snapshot = [tuple(map(id, record)) for _, record in records]
     assert builds(fx, pf)[0] == 0       # every contention it meets is carried
+    # the fixture draws nothing, so its field does not depend on the seed
+    assert fx.snr_random_range_db is None and builds(fx, pf, rng_seed=[3, 4])[0] == 0
+    # equal inputs reuse the carried field: none is built to compare with it
+    field = Scenario.snr_field
+    with mock.patch.object(Scenario, "snr_field", autospec=True, side_effect=field) as spy:
+        run_apc_loop(fx, iterations=3, carry=pf)
+        assert spy.call_count == 0
+        run_apc_loop(fx, iterations=3, carry=pf, snr_base_db=15.0)
+        assert spy.call_count == 1
+    # a drawn scenario's seed counts by value: 7 and [7] draw the same field
+    drawn = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
+    seeded = run_apc_loop(drawn, iterations=3, rng_seed=7).carry
+    assert builds(drawn, seeded, rng_seed=[7])[0] == 0
+    assert builds(drawn, seeded, rng_seed=8)[0] > 0
     # an equal scenario with a bit-equal SNR field is still another object
     twin = dataclasses.replace(fx)
     assert twin is not fx and np.array_equal(twin.snr_field(), fx.snr_field(), equal_nan=True)
@@ -763,6 +777,23 @@ def test_carry_reuse_rule_counted_in_tensor_builds():
     # the carries passed in are left as they were
     assert pf.memo is records
     assert [tuple(map(id, record)) for _, record in pf.memo] == snapshot
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("scenario_3ap_15sta", {"snr_base_db": float("nan")}),
+    ("scenario_2ap_joint", {"snr_base_db": 20.0}),       # it draws its bases
+    ("scenario_2ap_joint", {"rng_seed": -1}),
+    ("scenario_3ap_15sta", {"rng_seed": -1}),            # checked though unused
+    ("scenario_2ap_joint", {"rng_seed": [1, -2]}),
+    ("scenario_3ap_15sta", {"rng_seed": [1, 2.5]}),
+    ("scenario_2ap_joint", {"rng_seed": [True, 2]}),
+])
+def test_resumed_run_still_checks_its_inputs(name, bad):
+    sc = load_scenario(bundled_scenario_path(name))
+    carry = run_apc_loop(sc, iterations=2).carry
+    run_apc_loop(sc, iterations=1, carry=carry)     # equal inputs resume
+    with pytest.raises(ValidationError):
+        run_apc_loop(sc, iterations=1, carry=carry, **bad)
 
 
 def test_rate_memo_bounded_and_built_once_per_contention():
