@@ -6,26 +6,28 @@ rates, allocate radio links per channel, fold the outcome into the moving
 averages. `run_apc_loop` iterates that to a fixed count and reports per
 iteration; its `allocator="slo"` is the single-link baseline, the same loop
 restricted to each AP's home channel (`run_slo_baseline` is an alias).
-`run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds, and
-`write_table` serializes every table the package emits.
+`run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds,
+`compare_joint_vs_two_stage` measures the loop's own first step against the
+exact joint optimum, and `write_table` serializes every table the package
+emits.
 
-A step pays only for what changed. The SNR field is the scenario's offset
-table plus the run's base, built once per run. The rate tensor is a pure
-function of the scenario, the SNR field, the MCS override and the
-contenders per channel, and the loop revisits the same few contender
-vectors (two on the bundled fixture, three on a 30-AP/1000-STA network).
-So each contention gets one record, built on its first visit: the tensor,
-the rates the allocator may use, the pairing input weighed from them, and
-the last selection made on it, with its pairing. `LoopCarry` carries the
-field and the records to the next run, which reuses them when it has the
-same scenario object, MCS override, SLO-or-not mode, SNR base and (for
-drawn scenarios) seed. Pairing and allocation still run on every step.
-Allocation reads the averages, which move on every step. Pairing is a pure
-function of the tensor, but each step's pairing stays its own call, which
-the benchmark counts and checks against an independent solver. A decision
-equal to the last one made under the same contention shares that one's
-arrays, so the reports of a cycling loop do not grow memory. Each step's
-served rates and network total come from one selection x rate product.
+A step pays only for what changed. The SNR field (`Scenario.snr_field`) is
+built once per run. The rate tensor is a pure function of the scenario, the
+SNR field, the MCS override and the contenders per channel, and the loop
+revisits the same few contender vectors (two on the bundled fixture, three
+on a 30-AP/1000-STA network). So each contention gets one record, built on
+its first visit: the rates a step reads (the tensor, masked to the home
+channels under SLO), the pairing input weighed from them, and the last
+selection made on it, with its pairing. `LoopCarry` carries the field and
+the records to the next run, which reuses them when it has the same scenario
+object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
+seed. Pairing and allocation still run on every step. Allocation reads the
+averages, which move on every step. Pairing is a pure function of the
+tensor, but each step's pairing stays its own call, which the benchmark
+counts and checks against an independent solver. A decision equal to the
+last one made under the same contention shares that one's arrays, so the
+reports of a cycling loop do not grow memory. Each step's served rates and
+network total come from one selection x rate product.
 
 A sweep with `workers` > 1 runs its rounds in a process pool. The pool
 starts on the first such sweep and is reused by later sweeps with the same
@@ -68,7 +70,7 @@ from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp, \
     solve_joint_mmkp_bruteforce
 from .rates import RateTensor, bootstrap_contenders, build_rate_tensor
-from .scenario import Scenario, check_seed
+from .scenario import Scenario
 
 __all__ = [
     "IterationReport",
@@ -126,11 +128,13 @@ class LoopCarry:
 
     Besides the averages and the contention it carries the run's SNR field
     and memo: at most `RATE_MEMO_SIZE` records keyed by contender tuple,
-    least recently used first, each (tensor, usable rates, PairingInstance,
-    selection), the last being the last decision made under that
-    contention, its pairing included. `run` keys both on the run's checked
+    least recently used first, each (rates, PairingInstance, selection):
+    the rates a step reads under that contention (SLO's masked to the home
+    channels), the pairing input weighed from them, and the last decision
+    made under it, its pairing included. `run` keys both on the run's checked
     inputs: the scenario object, MCS override, SLO-or-not mode, SNR base
-    (by its exact bits) and, for a scenario that draws its bases, the seed.
+    (by its exact bits) and, for a scenario that draws its bases, the seed
+    (`Scenario.run_seed`).
     The next run reuses them only under an equal key, and ignores them
     otherwise. A run never alters the carry it was given.
     """
@@ -179,33 +183,23 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
-def _run_seed(scenario: Scenario, rng_seed) -> tuple | None:
-    """The seed the run draws its SNR bases with, as a tuple of ints
-    (`default_rng` draws the same stream from 7 and (7,)): `rng_seed` (an
-    integer or a list of integers, each under the scenario's seed rule),
-    else the scenario's seed. None when the scenario draws nothing (no
-    `snr_random_range_db`); the seed is checked all the same."""
-    seed = (scenario.rng_seed,) if rng_seed is None else tuple(
-        map(check_seed, rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed]))
-    return None if scenario.snr_random_range_db is None else seed
-
-
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
                  iterations: int = 30, carry: LoopCarry | None = None,
                  snr_base_db: float | None = None, mcs_override: int | None = None,
                  rng_seed=None, timing: bool = False) -> RunResult:
     """Run the pairing+allocation loop for a fixed number of iterations.
 
-    The per-link SNR field is drawn once per run (seeded), so iterations see a
-    static radio environment and all dynamics come from contention feedback
-    and the moving averages. Passing the previous run's `carry` continues its
-    averages and contention instead of cold-starting, which is how operating
-    changes (say, an MCS switch) are evaluated mid-flight. The carry's SNR
-    field and rate tensors are reused only while the scenario object, the
-    MCS override, the SLO-or-not mode, the SNR base and (for a scenario that
-    draws its bases) the seed stay the same. `snr_base_db` replaces
-    the scenario's base; a scenario that draws each link's base from its
-    `snr_random_range_db` refuses it with `ValidationError`.
+    The per-link SNR field is built once per run (`Scenario.snr_field`, with
+    `rng_seed` as its seed), so iterations see a static radio environment
+    and all dynamics come from contention feedback and the moving averages.
+    Passing the previous run's `carry` continues its averages and contention
+    instead of cold-starting, which is how operating changes (say, an MCS
+    switch) are evaluated mid-flight. The carry's SNR field and rate tensors
+    are reused only while the scenario object, the MCS override, the
+    SLO-or-not mode, the SNR base and (for a scenario that draws its bases)
+    the seed stay the same. `snr_base_db` replaces the scenario's base; a
+    scenario that draws each link's base from its `snr_random_range_db`
+    refuses it with `ValidationError`.
 
     `allocator="slo"` is single-link operation, the reference the multi-link
     gains are measured against: every AP serves only on its home channel
@@ -214,7 +208,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     weights and PF allocation see only the home-channel links, so the
     optimal pairing weighs home-channel rates and each paired link runs on
     its home channel when that rate is > 0. It pairs with the optimal solver
-    only.
+    only. With `timing`, a report's `wall_time_s` covers its whole step.
     """
     if solver not in SOLVERS:
         raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
@@ -226,15 +220,14 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
 
-    seed = _run_seed(scenario, rng_seed)
-    base_reported = scenario.snr_base(snr_base_db, drawn=seed is not None)
+    seed = scenario.run_seed(rng_seed)
+    base_reported = scenario.snr_base(snr_base_db)
     slo = allocator == "slo"
     run = (scenario, mcs_override, slo, base_reported.hex(), seed)
     if carry is not None and carry.run == run:
         snr_field, memo = carry.snr_field, dict(carry.memo)
     else:
-        rng = None if seed is None else np.random.default_rng(seed)
-        snr_field, memo = scenario.snr_field(base_db=snr_base_db, rng=rng), {}
+        snr_field, memo = scenario.snr_field(base_db=snr_base_db, seed=rng_seed), {}
         snr_field.setflags(write=False)     # the carry holds it
     label = _mcs_label(scenario, mcs_override)
     if slo:
@@ -266,31 +259,28 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if record is None:
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
-            usable_rates = RateTensor(tensor.values * link_usable) if slo else tensor
+            if state is None:   # a cold run's first step, as its memo is empty
+                state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
+            rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
-            record = (tensor, usable_rates,
-                      PairingInstance(usable_rates.values.sum(axis=0) / usable_count,
-                                      caps, limits), None)
-        tensor, usable_rates, instance, seen = record
-        if state is None:
-            state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
+            record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
+                                             caps, limits), None)
+        rates, instance, seen = record
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
         if seen is not None and np.array_equal(pairing.owner, seen.pairing.owner):
             pairing = seen.pairing
-        selection = allocate_rr(pairing, budget, tensor, scenario.rr_weights) \
-            if allocator == "rr" else allocate_pf(pairing, budget, usable_rates, state)
+        selection = allocate_rr(pairing, budget, rates, scenario.rr_weights) \
+            if allocator == "rr" else allocate_pf(pairing, budget, rates, state)
         if seen is not None and selection.pairing is seen.pairing \
                 and selection.unallocated_edges == seen.unallocated_edges \
                 and np.array_equal(selection.links, seen.links):
             selection = seen
-        memo[key] = (tensor, usable_rates, instance, selection)   # most recent last
+        memo[key] = (rates, instance, selection)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        # SLO links run only where its mask keeps the rates, so the full
-        # tensor gives the same served rates
-        inst, total = instantaneous_rates(selection, tensor)
+        inst, total = instantaneous_rates(selection, rates)
         metrics = tuple(pf_metrics(state, inst).tolist())
         state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -400,9 +390,10 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         raise InvalidInputError("rounds must be >= 1")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    if not snrs or not mcss:
+        raise InvalidInputError(f"a sweep needs at least one {'MCS' if snrs else 'SNR'} point")
     # a refused base fails here, before any job reaches the pool
-    drawn = scenario.snr_random_range_db is not None
-    bases = [scenario.snr_base(snr, drawn=drawn) for snr in snrs]
+    bases = [scenario.snr_base(snr) for snr in snrs]
 
     jobs = []
     for i, (snr, mcs) in enumerate((s, m) for s in snrs for m in mcss):
@@ -561,39 +552,33 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
 
 def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
                                rng_seed=None) -> dict:
-    """Exact joint optimum vs the decomposed pipeline on one tensor.
+    """Exact joint optimum vs the controller's own first step.
 
-    Both solvers see the identical bootstrap-contention rate tensor. The
-    two-stage value is the sum of its allocated link rates; the joint value is
-    the exhaustive-search optimum of the same objective. Wall times cover just
-    the solve (pairing+allocation vs enumeration).
+    The two-stage value and wall time are those of the first step of
+    `run_apc_loop` (optimal pairing, PF) from a cold start. The joint value
+    is the exhaustive-search optimum of the same objective on the rate
+    tensor that step reads: the one at bootstrap contention, rebuilt here as
+    the brute force's input. Both wall times include building that tensor,
+    and neither includes the SNR field.
     """
     if m_stas is not None:
         scenario = scenario.truncated(m_stas)
-    seed = _run_seed(scenario, rng_seed)
-    snr_field = scenario.snr_field(rng=None if seed is None else np.random.default_rng(seed))
+    first = run_apc_loop(scenario, iterations=1, rng_seed=rng_seed, timing=True).final
+    snr_field = scenario.snr_field(seed=rng_seed)
+
+    t0 = time.perf_counter()
     tensor = build_rate_tensor(scenario, snr_field=snr_field)
-    instance = PairingInstance(tensor.values.mean(axis=0), scenario.ap_capacities(),
-                               scenario.sta_radio_limits())
-
-    t0 = time.perf_counter()
-    pairing = pair_optimal_lp(instance)
-    budget = RadioBudget(scenario.sta_radio_limits())
-    state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
-    selection = allocate_pf(pairing, budget, tensor, state)
-    two_stage_wall = time.perf_counter() - t0
-    _, two_stage_value = instantaneous_rates(selection, tensor)
-
-    t0 = time.perf_counter()
-    joint = solve_joint_mmkp_bruteforce(tensor, instance)
+    joint = solve_joint_mmkp_bruteforce(tensor, PairingInstance(
+        tensor.values.mean(axis=0), scenario.ap_capacities(), scenario.sta_radio_limits()))
     joint_wall = time.perf_counter() - t0
 
+    two_stage = first.aggregate_throughput_bps
     return {
         "m_stas": scenario.m_stas,
-        "two_stage_objective_bps": two_stage_value,
+        "two_stage_objective_bps": two_stage,
         "joint_objective_bps": joint.objective,
         # both are 0 on a network with no usable link
-        "ratio": two_stage_value / joint.objective if joint.objective > 0 else 1.0,
-        "two_stage_wall_s": two_stage_wall,
+        "ratio": two_stage / joint.objective if joint.objective > 0 else 1.0,
+        "two_stage_wall_s": first.wall_time_s,
         "joint_wall_s": joint_wall,
     }

@@ -108,7 +108,7 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     max(1, contenders[f]) so an empty channel still quotes its unloaded rate.
     """
     if snr_field is None:
-        snr_field = scenario.snr_field(rng=np.random.default_rng(scenario.rng_seed))
+        snr_field = scenario.snr_field()
     snr_field = np.asarray(snr_field, dtype=float)
     expect = (scenario.f_count, scenario.n_aps, scenario.m_stas)
     if snr_field.shape != expect:

@@ -33,10 +33,10 @@ Schema (all SNR values in dB)::
     rr_weights: {1: 1}              # optional round-robin slice counts
     dcf: {cw_min: 16}               # optional DcfParams overrides
     per_model:                      # optional PER configuration
-      kind: logistic                # or "table"
+      kind: logistic                # refuses the fields of kind "table"
       slope_per_db: 1.0
       midpoints_db: {9: 26.0}       # per-MCS logistic midpoints
-      tables: {9: per_mcs9.csv}     # per-MCS CSV tables (kind: table)
+    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, per-MCS CSV tables
     aps:
       - {id: ap1, radios: 5, slo_channel: 1, mcs: {1: 9}}
     stas:
@@ -48,7 +48,8 @@ Schema (all SNR values in dB)::
 a per-AP per-channel map; APs absent from the map are out of range. The
 effective SNR of a link is `snr_base_db + offset`. A scenario that declares
 `snr_random_range_db` instead draws each link's base uniformly from that
-range on every run, and refuses an explicit base. Every number must be
+range on every run, seeded with the run's seed, else its own `seed`, and
+refuses an explicit base. Every number must be
 finite: YAML `.nan` and `.inf` are rejected with their field path, so only
 `out-of-range` marks a link out of range. Integers must fit in signed 64
 bits, and radio counts are at most 2**31 - 1.
@@ -179,28 +180,37 @@ class Scenario:
     def sta_radio_limits(self) -> np.ndarray:
         return self.sta_radios
 
-    def snr_field(self, base_db: float | None = None, rng=None) -> np.ndarray:
+    def run_seed(self, seed=None) -> tuple | None:
+        """The SNR bases' seed: `seed` (an int or a list of ints, each under
+        the seed rule), else `rng_seed`, as a tuple of ints; None, once
+        checked, when there is no `snr_random_range_db` to draw from."""
+        seed = (self.rng_seed,) if seed is None else tuple(
+            map(check_seed, seed if isinstance(seed, (list, tuple)) else [seed]))
+        return None if self.snr_random_range_db is None else seed
+
+    def snr_field(self, base_db: float | None = None, seed=None) -> np.ndarray:
         """Per-link SNR in dB, shape (F, N, M); NaN marks out-of-range links.
 
-        The base is `base_db`, else `snr_base_db`. When the scenario declares
-        `snr_random_range_db` and an `rng` is given, each link's base is
-        drawn uniformly from the range instead, and a `base_db` is refused.
-        The field is that base plus the per-link offsets.
+        The base is `base_db`, else `snr_base_db`. A scenario that declares
+        `snr_random_range_db` draws each link's base uniformly from that
+        range instead, with `run_seed(seed)`, and refuses a `base_db`. The
+        field is that base plus the per-link offsets.
         """
-        drawn = self.snr_random_range_db is not None and rng is not None
-        base = self.snr_base(base_db, drawn=drawn)
-        if drawn:
-            base = rng.uniform(*self.snr_random_range_db, size=self.snr_offsets_db.shape)
+        seed = self.run_seed(seed)
+        base = self.snr_base(base_db)
+        if seed is not None:
+            base = np.random.default_rng(seed).uniform(*self.snr_random_range_db,
+                                                       size=self.snr_offsets_db.shape)
         return base + self.snr_offsets_db
 
-    def snr_base(self, base_db: float | None = None, *, drawn: bool = False) -> float:
+    def snr_base(self, base_db: float | None = None) -> float:
         """The SNR base a run reports: `base_db`, else `snr_base_db`, as a
-        finite float. When the run draws its bases from `snr_random_range_db`
-        (`drawn`), a `base_db` is refused."""
+        finite float. A scenario that draws its bases from
+        `snr_random_range_db` refuses a `base_db`."""
         base = self.snr_base_db if base_db is None else float(base_db)
         if not math.isfinite(base):     # NaN would mark every link out of range
             raise ValidationError(f"SNR base must be a finite number, got {base}")
-        if drawn and base_db is not None:
+        if self.snr_random_range_db is not None and base_db is not None:
             raise ValidationError(
                 f"scenario {self.name} draws each link's SNR base from its "
                 f"snr_random_range_db {list(self.snr_random_range_db)}, so it takes "
@@ -427,6 +437,10 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
     kind = str(doc.get("kind", "logistic"))
     if kind not in ("logistic", "table"):
         raise ValidationError(f"{ctx}.kind: must be 'logistic' or 'table', got {kind!r}")
+    unread = sorted(doc.keys() & ({"tables"} if kind == "logistic"
+                                  else {"midpoints_db", "slope_per_db"}))
+    if unread:
+        raise ValidationError(f"{ctx}.{unread[0]}: not read by kind {kind!r}")
     midpoints = {}
     for mcs, db in _as_mapping(doc.get("midpoints_db", {}), f"{ctx}.midpoints_db").items():
         midpoints[_as_int(mcs, f"{ctx}.midpoints_db")] = _as_number(db, f"{ctx}.midpoints_db[{mcs}]")

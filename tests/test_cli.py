@@ -50,6 +50,33 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
            "wrap.yaml": slo.replace("radios: 1, slo_channel", f"radios: {2**62}, slo_channel")}
     huge = "99999999999999999999999"
     bad["huge_seed.yaml"] = slo.replace("seed: 3", f"seed: {huge}")
+    # schema refusals, each naming its field path
+    def before_aps(line):
+        return slo.replace("aps:", f"{line}\naps:", 1)
+
+    refusals = {
+        "cw_min.yaml": (before_aps("dcf: {cw_min: 0}"),
+                        "dcf: need 1 <= cw_min <= cw_max"),
+        "per_kind.yaml": (before_aps("per_model: {kind: bogus}"),
+                          "per_model.kind: must be 'logistic' or 'table', got 'bogus'"),
+        "range_one.yaml": (before_aps("snr_random_range_db: [6.0]"),
+                           "snr_random_range_db: expected [lo, hi]"),
+        "range_order.yaml": (before_aps("snr_random_range_db: [9.0, 6.0]"),
+                             "snr_random_range_db: expected lo <= hi, got [9.0, 6.0]"),
+        "rr_missing.yaml": (before_aps("rr_weights: {}"),
+                            "rr_weights: missing weight for channel 1"),
+        "offset_list.yaml": (slo.replace("{ap1: 0.0, ap2: -6.0}", "[0.0, -6.0]"),
+                             "stas[0].snr_offset_db: expected a number or mapping, "
+                             "got [0.0, -6.0]"),
+        "band.yaml": (slo.replace("band: 5GHz", "band: 7GHz"),
+                      "channels[0].band: must be one of ['2.4GHz', '5GHz', '6GHz'], "
+                      "got '7GHz'"),
+        "width.yaml": (slo.replace("bandwidth_mhz: 40", "bandwidth_mhz: 30"),
+                       "channels[0].bandwidth_mhz: must be 20/40/80/160, got 30"),
+        "mcs.yaml": (slo.replace("bandwidth_mhz: 40, mcs: 3", "bandwidth_mhz: 40, mcs: 14"),
+                     "channels[0].mcs: unknown MCS 14"),
+    }
+    bad.update((name, text) for name, (text, _) in refusals.items())
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
     # one seed rule, 0 <= seed < 2**63, with one message for YAML and flags
@@ -68,7 +95,14 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
                       (["run", "--scenario", str(tmp_path / "huge.yaml")],
                        "stas[0].radios: integer 1000"),
                       (["run", "--scenario", str(tmp_path / "wrap.yaml")],
-                       "aps[0].radios: must be in [1, 2147483647]")):
+                       "aps[0].radios: must be in [1, 2147483647]"),
+                      # an empty grid, before any job reaches the pool
+                      *((["sweep", "--scenario", "scenario_3ap_15sta", grid, ",",
+                          "--workers", workers], f"a sweep needs at least one {what} point")
+                        for grid, what in (("--snr", "SNR"), ("--mcs", "MCS"))
+                        for workers in ("1", "2")),
+                      *((["run", "--scenario", str(tmp_path / name)], msg)
+                        for name, (_, msg) in refusals.items())):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"linkalloc: {msg}") and err.count("\n") == 1
@@ -76,6 +110,10 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
     for argv, msg in ((["run", "--scenario", "scenario_slo", "--iterations", "abc"],
                        "argument --iterations: invalid int value: 'abc'"),
                       (["bogus"], "invalid choice: 'bogus'"),
+                      (["sweep", "--scenario", "scenario_slo", "--snr", "5,x"],
+                       "argument --snr: expected comma-separated numbers: '5,x'"),
+                      (["sweep", "--scenario", "scenario_slo", "--mcs", "3,x"],
+                       "argument --mcs: expected comma-separated integers: '3,x'"),
                       (["run"], "the following arguments are required: --scenario")):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -226,6 +226,16 @@ def test_explicit_snr_base_refused_before_the_pool():
         run_monte_carlo(sc, snr_points=[5.0], rounds=2, workers=2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("grid, what", [({"snr_points": []}, "SNR"),
+                                        ({"mcs_points": []}, "MCS")])
+def test_empty_grid_refused_before_the_pool(grid, what, workers):
+    with mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")), \
+            pytest.raises(InvalidInputError, match=f"needs at least one {what} point"):
+        run_monte_carlo(_fixture(), rounds=2, workers=workers, **grid)
+
+
 @pytest.mark.parametrize("solver,allocator", [("optimal", "pf"), ("greedy", "pf"),
                                               ("greedy", "rr")])
 def test_pooled_sweep_equals_serial(solver, allocator):
@@ -642,14 +652,14 @@ def _assert_array_builds_match_loop_oracles(doc, sc, base_db=None):
     draws each link's base refuses an explicit one, in the field and the loop."""
     refused = base_db is not None and sc.snr_random_range_db is not None
     fields = []
-    for rng in (None, 4):
-        if refused and rng is not None:
+    for seed in (None, 4):
+        if refused:
             with pytest.raises(ValidationError, match="draws each link's SNR base"):
-                sc.snr_field(base_db=base_db, rng=np.random.default_rng(rng))
+                sc.snr_field(base_db=base_db, seed=seed)
             continue
-        got = sc.snr_field(base_db=base_db, rng=None if rng is None else np.random.default_rng(rng))
-        want = oracles.snr_field_loops(doc, base_db=base_db,
-                                       rng=None if rng is None else np.random.default_rng(rng))
+        got = sc.snr_field(base_db=base_db, seed=seed)
+        want = oracles.snr_field_loops(doc, base_db=base_db, rng=np.random.default_rng(
+            sc.rng_seed if seed is None else seed))
         assert got.tobytes() == want.tobytes()
         fields.append(got)
     for field in fields + [_home_links(doc, f) for f in fields]:
@@ -955,9 +965,19 @@ def test_joint_never_below_two_stage_on_small_fixture():
     assert out["m_stas"] == 4
 
 
-def test_first_comparison_in_a_process_times_only_the_solve():
-    # a fresh interpreter has not loaded scipy yet; that first import (about
-    # 0.5 s) must stay outside the two-stage wall, which takes about 0.2 ms
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_oracle_two_stage_is_the_loops_first_step(m):
+    sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
+    for seed in (0, 1, 2):
+        out = compare_joint_vs_two_stage(sc, m_stas=m, rng_seed=seed)
+        first = run_apc_loop(sc.truncated(m), iterations=1, rng_seed=seed).final
+        assert out["two_stage_objective_bps"] == first.aggregate_throughput_bps
+
+
+def test_first_comparison_in_a_process_times_only_the_first_step():
+    # the two-stage wall is the loop's first step, its rate tensor included
+    # (about 1.3 ms in a fresh interpreter); no first import (scipy's takes
+    # about 0.5 s) may land in it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")])

@@ -51,7 +51,7 @@ def _assert_tensor_matches_scalar_chain(sc, doc, *, contenders=None, snr_field=N
     """The tensor against the per-link scalar chain, each link's MCS read off
     the raw scenario document `doc`."""
     if snr_field is None:
-        snr_field = sc.snr_field(rng=np.random.default_rng(sc.rng_seed))
+        snr_field = sc.snr_field(seed=sc.rng_seed)
     if contenders is None:
         contenders = bootstrap_contenders(sc, snr_field)
     got = build_rate_tensor(sc, contenders=contenders, snr_field=snr_field,

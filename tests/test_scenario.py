@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from linkalloc.errors import ValidationError
+from linkalloc.rates import build_rate_tensor
 from linkalloc.scenario import (
     bundled_scenario_path,
     list_bundled_scenarios,
@@ -133,10 +134,20 @@ def test_empty_channel_list_rejected():
 
 
 def test_unknown_field_named_in_error():
-    # fields the schema no longer has (eesm_beta, ack_timeout) fail like a typo
+    # fields the schema no longer has (eesm_beta, ack_timeout) fail like a typo,
+    # and so does a PER field the model's kind does not read: a logistic model
+    # opens no table file, so a missing one is not what fails
     for extra, name in (("frobnicate: 3", "frobnicate"),
                         ("per_model: {eesm_beta: 1.0}", "eesm_beta"),
-                        ("dcf: {ack_timeout: 3.0e-4}", "ack_timeout")):
+                        ("dcf: {ack_timeout: 3.0e-4}", "ack_timeout"),
+                        ("per_model: {tables: {3: missing.csv}}",
+                         "per_model.tables: not read by kind 'logistic'"),
+                        ("per_model: {kind: logistic, slope_per_db: 2.0, tables: {3: x.csv}}",
+                         "per_model.tables: not read by kind 'logistic'"),
+                        ("per_model: {kind: table, tables: {3: x.csv}, midpoints_db: {3: 1.0}}",
+                         "per_model.midpoints_db: not read by kind 'table'"),
+                        ("per_model: {kind: table, tables: {3: x.csv}, slope_per_db: 2.0}",
+                         "per_model.slope_per_db: not read by kind 'table'")):
         bad = MINIMAL.replace("seed: 1", f"seed: 1\n{extra}")
         with pytest.raises(ValidationError) as exc:
             _load(bad)
@@ -194,16 +205,26 @@ def test_snr_field_base_override():
     assert field[0, 0, 0] == pytest.approx(5.0)
 
 
-def test_random_range_needs_rng():
+def test_random_range_always_draws():
     doc = MINIMAL.replace("snr_base_db: 20.0", "snr_base_db: 20.0\nsnr_random_range_db: [6.0, 9.0]")
     sc = _load(doc)
-    fixed = sc.snr_field()
-    assert fixed[0, 0, 0] == pytest.approx(20.0)
-    rng = np.random.default_rng(0)
-    drawn = sc.snr_field(rng=rng)
+    drawn = sc.snr_field()
     finite = drawn[np.isfinite(drawn)]
-    assert ((finite >= 6.0 - 3.0) & (finite <= 9.0)).all()
-    assert not np.allclose(drawn[np.isfinite(fixed)], fixed[np.isfinite(fixed)])
+    assert ((finite >= 6.0 - 3.0) & (finite < 9.0)).all()
+    assert len(np.unique(finite)) == finite.size    # a base per link, none the fixed 20 dB
+    # the seed defaults to the scenario's own and counts by value
+    assert drawn.tobytes() == sc.snr_field(seed=sc.rng_seed).tobytes() \
+        == sc.snr_field(seed=[sc.rng_seed]).tobytes()
+    assert drawn.tobytes() != sc.snr_field(seed=sc.rng_seed + 1).tobytes()
+    # the rate tensor's default field is that draw
+    assert build_rate_tensor(sc).values.tobytes() == \
+        build_rate_tensor(sc, snr_field=drawn).values.tobytes()
+    # an explicit base is refused with or without a seed, and a bad seed too
+    for seed in (None, 3):
+        with pytest.raises(ValidationError, match="takes no SNR base"):
+            sc.snr_field(base_db=5.0, seed=seed)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        sc.snr_field(seed=[1, -2])
 
 
 def test_rr_weights_default_tracks_bandwidth():
