@@ -17,8 +17,9 @@ SNR field, the MCS override and the contenders per channel, and the loop
 revisits the same few contender vectors (two on the bundled fixture, three
 on a 30-AP/1000-STA network). So each contention gets one record, built on
 its first visit: the rates a step reads (the tensor, masked to the home
-channels under SLO), the pairing input weighed from them, and the last
-selection made on it, with its pairing. `LoopCarry` carries the field and
+channels under SLO), the pairing input weighed from them (which keeps the
+pairing's start, each station's best AP), and the last selection made on
+it, with its pairing and its served rates. `LoopCarry` carries the field and
 the records to the next run, which reuses them when it has the same scenario
 object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
 seed. Pairing and allocation still run on every step. Allocation reads the
@@ -26,14 +27,16 @@ averages, which move on every step. Pairing is a pure function of the
 tensor, but each step's pairing stays its own call, which the benchmark
 counts and checks against an independent solver. A decision equal to the
 last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory. Each step's served rates and
-network total come from one selection x rate product.
+reports of a cycling loop do not grow memory, and reads that one's served
+rates. A new decision's served rates and network total come from one
+selection x rate product.
 
-A sweep with `workers` > 1 runs its rounds in a process pool. The pool
-starts on the first such sweep and is reused by later sweeps with the same
-worker count; another count replaces it, and it is shut down at exit. Each
-worker gets its jobs as one chunk, so the scenario is pickled once per
-worker, not once per round.
+A sweep runs its rounds in a process pool of min(`workers`, rounds over the
+grid) workers when that is more than one, so a one-round sweep starts none.
+The pool starts on the first such sweep and is reused by later sweeps with
+the same worker count; another count replaces it, and it is shut down at
+exit. Each worker gets its jobs as one chunk, so the scenario is pickled
+once per worker, not once per round.
 
 Timing is opt-in: by default every report carries wall_time_s = 0.0 so that
 repeated runs of the same scenario produce byte-identical output files.
@@ -128,13 +131,14 @@ class LoopCarry:
 
     Besides the averages and the contention it carries the run's SNR field
     and memo: at most `RATE_MEMO_SIZE` records keyed by contender tuple,
-    least recently used first, each (rates, PairingInstance, selection):
-    the rates a step reads under that contention (SLO's masked to the home
-    channels), the pairing input weighed from them, and the last decision
-    made under it, its pairing included. `run` keys both on the run's checked
-    inputs: the scenario object, MCS override, SLO-or-not mode, SNR base
-    (by its exact bits) and, for a scenario that draws its bases, the seed
-    (`Scenario.run_seed`).
+    least recently used first, each (rates, PairingInstance, selection,
+    served): the rates a step reads under that contention (SLO's masked to
+    the home channels), the pairing input weighed from them, the last
+    decision made under it, its pairing included, and the (inst, total) that
+    `instantaneous_rates` gave for that decision. `run` keys both on the
+    run's checked inputs: the scenario object, MCS override, SLO-or-not
+    mode, SNR base (by its exact bits) and, for a scenario that draws its
+    bases, the seed (`Scenario.run_seed`).
     The next run reuses them only under an equal key, and ignores them
     otherwise. A run never alters the carry it was given.
     """
@@ -264,8 +268,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
             record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
-                                             caps, limits), None)
-        rates, instance, seen = record
+                                             caps, limits), None, None)
+        rates, instance, seen, served = record
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
@@ -277,10 +281,13 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
                 and selection.unallocated_edges == seen.unallocated_edges \
                 and np.array_equal(selection.links, seen.links):
             selection = seen
-        memo[key] = (rates, instance, selection)   # most recent last
+        else:   # a new decision: its served rates, kept with it
+            served = instantaneous_rates(selection, rates)
+            served[0].setflags(write=False)
+        memo[key] = (rates, instance, selection, served)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        inst, total = instantaneous_rates(selection, rates)
+        inst, total = served
         metrics = tuple(pf_metrics(state, inst).tolist())
         state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -377,8 +384,9 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
     the sweep is reproducible in isolation. Returns one `SweepStat` per grid
     point, grid ordered SNR-major.
 
-    With `workers` > 1 the rounds run in the shared process pool (see the
-    module docstring) and give the serial result. If a worker dies, the sweep
+    With `workers` > 1 and more than one round in all, the rounds run in the
+    shared process pool (see the module docstring) and give the serial
+    result. If a worker dies, the sweep
     raises `concurrent.futures.process.BrokenProcessPool` and the next pooled
     sweep starts a new pool.
     """
@@ -400,6 +408,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         for k in range(rounds):
             jobs.append((scenario, solver, allocator, iterations, snr, mcs,
                          [scenario.rng_seed, i, k]))
+    workers = min(workers, len(jobs))   # no worker without a job
     if workers > 1:
         with _pool_lock:
             pool = _shared_pool(workers)

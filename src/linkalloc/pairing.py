@@ -5,9 +5,10 @@ channel-averaged rates subject to per-AP capacity R(n). The paper states this
 as an LP whose constraint matrix is a bipartite incidence matrix; its total
 unimodularity makes every basic optimum integral, so the LP optimum is the
 optimum of the integer assignment. `pair_optimal_lp` computes that optimum
-directly as a min-cost flow: every station starts at its best AP, and
-successive shortest paths over the APs move stations out of over-full APs
-at the least loss (the LP itself is kept as a test oracle). Ties go to the
+directly as a min-cost flow: every station starts at its best AP, which
+the instance computes once (`PairingInstance.best_ap`), and successive
+shortest paths over the APs move stations out of over-full APs at the least
+loss (the LP itself is kept as a test oracle). Ties go to the
 lowest AP index at the start and in the path search; no particular optimum
 among ties is promised. `check_total_unimodularity` verifies the property by
 brute determinant enumeration, and `solve_joint_mmkp_bruteforce` solves the
@@ -72,6 +73,13 @@ class PairingInstance:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "ap_capacity", caps)
         object.__setattr__(self, "sta_radio_limits", limits)
+
+    @cached_property
+    def best_ap(self) -> np.ndarray:
+        """Each station's best AP, d.argmax(axis=0), read-only."""
+        best = self.d.argmax(axis=0)
+        best.setflags(write=False)
+        return best
 
 
 @dataclass(frozen=True)
@@ -248,14 +256,15 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
 
     Returns an optimum of the paper's assignment LP (total unimodularity
     makes its vertex integral), found as a min-cost flow. Every station
-    starts at its best AP; no assignment beats that sum, so when no AP holds
-    more than R(n) stations it is the optimum. Otherwise successive shortest
-    paths repair it: one multi-source Dijkstra over the APs runs from every
-    over-full AP to the nearest AP with a free slot, where edge a -> b costs
-    the least loss of moving one of a's stations to b, reduced by AP prices;
-    each station on the path moves one hop, and the prices rise by the path
-    distances (capped at the target's), which keeps every reduced cost
-    non-negative. An AP's loss row is built when Dijkstra first pops it and
+    starts at its best AP, `instance.best_ap`, which a shared instance
+    computes once; no assignment beats that sum, so when no AP holds more
+    than R(n) stations it is the optimum. Otherwise successive shortest
+    paths repair a copy of it: one multi-source Dijkstra over the APs runs
+    from every over-full AP to the nearest AP with a free slot, where edge
+    a -> b costs the least loss of moving one of a's stations to b, reduced
+    by AP prices; each station on the path moves one hop, and the prices
+    rise by the path distances (capped at the target's), which keeps every
+    reduced cost non-negative. An AP's loss row is built when Dijkstra first pops it and
     kept until a path changes that AP's stations.
 
     Ties: the start takes the lowest AP index, Dijkstra pops equal
@@ -265,10 +274,11 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
     _require_capacity(instance)
     d = instance.d
     n_aps = d.shape[0]
-    owner = d.argmax(axis=0)
+    owner = instance.best_ap
     load = np.bincount(owner, minlength=n_aps).tolist()
     caps = instance.ap_capacity.tolist()
     if any(l > c for l, c in zip(load, caps)):
+        owner = owner.copy()
         _repair_overflow(d, owner, load, caps)
     return PairingMatrix(owner, n_aps)
 

@@ -265,10 +265,29 @@ def test_pool_kept_for_its_worker_count_and_replaced_for_another(pool_builds):
     old = harness._shared_pool(2)
     assert run_monte_carlo(sc, workers=2, **POOL_GRID) == serial
     assert pool_builds.call_count == 1
-    assert run_monte_carlo(sc, workers=3, **POOL_GRID) == serial
+    # another count replaces the pool; built without a job, it starts no worker
+    harness._shared_pool(3)
     assert pool_builds.call_count == 2
+    assert pool_builds.call_args.kwargs == {"max_workers": 3}
     with pytest.raises(RuntimeError, match="after shutdown"):
         old.submit(int)
+
+
+def test_pool_capped_at_the_job_count(pool_builds):
+    sc = _fixture()
+    two_jobs = dict(POOL_GRID, snr_points=[5.0], mcs_points=[3])
+    assert run_monte_carlo(sc, workers=6, **two_jobs) == run_monte_carlo(sc, **two_jobs)
+    assert pool_builds.call_count == 1
+    assert pool_builds.call_args.kwargs == {"max_workers": 2}
+    # 8 jobs on 2 workers keep that pool
+    assert run_monte_carlo(sc, workers=2, **POOL_GRID) == run_monte_carlo(sc, **POOL_GRID)
+    assert pool_builds.call_count == 1
+
+
+def test_one_job_sweep_starts_no_pool(pool_builds):
+    sc = load_scenario(bundled_scenario_path("scenario_slo"))
+    assert run_monte_carlo(sc, rounds=1, workers=6) == run_monte_carlo(sc, rounds=1)
+    assert pool_builds.call_count == 0 and harness._pool is None
 
 
 def test_pooled_sweeps_from_threads_share_one_pool(pool_builds):
@@ -869,15 +888,23 @@ def test_equal_links_under_another_pairing_are_not_shared():
 
 
 @pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
-def test_served_rates_computed_once_per_step(allocator):
+def test_served_rates_computed_once_per_new_decision(allocator):
     sc = _fixture()
     served = harness.instantaneous_rates
     with mock.patch.object(harness, "instantaneous_rates", side_effect=served) as spy:
-        result = run_apc_loop(sc, allocator=allocator, iterations=7)
-    # one call per step, on that step's selection
-    assert spy.call_count == 7
-    assert all(c.args[0] is r.selection
-               for c, r in zip(spy.call_args_list, result.reports, strict=True))
+        result = run_apc_loop(sc, allocator=allocator, iterations=20)
+    # a step that revisits a decision reads the served rates kept with it, so
+    # each call is a new decision's, on that step's selection, in step order
+    new = [r.selection for i, r in enumerate(result.reports)
+           if all(r.selection is not q.selection for q in result.reports[:i])]
+    assert all(c.args[0] is s for c, s in zip(spy.call_args_list, new, strict=True))
+    assert spy.call_count < 20
+    # a carry without records computes every step's served rates afresh
+    cold = dataclasses.replace(result.carry, memo=())
+    assert emit_results(run_apc_loop(sc, allocator=allocator, iterations=10,
+                                     carry=cold).reports) == \
+        emit_results(run_apc_loop(sc, allocator=allocator, iterations=10,
+                                  carry=result.carry).reports)
 
 
 def test_bench_span_targets_resolve(monkeypatch):

@@ -205,6 +205,19 @@ def test_optimal_pairing_tie_rule():
         [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
 
 
+def test_cached_start_survives_a_repair():
+    # every station's best AP is AP 0, which serves one: the repair moves two
+    inst = _instance([[3.0, 2.0, 1.0], [1.0, 1.0, 0.5]], [1, 2])
+    start = inst.best_ap
+    assert start.tolist() == [0, 0, 0] and not start.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        start[0] = 1
+    owners = [pair_optimal_lp(inst).owner.tolist() for _ in range(2)]
+    assert owners == [[0, 1, 1]] * 2
+    assert inst.best_ap is start
+    assert start.tolist() == inst.d.argmax(axis=0).tolist() == [0, 0, 0]
+
+
 def test_lp_dominates_greedy_everywhere():
     rng = np.random.default_rng(23)
     for _ in range(60):
