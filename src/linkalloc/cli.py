@@ -49,18 +49,14 @@ def _resolve_scenario(token: str):
     raise ValidationError(f"scenario file not found: {token}")
 
 
-def _int_list(text: str) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
-def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+def _comma_list(convert):
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError as exc:
+            what = "integers" if convert is int else "numbers"
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}: {text!r}") from exc
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte Carlo over an SNR x MCS grid")
     sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--snr", type=_float_list, default=None, metavar="DB,DB,...")
-    sweep.add_argument("--mcs", type=_int_list, default=None, metavar="I,I,...")
+    sweep.add_argument("--snr", type=_comma_list(float), default=None, metavar="DB,DB,...")
+    sweep.add_argument("--mcs", type=_comma_list(int), default=None, metavar="I,I,...")
     sweep.add_argument("--rounds", type=int, default=None)
     sweep.add_argument("--iterations", type=int, default=30)
     sweep.add_argument("--solver", choices=("optimal", "greedy"), default="optimal")
@@ -118,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vdcf = sub.add_parser("validate-dcf",
                           help="slot-simulate contention and compare to the model")
-    vdcf.add_argument("--contenders", type=_int_list, default=[2, 5, 10, 20])
-    vdcf.add_argument("--per", type=_float_list, default=[0.0, 0.1, 0.3])
+    vdcf.add_argument("--contenders", type=_comma_list(int), default=[2, 5, 10, 20])
+    vdcf.add_argument("--per", type=_comma_list(float), default=[0.0, 0.1, 0.3])
     vdcf.add_argument("--slots", type=int, default=200_000)
     vdcf.add_argument("--seed", type=int, default=1)
     vdcf.add_argument("--mcs", type=int, default=6)
@@ -131,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle",
                             help="exact joint optimum vs two-stage, small instances")
     oracle.add_argument("--scenario", default="scenario_2ap_joint")
-    oracle.add_argument("--stas", type=_int_list, default=None, metavar="M,M,...",
+    oracle.add_argument("--stas", type=_comma_list(int), default=None, metavar="M,M,...",
                         help="station-count prefixes to evaluate")
     oracle.add_argument("--seed", type=int, default=None)
     oracle.add_argument("--timing", action="store_true",

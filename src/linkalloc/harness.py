@@ -73,7 +73,7 @@ from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp, \
     solve_joint_mmkp_bruteforce
 from .rates import RateTensor, bootstrap_contenders, build_rate_tensor
-from .scenario import Scenario
+from .scenario import Scenario, check_mcs, check_seed
 
 __all__ = [
     "IterationReport",
@@ -169,9 +169,7 @@ class RunResult:
 
 
 def _mcs_label(scenario: Scenario, mcs_override) -> str:
-    if mcs_override is not None:
-        return str(mcs_override)
-    values = np.unique(scenario.mcs_table).tolist()
+    values = np.unique(scenario.mcs_table if mcs_override is None else mcs_override).tolist()
     return str(values[0]) if len(values) == 1 else "mixed"
 
 
@@ -224,6 +222,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
 
+    mcs_override = scenario.run_mcs(mcs_override)
     seed = scenario.run_seed(rng_seed)
     base_reported = scenario.snr_base(snr_base_db)
     slo = allocator == "slo"
@@ -278,7 +277,6 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         selection = allocate_rr(pairing, budget, rates, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, rates, state)
         if seen is not None and selection.pairing is seen.pairing \
-                and selection.unallocated_edges == seen.unallocated_edges \
                 and np.array_equal(selection.links, seen.links):
             selection = seen
         else:   # a new decision: its served rates, kept with it
@@ -392,7 +390,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
     """
     # no explicit base by default: a scenario that draws its bases takes none
     snrs = list(snr_points) if snr_points is not None else [None]
-    mcss = list(mcs_points) if mcs_points is not None else [None]
+    mcss = [scenario.run_mcs(m) for m in mcs_points] if mcs_points is not None else [None]
     rounds = scenario.monte_carlo_rounds if rounds is None else rounds
     if rounds < 1:
         raise InvalidInputError("rounds must be >= 1")
@@ -537,8 +535,8 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
     Returns one record per (n, per) cell with the analytical and simulated
     normalized throughput and their relative error.
     """
-    params = DcfParams()
-    rate = phy.mcs_data_rate(mcs_index, bandwidth_mhz)
+    params, seed = DcfParams(), check_seed(seed)
+    rate = phy.mcs_data_rate(check_mcs(mcs_index, "mcs_index"), bandwidth_mhz)
     durations = airtime_durations(params, rate)
     records = []
     for n in contenders:

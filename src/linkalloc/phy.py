@@ -96,22 +96,20 @@ def eesm_effective_snr(grid: SubcarrierSinrGrid, params: EesmParams) -> float:
 
 @dataclass(frozen=True)
 class PerCurve:
-    """Packet error rate as a function of effective SNR in dB, for one MCS.
+    """Packet error rate as a function of effective SNR in dB, for the MCS
+    that keys it in `PerModel.curves`.
 
     Either a tabulated curve (strictly increasing esnr_db grid, linearly
     interpolated, clamped at the endpoints) or a parametric logistic curve
     1 / (1 + exp(slope * (esnr_db - midpoint_db))).
     """
 
-    mcs_index: int
     esnr_db: np.ndarray | None = None
     per: np.ndarray | None = None
     midpoint_db: float | None = None
     slope_per_db: float | None = None
 
     def __post_init__(self):
-        if self.mcs_index < 0:
-            raise InvalidInputError("mcs_index must be >= 0")
         tabulated = self.esnr_db is not None or self.per is not None
         parametric = self.midpoint_db is not None or self.slope_per_db is not None
         if tabulated == parametric:
@@ -146,17 +144,15 @@ class PerCurve:
         return self.esnr_db is not None
 
     @classmethod
-    def logistic(cls, mcs_index: int, midpoint_db: float, slope_per_db: float) -> "PerCurve":
-        return cls(mcs_index=mcs_index, midpoint_db=float(midpoint_db),
-                   slope_per_db=float(slope_per_db))
+    def logistic(cls, midpoint_db: float, slope_per_db: float) -> "PerCurve":
+        return cls(midpoint_db=float(midpoint_db), slope_per_db=float(slope_per_db))
 
     @classmethod
-    def from_points(cls, mcs_index: int, esnr_db, per) -> "PerCurve":
-        return cls(mcs_index=mcs_index, esnr_db=np.asarray(esnr_db, dtype=float),
-                   per=np.asarray(per, dtype=float))
+    def from_points(cls, esnr_db, per) -> "PerCurve":
+        return cls(esnr_db=np.asarray(esnr_db, dtype=float), per=np.asarray(per, dtype=float))
 
     @classmethod
-    def from_csv(cls, mcs_index: int, path) -> "PerCurve":
+    def from_csv(cls, path) -> "PerCurve":
         """Load a table from a UTF-8 CSV file with header ``esnr_db,per``.
 
         A table that is not valid raises `InvalidInputError` naming the file;
@@ -178,7 +174,7 @@ class PerCurve:
             if len(rows) < 2:
                 raise InvalidInputError("PER table needs at least 2 rows")
             x, y = zip(*rows)
-            return cls.from_points(mcs_index, np.array(x), np.array(y))
+            return cls.from_points(np.array(x), np.array(y))
         except ValueError as exc:    # also bytes that are not UTF-8, and InvalidInputError
             raise InvalidInputError(f"{path}: {exc}") from exc
 
@@ -238,7 +234,7 @@ def mcs_data_rate(mcs_index: int, bandwidth_mhz: int) -> float:
     """Raw PHY data rate in bit/s of one spatial stream of an MCS on a
     channel bandwidth, from the standard tables."""
     if mcs_index not in MCS_MODULATION:
-        raise InvalidInputError(f"unknown MCS index {mcs_index}")
+        raise InvalidInputError(f"unknown MCS {mcs_index}")
     if bandwidth_mhz not in DATA_SUBCARRIERS:
         raise InvalidInputError(f"unsupported bandwidth {bandwidth_mhz} MHz")
     n_bpscs, coding_rate = MCS_MODULATION[mcs_index]

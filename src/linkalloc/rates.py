@@ -107,6 +107,8 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     (defaults to the bootstrap estimate); each channel is evaluated at
     max(1, contenders[f]) so an empty channel still quotes its unloaded rate.
     """
+    mcs_table = scenario.mcs_table if mcs_override is None \
+        else np.full_like(scenario.mcs_table, scenario.run_mcs(mcs_override))
     if snr_field is None:
         snr_field = scenario.snr_field()
     snr_field = np.asarray(snr_field, dtype=float)
@@ -122,11 +124,9 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     out = np.zeros(expect)
     for f, chan in enumerate(scenario.channels):
         state = _contention(params, max(1, int(contenders[f])))
-        ap_mcs = scenario.mcs_table[f] if mcs_override is None \
-            else np.array([mcs_override] * scenario.n_aps)
         # one kernel call per MCS in use on the channel: usually all APs share it
-        for mcs in np.unique(ap_mcs).tolist():
-            rows = ap_mcs == mcs
+        for mcs in np.unique(mcs_table[f]).tolist():
+            rows = mcs_table[f] == mcs
             out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_model.curve_for(mcs),
                                        phy.mcs_data_rate(mcs, chan.bandwidth_mhz), state, params)
     return RateTensor(out)

@@ -35,8 +35,8 @@ Schema (all SNR values in dB)::
     per_model:                      # optional PER configuration
       kind: logistic                # refuses the fields of kind "table"
       slope_per_db: 1.0
-      midpoints_db: {9: 26.0}       # per-MCS logistic midpoints
-    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, per-MCS CSV tables
+      midpoints_db: {9: 26.0}       # keys: MCS 0-11; resolved at load to 12 curves
+    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, read at load
     aps:
       - {id: ap1, radios: 5, slo_channel: 1, mcs: {1: 9}}
     stas:
@@ -117,25 +117,24 @@ class StaConfig:
     snr_offsets_db: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def _logistic_curves(midpoints_db=DEFAULT_PER_MIDPOINT_DB, slope=DEFAULT_PER_SLOPE_PER_DB) -> dict:
+    """The logistic PER curve of every MCS, `midpoints_db` over the defaults."""
+    return {mcs: PerCurve.logistic(midpoints_db.get(mcs, mid), slope)
+            for mcs, mid in DEFAULT_PER_MIDPOINT_DB.items()}
+
+
 @dataclass(frozen=True)
 class PerModel:
-    """PER curve source for every MCS in use."""
+    """The PER curves, keyed by MCS, as resolved at load: the logistic curve
+    of every MCS, or the configured tables."""
 
     kind: str = "logistic"
-    midpoints_db: dict = field(default_factory=dict)
-    slope_per_db: float = DEFAULT_PER_SLOPE_PER_DB
-    tables: dict = field(default_factory=dict)     # mcs -> PerCurve
+    curves: dict = field(default_factory=_logistic_curves)     # mcs -> PerCurve
 
     def curve_for(self, mcs_index: int) -> PerCurve:
-        if self.kind == "table":
-            curve = self.tables.get(mcs_index)
-            if curve is None:
-                raise ConfigurationError(f"no PER table configured for MCS {mcs_index}")
-            return curve
-        midpoint = self.midpoints_db.get(mcs_index, DEFAULT_PER_MIDPOINT_DB.get(mcs_index))
-        if midpoint is None:
-            raise ConfigurationError(f"no PER midpoint known for MCS {mcs_index}")
-        return PerCurve.logistic(mcs_index, midpoint, self.slope_per_db)
+        if mcs_index not in self.curves:
+            raise ConfigurationError(f"no PER table configured for MCS {mcs_index}")
+        return self.curves[mcs_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +186,13 @@ class Scenario:
         seed = (self.rng_seed,) if seed is None else tuple(
             map(check_seed, seed if isinstance(seed, (list, tuple)) else [seed]))
         return None if self.snr_random_range_db is None else seed
+
+    def run_mcs(self, mcs_override=None) -> int | None:
+        """A run's MCS override, None to keep `mcs_table`: under `check_mcs`, with a PER curve."""
+        if mcs_override is not None:
+            mcs_override = check_mcs(mcs_override, "mcs_override")
+            self.per_model.curve_for(mcs_override)     # a table model may have none
+        return mcs_override
 
     def snr_field(self, base_db: float | None = None, seed=None) -> np.ndarray:
         """Per-link SNR in dB, shape (F, N, M); NaN marks out-of-range links.
@@ -270,11 +276,13 @@ def _as_count(value, ctx: str, most: int | None = None) -> int:
     return value
 
 
-def _as_mcs(value, ctx: str) -> int:
-    value = _as_int(value, ctx)
+def check_mcs(value, ctx: str) -> int:
+    """The one MCS rule: an integer (numpy's too, not a bool) keying `MCS_MODULATION`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{ctx}: expected an integer, got {value!r}")
     if value not in MCS_MODULATION:
         raise ValidationError(f"{ctx}: unknown MCS {value}")
-    return value
+    return int(value)
 
 
 def check_seed(value) -> int:
@@ -348,7 +356,7 @@ def _parse_channels(doc: dict) -> tuple:
             raise ValidationError(f"{ctx}.bandwidth_mhz: {width} MHz is not available "
                                   f"on {band}")
         channels.append(ChannelSpec(_as_int(_need(c, "id", ctx), f"{ctx}.id"), band, width,
-                                    _as_mcs(_need(c, "mcs", ctx), f"{ctx}.mcs")))
+                                    check_mcs(_need(c, "mcs", ctx), f"{ctx}.mcs")))
     return tuple(channels)
 
 
@@ -361,7 +369,7 @@ def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
     for n, (ctx, a) in enumerate(entries):
         for cid, mcs in _as_mapping(a.get("mcs", {}), f"{ctx}.mcs").items():
             f = _position(channel_index, _as_int(cid, f"{ctx}.mcs"), f"{ctx}.mcs", "channel")
-            mcs_table[f, n] = _as_mcs(mcs, f"{ctx}.mcs[{cid}]")
+            mcs_table[f, n] = check_mcs(mcs, f"{ctx}.mcs[{cid}]")
         if a.get("slo_channel") is not None:
             home[n] = _position(channel_index, _as_int(a["slo_channel"], f"{ctx}.slo_channel"),
                                 f"{ctx}.slo_channel", "channel")
@@ -441,22 +449,23 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
                                   else {"midpoints_db", "slope_per_db"}))
     if unread:
         raise ValidationError(f"{ctx}.{unread[0]}: not read by kind {kind!r}")
-    midpoints = {}
-    for mcs, db in _as_mapping(doc.get("midpoints_db", {}), f"{ctx}.midpoints_db").items():
-        midpoints[_as_int(mcs, f"{ctx}.midpoints_db")] = _as_number(db, f"{ctx}.midpoints_db[{mcs}]")
-    tables = {}
-    for mcs, rel in _as_mapping(doc.get("tables", {}), f"{ctx}.tables").items():
-        mcs = _as_int(mcs, f"{ctx}.tables")
-        path = Path(str(rel))
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
+    if kind == "logistic":
+        key = f"{ctx}.midpoints_db"
+        midpoints = {check_mcs(mcs, key): _as_number(db, f"{key}[{mcs}]")
+                     for mcs, db in _as_mapping(doc.get("midpoints_db", {}), key).items()}
+        slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
+        return PerModel(kind, _logistic_curves(midpoints, slope))
+    # every key is checked before any table is read; a relative path is the scenario file's
+    paths = {check_mcs(mcs, f"{ctx}.tables"): Path(base_dir or "", str(rel))
+             for mcs, rel in _as_mapping(doc.get("tables", {}), f"{ctx}.tables").items()}
+    curves = {}
+    for mcs, path in paths.items():
         try:
-            tables[mcs] = PerCurve.from_csv(mcs, path)
+            curves[mcs] = PerCurve.from_csv(path)
         except OSError as exc:
             raise ConfigurationError(f"{ctx}.tables[{mcs}]: cannot read PER table {path}: "
                                      f"{exc.strerror}") from exc
-    slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
-    return PerModel(kind=kind, midpoints_db=midpoints, slope_per_db=slope, tables=tables)
+    return PerModel(kind, curves)
 
 
 _TOP_FIELDS = {

@@ -96,6 +96,14 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
                        "stas[0].radios: integer 1000"),
                       (["run", "--scenario", str(tmp_path / "wrap.yaml")],
                        "aps[0].radios: must be in [1, 2147483647]"),
+                      # one MCS rule for run-time MCS too, a sweep's before the pool
+                      (["run", "--scenario", "scenario_slo", "--mcs", "12"],
+                       "mcs_override: unknown MCS 12"),
+                      (["run", "--scenario", "scenario_slo", "--mcs", "-1"],
+                       "mcs_override: unknown MCS -1"),
+                      (["sweep", "--scenario", "scenario_3ap_15sta", "--mcs", "3,12",
+                        "--rounds", "2", "--workers", "2"], "mcs_override: unknown MCS 12"),
+                      (["validate-dcf", "--mcs", "12"], "mcs_index: unknown MCS 12"),
                       # an empty grid, before any job reaches the pool
                       *((["sweep", "--scenario", "scenario_3ap_15sta", grid, ",",
                           "--workers", workers], f"a sweep needs at least one {what} point")
@@ -388,6 +396,26 @@ def test_validate_dcf_rejects_unusable_tolerance(tolerance, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""       # refused before any simulation
     assert captured.err == f"linkalloc: --tolerance must be a number >= 0, got {float(tolerance)}\n"
+
+
+def test_validate_dcf_refuses_a_negative_seed(capsys):
+    # the one seed rule, before any simulation
+    assert main(["validate-dcf", "--contenders", "2", "--per", "0.0", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "linkalloc: seed must be >= 0, got -1\n")
+
+
+def test_solver_failures_exit_2(tmp_path, capsys):
+    crowded = tmp_path / "crowded.yaml"
+    crowded.write_text("channels:\n  - {id: 1, band: 5GHz, bandwidth_mhz: 40, mcs: 3}\n"
+                       "aps:\n  - {id: ap1, radios: 1}\n"
+                       "stas:\n  - {id: sta1, radios: 1, snr_offset_db: 0.0}\n"
+                       "  - {id: sta2, radios: 1, snr_offset_db: 0.0}\n")
+    for argv, msg in ((["oracle", "--scenario", "scenario_3ap_15sta"],
+                       "3 APs x 15 STAs exceeds the 16-cell enumeration cap"),
+                      (["run", "--scenario", str(crowded)],
+                       "total AP capacity 1 cannot serve 2 stations")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"linkalloc: {msg}\n")
 
 
 def test_validate_dcf_flags_exceedance(capsys):

@@ -153,6 +153,7 @@ def test_mcs_label_names_the_mcs_every_link_runs():
     assert run_apc_loop(sc, iterations=1).final.mcs_label == "3"
     assert [s.mcs_label for s in run_monte_carlo(sc, rounds=1, iterations=1)] == ["3"]
     assert run_apc_loop(sc, iterations=1, mcs_override=9).final.mcs_label == "9"
+    assert run_apc_loop(sc, iterations=1, mcs_override=np.int64(9)).final.mcs_label == "9"
     # a second AP without the override runs MCS 7 on channel 2
     two_aps = MCS_OVERRIDDEN.replace("aps:\n", "aps:\n  - {id: ap0, radios: 1}\n")
     assert run_apc_loop(load_scenario(io.StringIO(two_aps)), iterations=1).final.mcs_label \
@@ -224,6 +225,36 @@ def test_explicit_snr_base_refused_before_the_pool():
             mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")), \
             pytest.raises(ValidationError, match=r"so it takes no SNR base \(got 5\.0\)"):
         run_monte_carlo(sc, snr_points=[5.0], rounds=2, workers=2)
+
+
+def test_unknown_mcs_refused_before_the_pool():
+    with mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")), \
+            pytest.raises(ValidationError, match=r"^mcs_override: unknown MCS 12$"):
+        run_monte_carlo(_fixture(), mcs_points=[3, 12], rounds=2, workers=2)
+
+
+@pytest.mark.parametrize("override, msg", [(True, "expected an integer, got True"),
+                                           (3.0, "expected an integer, got 3.0"),
+                                           (12, "unknown MCS 12"), (-1, "unknown MCS -1")])
+def test_mcs_override_follows_the_mcs_rule(override, msg):
+    sc = _fixture()
+    with mock.patch.object(harness, "build_rate_tensor", side_effect=AssertionError("tensor")), \
+            pytest.raises(ValidationError, match=f"^mcs_override: {msg}$"):
+        run_apc_loop(sc, iterations=1, mcs_override=override)
+    with pytest.raises(ValidationError, match=f"^mcs_override: {msg}$"):
+        build_rate_tensor(sc, mcs_override=override)
+
+
+def test_mcs_override_without_a_per_table_refused_before_any_tensor(tmp_path):
+    (tmp_path / "per.csv").write_text("esnr_db,per\n0.0,1.0\n20.0,0.0\n")
+    (tmp_path / "s.yaml").write_text(ONE_OF_EVERYTHING.replace(
+        "seed: 5", "seed: 5\nper_model: {kind: table, tables: {3: per.csv}}"))
+    sc = load_scenario(tmp_path / "s.yaml")
+    assert run_apc_loop(sc, iterations=1, mcs_override=3).final.mcs_label == "3"
+    with mock.patch.object(harness, "build_rate_tensor", side_effect=AssertionError("tensor")), \
+            pytest.raises(ValidationError, match="^no PER table configured for MCS 9$"):
+        run_apc_loop(sc, iterations=1, mcs_override=9)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -816,6 +847,8 @@ def test_carry_reuse_rule_counted_in_tensor_builds():
     ("scenario_2ap_joint", {"rng_seed": [1, -2]}),
     ("scenario_3ap_15sta", {"rng_seed": [1, 2.5]}),
     ("scenario_2ap_joint", {"rng_seed": [True, 2]}),
+    ("scenario_3ap_15sta", {"mcs_override": 12}),
+    ("scenario_3ap_15sta", {"mcs_override": True}),
 ])
 def test_resumed_run_still_checks_its_inputs(name, bad):
     sc = load_scenario(bundled_scenario_path(name))

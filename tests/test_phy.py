@@ -70,31 +70,31 @@ def test_eesm_rejects_empty_grid():
 
 
 def test_per_lookup_table_point_identity():
-    curve = PerCurve.from_points(3, [0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
+    curve = PerCurve.from_points([0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
     assert per_lookup(curve, 5.0) == 0.5
     assert per_lookup(curve, 0.0) == 1.0
 
 
 def test_per_lookup_clamps_outside_range():
-    curve = PerCurve.from_points(3, [0.0, 10.0], [0.9, 0.1])
+    curve = PerCurve.from_points([0.0, 10.0], [0.9, 0.1])
     assert per_lookup(curve, -25.0) == 0.9
     assert per_lookup(curve, 99.0) == 0.1
 
 
 def test_per_lookup_logistic_midpoint():
-    curve = PerCurve(mcs_index=0, midpoint_db=10.0, slope_per_db=1.0)
+    curve = PerCurve(midpoint_db=10.0, slope_per_db=1.0)
     assert per_lookup(curve, 10.0) == pytest.approx(0.5)
 
 
 def test_per_lookup_interpolates_linearly():
-    curve = PerCurve.from_points(1, [0.0, 10.0], [0.8, 0.2])
+    curve = PerCurve.from_points([0.0, 10.0], [0.8, 0.2])
     assert per_lookup(curve, 2.5) == pytest.approx(0.65)
 
 
 def test_per_curve_monotone_nonincreasing_everywhere():
     rng = np.random.default_rng(11)
     curves = [PerModel().curve_for(m) for m in range(12)]
-    curves.append(PerCurve.from_points(0, [-5.0, 0.0, 3.0, 9.0], [1.0, 0.7, 0.7, 0.0]))
+    curves.append(PerCurve.from_points([-5.0, 0.0, 3.0, 9.0], [1.0, 0.7, 0.7, 0.0]))
     for curve in curves:
         q = np.sort(rng.uniform(-40.0, 60.0, size=64))
         pers = [per_lookup(curve, float(x)) for x in q]
@@ -104,17 +104,17 @@ def test_per_curve_monotone_nonincreasing_everywhere():
 
 def test_per_curve_validation():
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points(0, [0.0, 0.0], [0.5, 0.4])  # not strictly increasing x
+        PerCurve.from_points([0.0, 0.0], [0.5, 0.4])  # not strictly increasing x
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points(0, [0.0, 5.0], [0.2, 0.6])  # per increases
+        PerCurve.from_points([0.0, 5.0], [0.2, 0.6])  # per increases
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points(0, [0.0, 5.0], [1.4, 0.0])  # per out of [0,1]
+        PerCurve.from_points([0.0, 5.0], [1.4, 0.0])  # per out of [0,1]
 
 
 def test_per_curve_from_csv(tmp_path):
     p = tmp_path / "mcs3.csv"
     p.write_text("esnr_db,per\n0.0,1.0\n10.0,0.5\n20.0,0.0\n")
-    curve = PerCurve.from_csv(3, p)
+    curve = PerCurve.from_csv(p)
     assert curve.is_tabulated
     assert per_lookup(curve, 10.0) == 0.5
 

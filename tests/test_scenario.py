@@ -1,14 +1,17 @@
 import dataclasses
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
-from linkalloc.errors import ValidationError
+from linkalloc.errors import ConfigurationError, ValidationError
+from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, PerCurve
 from linkalloc.rates import build_rate_tensor
 from linkalloc.scenario import (
     bundled_scenario_path,
+    check_mcs,
     list_bundled_scenarios,
     load_scenario,
 )
@@ -286,6 +289,55 @@ def test_per_model_logistic_midpoint_override():
         "snr_base_db: 20.0\nper_model: {kind: logistic, midpoints_db: {3: 12.0}}")
     sc = _load(doc)
     assert sc.per_model.curve_for(3).midpoint_db == 12.0
+
+
+def test_per_model_keys_follow_the_mcs_rule(tmp_path):
+    # each key is checked before any table is read: MCS 3's file is missing,
+    # but the unknown MCS 12 is what fails
+    (tmp_path / "per.csv").write_text("esnr_db,per\n0.0,1.0\n20.0,0.0\n")
+    for per_model, msg in (("{midpoints_db: {12: 5.0}}", "per_model.midpoints_db: unknown MCS 12"),
+                           ("{midpoints_db: {-1: 5.0}}", "per_model.midpoints_db: unknown MCS -1"),
+                           ("{midpoints_db: {true: 5.0}}",
+                            "per_model.midpoints_db: expected an integer, got True"),
+                           ("{kind: table, tables: {3: missing.csv, 12: per.csv}}",
+                            "per_model.tables: unknown MCS 12")):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(MINIMAL.replace("seed: 1", f"seed: 1\nper_model: {per_model}"))
+        with mock.patch.object(PerCurve, "from_csv", side_effect=AssertionError("read")), \
+                pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == msg
+
+
+def test_per_model_resolved_at_load(tmp_path):
+    # every logistic curve is built at load, an override over the defaults;
+    # a table model holds exactly its configured MCS
+    sc = _load(MINIMAL.replace("seed: 1", "seed: 1\nper_model: {slope_per_db: 2.0, "
+                                          "midpoints_db: {3: 12.0}}"))
+    assert sc.per_model.kind == "logistic" and sorted(sc.per_model.curves) == list(range(12))
+    assert sc.per_model.curves[3] == PerCurve.logistic(12.0, 2.0)
+    assert sc.per_model.curves[5] == PerCurve.logistic(DEFAULT_PER_MIDPOINT_DB[5], 2.0)
+    assert sc.per_model.curve_for(5) is sc.per_model.curve_for(5)
+    (tmp_path / "per.csv").write_text("esnr_db,per\n0.0,1.0\n20.0,0.0\n")
+    (tmp_path / "s.yaml").write_text(MINIMAL.replace(
+        "seed: 1", "seed: 1\nper_model: {kind: table, tables: {3: per.csv, 5: per.csv}}"))
+    model = load_scenario(tmp_path / "s.yaml").per_model
+    assert model.kind == "table" and sorted(model.curves) == [3, 5]
+    with pytest.raises(ConfigurationError, match="^no PER table configured for MCS 9$"):
+        model.curve_for(9)
+
+
+def test_check_mcs_is_the_one_mcs_rule():
+    assert check_mcs(np.int64(7), "x") == 7 and type(check_mcs(np.int64(7), "x")) is int
+    for value, msg in ((True, "x: expected an integer, got True"),
+                       (np.bool_(True), f"x: expected an integer, got {np.bool_(True)!r}"),
+                       (3.0, "x: expected an integer, got 3.0"),
+                       ("3", "x: expected an integer, got '3'"),
+                       (12, "x: unknown MCS 12"), (-1, "x: unknown MCS -1"),
+                       (2**70, f"x: unknown MCS {2**70}")):
+        with pytest.raises(ValidationError) as exc:
+            check_mcs(value, "x")
+        assert str(exc.value) == msg
 
 
 def test_booleans_rejected_as_numbers():
