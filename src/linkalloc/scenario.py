@@ -34,9 +34,10 @@ Schema (all SNR values in dB)::
     dcf: {cw_min: 16}               # optional DcfParams overrides
     per_model:                      # optional PER configuration
       kind: logistic                # refuses the fields of kind "table"
-      slope_per_db: 1.0
+      slope_per_db: 1.0             # > 0
       midpoints_db: {9: 26.0}       # keys: MCS 0-11; resolved at load to 12 curves
-    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, read at load
+    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, read at load;
+    #     it needs a table for every MCS an AP runs
     aps:
       - {id: ap1, radios: 5, slo_channel: 1, mcs: {1: 9}}
     stas:
@@ -57,6 +58,7 @@ bits, and radio counts are at most 2**31 - 1.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -439,7 +441,8 @@ def _parse_dcf(doc, ctx: str) -> DcfParams:
         raise ValidationError(f"{ctx}: {exc}") from exc
 
 
-def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
+def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
+                     mcs_table: np.ndarray) -> PerModel:
     doc = _as_mapping(doc, ctx)
     _reject_unknown(doc, {"kind", "midpoints_db", "slope_per_db", "tables"}, ctx)
     kind = str(doc.get("kind", "logistic"))
@@ -454,10 +457,19 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None) -> PerModel:
         midpoints = {check_mcs(mcs, key): _as_number(db, f"{key}[{mcs}]")
                      for mcs, db in _as_mapping(doc.get("midpoints_db", {}), key).items()}
         slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
+        if slope <= 0:
+            raise ValidationError(f"{ctx}.slope_per_db: must be > 0, got {slope}")
         return PerModel(kind, _logistic_curves(midpoints, slope))
-    # every key is checked before any table is read; a relative path is the scenario file's
+    # every key is checked, and every MCS an AP runs is covered, before any
+    # table is read; a relative path is the scenario file's
     paths = {check_mcs(mcs, f"{ctx}.tables"): Path(base_dir or "", str(rel))
              for mcs, rel in _as_mapping(doc.get("tables", {}), f"{ctx}.tables").items()}
+    uncovered = np.argwhere(~np.isin(mcs_table, list(paths)))     # (f, n) pairs
+    if uncovered.size:
+        f, n = uncovered[0]
+        mcs, ch = mcs_table[f, n], channels[f]
+        who = f"channels[{f}]" if mcs == ch.mcs_index else f"aps[{n}].mcs[{ch.channel_id}]"
+        raise ValidationError(f"{ctx}.tables: no table for MCS {mcs}, which {who} runs")
     curves = {}
     for mcs, path in paths.items():
         try:
@@ -503,6 +515,33 @@ def _parse_random_range(doc: dict) -> tuple | None:
     return lo, hi
 
 
+class _ScalarMemo:
+    """Over a PyYAML loader: resolve each plain scalar's tag, and construct
+    each core-tagged scalar, once per distinct text in the document. Both
+    depend on the text (and the tag) alone, and the values are immutable."""
+
+    _CORE_TAGS = {f"tag:yaml.org,2002:{t}" for t in ("null", "bool", "int", "float", "str")}
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags, self._values = {}, {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode or not implicit[0] or self.yaml_path_resolvers:
+            return super().resolve(kind, value, implicit)
+        if value not in self._tags:
+            self._tags[value] = super().resolve(kind, value, implicit)
+        return self._tags[value]
+
+    def construct_object(self, node, deep=False):
+        if node.tag not in self._CORE_TAGS or not isinstance(node, yaml.ScalarNode):
+            return super().construct_object(node, deep)
+        key = (node.tag, node.value)
+        if key not in self._values:
+            self._values[key] = super().construct_object(node, deep)
+        return self._values[key]
+
+
 def _yaml_problem(exc: yaml.YAMLError) -> str:
     """One line saying where the parse stopped and why."""
     mark = getattr(exc, "problem_mark", None)
@@ -515,7 +554,18 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
 
 
 def load_scenario(source) -> Scenario:
-    """Load and validate a scenario from a path or an open text stream."""
+    """Load and validate a scenario from a path or an open text stream, with
+    cyclic GC paused: PyYAML's objects would set off whole-heap collections."""
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_scenario(source)
+    finally:
+        if gc_enabled:
+            gc.enable()
+
+
+def _load_scenario(source) -> Scenario:
     base_dir = None
     if hasattr(source, "read"):
         text = source.read()
@@ -529,9 +579,10 @@ def load_scenario(source) -> Scenario:
         base_dir = path.parent
         name_default = path.stem
     try:
-        # libyaml's parser when PyYAML was built with it; both loaders share
-        # SafeLoader's constructor and resolver, so they accept the same documents
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        # libyaml's parser when PyYAML was built with it, under the scalar memo; both
+        # parsers share SafeLoader's constructor and resolver, so they accept the same documents
+        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        doc = yaml.load(text, Loader=type("ScenarioLoader", (_ScalarMemo, base), {}))
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario is not valid YAML: {_yaml_problem(exc)}") from exc
     doc = _as_mapping(doc, "scenario")
@@ -552,7 +603,8 @@ def load_scenario(source) -> Scenario:
         aps=aps,
         stas=stas,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
-        per_model=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir),
+        per_model=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
+                                   channels, mcs_table),
         rr_weights=_parse_rr_weights(doc, channels, channel_index),
         snr_offsets_db=offsets,
         mcs_table=mcs_table,

@@ -1,11 +1,15 @@
 import dataclasses
+import gc
 import io
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from yaml.constructor import SafeConstructor
 
+from linkalloc import scenario
 from linkalloc.errors import ConfigurationError, ValidationError
 from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, PerCurve
 from linkalloc.rates import build_rate_tensor
@@ -15,6 +19,7 @@ from linkalloc.scenario import (
     list_bundled_scenarios,
     load_scenario,
 )
+from test_harness import _small_scenario_docs
 
 MINIMAL = """
 name: tiny
@@ -126,6 +131,98 @@ def test_libyaml_and_pure_python_parsers_load_equal_scenarios(monkeypatch):
     assert [_fields(sc) for sc in with_libyaml] == [_fields(sc) for sc in pure_python]
     multi = with_libyaml[-1]
     assert (multi.m_stas, multi.snr_base_db, multi.rr_weights) == (60, 10.0, (1, 2, 3))
+
+
+_BASE_LOADERS = [getattr(yaml, name) for name in ("SafeLoader", "CSafeLoader")
+                 if hasattr(yaml, name)]
+
+# documents where a scalar memo keyed too coarsely would part from PyYAML:
+# tags that rest on quoting or an explicit tag, YAML 1.1 number forms,
+# aliases and merge keys, and documents PyYAML refuses
+_EDGE_DOCS = (
+    "a: &x 1.5\nb: *x\nc: [*x, 1.5, '1.5', !!str 1.5]\n",
+    "base: &b {k: 1, v: yes}\nmerged: {<<: *b, v: 'yes'}\nagain: {<<: *b}\n",
+    "[!!str 1, 1, !!float 1, !!int '1', 1.0, '1', !!float '1_0', 1e3]\n",
+    "[!!binary aGVsbG8=, !!binary aGVsbG8=]\n",
+    "[yes, 'yes', Yes, no, on, off, true, ~, null, '', !!null '', !!str null]\n",
+    "[0x1F, 0o17, 017, 1_000, 1:30, 190:20:30, -1_0.25, 6.8523015e+5, 2001-12-14]\n",
+    "[.inf, -.inf, .NaN, -0.0, 0.0, +0, -0, -0.0]\n",
+    "{a: 1, a: 2, 1: x, 1.0: y, true: z}\n",
+    "? [1, 2]\n: v\n",
+    "!!python/object:os.system x\n",
+    "{a: !!int abc}\n",
+    "[!!bool maybe]\n",
+    "[1, 2\n",
+)
+
+
+def _outcome(text, loader):
+    """The document's repr, which tells 1, 1.0 and True apart, or the error."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except Exception as exc:    # compared, not handled
+        return type(exc), str(exc)
+
+
+def _assert_memo_loads_like_its_base(text):
+    for base in _BASE_LOADERS:
+        memo = type("Memo", (scenario._ScalarMemo, base), {})
+        assert _outcome(text, memo) == _outcome(text, base), (base.__name__, text)
+
+
+def test_scalar_memo_loads_edge_documents_like_its_base():
+    texts = [bundled_scenario_path(name).read_text() for name in list_bundled_scenarios()]
+    for text in [*_EDGE_DOCS, _multi_station_doc(0), *texts]:
+        _assert_memo_loads_like_its_base(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenario_docs())
+def test_scalar_memo_loads_scenarios_like_its_base(doc):
+    _assert_memo_loads_like_its_base(yaml.safe_dump(doc))
+
+
+def test_each_distinct_scalar_constructed_once(monkeypatch):
+    # 100 stations share one offset, the document's only float
+    stas = "".join(f"  - {{id: sta{m}, radios: 1, snr_offset_db: 0.25}}\n" for m in range(100))
+    text = ("channels: [{id: 1, band: 5GHz, bandwidth_mhz: 40, mcs: 3}]\n"
+            "aps: [{id: ap1, radios: 100}]\nstas:\n" + stas)
+    float_tag = "tag:yaml.org,2002:float"
+    construct = SafeConstructor.yaml_constructors[float_tag]
+
+    def counting(loader, node):
+        calls.append(node.value)
+        return construct(loader, node)
+
+    for base in _BASE_LOADERS[::-1]:
+        monkeypatch.setattr(yaml, "CSafeLoader", base, raising=False)
+        calls = []
+        with mock.patch.dict(SafeConstructor.yaml_constructors, {float_tag: counting}):
+            sc = _load(text)
+        assert calls == ["0.25"], base.__name__
+        assert (sc.snr_offsets_db == 0.25).all() and sc.m_stas == 100
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_gc_and_restores_it(enabled, tmp_path):
+    parse_channels, seen = scenario._parse_channels, []
+    failures = ((io.StringIO("channels: [1, 2\n"), "scenario is not valid YAML"),
+                (io.StringIO(MINIMAL.replace("seed: 1", "seed: -1")), "seed must be >= 0"),
+                (tmp_path / "missing.yaml", "cannot read scenario file"))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(scenario, "_parse_channels", side_effect=lambda doc: (
+                seen.append(gc.isenabled()) or parse_channels(doc))):
+            assert _load(MINIMAL).m_stas == 2
+            assert gc.isenabled() is enabled
+            for source, msg in failures:
+                with pytest.raises(ValidationError, match=msg):
+                    load_scenario(source)
+                assert gc.isenabled() is enabled, msg
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]   # paused in the two loads that reach the schema
 
 
 def test_empty_channel_list_rejected():
@@ -307,6 +404,36 @@ def test_per_model_keys_follow_the_mcs_rule(tmp_path):
                 pytest.raises(ValidationError) as exc:
             load_scenario(path)
         assert str(exc.value) == msg
+
+
+def test_per_model_checked_against_the_mcs_the_aps_run(tmp_path):
+    # a table model covers every MCS an AP runs, checked before any table is
+    # read, and a logistic slope must be > 0; each error names its field
+    joint = bundled_scenario_path("scenario_2ap_joint").read_text()
+    overridden = joint.replace("slo_channel: 3}", "slo_channel: 3, mcs: {2: 7}}")
+    for text, per_model, msg in (
+            (joint, "{kind: table, tables: {5: per5.csv}}",
+             "per_model.tables: no table for MCS 0, which channels[0] runs"),
+            (joint, "{kind: table, tables: {0: a.csv, 2: a.csv}}",
+             "per_model.tables: no table for MCS 1, which channels[1] runs"),
+            (overridden, "{kind: table, tables: {0: a.csv, 1: a.csv, 2: a.csv}}",
+             "per_model.tables: no table for MCS 7, which aps[1].mcs[2] runs"),
+            (joint, "{slope_per_db: -1.0}", "per_model.slope_per_db: must be > 0, got -1.0"),
+            (joint, "{slope_per_db: 0}", "per_model.slope_per_db: must be > 0, got 0.0"),
+            (joint, "{slope_per_db: .inf}",
+             "per_model.slope_per_db: expected a finite number, got inf")):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"{text}per_model: {per_model}\n")
+        with mock.patch.object(PerCurve, "from_csv", side_effect=AssertionError("read")), \
+                pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == msg
+    # a channel MCS that every AP overrides needs no table
+    (tmp_path / "per.csv").write_text("esnr_db,per\n0.0,1.0\n20.0,0.0\n")
+    (tmp_path / "s.yaml").write_text(MINIMAL.replace("slo_channel: 1}", "slo_channel: 1, "
+                                                     "mcs: {2: 7}}").replace(
+        "seed: 1", "seed: 1\nper_model: {kind: table, tables: {3: per.csv, 7: per.csv}}"))
+    assert sorted(load_scenario(tmp_path / "s.yaml").per_model.curves) == [3, 7]
 
 
 def test_per_model_resolved_at_load(tmp_path):
