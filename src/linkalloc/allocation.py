@@ -130,13 +130,12 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
     """The step's served rates, both read off one selection x rate product:
     per channel, the mean rate of its active links (0 when idle), which drives
     the PF metric and the average update; and the network total, the sum of
-    every active link's contention-discounted rate. The paired links' product
-    is summed in the tensor's layout, so it rounds as a dense product would."""
+    every active link's contention-discounted rate. Only the paired links'
+    (F, links) product is formed and summed."""
     ns, ms = selection.pairing.paired
-    served = np.zeros(rates.values.shape)
-    served[:, ns, ms] = selection.links[:, ms] * rates.values[:, ns, ms]
+    served = selection.links[:, ms] * rates.values[:, ns, ms]
     counts = selection.per_channel_counts()
-    totals = served.sum(axis=(1, 2))
+    totals = served.sum(axis=1)
     return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
             float(served.sum()))
 

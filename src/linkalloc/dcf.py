@@ -117,22 +117,23 @@ def solve_bianchi_fixed_point(params: DcfParams, n_contenders: int) -> Contentio
 
 @dataclass(frozen=True)
 class AirtimeDurations:
-    """Channel occupancy of the three transmission outcomes, in seconds."""
+    """Channel occupancy of a transmission, in seconds: `t_success` for a
+    delivered frame, `t_collision` for a failed one, collided or errored
+    (both end in EIFS)."""
 
     t_success: float
     t_collision: float
-    t_phy_error: float
     payload_airtime: float   # E[Pkt]: payload bits at the MCS data rate
 
     def __post_init__(self):
-        if min(self.t_success, self.t_collision, self.t_phy_error) <= 0:
+        if min(self.t_success, self.t_collision) <= 0:
             raise InvalidInputError("durations must be > 0")
         if self.payload_airtime < 0:
             raise InvalidInputError("payload_airtime must be >= 0")
 
 
 def airtime_durations(params: DcfParams, mcs_rate: float) -> AirtimeDurations:
-    """Slot durations for success / collision / PHY error at a PHY rate.
+    """Slot durations for success / failure at a PHY rate.
 
     ACK frames ride at the same MCS rate plus a PHY header; EIFS defaults to
     SIFS + ACK airtime + DIFS, which makes T_c = T_s - prop_delay.
@@ -146,8 +147,7 @@ def airtime_durations(params: DcfParams, mcs_rate: float) -> AirtimeDurations:
     t_s = h + payload + params.sifs + delta + ack + params.difs + delta
     eifs = params.eifs if params.eifs is not None else params.sifs + ack + params.difs
     t_c = h + payload + delta + eifs
-    return AirtimeDurations(t_success=t_s, t_collision=t_c, t_phy_error=t_c,
-                            payload_airtime=payload)
+    return AirtimeDurations(t_success=t_s, t_collision=t_c, payload_airtime=payload)
 
 
 def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
@@ -155,24 +155,24 @@ def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
     """Fraction of channel time carrying successfully delivered payload.
 
     Success requires winning the slot (single transmitter) and surviving the
-    PHY with probability 1 - per; collided and errored transmissions burn
-    t_collision / t_phy_error respectively. `per` is a float or an array of
-    links sharing the channel, and the result has the same shape.
+    PHY with probability 1 - per, so a slot succeeds with probability
+    success = n tau (1 - tau)^(n - 1) (1 - per). A collided or errored
+    transmission burns t_collision and a successful one t_success, so
+
+        success E[P] / ((1 - p_tr) slot + p_tr T_c + success (T_s - T_c))
+
+    `per` is a float or an array of links sharing the channel, and the
+    result has the same shape.
     """
     if not np.all((0.0 <= per) & (per <= 1.0)):
         raise InvalidInputError(f"per must be in [0, 1], got {per!r}")
     n = state.n_contenders
     tau = state.tau
     p_tr = 1.0 - (1.0 - tau) ** n
-    if p_tr <= 0.0:
-        return 0.0
-    p_s = n * tau * (1.0 - tau) ** (n - 1) / p_tr
-    num = (1.0 - per) * p_s * p_tr * durations.payload_airtime
-    den = ((1.0 - p_tr) * params.slot_time
-           + p_tr * p_s * (1.0 - per) * durations.t_success
-           + p_tr * (1.0 - p_s) * durations.t_collision
-           + p_tr * p_s * per * durations.t_phy_error)
-    return num / den
+    success = n * tau * (1.0 - tau) ** (n - 1) * (1.0 - per)
+    t_c = durations.t_collision
+    den = (1.0 - p_tr) * params.slot_time + p_tr * t_c + success * (durations.t_success - t_c)
+    return success * durations.payload_airtime / den
 
 
 def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
@@ -182,10 +182,11 @@ def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
     Runs `n_slots` contention slots (idle slots and transmission events each
     count as one). Backoff counters freeze while the channel is busy, double
     on collision up to cw_max, and reset on success. PHY errors are drawn
-    i.i.d. with probability `per` on single-transmitter slots; an errored
-    attempt redraws its backoff from the current window without doubling it,
-    keeping the simulator aligned with the analytical fixed point whose
-    conditional failure probability counts collisions only.
+    i.i.d. with probability `per` on single-transmitter slots. An errored
+    attempt burns `t_collision`, as a collision does, and redraws its backoff
+    from the current window without doubling it, keeping the simulator
+    aligned with the analytical fixed point whose conditional failure
+    probability counts collisions only.
     """
     if n_contenders < 1:
         raise InvalidInputError("n_contenders must be >= 1")
@@ -215,7 +216,7 @@ def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
         if len(tx) == 1:
             i = tx[0]
             if per > 0.0 and rng.random() < per:
-                busy_time += durations.t_phy_error
+                busy_time += durations.t_collision
             else:
                 payload_time += durations.payload_airtime
                 busy_time += durations.t_success

@@ -185,6 +185,19 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
+def _check_run_args(solver: str, allocator: str, iterations: int) -> None:
+    """Refuse run arguments that no loop or sweep round could run with."""
+    if solver not in SOLVERS:
+        raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    if allocator not in ALLOCATORS:
+        raise InvalidInputError(f"allocator must be one of {ALLOCATORS}, got {allocator!r}")
+    if allocator == "slo" and solver != "optimal":
+        raise InvalidInputError(f"allocator 'slo' pairs with solver 'optimal' only, "
+                                f"got {solver!r}")
+    if iterations < 1:
+        raise InvalidInputError("iterations must be >= 1")
+
+
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
                  iterations: int = 30, carry: LoopCarry | None = None,
                  snr_base_db: float | None = None, mcs_override: int | None = None,
@@ -212,16 +225,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     its home channel when that rate is > 0. It pairs with the optimal solver
     only. With `timing`, a report's `wall_time_s` covers its whole step.
     """
-    if solver not in SOLVERS:
-        raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    if allocator not in ALLOCATORS:
-        raise InvalidInputError(f"allocator must be one of {ALLOCATORS}, got {allocator!r}")
-    if allocator == "slo" and solver != "optimal":
-        raise InvalidInputError(f"allocator 'slo' pairs with solver 'optimal' only, "
-                                f"got {solver!r}")
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
-
+    _check_run_args(solver, allocator, iterations)
     mcs_override = scenario.run_mcs(mcs_override)
     seed = scenario.run_seed(rng_seed)
     base_reported = scenario.snr_base(snr_base_db)
@@ -396,6 +400,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         raise InvalidInputError("rounds must be >= 1")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    _check_run_args(solver, allocator, iterations)
     if not snrs or not mcss:
         raise InvalidInputError(f"a sweep needs at least one {'MCS' if snrs else 'SNR'} point")
     # a refused base fails here, before any job reaches the pool

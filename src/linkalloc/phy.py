@@ -25,7 +25,6 @@ __all__ = [
     "per_lookup",
     "mcs_data_rate",
     "db_to_linear",
-    "linear_to_db",
     "MCS_MODULATION",
     "DATA_SUBCARRIERS",
     "OFDM_SYMBOL_S",
@@ -38,14 +37,6 @@ __all__ = [
 def db_to_linear(value_db):
     """Convert decibels to a linear power ratio."""
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(value):
-    """Convert a linear power ratio to decibels."""
-    value = np.asarray(value, dtype=float)
-    if np.any(value <= 0):
-        raise InvalidInputError("linear value must be > 0 to convert to dB")
-    return 10.0 * np.log10(value)
 
 
 @dataclass(frozen=True)

@@ -63,20 +63,21 @@ def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
     Each link is one SINR sample, which must be finite and > 0 in linear
     scale; a link SNR outside that range (say 5000 dB, whose linear value
     overflows) is a configuration error naming it. The EESM of a single
-    sample is the sample itself, so the effective SNR is that linear SINR
-    back in dB. NaN marks an out-of-range
-    link, whose rate is 0. The MAC efficiency already discounts the channel
-    time lost to errored frames (it counts delivered payload only), so a
-    link's rate is that efficiency times the MCS rate.
+    sample is the sample itself, so the link SNR in dB indexes the PER curve
+    directly. NaN marks an out-of-range link, whose rate is 0. The MAC
+    efficiency already discounts the channel time lost to errored frames (it
+    counts delivered payload only), so a link's rate is that efficiency times
+    the MCS rate.
     """
     live = ~np.isnan(snr_db)
+    snr = snr_db[live]
     with np.errstate(over="ignore"):
-        linear = phy.db_to_linear(snr_db[live])
+        linear = phy.db_to_linear(snr)
     usable = np.isfinite(linear) & (linear > 0)
     if not usable.all():
-        raise InvalidInputError(f"a link SNR of {float(snr_db[live][~usable][0])} dB is out of "
+        raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
                                 f"the PHY model's range: its linear value must be finite and > 0")
-    per = phy.per_lookup(curve, phy.linear_to_db(linear))
+    per = phy.per_lookup(curve, snr)
     tpt = normalized_throughput(state, airtime_durations(params, rate), per, params)
     out = np.zeros(snr_db.shape)
     out[live] = tpt * rate

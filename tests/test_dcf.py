@@ -79,7 +79,6 @@ def test_collision_time_is_success_minus_prop_delay():
     p = DcfParams()
     d = airtime_durations(p, mcs_data_rate(6, 40))
     assert d.t_collision == pytest.approx(d.t_success - p.prop_delay, rel=1e-12)
-    assert d.t_phy_error == d.t_collision
     assert d.t_success >= d.payload_airtime
 
 

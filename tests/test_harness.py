@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -267,6 +268,22 @@ def test_empty_grid_refused_before_the_pool(grid, what, workers):
         run_monte_carlo(_fixture(), rounds=2, workers=workers, **grid)
 
 
+@pytest.mark.parametrize("args, msg", [
+    ({"solver": "bogus"}, "solver must be one of ('optimal', 'greedy'), got 'bogus'"),
+    ({"allocator": "bogus"}, "allocator must be one of ('pf', 'rr', 'slo'), got 'bogus'"),
+    ({"allocator": "slo", "solver": "greedy"},
+     "allocator 'slo' pairs with solver 'optimal' only, got 'greedy'"),
+    ({"iterations": 0}, "iterations must be >= 1"),
+], ids=["solver", "allocator", "slo-greedy", "iterations"])
+def test_run_arguments_refused_before_the_pool(args, msg):
+    with mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")), \
+            pytest.raises(InvalidInputError, match=f"^{re.escape(msg)}$"):
+        run_monte_carlo(_fixture(), rounds=2, workers=2, **args)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(msg)}$"):
+        run_apc_loop(_fixture(), **args)
+
+
 @pytest.mark.parametrize("solver,allocator", [("optimal", "pf"), ("greedy", "pf"),
                                               ("greedy", "rr")])
 def test_pooled_sweep_equals_serial(solver, allocator):
@@ -410,24 +427,25 @@ def _sha256(text: str) -> str:
 
 
 def test_loop_outputs_pinned(capsys):
-    # SHA-256 of the loop's outputs recorded before two refactors: the SLO
-    # hashes before the separate single-link loop became allocator="slo" of
-    # run_apc_loop, the PF/RR hashes before links moved from flat edge ids to
-    # the (F, N, M) layout
+    # SHA-256 of the loop's outputs. The SLO hashes held while the separate
+    # single-link loop became allocator="slo" of run_apc_loop, the PF/RR
+    # hashes while links moved from flat edge ids to the (F, N, M) layout.
+    # All were re-pinned once when the rate path took one rounding (the
+    # decisions under them did not move)
     sc = _fixture()
     ladder = "".join(emit_results(run_slo_baseline(sc, iterations=10, snr_base_db=snr,
                                                    mcs_override=mcs).reports)
                      for snr in (5.0, 10.0, 15.0, 20.0) for mcs in (3, 9))
-    assert _sha256(ladder) == "63c3511754851bb450694250942a603af6c4db843ff1c82d4654680609ab7b8e"
-    default = "3c6fb6b9d04ef675ae2eaa04ad20dcaa2c96a838ebc7f30f1c851bd44e460c1e"
+    assert _sha256(ladder) == "3c7782599ce894f2e1050e3a3740d2cefd2dc21b28db8844d38c49c7f21e248c"
+    default = "a279fa5f2b6331d6c872d88fd0254ea992354f5afe6d57a7562628b7f098114e"
     assert _sha256(emit_results(run_slo_baseline(sc).reports)) == default
     assert main(["run", "--scenario", "scenario_3ap_15sta", "--allocator", "slo"]) == 0
     assert _sha256(capsys.readouterr().out) == default
     pinned = {
-        ("optimal", "pf"): "b2ff0f1c0e8e273d6d88031f5715be5bc37b2ab935649abac7dcd5bba60b58a6",
-        ("optimal", "rr"): "1e0f8ff3b9580b6e457aca1bad246ea6b9f03fc3b0c38a309d3d72dfa3cf2e47",
-        ("greedy", "pf"): "daed72fe906ee0ddfe539e896240f22b689af17286b53ac1055789368c32cdea",
-        ("greedy", "rr"): "b3e68201d48f8f2c73e10f0970bf6cdfc225af004efe4b0f87116ea25a9aa71c",
+        ("optimal", "pf"): "d47561f60554fa4d575f322086e37e3aac342e080738983ccab58f62bf3e31cc",
+        ("optimal", "rr"): "1b701cb8ba48421f71009f44e0d938c0f40dc0e3490a2ffeac19c142f4671698",
+        ("greedy", "pf"): "18dd392c8f936b8fd19e3c865458bd97faeb00dd5438d52d9a6adf8400caca0f",
+        ("greedy", "rr"): "fda716a9837aa67948e236fa0e5bbafb7035cddab5e0a22fe580037782077526",
     }
     for (solver, allocator), digest in pinned.items():
         result = run_apc_loop(sc, solver=solver, allocator=allocator)
@@ -445,13 +463,13 @@ def test_decisions_pinned_at_scale():
     # the CSV sees only through the rates they produce
     sc = load_scenario(SYNTH_10X200)
     pinned = {
-        ("optimal", "pf"): ("0c920b63d9ee3718334f197b15360bcd4d8999bda8938bd3714619b03e8a941f",
+        ("optimal", "pf"): ("377b5b035a82f1c525ae5a29feb4a585caf2eaa49a0e51499c2b0006751d7195",
                             "d33b7429aa03f318f9af48690d0d769ee7c54c2e22287852afe77fca90eb8d16"),
-        ("greedy", "pf"): ("cfee915735f25a891e59bb7f55d29913f5a10bcf78a7205c9520e443ca4a1468",
+        ("greedy", "pf"): ("705ac76e6a938ff513141eaa13ffa9ae7977a69089b5d615933df2e861d471f7",
                            "d33b7429aa03f318f9af48690d0d769ee7c54c2e22287852afe77fca90eb8d16"),
-        ("greedy", "rr"): ("18941e44179f7488f718b8d6ec679e73a9ceb54c8b1ae18ff5195da778da61b7",
+        ("greedy", "rr"): ("8588a0d01773f47a1e291bf8cf2df79ce08b84a8d887fab7fed78f44d94b33d4",
                            "5a138f8aa6fa052a38bc332f38526bb8219aaed6acda96e169a935e3cadbc1f7"),
-        ("optimal", "slo"): ("c9e526925e20fc9be6006a4fb80475fbb4d58de0ae29b3ff9649ee00d1d545fa",
+        ("optimal", "slo"): ("68008c727a8928b3eb79f6597b5af70f5394f89e3565a5f7a8a9f7799a846d4e",
                              "b1cfc827d910ed6d888e9b0f58c86019e79d75d0faba1ff5a21f3fb4e159688d"),
     }
     for (solver, allocator), (csv_digest, decisions_digest) in pinned.items():
@@ -558,7 +576,8 @@ def _recorded_run(doc, sc, allocator):
     tensors = []
     for report in result.reports:
         tensor = build_rate_tensor(sc, contenders=contenders, snr_field=field)
-        assert report.aggregate_throughput_bps == float((report.selection.s * tensor.values).sum())
+        assert report.aggregate_throughput_bps == pytest.approx(
+            float((report.selection.s * tensor.values).sum()), rel=1e-12, abs=0.0)
         tensors.append(tensor)
         contenders = report.selection.per_channel_counts().tolist()
     return result, tensors

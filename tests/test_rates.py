@@ -165,6 +165,21 @@ def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
         _assert_tensor_matches_scalar_chain(sc, doc, snr_field=sc.snr_field(base_db=base_db))
 
 
+@pytest.mark.parametrize("dcf, sign", [("{eifs: 1.0e-4}", -1),
+                                       ("{eifs: 4.0e-5, slot_time: 2.0e-5}", 1)])
+def test_tensor_matches_scalar_chain_with_explicit_eifs(dcf, sign):
+    # only the default EIFS makes T_s - T_c = prop_delay; an explicit one
+    # moves the closed form's success term away from it, either way
+    text = TWO_BY_TWO_YAML.replace("aps:\n", f"dcf: {dcf}\naps:\n", 1)
+    sc, doc = _load(text), yaml.safe_load(text)
+    for chan in sc.channels:
+        d = airtime_durations(sc.dcf, mcs_data_rate(3, chan.bandwidth_mhz))
+        gap = d.t_success - d.t_collision
+        assert np.sign(gap) == sign and abs(gap - sc.dcf.prop_delay) > 1e-6
+    for contenders in ([1, 1], [3, 2], [20, 7]):
+        _assert_tensor_matches_scalar_chain(sc, doc, contenders=contenders)
+
+
 def test_out_of_range_link_is_zero():
     sc = _load(TWO_BY_TWO_YAML)
     t = build_rate_tensor(sc)
