@@ -68,8 +68,9 @@ from .pairing import (
 )
 from .phy import (
     EesmParams,
-    PerCurve,
+    LogisticPer,
     SubcarrierSinrGrid,
+    TablePer,
     eesm_effective_snr,
     mcs_data_rate,
     per_lookup,
@@ -82,7 +83,6 @@ from .rates import (
 from .scenario import (
     ApConfig,
     ChannelSpec,
-    PerModel,
     Scenario,
     StaConfig,
     bundled_scenario_path,

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    ConfigurationError,
     InfeasibleError,
     InvalidInputError,
     SizeLimitError,
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             _check_writable(args.out)
         return _COMMANDS[args.command](args)
-    except (ValidationError, ConfigurationError, InvalidInputError) as exc:
+    except (ValidationError, InvalidInputError) as exc:
         print(f"linkalloc: {exc}", file=sys.stderr)
         return 1
     except (SolverError, InfeasibleError, SizeLimitError) as exc:

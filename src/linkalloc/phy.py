@@ -2,8 +2,9 @@
 
 A radio link is reduced to a scalar effective SNR via an exponential
 effective SNR mapping (EESM) over its per-subcarrier, per-stream SINR grid.
-The effective SNR indexes a packet-error-rate curve for the active MCS, and
-the MCS itself fixes the raw PHY data rate from the OFDM symbol layout.
+The effective SNR indexes the packet-error-rate curve of the active MCS, a
+parametric `LogisticPer` or a tabulated `TablePer`, and the MCS itself fixes
+the raw PHY data rate from the OFDM symbol layout.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .errors import InvalidInputError
 __all__ = [
     "SubcarrierSinrGrid",
     "EesmParams",
-    "PerCurve",
+    "LogisticPer",
+    "TablePer",
     "eesm_effective_snr",
     "per_lookup",
     "mcs_data_rate",
-    "db_to_linear",
     "MCS_MODULATION",
     "DATA_SUBCARRIERS",
     "OFDM_SYMBOL_S",
@@ -32,11 +33,6 @@ __all__ = [
     "DEFAULT_PER_MIDPOINT_DB",
     "DEFAULT_PER_SLOPE_PER_DB",
 ]
-
-
-def db_to_linear(value_db):
-    """Convert decibels to a linear power ratio."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -86,64 +82,53 @@ def eesm_effective_snr(grid: SubcarrierSinrGrid, params: EesmParams) -> float:
 
 
 @dataclass(frozen=True)
-class PerCurve:
-    """Packet error rate as a function of effective SNR in dB, for the MCS
-    that keys it in `PerModel.curves`.
+class LogisticPer:
+    """Parametric PER curve 1 / (1 + exp(slope * (esnr_db - midpoint_db)))."""
 
-    Either a tabulated curve (strictly increasing esnr_db grid, linearly
-    interpolated, clamped at the endpoints) or a parametric logistic curve
-    1 / (1 + exp(slope * (esnr_db - midpoint_db))).
-    """
-
-    esnr_db: np.ndarray | None = None
-    per: np.ndarray | None = None
-    midpoint_db: float | None = None
-    slope_per_db: float | None = None
+    midpoint_db: float
+    slope_per_db: float
 
     def __post_init__(self):
-        tabulated = self.esnr_db is not None or self.per is not None
-        parametric = self.midpoint_db is not None or self.slope_per_db is not None
-        if tabulated == parametric:
-            raise InvalidInputError(
-                "PerCurve needs either table points or logistic parameters, not both"
-            )
-        if tabulated:
-            x = np.asarray(self.esnr_db, dtype=float)
-            y = np.asarray(self.per, dtype=float)
-            if x.ndim != 1 or y.shape != x.shape or x.size < 2:
-                raise InvalidInputError("PER table needs matching 1-D arrays of length >= 2")
-            if not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
-                raise InvalidInputError("esnr_db grid must be finite and strictly increasing")
-            if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y > 1):
-                raise InvalidInputError("PER values must be finite and lie in [0, 1]")
-            if np.any(np.diff(y) > 1e-12):
-                raise InvalidInputError("PER must be non-increasing in effective SNR")
-            x = x.copy(); x.flags.writeable = False
-            y = y.copy(); y.flags.writeable = False
-            object.__setattr__(self, "esnr_db", x)
-            object.__setattr__(self, "per", y)
-        else:
-            if self.midpoint_db is None or self.slope_per_db is None:
-                raise InvalidInputError("logistic PerCurve needs midpoint_db and slope_per_db")
-            if not math.isfinite(self.midpoint_db):
-                raise InvalidInputError("midpoint_db must be finite")
-            if not math.isfinite(self.slope_per_db) or self.slope_per_db <= 0:
-                raise InvalidInputError("slope_per_db must be finite and > 0")
+        if not math.isfinite(self.midpoint_db):
+            raise InvalidInputError("midpoint_db must be finite")
+        if not math.isfinite(self.slope_per_db) or self.slope_per_db <= 0:
+            raise InvalidInputError("slope_per_db must be finite and > 0")
 
-    @property
-    def is_tabulated(self) -> bool:
-        return self.esnr_db is not None
+    def at(self, esnr_db: np.ndarray) -> np.ndarray:
+        # far above the midpoint exp(z) overflows to inf, which is PER 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(self.slope_per_db * (esnr_db - self.midpoint_db)))
 
-    @classmethod
-    def logistic(cls, midpoint_db: float, slope_per_db: float) -> "PerCurve":
-        return cls(midpoint_db=float(midpoint_db), slope_per_db=float(slope_per_db))
 
-    @classmethod
-    def from_points(cls, esnr_db, per) -> "PerCurve":
-        return cls(esnr_db=np.asarray(esnr_db, dtype=float), per=np.asarray(per, dtype=float))
+@dataclass(frozen=True)
+class TablePer:
+    """Tabulated PER curve: a strictly increasing esnr_db grid, linearly
+    interpolated and clamped at the endpoints."""
+
+    esnr_db: np.ndarray
+    per: np.ndarray
+
+    def __post_init__(self):
+        x = np.array(self.esnr_db, dtype=float)
+        y = np.array(self.per, dtype=float)
+        if x.ndim != 1 or y.shape != x.shape or x.size < 2:
+            raise InvalidInputError("PER table needs matching 1-D arrays of length >= 2")
+        if not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
+            raise InvalidInputError("esnr_db grid must be finite and strictly increasing")
+        if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y > 1):
+            raise InvalidInputError("PER values must be finite and lie in [0, 1]")
+        if np.any(np.diff(y) > 1e-12):
+            raise InvalidInputError("PER must be non-increasing in effective SNR")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "esnr_db", x)
+        object.__setattr__(self, "per", y)
+
+    def at(self, esnr_db: np.ndarray) -> np.ndarray:
+        return np.interp(esnr_db, self.esnr_db, self.per)
 
     @classmethod
-    def from_csv(cls, path) -> "PerCurve":
+    def from_csv(cls, path) -> "TablePer":
         """Load a table from a UTF-8 CSV file with header ``esnr_db,per``.
 
         A table that is not valid raises `InvalidInputError` naming the file;
@@ -165,26 +150,21 @@ class PerCurve:
             if len(rows) < 2:
                 raise InvalidInputError("PER table needs at least 2 rows")
             x, y = zip(*rows)
-            return cls.from_points(np.array(x), np.array(y))
+            return cls(x, y)
         except ValueError as exc:    # also bytes that are not UTF-8, and InvalidInputError
             raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def per_lookup(curve: PerCurve, esnr_db):
-    """Evaluate a PER curve at effective SNRs in dB.
+def per_lookup(curve: LogisticPer | TablePer, esnr_db):
+    """Evaluate a PER curve, `LogisticPer` or `TablePer`, at effective SNRs
+    in dB, which must be finite.
 
     Returns a float for a scalar `esnr_db` and an array for an array.
     """
     esnr_db = np.asarray(esnr_db, dtype=float)
     if not np.isfinite(esnr_db).all():
         raise InvalidInputError("esnr_db must be finite")
-    if curve.is_tabulated:
-        # np.interp clamps to the endpoint values outside the grid
-        per = np.interp(esnr_db, curve.esnr_db, curve.per)
-    else:
-        # far above the midpoint exp(z) overflows to inf, which is PER 0
-        with np.errstate(over="ignore"):
-            per = 1.0 / (1.0 + np.exp(curve.slope_per_db * (esnr_db - curve.midpoint_db)))
+    per = curve.at(esnr_db)
     return float(per) if per.ndim == 0 else per
 
 

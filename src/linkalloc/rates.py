@@ -51,29 +51,33 @@ class RateTensor:
         return self.values.shape[0]
 
 
+# the link SNRs in dB whose linear value 10**(snr/10) is a finite double > 0:
+# below the floor it underflows to 0, from the ceiling up it overflows to inf
+_SNR_FLOOR_DB = -10750 * np.log10(2)
+_SNR_CEILING_DB = 10 * np.log10(np.finfo(float).max)
+
+
 @lru_cache(maxsize=4096)
 def _contention(params: DcfParams, n: int):
     return solve_bianchi_fixed_point(params, n)
 
 
-def _link_rates(snr_db: np.ndarray, curve: phy.PerCurve, rate: float,
+def _link_rates(snr_db: np.ndarray, curve: phy.LogisticPer | phy.TablePer, rate: float,
                 state, params: DcfParams) -> np.ndarray:
     """Rates in bit/s of links that share one MCS and one contention state.
 
     Each link is one SINR sample, which must be finite and > 0 in linear
-    scale; a link SNR outside that range (say 5000 dB, whose linear value
-    overflows) is a configuration error naming it. The EESM of a single
-    sample is the sample itself, so the link SNR in dB indexes the PER curve
-    directly. NaN marks an out-of-range link, whose rate is 0. The MAC
+    scale, checked as the equivalent range in dB; a link SNR outside it (say
+    5000 dB, whose linear value overflows) is a configuration error naming
+    it. The EESM of a single sample is the sample itself, so the link SNR in
+    dB indexes the PER curve directly. NaN marks an out-of-range link, whose rate is 0. The MAC
     efficiency already discounts the channel time lost to errored frames (it
     counts delivered payload only), so a link's rate is that efficiency times
     the MCS rate.
     """
     live = ~np.isnan(snr_db)
     snr = snr_db[live]
-    with np.errstate(over="ignore"):
-        linear = phy.db_to_linear(snr)
-    usable = np.isfinite(linear) & (linear > 0)
+    usable = (snr >= _SNR_FLOOR_DB) & (snr < _SNR_CEILING_DB)
     if not usable.all():
         raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
                                 f"the PHY model's range: its linear value must be finite and > 0")
@@ -128,7 +132,7 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
         # one kernel call per MCS in use on the channel: usually all APs share it
         for mcs in np.unique(mcs_table[f]).tolist():
             rows = mcs_table[f] == mcs
-            out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_model.curve_for(mcs),
+            out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_curves[mcs],
                                        phy.mcs_data_rate(mcs, chan.bandwidth_mhz), state, params)
     return RateTensor(out)
 

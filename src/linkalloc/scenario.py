@@ -35,9 +35,9 @@ Schema (all SNR values in dB)::
     per_model:                      # optional PER configuration
       kind: logistic                # refuses the fields of kind "table"
       slope_per_db: 1.0             # > 0
-      midpoints_db: {9: 26.0}       # keys: MCS 0-11; resolved at load to 12 curves
-    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, read at load;
-    #     it needs a table for every MCS an AP runs
+      midpoints_db: {9: 26.0}       # keys: MCS 0-11; resolved at load to 12 LogisticPer
+    # or: per_model: {kind: table, tables: {9: per_mcs9.csv}}, read at load into
+    #     TablePer curves; it needs a table for every MCS an AP runs
     aps:
       - {id: ap1, radios: 5, slo_channel: 1, mcs: {1: 9}}
     stas:
@@ -46,14 +46,15 @@ Schema (all SNR values in dB)::
         snr_offset_db: {ap1: {1: 0.0, 2: -1.5, 3: out-of-range}}
 
 `snr_offset_db` may be a scalar (all APs, all channels), a per-AP scalar, or
-a per-AP per-channel map; APs absent from the map are out of range. The
-effective SNR of a link is `snr_base_db + offset`. A scenario that declares
-`snr_random_range_db` instead draws each link's base uniformly from that
-range on every run, seeded with the run's seed, else its own `seed`, and
-refuses an explicit base. Every number must be
-finite: YAML `.nan` and `.inf` are rejected with their field path, so only
-`out-of-range` marks a link out of range. Integers must fit in signed 64
-bits, and radio counts are at most 2**31 - 1.
+a per-AP per-channel map. Every key names a known AP or channel. An AP or a
+channel whose value is `out-of-range` or null, or that the map leaves out, is
+out of range. The effective SNR of a link is `snr_base_db + offset`. A
+scenario that declares `snr_random_range_db` instead draws each link's base
+uniformly from that range on every run, seeded with the run's seed, else its
+own `seed`, and refuses an explicit base. Every number must be finite: YAML
+`.nan` and `.inf` are rejected with their field path, so no number marks a
+link out of range. Integers must fit in signed 64 bits, and radio counts are
+at most 2**31 - 1.
 """
 
 from __future__ import annotations
@@ -73,14 +74,14 @@ from .phy import (
     DEFAULT_PER_MIDPOINT_DB,
     DEFAULT_PER_SLOPE_PER_DB,
     MCS_MODULATION,
-    PerCurve,
+    LogisticPer,
+    TablePer,
 )
 
 __all__ = [
     "ChannelSpec",
     "ApConfig",
     "StaConfig",
-    "PerModel",
     "Scenario",
     "load_scenario",
     "bundled_scenario_path",
@@ -119,26 +120,6 @@ class StaConfig:
     snr_offsets_db: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _logistic_curves(midpoints_db=DEFAULT_PER_MIDPOINT_DB, slope=DEFAULT_PER_SLOPE_PER_DB) -> dict:
-    """The logistic PER curve of every MCS, `midpoints_db` over the defaults."""
-    return {mcs: PerCurve.logistic(midpoints_db.get(mcs, mid), slope)
-            for mcs, mid in DEFAULT_PER_MIDPOINT_DB.items()}
-
-
-@dataclass(frozen=True)
-class PerModel:
-    """The PER curves, keyed by MCS, as resolved at load: the logistic curve
-    of every MCS, or the configured tables."""
-
-    kind: str = "logistic"
-    curves: dict = field(default_factory=_logistic_curves)     # mcs -> PerCurve
-
-    def curve_for(self, mcs_index: int) -> PerCurve:
-        if mcs_index not in self.curves:
-            raise ConfigurationError(f"no PER table configured for MCS {mcs_index}")
-        return self.curves[mcs_index]
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A validated, defaults-filled run configuration, as `load_scenario`
@@ -155,7 +136,7 @@ class Scenario:
     aps: tuple
     stas: tuple
     dcf: DcfParams
-    per_model: PerModel
+    per_curves: dict                # MCS -> LogisticPer or TablePer, resolved at load
     rr_weights: tuple               # slice counts by channel position
     snr_offsets_db: np.ndarray      # (F, N, M) dB, NaN = out of range
     mcs_table: np.ndarray           # (F, N) MCS index, AP overrides applied
@@ -193,7 +174,8 @@ class Scenario:
         """A run's MCS override, None to keep `mcs_table`: under `check_mcs`, with a PER curve."""
         if mcs_override is not None:
             mcs_override = check_mcs(mcs_override, "mcs_override")
-            self.per_model.curve_for(mcs_override)     # a table model may have none
+            if mcs_override not in self.per_curves:     # a table model may have none
+                raise ConfigurationError(f"no PER table configured for MCS {mcs_override}")
         return mcs_override
 
     def snr_field(self, base_db: float | None = None, seed=None) -> np.ndarray:
@@ -391,17 +373,15 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
         links = table[:, :, m]      # (F, N), written in place
         if isinstance(raw, dict):
             for ap_key, value in raw.items():
-                if value == OUT_OF_RANGE:
-                    continue
                 actx = f"{octx}.{ap_key}"
                 n = _position(ap_index, str(ap_key), actx, "ap")
+                links[:, n] = np.nan    # a repeated AP key replaces the earlier entry
                 if isinstance(value, dict):
-                    links[:, n] = np.nan    # a repeated AP key replaces the earlier map
                     for cid, off in value.items():
                         f = _position(channel_index, _as_int(cid, actx), actx, "channel")
-                        links[f, n] = np.nan if off is None or off == OUT_OF_RANGE \
-                            else _as_number(off, f"{actx}[{cid}]")
-                else:
+                        if off is not None and off != OUT_OF_RANGE:
+                            links[f, n] = _as_number(off, f"{actx}[{cid}]")
+                elif value is not None and value != OUT_OF_RANGE:
                     links[:, n] = _as_number(value, actx)
         elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
             links[:] = _as_number(raw, octx)
@@ -442,7 +422,9 @@ def _parse_dcf(doc, ctx: str) -> DcfParams:
 
 
 def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
-                     mcs_table: np.ndarray) -> PerModel:
+                     mcs_table: np.ndarray) -> dict:
+    """The PER curve of each MCS: the logistic curve of every MCS, or the
+    configured tables."""
     doc = _as_mapping(doc, ctx)
     _reject_unknown(doc, {"kind", "midpoints_db", "slope_per_db", "tables"}, ctx)
     kind = str(doc.get("kind", "logistic"))
@@ -459,7 +441,8 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
         slope = _as_number(doc.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB), f"{ctx}.slope_per_db")
         if slope <= 0:
             raise ValidationError(f"{ctx}.slope_per_db: must be > 0, got {slope}")
-        return PerModel(kind, _logistic_curves(midpoints, slope))
+        return {mcs: LogisticPer(midpoints.get(mcs, mid), slope)
+                for mcs, mid in DEFAULT_PER_MIDPOINT_DB.items()}
     # every key is checked, and every MCS an AP runs is covered, before any
     # table is read; a relative path is the scenario file's
     paths = {check_mcs(mcs, f"{ctx}.tables"): Path(base_dir or "", str(rel))
@@ -473,11 +456,11 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
     curves = {}
     for mcs, path in paths.items():
         try:
-            curves[mcs] = PerCurve.from_csv(path)
+            curves[mcs] = TablePer.from_csv(path)
         except OSError as exc:
             raise ConfigurationError(f"{ctx}.tables[{mcs}]: cannot read PER table {path}: "
                                      f"{exc.strerror}") from exc
-    return PerModel(kind, curves)
+    return curves
 
 
 _TOP_FIELDS = {
@@ -603,8 +586,8 @@ def _load_scenario(source) -> Scenario:
         aps=aps,
         stas=stas,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
-        per_model=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
-                                   channels, mcs_table),
+        per_curves=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
+                                    channels, mcs_table),
         rr_weights=_parse_rr_weights(doc, channels, channel_index),
         snr_offsets_db=offsets,
         mcs_table=mcs_table,

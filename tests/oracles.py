@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from linkalloc.phy import TablePer
+
 
 def eesm_scalar(values, beta):
     """Exponential effective SNR of a flat list, straight from the formula.
@@ -42,7 +44,7 @@ def link_rate_scalar(snr_db, curve, mcs_rate, tau, n_contenders, params):
     if math.isnan(snr_db):
         return 0.0
     esnr_db = 10.0 * math.log10(eesm_scalar([10.0 ** (snr_db / 10.0)], 1.0))
-    if curve.is_tabulated:
+    if isinstance(curve, TablePer):
         xs, ys = list(curve.esnr_db), list(curve.per)
         if esnr_db <= xs[0]:
             per = ys[0]

@@ -486,16 +486,17 @@ def test_decisions_pinned_at_scale():
 @st.composite
 def _small_scenario_docs(draw):
     """1-3 channels, 1-3 APs, 1-5 STAs. A station's `snr_offset_db` takes any
-    of the schema's forms: one scalar, or per AP a scalar, `out-of-range` or
-    a map by channel whose None and `out-of-range` entries, like the APs and
-    channels left out, are out-of-range links. APs may override channel MCSs
-    and name a home channel."""
+    of the schema's forms: one scalar, or per AP a scalar, None,
+    `out-of-range` or a map by channel with the same choices but the map;
+    None and `out-of-range`, like the APs and channels left out, are
+    out-of-range links. APs may override channel MCSs and name a home
+    channel."""
     cids = list(range(1, draw(st.integers(1, 3)) + 1))
     ap_ids = [f"ap{n}" for n in range(draw(st.integers(1, 3)))]
     offset = st.integers(-30, 30).map(float)
     per_channel = st.dictionaries(st.sampled_from(cids),
                                   st.one_of(offset, st.none(), st.just("out-of-range")))
-    per_ap = st.one_of(per_channel, offset, st.just("out-of-range"))
+    per_ap = st.one_of(per_channel, offset, st.none(), st.just("out-of-range"))
     stas = []
     for m in range(draw(st.integers(1, 5))):
         if draw(st.integers(0, 4)) == 0:

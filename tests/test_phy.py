@@ -6,20 +6,15 @@ from linkalloc.errors import InvalidInputError
 from linkalloc.phy import (
     DATA_SUBCARRIERS,
     DEFAULT_PER_MIDPOINT_DB,
+    DEFAULT_PER_SLOPE_PER_DB,
     EesmParams,
-    PerCurve,
+    LogisticPer,
     SubcarrierSinrGrid,
-    db_to_linear,
+    TablePer,
     eesm_effective_snr,
     mcs_data_rate,
     per_lookup,
 )
-from linkalloc.scenario import PerModel
-
-
-def test_db_to_linear():
-    np.testing.assert_allclose(db_to_linear([-20.0, 0.0, 3.0, 30.0]),
-                               [0.01, 1.0, 1.9952623149688795, 1000.0], rtol=1e-15)
 
 
 def test_eesm_uniform_grid_is_fixed_point():
@@ -69,31 +64,32 @@ def test_eesm_rejects_empty_grid():
 
 
 def test_per_lookup_table_point_identity():
-    curve = PerCurve.from_points([0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
+    curve = TablePer([0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
     assert per_lookup(curve, 5.0) == 0.5
     assert per_lookup(curve, 0.0) == 1.0
 
 
 def test_per_lookup_clamps_outside_range():
-    curve = PerCurve.from_points([0.0, 10.0], [0.9, 0.1])
+    curve = TablePer([0.0, 10.0], [0.9, 0.1])
     assert per_lookup(curve, -25.0) == 0.9
     assert per_lookup(curve, 99.0) == 0.1
 
 
 def test_per_lookup_logistic_midpoint():
-    curve = PerCurve(midpoint_db=10.0, slope_per_db=1.0)
+    curve = LogisticPer(midpoint_db=10.0, slope_per_db=1.0)
     assert per_lookup(curve, 10.0) == pytest.approx(0.5)
 
 
 def test_per_lookup_interpolates_linearly():
-    curve = PerCurve.from_points([0.0, 10.0], [0.8, 0.2])
+    curve = TablePer([0.0, 10.0], [0.8, 0.2])
     assert per_lookup(curve, 2.5) == pytest.approx(0.65)
 
 
 def test_per_curve_monotone_nonincreasing_everywhere():
     rng = np.random.default_rng(11)
-    curves = [PerModel().curve_for(m) for m in range(12)]
-    curves.append(PerCurve.from_points([-5.0, 0.0, 3.0, 9.0], [1.0, 0.7, 0.7, 0.0]))
+    curves = [LogisticPer(mid, DEFAULT_PER_SLOPE_PER_DB)
+              for mid in DEFAULT_PER_MIDPOINT_DB.values()]
+    curves.append(TablePer([-5.0, 0.0, 3.0, 9.0], [1.0, 0.7, 0.7, 0.0]))
     for curve in curves:
         q = np.sort(rng.uniform(-40.0, 60.0, size=64))
         pers = [per_lookup(curve, float(x)) for x in q]
@@ -103,24 +99,25 @@ def test_per_curve_monotone_nonincreasing_everywhere():
 
 def test_per_curve_validation():
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points([0.0, 0.0], [0.5, 0.4])  # not strictly increasing x
+        TablePer([0.0, 0.0], [0.5, 0.4])  # not strictly increasing x
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points([0.0, 5.0], [0.2, 0.6])  # per increases
+        TablePer([0.0, 5.0], [0.2, 0.6])  # per increases
     with pytest.raises(InvalidInputError):
-        PerCurve.from_points([0.0, 5.0], [1.4, 0.0])  # per out of [0,1]
+        TablePer([0.0, 5.0], [1.4, 0.0])  # per out of [0,1]
 
 
 def test_per_curve_from_csv(tmp_path):
     p = tmp_path / "mcs3.csv"
     p.write_text("esnr_db,per\n0.0,1.0\n10.0,0.5\n20.0,0.0\n")
-    curve = PerCurve.from_csv(p)
-    assert curve.is_tabulated
+    curve = TablePer.from_csv(p)
+    assert isinstance(curve, TablePer)
     assert per_lookup(curve, 10.0) == 0.5
 
 
 def test_default_per_curve_midpoints():
     for m, mid in DEFAULT_PER_MIDPOINT_DB.items():
-        assert per_lookup(PerModel().curve_for(m), float(mid)) == pytest.approx(0.5)
+        curve = LogisticPer(mid, DEFAULT_PER_SLOPE_PER_DB)
+        assert per_lookup(curve, float(mid)) == pytest.approx(0.5)
 
 
 def test_mcs3_rates_match_handbook_values():

@@ -1,15 +1,26 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from linkalloc.dcf import DcfParams, airtime_durations, simulate_dcf_slots, solve_bianchi_fixed_point, normalized_throughput
 from linkalloc.errors import InvalidInputError
-from linkalloc.phy import mcs_data_rate
+from linkalloc.phy import (
+    DEFAULT_PER_MIDPOINT_DB,
+    DEFAULT_PER_SLOPE_PER_DB,
+    LogisticPer,
+    TablePer,
+    mcs_data_rate,
+)
 from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
 from linkalloc.scenario import bundled_scenario_path, load_scenario
+from test_harness import _small_scenario_docs
 
 ONE_LINK_YAML = """
 name: one_link
@@ -46,10 +57,22 @@ def _load(text):
     return load_scenario(io.StringIO(text))
 
 
+def _document_curve(doc, mcs):
+    """The PER curve of `mcs` read off the raw scenario document `doc`, not
+    by the loader: the logistic curve of the document's midpoint (else the
+    default) and slope, or the table its CSV file holds."""
+    model = doc.get("per_model", {})
+    if model.get("kind", "logistic") == "logistic":
+        midpoint = model.get("midpoints_db", {}).get(mcs, DEFAULT_PER_MIDPOINT_DB[mcs])
+        return LogisticPer(float(midpoint), float(model.get("slope_per_db", DEFAULT_PER_SLOPE_PER_DB)))
+    rows = Path(model["tables"][mcs]).read_text().splitlines()[1:]
+    return TablePer(*zip(*(map(float, row.split(",")) for row in rows)))
+
+
 def _assert_tensor_matches_scalar_chain(sc, doc, *, contenders=None, snr_field=None,
                                         mcs_override=None):
-    """The tensor against the per-link scalar chain, each link's MCS read off
-    the raw scenario document `doc`."""
+    """The tensor against the per-link scalar chain, each link's MCS and PER
+    curve read off the raw scenario document `doc`."""
     if snr_field is None:
         snr_field = sc.snr_field(seed=sc.rng_seed)
     if contenders is None:
@@ -64,7 +87,7 @@ def _assert_tensor_matches_scalar_chain(sc, doc, *, contenders=None, snr_field=N
         for n in range(sc.n_aps):
             mcs = int(mcs_table[f, n]) if mcs_override is None else mcs_override
             rate = mcs_data_rate(mcs, chan.bandwidth_mhz)
-            curve = sc.per_model.curve_for(mcs)
+            curve = _document_curve(doc, mcs)
             for m in range(sc.m_stas):
                 want[f, n, m] = oracles.link_rate_scalar(
                     float(snr_field[f, n, m]), curve, rate, tau, n_eff, sc.dcf)
@@ -159,10 +182,38 @@ def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
     text = TWO_BY_TWO_YAML.replace(
         "aps:\n", f"per_model: {{kind: table, tables: {{3: {table}}}}}\naps:\n", 1)
     sc, doc = _load(text), yaml.safe_load(text)
-    assert sc.per_model.curve_for(3).is_tabulated
+    assert isinstance(sc.per_curves[3], TablePer)
     _assert_tensor_matches_scalar_chain(sc, doc)
     for base_db in (-30.0, 60.0, 10.0):
         _assert_tensor_matches_scalar_chain(sc, doc, snr_field=sc.snr_field(base_db=base_db))
+
+
+_PER_DB = st.integers(-100, 400).map(lambda tenths: tenths / 10)     # -10 to 40 dB
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_scenario_docs(), st.data())
+def test_tensor_matches_scalar_chain_with_drawn_per_model(doc, data):
+    # a drawn PER model of either kind: logistic overrides over the defaults,
+    # or a table for every MCS the APs run, written as CSV
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.booleans(), label="tables"):
+            tables = {}
+            for mcs in np.unique(oracles.document_arrays(doc)[1]).tolist():
+                grid = sorted(data.draw(st.sets(_PER_DB, min_size=2, max_size=5)))
+                per = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(grid),
+                                                max_size=len(grid))), reverse=True)
+                path = Path(tmp, f"per{mcs}.csv")
+                path.write_text("esnr_db,per\n" + "".join(
+                    f"{x!r},{y!r}\n" for x, y in zip(grid, per)))
+                tables[mcs] = str(path)
+            model = {"kind": "table", "tables": tables}
+        else:
+            model = {"slope_per_db": data.draw(st.floats(0.05, 5.0), label="slope"),
+                     "midpoints_db": data.draw(st.dictionaries(st.integers(0, 11), _PER_DB),
+                                               label="midpoints")}
+        doc = dict(doc, per_model=model)
+        _assert_tensor_matches_scalar_chain(load_scenario(io.StringIO(yaml.safe_dump(doc))), doc)
 
 
 @pytest.mark.parametrize("dcf, sign", [("{eifs: 1.0e-4}", -1),
@@ -178,6 +229,23 @@ def test_tensor_matches_scalar_chain_with_explicit_eifs(dcf, sign):
         assert np.sign(gap) == sign and abs(gap - sc.dcf.prop_delay) > 1e-6
     for contenders in ([1, 1], [3, 2], [20, 7]):
         _assert_tensor_matches_scalar_chain(sc, doc, contenders=contenders)
+
+
+def test_link_snr_range_is_the_linear_rule_at_each_bound():
+    # the dB range check gives the verdict of 10**(snr/10) being finite and
+    # > 0 at each bound and at its neighbours
+    sc = _load(ONE_LINK_YAML)
+    for bound in (-10750 * np.log10(2), 10 * np.log10(np.finfo(float).max)):
+        for snr in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)):
+            with np.errstate(over="ignore"):
+                linear = 10.0 ** (snr / 10.0)
+            try:
+                build_rate_tensor(sc, contenders=[1], snr_field=np.full((1, 1, 1), snr))
+                usable = True
+            except InvalidInputError as exc:
+                assert "is out of the PHY model's range" in str(exc)
+                usable = False
+            assert usable == (np.isfinite(linear) and linear > 0), snr
 
 
 def test_out_of_range_link_is_zero():

@@ -11,7 +11,7 @@ from yaml.constructor import SafeConstructor
 
 from linkalloc import scenario
 from linkalloc.errors import ConfigurationError, ValidationError
-from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, PerCurve
+from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, LogisticPer, TablePer
 from linkalloc.rates import build_rate_tensor
 from linkalloc.scenario import (
     bundled_scenario_path,
@@ -262,6 +262,20 @@ def test_unknown_ap_reference_rejected():
     assert "ap9" in str(exc.value)
 
 
+def test_offset_map_looks_up_every_ap_key_and_reads_null_as_out_of_range():
+    # an AP key must name a known AP whatever its value, and null marks an AP
+    # out of range as it marks a channel: like a key left out
+    two_aps = MINIMAL.replace("slo_channel: 1}\n", "slo_channel: 1}\n  - {id: ap2, radios: 1}\n")
+    sta2 = "snr_offset_db: {ap1: {1: -3.0, 2: out-of-range}}"
+    for value in ("out-of-range", "null"):
+        with pytest.raises(ValidationError) as exc:
+            _load(two_aps.replace(sta2, f"snr_offset_db: {{ap1: 0.0, apX: {value}}}"))
+        assert str(exc.value) == "stas[1].snr_offset_db.apX: unknown ap 'apX'"
+    for value in ("null", "out-of-range", "{1: null, 2: out-of-range}"):
+        sc = _load(two_aps.replace(sta2, f"{sta2[:-1]}, ap2: {value}}}"))
+        assert _fields(sc) == _fields(_load(two_aps))
+
+
 def test_duplicate_ids_rejected():
     bad = MINIMAL.replace("id: sta2", "id: sta1")
     with pytest.raises(ValidationError):
@@ -376,8 +390,7 @@ def test_per_model_table_from_csv(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(doc)
     sc = load_scenario(path)
-    curve = sc.per_model.curve_for(3)
-    assert curve.is_tabulated
+    assert isinstance(sc.per_curves[3], TablePer)
 
 
 def test_per_model_logistic_midpoint_override():
@@ -385,7 +398,7 @@ def test_per_model_logistic_midpoint_override():
         "snr_base_db: 20.0",
         "snr_base_db: 20.0\nper_model: {kind: logistic, midpoints_db: {3: 12.0}}")
     sc = _load(doc)
-    assert sc.per_model.curve_for(3).midpoint_db == 12.0
+    assert sc.per_curves[3].midpoint_db == 12.0
 
 
 def test_per_model_keys_follow_the_mcs_rule(tmp_path):
@@ -400,7 +413,7 @@ def test_per_model_keys_follow_the_mcs_rule(tmp_path):
                             "per_model.tables: unknown MCS 12")):
         path = tmp_path / "scenario.yaml"
         path.write_text(MINIMAL.replace("seed: 1", f"seed: 1\nper_model: {per_model}"))
-        with mock.patch.object(PerCurve, "from_csv", side_effect=AssertionError("read")), \
+        with mock.patch.object(TablePer, "from_csv", side_effect=AssertionError("read")), \
                 pytest.raises(ValidationError) as exc:
             load_scenario(path)
         assert str(exc.value) == msg
@@ -424,7 +437,7 @@ def test_per_model_checked_against_the_mcs_the_aps_run(tmp_path):
              "per_model.slope_per_db: expected a finite number, got inf")):
         path = tmp_path / "scenario.yaml"
         path.write_text(f"{text}per_model: {per_model}\n")
-        with mock.patch.object(PerCurve, "from_csv", side_effect=AssertionError("read")), \
+        with mock.patch.object(TablePer, "from_csv", side_effect=AssertionError("read")), \
                 pytest.raises(ValidationError) as exc:
             load_scenario(path)
         assert str(exc.value) == msg
@@ -433,7 +446,7 @@ def test_per_model_checked_against_the_mcs_the_aps_run(tmp_path):
     (tmp_path / "s.yaml").write_text(MINIMAL.replace("slo_channel: 1}", "slo_channel: 1, "
                                                      "mcs: {2: 7}}").replace(
         "seed: 1", "seed: 1\nper_model: {kind: table, tables: {3: per.csv, 7: per.csv}}"))
-    assert sorted(load_scenario(tmp_path / "s.yaml").per_model.curves) == [3, 7]
+    assert sorted(load_scenario(tmp_path / "s.yaml").per_curves) == [3, 7]
 
 
 def test_per_model_resolved_at_load(tmp_path):
@@ -441,17 +454,17 @@ def test_per_model_resolved_at_load(tmp_path):
     # a table model holds exactly its configured MCS
     sc = _load(MINIMAL.replace("seed: 1", "seed: 1\nper_model: {slope_per_db: 2.0, "
                                           "midpoints_db: {3: 12.0}}"))
-    assert sc.per_model.kind == "logistic" and sorted(sc.per_model.curves) == list(range(12))
-    assert sc.per_model.curves[3] == PerCurve.logistic(12.0, 2.0)
-    assert sc.per_model.curves[5] == PerCurve.logistic(DEFAULT_PER_MIDPOINT_DB[5], 2.0)
-    assert sc.per_model.curve_for(5) is sc.per_model.curve_for(5)
+    assert sorted(sc.per_curves) == list(range(12))
+    assert sc.per_curves[3] == LogisticPer(12.0, 2.0)
+    assert sc.per_curves[5] == LogisticPer(DEFAULT_PER_MIDPOINT_DB[5], 2.0)
     (tmp_path / "per.csv").write_text("esnr_db,per\n0.0,1.0\n20.0,0.0\n")
     (tmp_path / "s.yaml").write_text(MINIMAL.replace(
         "seed: 1", "seed: 1\nper_model: {kind: table, tables: {3: per.csv, 5: per.csv}}"))
-    model = load_scenario(tmp_path / "s.yaml").per_model
-    assert model.kind == "table" and sorted(model.curves) == [3, 5]
+    sc = load_scenario(tmp_path / "s.yaml")
+    assert sorted(sc.per_curves) == [3, 5]
+    assert all(isinstance(curve, TablePer) for curve in sc.per_curves.values())
     with pytest.raises(ConfigurationError, match="^no PER table configured for MCS 9$"):
-        model.curve_for(9)
+        sc.run_mcs(9)
 
 
 def test_check_mcs_is_the_one_mcs_rule():
