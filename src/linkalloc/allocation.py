@@ -18,10 +18,16 @@ carried between loop iterations by `ThroughputState`: one per-channel average
 `phi`. The loop computes each step's served rates and network total once,
 from one selection x rate product, with `instantaneous_rates`; `pf_metrics`
 and `ewma_update` both read the rates.
+
+What depends only on the rates and the pairing is the tensor's
+`paired_links` view, kept for the last pairing object it saw, so PF on a
+revisited decision reads that view and only scores, orders and grants the F
+channels, one channel at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .pairing import PairingMatrix
-from .rates import RateTensor
+from .rates import PairedLinks, RateTensor
 
 __all__ = [
     "LinkSelection",
@@ -45,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkSelection:
     """Binary activation links[f, m] of STA m's link to its AP
     `pairing.owner[m]` on channel f. `unallocated_edges` holds the sorted
@@ -78,7 +84,7 @@ class LinkSelection:
         return self.links.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThroughputState:
     """Per-channel served-rate averages phi[f] driving the PF metric."""
 
@@ -105,7 +111,7 @@ class ThroughputState:
         return cls(phi=rates.values.mean(axis=(1, 2)), horizon_t=horizon_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadioBudget:
     """Per-STA limits r(m) on simultaneous links."""
 
@@ -131,9 +137,10 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
     per channel, the mean rate of its active links (0 when idle), which drives
     the PF metric and the average update; and the network total, the sum of
     every active link's contention-discounted rate. Only the paired links'
-    (F, links) product is formed and summed."""
-    ns, ms = selection.pairing.paired
-    served = selection.links[:, ms] * rates.values[:, ns, ms]
+    (F, links) product is formed and summed, over the rates of the tensor's
+    `paired_links` view."""
+    pairing = selection.pairing
+    served = selection.links[:, pairing.paired[1]] * rates.paired_links(pairing).cand
     counts = selection.per_channel_counts()
     totals = served.sum(axis=1)
     return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
@@ -150,17 +157,20 @@ def ewma_update(state: ThroughputState, inst: np.ndarray) -> ThroughputState:
     return ThroughputState(phi=phi, horizon_t=state.horizon_t)
 
 
-def _pf_ratio(rate: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """rate / phi per channel; inf where phi is zero but the rate is not
-    (maximally under-served), 0 where both are zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = rate / phi
-    return np.where(phi == 0.0, np.where(rate > 0, np.inf, 0.0), ratio)
+def _pf_ratio(rate: float, phi: float) -> float:
+    """rate / phi; inf where phi is zero but the rate is not (maximally
+    under-served), 0 where both are zero."""
+    if phi == 0.0:
+        return math.inf if rate > 0 else 0.0
+    return rate / phi
 
 
 def pf_metrics(state: ThroughputState, inst: np.ndarray) -> np.ndarray:
     """Per-channel served rate `inst` over its average (see `_pf_ratio`)."""
-    return _pf_ratio(inst, state.phi)
+    if np.shape(inst) != state.phi.shape:
+        raise InvalidInputError("served rates do not match the state's channels")
+    return np.array([_pf_ratio(rate, phi)
+                     for rate, phi in zip(np.asarray(inst).tolist(), state.phi.tolist())])
 
 
 def fairness_spread(metrics) -> float:
@@ -187,12 +197,10 @@ def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:
         raise InvalidInputError("budget covers a different station count")
 
 
-def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor) -> tuple:
-    """AP and STA index arrays of the paired links, AP-major."""
+def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor) -> PairedLinks:
+    """The tensor's view of the pairing's links, once the budget is checked."""
     _check_budget(pairing, budget)
-    if rates.values.shape[1:] != (pairing.n_aps, pairing.m_stas):
-        raise InvalidInputError("rate tensor does not match the pairing dimensions")
-    return pairing.paired
+    return rates.paired_links(pairing)
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -203,24 +211,21 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     mean candidate rate on f over phi[f], descending, then mean candidate
     rate descending, then channel index. Each paired link takes the first
     min(r(m), F) channels in that order on which its rate is > 0; a link
-    with no such channel is unallocated.
+    with no such channel is unallocated. Channels are granted in that order,
+    one channel at a time, each to the live links with a radio left.
     """
-    ns, ms = _paired_links(pairing, budget, rates)
+    view = _paired_links(pairing, budget, rates)
     if state.phi.shape[0] != rates.f_count:
         raise InvalidInputError("state covers a different channel count")
 
+    means = view.means
+    score = [_pf_ratio(mean, phi) for mean, phi in zip(means, state.phi.tolist())]
     links = np.zeros((rates.f_count, pairing.m_stas), dtype=bool)
-    if ns.size == 0:
-        return LinkSelection(links, pairing)
-    cand = rates.values[:, ns, ms]                      # (F, links)
-    mean_rate = cand.mean(axis=1)
-    score = _pf_ratio(mean_rate, state.phi)
-    order = np.lexsort((np.arange(rates.f_count), -mean_rate, -score))
-    live = cand[order] > 0.0
-    links[order[:, None], ms] = live & (live.cumsum(axis=0) <= budget.sta_radio_limits[ms])
-    dead = ~live.any(axis=0)
-    return LinkSelection(links, pairing, unallocated_edges=tuple(zip(ns[dead].tolist(),
-                                                                     ms[dead].tolist())))
+    free = budget.sta_radio_limits.copy()
+    for f in sorted(range(rates.f_count), key=lambda f: (-score[f], -means[f], f)):
+        links[f] = view.live[f] & (free > 0)
+        free -= links[f]
+    return LinkSelection(links, pairing, unallocated_edges=view.unallocated_edges)
 
 
 def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -233,7 +238,8 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     position already used by the link is skipped. Every paired link gets
     min(r(m), F) channels, so no link is left unallocated.
     """
-    _, ms = _paired_links(pairing, budget, rates)
+    _paired_links(pairing, budget, rates)
+    ms = pairing.paired[1]
     f_count = rates.f_count
     weights = [int(w) for w in weights]
     if len(weights) != f_count or any(w < 1 for w in weights):

@@ -23,13 +23,16 @@ it, with its pairing and its served rates. `LoopCarry` carries the field and
 the records to the next run, which reuses them when it has the same scenario
 object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
 seed. Pairing and allocation still run on every step. Allocation reads the
-averages, which move on every step. Pairing is a pure function of the
-tensor, but each step's pairing stays its own call, which the benchmark
-counts and checks against an independent solver. A decision equal to the
-last one made under the same contention shares that one's arrays, so the
-reports of a cycling loop do not grow memory, and reads that one's served
-rates. A new decision's served rates and network total come from one
-selection x rate product.
+averages, which move on every step; the rest of what it reads (the paired
+links' rates, their channel means and where they are usable) the record's
+tensor keeps for the last pairing object it saw (`RateTensor.paired_links`),
+so PF on a revisited decision only scores, orders and grants the F channels.
+Pairing is a pure function of the tensor, but each step's pairing stays its
+own call, which the benchmark counts and checks against an independent
+solver. A decision equal to the last one made under the same contention
+shares that one's arrays, so the reports of a cycling loop do not grow
+memory, and reads that one's served rates. A new decision's served rates
+and network total come from one selection x rate product.
 
 A sweep runs its rounds in a process pool of min(`workers`, rounds over the
 grid) workers when that is more than one, so a one-round sweep starts none.
@@ -125,7 +128,7 @@ class Recommendation:
     channel_ids: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 

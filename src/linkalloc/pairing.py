@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingInstance:
     """Weights and capacities of one pairing round.
 
@@ -82,7 +82,7 @@ class PairingInstance:
         return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingMatrix:
     """Assignment of STAs to APs: `owner[m]` is the AP of STA m, -1 when
     unpaired. Read-only and built when first read: `paired`, the AP and STA
@@ -342,7 +342,7 @@ def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -
 # --- joint exact solver ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSolution:
     """Exact optimum of the one-shot pairing+allocation problem."""
 

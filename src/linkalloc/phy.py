@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubcarrierSinrGrid:
     """Per-subcarrier, per-stream linear SINR values, shape (n_sc, n_ss)."""
 
@@ -100,7 +100,7 @@ class LogisticPer:
             return 1.0 / (1.0 + np.exp(self.slope_per_db * (esnr_db - self.midpoint_db)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TablePer:
     """Tabulated PER curve: a strictly increasing esnr_db grid, linearly
     interpolated and clamped at the endpoints."""

@@ -9,13 +9,17 @@ evaluates each block of links that share a channel and an MCS.
 
 The (F, N, M) layout is the only rate layout: the pairing weights are the
 tensor's mean over channels (N, M), and a selection's (F, M) links read
-their rates at the one AP each station's pairing names.
+their rates at the one AP each station's pairing names. Those reads go
+through `RateTensor.paired_links`, a view of one pairing's links that the
+tensor keeps for the last pairing object it was asked about, so a loop that
+revisits a decision gathers its links once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,17 +29,33 @@ from .errors import InvalidInputError
 from .scenario import Scenario
 
 __all__ = [
+    "PairedLinks",
     "RateTensor",
     "bootstrap_contenders",
     "build_rate_tensor",
 ]
 
 
-@dataclass(frozen=True)
+class PairedLinks(NamedTuple):
+    """A rate tensor's read-only view of one pairing's links, in the
+    pairing's AP-major `paired` order."""
+
+    cand: np.ndarray            # (F, links) rates
+    means: tuple                # per channel, the mean of `cand` as a float; 0.0 with no links
+    live: np.ndarray            # (F, M) bool, cand > 0 at the links' station columns
+    unallocated_edges: tuple    # the (n, m) links with no channel rate > 0
+
+
+@dataclass(frozen=True, eq=False)
 class RateTensor:
-    """Per-channel per-link rates, shape (F, N, M), bit/s; 0 = unusable link."""
+    """Per-channel per-link rates, shape (F, N, M), bit/s; 0 = unusable link.
+
+    Equality is identity: the tensor keeps the `PairedLinks` view of the last
+    pairing object it was asked about, holding a reference to that pairing.
+    """
 
     values: np.ndarray
+    _paired: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -49,6 +69,29 @@ class RateTensor:
     @property
     def f_count(self) -> int:
         return self.values.shape[0]
+
+    def paired_links(self, pairing) -> PairedLinks:
+        """The view of `pairing`'s links, rebuilt only when asked about
+        another pairing object than last time."""
+        # one tuple, read and replaced whole: concurrent callers each get their own pairing's view
+        held, view = self._paired
+        if held is pairing:
+            return view
+        f_count, n_aps, m_stas = self.values.shape
+        if (pairing.n_aps, pairing.m_stas) != (n_aps, m_stas):
+            raise InvalidInputError("rate tensor does not match the pairing dimensions")
+        ns, ms = pairing.paired
+        cand = self.values[:, ns, ms]
+        pos = cand > 0.0
+        live = np.zeros((f_count, m_stas), dtype=bool)
+        live[:, ms] = pos
+        dead = ~pos.any(axis=0)
+        for a in (cand, live):
+            a.setflags(write=False)
+        view = PairedLinks(cand, tuple(cand.mean(axis=1).tolist()) if ms.size else (0.0,) * f_count,
+                           live, tuple(zip(ns[dead].tolist(), ms[dead].tolist())))
+        object.__setattr__(self, "_paired", (pairing, view))
+        return view
 
 
 # the link SNRs in dB whose linear value 10**(snr/10) is a finite double > 0:

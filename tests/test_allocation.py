@@ -20,7 +20,9 @@ from linkalloc.allocation import (
     selection_feasible,
 )
 from linkalloc.errors import InvalidInputError
-from linkalloc.pairing import PairingMatrix
+from linkalloc.harness import LoopCarry
+from linkalloc.pairing import JointSolution, PairingInstance, PairingMatrix
+from linkalloc.phy import SubcarrierSinrGrid, TablePer
 from linkalloc.rates import RateTensor
 
 
@@ -86,6 +88,8 @@ def test_pf_metric_steady_state_is_one():
     s = np.array([[[1]]])
     state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
     assert pf_metrics(state, instantaneous_rates(_selection(s), c)[0])[0] == pytest.approx(1.0)
+    with pytest.raises(InvalidInputError):
+        pf_metrics(state, np.zeros(2))          # one served rate per channel
 
 
 def test_pf_metric_reciprocal_scaling():
@@ -279,6 +283,78 @@ def test_owner_form_matches_dense_path(case):
         assert selection.per_channel_counts().tolist() == selection.s.sum(axis=(1, 2)).tolist()
 
 
+@st.composite
+def _revisit_cases(draw):
+    """One rate tensor, two pairings over it, and a run of steps, each naming
+    the pairing it allocates for and its phi (zeros included)."""
+    f = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    owner = st.lists(st.integers(-1, n - 1), min_size=m, max_size=m)
+    pairings = (PairingMatrix(draw(owner), n), PairingMatrix(draw(owner), n))
+    limits = draw(st.lists(st.integers(1, f + 1), min_size=m, max_size=m))
+    rate = st.one_of(st.just(0.0), st.floats(1e-3, 1e9, allow_nan=False))
+    rates = draw(st.lists(rate, min_size=f * n * m, max_size=f * n * m))
+    phi = st.lists(st.sampled_from([0.0, 0.5, 3.0, 7e8]), min_size=f, max_size=f)
+    steps = draw(st.lists(st.tuples(st.integers(0, 1), phi), min_size=1, max_size=8))
+    return pairings, np.array(limits), np.array(rates).reshape(f, n, m), steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_revisit_cases())
+def test_paired_links_view_never_leaks_between_pairings(case):
+    # the tensor keeps one pairing's view; alternating pairings and averages
+    # must read like a fresh dense computation every time
+    pairings, limits, values, steps = case
+    c = RateTensor(values)
+    budget = RadioBudget.from_pairing(pairings[0], limits)
+    previous = None
+    for which, phi in steps:
+        pairing = pairings[which]
+        selection = allocate_pf(pairing, budget, c, ThroughputState(phi=phi, horizon_t=5))
+        s, unallocated = oracles.allocate_pf_dense(_dense(pairing), limits, values, np.array(phi))
+        np.testing.assert_array_equal(selection.s, s)
+        assert selection.unallocated_edges == unallocated
+        for seen in (selection, previous or selection):
+            inst, total = instantaneous_rates(seen, c)
+            want_inst, want_total = oracles.instantaneous_rates_dense(seen.s, values)
+            np.testing.assert_allclose(inst, want_inst, rtol=1e-12, atol=0.0)
+            assert total == pytest.approx(want_total, rel=1e-12, abs=0.0)
+        previous = selection
+
+
+def test_all_unpaired_pairing_allocates_nothing():
+    pairing = PairingMatrix([-1, -1, -1], 2)
+    c = RateTensor(np.arange(1.0, 13.0).reshape(2, 2, 3))
+    view = c.paired_links(pairing)
+    assert view.cand.shape == (2, 0)
+    assert view.means == (0.0, 0.0) and view.unallocated_edges == ()
+    for phi in ([0.0, 0.0], [1.0, 0.0]):
+        selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, [2, 2, 2]), c,
+                                ThroughputState(phi=phi, horizon_t=5))
+        assert not selection.links.any() and selection.unallocated_edges == ()
+        inst, total = instantaneous_rates(selection, c)
+        assert inst.tolist() == [0.0, 0.0] and total == 0.0
+
+
+def test_paired_links_view_kept_per_pairing_object():
+    c = RateTensor(np.array([[[3.0, 0.0, 1.0], [2.0, 5.0, 0.0]]]))
+    pairing = PairingMatrix([0, 1, 0], 2)
+    view = c.paired_links(pairing)
+    assert c.paired_links(pairing) is view
+    assert view.cand.tolist() == [[3.0, 1.0, 5.0]]          # AP-major: (0, 0), (0, 2), (1, 1)
+    assert view.live.tolist() == [[True, True, True]]
+    assert not view.cand.flags.writeable and not view.live.flags.writeable
+    equal = PairingMatrix([0, 1, 0], 2)                     # equal owners, another object
+    rebuilt = c.paired_links(equal)
+    assert rebuilt is not view
+    np.testing.assert_array_equal(rebuilt.cand, view.cand)
+    assert c.paired_links(equal) is rebuilt
+    assert c.paired_links(pairing) is not view              # only the last pairing is kept
+    with pytest.raises(InvalidInputError):
+        c.paired_links(PairingMatrix([0, 0], 1))
+
+
 def test_rr_uniform_weights_deal_one_each():
     pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
@@ -373,3 +449,25 @@ def test_selection_feasible_checks_whole_arrays():
     with pytest.raises(InvalidInputError):
         selection_feasible(LinkSelection(np.zeros((2, 3)), PairingMatrix([0, 0, 0], 2)),
                            pairing, budget)
+
+
+_ARRAY_TYPES = {
+    "TablePer": lambda: TablePer([0.0, 10.0, 20.0], [1.0, 0.5, 0.0]),
+    "SubcarrierSinrGrid": lambda: SubcarrierSinrGrid([[1.0, 2.0]]),
+    "RateTensor": lambda: RateTensor(np.ones((2, 1, 3))),
+    "PairingMatrix": lambda: PairingMatrix([0, -1, 0], 1),
+    "PairingInstance": lambda: PairingInstance(np.ones((1, 3)), [3], [1, 1, 1]),
+    "JointSolution": lambda: JointSolution(np.ones((2, 1, 3)), 6.0),
+    "LinkSelection": lambda: LinkSelection([[1, 0, 1]], PairingMatrix([0, -1, 0], 1)),
+    "ThroughputState": lambda: ThroughputState(phi=[1.0, 2.0], horizon_t=5),
+    "RadioBudget": lambda: RadioBudget([1, 2, 3]),
+    "LoopCarry": lambda: LoopCarry(ThroughputState(phi=[1.0], horizon_t=5), (3,), 2,
+                                   snr_field=np.zeros((1, 1, 3))),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_TYPES.values(), ids=_ARRAY_TYPES.keys())
+def test_types_holding_arrays_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
