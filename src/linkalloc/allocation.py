@@ -64,12 +64,12 @@ class LinkSelection:
     unallocated_edges: tuple = ()
 
     def __post_init__(self):
-        links = np.array(self.links)
-        if links.ndim != 2 or links.shape[1] != self.pairing.m_stas \
+        links, pairing = np.asarray(self.links), self.pairing
+        if links.ndim != 2 or links.shape[1] != pairing.m_stas \
                 or links.dtype != bool and not ((links == 0) | (links == 1)).all() \
-                or links[:, self.pairing.owner < 0].any():
-            raise InvalidInputError(f"need 0/1 links, (F, {self.pairing.m_stas}), on paired STAs")
-        links = links.astype(np.int8, copy=False)
+                or pairing.paired.shape[1] < pairing.m_stas and links[:, pairing.owner < 0].any():
+            raise InvalidInputError(f"need 0/1 links, (F, {pairing.m_stas}), on paired STAs")
+        links = links.astype(np.int8)   # the one copy
         links.setflags(write=False)
         object.__setattr__(self, "links", links)
 
@@ -93,7 +93,7 @@ class ThroughputState:
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=float)
-        if phi.ndim != 1 or not np.isfinite(phi).all() or (phi < 0).any():
+        if phi.ndim != 1 or not all(0.0 <= v < math.inf for v in phi.tolist()):
             raise InvalidInputError("phi must be a vector of finite, non-negative values")
         if self.horizon_t < 1:
             raise InvalidInputError("horizon_t must be >= 1")
@@ -179,17 +179,20 @@ def fairness_spread(metrics) -> float:
     Equal metrics spread 0.0, which covers a network where no link is active
     and every metric is 0.
     """
-    vals = np.asarray(list(metrics), dtype=float)
-    if vals.size == 0:
+    vals = [float(v) for v in metrics]
+    if not vals:
         raise InvalidInputError("need at least one metric")
-    if np.isinf(vals).any():
-        return float("inf")
-    if vals.max() == vals.min():
+    if math.inf in vals or -math.inf in vals:
+        return math.inf
+    mean = float(np.add.reduce(vals)) / len(vals)     # numpy's mean, to the bit
+    if mean != mean:    # a NaN metric, which builtin max and min may skip
+        return math.nan
+    top, bottom = max(vals), min(vals)
+    if top == bottom:
         return 0.0
-    mean = vals.mean()
     if mean <= 0:
         raise InvalidInputError("metrics must have positive mean")
-    return float((vals.max() - vals.min()) / mean)
+    return (top - bottom) / mean
 
 
 def _check_budget(pairing: PairingMatrix, budget: RadioBudget) -> None:

@@ -11,16 +11,18 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 exact joint optimum, and `write_table` serializes every table the package
 emits.
 
-A step pays only for what changed. The SNR field (`Scenario.snr_field`) is
-built once per run. The rate tensor is a pure function of the scenario, the
-SNR field, the MCS override and the contenders per channel, and the loop
-revisits the same few contender vectors (two on the bundled fixture, three
-on a 30-AP/1000-STA network). So each contention gets one record, built on
-its first visit: the rates a step reads (the tensor, masked to the home
-channels under SLO), the pairing input weighed from them (which keeps the
-pairing's start, each station's best AP), and the last selection made on
-it, with its pairing and its served rates. `LoopCarry` carries the field and
-the records to the next run, which reuses them when it has the same scenario
+A step pays only for what changed. The run's constants (`_run_constants`:
+the SNR field from `Scenario.snr_field`, the MCS label, usable links, AP
+capacities, radio budget and channel ids) are derived once per run. The rate
+tensor is a pure function of the scenario, the SNR field, the MCS override
+and the contenders per channel, and the loop revisits the same few contender
+vectors (two on the bundled fixture, three on a 30-AP/1000-STA network). So
+each contention gets one record, built on its first visit: the rates a step
+reads (the tensor, masked to the home channels under SLO), the pairing input
+weighed from them (which keeps the pairing's start, each station's best AP),
+and the last selection made on it, with its pairing, its served rates and
+the contention it leaves. `LoopCarry` carries the constants and the
+records to the next run, which reuses them when it has the same scenario
 object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
 seed. Pairing and allocation still run on every step. Allocation reads the
 averages, which move on every step; the rest of what it reads (the paired
@@ -30,9 +32,10 @@ so PF on a revisited decision only scores, orders and grants the F channels.
 Pairing is a pure function of the tensor, but each step's pairing stays its
 own call, which the benchmark counts and checks against an independent
 solver. A decision equal to the last one made under the same contention
-shares that one's arrays, so the reports of a cycling loop do not grow
-memory, and reads that one's served rates. A new decision's served rates
-and network total come from one selection x rate product.
+(owner vector and links compared as bytes) shares that one's arrays, so the
+reports of a cycling loop do not grow memory, and reads that one's served
+rates and next contention. A new decision's served rates and network total
+come from one selection x rate product.
 
 A sweep runs its rounds in a process pool of min(`workers`, rounds over the
 grid) workers when that is more than one, so a one-round sweep starts none.
@@ -132,16 +135,19 @@ class Recommendation:
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
-    Besides the averages and the contention it carries the run's SNR field
-    and memo: at most `RATE_MEMO_SIZE` records keyed by contender tuple,
-    least recently used first, each (rates, PairingInstance, selection,
-    served): the rates a step reads under that contention (SLO's masked to
-    the home channels), the pairing input weighed from them, the last
-    decision made under it, its pairing included, and the (inst, total) that
-    `instantaneous_rates` gave for that decision. `run` keys both on the
-    run's checked inputs: the scenario object, MCS override, SLO-or-not
-    mode, SNR base (by its exact bits) and, for a scenario that draws its
-    bases, the seed (`Scenario.run_seed`).
+    Besides the averages and the contention it carries the run's constants
+    (`_run_constants`: the SNR field, MCS label, usable links, AP capacities,
+    radio budget and channel ids, all read-only) and its memo: at most
+    `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
+    first, each (rates, PairingInstance, selection, served): the rates a step
+    reads under that contention (SLO's masked to the home channels), the
+    pairing input weighed from them, the last decision made under it, its
+    pairing included, and that decision's (inst, total) from
+    `instantaneous_rates` with the contender tuple it leaves. `run` keys both
+    on the run's checked inputs: the scenario object, MCS override,
+    SLO-or-not mode, SNR base (by its exact bits) and, for a scenario that
+    draws its bases, the seed (`Scenario.run_seed`). Solver and allocator are
+    not in the key, as PF and RR, optimal and greedy share records.
     The next run reuses them only under an equal key, and ignores them
     otherwise. A run never alters the carry it was given.
     """
@@ -150,7 +156,7 @@ class LoopCarry:
     contenders: tuple
     next_iteration: int
     run: tuple | None = None
-    snr_field: np.ndarray | None = None
+    constants: tuple = ()
     memo: tuple = ()
 
 
@@ -174,6 +180,29 @@ class RunResult:
 def _mcs_label(scenario: Scenario, mcs_override) -> str:
     values = np.unique(scenario.mcs_table if mcs_override is None else mcs_override).tolist()
     return str(values[0]) if len(values) == 1 else "mixed"
+
+
+def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
+    """What a run reads but never changes, derived once per run key and
+    read-only, as the carry holds it: the SNR field, the MCS label, the
+    usable links (F, N, 1), their count per AP (N, 1), the AP capacities,
+    the radio limits as a `RadioBudget`, the channel ids."""
+    snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
+    if slo:
+        m_stas, n_aps = scenario.m_stas, scenario.n_aps
+        usable = np.zeros((scenario.f_count, n_aps), dtype=bool)    # home channels only
+        usable[scenario.home_channel, np.arange(n_aps)] = True
+        caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
+        limits = np.ones(m_stas, dtype=int)
+    else:
+        usable = np.ones((scenario.f_count, scenario.n_aps), dtype=bool)
+        caps = scenario.ap_capacities()
+        limits = scenario.sta_radio_limits()
+    link_usable, usable_count = usable[:, :, None], usable.sum(axis=0)[:, None]
+    for array in (snr_field, link_usable, usable_count, caps):
+        array.setflags(write=False)
+    return (snr_field, _mcs_label(scenario, mcs_override), link_usable, usable_count, caps,
+            RadioBudget(limits), tuple(ch.channel_id for ch in scenario.channels))
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -229,43 +258,30 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     only. With `timing`, a report's `wall_time_s` covers its whole step.
     """
     _check_run_args(solver, allocator, iterations)
+    if carry is not None and len(carry.contenders) != scenario.f_count:
+        raise InvalidInputError(f"carry covers {len(carry.contenders)} channels, but scenario "
+                                f"{scenario.name!r} has {scenario.f_count}")
     mcs_override = scenario.run_mcs(mcs_override)
     seed = scenario.run_seed(rng_seed)
     base_reported = scenario.snr_base(snr_base_db)
     slo = allocator == "slo"
+    algorithm = "slo" if slo else f"{solver}+{allocator}"
     run = (scenario, mcs_override, slo, base_reported.hex(), seed)
     if carry is not None and carry.run == run:
-        snr_field, memo = carry.snr_field, dict(carry.memo)
+        constants, memo = carry.constants, dict(carry.memo)
     else:
-        snr_field, memo = scenario.snr_field(base_db=snr_base_db, seed=rng_seed), {}
-        snr_field.setflags(write=False)     # the carry holds it
-    label = _mcs_label(scenario, mcs_override)
-    if slo:
-        algorithm = "slo"
-        m_stas, n_aps = scenario.m_stas, scenario.n_aps
-        usable = np.zeros((scenario.f_count, n_aps), dtype=bool)    # home channels only
-        usable[scenario.home_channel, np.arange(n_aps)] = True
-        caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
-        limits = np.ones(m_stas, dtype=int)
-    else:
-        algorithm = f"{solver}+{allocator}"
-        usable = np.ones((scenario.f_count, scenario.n_aps), dtype=bool)
-        caps = scenario.ap_capacities()
-        limits = scenario.sta_radio_limits()
-    link_usable = usable[:, :, None]
-    usable_count = usable.sum(axis=0)[:, None]
-    budget = RadioBudget(limits)
+        constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
+    snr_field, label, link_usable, usable_count, caps, budget, channel_ids = constants
 
     state = carry.state if carry is not None else None
-    contenders = list(carry.contenders) if carry is not None \
-        else bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan))
+    contenders = tuple(carry.contenders) if carry is not None \
+        else tuple(bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan)))
     start_iter = carry.next_iteration if carry is not None else 1
 
     reports = []
     for it in range(start_iter, start_iter + iterations):
         t0 = time.perf_counter() if timing else 0.0
-        key = tuple(contenders)
-        record = memo.pop(key, None)
+        record = memo.pop(contenders, None)
         if record is None:
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
@@ -274,25 +290,26 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
             record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
-                                             caps, limits), None, None)
+                                             caps, budget.sta_radio_limits), None, None)
         rates, instance, seen, served = record
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
-        if seen is not None and np.array_equal(pairing.owner, seen.pairing.owner):
+        if seen is not None and pairing.owner.tobytes() == seen.pairing.owner.tobytes():
             pairing = seen.pairing
         selection = allocate_rr(pairing, budget, rates, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, rates, state)
         if seen is not None and selection.pairing is seen.pairing \
-                and np.array_equal(selection.links, seen.links):
+                and selection.links.tobytes() == seen.links.tobytes():
             selection = seen
-        else:   # a new decision: its served rates, kept with it
-            served = instantaneous_rates(selection, rates)
+        else:   # a new decision: its served rates and the contention it leaves, kept with it
+            served = (*instantaneous_rates(selection, rates),
+                      tuple(selection.per_channel_counts().tolist()))
             served[0].setflags(write=False)
-        memo[key] = (rates, instance, selection, served)   # most recent last
+        memo[contenders] = (rates, instance, selection, served)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        inst, total = served
+        inst, total, contenders = served
         metrics = tuple(pf_metrics(state, inst).tolist())
         state = ewma_update(state, inst)
         wall = (time.perf_counter() - t0) if timing else 0.0
@@ -304,18 +321,17 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             mcs_label=label,
             aggregate_throughput_bps=total,
             fairness_spread=fairness_spread(metrics),
-            per_channel_phi=tuple(float(v) for v in state.phi),
+            per_channel_phi=tuple(state.phi.tolist()),
             per_channel_metric=metrics,
-            channel_ids=tuple(ch.channel_id for ch in scenario.channels),
+            channel_ids=channel_ids,
             wall_time_s=wall,
             pairing=pairing,
             selection=selection,
         ))
-        contenders = selection.per_channel_counts().tolist()
 
-    carry_out = LoopCarry(state=state, contenders=tuple(contenders),
+    carry_out = LoopCarry(state=state, contenders=contenders,
                           next_iteration=start_iter + iterations, run=run,
-                          snr_field=snr_field, memo=tuple(memo.items()))
+                          constants=constants, memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 
 

@@ -9,7 +9,8 @@ search, plain `math` instead of numpy log-sum-exp. The one exception is the
 dense allocation path at the end: the package's PF, RR and served-rate code
 as it ran on the (N, M) pairing matrix and the (F, N, M) selection, kept to
 pin the owner-vector form to it: its decisions bit for bit, its served rates
-within 1e-12 relative.
+within 1e-12 relative. Likewise the package's numpy fairness spread, kept to
+pin the Python-float form to it bit for bit.
 """
 
 import bisect
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from linkalloc.errors import InvalidInputError
 from linkalloc.phy import TablePer
 
 
@@ -392,3 +394,19 @@ def instantaneous_rates_dense(s, values):
     totals = served.sum(axis=(1, 2))
     return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
             float(served.sum()))
+
+
+def fairness_spread_numpy(metrics):
+    """(max - min) / mean of the metrics over one numpy array: inf with an
+    infinite metric, 0.0 when all are equal."""
+    vals = np.asarray(list(metrics), dtype=float)
+    if vals.size == 0:
+        raise InvalidInputError("need at least one metric")
+    if np.isinf(vals).any():
+        return float("inf")
+    if vals.max() == vals.min():
+        return 0.0
+    mean = vals.mean()
+    if mean <= 0:
+        raise InvalidInputError("metrics must have positive mean")
+    return float((vals.max() - vals.min()) / mean)

@@ -406,6 +406,67 @@ def test_fairness_spread_infinite_metric_passthrough():
     assert fairness_spread([1.0, math.inf]) == math.inf
 
 
+_METRIC = st.one_of(st.just(0.0), st.just(math.inf), st.just(math.nan),
+                    st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _metric_lists(draw):
+    if draw(st.booleans()):     # equal values
+        return [draw(_METRIC)] * draw(st.integers(1, 16))
+    return draw(st.lists(_METRIC, min_size=1, max_size=16))
+
+
+def _spread_or_error(spread, metrics):
+    try:
+        return spread(metrics)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_metric_lists())
+def test_fairness_spread_equals_numpy_to_the_bit(metrics):
+    # numpy's mean sums 8 or more values in eight interleaved partial sums,
+    # where a left fold would round otherwise; any NaN metric spreads NaN
+    want = _spread_or_error(oracles.fairness_spread_numpy, metrics)
+    got = _spread_or_error(fairness_spread, metrics)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    elif math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("metrics", [[1.0, math.nan, 1.0], [math.nan], [math.nan, -1.0, 0.0]])
+def test_fairness_spread_nan_metric_spreads_nan(metrics):
+    assert math.isnan(oracles.fairness_spread_numpy(metrics))
+    assert math.isnan(fairness_spread(metrics))
+
+
+@pytest.mark.parametrize("metrics", [[], [1.0, -2.0], [-1.0, 0.0, 0.0], [-0.5] * 8 + [0.25]])
+def test_fairness_spread_refusals_match_numpy(metrics):
+    with pytest.raises(InvalidInputError) as want:
+        oracles.fairness_spread_numpy(metrics)
+    with pytest.raises(InvalidInputError) as got:
+        fairness_spread(metrics)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("phi", [[1.0, math.nan], [math.inf], [2.0, -math.inf], [-1e-300],
+                                 [[1.0, 2.0]]])
+def test_state_refuses_phi(phi):
+    with pytest.raises(InvalidInputError,
+                       match="^phi must be a vector of finite, non-negative values$"):
+        ThroughputState(phi=phi, horizon_t=5)
+
+
+def test_state_accepts_negative_zero():
+    assert ThroughputState(phi=[-0.0, 0.0], horizon_t=5).phi.tolist() == [0.0, 0.0]
+
+
 def test_cold_start_state_is_channel_mean():
     c = _rates([[10.0, 30.0], [40.0, 0.0]], 1, 2)
     state = ThroughputState.cold_start(c, horizon_t=5)
@@ -430,6 +491,17 @@ def test_selection_reports_links():
         LinkSelection([[0, 0, 2]], pairing)      # entries are 0 or 1
     with pytest.raises(InvalidInputError):
         LinkSelection([[0, 0, 1]], pairing)      # STA 2 has no AP to run it with
+
+
+@pytest.mark.parametrize("links", [
+    [[1, 1, 0]],        # STA 1 is unpaired
+    [[1, 2, 0]],        # entries are 0 or 1
+    [[1, 0]],           # one column per station
+    [1, 0, 1],          # one row per channel
+])
+def test_selection_refusals(links):
+    with pytest.raises(InvalidInputError, match=r"^need 0/1 links, \(F, 3\), on paired STAs$"):
+        LinkSelection(links, PairingMatrix([0, -1, 0], 1))
 
 
 def test_selection_feasible_checks_whole_arrays():
@@ -462,7 +534,7 @@ _ARRAY_TYPES = {
     "ThroughputState": lambda: ThroughputState(phi=[1.0, 2.0], horizon_t=5),
     "RadioBudget": lambda: RadioBudget([1, 2, 3]),
     "LoopCarry": lambda: LoopCarry(ThroughputState(phi=[1.0], horizon_t=5), (3,), 2,
-                                   snr_field=np.zeros((1, 1, 3))),
+                                   constants=(np.zeros((1, 1, 3)),)),
 }
 
 

@@ -859,6 +859,52 @@ def test_carry_reuse_rule_counted_in_tensor_builds():
     assert [tuple(map(id, record)) for _, record in pf.memo] == snapshot
 
 
+def test_run_constants_derived_once_per_run_key():
+    fx = _fixture()
+    derive = harness._run_constants
+
+    def derivations(sc, carry, **kwargs):
+        with mock.patch.object(harness, "_run_constants", side_effect=derive) as spy:
+            result = run_apc_loop(sc, iterations=2, carry=carry, **kwargs)
+        return spy.call_count, result
+
+    pf = run_apc_loop(fx, iterations=3).carry
+    # the carry holds them, so none may be written through it
+    assert [v.flags.writeable for v in pf.constants if isinstance(v, np.ndarray)] == [False] * 4
+    assert derivations(fx, pf)[0] == 0
+    assert derivations(fx, dataclasses.replace(pf, memo=()))[0] == 0
+    assert derivations(fx, pf, solver="greedy", allocator="rr")[0] == 0
+    for sc, kwargs in [(fx, {"mcs_override": 3}), (fx, {"allocator": "slo"}),
+                       (dataclasses.replace(fx), {})]:      # a twin is another object
+        assert derivations(sc, pf, **kwargs)[0] == 1, kwargs
+    slo = derivations(fx, pf, allocator="slo")[1]
+    assert not any(v.flags.writeable for v in slo.carry.constants if isinstance(v, np.ndarray))
+    assert derivations(fx, slo.carry, allocator="slo")[0] == 0
+    assert derivations(fx, slo.carry)[0] == 1      # and back to PF
+    # solver and allocator are not in the key: a resume names its own algorithm
+    mcs3 = run_apc_loop(fx, iterations=2, mcs_override=3).carry
+    n, rr = derivations(fx, mcs3, solver="greedy", allocator="rr", mcs_override=3)
+    assert n == 0
+    assert {(r.algorithm, r.mcs_label, r.channel_ids) for r in rr.reports} == \
+        {("greedy+rr", "3", tuple(ch.channel_id for ch in fx.channels))}
+    assert emit_results(rr.reports) == emit_results(run_apc_loop(
+        fx, iterations=2, carry=dataclasses.replace(mcs3, run=None), solver="greedy",
+        allocator="rr", mcs_override=3).reports)
+
+
+@pytest.mark.parametrize("carried, resumed", [(_single, _fixture), (_fixture, _single)])
+def test_carry_for_another_channel_count_refused(carried, resumed):
+    carry = run_apc_loop(carried(), iterations=2).carry
+    sc = resumed()
+    field = Scenario.snr_field
+    with mock.patch.object(Scenario, "snr_field", autospec=True, side_effect=field) as spy, \
+            pytest.raises(InvalidInputError) as err:
+        run_apc_loop(sc, iterations=1, carry=carry)
+    assert spy.call_count == 0      # refused before any field is built
+    assert str(err.value) == (f"carry covers {len(carry.contenders)} channels, "
+                              f"but scenario {sc.name!r} has {sc.f_count}")
+
+
 @pytest.mark.parametrize("name, bad", [
     ("scenario_3ap_15sta", {"snr_base_db": float("nan")}),
     ("scenario_2ap_joint", {"snr_base_db": 20.0}),       # it draws its bases
