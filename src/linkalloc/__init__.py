@@ -1,13 +1,14 @@
 """Multi-link AP-STA pairing and channel allocation for 802.11be networks.
 
-The pipeline: a PHY abstraction maps per-link SNR through an effective-SNR
-compression and PER curves to sustainable data rates; a saturated-contention
-MAC model discounts them for medium sharing; an exact assignment (the optimum
-of the paper's pairing LP, found by successive shortest paths) pairs stations
-to APs on channel-averaged rates; and a proportional-fair allocator spreads each
-pairing's radios over the channels. Oracles (slot-level MAC simulation,
-exhaustive joint search, determinant enumeration) ship alongside for
-validating every analytical shortcut.
+The pipeline: a PHY abstraction maps each link's SNR (one SINR sample per
+link) through the PER curve of its MCS to a sustainable data rate; a
+saturated-contention MAC model discounts the rates for medium sharing; an
+exact assignment (the optimum of the paper's pairing LP, found by successive
+shortest paths) pairs stations to APs on channel-averaged rates; and a
+proportional-fair allocator spreads each pairing's radios over the channels.
+Oracles in `repro` (slot-level MAC simulation, exhaustive joint search,
+determinant enumeration) ship beside the production path for validating
+every analytical shortcut.
 """
 
 __version__ = "0.1.0"
@@ -27,7 +28,6 @@ from .dcf import (
     DcfParams,
     airtime_durations,
     normalized_throughput,
-    simulate_dcf_slots,
     solve_bianchi_fixed_point,
 )
 from .errors import (
@@ -45,26 +45,19 @@ from .harness import (
     Recommendation,
     RunResult,
     SweepStat,
-    compare_joint_vs_two_stage,
     emit_results,
     emit_sweep_stats,
     run_apc_loop,
     run_monte_carlo,
     run_slo_baseline,
-    validate_dcf,
     write_table,
 )
 from .pairing import (
-    JointSolution,
     PairingInstance,
     PairingMatrix,
-    TuCheckResult,
-    build_incidence,
-    check_total_unimodularity,
     objective_value,
     pair_greedy,
     pair_optimal_lp,
-    solve_joint_mmkp_bruteforce,
 )
 from .phy import (
     EesmParams,
@@ -79,6 +72,16 @@ from .rates import (
     RateTensor,
     bootstrap_contenders,
     build_rate_tensor,
+)
+from .repro import (
+    JointSolution,
+    TuCheckResult,
+    build_incidence,
+    check_total_unimodularity,
+    compare_joint_vs_two_stage,
+    simulate_dcf_slots,
+    solve_joint_mmkp_bruteforce,
+    validate_dcf,
 )
 from .scenario import (
     ApConfig,

@@ -27,15 +27,18 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    compare_joint_vs_two_stage,
     emit_results,
     emit_sweep_stats,
     run_apc_loop,
     run_monte_carlo,
-    validate_dcf,
     write_table,
 )
-from .pairing import build_incidence, check_total_unimodularity
+from .repro import (
+    build_incidence,
+    check_total_unimodularity,
+    compare_joint_vs_two_stage,
+    validate_dcf,
+)
 from .scenario import bundled_scenario_path, list_bundled_scenarios, load_scenario
 
 

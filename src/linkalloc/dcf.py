@@ -1,16 +1,15 @@
-"""Saturated DCF contention model and a slot-level event simulator.
+"""Saturated DCF contention model.
 
-The analytical side solves the classic two-equation fixed point for the
-per-slot transmission probability tau of n saturated contenders with binary
+It solves the classic two-equation fixed point for the per-slot
+transmission probability tau of n saturated contenders with binary
 exponential backoff, then evaluates normalized MAC throughput including a
-per-link PHY error probability. The simulator replays the same backoff rules
-slot by slot and serves as an independent cross-check.
+per-link PHY error probability. `repro.simulate_dcf_slots` replays the same
+backoff rules slot by slot as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "solve_bianchi_fixed_point",
     "airtime_durations",
     "normalized_throughput",
-    "simulate_dcf_slots",
 ]
 
 
@@ -173,63 +171,3 @@ def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
     t_c = durations.t_collision
     den = (1.0 - p_tr) * params.slot_time + p_tr * t_c + success * (durations.t_success - t_c)
     return success * durations.payload_airtime / den
-
-
-def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
-                       n_slots: int, seed: int, durations: AirtimeDurations) -> float:
-    """Empirical normalized throughput from a slot-level backoff replay.
-
-    Runs `n_slots` contention slots (idle slots and transmission events each
-    count as one). Backoff counters freeze while the channel is busy, double
-    on collision up to cw_max, and reset on success. PHY errors are drawn
-    i.i.d. with probability `per` on single-transmitter slots. An errored
-    attempt burns `t_collision`, as a collision does, and redraws its backoff
-    from the current window without doubling it, keeping the simulator
-    aligned with the analytical fixed point whose conditional failure
-    probability counts collisions only.
-    """
-    if n_contenders < 1:
-        raise InvalidInputError("n_contenders must be >= 1")
-    if not 0.0 <= per <= 1.0:
-        raise InvalidInputError(f"per must be in [0, 1], got {per!r}")
-    if n_slots < 1:
-        raise InvalidInputError("n_slots must be >= 1")
-    rng = random.Random(seed)
-    n = n_contenders
-    windows = [params.cw_min] * n
-    backoff = [rng.randrange(params.cw_min) for _ in range(n)]
-
-    slots = 0
-    busy_time = 0.0
-    idle_slots = 0
-    payload_time = 0.0
-
-    while slots < n_slots:
-        b_min = min(backoff)
-        if b_min > 0:
-            # jump over the idle run in one step
-            idle_slots += b_min
-            slots += b_min
-            backoff = [b - b_min for b in backoff]
-            continue
-        tx = [i for i, b in enumerate(backoff) if b == 0]
-        if len(tx) == 1:
-            i = tx[0]
-            if per > 0.0 and rng.random() < per:
-                busy_time += durations.t_collision
-            else:
-                payload_time += durations.payload_airtime
-                busy_time += durations.t_success
-                windows[i] = params.cw_min
-        else:
-            busy_time += durations.t_collision
-            for i in tx:
-                windows[i] = min(2 * windows[i], params.cw_max)
-        for i in tx:
-            backoff[i] = rng.randrange(windows[i])
-        slots += 1
-
-    total_time = idle_slots * params.slot_time + busy_time
-    if total_time <= 0.0:
-        return 0.0
-    return payload_time / total_time

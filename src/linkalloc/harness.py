@@ -6,10 +6,8 @@ rates, allocate radio links per channel, fold the outcome into the moving
 averages. `run_apc_loop` iterates that to a fixed count and reports per
 iteration; its `allocator="slo"` is the single-link baseline, the same loop
 restricted to each AP's home channel (`run_slo_baseline` is an alias).
-`run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds,
-`compare_joint_vs_two_stage` measures the loop's own first step against the
-exact joint optimum, and `write_table` serializes every table the package
-emits.
+`run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds, and
+`write_table` serializes every table the package emits.
 
 A step pays only for what changed. The run's constants (`_run_constants`:
 the SNR field from `Scenario.snr_field`, the MCS label, usable links, AP
@@ -61,7 +59,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import phy
 from .allocation import (
     LinkSelection,
     RadioBudget,
@@ -73,13 +70,10 @@ from .allocation import (
     instantaneous_rates,
     pf_metrics,
 )
-from .dcf import DcfParams, airtime_durations, normalized_throughput, simulate_dcf_slots, \
-    solve_bianchi_fixed_point
 from .errors import InvalidInputError, ValidationError
-from .pairing import PairingInstance, pair_greedy, pair_optimal_lp, \
-    solve_joint_mmkp_bruteforce
+from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
 from .rates import RateTensor, bootstrap_contenders, build_rate_tensor
-from .scenario import Scenario, check_mcs, check_seed
+from .scenario import Scenario
 
 __all__ = [
     "IterationReport",
@@ -93,8 +87,6 @@ __all__ = [
     "emit_results",
     "emit_sweep_stats",
     "write_table",
-    "validate_dcf",
-    "compare_joint_vs_two_stage",
 ]
 
 SOLVERS = ("optimal", "greedy")
@@ -546,70 +538,3 @@ def emit_sweep_stats(stats, fmt: str = "csv", out=None) -> str:
         "spread_std": s.spread_std,
         "min_spread_mean": s.min_spread_mean,
     } for s in stats), "sweep", fmt, out)
-
-
-# --- model validation and exact-solver comparison ---------------------------------
-
-
-def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: int = 6,
-                 bandwidth_mhz: int = 40, n_slots: int = 200_000, seed: int = 1) -> list:
-    """Cross-check the contention fixed point against the slot simulation,
-    both with the default `DcfParams`.
-
-    Returns one record per (n, per) cell with the analytical and simulated
-    normalized throughput and their relative error.
-    """
-    params, seed = DcfParams(), check_seed(seed)
-    rate = phy.mcs_data_rate(check_mcs(mcs_index, "mcs_index"), bandwidth_mhz)
-    durations = airtime_durations(params, rate)
-    records = []
-    for n in contenders:
-        state = solve_bianchi_fixed_point(params, n)
-        for per in pers:
-            analytic = normalized_throughput(state, durations, per, params)
-            sim = simulate_dcf_slots(params, n, per, n_slots=n_slots,
-                                     seed=seed, durations=durations)
-            rel = abs(sim - analytic) / analytic if analytic > 0 \
-                else 0.0 if sim == analytic else float("inf")
-            records.append({
-                "n_contenders": n,
-                "per": per,
-                "analytic": analytic,
-                "simulated": sim,
-                "rel_err": rel,
-            })
-    return records
-
-
-def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
-                               rng_seed=None) -> dict:
-    """Exact joint optimum vs the controller's own first step.
-
-    The two-stage value and wall time are those of the first step of
-    `run_apc_loop` (optimal pairing, PF) from a cold start. The joint value
-    is the exhaustive-search optimum of the same objective on the rate
-    tensor that step reads: the one at bootstrap contention, rebuilt here as
-    the brute force's input. Both wall times include building that tensor,
-    and neither includes the SNR field.
-    """
-    if m_stas is not None:
-        scenario = scenario.truncated(m_stas)
-    first = run_apc_loop(scenario, iterations=1, rng_seed=rng_seed, timing=True).final
-    snr_field = scenario.snr_field(seed=rng_seed)
-
-    t0 = time.perf_counter()
-    tensor = build_rate_tensor(scenario, snr_field=snr_field)
-    joint = solve_joint_mmkp_bruteforce(tensor, PairingInstance(
-        tensor.values.mean(axis=0), scenario.ap_capacities(), scenario.sta_radio_limits()))
-    joint_wall = time.perf_counter() - t0
-
-    two_stage = first.aggregate_throughput_bps
-    return {
-        "m_stas": scenario.m_stas,
-        "two_stage_objective_bps": two_stage,
-        "joint_objective_bps": joint.objective,
-        # both are 0 on a network with no usable link
-        "ratio": two_stage / joint.objective if joint.objective > 0 else 1.0,
-        "two_stage_wall_s": first.wall_time_s,
-        "joint_wall_s": joint_wall,
-    }

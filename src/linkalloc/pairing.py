@@ -1,4 +1,4 @@
-"""AP-STA pairing: exact optimal assignment, greedy baseline, and exact oracles.
+"""AP-STA pairing: the exact optimal assignment and a greedy baseline.
 
 Pairing assigns every station to exactly one AP, maximizing the sum of
 channel-averaged rates subject to per-AP capacity R(n). The paper states this
@@ -10,35 +10,26 @@ the instance computes once (`PairingInstance.best_ap`), and successive
 shortest paths over the APs move stations out of over-full APs at the least
 loss (the LP itself is kept as a test oracle). Ties go to the
 lowest AP index at the start and in the path search; no particular optimum
-among ties is promised. `check_total_unimodularity` verifies the property by
-brute determinant enumeration, and `solve_joint_mmkp_bruteforce` solves the
-un-decomposed pairing+allocation problem exactly on small instances for
-comparison against the two-stage pipeline.
+among ties is promised. The total unimodularity check and the exact joint
+pairing+allocation solver are reproduction oracles in `repro`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError, SizeLimitError
-from .rates import RateTensor
+from .errors import InfeasibleError, InvalidInputError
 
 __all__ = [
     "PairingInstance",
     "PairingMatrix",
-    "TuCheckResult",
-    "JointSolution",
-    "build_incidence",
-    "check_total_unimodularity",
     "pair_greedy",
     "pair_optimal_lp",
     "objective_value",
-    "solve_joint_mmkp_bruteforce",
 ]
 
 
@@ -119,97 +110,13 @@ class PairingMatrix:
 
 
 def objective_value(pairing: PairingMatrix, d) -> float:
-    """Total pairing weight sum(d * X)."""
+    """Total pairing weight sum(d * X): d[owner[m], m] over the paired stations."""
     dv = np.asarray(d, dtype=float)
-    if dv.shape != pairing.x.shape:
-        raise InvalidInputError(f"shape mismatch: d {dv.shape} vs X {pairing.x.shape}")
-    return float((dv * pairing.x).sum())
-
-
-# --- incidence structure and total unimodularity -------------------------------
-
-
-def build_incidence(n_aps: int, m_stas: int) -> np.ndarray:
-    """Constraint incidence of the assignment polytope, (M + N, N * M).
-
-    Rows are the M station equality constraints followed by the N AP capacity
-    constraints; columns are assignment edges, STA-major ((n, m) with m
-    outer). Each column has exactly one station 1 and one AP 1.
-    """
-    if n_aps < 1 or m_stas < 1:
-        raise InvalidInputError("need at least one AP and one STA")
-    inc = np.zeros((m_stas + n_aps, n_aps * m_stas), dtype=np.int8)
-    for m in range(m_stas):
-        for n in range(n_aps):
-            inc[m, m * n_aps + n] = 1
-            inc[m_stas + n, m * n_aps + n] = 1
-    inc.setflags(write=False)
-    return inc
-
-
-@dataclass(frozen=True)
-class TuCheckResult:
-    is_tu: bool
-    witness_rows: tuple = ()
-    witness_cols: tuple = ()
-    witness_det: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.is_tu
-
-
-def check_total_unimodularity(matrix, max_submatrix: int = 5) -> TuCheckResult:
-    """Exhaustively test all square submatrices up to max_submatrix x max_submatrix.
-
-    Every determinant must be -1, 0, or +1. On failure the first offending
-    row/column index sets and the determinant are reported. Entries outside
-    {-1, 0, 1} are rejected up front (such a matrix cannot be TU and the
-    enumeration would be meaningless).
-
-    For each row subset only the distinct nonzero column patterns are kept;
-    duplicate or zero columns can never produce a new nonzero determinant.
-    Determinants are evaluated in vectorized batches.
-    """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.size == 0:
-        raise InvalidInputError("matrix must be 2-D and non-empty")
-    if not np.isin(a, (-1, 0, 1)).all():
-        raise InvalidInputError("total unimodularity requires entries in {-1, 0, 1}")
-    if max_submatrix < 1:
-        raise InvalidInputError("max_submatrix must be >= 1")
-    a = a.astype(np.int8)
-    rows, cols = a.shape
-    k_max = min(max_submatrix, rows, cols)
-    chunk = 200_000
-    for k in range(2, k_max + 1):   # 1x1 minors are entries, already validated
-        for row_idx in itertools.combinations(range(rows), k):
-            sub = a[list(row_idx), :]
-            nz = np.flatnonzero(np.any(sub != 0, axis=0))
-            if nz.size < k:
-                continue
-            patterns, first = np.unique(sub[:, nz].T, axis=0, return_index=True)
-            if patterns.shape[0] < k:
-                continue
-            orig_cols = nz[first]
-            combos = itertools.combinations(range(patterns.shape[0]), k)
-            while True:
-                batch = np.array(list(itertools.islice(combos, chunk)), dtype=np.intp)
-                if batch.size == 0:
-                    break
-                mats = patterns[batch].astype(float)       # (B, k, k) rows = columns of A
-                dets = np.linalg.det(mats)
-                rounded = np.round(dets)
-                bad = (np.abs(dets - rounded) > 1e-6) | (np.abs(rounded) > 1)
-                if bad.any():
-                    b = int(np.argmax(bad))
-                    witness_cols = tuple(int(orig_cols[j]) for j in batch[b])
-                    return TuCheckResult(
-                        is_tu=False,
-                        witness_rows=tuple(row_idx),
-                        witness_cols=witness_cols,
-                        witness_det=float(dets[b]),
-                    )
-    return TuCheckResult(is_tu=True)
+    shape = (int(pairing.n_aps), pairing.m_stas)
+    if dv.shape != shape:
+        raise InvalidInputError(f"shape mismatch: d {dv.shape} vs X {shape}")
+    aps, stas = pairing.paired
+    return float(dv[aps, stas].sum())
 
 
 # --- solvers -------------------------------------------------------------------
@@ -337,87 +244,3 @@ def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -
             a = src
         rows[a] = None
         load[a] -= 1
-
-
-# --- joint exact solver ----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class JointSolution:
-    """Exact optimum of the one-shot pairing+allocation problem."""
-
-    selection: np.ndarray    # (F, N, M) binary link activations
-    objective: float
-
-
-def solve_joint_mmkp_bruteforce(tensor: RateTensor, instance: PairingInstance) -> JointSolution:
-    """Exhaustive search over every feasible link activation.
-
-    Enumerates, per station, the choice of serving AP and the subset of that
-    AP's channels (up to r(m) links), subject to each AP serving at most R(n)
-    stations, the pairing LP's constraint. This is the multidimensional
-    knapsack the two-stage pipeline approximates; cost grows as a product of
-    per-station choice counts, so instances are capped at
-    N*M <= 16 and F <= 3.
-    """
-    f_count, n_aps, m_stas = tensor.values.shape
-    if (n_aps, m_stas) != instance.d.shape:
-        raise InvalidInputError("tensor and instance dimensions disagree")
-    if n_aps * m_stas > 16:
-        raise SizeLimitError(f"{n_aps} APs x {m_stas} STAs exceeds the 16-cell enumeration cap")
-    if f_count > 3:
-        raise SizeLimitError(f"{f_count} channels exceeds the 3-channel cap")
-
-    channel_sets = [
-        list(itertools.combinations(range(f_count), k))
-        for k in range(f_count + 1)
-    ]
-    options = []   # per sta: list of (gain, ap, channels)
-    for m in range(m_stas):
-        opts = [(0.0, -1, ())]
-        k_cap = min(int(instance.sta_radio_limits[m]), f_count)
-        for n in range(n_aps):
-            rates = tensor.values[:, n, m]
-            for k in range(1, k_cap + 1):
-                for chans in channel_sets[k]:
-                    opts.append((float(rates[list(chans)].sum()), n, chans))
-        options.append(opts)
-
-    leaves = 1.0
-    for opts in options:
-        leaves *= len(opts)
-    if leaves > 2e8:
-        raise SizeLimitError(
-            f"enumeration would visit about {leaves:.1e} combinations; "
-            "reduce stations, channels, or radios"
-        )
-
-    caps = instance.ap_capacity.astype(int).tolist()
-    best_gain = -1.0
-    best_choice = None
-    choice = [0] * m_stas
-
-    def descend(m: int, gain: float) -> None:
-        nonlocal best_gain, best_choice
-        if m == m_stas:
-            if gain > best_gain:
-                best_gain = gain
-                best_choice = choice.copy()
-            return
-        for i, (g, n, chans) in enumerate(options[m]):
-            if n >= 0:
-                if caps[n] == 0:
-                    continue
-                caps[n] -= 1
-            choice[m] = i
-            descend(m + 1, gain + g)
-            if n >= 0:
-                caps[n] += 1
-
-    descend(0, 0.0)
-    selection = np.zeros((f_count, n_aps, m_stas), dtype=np.int8)
-    for m, i in enumerate(best_choice):
-        _, n, chans = options[m][i]
-        for f in chans:
-            selection[f, n, m] = 1
-    return JointSolution(selection=selection, objective=best_gain)

@@ -1,10 +1,12 @@
 """PHY abstraction: SINR, effective-SNR mapping, PER curves, MCS data rates.
 
-A radio link is reduced to a scalar effective SNR via an exponential
-effective SNR mapping (EESM) over its per-subcarrier, per-stream SINR grid.
-The effective SNR indexes the packet-error-rate curve of the active MCS, a
-parametric `LogisticPer` or a tabulated `TablePer`, and the MCS itself fixes
-the raw PHY data rate from the OFDM symbol layout.
+The rate path takes one SINR sample per radio link; its exponential
+effective SNR mapping (EESM) is the sample itself, so the link SNR indexes
+the packet-error-rate curve of the active MCS directly, a parametric
+`LogisticPer` or a tabulated `TablePer`. `eesm_effective_snr` reduces a
+multi-sample per-subcarrier, per-stream SINR grid to one effective SNR; the
+rate path never calls it. The MCS itself fixes the raw PHY data rate from
+the OFDM symbol layout.
 """
 
 from __future__ import annotations

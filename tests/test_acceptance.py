@@ -17,16 +17,9 @@ import pytest
 import linkalloc
 import oracles
 from linkalloc.allocation import fairness_spread
-from linkalloc.harness import (
-    compare_joint_vs_two_stage,
-    run_apc_loop,
-    run_slo_baseline,
-    validate_dcf,
-)
+from linkalloc.harness import run_apc_loop, run_slo_baseline
 from linkalloc.pairing import (
     PairingInstance,
-    build_incidence,
-    check_total_unimodularity,
     objective_value,
     pair_greedy,
     pair_optimal_lp,
@@ -36,6 +29,12 @@ from linkalloc.phy import (
     SubcarrierSinrGrid,
     eesm_effective_snr,
     mcs_data_rate,
+)
+from linkalloc.repro import (
+    build_incidence,
+    check_total_unimodularity,
+    compare_joint_vs_two_stage,
+    validate_dcf,
 )
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 

@@ -21,9 +21,10 @@ from linkalloc.allocation import (
 )
 from linkalloc.errors import InvalidInputError
 from linkalloc.harness import LoopCarry
-from linkalloc.pairing import JointSolution, PairingInstance, PairingMatrix
+from linkalloc.pairing import PairingInstance, PairingMatrix
 from linkalloc.phy import SubcarrierSinrGrid, TablePer
 from linkalloc.rates import RateTensor
+from linkalloc.repro import JointSolution
 
 
 def _rates(values, n_aps, m_stas):

@@ -5,11 +5,11 @@ from linkalloc.dcf import (
     DcfParams,
     airtime_durations,
     normalized_throughput,
-    simulate_dcf_slots,
     solve_bianchi_fixed_point,
 )
 from linkalloc.errors import InvalidInputError
 from linkalloc.phy import mcs_data_rate
+from linkalloc.repro import simulate_dcf_slots
 
 
 def test_default_params_match_reference_table():

@@ -31,14 +31,13 @@ from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError
 from linkalloc.pairing import PairingMatrix
 from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 from linkalloc.harness import (
-    compare_joint_vs_two_stage,
     emit_results,
     emit_sweep_stats,
     run_apc_loop,
     run_monte_carlo,
     run_slo_baseline,
-    validate_dcf,
 )
+from linkalloc.repro import compare_joint_vs_two_stage, validate_dcf
 from linkalloc.scenario import Scenario, bundled_scenario_path, load_scenario
 
 ONE_OF_EVERYTHING = """
@@ -1108,7 +1107,7 @@ def test_first_comparison_in_a_process_times_only_the_first_step():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")])
     code = ("import sys\n"
-            "from linkalloc.harness import compare_joint_vs_two_stage\n"
+            "from linkalloc.repro import compare_joint_vs_two_stage\n"
             "from linkalloc.scenario import bundled_scenario_path, load_scenario\n"
             "sc = load_scenario(bundled_scenario_path('scenario_2ap_joint'))\n"
             "assert 'scipy' not in sys.modules\n"

@@ -8,14 +8,12 @@ from linkalloc.errors import InfeasibleError, InvalidInputError, SizeLimitError
 from linkalloc.pairing import (
     PairingInstance,
     PairingMatrix,
-    build_incidence,
-    check_total_unimodularity,
     objective_value,
     pair_greedy,
     pair_optimal_lp,
-    solve_joint_mmkp_bruteforce,
 )
 from linkalloc.rates import RateTensor
+from linkalloc.repro import build_incidence, check_total_unimodularity, solve_joint_mmkp_bruteforce
 
 
 def _instance(d, caps, limits=None):
@@ -354,9 +352,22 @@ def test_objective_equals_trace_form():
     d = rng.uniform(0, 1, size=(3, 4))
     x = PairingMatrix([0, 1, 2, 1], 3)
     assert objective_value(x, d) == pytest.approx(float(np.trace(x.x.T @ d)))
+    # drawn pairings, unpaired (-1) stations among them, against the dense sum(d * X)
+    for _ in range(300):
+        n, m = rng.integers(1, 9, size=2).tolist()
+        d = rng.uniform(0, 1e3, size=(n, m)) * (rng.random((n, m)) < 0.8)
+        x = PairingMatrix(rng.integers(-1, n, size=m), n)
+        assert objective_value(x, d) == pytest.approx(float((d * x.x).sum()), rel=1e-12)
 
 
 def test_objective_shape_mismatch():
     x = PairingMatrix([0], 1)
     with pytest.raises(InvalidInputError):
         objective_value(x, np.zeros((2, 2)))
+
+
+def test_objective_shape_mismatch_names_both_shapes():
+    x = PairingMatrix(np.array([0, -1, 2]), np.int64(3))
+    with pytest.raises(InvalidInputError) as err:
+        objective_value(x, np.zeros((3, 2)))
+    assert str(err.value) == "shape mismatch: d (3, 2) vs X (3, 3)"

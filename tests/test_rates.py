@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc.dcf import DcfParams, airtime_durations, simulate_dcf_slots, solve_bianchi_fixed_point, normalized_throughput
+from linkalloc.dcf import DcfParams, airtime_durations, solve_bianchi_fixed_point, normalized_throughput
 from linkalloc.errors import InvalidInputError
 from linkalloc.phy import (
     DEFAULT_PER_MIDPOINT_DB,
@@ -19,6 +19,7 @@ from linkalloc.phy import (
     mcs_data_rate,
 )
 from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
+from linkalloc.repro import simulate_dcf_slots
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 from test_harness import _small_scenario_docs
 
