@@ -60,9 +60,7 @@ from .pairing import (
     pair_optimal_lp,
 )
 from .phy import (
-    EesmParams,
     LogisticPer,
-    SubcarrierSinrGrid,
     TablePer,
     eesm_effective_snr,
     mcs_data_rate,
@@ -84,7 +82,6 @@ from .repro import (
     validate_dcf,
 )
 from .scenario import (
-    ApConfig,
     ChannelSpec,
     Scenario,
     StaConfig,

@@ -202,7 +202,7 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     recs = []
     for sta, n, row in zip(scenario.stas, pairing.owner.tolist(), selection.links.T.tolist()):
         if n >= 0:
-            recs.append(Recommendation(sta.sta_id, scenario.aps[n].ap_id,
+            recs.append(Recommendation(sta.sta_id, scenario.ap_ids[n],
                                        tuple(c for c, on in zip(cids, row) if on)))
         else:
             recs.append(Recommendation(sta.sta_id, None, ()))

@@ -3,10 +3,10 @@
 The rate path takes one SINR sample per radio link; its exponential
 effective SNR mapping (EESM) is the sample itself, so the link SNR indexes
 the packet-error-rate curve of the active MCS directly, a parametric
-`LogisticPer` or a tabulated `TablePer`. `eesm_effective_snr` reduces a
-multi-sample per-subcarrier, per-stream SINR grid to one effective SNR; the
-rate path never calls it. The MCS itself fixes the raw PHY data rate from
-the OFDM symbol layout.
+`LogisticPer` or a tabulated `TablePer`. `eesm_effective_snr(sinr,
+beta=1.0)` reduces a multi-sample SINR grid, a 2-D array of linear SINRs by
+subcarrier and stream, to one effective SNR; the rate path never calls it.
+The MCS itself fixes the raw PHY data rate from the OFDM symbol layout.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "SubcarrierSinrGrid",
-    "EesmParams",
     "LogisticPer",
     "TablePer",
     "eesm_effective_snr",
@@ -37,50 +35,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SubcarrierSinrGrid:
-    """Per-subcarrier, per-stream linear SINR values, shape (n_sc, n_ss)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InvalidInputError("SINR grid must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise InvalidInputError("SINR grid entries must be finite and > 0")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def uniform(cls, value: float, n_sc: int = 1, n_ss: int = 1) -> "SubcarrierSinrGrid":
-        return cls(np.full((n_sc, n_ss), float(value)))
-
-
-@dataclass(frozen=True)
-class EesmParams:
-    """Tuning parameter of the exponential effective SNR mapping."""
-
-    beta: float = 1.0  # dimensionless, calibrated per MCS
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta <= 0:
-            raise InvalidInputError(f"beta must be finite and > 0, got {self.beta!r}")
-
-
-def eesm_effective_snr(grid: SubcarrierSinrGrid, params: EesmParams) -> float:
-    """Collapse a SINR grid to a scalar effective SNR (linear scale).
+def eesm_effective_snr(sinr, beta: float = 1.0) -> float:
+    """Collapse a grid of linear SINRs, a non-empty 2-D array-like of shape
+    (n_sc, n_ss) (subcarriers by streams), to a scalar effective SNR (linear
+    scale) under the EESM tuning parameter `beta` (dimensionless, calibrated
+    per MCS).
 
     Computes -beta * ln(mean(exp(-gamma / beta))) over all grid entries,
     as a max-shifted log-sum-exp so large gamma/beta ratios cannot underflow
     to -inf.
     """
-    beta = params.beta
-    a = -grid.values / beta
+    sinr = np.asarray(sinr, dtype=float)
+    if sinr.ndim != 2 or sinr.size == 0:
+        raise InvalidInputError("SINR grid must be a non-empty 2-D array")
+    if not np.all(np.isfinite(sinr)) or np.any(sinr <= 0):
+        raise InvalidInputError("SINR grid entries must be finite and > 0")
+    if not math.isfinite(beta) or beta <= 0:
+        raise InvalidInputError(f"beta must be finite and > 0, got {beta!r}")
+    a = -sinr / beta
     a_max = a.max()
     log_sum = np.log(np.exp(a - a_max).sum()) + a_max
-    return float(-beta * (log_sum - math.log(grid.values.size)))
+    return float(-beta * (log_sum - math.log(sinr.size)))
 
 
 @dataclass(frozen=True)

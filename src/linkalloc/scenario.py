@@ -20,6 +20,10 @@ and the rest of the package reads the AP and station settings from them only:
   channel, its `slo_channel`, else channel n % F;
 - `ap_radios[n]` and `sta_radios[m]`: the radio counts R(n) and r(m).
 
+`ap_ids[n]` names AP n, and `stas[m].sta_id` station m. `StaConfig` stays
+only because the benchmark's tests read its `snr_offsets_db` views; the
+package reads each radio count from `ap_radios` and `sta_radios` alone.
+
 Schema (all SNR values in dB)::
 
     name: demo                      # optional
@@ -53,14 +57,17 @@ scenario that declares `snr_random_range_db` instead draws each link's base
 uniformly from that range on every run, seeded with the run's seed, else its
 own `seed`, and refuses an explicit base. Every number must be finite: YAML
 `.nan` and `.inf` are rejected with their field path, so no number marks a
-link out of range. Integers must fit in signed 64 bits, and radio counts are
-at most 2**31 - 1.
+link out of range. A number may be written with an exponent and no
+fraction dot (`9e-6`, `1.5e3`), as YAML 1.2 reads it, though PyYAML's YAML
+1.1 resolver leaves that text a string. Integers must fit in signed 64 bits,
+and radio counts are at most 2**31 - 1.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -80,7 +87,6 @@ from .phy import (
 
 __all__ = [
     "ChannelSpec",
-    "ApConfig",
     "StaConfig",
     "Scenario",
     "load_scenario",
@@ -92,6 +98,8 @@ __all__ = [
 BAND_MAX_BANDWIDTH_MHZ = {"2.4GHz": 40, "5GHz": 80, "6GHz": 160}
 OUT_OF_RANGE = "out-of-range"
 MAX_RADIOS = 2**31 - 1    # small enough that no sum of radio counts wraps int64
+# YAML 1.2's float with an exponent, which YAML 1.1 reads as text unless it has a dot and a sign
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -105,15 +113,8 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class ApConfig:
-    ap_id: str
-    radios: int                       # R(n): pairing capacity of the AP
-
-
-@dataclass(frozen=True)
 class StaConfig:
     sta_id: str
-    radios: int                       # r(m): radio links the STA can run at once
     # ap id -> that link's offsets by channel position, for each AP the
     # station hears: read-only views of `Scenario.snr_offsets_db`, which is
     # what the package reads
@@ -133,7 +134,7 @@ class Scenario:
     snr_base_db: float
     snr_random_range_db: tuple | None
     channels: tuple
-    aps: tuple
+    ap_ids: tuple                   # (N,) str
     stas: tuple
     dcf: DcfParams
     per_curves: dict                # MCS -> LogisticPer or TablePer, resolved at load
@@ -150,7 +151,7 @@ class Scenario:
 
     @property
     def n_aps(self) -> int:
-        return len(self.aps)
+        return len(self.ap_ids)
 
     @property
     def m_stas(self) -> int:
@@ -231,8 +232,14 @@ def _need(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    """An int or a float, not a bool, or text YAML 1.2 reads as a float with an exponent."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            or isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value) is not None)
+
+
 def _as_number(value, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(f"{ctx}: expected a number, got {value!r}")
     try:
         number = float(value)
@@ -345,11 +352,12 @@ def _parse_channels(doc: dict) -> tuple:
 
 
 def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
-    """The APs, the MCS table (F, N) and each AP's home channel (N)."""
+    """The AP ids, their radio counts R(n), the MCS table (F, N) and each
+    AP's home channel (N)."""
     entries = _entries(doc, "aps", {"id", "radios", "slo_channel", "mcs"})
     mcs_table = np.array([[c.mcs_index] * len(entries) for c in channels])
     home = np.arange(len(entries)) % len(channels)
-    aps = []
+    ids, radios = [], []
     for n, (ctx, a) in enumerate(entries):
         for cid, mcs in _as_mapping(a.get("mcs", {}), f"{ctx}.mcs").items():
             f = _position(channel_index, _as_int(cid, f"{ctx}.mcs"), f"{ctx}.mcs", "channel")
@@ -357,13 +365,13 @@ def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
         if a.get("slo_channel") is not None:
             home[n] = _position(channel_index, _as_int(a["slo_channel"], f"{ctx}.slo_channel"),
                                 f"{ctx}.slo_channel", "channel")
-        aps.append(ApConfig(str(_need(a, "id", ctx)),
-                            _as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS)))
-    return tuple(aps), _read_only(mcs_table), _read_only(home)
+        ids.append(str(_need(a, "id", ctx)))
+        radios.append(_as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
+    return tuple(ids), _read_only(radios), _read_only(mcs_table), _read_only(home)
 
 
 def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
-    """The stations and the SNR offset table (F, N, M)."""
+    """The stations, the SNR offset table (F, N, M) and their radio counts r(m)."""
     entries = _entries(doc, "stas", {"id", "radios", "snr_offset_db"})
     table = np.full((len(channel_index), len(ap_index), len(entries)), np.nan)
     ids, radios = [], []
@@ -383,7 +391,7 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
                             links[f, n] = _as_number(off, f"{actx}[{cid}]")
                 elif value is not None and value != OUT_OF_RANGE:
                     links[:, n] = _as_number(value, actx)
-        elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        elif _is_number(raw):
             links[:] = _as_number(raw, octx)
         else:
             raise ValidationError(f"{octx}: expected a number or mapping, got {raw!r}")
@@ -396,10 +404,10 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
         raise ValidationError(f"stas[{deaf[0]}].snr_offset_db: no in-range AP on any channel")
     table.setflags(write=False)
     ap_ids = list(ap_index)
-    stas = tuple(StaConfig(sta_id, r, {ap_ids[n]: table[:, n, m]
-                                       for n in np.flatnonzero(heard[:, m]).tolist()})
-                 for m, (sta_id, r) in enumerate(zip(ids, radios)))
-    return stas, table
+    stas = tuple(StaConfig(sta_id, {ap_ids[n]: table[:, n, m]
+                                    for n in np.flatnonzero(heard[:, m]).tolist()})
+                 for m, sta_id in enumerate(ids))
+    return stas, table, _read_only(radios)
 
 
 def _parse_dcf(doc, ctx: str) -> DcfParams:
@@ -573,8 +581,8 @@ def _load_scenario(source) -> Scenario:
 
     channels = _parse_channels(doc)
     channel_index = _index([c.channel_id for c in channels], "channels")
-    aps, mcs_table, home_channel = _parse_aps(doc, channels, channel_index)
-    stas, offsets = _parse_stas(doc, channel_index, _index([a.ap_id for a in aps], "aps"))
+    ap_ids, ap_radios, mcs_table, home_channel = _parse_aps(doc, channels, channel_index)
+    stas, offsets, sta_radios = _parse_stas(doc, channel_index, _index(ap_ids, "aps"))
     return Scenario(
         name=str(doc.get("name", name_default)),
         rng_seed=check_seed(doc.get("seed", 0)),
@@ -583,7 +591,7 @@ def _load_scenario(source) -> Scenario:
         snr_base_db=_as_number(doc.get("snr_base_db", 20.0), "snr_base_db"),
         snr_random_range_db=_parse_random_range(doc),
         channels=channels,
-        aps=aps,
+        ap_ids=ap_ids,
         stas=stas,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
         per_curves=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
@@ -592,8 +600,8 @@ def _load_scenario(source) -> Scenario:
         snr_offsets_db=offsets,
         mcs_table=mcs_table,
         home_channel=home_channel,
-        ap_radios=_read_only([a.radios for a in aps]),
-        sta_radios=_read_only([s.radios for s in stas]),
+        ap_radios=ap_radios,
+        sta_radios=sta_radios,
     )
 
 

@@ -240,9 +240,10 @@ def tu_by_direct_enumeration(matrix, max_k):
 
 def document_arrays(doc):
     """The scenario arrays (offsets (F, N, M) in dB with NaN out of range,
-    MCS table (F, N), home channel (N)) walked link by link off a raw
-    scenario document, the mapping `yaml.safe_load` returns, by the schema
-    rather than by the package's parser."""
+    MCS table (F, N), home channel (N)), the AP ids (a list of str) and the
+    radio counts R(n) and r(m), walked link by link off a raw scenario
+    document, the mapping `yaml.safe_load` returns, by the schema rather than
+    by the package's parser."""
     cids = [c["id"] for c in doc["channels"]]
     aps = doc["aps"]
     f_count, n_aps, m_stas = len(cids), len(aps), len(doc["stas"])
@@ -264,7 +265,10 @@ def document_arrays(doc):
                     for cid, chan in zip(cids, doc["channels"])])
     home = np.array([ni % f_count if ap.get("slo_channel") is None
                      else cids.index(ap["slo_channel"]) for ni, ap in enumerate(aps)])
-    return offsets, mcs, home
+    ap_ids = [str(ap["id"]) for ap in aps]
+    ap_radios = np.array([ap["radios"] for ap in aps])
+    sta_radios = np.array([sta["radios"] for sta in doc["stas"]])
+    return offsets, mcs, home, ap_ids, ap_radios, sta_radios
 
 
 def snr_field_loops(doc, base_db=None, rng=None):
@@ -312,7 +316,7 @@ def recommendations_per_station(scenario, pairing, selection):
         n = int(column.argmax())
         cids = tuple(scenario.channels[f].channel_id
                      for f in np.flatnonzero(selection.s[:, n, m]))
-        recs.append((sta.sta_id, scenario.aps[n].ap_id, cids))
+        recs.append((sta.sta_id, scenario.ap_ids[n], cids))
     return recs
 
 

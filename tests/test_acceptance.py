@@ -25,8 +25,6 @@ from linkalloc.pairing import (
     pair_optimal_lp,
 )
 from linkalloc.phy import (
-    EesmParams,
-    SubcarrierSinrGrid,
     eesm_effective_snr,
     mcs_data_rate,
 )
@@ -125,13 +123,12 @@ def test_criterion_06_eesm_properties():
     for _ in range(200):
         c = float(rng.uniform(0.05, 50.0))
         beta = float(rng.uniform(0.1, 20.0))
-        got = eesm_effective_snr(SubcarrierSinrGrid.uniform(c, 4, 2), EesmParams(beta=beta))
+        got = eesm_effective_snr(np.full((4, 2), c), beta=beta)
         if abs(got - c) > 1e-12 * c:
             ok = False
             detail.append("fixed point")
             break
-    mean_err = abs(eesm_effective_snr(SubcarrierSinrGrid(values=np.array([[1.0, 3.0]])),
-                                      EesmParams(beta=1e6)) - 2.0)
+    mean_err = abs(eesm_effective_snr(np.array([[1.0, 3.0]]), beta=1e6) - 2.0)
     if mean_err >= 1e-3:
         ok = False
         detail.append(f"large-beta err {mean_err:.1e}")
@@ -139,14 +136,13 @@ def test_criterion_06_eesm_properties():
     for _ in range(10_000):
         vals = rng.uniform(0.01, 40.0, size=(1, int(rng.integers(1, 9))))
         beta = float(rng.uniform(0.2, 8.0))
-        params = EesmParams(beta=beta)
-        eff = eesm_effective_snr(SubcarrierSinrGrid(values=vals), params)
+        eff = eesm_effective_snr(vals, beta=beta)
         if not (vals.min() - 1e-12 <= eff <= vals.max() + 1e-12):
             violations += 1
             continue
         bumped = vals.copy()
         bumped[0, int(rng.integers(vals.shape[1]))] += float(rng.uniform(0.1, 4.0))
-        if eesm_effective_snr(SubcarrierSinrGrid(values=bumped), params) < eff - 1e-12:
+        if eesm_effective_snr(bumped, beta=beta) < eff - 1e-12:
             violations += 1
     if violations:
         ok = False

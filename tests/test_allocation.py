@@ -22,7 +22,7 @@ from linkalloc.allocation import (
 from linkalloc.errors import InvalidInputError
 from linkalloc.harness import LoopCarry
 from linkalloc.pairing import PairingInstance, PairingMatrix
-from linkalloc.phy import SubcarrierSinrGrid, TablePer
+from linkalloc.phy import TablePer
 from linkalloc.rates import RateTensor
 from linkalloc.repro import JointSolution
 
@@ -526,7 +526,6 @@ def test_selection_feasible_checks_whole_arrays():
 
 _ARRAY_TYPES = {
     "TablePer": lambda: TablePer([0.0, 10.0, 20.0], [1.0, 0.5, 0.0]),
-    "SubcarrierSinrGrid": lambda: SubcarrierSinrGrid([[1.0, 2.0]]),
     "RateTensor": lambda: RateTensor(np.ones((2, 1, 3))),
     "PairingMatrix": lambda: PairingMatrix([0, -1, 0], 1),
     "PairingInstance": lambda: PairingInstance(np.ones((1, 3)), [3], [1, 1, 1]),
@@ -544,3 +543,30 @@ def test_types_holding_arrays_compare_by_identity(make):
     a, b = make(), make()
     assert (a == a) is True and (a == b) is False and (a != b) is True
     assert hash(a) == hash(a) and isinstance(hash(b), int)
+
+
+_REFUSALS = {
+    "horizon_zero": (lambda: ThroughputState(phi=[1.0], horizon_t=0),
+                     "horizon_t must be >= 1"),
+    "radio_limit_zero": (lambda: RadioBudget([0, 1]),
+                         "radio limits must be a vector of positive counts"),
+    "pf_budget_other_stations": (
+        lambda: allocate_pf(_full_pairing(1, 2), RadioBudget([1, 1, 1]), RateTensor(np.ones((2, 1, 2))),
+                            ThroughputState(phi=[1.0, 1.0], horizon_t=5)),
+        "budget covers a different station count"),
+    "rr_budget_other_stations": (
+        lambda: allocate_rr(_full_pairing(1, 2), RadioBudget([1]), RateTensor(np.ones((2, 1, 2))),
+                            [1, 1]),
+        "budget covers a different station count"),
+    "pf_state_other_channels": (
+        lambda: allocate_pf(_full_pairing(1, 2), RadioBudget([1, 1]), RateTensor(np.ones((2, 1, 2))),
+                            ThroughputState(phi=[1.0, 1.0, 1.0], horizon_t=5)),
+        "state covers a different channel count"),
+}
+
+
+@pytest.mark.parametrize("call, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_allocation_refusals(call, msg):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError and str(exc.value) == msg

@@ -475,3 +475,12 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5 and lines[1].startswith("sta")
     assert lines[4] == "(3, 3, 15) (3, 3) [0, 1, 2]"
+
+
+@pytest.mark.parametrize("token", ["{tmp}/missing/x.yaml", "missing/x.yaml", "x.yaml"],
+                         ids=["absolute", "relative", "yaml_suffix"])
+def test_scenario_path_that_names_no_file_refused(token, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    token = token.format(tmp=tmp_path)
+    assert main(["run", "--scenario", token]) == 1
+    assert capsys.readouterr() == ("", f"linkalloc: scenario file not found: {token}\n")

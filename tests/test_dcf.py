@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 import oracles
 from linkalloc.dcf import (
+    AirtimeDurations,
     DcfParams,
     airtime_durations,
     normalized_throughput,
@@ -152,3 +155,32 @@ def test_analytic_vs_simulator_at_twenty_contenders():
     analytic = normalized_throughput(s, d, 0.0, p)
     sim = simulate_dcf_slots(p, 20, 0.0, 150_000, seed=3, durations=d)
     assert abs(sim - analytic) / analytic < 0.05
+
+
+_REFUSALS = {
+    "slot_time": (lambda: DcfParams(slot_time=0.0), "slot_time must be > 0"),
+    "phy_header": (lambda: DcfParams(phy_header=-1e-6), "phy_header must be > 0"),
+    "eifs": (lambda: DcfParams(eifs=0.0), "eifs must be > 0 when given"),
+    "prop_delay": (lambda: DcfParams(prop_delay=-1e-9), "prop_delay must be >= 0"),
+    "ack_bytes": (lambda: DcfParams(ack_bytes=0), "ack_bytes must be > 0 and payload_bytes >= 0"),
+    "payload_bytes": (lambda: DcfParams(payload_bytes=-1),
+                      "ack_bytes must be > 0 and payload_bytes >= 0"),
+    "backoff_stages": (lambda: DcfParams(m_max_backoff_stages=-1),
+                       "m_max_backoff_stages must be >= 0"),
+    "no_contenders": (lambda: solve_bianchi_fixed_point(DcfParams(), 0),
+                      "n_contenders must be >= 1"),
+    "mcs_rate_zero": (lambda: airtime_durations(DcfParams(), 0.0),
+                      "mcs_rate must be finite and > 0"),
+    "mcs_rate_inf": (lambda: airtime_durations(DcfParams(), math.inf),
+                     "mcs_rate must be finite and > 0"),
+    "durations": (lambda: AirtimeDurations(1e-3, 0.0, 1e-4), "durations must be > 0"),
+    "payload_airtime": (lambda: AirtimeDurations(1e-3, 1e-3, -1e-4),
+                        "payload_airtime must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("call, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_dcf_refusals(call, msg):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError and str(exc.value) == msg

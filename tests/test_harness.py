@@ -36,6 +36,7 @@ from linkalloc.harness import (
     run_apc_loop,
     run_monte_carlo,
     run_slo_baseline,
+    write_table,
 )
 from linkalloc.repro import compare_joint_vs_two_stage, validate_dcf
 from linkalloc.scenario import Scenario, bundled_scenario_path, load_scenario
@@ -90,7 +91,7 @@ def test_recommendations_consistent_with_selection():
     result = run_apc_loop(sc, iterations=3)
     report = result.final
     sta_ids = [s.sta_id for s in sc.stas]
-    ap_ids = [a.ap_id for a in sc.aps]
+    ap_ids = list(sc.ap_ids)
     by_sta = {r.sta_id: r for r in result.recommendations}
     triples = {tuple(t) for t in np.argwhere(report.selection.s).tolist()}
     for m, sta in enumerate(sta_ids):
@@ -539,12 +540,13 @@ def _small_scenarios():
 @given(_small_scenarios())
 def test_loaded_arrays_match_a_walk_of_the_document(doc_sc):
     doc, sc = doc_sc
-    offsets, mcs, home = oracles.document_arrays(doc)
+    offsets, mcs, home, ap_ids, ap_radios, sta_radios = oracles.document_arrays(doc)
     for got, want in ((sc.snr_offsets_db, offsets), (sc.mcs_table, mcs),
-                      (sc.home_channel, home)):
+                      (sc.home_channel, home), (sc.ap_radios, ap_radios),
+                      (sc.sta_radios, sta_radios)):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert not got.flags.writeable
-    ap_ids = [ap.ap_id for ap in sc.aps]
+    assert sc.ap_ids == tuple(ap_ids) and all(type(ap_id) is str for ap_id in sc.ap_ids)
     for m, sta in enumerate(sc.stas):
         heard = [ap_ids[n] for n in range(sc.n_aps) if not np.isnan(offsets[:, n, m]).all()]
         assert list(sta.snr_offsets_db) == heard
@@ -592,7 +594,7 @@ def _check_steps_feasible(result, limits):
 def _check_recommendations(sc, result):
     """The recommendations name exactly the final step's pairing and links."""
     report = result.final
-    ap_ids = [ap.ap_id for ap in sc.aps]
+    ap_ids = list(sc.ap_ids)
     assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
     assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
         report.pairing.x.argmax(axis=0).tolist()
@@ -1141,3 +1143,25 @@ def test_joint_bounds_two_stage_when_stations_outnumber_ap_radios():
     # reads R(n) as the pairing LP does, so the pipeline cannot beat it
     out = compare_joint_vs_two_stage(load_scenario(io.StringIO(TIGHT_APS)), rng_seed=0)
     assert out["ratio"] <= 1
+
+
+_REFUSALS = {
+    "no_rounds": (lambda tmp: run_monte_carlo(_single(), rounds=0),
+                  InvalidInputError, "rounds must be >= 1"),
+    "no_records": (lambda tmp: write_table([], "results"),
+                   InvalidInputError, "no results records to write"),
+    "format_xml": (lambda tmp: write_table([{"a": 1}], "results", fmt="xml"),
+                   ValidationError, "format must be csv or json, got 'xml'"),
+    "unwritable_path": (lambda tmp: write_table([{"a": 1}], "results", out=tmp / "no" / "x.csv"),
+                        ValidationError, "cannot write {tmp}/no/x.csv: No such file or directory"),
+    "two_channel_sets": (lambda tmp: emit_results(run_apc_loop(_single(), iterations=1).reports
+                                                  + run_apc_loop(_fixture(), iterations=1).reports),
+                         InvalidInputError, "reports mix different channel sets"),
+}
+
+
+@pytest.mark.parametrize("call, kind, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_harness_refusals(call, kind, msg, tmp_path):
+    with pytest.raises(kind) as exc:
+        call(tmp_path)
+    assert type(exc.value) is kind and str(exc.value) == msg.format(tmp=tmp_path)

@@ -371,3 +371,18 @@ def test_objective_shape_mismatch_names_both_shapes():
     with pytest.raises(InvalidInputError) as err:
         objective_value(x, np.zeros((3, 2)))
     assert str(err.value) == "shape mismatch: d (3, 2) vs X (3, 3)"
+
+
+_REFUSALS = {
+    "sta_limit_zero": (lambda: _instance([[1.0, 1.0]], [2], limits=[1, 0]),
+                       "sta_radio_limits must hold a positive count per STA"),
+    "sta_limits_other_count": (lambda: _instance([[1.0, 1.0]], [2], limits=[1]),
+                               "sta_radio_limits must hold a positive count per STA"),
+}
+
+
+@pytest.mark.parametrize("call, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_pairing_refusals(call, msg):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError and str(exc.value) == msg

@@ -7,9 +7,7 @@ from linkalloc.phy import (
     DATA_SUBCARRIERS,
     DEFAULT_PER_MIDPOINT_DB,
     DEFAULT_PER_SLOPE_PER_DB,
-    EesmParams,
     LogisticPer,
-    SubcarrierSinrGrid,
     TablePer,
     eesm_effective_snr,
     mcs_data_rate,
@@ -22,21 +20,21 @@ def test_eesm_uniform_grid_is_fixed_point():
     for _ in range(50):
         c = float(rng.uniform(0.05, 40.0))
         beta = float(rng.uniform(0.1, 10.0))
-        grid = SubcarrierSinrGrid.uniform(c, n_sc=int(rng.integers(1, 9)), n_ss=int(rng.integers(1, 3)))
-        got = eesm_effective_snr(grid, EesmParams(beta=beta))
+        grid = np.full((int(rng.integers(1, 9)), int(rng.integers(1, 3))), c)
+        got = eesm_effective_snr(grid, beta=beta)
         assert abs(got - c) <= 1e-12 * c
 
 
 def test_eesm_two_point_grid_frozen():
-    grid = SubcarrierSinrGrid(values=np.array([[1.0, 3.0]]))
-    got = eesm_effective_snr(grid, EesmParams(beta=1.0))
+    grid = np.array([[1.0, 3.0]])
+    got = eesm_effective_snr(grid, beta=1.0)
     assert got == pytest.approx(1.5662191695169727, rel=1e-12)
     assert got == pytest.approx(oracles.eesm_scalar([1.0, 3.0], 1.0), rel=1e-12)
 
 
 def test_eesm_large_beta_approaches_arithmetic_mean():
-    grid = SubcarrierSinrGrid(values=np.array([[1.0, 3.0]]))
-    got = eesm_effective_snr(grid, EesmParams(beta=1e6))
+    grid = np.array([[1.0, 3.0]])
+    got = eesm_effective_snr(grid, beta=1e6)
     assert abs(got - 2.0) < 1e-3
 
 
@@ -45,22 +43,21 @@ def test_eesm_bounds_and_monotonicity():
     for _ in range(200):
         vals = rng.uniform(0.01, 30.0, size=(int(rng.integers(1, 5)), int(rng.integers(1, 7))))
         beta = float(rng.uniform(0.2, 5.0))
-        grid = SubcarrierSinrGrid(values=vals)
-        eff = eesm_effective_snr(grid, EesmParams(beta=beta))
+        eff = eesm_effective_snr(vals, beta=beta)
         assert vals.min() - 1e-12 <= eff <= vals.max() + 1e-12
         bumped = vals.copy()
         i = int(rng.integers(vals.shape[0]))
         j = int(rng.integers(vals.shape[1]))
         bumped[i, j] += float(rng.uniform(0.1, 5.0))
-        eff2 = eesm_effective_snr(SubcarrierSinrGrid(values=bumped), EesmParams(beta=beta))
+        eff2 = eesm_effective_snr(bumped, beta=beta)
         assert eff2 >= eff - 1e-12
 
 
 def test_eesm_rejects_empty_grid():
     with pytest.raises(InvalidInputError):
-        SubcarrierSinrGrid(values=np.zeros((0, 1)))
+        eesm_effective_snr(np.zeros((0, 1)))
     with pytest.raises(InvalidInputError):
-        EesmParams(beta=0.0)
+        eesm_effective_snr([[1.0]], beta=0.0)
 
 
 def test_per_lookup_table_point_identity():
@@ -148,3 +145,43 @@ def test_mcs_data_rate_rejects_unknown_combinations():
         mcs_data_rate(12, 40)
     with pytest.raises(InvalidInputError):
         mcs_data_rate(3, 30)
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "per.csv"
+    path.write_text(text)
+    return path
+
+
+_REFUSALS = {
+    "eesm_one_dimensional": (lambda tmp: eesm_effective_snr([1.0, 2.0]),
+                             "SINR grid must be a non-empty 2-D array"),
+    "eesm_empty": (lambda tmp: eesm_effective_snr(np.zeros((0, 1))),
+                   "SINR grid must be a non-empty 2-D array"),
+    "eesm_zero_sinr": (lambda tmp: eesm_effective_snr([[1.0, 0.0]]),
+                       "SINR grid entries must be finite and > 0"),
+    "eesm_nan_sinr": (lambda tmp: eesm_effective_snr([[np.nan]]),
+                      "SINR grid entries must be finite and > 0"),
+    "eesm_beta_zero": (lambda tmp: eesm_effective_snr([[1.0]], beta=0.0),
+                       "beta must be finite and > 0, got 0.0"),
+    "eesm_beta_inf": (lambda tmp: eesm_effective_snr([[1.0]], beta=float("inf")),
+                      "beta must be finite and > 0, got inf"),
+    "midpoint_nan": (lambda tmp: LogisticPer(float("nan"), 1.0), "midpoint_db must be finite"),
+    "slope_zero": (lambda tmp: LogisticPer(10.0, 0.0), "slope_per_db must be finite and > 0"),
+    "table_lengths": (lambda tmp: TablePer([0.0, 1.0, 2.0], [1.0, 0.0]),
+                      "PER table needs matching 1-D arrays of length >= 2"),
+    "csv_header": (lambda tmp: TablePer.from_csv(_csv(tmp, "snr,per\n0,1\n9,0\n")),
+                   "{path}: expected CSV header 'esnr_db,per', got ['snr', 'per']"),
+    "csv_one_row": (lambda tmp: TablePer.from_csv(_csv(tmp, "esnr_db,per\n0,1\n")),
+                    "{path}: PER table needs at least 2 rows"),
+    "lookup_nan": (lambda tmp: per_lookup(LogisticPer(10.0, 1.0), [5.0, np.nan]),
+                   "esnr_db must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_phy_refusals(call, msg, tmp_path):
+    with pytest.raises(InvalidInputError) as exc:
+        call(tmp_path)
+    assert type(exc.value) is InvalidInputError
+    assert str(exc.value) == msg.format(path=tmp_path / "per.csv")

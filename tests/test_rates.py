@@ -320,3 +320,24 @@ def test_mcs_override_changes_rates():
     slower = build_rate_tensor(sc, mcs_override=0)
     mask = base.values > 0
     assert (slower.values[mask] < base.values[mask]).all()
+
+
+def _fixture():
+    return load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
+
+
+_REFUSALS = {
+    "tensor_2d": (lambda: RateTensor(np.ones((2, 3))),
+                  "rate tensor must be (F, N, M), got shape (2, 3)"),
+    "snr_field_shape": (lambda: build_rate_tensor(_fixture(), snr_field=np.zeros((3, 3, 14))),
+                        "snr_field shape (3, 3, 14) != (3, 3, 15)"),
+    "contenders_length": (lambda: build_rate_tensor(_fixture(), contenders=[1, 1]),
+                          "contenders needs one count per channel"),
+}
+
+
+@pytest.mark.parametrize("call, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_rates_refusals(call, msg):
+    with pytest.raises(InvalidInputError) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError and str(exc.value) == msg

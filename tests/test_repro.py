@@ -5,10 +5,15 @@ exported from the package as the `repro` object, with no alias left behind."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linkalloc
 from linkalloc import dcf, harness, pairing, repro
+from linkalloc.errors import InvalidInputError, SizeLimitError
+from linkalloc.pairing import PairingInstance
+from linkalloc.phy import mcs_data_rate
+from linkalloc.rates import RateTensor
 
 PACKAGE = Path(linkalloc.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -74,3 +79,42 @@ def test_moved_names_are_exported_from_repro_only(name, old):
     assert getattr(linkalloc, name) is getattr(repro, name)
     assert name in repro.__all__
     assert not hasattr(old, name) and name not in old.__all__
+
+
+def _durations():
+    return dcf.airtime_durations(dcf.DcfParams(), mcs_data_rate(3, 40))
+
+
+_REFUSALS = {
+    "incidence_no_ap": (lambda: repro.build_incidence(0, 3),
+                        InvalidInputError, "need at least one AP and one STA"),
+    "tu_empty": (lambda: repro.check_total_unimodularity(np.zeros((0, 2))),
+                 InvalidInputError, "matrix must be 2-D and non-empty"),
+    "tu_one_dimensional": (lambda: repro.check_total_unimodularity([1, 0]),
+                           InvalidInputError, "matrix must be 2-D and non-empty"),
+    "tu_entries": (lambda: repro.check_total_unimodularity([[2]]),
+                   InvalidInputError, "total unimodularity requires entries in {-1, 0, 1}"),
+    "tu_submatrix": (lambda: repro.check_total_unimodularity(np.eye(2), max_submatrix=0),
+                     InvalidInputError, "max_submatrix must be >= 1"),
+    "joint_dimensions": (lambda: repro.solve_joint_mmkp_bruteforce(
+        RateTensor(np.ones((1, 2, 2))), PairingInstance(np.ones((2, 3)), [3, 3], [1, 1, 1])),
+        InvalidInputError, "tensor and instance dimensions disagree"),
+    "joint_leaves": (lambda: repro.solve_joint_mmkp_bruteforce(
+        RateTensor(np.ones((3, 1, 16))), PairingInstance(np.ones((1, 16)), [16], [3] * 16)),
+        SizeLimitError, "enumeration would visit about 2.8e+14 combinations; "
+                        "reduce stations, channels, or radios"),
+    "dcf_no_contenders": (lambda: repro.simulate_dcf_slots(dcf.DcfParams(), 0, 0.0, 10, 0,
+                                                           _durations()),
+                          InvalidInputError, "n_contenders must be >= 1"),
+    "dcf_per": (lambda: repro.simulate_dcf_slots(dcf.DcfParams(), 2, 1.5, 10, 0, _durations()),
+                InvalidInputError, "per must be in [0, 1], got 1.5"),
+    "dcf_no_slots": (lambda: repro.simulate_dcf_slots(dcf.DcfParams(), 2, 0.0, 0, 0, _durations()),
+                     InvalidInputError, "n_slots must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, kind, msg", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_repro_refusals(call, kind, msg):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == msg

@@ -364,9 +364,11 @@ def test_truncated_keeps_prefix():
     assert small.m_stas == 4
     assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
     # the radio counts are built once at load, read-only, and sliced along
+    assert small.ap_ids is sc.ap_ids and small.ap_radios is sc.ap_radios
+    assert small.sta_radios.tolist() == sc.sta_radios[:4].tolist()
     for scenario in (sc, small):
-        assert scenario.sta_radio_limits().tolist() == [s.radios for s in scenario.stas]
-        assert scenario.ap_capacities().tolist() == [a.radios for a in scenario.aps]
+        assert scenario.sta_radio_limits() is scenario.sta_radios
+        assert scenario.ap_capacities() is scenario.ap_radios
         assert scenario.sta_radio_limits() is scenario.sta_radio_limits()
         assert scenario.ap_capacities() is scenario.ap_capacities()
         assert not scenario.sta_radio_limits().flags.writeable
@@ -516,8 +518,63 @@ def test_booleans_rejected_as_numbers():
         assert str(exc.value) == msg
 
 
+_WITH_DCF = MINIMAL.replace("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: {slot_time: 9.0e-6}")
+_WITH_RANGE = MINIMAL.replace("snr_base_db: 20.0", "snr_random_range_db: [6.0e+0, 9.0e+0]")
+
+
+@pytest.mark.parametrize("doc, old, exponent, twin", [
+    (_WITH_DCF, "slot_time: 9.0e-6", "slot_time: 9e-6", "slot_time: 9.0e-6"),
+    (_WITH_DCF, "slot_time: 9.0e-6", "slot_time: 9E-6", "slot_time: 9.0e-6"),
+    (MINIMAL, "snr_offset_db: 0.0", "snr_offset_db: 1e-05", "snr_offset_db: 1.0e-05"),
+    (MINIMAL, "snr_offset_db: 0.0", "snr_offset_db: {ap1: 1.5e3}", "snr_offset_db: {ap1: 1.5e+3}"),
+    (MINIMAL, "{1: -3.0,", "{1: -.3e1,", "{1: -3.0,"),
+    (MINIMAL, "snr_base_db: 20.0", "snr_base_db: 1.5e3", "snr_base_db: 1.5e+3"),
+    (_WITH_RANGE, "[6.0e+0, 9.0e+0]", "[6e0, +9.e0]", "[6.0e+0, 9.0e+0]"),
+], ids=["slot_time", "slot_time_capital_e", "offset", "offset_per_ap", "offset_per_channel",
+        "snr_base_db", "snr_random_range_db"])
+def test_exponent_floats_load_like_their_yaml_1_1_spelling(doc, old, exponent, twin):
+    """YAML 1.2 reads `9e-6` as a float; PyYAML's YAML 1.1 resolver reads it
+    as text unless it has a dot and a signed exponent."""
+    assert _fields(_load(doc.replace(old, exponent))) == _fields(_load(doc.replace(old, twin)))
+
+
+@pytest.mark.parametrize("old, new, msg", [
+    ("slot_time: 9.0e-6", "slot_time: 1e999", "dcf.slot_time: expected a finite number, got '1e999'"),
+    ("slot_time: 9.0e-6", "slot_time: fast", "dcf.slot_time: expected a number, got 'fast'"),
+    ("slot_time: 9.0e-6", "slot_time: 1e-6x", "dcf.slot_time: expected a number, got '1e-6x'"),
+    ("slot_time: 9.0e-6", "cw_min: 1e1", "dcf.cw_min: expected an integer, got '1e1'"),
+    ("snr_offset_db: 0.0", "snr_offset_db: -1E999",
+     "stas[0].snr_offset_db: expected a finite number, got '-1E999'"),
+    ("snr_offset_db: 0.0", "snr_offset_db: fast",
+     "stas[0].snr_offset_db: expected a number or mapping, got 'fast'"),
+])
+def test_exponent_text_that_is_no_finite_float_refused(old, new, msg):
+    with pytest.raises(ValidationError) as exc:
+        _load(_WITH_DCF.replace(old, new))
+    assert str(exc.value) == msg
+
+
+def test_exponent_text_stays_text_in_ids():
+    sc = _load(MINIMAL.replace("{id: ap1,", "{id: 1e5,").replace("{ap1: {1:", "{1e5: {1:")
+               .replace("id: sta2,", "id: 2E-1,"))
+    assert sc.ap_ids == ("1e5",) and [s.sta_id for s in sc.stas] == ["sta1", "2E-1"]
+
+
 def test_missing_required_field():
     bad = MINIMAL.replace("{id: ap1, radios: 2, slo_channel: 1}", "{id: ap1, slo_channel: 1}")
     with pytest.raises(ValidationError) as exc:
         _load(bad)
     assert "radios" in str(exc.value)
+
+
+@pytest.mark.parametrize("old, new, msg", [
+    ("snr_base_db: 20.0", "snr_base_db: fast", "snr_base_db: expected a number, got 'fast'"),
+    ("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: 5", "dcf: expected a mapping, got int"),
+    ("channels:\n  - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 3}\n"
+     "  - {id: 2, band: 6GHz, bandwidth_mhz: 160, mcs: 5}", "channels: 5",
+     "channels: expected a list, got int"),
+], ids=["snr_base_db", "dcf", "channels"])
+def test_scenario_refusals(old, new, msg):
+    with pytest.raises(ValidationError) as exc:
+        _load(MINIMAL.replace(old, new))
+    assert type(exc.value) is ValidationError and str(exc.value) == msg
