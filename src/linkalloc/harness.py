@@ -35,12 +35,14 @@ reports of a cycling loop do not grow memory, and reads that one's served
 rates and next contention. A new decision's served rates and network total
 come from one selection x rate product.
 
-A sweep runs its rounds in a process pool of min(`workers`, rounds over the
-grid) workers when that is more than one, so a one-round sweep starts none.
-The pool starts on the first such sweep and is reused by later sweeps with
-the same worker count; another count replaces it, and it is shut down at
-exit. Each worker gets its jobs as one chunk, so the scenario is pickled
-once per worker, not once per round.
+A sweep's rounds repeat only for a scenario that draws its SNR bases
+(`snr_random_range_db`); on any other, every round would run the same loop,
+so a grid point is one job. The jobs run in a process pool of
+min(`workers`, jobs) workers when that is more than one, so a one-job sweep
+starts none. The pool starts on the first such sweep and is reused by later
+sweeps with the same worker count; another count replaces it, and it is shut
+down at exit. Each worker gets its jobs as one chunk, so the scenario is
+pickled once per worker, not once per job.
 
 Timing is opt-in: by default every report carries wall_time_s = 0.0 so that
 repeated runs of the same scenario produce byte-identical output files.
@@ -395,9 +397,12 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
 
     Round k of point i runs with seed [scenario seed, i, k], so any cell of
     the sweep is reproducible in isolation. Returns one `SweepStat` per grid
-    point, grid ordered SNR-major.
+    point, grid ordered SNR-major. Rounds repeat only for a scenario that
+    draws its SNR bases (`Scenario.run_seed`); on any other a point runs
+    once, as round 0, and its stat holds that run's numbers, both std
+    columns 0.0 and `rounds` as asked.
 
-    With `workers` > 1 and more than one round in all, the rounds run in the
+    With `workers` > 1 and more than one job in all, the jobs run in the
     shared process pool (see the module docstring) and give the serial
     result. If a worker dies, the sweep
     raises `concurrent.futures.process.BrokenProcessPool` and the next pooled
@@ -417,11 +422,10 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
     # a refused base fails here, before any job reaches the pool
     bases = [scenario.snr_base(snr) for snr in snrs]
 
-    jobs = []
-    for i, (snr, mcs) in enumerate((s, m) for s in snrs for m in mcss):
-        for k in range(rounds):
-            jobs.append((scenario, solver, allocator, iterations, snr, mcs,
-                         [scenario.rng_seed, i, k]))
+    draws = rounds if scenario.run_seed() is not None else 1   # else every round is the same
+    jobs = [(scenario, solver, allocator, iterations, snr, mcs, [scenario.rng_seed, i, k])
+            for i, (snr, mcs) in enumerate((s, m) for s in snrs for m in mcss)
+            for k in range(draws)]
     workers = min(workers, len(jobs))   # no worker without a job
     if workers > 1:
         with _pool_lock:
@@ -439,13 +443,8 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         outcomes = [_mc_round(j) for j in jobs]
 
     stats = []
-    idx = 0
-    for base, mcs in ((b, m) for b in bases for m in mcss):
-        chunk = outcomes[idx:idx + rounds]
-        idx += rounds
-        tputs = np.array([o[0] for o in chunk])
-        spreads = np.array([o[1] for o in chunk])
-        min_spreads = np.array([o[2] for o in chunk])
+    for i, (base, mcs) in enumerate((b, m) for b in bases for m in mcss):
+        tputs, spreads, min_spreads = np.array(outcomes[i * draws:(i + 1) * draws]).T
         stats.append(SweepStat(
             snr_base_db=base,
             mcs_label=_mcs_label(scenario, mcs),

@@ -27,9 +27,9 @@ package reads each radio count from `ap_radios` and `sta_radios` alone.
 Schema (all SNR values in dB)::
 
     name: demo                      # optional
-    seed: 7                         # RNG seed (>= 0) for everything downstream
+    seed: 7                         # RNG seed (>= 0) of the snr_random_range_db draws
     ewma_horizon_t: 100             # averaging horizon T of the allocator
-    monte_carlo_rounds: 100         # default rounds for sweeps
+    monte_carlo_rounds: 100         # default sweep rounds; repeated only if bases are drawn
     snr_base_db: 20.0               # base SNR added to every per-link offset
     snr_random_range_db: [6, 9]     # optional: per-link uniform base draw
     channels:
@@ -60,7 +60,11 @@ own `seed`, and refuses an explicit base. Every number must be finite: YAML
 link out of range. A number may be written with an exponent and no
 fraction dot (`9e-6`, `1.5e3`), as YAML 1.2 reads it, though PyYAML's YAML
 1.1 resolver leaves that text a string. Integers must fit in signed 64 bits,
-and radio counts are at most 2**31 - 1.
+and radio counts are at most 2**31 - 1. An AP or station id, and the `name`,
+is text or an integer: YAML 1.1 reads unquoted `yes`, `off`, `null`, `1.5`
+or `2024-01-01` as another type, which is refused with advice to quote it,
+and reads `010` as the integer 8 (`1:30` as 90), so quote an id to keep it
+as written.
 """
 
 from __future__ import annotations
@@ -258,6 +262,14 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_id(value, ctx: str) -> str:
+    """An id or a name: YAML text or an integer, as text. YAML 1.1 reads some
+    unquoted text as a bool, null, float or date, which would not name the same."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValidationError(f"{ctx}: expected text or an integer, got {value!r}; quote it")
+    return str(value)
+
+
 def _as_count(value, ctx: str, most: int | None = None) -> int:
     """An integer >= 1, and at most `most` when given."""
     value = _as_int(value, ctx)
@@ -365,7 +377,7 @@ def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
         if a.get("slo_channel") is not None:
             home[n] = _position(channel_index, _as_int(a["slo_channel"], f"{ctx}.slo_channel"),
                                 f"{ctx}.slo_channel", "channel")
-        ids.append(str(_need(a, "id", ctx)))
+        ids.append(_as_id(_need(a, "id", ctx), f"{ctx}.id"))
         radios.append(_as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
     return tuple(ids), _read_only(radios), _read_only(mcs_table), _read_only(home)
 
@@ -395,7 +407,7 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
             links[:] = _as_number(raw, octx)
         else:
             raise ValidationError(f"{octx}: expected a number or mapping, got {raw!r}")
-        ids.append(str(_need(s, "id", ctx)))
+        ids.append(_as_id(_need(s, "id", ctx), f"{ctx}.id"))
         radios.append(_as_count(_need(s, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
     _index(ids, "stas")
     heard = ~np.isnan(table).all(axis=0)        # (N, M)
@@ -584,7 +596,7 @@ def _load_scenario(source) -> Scenario:
     ap_ids, ap_radios, mcs_table, home_channel = _parse_aps(doc, channels, channel_index)
     stas, offsets, sta_radios = _parse_stas(doc, channel_index, _index(ap_ids, "aps"))
     return Scenario(
-        name=str(doc.get("name", name_default)),
+        name=_as_id(doc.get("name", name_default), "name"),
         rng_seed=check_seed(doc.get("seed", 0)),
         ewma_horizon_t=_as_count(doc.get("ewma_horizon_t", 100), "ewma_horizon_t"),
         monte_carlo_rounds=_as_count(doc.get("monte_carlo_rounds", 100), "monte_carlo_rounds"),

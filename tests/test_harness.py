@@ -189,6 +189,78 @@ def test_monte_carlo_std_zero_without_randomness():
     assert stats[0].spread_std == 0.0
 
 
+def _swept(sc, workers, **grid):
+    """A sweep's stats and the `_mc_round` arguments of its rounds: spied on
+    when serial, and when pooled read off the jobs the pool maps it over."""
+    if workers == 1:
+        with mock.patch.object(harness, "_mc_round", wraps=harness._mc_round) as spy:
+            return run_monte_carlo(sc, **grid), [c.args[0] for c in spy.call_args_list]
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    jobs, pool_map = [], ProcessPoolExecutor.map
+
+    def spy(pool, fn, iterable, **kwargs):
+        assert fn is harness._mc_round
+        jobs.extend(iterable)
+        return pool_map(pool, fn, jobs, **kwargs)
+
+    with mock.patch.object(ProcessPoolExecutor, "map", spy):
+        return run_monte_carlo(sc, workers=workers, **grid), jobs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, draws", [("scenario_2ap_joint", 3), ("scenario_3ap_15sta", 1),
+                                         ("scenario_slo", 1)])
+def test_rounds_repeat_only_where_the_scenario_draws(name, draws, workers):
+    sc = load_scenario(bundled_scenario_path(name))
+    assert (sc.run_seed() is not None) == (draws > 1)
+    stats, jobs = _swept(sc, workers, mcs_points=[3, 9], rounds=3, iterations=2)
+    assert [job[-1] for job in jobs] == [[sc.rng_seed, i, k] for i in range(2)
+                                         for k in range(draws)]
+    assert [s.rounds for s in stats] == [3, 3]
+    if workers == 2:
+        assert stats == _swept(sc, 1, mcs_points=[3, 9], rounds=3, iterations=2)[0]
+
+
+@pytest.mark.parametrize("name", ["scenario_3ap_15sta", "scenario_slo"])
+def test_sweep_without_draws_reports_its_one_run(name):
+    sc = load_scenario(bundled_scenario_path(name))
+    grid = dict(snr_points=[5.0, 20.0], mcs_points=[3], iterations=4)
+    seven, one = run_monte_carlo(sc, rounds=7, **grid), run_monte_carlo(sc, rounds=1, **grid)
+    assert [s.rounds for s in seven] == [7, 7]
+    assert [dataclasses.replace(s, rounds=1) for s in seven] == one
+    for stat in seven:
+        run = run_apc_loop(sc, iterations=4, snr_base_db=stat.snr_base_db, mcs_override=3)
+        spreads = [r.fairness_spread for r in run.reports]
+        assert (stat.throughput_mean_bps, stat.spread_mean, stat.min_spread_mean) == \
+            (run.final.aggregate_throughput_bps, run.final.fairness_spread, min(spreads))
+        assert stat.throughput_std_bps == 0.0 and stat.spread_std == 0.0
+
+
+# SHA-256 of the sweep CSV, as the sweep wrote it when every round ran
+SWEEP_DIGESTS = [
+    ("scenario_2ap_joint", dict(rounds=3),
+     "a16d5e44067d117cc8891d5777717e5b55a8d9f7ab380466eb9b11f019aa7701"),
+    ("scenario_2ap_joint", dict(rounds=9),
+     "8f12a556ee2407ff478e14b1e8621a8dc738f75da0dc8efb7176c5cbf9b0c8da"),
+    ("scenario_2ap_joint", dict(rounds=3, mcs_points=[3, 9]),
+     "a18f535105567d1df1f42e87d16a8760f888695b04df5b11c4d23de83a1e4e9a"),
+    ("scenario_3ap_15sta", dict(rounds=1, snr_points=[5.0, 20.0], mcs_points=[3, 9]),
+     "c23a5c964c9a1b7b98b7ab3e9ab3d28e6b6a474b2289d1a663b1022b01102df2"),
+    ("scenario_slo", dict(rounds=1),
+     "aa37ce9bb21113bff3a064e420fa51979879b1d6530f5f62bad279e49ae6ca2c"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, grid, digest", SWEEP_DIGESTS,
+                         ids=["drawn-3", "drawn-9", "drawn-3-mcs", "once-grid", "once"])
+def test_drawn_and_one_round_sweeps_keep_their_pinned_csv(name, grid, digest, workers):
+    sc = load_scenario(bundled_scenario_path(name))
+    text = emit_sweep_stats(run_monte_carlo(sc, iterations=5, workers=workers, **grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_monte_carlo_throughput_monotone_in_snr():
     sc = load_scenario(bundled_scenario_path("scenario_slo"))
     stats = run_monte_carlo(sc, snr_points=[2.0, 6.0, 10.0, 14.0], rounds=1, iterations=5)
@@ -322,12 +394,12 @@ def test_pool_kept_for_its_worker_count_and_replaced_for_another(pool_builds):
 
 
 def test_pool_capped_at_the_job_count(pool_builds):
-    sc = _fixture()
-    two_jobs = dict(POOL_GRID, snr_points=[5.0], mcs_points=[3])
+    sc = _fixture()     # draws nothing: one job per grid point
+    two_jobs = dict(POOL_GRID, snr_points=[5.0])
     assert run_monte_carlo(sc, workers=6, **two_jobs) == run_monte_carlo(sc, **two_jobs)
     assert pool_builds.call_count == 1
     assert pool_builds.call_args.kwargs == {"max_workers": 2}
-    # 8 jobs on 2 workers keep that pool
+    # POOL_GRID's 4 points, 4 jobs, on 2 workers keep that pool
     assert run_monte_carlo(sc, workers=2, **POOL_GRID) == run_monte_carlo(sc, **POOL_GRID)
     assert pool_builds.call_count == 1
 
@@ -396,10 +468,11 @@ def test_pooled_sweeps_exit_cleanly():
 import threading, time
 import linkalloc
 from linkalloc import harness
-sc = linkalloc.load_scenario(linkalloc.bundled_scenario_path("scenario_3ap_15sta"))
+sc = linkalloc.load_scenario(linkalloc.bundled_scenario_path("scenario_2ap_joint"))
 a = linkalloc.run_monte_carlo(sc, rounds=2, iterations=3, workers=2)
 b = linkalloc.run_monte_carlo(sc, rounds=2, iterations=3, workers=2)
 assert a == b
+assert harness._pool is not None and harness._pool[0] == 2    # two drawn rounds, two jobs
 threading.Thread(target=lambda: time.sleep(3600), daemon=True).start()
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

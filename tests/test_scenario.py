@@ -1,6 +1,10 @@
 import dataclasses
 import gc
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -558,6 +562,55 @@ def test_exponent_text_stays_text_in_ids():
     sc = _load(MINIMAL.replace("{id: ap1,", "{id: 1e5,").replace("{ap1: {1:", "{1e5: {1:")
                .replace("id: sta2,", "id: 2E-1,"))
     assert sc.ap_ids == ("1e5",) and [s.sta_id for s in sc.stas] == ["sta1", "2E-1"]
+
+
+# unquoted text that YAML 1.1 reads as a bool, null, float or date, and the repr of that value
+_NOT_TEXT = [("yes", "True"), ("off", "False"), ("null", "None"), ("~", "None"), ("1.5", "1.5"),
+             ("2024-01-01", "datetime.date(2024, 1, 1)")]
+# MINIMAL with `@` for an AP id (and the offset key naming it), a station id or the name
+_ID_FIELDS = [("aps[0].id", MINIMAL.replace("ap1", "@")),
+              ("stas[1].id", MINIMAL.replace("sta2", "@")),
+              ("name", MINIMAL.replace("tiny", "@"))]
+
+
+@pytest.mark.parametrize("spelling, read", _NOT_TEXT, ids=[s for s, _ in _NOT_TEXT])
+@pytest.mark.parametrize("ctx, template", _ID_FIELDS, ids=[c for c, _ in _ID_FIELDS])
+def test_ids_and_name_refuse_what_yaml_reads_as_no_text(ctx, template, spelling, read):
+    with pytest.raises(ValidationError) as exc:
+        _load(template.replace("@", spelling))
+    assert type(exc.value) is ValidationError and \
+        str(exc.value) == f"{ctx}: expected text or an integer, got {read}; quote it"
+
+
+@pytest.mark.parametrize("spelling, text", [*((f"'{s}'", s) for s, _ in _NOT_TEXT),
+                                            ("7", "7"), ("010", "8"), ("'010'", "010")])
+@pytest.mark.parametrize("ctx, template", _ID_FIELDS, ids=[c for c, _ in _ID_FIELDS])
+def test_quoted_ids_and_integers_load_as_text(ctx, template, spelling, text):
+    sc = _load(template.replace("@", spelling))
+    assert {"aps[0].id": sc.ap_ids[0], "stas[1].id": sc.stas[1].sta_id, "name": sc.name}[ctx] \
+        == text
+
+
+def test_bool_ids_no_longer_collide():
+    # YAML 1.1 reads both as False, which was refused as `duplicate id 'False'`
+    doc = MINIMAL.replace("id: sta1,", "id: off,").replace("id: sta2,", "id: no,")
+    with pytest.raises(ValidationError, match=r"^stas\[0\]\.id: expected text or an integer, "
+                                              r"got False; quote it$"):
+        _load(doc)
+    sc = _load(doc.replace("id: off,", "id: 'off',").replace("id: no,", "id: 'no',"))
+    assert [s.sta_id for s in sc.stas] == ["off", "no"]
+
+
+def test_unquoted_bool_id_exits_1_with_one_line(tmp_path):
+    path = tmp_path / "bool_id.yaml"
+    path.write_text(MINIMAL.replace("id: sta2,", "id: off,"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(scenario.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "linkalloc", "run", "--scenario", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "linkalloc: stas[1].id: expected text or an integer, got False; quote it\n")
 
 
 def test_missing_required_field():
