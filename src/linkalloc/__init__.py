@@ -82,7 +82,6 @@ from .repro import (
     validate_dcf,
 )
 from .scenario import (
-    ChannelSpec,
     Scenario,
     StaConfig,
     bundled_scenario_path,

@@ -11,7 +11,7 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 
 A step pays only for what changed. The run's constants (`_run_constants`:
 the SNR field from `Scenario.snr_field`, the MCS label, usable links, AP
-capacities, radio budget and channel ids) are derived once per run. The rate
+capacities and radio budget) are derived once per run. The rate
 tensor is a pure function of the scenario, the SNR field, the MCS override
 and the contenders per channel, and the loop revisits the same few contender
 vectors (two on the bundled fixture, three on a 30-AP/1000-STA network). So
@@ -130,8 +130,8 @@ class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
     Besides the averages and the contention it carries the run's constants
-    (`_run_constants`: the SNR field, MCS label, usable links, AP capacities,
-    radio budget and channel ids, all read-only) and its memo: at most
+    (`_run_constants`: the SNR field, MCS label, usable links, AP capacities
+    and radio budget, all read-only) and its memo: at most
     `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
     first, each (rates, PairingInstance, selection, served): the rates a step
     reads under that contention (SLO's masked to the home channels), the
@@ -179,8 +179,8 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
 def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
     """What a run reads but never changes, derived once per run key and
     read-only, as the carry holds it: the SNR field, the MCS label, the
-    usable links (F, N, 1), their count per AP (N, 1), the AP capacities,
-    the radio limits as a `RadioBudget`, the channel ids."""
+    usable links (F, N, 1), their count per AP (N, 1), the AP capacities and
+    the radio limits as a `RadioBudget`."""
     snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
     if slo:
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
@@ -196,16 +196,15 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
     for array in (snr_field, link_usable, usable_count, caps):
         array.setflags(write=False)
     return (snr_field, _mcs_label(scenario, mcs_override), link_usable, usable_count, caps,
-            RadioBudget(limits), tuple(ch.channel_id for ch in scenario.channels))
+            RadioBudget(limits))
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
-    cids = [ch.channel_id for ch in scenario.channels]
     recs = []
     for sta, n, row in zip(scenario.stas, pairing.owner.tolist(), selection.links.T.tolist()):
         if n >= 0:
             recs.append(Recommendation(sta.sta_id, scenario.ap_ids[n],
-                                       tuple(c for c, on in zip(cids, row) if on)))
+                                       tuple(c for c, on in zip(scenario.channel_ids, row) if on)))
         else:
             recs.append(Recommendation(sta.sta_id, None, ()))
     return recs
@@ -265,7 +264,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         constants, memo = carry.constants, dict(carry.memo)
     else:
         constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
-    snr_field, label, link_usable, usable_count, caps, budget, channel_ids = constants
+    snr_field, label, link_usable, usable_count, caps, budget = constants
 
     state = carry.state if carry is not None else None
     contenders = tuple(carry.contenders) if carry is not None \
@@ -317,7 +316,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             fairness_spread=fairness_spread(metrics),
             per_channel_phi=tuple(state.phi.tolist()),
             per_channel_metric=metrics,
-            channel_ids=channel_ids,
+            channel_ids=scenario.channel_ids,
             wall_time_s=wall,
             pairing=pairing,
             selection=selection,

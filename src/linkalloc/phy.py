@@ -128,6 +128,8 @@ class TablePer:
                 raise InvalidInputError("PER table needs at least 2 rows")
             x, y = zip(*rows)
             return cls(x, y)
+        except csv.Error as exc:     # such as a field over the csv module's size limit
+            raise InvalidInputError(f"{path}: line {reader.line_num}: {exc}") from exc
         except ValueError as exc:    # also bytes that are not UTF-8, and InvalidInputError
             raise InvalidInputError(f"{path}: {exc}") from exc
 

@@ -16,13 +16,15 @@ and the rest of the package reads the AP and station settings from them only:
   channel f, NaN where the link is out of range;
 - `mcs_table[f, n]`: the MCS AP n runs on channel f, its `mcs` overrides
   applied over the channel's;
-- `home_channel[n]`: the position in `channels` of AP n's single-link home
-  channel, its `slo_channel`, else channel n % F;
+- `bandwidth_mhz[f]`: the width of channel f, which sets its MCS data rates;
+- `home_channel[n]`: the position of AP n's single-link home channel, its
+  `slo_channel`, else channel n % F;
 - `ap_radios[n]` and `sta_radios[m]`: the radio counts R(n) and r(m).
 
-`ap_ids[n]` names AP n, and `stas[m].sta_id` station m. `StaConfig` stays
-only because the benchmark's tests read its `snr_offsets_db` views; the
-package reads each radio count from `ap_radios` and `sta_radios` alone.
+`channel_ids[f]` names channel f, `ap_ids[n]` AP n, and `stas[m].sta_id`
+station m. `StaConfig` stays only because the benchmark's tests read its
+`snr_offsets_db` views; the package reads each radio count from `ap_radios`
+and `sta_radios` alone.
 
 Schema (all SNR values in dB)::
 
@@ -64,7 +66,8 @@ and radio counts are at most 2**31 - 1. An AP or station id, and the `name`,
 is text or an integer: YAML 1.1 reads unquoted `yes`, `off`, `null`, `1.5`
 or `2024-01-01` as another type, which is refused with advice to quote it,
 and reads `010` as the integer 8 (`1:30` as 90), so quote an id to keep it
-as written.
+as written. A field naming a channel or an AP (`slo_channel`, an offset map's,
+an AP's `mcs` and `rr_weights` keys) reads it under that id's rule.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from __future__ import annotations
 import gc
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -90,7 +93,6 @@ from .phy import (
 )
 
 __all__ = [
-    "ChannelSpec",
     "StaConfig",
     "Scenario",
     "load_scenario",
@@ -104,16 +106,6 @@ OUT_OF_RANGE = "out-of-range"
 MAX_RADIOS = 2**31 - 1    # small enough that no sum of radio counts wraps int64
 # YAML 1.2's float with an exponent, which YAML 1.1 reads as text unless it has a dot and a sign
 _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One operating channel: band, width and the MCS used on it."""
-
-    channel_id: int
-    band: str
-    bandwidth_mhz: int
-    mcs_index: int
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ class Scenario:
     monte_carlo_rounds: int
     snr_base_db: float
     snr_random_range_db: tuple | None
-    channels: tuple
+    channel_ids: tuple              # (F,) int
     ap_ids: tuple                   # (N,) str
     stas: tuple
     dcf: DcfParams
@@ -145,13 +137,14 @@ class Scenario:
     rr_weights: tuple               # slice counts by channel position
     snr_offsets_db: np.ndarray      # (F, N, M) dB, NaN = out of range
     mcs_table: np.ndarray           # (F, N) MCS index, AP overrides applied
+    bandwidth_mhz: np.ndarray       # (F,) channel width
     home_channel: np.ndarray        # (N,) channel position
     ap_radios: np.ndarray           # (N,) R(n)
     sta_radios: np.ndarray          # (M,) r(m)
 
     @property
     def f_count(self) -> int:
-        return len(self.channels)
+        return len(self.channel_ids)
 
     @property
     def n_aps(self) -> int:
@@ -196,7 +189,8 @@ class Scenario:
         if seed is not None:
             base = np.random.default_rng(seed).uniform(*self.snr_random_range_db,
                                                        size=self.snr_offsets_db.shape)
-        return base + self.snr_offsets_db
+        with np.errstate(over="ignore"):    # an inf sum is refused as out of the PHY range
+            return base + self.snr_offsets_db
 
     def snr_base(self, base_db: float | None = None) -> float:
         """The SNR base a run reports: `base_db`, else `snr_base_db`, as a
@@ -338,15 +332,17 @@ def _index(ids: list, key: str) -> dict:
     return index
 
 
-def _position(index: dict, entry_id, ctx: str, what: str) -> int:
-    """Position of the channel or AP that a field refers to by id."""
+def _position(index: dict, ref, ctx: str, what: str) -> int:
+    """Position of the channel or AP a field names, read under its id's rule."""
+    entry_id = (_as_int if what == "channel" else _as_id)(ref, ctx)
     if entry_id not in index:
         raise ValidationError(f"{ctx}: unknown {what} {entry_id!r}")
     return index[entry_id]
 
 
 def _parse_channels(doc: dict) -> tuple:
-    channels = []
+    """Each channel id's position, the widths (F) and the MCS each channel runs."""
+    ids, widths, mcs = [], [], []
     for ctx, c in _entries(doc, "channels", {"id", "band", "bandwidth_mhz", "mcs"}):
         band = str(_need(c, "band", ctx))
         if band not in BAND_MAX_BANDWIDTH_MHZ:
@@ -358,25 +354,25 @@ def _parse_channels(doc: dict) -> tuple:
         if width > BAND_MAX_BANDWIDTH_MHZ[band]:
             raise ValidationError(f"{ctx}.bandwidth_mhz: {width} MHz is not available "
                                   f"on {band}")
-        channels.append(ChannelSpec(_as_int(_need(c, "id", ctx), f"{ctx}.id"), band, width,
-                                    check_mcs(_need(c, "mcs", ctx), f"{ctx}.mcs")))
-    return tuple(channels)
+        ids.append(_as_int(_need(c, "id", ctx), f"{ctx}.id"))
+        widths.append(width)
+        mcs.append(check_mcs(_need(c, "mcs", ctx), f"{ctx}.mcs"))
+    return _index(ids, "channels"), _read_only(widths), mcs
 
 
-def _parse_aps(doc: dict, channels: tuple, channel_index: dict) -> tuple:
+def _parse_aps(doc: dict, channel_mcs: list, channel_index: dict) -> tuple:
     """The AP ids, their radio counts R(n), the MCS table (F, N) and each
     AP's home channel (N)."""
     entries = _entries(doc, "aps", {"id", "radios", "slo_channel", "mcs"})
-    mcs_table = np.array([[c.mcs_index] * len(entries) for c in channels])
-    home = np.arange(len(entries)) % len(channels)
+    mcs_table = np.array([[mcs] * len(entries) for mcs in channel_mcs])
+    home = np.arange(len(entries)) % len(channel_mcs)
     ids, radios = [], []
     for n, (ctx, a) in enumerate(entries):
         for cid, mcs in _as_mapping(a.get("mcs", {}), f"{ctx}.mcs").items():
-            f = _position(channel_index, _as_int(cid, f"{ctx}.mcs"), f"{ctx}.mcs", "channel")
+            f = _position(channel_index, cid, f"{ctx}.mcs", "channel")
             mcs_table[f, n] = check_mcs(mcs, f"{ctx}.mcs[{cid}]")
         if a.get("slo_channel") is not None:
-            home[n] = _position(channel_index, _as_int(a["slo_channel"], f"{ctx}.slo_channel"),
-                                f"{ctx}.slo_channel", "channel")
+            home[n] = _position(channel_index, a["slo_channel"], f"{ctx}.slo_channel", "channel")
         ids.append(_as_id(_need(a, "id", ctx), f"{ctx}.id"))
         radios.append(_as_count(_need(a, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
     return tuple(ids), _read_only(radios), _read_only(mcs_table), _read_only(home)
@@ -394,11 +390,11 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
         if isinstance(raw, dict):
             for ap_key, value in raw.items():
                 actx = f"{octx}.{ap_key}"
-                n = _position(ap_index, str(ap_key), actx, "ap")
+                n = _position(ap_index, ap_key, actx, "ap")
                 links[:, n] = np.nan    # a repeated AP key replaces the earlier entry
                 if isinstance(value, dict):
                     for cid, off in value.items():
-                        f = _position(channel_index, _as_int(cid, actx), actx, "channel")
+                        f = _position(channel_index, cid, actx, "channel")
                         if off is not None and off != OUT_OF_RANGE:
                             links[f, n] = _as_number(off, f"{actx}[{cid}]")
                 elif value is not None and value != OUT_OF_RANGE:
@@ -423,26 +419,18 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
 
 
 def _parse_dcf(doc, ctx: str) -> DcfParams:
+    """`DcfParams` overrides: each field read as an integer or a number, as it is declared."""
     doc = _as_mapping(doc, ctx)
-    fields = {
-        "slot_time", "sifs", "difs", "eifs", "phy_header", "ack_bytes",
-        "payload_bytes", "cw_min", "cw_max", "m_max_backoff_stages", "prop_delay",
-    }
-    _reject_unknown(doc, fields, ctx)
-    kwargs = {}
-    for key, value in doc.items():
-        if key in ("ack_bytes", "payload_bytes", "cw_min", "cw_max", "m_max_backoff_stages"):
-            kwargs[key] = _as_int(value, f"{ctx}.{key}")
-        else:
-            kwargs[key] = _as_number(value, f"{ctx}.{key}")
+    rules = {f.name: _as_int if f.type in ("int", int) else _as_number for f in fields(DcfParams)}
+    _reject_unknown(doc, rules.keys(), ctx)
     try:
-        return DcfParams(**kwargs)
+        return DcfParams(**{key: rules[key](value, f"{ctx}.{key}") for key, value in doc.items()})
     except ValueError as exc:
         raise ValidationError(f"{ctx}: {exc}") from exc
 
 
-def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
-                     mcs_table: np.ndarray) -> dict:
+def _parse_per_model(doc, ctx: str, base_dir: Path | None, channel_index: dict,
+                     channel_mcs: list, mcs_table: np.ndarray) -> dict:
     """The PER curve of each MCS: the logistic curve of every MCS, or the
     configured tables."""
     doc = _as_mapping(doc, ctx)
@@ -470,8 +458,8 @@ def _parse_per_model(doc, ctx: str, base_dir: Path | None, channels: tuple,
     uncovered = np.argwhere(~np.isin(mcs_table, list(paths)))     # (f, n) pairs
     if uncovered.size:
         f, n = uncovered[0]
-        mcs, ch = mcs_table[f, n], channels[f]
-        who = f"channels[{f}]" if mcs == ch.mcs_index else f"aps[{n}].mcs[{ch.channel_id}]"
+        mcs, cid = mcs_table[f, n], list(channel_index)[f]
+        who = f"channels[{f}]" if mcs == channel_mcs[f] else f"aps[{n}].mcs[{cid}]"
         raise ValidationError(f"{ctx}.tables: no table for MCS {mcs}, which {who} runs")
     curves = {}
     for mcs, path in paths.items():
@@ -490,18 +478,18 @@ _TOP_FIELDS = {
 }
 
 
-def _parse_rr_weights(doc: dict, channels: tuple, channel_index: dict) -> tuple:
+def _parse_rr_weights(doc: dict, widths: np.ndarray, channel_index: dict) -> tuple:
     weights_doc = doc.get("rr_weights")
     if weights_doc is None:
         # wider channels get proportionally more round-robin slices
-        return tuple(max(1, c.bandwidth_mhz // 40) for c in channels)
-    weights = [None] * len(channels)
+        return tuple(max(1, width // 40) for width in widths.tolist())
+    weights = [None] * len(widths)
     for cid, w in _as_mapping(weights_doc, "rr_weights").items():
-        f = _position(channel_index, _as_int(cid, "rr_weights"), "rr_weights", "channel")
+        f = _position(channel_index, cid, "rr_weights", "channel")
         weights[f] = _as_count(w, f"rr_weights[{cid}]")
     if None in weights:
         raise ValidationError(f"rr_weights: missing weight for channel "
-                              f"{channels[weights.index(None)].channel_id}")
+                              f"{list(channel_index)[weights.index(None)]}")
     return tuple(weights)
 
 
@@ -515,6 +503,8 @@ def _parse_random_range(doc: dict) -> tuple | None:
     lo, hi = (_as_number(v, f"snr_random_range_db[{i}]") for i, v in enumerate(value))
     if lo > hi:
         raise ValidationError(f"snr_random_range_db: expected lo <= hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):     # the draw scales by the span
+        raise ValidationError(f"snr_random_range_db: hi - lo overflows, got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -591,9 +581,8 @@ def _load_scenario(source) -> Scenario:
     doc = _as_mapping(doc, "scenario")
     _reject_unknown(doc, _TOP_FIELDS, "scenario")
 
-    channels = _parse_channels(doc)
-    channel_index = _index([c.channel_id for c in channels], "channels")
-    ap_ids, ap_radios, mcs_table, home_channel = _parse_aps(doc, channels, channel_index)
+    channel_index, widths, channel_mcs = _parse_channels(doc)
+    ap_ids, ap_radios, mcs_table, home_channel = _parse_aps(doc, channel_mcs, channel_index)
     stas, offsets, sta_radios = _parse_stas(doc, channel_index, _index(ap_ids, "aps"))
     return Scenario(
         name=_as_id(doc.get("name", name_default), "name"),
@@ -602,15 +591,16 @@ def _load_scenario(source) -> Scenario:
         monte_carlo_rounds=_as_count(doc.get("monte_carlo_rounds", 100), "monte_carlo_rounds"),
         snr_base_db=_as_number(doc.get("snr_base_db", 20.0), "snr_base_db"),
         snr_random_range_db=_parse_random_range(doc),
-        channels=channels,
+        channel_ids=tuple(channel_index),
         ap_ids=ap_ids,
         stas=stas,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
         per_curves=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
-                                    channels, mcs_table),
-        rr_weights=_parse_rr_weights(doc, channels, channel_index),
+                                    channel_index, channel_mcs, mcs_table),
+        rr_weights=_parse_rr_weights(doc, widths, channel_index),
         snr_offsets_db=offsets,
         mcs_table=mcs_table,
+        bandwidth_mhz=widths,
         home_channel=home_channel,
         ap_radios=ap_radios,
         sta_radios=sta_radios,

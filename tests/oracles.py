@@ -240,10 +240,11 @@ def tu_by_direct_enumeration(matrix, max_k):
 
 def document_arrays(doc):
     """The scenario arrays (offsets (F, N, M) in dB with NaN out of range,
-    MCS table (F, N), home channel (N)), the AP ids (a list of str) and the
-    radio counts R(n) and r(m), walked link by link off a raw scenario
-    document, the mapping `yaml.safe_load` returns, by the schema rather than
-    by the package's parser."""
+    MCS table (F, N), home channel (N)), the AP ids (a list of str), the
+    radio counts R(n) and r(m), the channel ids (a list of int) and the
+    channel widths (F), walked link by link off a raw scenario document, the
+    mapping `yaml.safe_load` returns, by the schema rather than by the
+    package's parser."""
     cids = [c["id"] for c in doc["channels"]]
     aps = doc["aps"]
     f_count, n_aps, m_stas = len(cids), len(aps), len(doc["stas"])
@@ -268,7 +269,8 @@ def document_arrays(doc):
     ap_ids = [str(ap["id"]) for ap in aps]
     ap_radios = np.array([ap["radios"] for ap in aps])
     sta_radios = np.array([sta["radios"] for sta in doc["stas"]])
-    return offsets, mcs, home, ap_ids, ap_radios, sta_radios
+    widths = np.array([chan["bandwidth_mhz"] for chan in doc["channels"]])
+    return offsets, mcs, home, ap_ids, ap_radios, sta_radios, cids, widths
 
 
 def snr_field_loops(doc, base_db=None, rng=None):
@@ -314,8 +316,7 @@ def recommendations_per_station(scenario, pairing, selection):
             recs.append((sta.sta_id, None, ()))
             continue
         n = int(column.argmax())
-        cids = tuple(scenario.channels[f].channel_id
-                     for f in np.flatnonzero(selection.s[:, n, m]))
+        cids = tuple(scenario.channel_ids[f] for f in np.flatnonzero(selection.s[:, n, m]))
         recs.append((sta.sta_id, scenario.ap_ids[n], cids))
     return recs
 

@@ -63,6 +63,16 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
                            "snr_random_range_db: expected [lo, hi]"),
         "range_order.yaml": (before_aps("snr_random_range_db: [9.0, 6.0]"),
                              "snr_random_range_db: expected lo <= hi, got [9.0, 6.0]"),
+        # a span beyond the float range; a span just inside it loads, and
+        # its draws end in the PHY range check
+        "range_span.yaml": (before_aps("snr_random_range_db: [-1e308, 1e308]"),
+                            "snr_random_range_db: hi - lo overflows, got [-1e+308, 1e+308]"),
+        "range_wide.yaml": (before_aps("snr_random_range_db: [-8e307, 8e307]"),
+                            "a link SNR of "),
+        # a base plus an offset beyond the float range, with no overflow warning
+        "sum_overflow.yaml": (slo.replace("snr_base_db: 20.0", "snr_base_db: 1.0e308")
+                              .replace("{ap1: 0.0, ap2: -6.0}", "1.0e308"),
+                              "a link SNR of inf dB is out of the PHY model's range"),
         "rr_missing.yaml": (before_aps("rr_weights: {}"),
                             "rr_weights: missing weight for channel 1"),
         "offset_list.yaml": (slo.replace("{ap1: 0.0, ap2: -6.0}", "[0.0, -6.0]"),
@@ -187,6 +197,7 @@ _UNREADABLE_FILES = {
     "table_one_field": lambda tmp: _per_table(tmp, b"0\n10,0\n"),
     "table_not_utf8": lambda tmp: _per_table(tmp, b"0,1\n10,\xff0\n"),
     "table_nan_per": lambda tmp: _per_table(tmp, b"0,nan\n10,0\n"),
+    "table_field_limit": lambda tmp: _per_table(tmp, b"0,1\n10," + b"0" * 200_000 + b"\n"),
 }
 
 
@@ -197,6 +208,29 @@ def test_unreadable_files_fail_in_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("linkalloc: ") and err.count("\n") == 1, err
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["range_span", "sum_overflow"])
+def test_snr_beyond_the_float_range_exits_1_in_one_line(case, tmp_path):
+    # no traceback and no numpy warning: the loader refuses a span that
+    # overflows, and a base plus an offset that overflows reaches the PHY range check
+    slo = bundled_scenario_path("scenario_slo").read_text()
+    text, msg = {
+        "range_span": (slo.replace("aps:", "snr_random_range_db: [-1e308, 1e308]\naps:", 1),
+                       "snr_random_range_db: hi - lo overflows, got [-1e+308, 1e+308]"),
+        "sum_overflow": (slo.replace("snr_base_db: 20.0", "snr_base_db: 1.0e308")
+                         .replace("{ap1: 0.0, ap2: -6.0}", "1.0e308"),
+                         "a link SNR of inf dB is out of the PHY model's range: "
+                         "its linear value must be finite and > 0"),
+    }[case]
+    path = tmp_path / f"{case}.yaml"
+    path.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "linkalloc", "run", "--scenario", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"linkalloc: {msg}\n")
 
 
 def test_run_deterministic_outputs(tmp_path):

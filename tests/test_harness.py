@@ -101,7 +101,7 @@ def test_recommendations_consistent_with_selection():
         n = ap_ids.index(rec.ap_id)
         assert report.pairing.x[n, m] == 1
         for cid in rec.channel_ids:
-            f = [c.channel_id for c in sc.channels].index(cid)
+            f = sc.channel_ids.index(cid)
             assert (f, n, m) in triples
     n_links = report.selection.s.sum()
     assert sum(len(r.channel_ids) for r in result.recommendations) == n_links
@@ -595,7 +595,8 @@ def _small_scenario_docs(draw):
     doc = {
         "seed": draw(st.integers(0, 100)),
         "snr_base_db": float(draw(st.sampled_from([0, 10, 20, 30]))),
-        "channels": [{"id": cid, "band": "5GHz", "bandwidth_mhz": 40,
+        "channels": [{"id": cid, "band": "5GHz",
+                      "bandwidth_mhz": draw(st.sampled_from([20, 40, 80])),
                       "mcs": draw(st.integers(0, 11))} for cid in cids],
         "aps": aps,
         "stas": stas,
@@ -613,13 +614,15 @@ def _small_scenarios():
 @given(_small_scenarios())
 def test_loaded_arrays_match_a_walk_of_the_document(doc_sc):
     doc, sc = doc_sc
-    offsets, mcs, home, ap_ids, ap_radios, sta_radios = oracles.document_arrays(doc)
+    offsets, mcs, home, ap_ids, ap_radios, sta_radios, cids, widths = \
+        oracles.document_arrays(doc)
     for got, want in ((sc.snr_offsets_db, offsets), (sc.mcs_table, mcs),
                       (sc.home_channel, home), (sc.ap_radios, ap_radios),
-                      (sc.sta_radios, sta_radios)):
+                      (sc.sta_radios, sta_radios), (sc.bandwidth_mhz, widths)):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert not got.flags.writeable
     assert sc.ap_ids == tuple(ap_ids) and all(type(ap_id) is str for ap_id in sc.ap_ids)
+    assert sc.channel_ids == tuple(cids) and all(type(cid) is int for cid in sc.channel_ids)
     for m, sta in enumerate(sc.stas):
         heard = [ap_ids[n] for n in range(sc.n_aps) if not np.isnan(offsets[:, n, m]).all()]
         assert list(sta.snr_offsets_db) == heard
@@ -671,8 +674,7 @@ def _check_recommendations(sc, result):
     assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
     assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
         report.pairing.x.argmax(axis=0).tolist()
-    cids = [c.channel_id for c in sc.channels]
-    links = sorted([cids.index(cid), ap_ids.index(r.ap_id), m]
+    links = sorted([sc.channel_ids.index(cid), ap_ids.index(r.ap_id), m]
                    for m, r in enumerate(result.recommendations) for cid in r.channel_ids)
     assert links == np.argwhere(report.selection.s).tolist()
 
@@ -960,7 +962,7 @@ def test_run_constants_derived_once_per_run_key():
     n, rr = derivations(fx, mcs3, solver="greedy", allocator="rr", mcs_override=3)
     assert n == 0
     assert {(r.algorithm, r.mcs_label, r.channel_ids) for r in rr.reports} == \
-        {("greedy+rr", "3", tuple(ch.channel_id for ch in fx.channels))}
+        {("greedy+rr", "3", fx.channel_ids)}
     assert emit_results(rr.reports) == emit_results(run_apc_loop(
         fx, iterations=2, carry=dataclasses.replace(mcs3, run=None), solver="greedy",
         allocator="rr", mcs_override=3).reports)

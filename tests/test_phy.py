@@ -174,6 +174,10 @@ _REFUSALS = {
                    "{path}: expected CSV header 'esnr_db,per', got ['snr', 'per']"),
     "csv_one_row": (lambda tmp: TablePer.from_csv(_csv(tmp, "esnr_db,per\n0,1\n")),
                     "{path}: PER table needs at least 2 rows"),
+    # a field beyond the csv module's size limit
+    "csv_field_limit": (lambda tmp: TablePer.from_csv(
+                            _csv(tmp, "esnr_db,per\n0,1\n9," + "0" * 200_000 + "\n")),
+                        "{path}: line 3: field larger than field limit (131072)"),
     "lookup_nan": (lambda tmp: per_lookup(LogisticPer(10.0, 1.0), [5.0, np.nan]),
                    "esnr_db must be finite"),
 }

@@ -81,13 +81,14 @@ def _assert_tensor_matches_scalar_chain(sc, doc, *, contenders=None, snr_field=N
     got = build_rate_tensor(sc, contenders=contenders, snr_field=snr_field,
                             mcs_override=mcs_override).values
     want = np.zeros_like(got)
-    mcs_table = oracles.document_arrays(doc)[1]
-    for f, chan in enumerate(sc.channels):
+    arrays = oracles.document_arrays(doc)
+    mcs_table, widths = arrays[1], arrays[-1]
+    for f in range(sc.f_count):
         n_eff = max(1, int(contenders[f]))
         tau = solve_bianchi_fixed_point(sc.dcf, n_eff).tau
         for n in range(sc.n_aps):
             mcs = int(mcs_table[f, n]) if mcs_override is None else mcs_override
-            rate = mcs_data_rate(mcs, chan.bandwidth_mhz)
+            rate = mcs_data_rate(mcs, int(widths[f]))
             curve = _document_curve(doc, mcs)
             for m in range(sc.m_stas):
                 want[f, n, m] = oracles.link_rate_scalar(
@@ -116,8 +117,8 @@ def test_channel_rate_perfect_channel(tmp_path):
     sc = _flat_per_table(tmp_path, 0.0)
     contenders = [2, 1]
     t = build_rate_tensor(sc, contenders=contenders)
-    for f, chan in enumerate(sc.channels):
-        rate = mcs_data_rate(3, chan.bandwidth_mhz)
+    for f, width in enumerate(sc.bandwidth_mhz.tolist()):
+        rate = mcs_data_rate(3, width)
         tpt = normalized_throughput(solve_bianchi_fixed_point(sc.dcf, contenders[f]),
                                     airtime_durations(sc.dcf, rate), 0.0, sc.dcf)
         live = t.values[f] > 0
@@ -132,8 +133,8 @@ def test_channel_rate_never_exceeds_mcs_rate():
             for mcs in (0, 3, 11):
                 t = build_rate_tensor(sc, contenders=contenders, mcs_override=mcs,
                                       snr_field=sc.snr_field(base_db=base_db))
-                for f, chan in enumerate(sc.channels):
-                    assert t.values[f].max() <= mcs_data_rate(mcs, chan.bandwidth_mhz)
+                for f, width in enumerate(sc.bandwidth_mhz.tolist()):
+                    assert t.values[f].max() <= mcs_data_rate(mcs, width)
 
 
 def test_channel_rate_composition_against_simulator():
@@ -224,8 +225,8 @@ def test_tensor_matches_scalar_chain_with_explicit_eifs(dcf, sign):
     # moves the closed form's success term away from it, either way
     text = TWO_BY_TWO_YAML.replace("aps:\n", f"dcf: {dcf}\naps:\n", 1)
     sc, doc = _load(text), yaml.safe_load(text)
-    for chan in sc.channels:
-        d = airtime_durations(sc.dcf, mcs_data_rate(3, chan.bandwidth_mhz))
+    for width in sc.bandwidth_mhz.tolist():
+        d = airtime_durations(sc.dcf, mcs_data_rate(3, width))
         gap = d.t_success - d.t_collision
         assert np.sign(gap) == sign and abs(gap - sc.dcf.prop_delay) > 1e-6
     for contenders in ([1, 1], [3, 2], [20, 7]):

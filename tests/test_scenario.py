@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from yaml.constructor import SafeConstructor
 
 from linkalloc import scenario
+from linkalloc.dcf import DcfParams
 from linkalloc.errors import ConfigurationError, ValidationError
 from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, LogisticPer, TablePer
 from linkalloc.rates import build_rate_tensor
@@ -103,8 +104,7 @@ def test_bundled_fixture_matches_reference_topology():
     sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
     assert sc.n_aps == 3
     assert sc.m_stas == 15
-    assert [(c.band, c.bandwidth_mhz) for c in sc.channels] == [
-        ("2.4GHz", 40), ("5GHz", 80), ("6GHz", 160)]
+    assert (sc.channel_ids, sc.bandwidth_mhz.tolist()) == ((1, 2, 3), [40, 80, 160])
     assert sorted(sc.sta_radio_limits().tolist(), reverse=True) == [3] * 6 + [2] * 6 + [1] * 3
 
 
@@ -385,6 +385,15 @@ def test_dcf_overrides_parsed():
     sc = _load(doc)
     assert sc.dcf.payload_bytes == 500
     assert sc.dcf.cw_min == 32
+    # every DcfParams field loads from YAML, an integer field as an int and the rest as floats
+    values = {f.name: 5.0e-5 if f.default is None else f.default
+              for f in dataclasses.fields(DcfParams)}
+    values.update(payload_bytes=500, cw_min=32, cw_max=2048)
+    flow = yaml.safe_dump(values, default_flow_style=True).strip()
+    sc = _load(MINIMAL.replace("snr_base_db: 20.0", f"snr_base_db: 20.0\ndcf: {flow}"))
+    assert sc.dcf == DcfParams(**values)
+    assert {k: type(getattr(sc.dcf, k)) for k in values} == {k: type(v) for k, v in values.items()}
+    assert {type(v) for v in values.values()} == {int, float}
 
 
 def test_per_model_table_from_csv(tmp_path):
@@ -565,19 +574,25 @@ def test_exponent_text_stays_text_in_ids():
 
 
 # unquoted text that YAML 1.1 reads as a bool, null, float or date, and the repr of that value
-_NOT_TEXT = [("yes", "True"), ("off", "False"), ("null", "None"), ("~", "None"), ("1.5", "1.5"),
-             ("2024-01-01", "datetime.date(2024, 1, 1)")]
+_NOT_TEXT = [("yes", "True"), ("True", "True"), ("off", "False"), ("null", "None"),
+             ("~", "None"), ("1.5", "1.5"), ("2024-01-01", "datetime.date(2024, 1, 1)")]
 # MINIMAL with `@` for an AP id (and the offset key naming it), a station id or the name
 _ID_FIELDS = [("aps[0].id", MINIMAL.replace("ap1", "@")),
               ("stas[1].id", MINIMAL.replace("sta2", "@")),
               ("name", MINIMAL.replace("tiny", "@"))]
+# an offset map's AP key, unquoted, naming the AP by its quoted id; the path names the key
+# as read (an unquoted `True:` no longer names `id: 'True'`, which only its str() matched)
+_OFFSET_KEY = ("stas[1].snr_offset_db.{key}",
+               MINIMAL.replace("{id: ap1,", "{id: '@',").replace("{ap1: {1:", "{@: {1:"))
 
 
 @pytest.mark.parametrize("spelling, read", _NOT_TEXT, ids=[s for s, _ in _NOT_TEXT])
-@pytest.mark.parametrize("ctx, template", _ID_FIELDS, ids=[c for c, _ in _ID_FIELDS])
+@pytest.mark.parametrize("ctx, template", [*_ID_FIELDS, _OFFSET_KEY],
+                         ids=[c for c, _ in _ID_FIELDS] + ["offset_key"])
 def test_ids_and_name_refuse_what_yaml_reads_as_no_text(ctx, template, spelling, read):
     with pytest.raises(ValidationError) as exc:
         _load(template.replace("@", spelling))
+    ctx = ctx.format(key=yaml.safe_load(spelling))
     assert type(exc.value) is ValidationError and \
         str(exc.value) == f"{ctx}: expected text or an integer, got {read}; quote it"
 
@@ -626,7 +641,12 @@ def test_missing_required_field():
     ("channels:\n  - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 3}\n"
      "  - {id: 2, band: 6GHz, bandwidth_mhz: 160, mcs: 5}", "channels: 5",
      "channels: expected a list, got int"),
-], ids=["snr_base_db", "dcf", "channels"])
+    # a float for an integer field, and a field DcfParams does not declare
+    ("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: {cw_min: 16.0}",
+     "dcf.cw_min: expected an integer, got 16.0"),
+    ("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: {ack_timeout: 3.0e-4}",
+     "dcf: unknown field 'ack_timeout'"),
+], ids=["snr_base_db", "dcf", "channels", "dcf_float_for_int", "dcf_unknown"])
 def test_scenario_refusals(old, new, msg):
     with pytest.raises(ValidationError) as exc:
         _load(MINIMAL.replace(old, new))
