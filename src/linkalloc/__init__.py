@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .allocation import (
     LinkSelection,
     RadioBudget,
-    ThroughputState,
     allocate_pf,
     allocate_rr,
     ewma_update,

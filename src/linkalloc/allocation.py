@@ -13,11 +13,11 @@ Links share no budget, so PF decides all of them at once. The round-robin
 policy is rate-blind and deals links a weighted channel cycle in AP-major
 order: by AP, then by station.
 
-Both allocators return a `LinkSelection` and leave the state alone. State is
-carried between loop iterations by `ThroughputState`: one per-channel average
-`phi`. The loop computes each step's served rates and network total once,
-from one selection x rate product, with `instantaneous_rates`; `pf_metrics`
-and `ewma_update` both read the rates.
+Both allocators return a `LinkSelection` and leave the averages alone: one
+read-only float array `phi`, one per channel, which the loop carries and
+advances with its scenario's horizon T. The loop computes each step's served
+rates and network total once, from one selection x rate product, with
+`instantaneous_rates`; `pf_metrics` and `ewma_update` both read the rates.
 
 What depends only on the rates and the pairing is the tensor's
 `paired_links` view, kept for the last pairing object it saw, so PF on a
@@ -39,7 +39,6 @@ from .rates import PairedLinks, RateTensor
 
 __all__ = [
     "LinkSelection",
-    "ThroughputState",
     "RadioBudget",
     "ewma_update",
     "pf_metrics",
@@ -85,33 +84,6 @@ class LinkSelection:
 
 
 @dataclass(frozen=True, eq=False)
-class ThroughputState:
-    """Per-channel served-rate averages phi[f] driving the PF metric."""
-
-    phi: np.ndarray
-    horizon_t: int
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        if phi.ndim != 1 or not all(0.0 <= v < math.inf for v in phi.tolist()):
-            raise InvalidInputError("phi must be a vector of finite, non-negative values")
-        if self.horizon_t < 1:
-            raise InvalidInputError("horizon_t must be >= 1")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def cold_start(cls, rates: RateTensor, horizon_t: int) -> "ThroughputState":
-        """Seed the averages with each channel's mean link rate.
-
-        Starting at the channel's own scale keeps the first PF metric near 1
-        on every channel instead of letting an arbitrary constant bias the
-        first few selections.
-        """
-        return cls(phi=rates.values.mean(axis=(1, 2)), horizon_t=horizon_t)
-
-
-@dataclass(frozen=True, eq=False)
 class RadioBudget:
     """Per-STA limits r(m) on simultaneous links."""
 
@@ -147,14 +119,28 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
             float(served.sum()))
 
 
-def ewma_update(state: ThroughputState, inst: np.ndarray) -> ThroughputState:
-    """The state after one step that served `inst[f]` (the rates
-    `instantaneous_rates` returns): phi[f] <- (1 - 1/T) phi[f] + inst[f] / T."""
-    if np.shape(inst) != state.phi.shape:
-        raise InvalidInputError("served rates do not match the state's channels")
-    t = float(state.horizon_t)
-    phi = (1.0 - 1.0 / t) * state.phi + inst / t
-    return ThroughputState(phi=phi, horizon_t=state.horizon_t)
+def _checked_phi(phi) -> np.ndarray:
+    """The per-channel averages as a float vector, once every value is finite
+    and >= 0."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1 or not all(0.0 <= v < math.inf for v in phi.tolist()):
+        raise InvalidInputError("phi must be a vector of finite, non-negative values")
+    return phi
+
+
+def ewma_update(phi, inst: np.ndarray, horizon_t: int) -> np.ndarray:
+    """The averages after one step that served `inst[f]` (the rates
+    `instantaneous_rates` returns), as a new read-only array:
+    phi[f] <- (1 - 1/T) phi[f] + inst[f] / T with T = `horizon_t`."""
+    phi = _checked_phi(phi)
+    if horizon_t < 1:
+        raise InvalidInputError("horizon_t must be >= 1")
+    if np.shape(inst) != phi.shape:
+        raise InvalidInputError("served rates do not match phi's channels")
+    t = float(horizon_t)
+    out = _checked_phi((1.0 - 1.0 / t) * phi + inst / t)
+    out.setflags(write=False)
+    return out
 
 
 def _pf_ratio(rate: float, phi: float) -> float:
@@ -165,12 +151,13 @@ def _pf_ratio(rate: float, phi: float) -> float:
     return rate / phi
 
 
-def pf_metrics(state: ThroughputState, inst: np.ndarray) -> np.ndarray:
-    """Per-channel served rate `inst` over its average (see `_pf_ratio`)."""
-    if np.shape(inst) != state.phi.shape:
-        raise InvalidInputError("served rates do not match the state's channels")
-    return np.array([_pf_ratio(rate, phi)
-                     for rate, phi in zip(np.asarray(inst).tolist(), state.phi.tolist())])
+def pf_metrics(phi, inst: np.ndarray) -> np.ndarray:
+    """Per-channel served rate `inst` over its average `phi` (see `_pf_ratio`)."""
+    phi = _checked_phi(phi)
+    if np.shape(inst) != phi.shape:
+        raise InvalidInputError("served rates do not match phi's channels")
+    return np.array([_pf_ratio(rate, average)
+                     for rate, average in zip(np.asarray(inst).tolist(), phi.tolist())])
 
 
 def fairness_spread(metrics) -> float:
@@ -207,7 +194,7 @@ def _paired_links(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor
 
 
 def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
-                state: ThroughputState) -> LinkSelection:
+                phi) -> LinkSelection:
     """Proportional-fair channel selection for every paired link.
 
     Channel priority is fixed once per call from the averages: score(f) =
@@ -218,11 +205,12 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     one channel at a time, each to the live links with a radio left.
     """
     view = _paired_links(pairing, budget, rates)
-    if state.phi.shape[0] != rates.f_count:
-        raise InvalidInputError("state covers a different channel count")
+    phi = _checked_phi(phi)
+    if phi.shape[0] != rates.f_count:
+        raise InvalidInputError("phi covers a different channel count")
 
     means = view.means
-    score = [_pf_ratio(mean, phi) for mean, phi in zip(means, state.phi.tolist())]
+    score = [_pf_ratio(mean, average) for mean, average in zip(means, phi.tolist())]
     links = np.zeros((rates.f_count, pairing.m_stas), dtype=bool)
     free = budget.sta_radio_limits.copy()
     for f in sorted(range(rates.f_count), key=lambda f: (-score[f], -means[f], f)):

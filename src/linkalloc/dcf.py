@@ -95,8 +95,10 @@ def solve_bianchi_fixed_point(params: DcfParams, n_contenders: int) -> Contentio
         return tau - _tau_of_p(p, w, m)
 
     lo, hi = 1e-12, 1.0 - 1e-12
-    if residual(lo) > 0 or residual(hi) < 0:
-        raise SolverError("backoff fixed point not bracketed in (0, 1)")
+    if residual(hi) < 0:    # W = 1 with no stages: tau(p) = 1, so every node sends every slot
+        return ContentionState(n_contenders, 1.0, 1.0, 0.0)
+    if residual(lo) > 0:    # the root is below lo, and residual(0) < 0 always
+        lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if residual(mid) <= 0.0:

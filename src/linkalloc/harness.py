@@ -64,7 +64,6 @@ import numpy as np
 from .allocation import (
     LinkSelection,
     RadioBudget,
-    ThroughputState,
     allocate_pf,
     allocate_rr,
     ewma_update,
@@ -129,7 +128,8 @@ class Recommendation:
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
-    Besides the averages and the contention it carries the run's constants
+    Besides the averages `phi` (read-only; a resumed run moves them with its
+    own scenario's horizon) and the contention it carries the run's constants
     (`_run_constants`: the SNR field, MCS label, usable links, AP capacities
     and radio budget, all read-only) and its memo: at most
     `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
@@ -146,7 +146,7 @@ class LoopCarry:
     otherwise. A run never alters the carry it was given.
     """
 
-    state: ThroughputState
+    phi: np.ndarray
     contenders: tuple
     next_iteration: int
     run: tuple | None = None
@@ -266,7 +266,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
     snr_field, label, link_usable, usable_count, caps, budget = constants
 
-    state = carry.state if carry is not None else None
+    phi = carry.phi if carry is not None else None
     contenders = tuple(carry.contenders) if carry is not None \
         else tuple(bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan)))
     start_iter = carry.next_iteration if carry is not None else 1
@@ -278,8 +278,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if record is None:
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
-            if state is None:   # a cold run's first step, as its memo is empty
-                state = ThroughputState.cold_start(tensor, scenario.ewma_horizon_t)
+            if phi is None:     # a cold run's first step, as its memo is empty
+                phi = tensor.values.mean(axis=(1, 2))   # so every first PF metric is near 1
             rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
             record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
@@ -291,7 +291,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if seen is not None and pairing.owner.tobytes() == seen.pairing.owner.tobytes():
             pairing = seen.pairing
         selection = allocate_rr(pairing, budget, rates, scenario.rr_weights) \
-            if allocator == "rr" else allocate_pf(pairing, budget, rates, state)
+            if allocator == "rr" else allocate_pf(pairing, budget, rates, phi)
         if seen is not None and selection.pairing is seen.pairing \
                 and selection.links.tobytes() == seen.links.tobytes():
             selection = seen
@@ -303,8 +303,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
         inst, total, contenders = served
-        metrics = tuple(pf_metrics(state, inst).tolist())
-        state = ewma_update(state, inst)
+        metrics = tuple(pf_metrics(phi, inst).tolist())
+        phi = ewma_update(phi, inst, scenario.ewma_horizon_t)
         wall = (time.perf_counter() - t0) if timing else 0.0
 
         reports.append(IterationReport(
@@ -314,7 +314,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             mcs_label=label,
             aggregate_throughput_bps=total,
             fairness_spread=fairness_spread(metrics),
-            per_channel_phi=tuple(state.phi.tolist()),
+            per_channel_phi=tuple(phi.tolist()),
             per_channel_metric=metrics,
             channel_ids=scenario.channel_ids,
             wall_time_s=wall,
@@ -322,7 +322,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             selection=selection,
         ))
 
-    carry_out = LoopCarry(state=state, contenders=contenders,
+    carry_out = LoopCarry(phi=phi, contenders=contenders,
                           next_iteration=start_iter + iterations, run=run,
                           constants=constants, memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import phy
 from .dcf import AirtimeDurations, DcfParams, airtime_durations, normalized_throughput, \
     solve_bianchi_fixed_point
-from .errors import InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, ValidationError
 from .harness import run_apc_loop
 from .pairing import PairingInstance
 from .rates import RateTensor, build_rate_tensor
@@ -35,6 +35,7 @@ __all__ = [
     "simulate_dcf_slots",
     "validate_dcf",
     "compare_joint_vs_two_stage",
+    "truncated",
 ]
 
 
@@ -305,6 +306,15 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
     return records
 
 
+def truncated(scenario: Scenario, m_stas: int) -> Scenario:
+    """A copy of `scenario` keeping only its first `m_stas` stations."""
+    if not 1 <= m_stas <= scenario.m_stas:
+        raise ValidationError(f"cannot truncate to {m_stas} of {scenario.m_stas} STAs")
+    return replace(scenario, stas=scenario.stas[:m_stas],
+                   snr_offsets_db=scenario.snr_offsets_db[:, :, :m_stas],
+                   sta_radios=scenario.sta_radios[:m_stas])
+
+
 def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
                                rng_seed=None) -> dict:
     """Exact joint optimum vs the controller's own first step.
@@ -317,7 +327,7 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     and neither includes the SNR field.
     """
     if m_stas is not None:
-        scenario = scenario.truncated(m_stas)
+        scenario = truncated(scenario, m_stas)
     first = run_apc_loop(scenario, iterations=1, rng_seed=rng_seed, timing=True).final
     snr_field = scenario.snr_field(seed=rng_seed)
 

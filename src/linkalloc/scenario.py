@@ -36,8 +36,8 @@ Schema (all SNR values in dB)::
     snr_random_range_db: [6, 9]     # optional: per-link uniform base draw
     channels:
       - {id: 1, band: 2.4GHz, bandwidth_mhz: 40, mcs: 9}
-    rr_weights: {1: 1}              # optional round-robin slice counts
-    dcf: {cw_min: 16}               # optional DcfParams overrides
+    rr_weights: {1: 1}              # optional RR slices; default 1 per 40 MHz, at least 1
+    dcf: {cw_min: 16}               # optional DcfParams overrides; eifs may be null
     per_model:                      # optional PER configuration
       kind: logistic                # refuses the fields of kind "table"
       slope_per_db: 1.0             # > 0
@@ -75,7 +75,7 @@ from __future__ import annotations
 import gc
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -205,14 +205,6 @@ class Scenario:
                 f"snr_random_range_db {list(self.snr_random_range_db)}, so it takes "
                 f"no SNR base (got {base})")
         return base
-
-    def truncated(self, m_stas: int) -> "Scenario":
-        """A copy keeping only the first `m_stas` stations."""
-        if not 1 <= m_stas <= self.m_stas:
-            raise ValidationError(f"cannot truncate to {m_stas} of {self.m_stas} STAs")
-        return replace(self, stas=self.stas[:m_stas],
-                       snr_offsets_db=self.snr_offsets_db[:, :, :m_stas],
-                       sta_radios=self.sta_radios[:m_stas])
 
 
 # --- YAML parsing -------------------------------------------------------------
@@ -419,12 +411,15 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
 
 
 def _parse_dcf(doc, ctx: str) -> DcfParams:
-    """`DcfParams` overrides: each field read as an integer or a number, as it is declared."""
+    """`DcfParams` overrides: each field read as an integer or a number, as it is
+    declared, or as null where that is the field's default."""
     doc = _as_mapping(doc, ctx)
     rules = {f.name: _as_int if f.type in ("int", int) else _as_number for f in fields(DcfParams)}
+    nullable = {f.name for f in fields(DcfParams) if f.default is None}
     _reject_unknown(doc, rules.keys(), ctx)
     try:
-        return DcfParams(**{key: rules[key](value, f"{ctx}.{key}") for key, value in doc.items()})
+        return DcfParams(**{key: None if value is None and key in nullable
+                            else rules[key](value, f"{ctx}.{key}") for key, value in doc.items()})
     except ValueError as exc:
         raise ValidationError(f"{ctx}: {exc}") from exc
 
@@ -481,7 +476,7 @@ _TOP_FIELDS = {
 def _parse_rr_weights(doc: dict, widths: np.ndarray, channel_index: dict) -> tuple:
     weights_doc = doc.get("rr_weights")
     if weights_doc is None:
-        # wider channels get proportionally more round-robin slices
+        # one slice per 40 MHz and at least one, so 20 and 40 MHz channels both get 1
         return tuple(max(1, width // 40) for width in widths.tolist())
     weights = [None] * len(widths)
     for cid, w in _as_mapping(weights_doc, "rr_weights").items():

@@ -20,7 +20,9 @@ import math
 import numpy as np
 
 from linkalloc.errors import InvalidInputError
+from linkalloc.pairing import PairingInstance, pair_greedy, pair_optimal_lp
 from linkalloc.phy import TablePer
+from linkalloc.rates import build_rate_tensor
 
 
 def eesm_scalar(values, beta):
@@ -399,6 +401,63 @@ def instantaneous_rates_dense(s, values):
     totals = served.sum(axis=(1, 2))
     return (np.divide(totals, counts, out=np.zeros_like(totals, dtype=float), where=counts > 0),
             float(served.sum()))
+
+
+# --- the loop with nothing kept between steps ----------------------------------
+
+
+def reference_loop(segments, rng_seed=None):
+    """The controller loop with no memo, view or shared decision: a chain of
+    (scenario, iterations, solver, allocator, MCS override) segments, each
+    resuming the last as `run_apc_loop` resumes a carry. Only the averages
+    phi and the contention pass from step to step. Every step rebuilds the
+    SNR field and the rate tensor, pairs a fresh `PairingInstance` with the
+    package's solver (so that ties break as in the loop), allocates on the
+    dense pairing with `allocate_pf_per_link` or `allocate_rr_dense`, serves
+    with `instantaneous_rates_dense` and advances phi in plain numpy with the
+    running scenario's horizon. Returns one dict per step."""
+    steps, phi, contenders = [], None, None
+    for scenario, iterations, solver, allocator, mcs in segments:
+        field = scenario.snr_field(seed=rng_seed)
+        f_count, n_aps, m_stas = field.shape
+        usable = np.ones((f_count, n_aps, 1), dtype=bool)
+        if allocator == "slo":      # each AP on its home channel, one radio per station
+            usable[:] = False
+            usable[scenario.home_channel, np.arange(n_aps)] = True
+            caps, limits = [-(-m_stas // n_aps)] * n_aps, np.ones(m_stas, dtype=int)
+        else:
+            caps, limits = scenario.ap_capacities(), scenario.sta_radio_limits()
+        if contenders is None:
+            contenders = bootstrap_contenders_per_station(
+                scenario, np.where(usable, field, np.nan))
+        for _ in range(iterations):
+            tensor = build_rate_tensor(scenario, contenders=np.array(contenders),
+                                       snr_field=field, mcs_override=mcs)
+            if phi is None:
+                phi = tensor.values.mean(axis=(1, 2))
+            values = tensor.values * usable
+            solve = pair_optimal_lp if solver == "optimal" else pair_greedy
+            pairing = solve(PairingInstance(values.sum(axis=0) / usable.sum(axis=0),
+                                            caps, limits))
+            x = np.zeros((n_aps, m_stas), dtype=int)
+            for m, n in enumerate(pairing.owner.tolist()):
+                if n >= 0:
+                    x[n, m] = 1
+            if allocator == "rr":
+                s, unallocated = allocate_rr_dense(x, limits, f_count, scenario.rr_weights), ()
+            else:
+                s, unallocated = allocate_pf_per_link(x, limits, values, phi)
+            inst, total = instantaneous_rates_dense(s, values)
+            metrics = [(math.inf if rate > 0 else 0.0) if p == 0 else rate / p
+                       for rate, p in zip(inst.tolist(), phi.tolist())]
+            t = scenario.ewma_horizon_t
+            phi = (1.0 - 1.0 / t) * phi + inst / t
+            contenders = s.sum(axis=(1, 2)).tolist()
+            steps.append({"owner": pairing.owner.tobytes(), "s": s.tobytes(),
+                          "unallocated": unallocated, "total": total,
+                          "phi": phi.tolist(), "metrics": metrics,
+                          "spread": fairness_spread_numpy(metrics)})
+    return steps
 
 
 def fairness_spread_numpy(metrics):

@@ -10,7 +10,6 @@ import oracles
 from linkalloc.allocation import (
     LinkSelection,
     RadioBudget,
-    ThroughputState,
     allocate_pf,
     allocate_rr,
     ewma_update,
@@ -40,6 +39,11 @@ def _full_pairing(n_aps, m_stas):
     return PairingMatrix(np.zeros(m_stas, dtype=int), n_aps)
 
 
+def _cold(c):
+    """The averages a cold run starts from: each channel's mean link rate."""
+    return c.values.mean(axis=(1, 2))
+
+
 def _selection(s):
     """The selection of a dense (F, N, M) array whose stations each run
     links to one AP at most; a station with no link is unpaired."""
@@ -51,35 +55,36 @@ def _selection(s):
 
 def test_ewma_horizon_one_is_instantaneous():
     c = _rates([[100.0, 50.0]], 1, 2)
-    state = ThroughputState(phi=np.array([7.0]), horizon_t=1)
+    phi = np.array([7.0])
     s = np.array([[[1, 1]]])
     inst, total = instantaneous_rates(_selection(s), c)
     assert total == 150.0                       # the network total sums the links
-    out = ewma_update(state, inst)
-    assert out.phi[0] == pytest.approx(75.0)
+    out = ewma_update(phi, inst, 1)
+    assert out[0] == pytest.approx(75.0)
     with pytest.raises(InvalidInputError):
-        ewma_update(state, np.zeros(2))         # one served rate per channel
+        ewma_update(phi, np.zeros(2), 1)        # one served rate per channel
 
 
 def test_ewma_idle_channel_decays():
     c = _rates([[100.0], [100.0]], 1, 1)
-    state = ThroughputState(phi=np.array([8.0, 8.0]), horizon_t=4)
+    phi = np.array([8.0, 8.0])
     s = np.array([[[1]], [[0]]])
-    out = ewma_update(state, instantaneous_rates(_selection(s), c)[0])
-    assert out.phi[1] == pytest.approx(0.75 * 8.0)
-    assert out.phi[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
-    assert state.phi.tolist() == [8.0, 8.0]     # the input state is left as it was
+    out = ewma_update(phi, instantaneous_rates(_selection(s), c)[0], 4)
+    assert out[1] == pytest.approx(0.75 * 8.0)
+    assert out[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
+    assert phi.tolist() == [8.0, 8.0]           # the input averages are left as they were
+    assert phi.flags.writeable and not out.flags.writeable
 
 
 def test_ewma_geometric_convergence():
     t = 8
     c = _rates([[60.0]], 1, 1)
     s = np.array([[[1]]])
-    state = ThroughputState(phi=np.array([0.0]), horizon_t=t)
+    phi = np.array([0.0])
     errors = []
     for _ in range(40):
-        state = ewma_update(state, instantaneous_rates(_selection(s), c)[0])
-        errors.append(abs(state.phi[0] - 60.0))
+        phi = ewma_update(phi, instantaneous_rates(_selection(s), c)[0], t)
+        errors.append(abs(phi[0] - 60.0))
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
 
@@ -87,17 +92,16 @@ def test_ewma_geometric_convergence():
 def test_pf_metric_steady_state_is_one():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    state = ThroughputState(phi=np.array([42.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(_selection(s), c)[0])[0] == pytest.approx(1.0)
+    phi = np.array([42.0])
+    assert pf_metrics(phi, instantaneous_rates(_selection(s), c)[0])[0] == pytest.approx(1.0)
     with pytest.raises(InvalidInputError):
-        pf_metrics(state, np.zeros(2))          # one served rate per channel
+        pf_metrics(phi, np.zeros(2))            # one served rate per channel
 
 
 def test_pf_metric_reciprocal_scaling():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    full = ThroughputState(phi=np.array([10.0]), horizon_t=5)
-    half = ThroughputState(phi=np.array([5.0]), horizon_t=5)
+    full, half = np.array([10.0]), np.array([5.0])
     inst, _ = instantaneous_rates(_selection(s), c)
     assert pf_metrics(half, inst)[0] == pytest.approx(2 * pf_metrics(full, inst)[0])
 
@@ -105,16 +109,14 @@ def test_pf_metric_reciprocal_scaling():
 def test_pf_metric_cold_channel_is_infinite():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    state = ThroughputState(phi=np.array([0.0]), horizon_t=5)
-    assert pf_metrics(state, instantaneous_rates(_selection(s), c)[0])[0] == math.inf
+    assert pf_metrics(np.array([0.0]), instantaneous_rates(_selection(s), c)[0])[0] == math.inf
 
 
 def test_pf_picks_dominant_rate_channel():
     pairing = _full_pairing(1, 1)
     budget = RadioBudget.from_pairing(pairing, [1])
     c = _rates([[100.0], [10.0]], 1, 1)
-    state = ThroughputState(phi=np.array([50.0, 50.0]), horizon_t=10)
-    selection = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, np.array([50.0, 50.0]))
     assert selection.s[:, 0, 0].tolist() == [1, 0]
 
 
@@ -124,8 +126,7 @@ def test_pf_single_channel_respects_budget():
     pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [1, 1, 1])
     c = _rates([[30.0, 20.0, 10.0]], 1, 3)
-    state = ThroughputState.cold_start(c, horizon_t=10)
-    selection = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, _cold(c))
     assert selection.s.tolist() == [[[1, 1, 1]]]
     assert selection.unallocated_edges == ()
 
@@ -134,8 +135,7 @@ def test_pf_multi_radio_sta_takes_distinct_channels():
     pairing = _full_pairing(1, 1)
     budget = RadioBudget.from_pairing(pairing, [3])
     c = _rates([[100.0], [80.0], [60.0]], 1, 1)
-    state = ThroughputState.cold_start(c, horizon_t=10)
-    selection = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, _cold(c))
     assert selection.s[:, 0, 0].tolist() == [1, 1, 1]
 
 
@@ -143,8 +143,7 @@ def test_pf_skips_dead_links():
     pairing = _full_pairing(1, 2)
     budget = RadioBudget.from_pairing(pairing, [1, 1])
     c = _rates([[100.0, 0.0]], 1, 2)
-    state = ThroughputState.cold_start(c, horizon_t=10)
-    selection = allocate_pf(pairing, budget, c, state)
+    selection = allocate_pf(pairing, budget, c, _cold(c))
     assert selection.s[0].tolist() == [[1, 0]]
     assert selection.unallocated_edges == ((0, 1),)
 
@@ -154,12 +153,12 @@ def test_pf_determinism():
     pairing = PairingMatrix([0, 0, 1, 1], 2)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 2, 1])
     c = _rates(rng.uniform(1, 100, size=(3, 8)), 2, 4)
-    state = ThroughputState.cold_start(c, horizon_t=7)
-    a = allocate_pf(pairing, budget, c, state)
-    b = allocate_pf(pairing, budget, c, state)
+    phi = _cold(c)
+    a = allocate_pf(pairing, budget, c, phi)
+    b = allocate_pf(pairing, budget, c, phi)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(ewma_update(state, instantaneous_rates(a, c)[0]).phi,
-                                  ewma_update(state, instantaneous_rates(b, c)[0]).phi)
+    np.testing.assert_array_equal(ewma_update(phi, instantaneous_rates(a, c)[0], 7),
+                                  ewma_update(phi, instantaneous_rates(b, c)[0], 7))
 
 
 def test_pf_selection_always_feasible():
@@ -170,8 +169,7 @@ def test_pf_selection_always_feasible():
         limits = rng.integers(1, 4, size=m)
         budget = RadioBudget.from_pairing(pairing, limits)
         c = _rates(rng.uniform(0, 100, size=(f, n * m)), n, m)
-        state = ThroughputState.cold_start(c, horizon_t=5)
-        selection = allocate_pf(pairing, budget, c, state)
+        selection = allocate_pf(pairing, budget, c, _cold(c))
         assert selection_feasible(selection, pairing, budget)
 
 
@@ -181,13 +179,13 @@ def test_pf_converges_on_static_rates():
     pairing = PairingMatrix([0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [2, 1])
     c = _rates([[80.0, 0.0], [50.0, 60.0]], 1, 2)
-    state = ThroughputState.cold_start(c, horizon_t=10)
+    phi = _cold(c)
     for _ in range(120):
-        inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, state), c)
-        state = ewma_update(state, inst)
-    spread = fairness_spread(pf_metrics(state, inst))
+        inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, phi), c)
+        phi = ewma_update(phi, inst, 10)
+    spread = fairness_spread(pf_metrics(phi, inst))
     assert spread < 0.05
-    ratios = inst / state.phi
+    ratios = inst / phi
     rel = (ratios.max() - ratios.min()) / ratios.mean()
     assert rel < 0.05
 
@@ -197,12 +195,12 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     pairing = PairingMatrix([0, 0, 0], 1)
     budget = RadioBudget.from_pairing(pairing, [2, 1, 1])
     c = _rates([[80.0, 20.0, 35.0], [50.0, 45.0, 10.0]], 1, 3)
-    state = ThroughputState.cold_start(c, horizon_t=t)
+    phi = _cold(c)
     utilities = []
     for _ in range(80):
-        selection = allocate_pf(pairing, budget, c, state)
-        state = ewma_update(state, instantaneous_rates(selection, c)[0])
-        utilities.append(float(np.log(state.phi).sum()))
+        selection = allocate_pf(pairing, budget, c, phi)
+        phi = ewma_update(phi, instantaneous_rates(selection, c)[0], t)
+        utilities.append(float(np.log(phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
 
@@ -238,7 +236,7 @@ def test_pf_matches_per_link_oracle(case):
     pairing, limits, phi, values = case
     x = _dense(pairing)
     selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, limits),
-                            RateTensor(values), ThroughputState(phi=phi, horizon_t=5))
+                            RateTensor(values), phi)
     s, unallocated = oracles.allocate_pf_per_link(x, limits, values, phi)
     np.testing.assert_array_equal(selection.s, s)
     assert selection.unallocated_edges == unallocated
@@ -268,7 +266,7 @@ def test_owner_form_matches_dense_path(case):
     pairing, limits, weights, phi, values = case
     x, c = _dense(pairing), RateTensor(values)
     budget = RadioBudget.from_pairing(pairing, limits)
-    pf = allocate_pf(pairing, budget, c, ThroughputState(phi=phi, horizon_t=5))
+    pf = allocate_pf(pairing, budget, c, phi)
     s, unallocated = oracles.allocate_pf_dense(x, limits, values, phi)
     np.testing.assert_array_equal(pf.s, s)
     assert pf.unallocated_edges == unallocated == tuple(sorted(unallocated))
@@ -312,7 +310,7 @@ def test_paired_links_view_never_leaks_between_pairings(case):
     previous = None
     for which, phi in steps:
         pairing = pairings[which]
-        selection = allocate_pf(pairing, budget, c, ThroughputState(phi=phi, horizon_t=5))
+        selection = allocate_pf(pairing, budget, c, phi)
         s, unallocated = oracles.allocate_pf_dense(_dense(pairing), limits, values, np.array(phi))
         np.testing.assert_array_equal(selection.s, s)
         assert selection.unallocated_edges == unallocated
@@ -331,8 +329,7 @@ def test_all_unpaired_pairing_allocates_nothing():
     assert view.cand.shape == (2, 0)
     assert view.means == (0.0, 0.0) and view.unallocated_edges == ()
     for phi in ([0.0, 0.0], [1.0, 0.0]):
-        selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, [2, 2, 2]), c,
-                                ThroughputState(phi=phi, horizon_t=5))
+        selection = allocate_pf(pairing, RadioBudget.from_pairing(pairing, [2, 2, 2]), c, phi)
         assert not selection.links.any() and selection.unallocated_edges == ()
         inst, total = instantaneous_rates(selection, c)
         assert inst.tolist() == [0.0, 0.0] and total == 0.0
@@ -456,22 +453,36 @@ def test_fairness_spread_refusals_match_numpy(metrics):
     assert str(got.value) == str(want.value)
 
 
+def _phi_readers(phi):
+    """Each public function that reads the averages, called on `phi`."""
+    f = np.shape(phi)[0] if np.ndim(phi) == 1 else 1
+    pairing = _full_pairing(1, 1)
+    inst = np.zeros(f)
+    return [lambda: allocate_pf(pairing, RadioBudget([1]), RateTensor(np.ones((f, 1, 1))), phi),
+            lambda: pf_metrics(phi, inst), lambda: ewma_update(phi, inst, 5)]
+
+
 @pytest.mark.parametrize("phi", [[1.0, math.nan], [math.inf], [2.0, -math.inf], [-1e-300],
                                  [[1.0, 2.0]]])
 def test_state_refuses_phi(phi):
-    with pytest.raises(InvalidInputError,
-                       match="^phi must be a vector of finite, non-negative values$"):
-        ThroughputState(phi=phi, horizon_t=5)
+    for read in _phi_readers(phi):
+        with pytest.raises(InvalidInputError,
+                           match="^phi must be a vector of finite, non-negative values$"):
+            read()
 
 
 def test_state_accepts_negative_zero():
-    assert ThroughputState(phi=[-0.0, 0.0], horizon_t=5).phi.tolist() == [0.0, 0.0]
+    for read in _phi_readers([-0.0, 0.0]):
+        read()
+    assert ewma_update([-0.0, 0.0], np.zeros(2), 5).tolist() == [0.0, 0.0]
 
 
-def test_cold_start_state_is_channel_mean():
-    c = _rates([[10.0, 30.0], [40.0, 0.0]], 1, 2)
-    state = ThroughputState.cold_start(c, horizon_t=5)
-    assert state.phi.tolist() == [20.0, 20.0]
+@pytest.mark.parametrize("inst", [math.inf, math.nan, -10.0])
+def test_ewma_checks_its_result(inst):
+    # served rates that no selection gives make averages that are not ones
+    with pytest.raises(InvalidInputError,
+                       match="^phi must be a vector of finite, non-negative values$"):
+        ewma_update([1.0], np.array([inst]), 2)
 
 
 def test_selection_reports_links():
@@ -531,10 +542,8 @@ _ARRAY_TYPES = {
     "PairingInstance": lambda: PairingInstance(np.ones((1, 3)), [3], [1, 1, 1]),
     "JointSolution": lambda: JointSolution(np.ones((2, 1, 3)), 6.0),
     "LinkSelection": lambda: LinkSelection([[1, 0, 1]], PairingMatrix([0, -1, 0], 1)),
-    "ThroughputState": lambda: ThroughputState(phi=[1.0, 2.0], horizon_t=5),
     "RadioBudget": lambda: RadioBudget([1, 2, 3]),
-    "LoopCarry": lambda: LoopCarry(ThroughputState(phi=[1.0], horizon_t=5), (3,), 2,
-                                   constants=(np.zeros((1, 1, 3)),)),
+    "LoopCarry": lambda: LoopCarry(np.array([1.0]), (3,), 2, constants=(np.zeros((1, 1, 3)),)),
 }
 
 
@@ -546,13 +555,12 @@ def test_types_holding_arrays_compare_by_identity(make):
 
 
 _REFUSALS = {
-    "horizon_zero": (lambda: ThroughputState(phi=[1.0], horizon_t=0),
-                     "horizon_t must be >= 1"),
+    "horizon_zero": (lambda: ewma_update([1.0], np.zeros(1), 0), "horizon_t must be >= 1"),
     "radio_limit_zero": (lambda: RadioBudget([0, 1]),
                          "radio limits must be a vector of positive counts"),
     "pf_budget_other_stations": (
         lambda: allocate_pf(_full_pairing(1, 2), RadioBudget([1, 1, 1]), RateTensor(np.ones((2, 1, 2))),
-                            ThroughputState(phi=[1.0, 1.0], horizon_t=5)),
+                            [1.0, 1.0]),
         "budget covers a different station count"),
     "rr_budget_other_stations": (
         lambda: allocate_rr(_full_pairing(1, 2), RadioBudget([1]), RateTensor(np.ones((2, 1, 2))),
@@ -560,8 +568,8 @@ _REFUSALS = {
         "budget covers a different station count"),
     "pf_state_other_channels": (
         lambda: allocate_pf(_full_pairing(1, 2), RadioBudget([1, 1]), RateTensor(np.ones((2, 1, 2))),
-                            ThroughputState(phi=[1.0, 1.0, 1.0], horizon_t=5)),
-        "state covers a different channel count"),
+                            [1.0, 1.0, 1.0]),
+        "phi covers a different channel count"),
 }
 
 

@@ -233,6 +233,24 @@ def test_snr_beyond_the_float_range_exits_1_in_one_line(case, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"linkalloc: {msg}\n")
 
 
+@pytest.mark.parametrize("w", [1, 2 ** 62])
+def test_every_backoff_ladder_the_loader_accepts_runs(w, tmp_path, capsys):
+    # W = 1 sends in every slot (tau = 1); W = 2**62 puts tau below 1e-12
+    fixture = bundled_scenario_path("scenario_3ap_15sta").read_text()
+    path = tmp_path / "ladder.yaml"
+    path.write_text(fixture + f"dcf: {{cw_min: {w}, cw_max: {w}, m_max_backoff_stages: 0}}\n")
+    argv = ["run", "--scenario", str(path), "--iterations", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.count("\n") == 4
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "linkalloc"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.out, "")
+
+
 def test_run_deterministic_outputs(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -61,6 +61,28 @@ def test_residual_small_up_to_128_contenders():
         assert 0.0 < state.tau < 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 15])
+def test_one_slot_window_sends_every_slot(n):
+    # W = 1 with no stages: tau(p) = 1 for every p, so the fixed point is tau = 1
+    # and every slot collides, in the model and in the slot replay alike
+    p = DcfParams(cw_min=1, cw_max=1, m_max_backoff_stages=0)
+    state = solve_bianchi_fixed_point(p, n)
+    assert (state.tau, state.p_cond_collision, state.residual) == (1.0, 1.0, 0.0)
+    durations = airtime_durations(p, mcs_data_rate(3, 40))
+    assert normalized_throughput(state, durations, 0.0, p) == 0.0
+    assert simulate_dcf_slots(p, n, 0.0, n_slots=2000, seed=0, durations=durations) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_fixed_point_below_the_bisection_floor(n):
+    # W = 2**62 with no stages: tau is about 4e-19, below the 1e-12 the bisection
+    # starts from, so it bisects down from 0 and lands within 1e-15 of the root
+    w = 2 ** 62
+    state = solve_bianchi_fixed_point(DcfParams(cw_min=w, cw_max=w, m_max_backoff_stages=0), n)
+    assert 0.0 < state.tau < 1e-12 and state.residual < 1e-10
+    assert state.tau == pytest.approx(oracles.picard_tau(w, 0, n), abs=1e-15)
+
+
 def test_payload_airtime_at_mcs3():
     rate = mcs_data_rate(3, 40)
     d = airtime_durations(DcfParams(), rate)

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -38,7 +39,7 @@ from linkalloc.harness import (
     run_slo_baseline,
     write_table,
 )
-from linkalloc.repro import compare_joint_vs_two_stage, validate_dcf
+from linkalloc.repro import compare_joint_vs_two_stage, truncated, validate_dcf
 from linkalloc.scenario import Scenario, bundled_scenario_path, load_scenario
 
 ONE_OF_EVERYTHING = """
@@ -127,6 +128,20 @@ def test_loop_carry_continues_state():
     assert resumed.reports[0].iteration == 5
     straight = run_apc_loop(sc, iterations=6)
     assert straight.reports[-1].per_channel_phi == pytest.approx(resumed.reports[-1].per_channel_phi)
+
+
+def test_cold_start_state_is_channel_mean():
+    # a cold run's first step scores PF against each channel's mean link rate
+    # of the tensor it reads; the averages then move with the scenario's horizon
+    sc = _fixture()
+    field = sc.snr_field()
+    tensor = build_rate_tensor(sc, contenders=bootstrap_contenders(sc, field), snr_field=field)
+    with mock.patch.object(harness, "allocate_pf", wraps=harness.allocate_pf) as allocate, \
+            mock.patch.object(harness, "ewma_update", wraps=harness.ewma_update) as update:
+        run_apc_loop(sc, iterations=2)
+    phi = allocate.call_args_list[0].args[3]
+    assert phi.tolist() == tensor.values.mean(axis=(1, 2)).tolist()
+    assert [call.args[2] for call in update.call_args_list] == [sc.ewma_horizon_t] * 2
 
 
 def test_optimal_pf_beats_greedy_rr_at_high_snr():
@@ -859,13 +874,94 @@ def test_array_builds_match_loop_oracles_on_small_scenarios(doc_sc):
     _assert_array_builds_match_loop_oracles(*doc_sc)
 
 
+def _assert_loop_matches_reference(segments, rng_seed=None):
+    """Run the segments as a chain of resumed `run_apc_loop` calls and check
+    every step against `oracles.reference_loop`, which keeps nothing between
+    steps but phi and the contention: decisions as bytes, floats at rel 1e-12.
+    The first step that differs fails."""
+    reports, carry = [], None
+    for sc, iterations, solver, allocator, mcs in segments:
+        result = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=iterations,
+                              mcs_override=mcs, carry=carry, rng_seed=rng_seed)
+        reports += result.reports
+        carry = result.carry
+    want = oracles.reference_loop(segments, rng_seed)
+    assert len(reports) == len(want)
+    for got, ref in zip(reports, want):
+        step = f"step {got.iteration} ({got.algorithm}, MCS {got.mcs_label})"
+        assert got.pairing.owner.tobytes() == ref["owner"], f"{step}: the pairing differs"
+        assert got.selection.s.tobytes() == ref["s"], f"{step}: the links differ"
+        assert got.selection.unallocated_edges == ref["unallocated"], step
+        for name, value, expected in (
+                ("total", [got.aggregate_throughput_bps], [ref["total"]]),
+                ("phi", got.per_channel_phi, ref["phi"]),
+                ("metrics", got.per_channel_metric, ref["metrics"]),
+                ("spread", [got.fairness_spread], [ref["spread"]])):
+            assert len(value) == len(expected) and all(
+                v == w or math.isclose(v, w, rel_tol=1e-12, abs_tol=0.0)
+                for v, w in zip(value, expected)), f"{step}: {name} {value} != {expected}"
+
+
+# resumes that switch solver, allocator and MCS override and leave SLO for PF;
+# a switch of solver alone meets records the other solver left
+REFERENCE_SCHEDULE = [(3, "optimal", "pf", None), (1, "greedy", "pf", None),
+                      (1, "optimal", "pf", None), (2, "greedy", "rr", 3),
+                      (2, "optimal", "slo", None), (3, "greedy", "pf", 9),
+                      (1, "optimal", "pf", 9), (2, "optimal", "rr", None)]
+
+
+@pytest.mark.parametrize("path", [bundled_scenario_path("scenario_3ap_15sta"),
+                                  bundled_scenario_path("scenario_slo"),
+                                  bundled_scenario_path("scenario_2ap_joint"), SYNTH_10X200],
+                         ids=lambda path: path.stem)
+def test_loop_matches_the_memo_free_reference(path):
+    sc = load_scenario(path)
+    _assert_loop_matches_reference([(sc,) + segment for segment in REFERENCE_SCHEDULE],
+                                   rng_seed=4)
+
+
+def test_resumed_run_averages_with_its_own_horizon():
+    # the fixture averages over T = 300; a resume on a copy with T = 5 moves phi by 1/5
+    fx = _fixture()
+    fast = dataclasses.replace(fx, ewma_horizon_t=5)
+    _assert_loop_matches_reference([(fx, 3, "optimal", "pf", None),
+                                    (fast, 3, "optimal", "pf", None),
+                                    (fx, 2, "greedy", "rr", None)])
+
+
+_ALGORITHMS = [("optimal", "pf"), ("optimal", "rr"), ("greedy", "pf"), ("greedy", "rr"),
+               ("optimal", "slo")]
+
+
+@st.composite
+def _reference_chains(draw):
+    """A small scenario and a chain of 1-4 segments, each with its own
+    algorithm, MCS override and, on a resume, perhaps another horizon."""
+    _, sc = draw(_small_scenarios())
+    feasible = sc.ap_capacities().sum() >= sc.m_stas     # else only SLO pairs everyone
+    segments = []
+    for k in range(draw(st.integers(1, 4))):
+        solver, allocator = draw(st.sampled_from(_ALGORITHMS if feasible else _ALGORITHMS[-1:]))
+        if k and draw(st.booleans()):
+            sc = dataclasses.replace(sc, ewma_horizon_t=draw(st.integers(1, 50)))
+        segments.append((sc, draw(st.integers(1, 3)), solver, allocator,
+                         draw(st.one_of(st.none(), st.integers(0, 11)))))
+    return segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(_reference_chains())
+def test_loop_matches_the_memo_free_reference_on_small_scenarios(segments):
+    _assert_loop_matches_reference(segments)
+
+
 def _outputs(result):
     """Everything a run reports, as comparable values."""
     return (emit_results(result.reports),
             [(r.pairing.x.tolist(), r.selection.s.tolist(), r.per_channel_metric)
              for r in result.reports],
             result.recommendations, result.carry.contenders,
-            result.carry.state.phi.tolist())
+            result.carry.phi.tolist())
 
 
 def test_carried_rate_memo_reused_only_when_valid():
@@ -1172,7 +1268,7 @@ def test_oracle_two_stage_is_the_loops_first_step(m):
     sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
     for seed in (0, 1, 2):
         out = compare_joint_vs_two_stage(sc, m_stas=m, rng_seed=seed)
-        first = run_apc_loop(sc.truncated(m), iterations=1, rng_seed=seed).final
+        first = run_apc_loop(truncated(sc, m), iterations=1, rng_seed=seed).final
         assert out["two_stage_objective_bps"] == first.aggregate_throughput_bps
 
 

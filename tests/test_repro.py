@@ -10,10 +10,11 @@ import pytest
 
 import linkalloc
 from linkalloc import dcf, harness, pairing, repro
-from linkalloc.errors import InvalidInputError, SizeLimitError
+from linkalloc.errors import InvalidInputError, SizeLimitError, ValidationError
 from linkalloc.pairing import PairingInstance
 from linkalloc.phy import mcs_data_rate
 from linkalloc.rates import RateTensor
+from linkalloc.scenario import Scenario, bundled_scenario_path, load_scenario
 
 PACKAGE = Path(linkalloc.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -81,6 +82,24 @@ def test_moved_names_are_exported_from_repro_only(name, old):
     assert not hasattr(old, name) and name not in old.__all__
 
 
+def test_truncated_keeps_prefix():
+    sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
+    small = repro.truncated(sc, 4)
+    assert not hasattr(Scenario, "truncated")      # moved here, no alias left behind
+    assert small.m_stas == 4
+    assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
+    # the radio counts are built once at load, read-only, and sliced along
+    assert small.ap_ids is sc.ap_ids and small.ap_radios is sc.ap_radios
+    assert small.sta_radios.tolist() == sc.sta_radios[:4].tolist()
+    for scenario in (sc, small):
+        assert scenario.sta_radio_limits() is scenario.sta_radios
+        assert scenario.ap_capacities() is scenario.ap_radios
+        assert scenario.sta_radio_limits() is scenario.sta_radio_limits()
+        assert scenario.ap_capacities() is scenario.ap_capacities()
+        assert not scenario.sta_radio_limits().flags.writeable
+        assert not scenario.ap_capacities().flags.writeable
+
+
 def _durations():
     return dcf.airtime_durations(dcf.DcfParams(), mcs_data_rate(3, 40))
 
@@ -110,6 +129,8 @@ _REFUSALS = {
                 InvalidInputError, "per must be in [0, 1], got 1.5"),
     "dcf_no_slots": (lambda: repro.simulate_dcf_slots(dcf.DcfParams(), 2, 0.0, 0, 0, _durations()),
                      InvalidInputError, "n_slots must be >= 1"),
+    "truncate_to_none": (lambda: repro.truncated(load_scenario(bundled_scenario_path(
+        "scenario_2ap_joint")), 0), ValidationError, "cannot truncate to 0 of 8 STAs"),
 }
 
 

@@ -16,6 +16,7 @@ from yaml.constructor import SafeConstructor
 from linkalloc import scenario
 from linkalloc.dcf import DcfParams
 from linkalloc.errors import ConfigurationError, ValidationError
+from linkalloc.harness import emit_results, run_apc_loop
 from linkalloc.phy import DEFAULT_PER_MIDPOINT_DB, LogisticPer, TablePer
 from linkalloc.rates import build_rate_tensor
 from linkalloc.scenario import (
@@ -362,23 +363,6 @@ def test_mcs_override_per_ap():
     assert sc.mcs_table.tolist() == [[3], [7]]
 
 
-def test_truncated_keeps_prefix():
-    sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
-    small = sc.truncated(4)
-    assert small.m_stas == 4
-    assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
-    # the radio counts are built once at load, read-only, and sliced along
-    assert small.ap_ids is sc.ap_ids and small.ap_radios is sc.ap_radios
-    assert small.sta_radios.tolist() == sc.sta_radios[:4].tolist()
-    for scenario in (sc, small):
-        assert scenario.sta_radio_limits() is scenario.sta_radios
-        assert scenario.ap_capacities() is scenario.ap_radios
-        assert scenario.sta_radio_limits() is scenario.sta_radio_limits()
-        assert scenario.ap_capacities() is scenario.ap_capacities()
-        assert not scenario.sta_radio_limits().flags.writeable
-        assert not scenario.ap_capacities().flags.writeable
-
-
 def test_dcf_overrides_parsed():
     doc = MINIMAL.replace("snr_base_db: 20.0",
                           "snr_base_db: 20.0\ndcf: {payload_bytes: 500, cw_min: 32, cw_max: 2048}")
@@ -394,6 +378,11 @@ def test_dcf_overrides_parsed():
     assert sc.dcf == DcfParams(**values)
     assert {k: type(getattr(sc.dcf, k)) for k in values} == {k: type(v) for k, v in values.items()}
     assert {type(v) for v in values.values()} == {int, float}
+    # null loads for a field whose default is None, as that default: the run is the plain one
+    null = _load(MINIMAL.replace("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: {eifs: null}"))
+    assert null.dcf == DcfParams()
+    assert emit_results(run_apc_loop(null, iterations=3).reports) == \
+        emit_results(run_apc_loop(_load(MINIMAL), iterations=3).reports)
 
 
 def test_per_model_table_from_csv(tmp_path):
