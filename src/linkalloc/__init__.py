@@ -18,7 +18,6 @@ from .allocation import (
     RadioBudget,
     allocate_pf,
     allocate_rr,
-    ewma_update,
     fairness_spread,
 )
 from .dcf import (

@@ -13,11 +13,12 @@ Links share no budget, so PF decides all of them at once. The round-robin
 policy is rate-blind and deals links a weighted channel cycle in AP-major
 order: by AP, then by station.
 
-Both allocators return a `LinkSelection` and leave the averages alone: one
-read-only float array `phi`, one per channel, which the loop carries and
-advances with its scenario's horizon T. The loop computes each step's served
-rates and network total once, from one selection x rate product, with
-`instantaneous_rates`; `pf_metrics` and `ewma_update` both read the rates.
+Both allocators return a `LinkSelection` and leave the averages alone: phi,
+one float per channel, which the loop carries as a tuple and advances with
+its scenario's horizon T. The loop computes each step's served rates and
+network total once, from one selection x rate product, with
+`instantaneous_rates`; its PF metrics take `pf_ratio` of each channel's
+served rate over its average, and a carried phi passes `checked_phi` once.
 
 What depends only on the rates and the pairing is the tensor's
 `paired_links` view, kept for the last pairing object it saw, so PF on a
@@ -40,8 +41,6 @@ from .rates import PairedLinks, RateTensor
 __all__ = [
     "LinkSelection",
     "RadioBudget",
-    "ewma_update",
-    "pf_metrics",
     "instantaneous_rates",
     "allocate_pf",
     "allocate_rr",
@@ -119,45 +118,23 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
             float(served.sum()))
 
 
-def _checked_phi(phi) -> np.ndarray:
-    """The per-channel averages as a float vector, once every value is finite
-    and >= 0."""
+def checked_phi(phi, f_count: int) -> tuple:
+    """The per-channel averages as a tuple of floats, once every value is
+    finite and >= 0 and there is one per channel."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or not all(0.0 <= v < math.inf for v in phi.tolist()):
         raise InvalidInputError("phi must be a vector of finite, non-negative values")
-    return phi
+    if phi.shape[0] != f_count:
+        raise InvalidInputError("phi covers a different channel count")
+    return tuple(phi.tolist())
 
 
-def ewma_update(phi, inst: np.ndarray, horizon_t: int) -> np.ndarray:
-    """The averages after one step that served `inst[f]` (the rates
-    `instantaneous_rates` returns), as a new read-only array:
-    phi[f] <- (1 - 1/T) phi[f] + inst[f] / T with T = `horizon_t`."""
-    phi = _checked_phi(phi)
-    if horizon_t < 1:
-        raise InvalidInputError("horizon_t must be >= 1")
-    if np.shape(inst) != phi.shape:
-        raise InvalidInputError("served rates do not match phi's channels")
-    t = float(horizon_t)
-    out = _checked_phi((1.0 - 1.0 / t) * phi + inst / t)
-    out.setflags(write=False)
-    return out
-
-
-def _pf_ratio(rate: float, phi: float) -> float:
+def pf_ratio(rate: float, phi: float) -> float:
     """rate / phi; inf where phi is zero but the rate is not (maximally
     under-served), 0 where both are zero."""
     if phi == 0.0:
         return math.inf if rate > 0 else 0.0
     return rate / phi
-
-
-def pf_metrics(phi, inst: np.ndarray) -> np.ndarray:
-    """Per-channel served rate `inst` over its average `phi` (see `_pf_ratio`)."""
-    phi = _checked_phi(phi)
-    if np.shape(inst) != phi.shape:
-        raise InvalidInputError("served rates do not match phi's channels")
-    return np.array([_pf_ratio(rate, average)
-                     for rate, average in zip(np.asarray(inst).tolist(), phi.tolist())])
 
 
 def fairness_spread(metrics) -> float:
@@ -205,12 +182,8 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     one channel at a time, each to the live links with a radio left.
     """
     view = _paired_links(pairing, budget, rates)
-    phi = _checked_phi(phi)
-    if phi.shape[0] != rates.f_count:
-        raise InvalidInputError("phi covers a different channel count")
-
     means = view.means
-    score = [_pf_ratio(mean, average) for mean, average in zip(means, phi.tolist())]
+    score = list(map(pf_ratio, means, checked_phi(phi, rates.f_count)))
     links = np.zeros((rates.f_count, pairing.m_stas), dtype=bool)
     free = budget.sta_radio_limits.copy()
     for f in sorted(range(rates.f_count), key=lambda f: (-score[f], -means[f], f)):

@@ -27,6 +27,8 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
+    ALLOCATORS,
+    SOLVERS,
     emit_results,
     emit_sweep_stats,
     run_apc_loop,
@@ -90,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True,
                      help="scenario YAML path, or a bundled name "
                           f"({', '.join(list_bundled_scenarios())})")
-    run.add_argument("--solver", choices=("optimal", "greedy"), default="optimal")
-    run.add_argument("--allocator", choices=("pf", "rr", "slo"), default="pf",
+    run.add_argument("--solver", choices=SOLVERS, default="optimal")
+    run.add_argument("--allocator", choices=ALLOCATORS, default="pf",
                      help="'slo' runs the single-link baseline (optimal solver only)")
     run.add_argument("--iterations", type=int, default=30)
     run.add_argument("--seed", type=int, default=None,
@@ -109,8 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mcs", type=_comma_list(int), default=None, metavar="I,I,...")
     sweep.add_argument("--rounds", type=int, default=None)
     sweep.add_argument("--iterations", type=int, default=30)
-    sweep.add_argument("--solver", choices=("optimal", "greedy"), default="optimal")
-    sweep.add_argument("--allocator", choices=("pf", "rr"), default="pf")
+    sweep.add_argument("--solver", choices=SOLVERS, default="optimal")
+    sweep.add_argument("--allocator", choices=[a for a in ALLOCATORS if a != "slo"],
+                       default="pf")
     sweep.add_argument("--workers", type=int, default=1)
     _add_output_args(sweep)
 

@@ -105,7 +105,7 @@ def solve_bianchi_fixed_point(params: DcfParams, n_contenders: int) -> Contentio
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15:
+        if hi - lo < 1e-15 and hi - lo < 1e-9 * hi:    # absolute, and relative for tiny tau
             break
     tau = 0.5 * (lo + hi)
     res = abs(residual(tau))

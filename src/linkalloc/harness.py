@@ -66,10 +66,10 @@ from .allocation import (
     RadioBudget,
     allocate_pf,
     allocate_rr,
-    ewma_update,
+    checked_phi,
     fairness_spread,
     instantaneous_rates,
-    pf_metrics,
+    pf_ratio,
 )
 from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
@@ -128,16 +128,17 @@ class Recommendation:
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
 
-    Besides the averages `phi` (read-only; a resumed run moves them with its
-    own scenario's horizon) and the contention it carries the run's constants
-    (`_run_constants`: the SNR field, MCS label, usable links, AP capacities
-    and radio budget, all read-only) and its memo: at most
-    `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
-    first, each (rates, PairingInstance, selection, served): the rates a step
-    reads under that contention (SLO's masked to the home channels), the
-    pairing input weighed from them, the last decision made under it, its
-    pairing included, and that decision's (inst, total) from
-    `instantaneous_rates` with the contender tuple it leaves. `run` keys both
+    Besides the averages `phi` (a tuple of one float per channel; a resumed
+    run checks them once and moves them with its own scenario's horizon) and
+    the contention it carries the run's constants (`_run_constants`: the SNR
+    field, MCS label, usable links, AP capacities and radio budget, all
+    read-only) and its memo: at most `RATE_MEMO_SIZE` records keyed by
+    contender tuple, least recently used first, each (rates, PairingInstance,
+    selection, served): the rates a step reads under that contention (SLO's
+    masked to the home channels), the pairing input weighed from them, the
+    last decision made under it, its pairing included, and that decision's
+    served rates (a tuple of floats) and network total from
+    `instantaneous_rates`, with the contender tuple it leaves. `run` keys both
     on the run's checked inputs: the scenario object, MCS override,
     SLO-or-not mode, SNR base (by its exact bits) and, for a scenario that
     draws its bases, the seed (`Scenario.run_seed`). Solver and allocator are
@@ -146,7 +147,7 @@ class LoopCarry:
     otherwise. A run never alters the carry it was given.
     """
 
-    phi: np.ndarray
+    phi: tuple
     contenders: tuple
     next_iteration: int
     run: tuple | None = None
@@ -254,6 +255,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     if carry is not None and len(carry.contenders) != scenario.f_count:
         raise InvalidInputError(f"carry covers {len(carry.contenders)} channels, but scenario "
                                 f"{scenario.name!r} has {scenario.f_count}")
+    phi = checked_phi(carry.phi, scenario.f_count) if carry is not None else None
     mcs_override = scenario.run_mcs(mcs_override)
     seed = scenario.run_seed(rng_seed)
     base_reported = scenario.snr_base(snr_base_db)
@@ -266,10 +268,11 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
     snr_field, label, link_usable, usable_count, caps, budget = constants
 
-    phi = carry.phi if carry is not None else None
     contenders = tuple(carry.contenders) if carry is not None \
         else tuple(bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan)))
     start_iter = carry.next_iteration if carry is not None else 1
+    t = float(scenario.ewma_horizon_t)      # converted once, not at every division
+    keep = 1.0 - 1.0 / t
 
     reports = []
     for it in range(start_iter, start_iter + iterations):
@@ -279,7 +282,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             tensor = build_rate_tensor(scenario, contenders=contenders,
                                        snr_field=snr_field, mcs_override=mcs_override)
             if phi is None:     # a cold run's first step, as its memo is empty
-                phi = tensor.values.mean(axis=(1, 2))   # so every first PF metric is near 1
+                phi = tuple(tensor.values.mean(axis=(1, 2)).tolist())  # first PF metrics near 1
             rates = RateTensor(tensor.values * link_usable) if slo else tensor
             # mean over usable channels: the plain channel mean unless SLO masks links
             record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
@@ -296,15 +299,15 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
                 and selection.links.tobytes() == seen.links.tobytes():
             selection = seen
         else:   # a new decision: its served rates and the contention it leaves, kept with it
-            served = (*instantaneous_rates(selection, rates),
-                      tuple(selection.per_channel_counts().tolist()))
-            served[0].setflags(write=False)
+            inst, total = instantaneous_rates(selection, rates)
+            served = (tuple(inst.tolist()), total, tuple(selection.per_channel_counts().tolist()))
         memo[contenders] = (rates, instance, selection, served)   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
         inst, total, contenders = served
-        metrics = tuple(pf_metrics(phi, inst).tolist())
-        phi = ewma_update(phi, inst, scenario.ewma_horizon_t)
+        metrics = tuple(map(pf_ratio, inst, phi))
+        # phi[f] <- (1 - 1/T) phi[f] + inst[f] / T; served rates are finite and >= 0
+        phi = tuple(keep * a + r / t for a, r in zip(phi, inst))
         wall = (time.perf_counter() - t0) if timing else 0.0
 
         reports.append(IterationReport(
@@ -314,7 +317,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             mcs_label=label,
             aggregate_throughput_bps=total,
             fairness_spread=fairness_spread(metrics),
-            per_channel_phi=tuple(phi.tolist()),
+            per_channel_phi=phi,
             per_channel_metric=metrics,
             channel_ids=scenario.channel_ids,
             wall_time_s=wall,

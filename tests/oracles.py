@@ -406,6 +406,13 @@ def instantaneous_rates_dense(s, values):
 # --- the loop with nothing kept between steps ----------------------------------
 
 
+def ewma(phi, inst, horizon_t):
+    """The averages after a step that served `inst`, in plain numpy:
+    (1 - 1/T) phi + inst / T."""
+    t = float(horizon_t)
+    return (1.0 - 1.0 / t) * np.asarray(phi, dtype=float) + np.asarray(inst) / t
+
+
 def reference_loop(segments, rng_seed=None):
     """The controller loop with no memo, view or shared decision: a chain of
     (scenario, iterations, solver, allocator, MCS override) segments, each
@@ -450,8 +457,7 @@ def reference_loop(segments, rng_seed=None):
             inst, total = instantaneous_rates_dense(s, values)
             metrics = [(math.inf if rate > 0 else 0.0) if p == 0 else rate / p
                        for rate, p in zip(inst.tolist(), phi.tolist())]
-            t = scenario.ewma_horizon_t
-            phi = (1.0 - 1.0 / t) * phi + inst / t
+            phi = ewma(phi, inst, scenario.ewma_horizon_t)
             contenders = s.sum(axis=(1, 2)).tolist()
             steps.append({"owner": pairing.owner.tobytes(), "s": s.tobytes(),
                           "unallocated": unallocated, "total": total,

@@ -1,4 +1,7 @@
+import dataclasses
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,23 +10,24 @@ from hypothesis import strategies as st
 
 import oracles
 
+from linkalloc import harness
 from linkalloc.allocation import (
     LinkSelection,
     RadioBudget,
     allocate_pf,
     allocate_rr,
-    ewma_update,
     fairness_spread,
     instantaneous_rates,
-    pf_metrics,
+    pf_ratio,
     selection_feasible,
 )
 from linkalloc.errors import InvalidInputError
-from linkalloc.harness import LoopCarry
+from linkalloc.harness import LoopCarry, run_apc_loop
 from linkalloc.pairing import PairingInstance, PairingMatrix
 from linkalloc.phy import TablePer
-from linkalloc.rates import RateTensor
+from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
 from linkalloc.repro import JointSolution
+from linkalloc.scenario import load_scenario
 
 
 def _rates(values, n_aps, m_stas):
@@ -53,38 +57,61 @@ def _selection(s):
     return LinkSelection(np.asarray(s).sum(axis=1), PairingMatrix(owner, active.shape[0]))
 
 
+def _loop_scenario(f_count, horizon_t, stas=1):
+    """One AP serving `stas` single-radio stations over `f_count` channels,
+    averaging over `horizon_t` steps."""
+    channels = "".join(f"  - {{id: {f + 1}, band: 5GHz, bandwidth_mhz: 40, mcs: 3}}\n"
+                       for f in range(f_count))
+    stations = "".join(f"  - {{id: sta{m}, radios: 1, snr_offset_db: {-3.0 * m}}}\n"
+                       for m in range(stas))
+    return load_scenario(io.StringIO(
+        f"name: loop\newma_horizon_t: {horizon_t}\nsnr_base_db: 30.0\nchannels:\n{channels}"
+        f"aps:\n  - {{id: ap1, radios: {stas}, slo_channel: 1}}\nstas:\n{stations}"))
+
+
+def _served(sc, contenders, selection):
+    """The served rates of a step: the dense selection over a tensor rebuilt
+    under the contention the step ran under."""
+    values = build_rate_tensor(sc, contenders=contenders, snr_field=sc.snr_field()).values
+    return oracles.instantaneous_rates_dense(selection.s, values)[0]
+
+
 def test_ewma_horizon_one_is_instantaneous():
     c = _rates([[100.0, 50.0]], 1, 2)
-    phi = np.array([7.0])
     s = np.array([[[1, 1]]])
     inst, total = instantaneous_rates(_selection(s), c)
     assert total == 150.0                       # the network total sums the links
-    out = ewma_update(phi, inst, 1)
-    assert out[0] == pytest.approx(75.0)
-    with pytest.raises(InvalidInputError):
-        ewma_update(phi, np.zeros(2), 1)        # one served rate per channel
+    assert inst.tolist() == [75.0]
+    # with T = 1 each step's averages are the rates it served
+    sc = _loop_scenario(2, 1, stas=2)
+    contenders = bootstrap_contenders(sc, sc.snr_field())
+    for report in run_apc_loop(sc, iterations=4).reports:
+        assert report.per_channel_phi == pytest.approx(
+            _served(sc, contenders, report.selection).tolist(), rel=1e-12, abs=0.0)
+        contenders = report.selection.per_channel_counts()
 
 
 def test_ewma_idle_channel_decays():
-    c = _rates([[100.0], [100.0]], 1, 1)
-    phi = np.array([8.0, 8.0])
-    s = np.array([[[1]], [[0]]])
-    out = ewma_update(phi, instantaneous_rates(_selection(s), c)[0], 4)
-    assert out[1] == pytest.approx(0.75 * 8.0)
-    assert out[0] == pytest.approx(0.75 * 8.0 + 100.0 / 4)
-    assert phi.tolist() == [8.0, 8.0]           # the input averages are left as they were
-    assert phi.flags.writeable and not out.flags.writeable
+    sc = _loop_scenario(2, 4)
+    carry = dataclasses.replace(run_apc_loop(sc, iterations=1).carry, phi=(8.0, 8.0))
+    report = run_apc_loop(sc, iterations=1, carry=carry).final
+    counts = report.selection.per_channel_counts().tolist()
+    idle, busy = counts.index(0), counts.index(1)
+    inst = _served(sc, carry.contenders, report.selection)
+    assert report.per_channel_phi[idle] == 0.75 * 8.0
+    assert report.per_channel_phi[busy] == pytest.approx(0.75 * 8.0 + inst[busy] / 4)
+    assert carry.phi == (8.0, 8.0)              # the carried averages are left as they were
+    assert type(report.per_channel_phi) is tuple
 
 
 def test_ewma_geometric_convergence():
     t = 8
-    c = _rates([[60.0]], 1, 1)
-    s = np.array([[[1]]])
-    phi = np.array([0.0])
-    errors = []
-    for _ in range(40):
-        phi = ewma_update(phi, instantaneous_rates(_selection(s), c)[0], t)
-        errors.append(abs(phi[0] - 60.0))
+    sc = _loop_scenario(1, t)
+    carry = run_apc_loop(sc, iterations=1).carry
+    assert carry.contenders == (1,)             # one link, so every step serves one rate
+    result = run_apc_loop(sc, iterations=40, carry=dataclasses.replace(carry, phi=(0.0,)))
+    rate = _served(sc, (1,), result.final.selection)[0]
+    errors = [abs(report.per_channel_phi[0] - rate) for report in result.reports]
     for a, b in zip(errors, errors[1:]):
         assert b == pytest.approx(a * (1 - 1 / t), rel=1e-9)
 
@@ -92,24 +119,21 @@ def test_ewma_geometric_convergence():
 def test_pf_metric_steady_state_is_one():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    phi = np.array([42.0])
-    assert pf_metrics(phi, instantaneous_rates(_selection(s), c)[0])[0] == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        pf_metrics(phi, np.zeros(2))            # one served rate per channel
+    assert pf_ratio(instantaneous_rates(_selection(s), c)[0][0], 42.0) == pytest.approx(1.0)
 
 
 def test_pf_metric_reciprocal_scaling():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    full, half = np.array([10.0]), np.array([5.0])
     inst, _ = instantaneous_rates(_selection(s), c)
-    assert pf_metrics(half, inst)[0] == pytest.approx(2 * pf_metrics(full, inst)[0])
+    assert pf_ratio(inst[0], 5.0) == pytest.approx(2 * pf_ratio(inst[0], 10.0))
 
 
 def test_pf_metric_cold_channel_is_infinite():
     c = _rates([[42.0]], 1, 1)
     s = np.array([[[1]]])
-    assert pf_metrics(np.array([0.0]), instantaneous_rates(_selection(s), c)[0])[0] == math.inf
+    assert pf_ratio(instantaneous_rates(_selection(s), c)[0][0], 0.0) == math.inf
+    assert pf_ratio(0.0, 0.0) == 0.0            # an idle channel that was never served
 
 
 def test_pf_picks_dominant_rate_channel():
@@ -157,8 +181,8 @@ def test_pf_determinism():
     a = allocate_pf(pairing, budget, c, phi)
     b = allocate_pf(pairing, budget, c, phi)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(ewma_update(phi, instantaneous_rates(a, c)[0], 7),
-                                  ewma_update(phi, instantaneous_rates(b, c)[0], 7))
+    np.testing.assert_array_equal(oracles.ewma(phi, instantaneous_rates(a, c)[0], 7),
+                                  oracles.ewma(phi, instantaneous_rates(b, c)[0], 7))
 
 
 def test_pf_selection_always_feasible():
@@ -182,8 +206,8 @@ def test_pf_converges_on_static_rates():
     phi = _cold(c)
     for _ in range(120):
         inst, _ = instantaneous_rates(allocate_pf(pairing, budget, c, phi), c)
-        phi = ewma_update(phi, inst, 10)
-    spread = fairness_spread(pf_metrics(phi, inst))
+        phi = oracles.ewma(phi, inst, 10)
+    spread = fairness_spread(list(map(pf_ratio, inst.tolist(), phi.tolist())))
     assert spread < 0.05
     ratios = inst / phi
     rel = (ratios.max() - ratios.min()) / ratios.mean()
@@ -199,7 +223,7 @@ def test_pf_log_utility_nondecreasing_after_burn_in():
     utilities = []
     for _ in range(80):
         selection = allocate_pf(pairing, budget, c, phi)
-        phi = ewma_update(phi, instantaneous_rates(selection, c)[0], t)
+        phi = oracles.ewma(phi, instantaneous_rates(selection, c)[0], t)
         utilities.append(float(np.log(phi).sum()))
     tail = utilities[t:]
     assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
@@ -454,35 +478,39 @@ def test_fairness_spread_refusals_match_numpy(metrics):
 
 
 def _phi_readers(phi):
-    """Each public function that reads the averages, called on `phi`."""
+    """Each way to hand averages in, called on `phi`: `allocate_pf`, and a run
+    of each allocator resumed from a carry that holds `phi` and no records."""
     f = np.shape(phi)[0] if np.ndim(phi) == 1 else 1
     pairing = _full_pairing(1, 1)
-    inst = np.zeros(f)
-    return [lambda: allocate_pf(pairing, RadioBudget([1]), RateTensor(np.ones((f, 1, 1))), phi),
-            lambda: pf_metrics(phi, inst), lambda: ewma_update(phi, inst, 5)]
+    sc = _loop_scenario(f, 5)
+    carry = dataclasses.replace(run_apc_loop(sc, iterations=1).carry, phi=phi, memo=())
+    return [lambda: allocate_pf(pairing, RadioBudget([1]), RateTensor(np.ones((f, 1, 1))), phi)] + [
+        lambda allocator=allocator: run_apc_loop(sc, allocator=allocator, iterations=1, carry=carry)
+        for allocator in ("pf", "rr", "slo")]
 
 
 @pytest.mark.parametrize("phi", [[1.0, math.nan], [math.inf], [2.0, -math.inf], [-1e-300],
                                  [[1.0, 2.0]]])
 def test_state_refuses_phi(phi):
     for read in _phi_readers(phi):
-        with pytest.raises(InvalidInputError,
-                           match="^phi must be a vector of finite, non-negative values$"):
+        # a run refuses a carry before it builds any rate tensor
+        with mock.patch.object(harness, "build_rate_tensor",
+                               wraps=harness.build_rate_tensor) as build, \
+                pytest.raises(InvalidInputError,
+                              match="^phi must be a vector of finite, non-negative values$"):
             read()
+        assert build.call_count == 0
 
 
 def test_state_accepts_negative_zero():
     for read in _phi_readers([-0.0, 0.0]):
         read()
-    assert ewma_update([-0.0, 0.0], np.zeros(2), 5).tolist() == [0.0, 0.0]
-
-
-@pytest.mark.parametrize("inst", [math.inf, math.nan, -10.0])
-def test_ewma_checks_its_result(inst):
-    # served rates that no selection gives make averages that are not ones
-    with pytest.raises(InvalidInputError,
-                       match="^phi must be a vector of finite, non-negative values$"):
-        ewma_update([1.0], np.array([inst]), 2)
+    # an idle channel's -0.0 decays to +0.0 (keep * -0.0 + 0.0 / T)
+    sc = _loop_scenario(2, 5)
+    carry = dataclasses.replace(run_apc_loop(sc, iterations=1).carry, phi=(-0.0, -0.0))
+    report = run_apc_loop(sc, iterations=1, carry=carry).final
+    phi = report.per_channel_phi[report.selection.per_channel_counts().tolist().index(0)]
+    assert phi == 0.0 and math.copysign(1.0, phi) == 1.0
 
 
 def test_selection_reports_links():
@@ -543,7 +571,7 @@ _ARRAY_TYPES = {
     "JointSolution": lambda: JointSolution(np.ones((2, 1, 3)), 6.0),
     "LinkSelection": lambda: LinkSelection([[1, 0, 1]], PairingMatrix([0, -1, 0], 1)),
     "RadioBudget": lambda: RadioBudget([1, 2, 3]),
-    "LoopCarry": lambda: LoopCarry(np.array([1.0]), (3,), 2, constants=(np.zeros((1, 1, 3)),)),
+    "LoopCarry": lambda: LoopCarry((1.0,), (3,), 2, constants=(np.zeros((1, 1, 3)),)),
 }
 
 
@@ -554,8 +582,13 @@ def test_types_holding_arrays_compare_by_identity(make):
     assert hash(a) == hash(a) and isinstance(hash(b), int)
 
 
+def _resume_with_phi(phi, allocator):
+    sc = _loop_scenario(2, 5)
+    carry = dataclasses.replace(run_apc_loop(sc, iterations=1).carry, phi=phi)
+    return run_apc_loop(sc, allocator=allocator, iterations=1, carry=carry)
+
+
 _REFUSALS = {
-    "horizon_zero": (lambda: ewma_update([1.0], np.zeros(1), 0), "horizon_t must be >= 1"),
     "radio_limit_zero": (lambda: RadioBudget([0, 1]),
                          "radio limits must be a vector of positive counts"),
     "pf_budget_other_stations": (
@@ -570,6 +603,10 @@ _REFUSALS = {
         lambda: allocate_pf(_full_pairing(1, 2), RadioBudget([1, 1]), RateTensor(np.ones((2, 1, 2))),
                             [1.0, 1.0, 1.0]),
         "phi covers a different channel count"),
+    "pf_carry_other_channels": (
+        lambda: _resume_with_phi([1.0, 1.0, 1.0], "pf"), "phi covers a different channel count"),
+    "rr_carry_other_channels": (
+        lambda: _resume_with_phi([1.0], "rr"), "phi covers a different channel count"),
 }
 
 

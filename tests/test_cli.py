@@ -12,6 +12,7 @@ import yaml
 
 import linkalloc
 from linkalloc.cli import main
+from linkalloc.repro import validate_dcf
 from linkalloc.scenario import bundled_scenario_path
 
 
@@ -438,6 +439,24 @@ def test_validate_dcf_within_tolerance(capsys):
     text = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["n_contenders", "per", "analytic", "simulated", "rel_err"]
+
+
+def test_validate_dcf_bandwidth_reaches_the_model(capsys):
+    # the PHY rate, and so the airtime and the analytic throughput, follow the bandwidth
+    argv = ["validate-dcf", "--contenders", "5", "--per", "0.1", "--slots", "2000",
+            "--format", "json"]
+
+    def records(extra):
+        assert main(argv + extra) == 0
+        return json.loads(capsys.readouterr().out)["validate_dcf"]
+
+    at_40 = records([])
+    for bandwidth in (20, 80):
+        got = records(["--bandwidth", str(bandwidth)])
+        assert got == validate_dcf(contenders=[5], pers=[0.1], bandwidth_mhz=bandwidth,
+                                   n_slots=2000)
+        assert [r["analytic"] for r in got] != [r["analytic"] for r in at_40]
+        assert [r["simulated"] for r in got] != [r["simulated"] for r in at_40]
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-0.1"])

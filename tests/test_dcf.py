@@ -76,11 +76,32 @@ def test_one_slot_window_sends_every_slot(n):
 @pytest.mark.parametrize("n", [2, 40])
 def test_fixed_point_below_the_bisection_floor(n):
     # W = 2**62 with no stages: tau is about 4e-19, below the 1e-12 the bisection
-    # starts from, so it bisects down from 0 and lands within 1e-15 of the root
+    # starts from, so it bisects down from 0 and lands within 1e-9 of the root, relative
     w = 2 ** 62
     state = solve_bianchi_fixed_point(DcfParams(cw_min=w, cw_max=w, m_max_backoff_stages=0), n)
     assert 0.0 < state.tau < 1e-12 and state.residual < 1e-10
-    assert state.tau == pytest.approx(oracles.picard_tau(w, 0, n), abs=1e-15)
+    assert state.tau == pytest.approx(oracles.picard_tau(w, 0, n), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 4, 10, 22, 23, 30, 40, 52, 62])
+def test_no_stage_root_to_relative_precision(k):
+    # with no stages tau(p) = 2 / (W + 1) whatever p is, so that is the root at every n
+    w = 2 ** k
+    p = DcfParams(cw_min=w, cw_max=w, m_max_backoff_stages=0)
+    for n in (2, 3, 10, 1000, 10 ** 7):
+        assert solve_bianchi_fixed_point(p, n).tau == pytest.approx(2 / (w + 1), rel=1e-9, abs=0.0)
+
+
+def test_residual_small_on_every_accepted_ladder():
+    # W = 2**k with cw_max up to 2**62, the largest power of two the loader's
+    # 64-bit integers hold, and from none to every stage that fits
+    for k in range(63):
+        for m in {0, 1, 2, 6, (62 - k) // 2, 62 - k}:
+            if k + m > 62:
+                continue
+            p = DcfParams(cw_min=2 ** k, cw_max=2 ** (k + m), m_max_backoff_stages=m)
+            for n in (2, 3, 10, 100, 10 ** 4, 10 ** 7):
+                assert solve_bianchi_fixed_point(p, n).residual < 1e-10, (k, m, n)
 
 
 def test_payload_airtime_at_mcs3():

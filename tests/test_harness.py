@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc import harness
+from linkalloc import allocation, harness
 from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
@@ -128,6 +128,25 @@ def test_loop_carry_continues_state():
     assert resumed.reports[0].iteration == 5
     straight = run_apc_loop(sc, iterations=6)
     assert straight.reports[-1].per_channel_phi == pytest.approx(resumed.reports[-1].per_channel_phi)
+    # the carry holds the last report's averages, one float per channel
+    assert resumed.carry.phi is resumed.final.per_channel_phi
+    assert [type(v) for v in resumed.carry.phi] == [float] * sc.f_count
+
+
+@pytest.mark.parametrize("allocator, checks", [("pf", 11), ("rr", 1), ("slo", 11)])
+def test_carried_phi_checked_once_per_run(allocator, checks):
+    # the run checks a carry's averages once; after that only PF reads them, and
+    # `allocate_pf` checks what it is given, so a warm PF step checks them once
+    sc = _fixture()
+    carry = run_apc_loop(sc, allocator=allocator, iterations=2).carry
+    spy = mock.Mock(wraps=allocation.checked_phi)
+    with mock.patch.object(harness, "checked_phi", spy), \
+            mock.patch.object(allocation, "checked_phi", spy):
+        result = run_apc_loop(sc, allocator=allocator, iterations=10, carry=carry)
+    assert spy.call_count == checks
+    assert spy.call_args_list[0].args == (carry.phi, sc.f_count)
+    assert emit_results(result.reports) == emit_results(run_apc_loop(
+        sc, allocator=allocator, iterations=12).reports[2:])
 
 
 def test_cold_start_state_is_channel_mean():
@@ -136,12 +155,12 @@ def test_cold_start_state_is_channel_mean():
     sc = _fixture()
     field = sc.snr_field()
     tensor = build_rate_tensor(sc, contenders=bootstrap_contenders(sc, field), snr_field=field)
-    with mock.patch.object(harness, "allocate_pf", wraps=harness.allocate_pf) as allocate, \
-            mock.patch.object(harness, "ewma_update", wraps=harness.ewma_update) as update:
-        run_apc_loop(sc, iterations=2)
+    with mock.patch.object(harness, "allocate_pf", wraps=harness.allocate_pf) as allocate:
+        first = run_apc_loop(sc, iterations=1).final
     phi = allocate.call_args_list[0].args[3]
-    assert phi.tolist() == tensor.values.mean(axis=(1, 2)).tolist()
-    assert [call.args[2] for call in update.call_args_list] == [sc.ewma_horizon_t] * 2
+    assert phi == tuple(tensor.values.mean(axis=(1, 2)).tolist())
+    inst = harness.instantaneous_rates(first.selection, tensor)[0]
+    assert first.per_channel_phi == tuple(oracles.ewma(phi, inst, sc.ewma_horizon_t).tolist())
 
 
 def test_optimal_pf_beats_greedy_rr_at_high_snr():
@@ -960,8 +979,7 @@ def _outputs(result):
     return (emit_results(result.reports),
             [(r.pairing.x.tolist(), r.selection.s.tolist(), r.per_channel_metric)
              for r in result.reports],
-            result.recommendations, result.carry.contenders,
-            result.carry.phi.tolist())
+            result.recommendations, result.carry.contenders, result.carry.phi)
 
 
 def test_carried_rate_memo_reused_only_when_valid():

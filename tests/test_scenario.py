@@ -635,7 +635,9 @@ def test_missing_required_field():
      "dcf.cw_min: expected an integer, got 16.0"),
     ("snr_base_db: 20.0", "snr_base_db: 20.0\ndcf: {ack_timeout: 3.0e-4}",
      "dcf: unknown field 'ack_timeout'"),
-], ids=["snr_base_db", "dcf", "channels", "dcf_float_for_int", "dcf_unknown"])
+    # the loop divides by the horizon and checks it nowhere else
+    ("ewma_horizon_t: 10", "ewma_horizon_t: 0", "ewma_horizon_t: must be >= 1, got 0"),
+], ids=["snr_base_db", "dcf", "channels", "dcf_float_for_int", "dcf_unknown", "ewma_horizon_zero"])
 def test_scenario_refusals(old, new, msg):
     with pytest.raises(ValidationError) as exc:
         _load(MINIMAL.replace(old, new))
