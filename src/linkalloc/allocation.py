@@ -121,6 +121,9 @@ def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
 def checked_phi(phi, f_count: int) -> tuple:
     """The per-channel averages as a tuple of floats, once every value is
     finite and >= 0 and there is one per channel."""
+    if type(phi) is tuple and len(phi) == f_count \
+            and all(type(v) is float and 0.0 <= v < math.inf for v in phi):
+        return phi      # the loop's own averages, already that tuple
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or not all(0.0 <= v < math.inf for v in phi.tolist()):
         raise InvalidInputError("phi must be a vector of finite, non-negative values")

@@ -211,8 +211,11 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
-def _check_run_args(solver: str, allocator: str, iterations: int) -> None:
-    """Refuse run arguments that no loop or sweep round could run with."""
+def _check_run_args(scenario: Scenario, solver: str, allocator: str, iterations: int) -> None:
+    """Refuse run arguments and horizons that no loop or sweep round could run with."""
+    horizon = scenario.ewma_horizon_t
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise InvalidInputError(f"ewma_horizon_t must be an integer >= 1, got {horizon!r}")
     if solver not in SOLVERS:
         raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if allocator not in ALLOCATORS:
@@ -251,7 +254,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     its home channel when that rate is > 0. It pairs with the optimal solver
     only. With `timing`, a report's `wall_time_s` covers its whole step.
     """
-    _check_run_args(solver, allocator, iterations)
+    _check_run_args(scenario, solver, allocator, iterations)
     if carry is not None and len(carry.contenders) != scenario.f_count:
         raise InvalidInputError(f"carry covers {len(carry.contenders)} channels, but scenario "
                                 f"{scenario.name!r} has {scenario.f_count}")
@@ -418,7 +421,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         raise InvalidInputError("rounds must be >= 1")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    _check_run_args(solver, allocator, iterations)
+    _check_run_args(scenario, solver, allocator, iterations)
     if not snrs or not mcss:
         raise InvalidInputError(f"a sweep needs at least one {'MCS' if snrs else 'SNR'} point")
     # a refused base fails here, before any job reaches the pool

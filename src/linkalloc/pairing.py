@@ -5,13 +5,16 @@ channel-averaged rates subject to per-AP capacity R(n). The paper states this
 as an LP whose constraint matrix is a bipartite incidence matrix; its total
 unimodularity makes every basic optimum integral, so the LP optimum is the
 optimum of the integer assignment. `pair_optimal_lp` computes that optimum
-directly as a min-cost flow: every station starts at its best AP, which
-the instance computes once (`PairingInstance.best_ap`), and successive
-shortest paths over the APs move stations out of over-full APs at the least
-loss (the LP itself is kept as a test oracle). Ties go to the
-lowest AP index at the start and in the path search; no particular optimum
-among ties is promised. The total unimodularity check and the exact joint
-pairing+allocation solver are reproduction oracles in `repro`.
+directly as a min-cost flow: every station starts at its best AP
+(`PairingInstance.best_ap`), and successive shortest paths over the APs
+move stations out of over-full APs at the least loss (the LP itself is kept
+as a test oracle). The instance keeps what it fixes, built when first read:
+that start, its loads, the capacity verdict and the loss rows of APs with
+their start stations, so a call on it rebuilds only the rows its own paths
+change. Ties go to the lowest AP index at the start and in the path search;
+no particular optimum among ties is promised. The total unimodularity check
+and the exact joint pairing+allocation solver are reproduction oracles in
+`repro`.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ class PairingInstance:
         best.setflags(write=False)
         return best
 
+    @cached_property
+    def _start(self) -> tuple:
+        """Kept for the solvers: the refusal when total R(n) cannot serve M, else
+        None; the load of `best_ap` and R(n), as lists; whether that over-fills
+        an AP; per AP, a slot repairs fill with its start stations' `_loss_row`.
+        Two threads can only write equal rows into a slot."""
+        caps, m_stas = self.ap_capacity.tolist(), self.d.shape[1]
+        load = np.bincount(self.best_ap, minlength=len(caps)).tolist()
+        short = f"total AP capacity {sum(caps)} cannot serve {m_stas} stations"
+        return (short if sum(caps) < m_stas else None, load, caps,
+                any(l > c for l, c in zip(load, caps)), [None] * len(caps))
+
 
 @dataclass(frozen=True, eq=False)
 class PairingMatrix:
@@ -124,10 +139,8 @@ def objective_value(pairing: PairingMatrix, d) -> float:
 
 def _require_capacity(instance: PairingInstance) -> None:
     """Every station needs an AP slot: raise unless total R(n) covers M."""
-    total = int(instance.ap_capacity.sum())
-    if total < instance.d.shape[1]:
-        raise InfeasibleError(
-            f"total AP capacity {total} cannot serve {instance.d.shape[1]} stations")
+    if instance._start[0] is not None:
+        raise InfeasibleError(instance._start[0])
 
 
 def pair_greedy(instance: PairingInstance) -> PairingMatrix:
@@ -163,44 +176,51 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
 
     Returns an optimum of the paper's assignment LP (total unimodularity
     makes its vertex integral), found as a min-cost flow. Every station
-    starts at its best AP, `instance.best_ap`, which a shared instance
-    computes once; no assignment beats that sum, so when no AP holds more
-    than R(n) stations it is the optimum. Otherwise successive shortest
-    paths repair a copy of it: one multi-source Dijkstra over the APs runs
-    from every over-full AP to the nearest AP with a free slot, where edge
-    a -> b costs the least loss of moving one of a's stations to b, reduced
-    by AP prices; each station on the path moves one hop, and the prices
-    rise by the path distances (capped at the target's), which keeps every
-    reduced cost non-negative. An AP's loss row is built when Dijkstra first pops it and
-    kept until a path changes that AP's stations.
+    starts at its best AP, `instance.best_ap`; no assignment beats that sum,
+    so when no AP holds more than R(n) stations it is the optimum. Otherwise
+    successive shortest paths repair a copy of it: one multi-source Dijkstra
+    over the APs runs from every over-full AP to the nearest AP with a free
+    slot, where edge a -> b costs the least loss of moving one of a's
+    stations to b, reduced by AP prices; each station on the path moves one
+    hop, and the prices rise by the path distances (capped at the target's),
+    which keeps every reduced cost non-negative. An AP's loss row is built
+    when Dijkstra first pops it and kept until a path changes that AP's
+    stations; the instance keeps it across calls while none has. Each call
+    returns a new `PairingMatrix`.
 
     Ties: the start takes the lowest AP index, Dijkstra pops equal
     distances in AP index order, and an edge moves the lowest-indexed of
     equally cheap stations. No particular optimum among ties is promised.
     """
     _require_capacity(instance)
-    d = instance.d
-    n_aps = d.shape[0]
+    _, load, caps, over, kept = instance._start
     owner = instance.best_ap
-    load = np.bincount(owner, minlength=n_aps).tolist()
-    caps = instance.ap_capacity.tolist()
-    if any(l > c for l, c in zip(load, caps)):
+    if over:
         owner = owner.copy()
-        _repair_overflow(d, owner, load, caps)
-    return PairingMatrix(owner, n_aps)
+        _repair_overflow(instance.d, owner, list(load), caps, kept)
+    return PairingMatrix(owner, len(caps))
 
 
-def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -> None:
+def _loss_row(d: np.ndarray, a: int, stations: list) -> tuple:
+    """The least loss of moving one of a's `stations` to each AP, which moves, the stations."""
+    sub = d[:, stations]
+    loss = sub[a] - sub
+    best = loss.argmin(axis=1)
+    return loss[np.arange(len(loss)), best].tolist(), best.tolist(), tuple(stations)
+
+
+def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list,
+                     kept: list) -> None:
     """Successive shortest paths: move stations (in `owner` and `load`) until
     no AP is over capacity, at the least total loss of weight."""
     n_aps = len(caps)
     aps = range(n_aps)
-    ap_index = np.arange(n_aps)
     price = [0.0] * n_aps
-    # members[a]: a's stations in ascending order, listed once needed; rows[a]:
-    # the least loss of a move from a to each AP, and which of members[a] moves
+    # rows[a]: a's `_loss_row`, read from or kept in the instance's `kept` until
+    # a path touches a; members[a]: a's stations in ascending order, once listed
+    rows = list(kept)
     members = [None] * n_aps
-    rows = [None] * n_aps
+    touched = [False] * n_aps
     while True:
         sources = [a for a in aps if load[a] > caps[a]]
         if not sources:
@@ -219,10 +239,9 @@ def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -
             if rows[a] is None:
                 if members[a] is None:
                     members[a] = (owner == a).nonzero()[0].tolist()
-                sub = d[:, members[a]]
-                loss = sub[a] - sub
-                best = loss.argmin(axis=1)
-                rows[a] = (loss[ap_index, best].tolist(), best.tolist())
+                rows[a] = _loss_row(d, a, members[a])
+                if not touched[a]:
+                    kept[a] = rows[a]
             losses = rows[a][0]
             base = da + price[a]
             for b in aps:
@@ -235,12 +254,14 @@ def _repair_overflow(d: np.ndarray, owner: np.ndarray, load: list, caps: list) -
         load[a] += 1
         while pred[a] >= 0:
             src = pred[a]
+            if members[src] is None:    # a kept row's stations
+                members[src] = list(rows[src][2])
             m = members[src].pop(rows[src][1][a])
             owner[m] = a
             if members[a] is not None:
                 members[a].append(m)
                 members[a].sort()
-            rows[a] = None
+            rows[a], touched[a] = None, True
             a = src
-        rows[a] = None
+        rows[a], touched[a] = None, True
         load[a] -= 1

@@ -16,6 +16,7 @@ from linkalloc.allocation import (
     RadioBudget,
     allocate_pf,
     allocate_rr,
+    checked_phi,
     fairness_spread,
     instantaneous_rates,
     pf_ratio,
@@ -489,8 +490,10 @@ def _phi_readers(phi):
         for allocator in ("pf", "rr", "slo")]
 
 
+# as lists, then as tuples, the form the loop carries
 @pytest.mark.parametrize("phi", [[1.0, math.nan], [math.inf], [2.0, -math.inf], [-1e-300],
-                                 [[1.0, 2.0]]])
+                                 [[1.0, 2.0]], (1.0, math.nan), (math.inf,), (2.0, -math.inf),
+                                 (-1e-300,), ((1.0, 2.0),)])
 def test_state_refuses_phi(phi):
     for read in _phi_readers(phi):
         # a run refuses a carry before it builds any rate tensor
@@ -500,6 +503,17 @@ def test_state_refuses_phi(phi):
                               match="^phi must be a vector of finite, non-negative values$"):
             read()
         assert build.call_count == 0
+
+
+@pytest.mark.parametrize("phi", [(0.5, -0.0, 3.0), [0.5, -0.0, 3.0], np.array([0.5, -0.0, 3.0]),
+                                 (np.float64(0.5), -0.0, 3)],
+                         ids=["tuple", "list", "array", "mixed"])
+def test_checked_phi_returns_floats_to_the_bit(phi):
+    got = checked_phi(phi, 3)
+    assert type(got) is tuple and [type(v) for v in got] == [float] * 3
+    assert [v.hex() for v in got] == [(0.5).hex(), (-0.0).hex(), (3.0).hex()]
+    with pytest.raises(InvalidInputError, match="^phi covers a different channel count$"):
+        checked_phi(phi, 2)
 
 
 def test_state_accepts_negative_zero():

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc import allocation, harness
+from linkalloc import allocation, harness, pairing
 from linkalloc.allocation import RadioBudget, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
 from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError
-from linkalloc.pairing import PairingMatrix
+from linkalloc.pairing import PairingInstance, PairingMatrix, objective_value
 from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 from linkalloc.harness import (
     emit_results,
@@ -1194,6 +1194,98 @@ def test_served_rates_computed_once_per_new_decision(allocator):
                                      carry=cold).reports) == \
         emit_results(run_apc_loop(sc, allocator=allocator, iterations=10,
                                   carry=result.carry).reports)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_horizon_below_one_refused_before_anything_is_built(horizon):
+    # the loader refuses it too; a Scenario built another way reaches the loop
+    sc = dataclasses.replace(_fixture(), ewma_horizon_t=horizon)
+    carry = run_apc_loop(_fixture(), iterations=2).carry
+    msg = f"^ewma_horizon_t must be an integer >= 1, got {horizon}$"
+    with mock.patch.object(harness, "_run_constants") as constants, \
+            mock.patch.object(harness, "build_rate_tensor") as build, \
+            mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")):
+        for run in (lambda: run_apc_loop(sc, iterations=3),
+                    lambda: run_apc_loop(sc, iterations=3, carry=carry),
+                    lambda: run_monte_carlo(sc, snr_points=[5.0, 20.0], workers=2)):
+            with pytest.raises(InvalidInputError, match=msg):
+                run()
+    assert constants.call_count == build.call_count == 0
+
+
+def test_every_repair_on_a_multi_path_cell_is_optimal():
+    # SLO at 20 dB, MCS 3: the start puts 9 of the 15 stations on one AP of
+    # capacity 5, so each step's repair takes four paths; a warm call's first
+    # pop of that AP reads its kept row, and later pops rebuild touched rows
+    fx = _fixture()
+    calls, built = [], []
+    solve, row = harness.pair_optimal_lp, pairing._loss_row
+
+    def spy(instance):
+        before = len(built)
+        calls.append((instance, solve(instance), len(built) - before))
+        return calls[-1][1]
+
+    with mock.patch.object(harness, "pair_optimal_lp", spy), \
+            mock.patch.object(pairing, "_loss_row",
+                              lambda d, a, stations: built.append(a) or row(d, a, stations)):
+        run_slo_baseline(fx, iterations=10, snr_base_db=20.0, mcs_override=3)
+    assert len(calls) == 10
+    seen = set()
+    for instance, got, builds in calls:
+        assert np.maximum(np.bincount(instance.best_ap, minlength=3)
+                          - instance.ap_capacity, 0).sum() == 4
+        assert objective_value(got, instance.d) == pytest.approx(
+            oracles.hungarian_assignment_value(instance.d, instance.ap_capacity), rel=1e-12)
+        if id(instance) in seen:    # a warm call: kept rows read, touched rows rebuilt
+            assert any(instance._start[4]) and builds > 0
+        seen.add(id(instance))
+    assert len(seen) < len(calls)
+
+
+def test_threads_resuming_from_one_carry_share_its_instances():
+    # the carry's records hold instances with no kept facts yet, so both
+    # threads build them and fill the same loss-row slots
+    fx = _fixture()
+    carry = run_apc_loop(fx, iterations=3).carry
+
+    def fresh_instances():
+        return dataclasses.replace(carry, memo=tuple(
+            (key, (rates, PairingInstance(inst.d, inst.ap_capacity, inst.sta_radio_limits))
+             + tuple(rest)) for key, (rates, inst, *rest) in carry.memo))
+
+    def emitted(start):
+        reports = []
+        for _ in range(200):
+            result = run_apc_loop(fx, iterations=1, carry=start)
+            reports += result.reports
+            start = result.carry
+        return emit_results(reports)
+
+    alone = fresh_instances()
+    serial = emitted(alone)
+    shared = fresh_instances()
+    barrier = threading.Barrier(2)
+    outputs = []
+
+    def resume():
+        barrier.wait()
+        outputs.append(emitted(shared))
+
+    threads = [threading.Thread(target=resume) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert outputs == [serial] * 2
+    assert [rec[1]._start for _, rec in shared.memo] == [rec[1]._start for _, rec in alone.memo]
 
 
 def test_bench_span_targets_resolve(monkeypatch):

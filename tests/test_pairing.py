@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from linkalloc import pairing
 from linkalloc.errors import InfeasibleError, InvalidInputError, SizeLimitError
 from linkalloc.pairing import (
     PairingInstance,
@@ -214,6 +217,80 @@ def test_cached_start_survives_a_repair():
     assert owners == [[0, 1, 1]] * 2
     assert inst.best_ap is start
     assert start.tolist() == inst.d.argmax(axis=0).tolist() == [0, 0, 0]
+
+
+@st.composite
+def _overfull_instances(draw):
+    """d (N, M), N in 2-8, whose best-AP start over-fills its APs by 1-6
+    stations in all: every AP but the least-loaded starts with R(n) at its
+    start load, less the drawn cuts, and that one takes the cut slots."""
+    n, over = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    m = draw(st.integers(2 * (over + n), 2 * (over + n) + 8))
+    weight = draw(st.sampled_from([st.floats(0.0, 100.0), st.sampled_from([0.0, 1.0, 2.0])]))
+    d = np.array(draw(st.lists(weight, min_size=n * m, max_size=n * m))).reshape(n, m)
+    load = np.bincount(d.argmax(axis=0), minlength=n)
+    caps = np.maximum(load, 1)
+    spare = int(load.argmin())
+    for _ in range(over):
+        caps[draw(st.sampled_from([a for a in range(n) if a != spare and caps[a] > 1]))] -= 1
+    caps[spare] += over
+    assert np.maximum(load - caps, 0).sum() == over and caps.sum() >= m
+    return d, caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_overfull_instances(), _overfull_instances(), st.lists(st.booleans(), min_size=6,
+                                                               max_size=6))
+def test_kept_start_repairs_like_a_fresh_instance(case, other_case, order):
+    # two shared instances, each called first, then in a drawn order: every call
+    # returns a new pairing with the owners a fresh instance gives, at the
+    # Hungarian optimum
+    shared = [_instance(*case), _instance(*other_case)]
+    want = [pair_optimal_lp(_instance(*c)).owner.tobytes() for c in (case, other_case)]
+    optimum = [oracles.hungarian_assignment_value(*c) for c in (case, other_case)]
+    seen = []
+    for k in [0, 1] + order:
+        got = pair_optimal_lp(shared[k])
+        assert got.owner.tobytes() == want[k]
+        assert objective_value(got, shared[k].d) == pytest.approx(optimum[k], rel=1e-9, abs=1e-9)
+        assert got.owner is not shared[k].best_ap and all(got is not p for p in seen)
+        seen.append(got)
+    for inst, c in zip(shared, (case, other_case)):
+        assert inst.best_ap.tolist() == c[0].argmax(axis=0).tolist()
+
+
+def _row_builds(instance):
+    """The (AP, stations) of each loss row one call on `instance` builds."""
+    builds = []
+    row = pairing._loss_row
+    with mock.patch.object(pairing, "_loss_row",
+                           lambda d, a, stations: builds.append((a, list(stations)))
+                           or row(d, a, stations)):
+        pair_optimal_lp(instance)
+    return builds
+
+
+def test_untouched_aps_build_no_loss_row_on_a_second_call():
+    # AP 0 is one over: Dijkstra pops it and full AP 1 (a loss of 4 away)
+    # before AP 2 (7 away), and the one path moves station 1 to AP 2
+    d = [[9.0, 8.0, 1.0, 7.0], [5.0, 0.0, 6.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    inst = _instance(d, [2, 1, 1])
+    assert _row_builds(inst) == [(0, [0, 1, 3]), (1, [2])]
+    assert _row_builds(inst) == [] == _row_builds(inst)
+    assert pair_optimal_lp(inst).owner.tolist() == [0, 2, 1, 0]
+    # three over from AP 0, which every path leaves: its row and AP 1's, once
+    # full, are rebuilt from the stations the call's own paths left them, and
+    # only the first pop of AP 0 reads a kept row
+    d = [[5.0, 4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 5]
+    inst = _instance(d, [2, 2, 5])
+    first = _row_builds(inst)
+    later = _row_builds(inst)
+    start = {a: (inst.best_ap == a).nonzero()[0].tolist() for a in range(3)}
+    assert first[0] == (0, start[0]) and later == first[1:]
+    assert all(stations != start[a] for a, stations in later)
+    assert _row_builds(inst) == later
+    assert pair_optimal_lp(inst).owner.tolist() == \
+        pair_optimal_lp(_instance(d, [2, 2, 5])).owner.tolist()
 
 
 def test_lp_dominates_greedy_everywhere():
