@@ -81,7 +81,6 @@ from .repro import (
 )
 from .scenario import (
     Scenario,
-    StaConfig,
     bundled_scenario_path,
     list_bundled_scenarios,
     load_scenario,

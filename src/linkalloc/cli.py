@@ -35,6 +35,7 @@ from .harness import (
     run_monte_carlo,
     write_table,
 )
+from .phy import DATA_SUBCARRIERS
 from .repro import (
     build_incidence,
     check_total_unimodularity,
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vdcf.add_argument("--slots", type=int, default=200_000)
     vdcf.add_argument("--seed", type=int, default=1)
     vdcf.add_argument("--mcs", type=int, default=6)
-    vdcf.add_argument("--bandwidth", type=int, default=40, choices=(20, 40, 80, 160))
+    vdcf.add_argument("--bandwidth", type=int, default=40, choices=tuple(DATA_SUBCARRIERS))
     vdcf.add_argument("--tolerance", type=float, default=None,
                       help="fail (exit 2) if any relative error exceeds this")
     _add_output_args(vdcf)

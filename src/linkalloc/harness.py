@@ -173,8 +173,8 @@ class RunResult:
 
 
 def _mcs_label(scenario: Scenario, mcs_override) -> str:
-    values = np.unique(scenario.mcs_table if mcs_override is None else mcs_override).tolist()
-    return str(values[0]) if len(values) == 1 else "mixed"
+    values = set(np.ravel(scenario.mcs_table if mcs_override is None else mcs_override).tolist())
+    return str(values.pop()) if len(values) == 1 else "mixed"
 
 
 def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
@@ -191,8 +191,8 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
         limits = np.ones(m_stas, dtype=int)
     else:
         usable = np.ones((scenario.f_count, scenario.n_aps), dtype=bool)
-        caps = scenario.ap_capacities()
-        limits = scenario.sta_radio_limits()
+        caps = scenario.ap_radios
+        limits = scenario.sta_radios
     link_usable, usable_count = usable[:, :, None], usable.sum(axis=0)[:, None]
     for array in (snr_field, link_usable, usable_count, caps):
         array.setflags(write=False)
@@ -202,12 +202,12 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
     recs = []
-    for sta, n, row in zip(scenario.stas, pairing.owner.tolist(), selection.links.T.tolist()):
+    for sta_id, n, row in zip(scenario.sta_ids, pairing.owner.tolist(), selection.links.T.tolist()):
         if n >= 0:
-            recs.append(Recommendation(sta.sta_id, scenario.ap_ids[n],
+            recs.append(Recommendation(sta_id, scenario.ap_ids[n],
                                        tuple(c for c, on in zip(scenario.channel_ids, row) if on)))
         else:
-            recs.append(Recommendation(sta.sta_id, None, ()))
+            recs.append(Recommendation(sta_id, None, ()))
     return recs
 
 

@@ -173,7 +173,7 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     for f, width in enumerate(scenario.bandwidth_mhz.tolist()):
         state = _contention(params, max(1, int(contenders[f])))
         # one kernel call per MCS in use on the channel: usually all APs share it
-        for mcs in np.unique(mcs_table[f]).tolist():
+        for mcs in sorted(set(mcs_table[f].tolist())):
             rows = mcs_table[f] == mcs
             out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_curves[mcs],
                                        phy.mcs_data_rate(mcs, width), state, params)

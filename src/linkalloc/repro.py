@@ -310,7 +310,7 @@ def truncated(scenario: Scenario, m_stas: int) -> Scenario:
     """A copy of `scenario` keeping only its first `m_stas` stations."""
     if not 1 <= m_stas <= scenario.m_stas:
         raise ValidationError(f"cannot truncate to {m_stas} of {scenario.m_stas} STAs")
-    return replace(scenario, stas=scenario.stas[:m_stas],
+    return replace(scenario, sta_ids=scenario.sta_ids[:m_stas],
                    snr_offsets_db=scenario.snr_offsets_db[:, :, :m_stas],
                    sta_radios=scenario.sta_radios[:m_stas])
 
@@ -334,7 +334,7 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     t0 = time.perf_counter()
     tensor = build_rate_tensor(scenario, snr_field=snr_field)
     joint = solve_joint_mmkp_bruteforce(tensor, PairingInstance(
-        tensor.values.mean(axis=0), scenario.ap_capacities(), scenario.sta_radio_limits()))
+        tensor.values.mean(axis=0), scenario.ap_radios, scenario.sta_radios))
     joint_wall = time.perf_counter() - t0
 
     two_stage = first.aggregate_throughput_bps

@@ -21,10 +21,9 @@ and the rest of the package reads the AP and station settings from them only:
   `slo_channel`, else channel n % F;
 - `ap_radios[n]` and `sta_radios[m]`: the radio counts R(n) and r(m).
 
-`channel_ids[f]` names channel f, `ap_ids[n]` AP n, and `stas[m].sta_id`
-station m. `StaConfig` stays only because the benchmark's tests read its
-`snr_offsets_db` views; the package reads each radio count from `ap_radios`
-and `sta_radios` alone.
+`channel_ids[f]` names channel f, `ap_ids[n]` AP n and `sta_ids[m]` station
+m. `stas` is built on each read, for the benchmark's tests alone: per
+station, its id and views of its links' rows of `snr_offsets_db`.
 
 Schema (all SNR values in dB)::
 
@@ -75,9 +74,10 @@ from __future__ import annotations
 import gc
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -85,6 +85,7 @@ import yaml
 from .dcf import DcfParams
 from .errors import ConfigurationError, ValidationError
 from .phy import (
+    DATA_SUBCARRIERS,
     DEFAULT_PER_MIDPOINT_DB,
     DEFAULT_PER_SLOPE_PER_DB,
     MCS_MODULATION,
@@ -93,7 +94,6 @@ from .phy import (
 )
 
 __all__ = [
-    "StaConfig",
     "Scenario",
     "load_scenario",
     "bundled_scenario_path",
@@ -106,15 +106,6 @@ OUT_OF_RANGE = "out-of-range"
 MAX_RADIOS = 2**31 - 1    # small enough that no sum of radio counts wraps int64
 # YAML 1.2's float with an exponent, which YAML 1.1 reads as text unless it has a dot and a sign
 _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
-
-
-@dataclass(frozen=True)
-class StaConfig:
-    sta_id: str
-    # ap id -> that link's offsets by channel position, for each AP the
-    # station hears: read-only views of `Scenario.snr_offsets_db`, which is
-    # what the package reads
-    snr_offsets_db: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +122,7 @@ class Scenario:
     snr_random_range_db: tuple | None
     channel_ids: tuple              # (F,) int
     ap_ids: tuple                   # (N,) str
-    stas: tuple
+    sta_ids: tuple                  # (M,) str
     dcf: DcfParams
     per_curves: dict                # MCS -> LogisticPer or TablePer, resolved at load
     rr_weights: tuple               # slice counts by channel position
@@ -152,12 +143,23 @@ class Scenario:
 
     @property
     def m_stas(self) -> int:
-        return len(self.stas)
+        return len(self.sta_ids)
+
+    @property
+    def stas(self) -> tuple:
+        """Per station, built on each read for `bench/test_bench.py` alone: its `sta_id`, and
+        `snr_offsets_db`, {id of each AP it hears: a view of that link's offsets by channel}."""
+        heard = ~np.isnan(self.snr_offsets_db).all(axis=0)     # (N, M)
+        return tuple(SimpleNamespace(sta_id=sta_id, snr_offsets_db={
+            self.ap_ids[n]: self.snr_offsets_db[:, n, m] for n in np.flatnonzero(heard[:, m])})
+            for m, sta_id in enumerate(self.sta_ids))
 
     def ap_capacities(self) -> np.ndarray:
+        """`ap_radios`, for `bench/test_bench.py`, which calls it."""
         return self.ap_radios
 
     def sta_radio_limits(self) -> np.ndarray:
+        """`sta_radios`, for `bench/workloads.py` and `bench/test_bench.py`, which call it."""
         return self.sta_radios
 
     def run_seed(self, seed=None) -> tuple | None:
@@ -341,8 +343,9 @@ def _parse_channels(doc: dict) -> tuple:
             raise ValidationError(f"{ctx}.band: must be one of "
                                   f"{sorted(BAND_MAX_BANDWIDTH_MHZ)}, got {band!r}")
         width = _as_int(_need(c, "bandwidth_mhz", ctx), f"{ctx}.bandwidth_mhz")
-        if width not in (20, 40, 80, 160):
-            raise ValidationError(f"{ctx}.bandwidth_mhz: must be 20/40/80/160, got {width}")
+        if width not in DATA_SUBCARRIERS:
+            raise ValidationError(f"{ctx}.bandwidth_mhz: must be "
+                                  f"{'/'.join(map(str, DATA_SUBCARRIERS))}, got {width}")
         if width > BAND_MAX_BANDWIDTH_MHZ[band]:
             raise ValidationError(f"{ctx}.bandwidth_mhz: {width} MHz is not available "
                                   f"on {band}")
@@ -371,7 +374,7 @@ def _parse_aps(doc: dict, channel_mcs: list, channel_index: dict) -> tuple:
 
 
 def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
-    """The stations, the SNR offset table (F, N, M) and their radio counts r(m)."""
+    """The station ids, the SNR offset table (F, N, M) and their radio counts r(m)."""
     entries = _entries(doc, "stas", {"id", "radios", "snr_offset_db"})
     table = np.full((len(channel_index), len(ap_index), len(entries)), np.nan)
     ids, radios = [], []
@@ -398,16 +401,11 @@ def _parse_stas(doc: dict, channel_index: dict, ap_index: dict) -> tuple:
         ids.append(_as_id(_need(s, "id", ctx), f"{ctx}.id"))
         radios.append(_as_count(_need(s, "radios", ctx), f"{ctx}.radios", MAX_RADIOS))
     _index(ids, "stas")
-    heard = ~np.isnan(table).all(axis=0)        # (N, M)
-    deaf = np.flatnonzero(~heard.any(axis=0))
+    deaf = np.flatnonzero(np.isnan(table).all(axis=(0, 1)))
     if deaf.size:
         raise ValidationError(f"stas[{deaf[0]}].snr_offset_db: no in-range AP on any channel")
     table.setflags(write=False)
-    ap_ids = list(ap_index)
-    stas = tuple(StaConfig(sta_id, {ap_ids[n]: table[:, n, m]
-                                    for n in np.flatnonzero(heard[:, m]).tolist()})
-                 for m, sta_id in enumerate(ids))
-    return stas, table, _read_only(radios)
+    return tuple(ids), table, _read_only(radios)
 
 
 def _parse_dcf(doc, ctx: str) -> DcfParams:
@@ -578,7 +576,7 @@ def _load_scenario(source) -> Scenario:
 
     channel_index, widths, channel_mcs = _parse_channels(doc)
     ap_ids, ap_radios, mcs_table, home_channel = _parse_aps(doc, channel_mcs, channel_index)
-    stas, offsets, sta_radios = _parse_stas(doc, channel_index, _index(ap_ids, "aps"))
+    sta_ids, offsets, sta_radios = _parse_stas(doc, channel_index, _index(ap_ids, "aps"))
     return Scenario(
         name=_as_id(doc.get("name", name_default), "name"),
         rng_seed=check_seed(doc.get("seed", 0)),
@@ -588,7 +586,7 @@ def _load_scenario(source) -> Scenario:
         snr_random_range_db=_parse_random_range(doc),
         channel_ids=tuple(channel_index),
         ap_ids=ap_ids,
-        stas=stas,
+        sta_ids=sta_ids,
         dcf=_parse_dcf(doc.get("dcf", {}), "dcf"),
         per_curves=_parse_per_model(doc.get("per_model", {}), "per_model", base_dir,
                                     channel_index, channel_mcs, mcs_table),

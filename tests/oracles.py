@@ -242,8 +242,8 @@ def tu_by_direct_enumeration(matrix, max_k):
 
 def document_arrays(doc):
     """The scenario arrays (offsets (F, N, M) in dB with NaN out of range,
-    MCS table (F, N), home channel (N)), the AP ids (a list of str), the
-    radio counts R(n) and r(m), the channel ids (a list of int) and the
+    MCS table (F, N), home channel (N)), the AP ids and the station ids (lists
+    of str), the radio counts R(n) and r(m), the channel ids (a list of int) and the
     channel widths (F), walked link by link off a raw scenario document, the
     mapping `yaml.safe_load` returns, by the schema rather than by the
     package's parser."""
@@ -269,10 +269,11 @@ def document_arrays(doc):
     home = np.array([ni % f_count if ap.get("slo_channel") is None
                      else cids.index(ap["slo_channel"]) for ni, ap in enumerate(aps)])
     ap_ids = [str(ap["id"]) for ap in aps]
+    sta_ids = [str(sta["id"]) for sta in doc["stas"]]
     ap_radios = np.array([ap["radios"] for ap in aps])
     sta_radios = np.array([sta["radios"] for sta in doc["stas"]])
     widths = np.array([chan["bandwidth_mhz"] for chan in doc["channels"]])
-    return offsets, mcs, home, ap_ids, ap_radios, sta_radios, cids, widths
+    return offsets, mcs, home, ap_ids, sta_ids, ap_radios, sta_radios, cids, widths
 
 
 def snr_field_loops(doc, base_db=None, rng=None):
@@ -312,14 +313,14 @@ def recommendations_per_station(scenario, pairing, selection):
     """(station id, AP id or None, channel ids) per station, read one station
     at a time off the pairing and the selection."""
     recs = []
-    for m, sta in enumerate(scenario.stas):
+    for m, sta_id in enumerate(scenario.sta_ids):
         column = pairing.x[:, m]
         if not column.any():
-            recs.append((sta.sta_id, None, ()))
+            recs.append((sta_id, None, ()))
             continue
         n = int(column.argmax())
         cids = tuple(scenario.channel_ids[f] for f in np.flatnonzero(selection.s[:, n, m]))
-        recs.append((sta.sta_id, scenario.ap_ids[n], cids))
+        recs.append((sta_id, scenario.ap_ids[n], cids))
     return recs
 
 

@@ -91,7 +91,7 @@ def test_recommendations_consistent_with_selection():
     sc = _fixture()
     result = run_apc_loop(sc, iterations=3)
     report = result.final
-    sta_ids = [s.sta_id for s in sc.stas]
+    sta_ids = list(sc.sta_ids)
     ap_ids = list(sc.ap_ids)
     by_sta = {r.sta_id: r for r in result.recommendations}
     triples = {tuple(t) for t in np.argwhere(report.selection.s).tolist()}
@@ -648,7 +648,7 @@ def _small_scenarios():
 @given(_small_scenarios())
 def test_loaded_arrays_match_a_walk_of_the_document(doc_sc):
     doc, sc = doc_sc
-    offsets, mcs, home, ap_ids, ap_radios, sta_radios, cids, widths = \
+    offsets, mcs, home, ap_ids, sta_ids, ap_radios, sta_radios, cids, widths = \
         oracles.document_arrays(doc)
     for got, want in ((sc.snr_offsets_db, offsets), (sc.mcs_table, mcs),
                       (sc.home_channel, home), (sc.ap_radios, ap_radios),
@@ -657,6 +657,7 @@ def test_loaded_arrays_match_a_walk_of_the_document(doc_sc):
         assert not got.flags.writeable
     assert sc.ap_ids == tuple(ap_ids) and all(type(ap_id) is str for ap_id in sc.ap_ids)
     assert sc.channel_ids == tuple(cids) and all(type(cid) is int for cid in sc.channel_ids)
+    assert sc.sta_ids == tuple(sta_ids) and all(type(sta_id) is str for sta_id in sc.sta_ids)
     for m, sta in enumerate(sc.stas):
         heard = [ap_ids[n] for n in range(sc.n_aps) if not np.isnan(offsets[:, n, m]).all()]
         assert list(sta.snr_offsets_db) == heard
@@ -705,7 +706,7 @@ def _check_recommendations(sc, result):
     """The recommendations name exactly the final step's pairing and links."""
     report = result.final
     ap_ids = list(sc.ap_ids)
-    assert [r.sta_id for r in result.recommendations] == [sta.sta_id for sta in sc.stas]
+    assert [r.sta_id for r in result.recommendations] == list(sc.sta_ids)
     assert [ap_ids.index(r.ap_id) for r in result.recommendations] == \
         report.pairing.x.argmax(axis=0).tolist()
     links = sorted([sc.channel_ids.index(cid), ap_ids.index(r.ap_id), m]
@@ -1398,6 +1399,28 @@ def test_first_comparison_in_a_process_times_only_the_first_step():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert float(proc.stdout) < 0.1
+
+
+def test_a_run_loads_no_numpy_ma():
+    # the first np.unique in a process imports numpy.ma, about 9 ms that
+    # would land in a run's first step
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(harness.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = ("import sys\n"
+            "from linkalloc.harness import run_apc_loop, run_monte_carlo\n"
+            "from linkalloc.scenario import bundled_scenario_path, list_bundled_scenarios, "
+            "load_scenario\n"
+            "for name in list_bundled_scenarios():\n"
+            "    sc = load_scenario(bundled_scenario_path(name))\n"
+            "    assert 'numpy.ma' not in sys.modules, f'{name}: load'\n"
+            "    run_apc_loop(sc, iterations=2)\n"
+            "    assert 'numpy.ma' not in sys.modules, f'{name}: run'\n"
+            "sc = load_scenario(bundled_scenario_path('scenario_3ap_15sta'))\n"
+            "run_monte_carlo(sc, mcs_points=[3, 9], rounds=1, iterations=2)\n"
+            "assert 'numpy.ma' not in sys.modules, 'sweep'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 TIGHT_APS = """

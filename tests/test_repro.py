@@ -87,7 +87,7 @@ def test_truncated_keeps_prefix():
     small = repro.truncated(sc, 4)
     assert not hasattr(Scenario, "truncated")      # moved here, no alias left behind
     assert small.m_stas == 4
-    assert [s.sta_id for s in small.stas] == [s.sta_id for s in sc.stas[:4]]
+    assert small.sta_ids == sc.sta_ids[:4]
     # the radio counts are built once at load, read-only, and sliced along
     assert small.ap_ids is sc.ap_ids and small.ap_radios is sc.ap_radios
     assert small.sta_radios.tolist() == sc.sta_radios[:4].tolist()

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import io
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,15 @@ def test_bundled_fixture_matches_reference_topology():
     assert sc.m_stas == 15
     assert (sc.channel_ids, sc.bandwidth_mhz.tolist()) == ((1, 2, 3), [40, 80, 160])
     assert sorted(sc.sta_radio_limits().tolist(), reverse=True) == [3] * 6 + [2] * 6 + [1] * 3
+
+
+def test_pickled_scenario_is_little_more_than_its_offset_table():
+    # a pooled sweep sends each worker the pickled scenario: the stations go
+    # as ids beside the offset table, with no per-station object holding views
+    sc = load_scenario(Path(__file__).parent / "data" / "synth_10x200_seed1.yaml")
+    data = pickle.dumps(sc)
+    assert len(data) < 1.25 * sc.snr_offsets_db.nbytes
+    assert pickle.loads(data).sta_ids == sc.sta_ids
 
 
 def test_bundled_listing_contains_all_fixtures():
@@ -559,7 +569,7 @@ def test_exponent_text_that_is_no_finite_float_refused(old, new, msg):
 def test_exponent_text_stays_text_in_ids():
     sc = _load(MINIMAL.replace("{id: ap1,", "{id: 1e5,").replace("{ap1: {1:", "{1e5: {1:")
                .replace("id: sta2,", "id: 2E-1,"))
-    assert sc.ap_ids == ("1e5",) and [s.sta_id for s in sc.stas] == ["sta1", "2E-1"]
+    assert sc.ap_ids == ("1e5",) and sc.sta_ids == ("sta1", "2E-1")
 
 
 # unquoted text that YAML 1.1 reads as a bool, null, float or date, and the repr of that value
@@ -591,7 +601,7 @@ def test_ids_and_name_refuse_what_yaml_reads_as_no_text(ctx, template, spelling,
 @pytest.mark.parametrize("ctx, template", _ID_FIELDS, ids=[c for c, _ in _ID_FIELDS])
 def test_quoted_ids_and_integers_load_as_text(ctx, template, spelling, text):
     sc = _load(template.replace("@", spelling))
-    assert {"aps[0].id": sc.ap_ids[0], "stas[1].id": sc.stas[1].sta_id, "name": sc.name}[ctx] \
+    assert {"aps[0].id": sc.ap_ids[0], "stas[1].id": sc.sta_ids[1], "name": sc.name}[ctx] \
         == text
 
 
@@ -602,7 +612,7 @@ def test_bool_ids_no_longer_collide():
                                               r"got False; quote it$"):
         _load(doc)
     sc = _load(doc.replace("id: off,", "id: 'off',").replace("id: no,", "id: 'no',"))
-    assert [s.sta_id for s in sc.stas] == ["off", "no"]
+    assert sc.sta_ids == ("off", "no")
 
 
 def test_unquoted_bool_id_exits_1_with_one_line(tmp_path):
