@@ -72,6 +72,17 @@ class ContentionState:
     p_cond_collision: float    # conditional collision probability seen by a node
     residual: float            # |tau - tau_formula(p(tau))| at the returned point
 
+    @property
+    def p_tr(self) -> float:
+        """Probability that a slot carries a transmission: 1 - (1 - tau)^n."""
+        return 1.0 - (1.0 - self.tau) ** self.n_contenders
+
+    @property
+    def p_single(self) -> float:
+        """Probability that exactly one node transmits: n tau (1 - tau)^(n - 1)."""
+        n = self.n_contenders
+        return n * self.tau * (1.0 - self.tau) ** (n - 1)
+
 
 def _tau_of_p(p: float, w: int, m: int) -> float:
     # tau = 2(1-2p) / ((1-2p)(W+1) + pW(1-(2p)^m)), written with the geometric
@@ -150,26 +161,26 @@ def airtime_durations(params: DcfParams, mcs_rate: float) -> AirtimeDurations:
     return AirtimeDurations(t_success=t_s, t_collision=t_c, payload_airtime=payload)
 
 
-def normalized_throughput(state: ContentionState, durations: AirtimeDurations,
-                          per, params: DcfParams):
+def normalized_throughput(state, durations, per, params: DcfParams):
     """Fraction of channel time carrying successfully delivered payload.
 
     Success requires winning the slot (single transmitter) and surviving the
     PHY with probability 1 - per, so a slot succeeds with probability
-    success = n tau (1 - tau)^(n - 1) (1 - per). A collided or errored
-    transmission burns t_collision and a successful one t_success, so
+    success = p_single (1 - per), where p_single = n tau (1 - tau)^(n - 1).
+    A collided or errored transmission burns t_collision and a successful
+    one t_success, so
 
         success E[P] / ((1 - p_tr) slot + p_tr T_c + success (T_s - T_c))
 
-    `per` is a float or an array of links sharing the channel, and the
-    result has the same shape.
+    `state` is a `ContentionState` and `durations` an `AirtimeDurations`, or
+    anything with their `p_tr`, `p_single` and duration attributes: the rate
+    kernel passes one array per attribute, one entry per link. `per` is a
+    float or an array of links, and the result has the shape of all three.
     """
     if not np.all((0.0 <= per) & (per <= 1.0)):
         raise InvalidInputError(f"per must be in [0, 1], got {per!r}")
-    n = state.n_contenders
-    tau = state.tau
-    p_tr = 1.0 - (1.0 - tau) ** n
-    success = n * tau * (1.0 - tau) ** (n - 1) * (1.0 - per)
+    p_tr = state.p_tr
+    success = state.p_single * (1.0 - per)
     t_c = durations.t_collision
     den = (1.0 - p_tr) * params.slot_time + p_tr * t_c + success * (durations.t_success - t_c)
     return success * durations.payload_airtime / den

@@ -11,7 +11,9 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 
 A step pays only for what changed. The run's constants (`_run_constants`:
 the SNR field from `Scenario.snr_field`, the MCS label, usable links, AP
-capacities and radio budget) are derived once per run. The rate
+capacities, radio budget and the heard links' `RateLinks`, which hold their
+PER) are derived once per run, so a tensor build, a miss, evaluates only the
+contention-dependent throughput over the heard links. The rate
 tensor is a pure function of the scenario, the SNR field, the MCS override
 and the contenders per channel, and the loop revisits the same few contender
 vectors (two on the bundled fixture, three on a 30-AP/1000-STA network). So
@@ -73,7 +75,7 @@ from .allocation import (
 )
 from .errors import InvalidInputError, ValidationError
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
-from .rates import RateTensor, bootstrap_contenders, build_rate_tensor
+from .rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
 from .scenario import Scenario
 
 __all__ = [
@@ -131,8 +133,9 @@ class LoopCarry:
     Besides the averages `phi` (a tuple of one float per channel; a resumed
     run checks them once and moves them with its own scenario's horizon) and
     the contention it carries the run's constants (`_run_constants`: the SNR
-    field, MCS label, usable links, AP capacities and radio budget, all
-    read-only) and its memo: at most `RATE_MEMO_SIZE` records keyed by
+    field, MCS label, usable links, AP capacities, radio budget and the
+    heard links' `RateLinks` with their PER, all read-only) and its memo: at
+    most `RATE_MEMO_SIZE` records keyed by
     contender tuple, least recently used first, each (rates, PairingInstance,
     selection, served): the rates a step reads under that contention (SLO's
     masked to the home channels), the pairing input weighed from them, the
@@ -180,9 +183,11 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
 def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
     """What a run reads but never changes, derived once per run key and
     read-only, as the carry holds it: the SNR field, the MCS label, the
-    usable links (F, N, 1), their count per AP (N, 1), the AP capacities and
-    the radio limits as a `RadioBudget`."""
+    usable links (F, N, 1), their count per AP (N, 1), the AP capacities,
+    the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
+    which refuse a link SNR out of the PHY model's range."""
     snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
+    links = rate_links(scenario, snr_field, mcs_override)
     if slo:
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
         usable = np.zeros((scenario.f_count, n_aps), dtype=bool)    # home channels only
@@ -197,7 +202,7 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
     for array in (snr_field, link_usable, usable_count, caps):
         array.setflags(write=False)
     return (snr_field, _mcs_label(scenario, mcs_override), link_usable, usable_count, caps,
-            RadioBudget(limits))
+            RadioBudget(limits), links)
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -269,7 +274,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         constants, memo = carry.constants, dict(carry.memo)
     else:
         constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
-    snr_field, label, link_usable, usable_count, caps, budget = constants
+    snr_field, label, link_usable, usable_count, caps, budget, links = constants
 
     contenders = tuple(carry.contenders) if carry is not None \
         else tuple(bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan)))
@@ -282,8 +287,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         t0 = time.perf_counter() if timing else 0.0
         record = memo.pop(contenders, None)
         if record is None:
-            tensor = build_rate_tensor(scenario, contenders=contenders,
-                                       snr_field=snr_field, mcs_override=mcs_override)
+            tensor = build_rate_tensor(scenario, contenders=contenders, links=links)
             if phi is None:     # a cold run's first step, as its memo is empty
                 phi = tuple(tensor.values.mean(axis=(1, 2)).tolist())  # first PF metrics near 1
             rates = RateTensor(tensor.values * link_usable) if slo else tensor

@@ -4,8 +4,12 @@ The central object is the rate tensor C[f, n, m]: the throughput STA m would
 see on channel f if served by AP n, given the channel's MCS, the link SNR,
 and the number of stations currently contending on f. The per-channel MAC
 efficiency comes from the saturated-contention fixed point in `dcf`; the PHY
-error probability comes from the PER curves in `phy`. One vectorized kernel
-evaluates each block of links that share a channel and an MCS.
+error probability comes from the PER curves in `phy`. Only the contention
+changes within a run, so the rest is derived once per SNR field and MCS
+override (`rate_links`): the heard links, their PER and the airtime and MCS
+rate of each block of links that share a channel and an MCS. A tensor build
+then takes each channel's contention terms, spreads them over the links and
+evaluates the DCF throughput over all heard links in one vectorized call.
 
 The (F, N, M) layout is the only rate layout: the pairing weights are the
 tensor's mean over channels (N, M), and a selection's (F, M) links read
@@ -17,6 +21,7 @@ revisits a decision gathers its links once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -30,9 +35,11 @@ from .scenario import Scenario
 
 __all__ = [
     "PairedLinks",
+    "RateLinks",
     "RateTensor",
     "bootstrap_contenders",
     "build_rate_tensor",
+    "rate_links",
 ]
 
 
@@ -52,13 +59,18 @@ class RateTensor:
 
     Equality is identity: the tensor keeps the `PairedLinks` view of the last
     pairing object it was asked about, holding a reference to that pairing.
+    `values` is copied unless it is a read-only float array that owns its
+    data, which the tensor keeps as it is.
     """
 
     values: np.ndarray
     _paired: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == float and v.base is None
+                and not v.flags.writeable):
+            v = np.array(v, dtype=float)
         if v.ndim != 3:
             raise InvalidInputError(f"rate tensor must be (F, N, M), got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
@@ -105,30 +117,73 @@ def _contention(params: DcfParams, n: int):
     return solve_bianchi_fixed_point(params, n)
 
 
-def _link_rates(snr_db: np.ndarray, curve: phy.LogisticPer | phy.TablePer, rate: float,
-                state, params: DcfParams) -> np.ndarray:
-    """Rates in bit/s of links that share one MCS and one contention state.
+@lru_cache(maxsize=256)
+def _block_airtime(params: DcfParams, mcs: int, width: int) -> tuple:
+    rate = phy.mcs_data_rate(mcs, width)
+    d = airtime_durations(params, rate)
+    return d.t_success, d.t_collision, d.payload_airtime, rate
 
-    Each link is one SINR sample, which must be finite and > 0 in linear
+
+class RateLinks(NamedTuple):
+    """What a rate tensor reads besides the contention (`rate_links`): the
+    heard links in blocks that share a channel and an MCS, blocks in
+    (channel, MCS) order, links in (f, n, m) order within a block."""
+
+    index: np.ndarray       # (L,) read-only flat (F, N, M) index of each link, smallest uint
+    per: np.ndarray         # (L,) read-only PER of each link at its SNR
+    block_links: tuple      # (B,) each block's number of links
+    block_channel: tuple    # (B,) each block's channel
+    block_airtime: tuple    # t_success, t_collision, payload airtime, MCS rate: B floats each
+
+
+# per-link arrays that `normalized_throughput` reads as its contention state
+# and its airtime durations, and each link's MCS rate
+_LinkTerms = namedtuple("_LinkTerms", "p_tr p_single t_success t_collision payload_airtime rate")
+
+
+def rate_links(scenario: Scenario, snr_field: np.ndarray,
+               mcs_override: int | None = None) -> RateLinks:
+    """The `RateLinks` of an SNR field, derived once per run.
+
+    NaN marks an out-of-range link, which is not heard and rates 0. Each
+    heard link is one SINR sample, which must be finite and > 0 in linear
     scale, checked as the equivalent range in dB; a link SNR outside it (say
     5000 dB, whose linear value overflows) is a configuration error naming
-    it. The EESM of a single sample is the sample itself, so the link SNR in
-    dB indexes the PER curve directly. NaN marks an out-of-range link, whose rate is 0. The MAC
-    efficiency already discounts the channel time lost to errored frames (it
-    counts delivered payload only), so a link's rate is that efficiency times
-    the MCS rate.
+    the first such link in (f, n, m) order. The EESM of a single sample is
+    the sample itself, so the link SNR in dB indexes the PER curve directly:
+    one `phy.per_lookup` per MCS in use, over all of its links.
     """
-    live = ~np.isnan(snr_db)
-    snr = snr_db[live]
+    mcs_override = scenario.run_mcs(mcs_override)
+    mcs_table = scenario.mcs_table if mcs_override is None \
+        else np.full_like(scenario.mcs_table, mcs_override)
+    snr_field = np.asarray(snr_field, dtype=float)
+    shape = (scenario.f_count, scenario.n_aps, scenario.m_stas)
+    if snr_field.shape != shape:
+        raise InvalidInputError(f"snr_field shape {snr_field.shape} != {shape}")
+    flat = snr_field.ravel()
+    index = np.flatnonzero(~np.isnan(flat))
+    snr = flat[index]
     usable = (snr >= _SNR_FLOOR_DB) & (snr < _SNR_CEILING_DB)
     if not usable.all():
         raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
                                 f"the PHY model's range: its linear value must be finite and > 0")
-    per = phy.per_lookup(curve, snr)
-    tpt = normalized_throughput(state, airtime_durations(params, rate), per, params)
-    out = np.zeros(snr_db.shape)
-    out[live] = tpt * rate
-    return out
+    ap_keys = [(f, mcs) for f, row in enumerate(mcs_table.tolist()) for mcs in row]
+    blocks = sorted(set(ap_keys))
+    link_block = np.array([blocks.index(key) for key in ap_keys])[index // scenario.m_stas]
+    order = np.argsort(link_block, kind="stable")   # the identity unless a channel mixes MCS
+    index, snr = index[order], snr[order]
+    link_mcs = mcs_table.ravel()[index // scenario.m_stas]
+    per = np.empty(index.size)
+    for mcs in sorted({mcs for _, mcs in blocks}):
+        at = link_mcs == mcs
+        per[at] = phy.per_lookup(scenario.per_curves[mcs], snr[at])
+    widths = scenario.bandwidth_mhz.tolist()
+    airtime = [_block_airtime(scenario.dcf, mcs, widths[f]) for f, mcs in blocks]
+    index = index.astype(np.min_scalar_type(flat.size))
+    for array in (index, per):
+        array.setflags(write=False)
+    return RateLinks(index, per, tuple(np.bincount(link_block, minlength=len(blocks)).tolist()),
+                     tuple(f for f, _ in blocks), tuple(zip(*airtime)))
 
 
 def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:
@@ -148,34 +203,38 @@ def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:
 
 def build_rate_tensor(scenario: Scenario, *, contenders=None,
                       snr_field: np.ndarray | None = None,
-                      mcs_override: int | None = None) -> RateTensor:
+                      mcs_override: int | None = None,
+                      links: RateLinks | None = None) -> RateTensor:
     """Evaluate C[f, n, m] for every link under the given contention.
 
     `contenders` is the per-channel number of stations sharing the medium
     (defaults to the bootstrap estimate); each channel is evaluated at
     max(1, contenders[f]) so an empty channel still quotes its unloaded rate.
+    `links` are the `rate_links` of the SNR field and MCS override, which a
+    run derives once; without them this call derives them. Each heard
+    link's rate is the DCF throughput at its channel's contention and its
+    PER, times its MCS rate: the MAC efficiency already discounts the
+    channel time lost to errored frames (it counts delivered payload only).
+    One `normalized_throughput` call evaluates every heard link at once.
     """
-    mcs_table = scenario.mcs_table if mcs_override is None \
-        else np.full_like(scenario.mcs_table, scenario.run_mcs(mcs_override))
-    if snr_field is None:
+    if snr_field is None and (links is None or contenders is None):
         snr_field = scenario.snr_field()
-    snr_field = np.asarray(snr_field, dtype=float)
-    expect = (scenario.f_count, scenario.n_aps, scenario.m_stas)
-    if snr_field.shape != expect:
-        raise InvalidInputError(f"snr_field shape {snr_field.shape} != {expect}")
+    if links is None:
+        links = rate_links(scenario, snr_field, mcs_override)
     if contenders is None:
         contenders = bootstrap_contenders(scenario, snr_field)
     if len(contenders) != scenario.f_count:
         raise InvalidInputError("contenders needs one count per channel")
 
     params = scenario.dcf
-    out = np.zeros(expect)
-    for f, width in enumerate(scenario.bandwidth_mhz.tolist()):
-        state = _contention(params, max(1, int(contenders[f])))
-        # one kernel call per MCS in use on the channel: usually all APs share it
-        for mcs in sorted(set(mcs_table[f].tolist())):
-            rows = mcs_table[f] == mcs
-            out[f, rows] = _link_rates(snr_field[f, rows], scenario.per_curves[mcs],
-                                       phy.mcs_data_rate(mcs, width), state, params)
+    # each channel's contention terms as Python floats (numpy's power is not promised
+    # to match Python's to the bit), one column per block, spread over its links
+    states = [_contention(params, max(1, int(c))) for c in contenders]
+    p_tr, p_single = zip(*((states[f].p_tr, states[f].p_single) for f in links.block_channel))
+    terms = _LinkTerms(*np.array((p_tr, p_single) + links.block_airtime)
+                       .repeat(links.block_links, axis=1))
+    out = np.zeros((scenario.f_count, scenario.n_aps, scenario.m_stas))
+    out.reshape(-1)[links.index] = normalized_throughput(terms, terms, links.per, params) \
+        * terms.rate
+    out.setflags(write=False)   # handed over: the tensor keeps it without a copy
     return RateTensor(out)
-

@@ -10,7 +10,9 @@ dense allocation path at the end: the package's PF, RR and served-rate code
 as it ran on the (N, M) pairing matrix and the (F, N, M) selection, kept to
 pin the owner-vector form to it: its decisions bit for bit, its served rates
 within 1e-12 relative. Likewise the package's numpy fairness spread, kept to
-pin the Python-float form to it bit for bit.
+pin the Python-float form to it bit for bit, and its rate tensor built one
+(channel, MCS) block at a time, with the range check and the PER lookup
+redone on every build, kept to pin the heard-link kernel to it bit for bit.
 """
 
 import bisect
@@ -19,10 +21,12 @@ import math
 
 import numpy as np
 
+from linkalloc import phy
+from linkalloc.dcf import airtime_durations, solve_bianchi_fixed_point
 from linkalloc.errors import InvalidInputError
 from linkalloc.pairing import PairingInstance, pair_greedy, pair_optimal_lp
 from linkalloc.phy import TablePer
-from linkalloc.rates import build_rate_tensor
+from linkalloc.rates import bootstrap_contenders, build_rate_tensor
 
 
 def eesm_scalar(values, beta):
@@ -481,3 +485,48 @@ def fairness_spread_numpy(metrics):
     if mean <= 0:
         raise InvalidInputError("metrics must have positive mean")
     return float((vals.max() - vals.min()) / mean)
+
+
+# --- the rate tensor one (channel, MCS) block at a time ------------------------
+
+
+def _block_rates(snr_db, curve, rate, state, params):
+    """Rates in bit/s of links that share one MCS and one contention state,
+    NaN marking an out-of-range link with rate 0."""
+    live = ~np.isnan(snr_db)
+    snr = snr_db[live]
+    usable = (snr >= -10750 * np.log10(2)) & (snr < 10 * np.log10(np.finfo(float).max))
+    if not usable.all():
+        raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
+                                f"the PHY model's range: its linear value must be finite and > 0")
+    per = phy.per_lookup(curve, snr)
+    durations = airtime_durations(params, rate)
+    n, tau = state.n_contenders, state.tau
+    p_tr = 1.0 - (1.0 - tau) ** n
+    success = n * tau * (1.0 - tau) ** (n - 1) * (1.0 - per)
+    t_c = durations.t_collision
+    den = (1.0 - p_tr) * params.slot_time + p_tr * t_c + success * (durations.t_success - t_c)
+    out = np.zeros(snr_db.shape)
+    out[live] = success * durations.payload_airtime / den * rate
+    return out
+
+
+def build_rate_tensor_blocks(scenario, contenders=None, snr_field=None, mcs_override=None):
+    """The (F, N, M) rate values as the package built them before the
+    heard-link kernel: one kernel call per (channel, MCS) block."""
+    mcs_table = scenario.mcs_table if mcs_override is None \
+        else np.full_like(scenario.mcs_table, scenario.run_mcs(mcs_override))
+    if snr_field is None:
+        snr_field = scenario.snr_field()
+    snr_field = np.asarray(snr_field, dtype=float)
+    if contenders is None:
+        contenders = bootstrap_contenders(scenario, snr_field)
+    params = scenario.dcf
+    out = np.zeros((scenario.f_count, scenario.n_aps, scenario.m_stas))
+    for f, width in enumerate(scenario.bandwidth_mhz.tolist()):
+        state = solve_bianchi_fixed_point(params, max(1, int(contenders[f])))
+        for mcs in sorted(set(mcs_table[f].tolist())):
+            rows = mcs_table[f] == mcs
+            out[f, rows] = _block_rates(snr_field[f, rows], scenario.per_curves[mcs],
+                                        phy.mcs_data_rate(mcs, width), state, params)
+    return out

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -24,13 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc import allocation, harness, pairing
-from linkalloc.allocation import RadioBudget, selection_feasible
+from linkalloc import allocation, harness, pairing, phy
+from linkalloc.allocation import RadioBudget, fairness_spread, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
 from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError
 from linkalloc.pairing import PairingInstance, PairingMatrix, objective_value
-from linkalloc.rates import bootstrap_contenders, build_rate_tensor
+from linkalloc.rates import bootstrap_contenders, build_rate_tensor, rate_links
 from linkalloc.harness import (
     emit_results,
     emit_sweep_stats,
@@ -915,11 +916,41 @@ def _assert_loop_matches_reference(segments, rng_seed=None):
         for name, value, expected in (
                 ("total", [got.aggregate_throughput_bps], [ref["total"]]),
                 ("phi", got.per_channel_phi, ref["phi"]),
-                ("metrics", got.per_channel_metric, ref["metrics"]),
-                ("spread", [got.fairness_spread], [ref["spread"]])):
+                ("metrics", got.per_channel_metric, ref["metrics"])):
             assert len(value) == len(expected) and all(
                 v == w or math.isclose(v, w, rel_tol=1e-12, abs_tol=0.0)
                 for v, w in zip(value, expected)), f"{step}: {name} {value} != {expected}"
+        assert got.fairness_spread.hex() == fairness_spread(got.per_channel_metric).hex(), \
+            f"{step}: the spread is not that of the metrics reported"
+        assert _spread_close(got.fairness_spread, ref["spread"], ref["metrics"]), \
+            f"{step}: spread {got.fairness_spread} != {ref['spread']}"
+
+
+def _spread_close(spread, ref_spread, ref_metrics):
+    """`spread` against the reference's. With each metric within rel 1e-12,
+    max - min moves by at most 2e-12 max|metric|, so (max - min) / mean by
+    that over the mean: nearly equal metrics amplify it far past rel 1e-12
+    of the spread itself."""
+    if spread == ref_spread:
+        return True
+    mean = math.fsum(ref_metrics) / len(ref_metrics)
+    return abs(spread - ref_spread) <= 2e-12 * max(map(abs, ref_metrics)) / mean
+
+
+def test_reference_spread_bound_follows_from_the_metric_bound():
+    # nearly equal metrics, each within rel 1e-12 of the reference's: their
+    # spread, about 3.6e-5, moves far past rel 1e-12, which failed a correct loop
+    ref = [1.0, 1.0 + 3.6e-5, 1.0 + 1.8e-5]
+    near = [ref[0] * (1 - 5e-13), ref[1] * (1 + 5e-13), ref[2]]
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(near, ref))
+    want = fairness_spread(ref)
+    assert 3.5e-5 < want < 3.7e-5
+    assert not math.isclose(fairness_spread(near), want, rel_tol=1e-12)
+    assert _spread_close(fairness_spread(near), want, ref)
+    # a metric off by rel 1e-9 moves the spread past both bounds
+    off = [ref[0], ref[1] * (1 + 1e-9), ref[2]]
+    assert not math.isclose(fairness_spread(off), want, rel_tol=1e-12)
+    assert not _spread_close(fairness_spread(off), want, ref)
 
 
 # resumes that switch solver, allocator and MCS override and leave SLO for PF;
@@ -1081,6 +1112,52 @@ def test_run_constants_derived_once_per_run_key():
     assert emit_results(rr.reports) == emit_results(run_apc_loop(
         fx, iterations=2, carry=dataclasses.replace(mcs3, run=None), solver="greedy",
         allocator="rr", mcs_override=3).reports)
+
+
+def test_per_looked_up_once_per_run_key():
+    fx = _fixture()
+    lookup, build = phy.per_lookup, harness.build_rate_tensor
+
+    def lookups(sc, carry, **kwargs):
+        """PER lookups and tensor builds of a two-step run."""
+        with mock.patch.object(phy, "per_lookup", side_effect=lookup) as per, \
+                mock.patch.object(harness, "build_rate_tensor", side_effect=build) as tensor:
+            result = run_apc_loop(sc, iterations=2, carry=carry, **kwargs)
+        return per.call_count, tensor.call_count, result.carry
+
+    pf = run_apc_loop(fx, iterations=3).carry
+    # the run's links hold the PER: misses under its key look none up
+    n_per, n_builds, _ = lookups(fx, dataclasses.replace(pf, memo=()))
+    assert n_per == 0 and n_builds > 0
+    assert lookups(fx, pf)[0] == 0
+    # a new key looks up each MCS in use once, over all of its links
+    assert np.unique(fx.mcs_table).tolist() == [9]
+    for sc, kwargs in [(fx, {"mcs_override": 3}), (fx, {"snr_base_db": 15.0}),
+                       (dataclasses.replace(fx), {})]:
+        assert lookups(sc, pf, **kwargs)[0] == 1, kwargs
+    drawn = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
+    assert np.unique(drawn.mcs_table).tolist() == [0, 1, 2]
+    n_per, _, seeded = lookups(drawn, None, rng_seed=7)
+    assert n_per == 3
+    assert lookups(drawn, dataclasses.replace(seeded, memo=()), rng_seed=7)[0] == 0
+    assert lookups(drawn, seeded, rng_seed=8)[0] == 3
+    assert lookups(drawn, seeded, rng_seed=7, mcs_override=3)[0] == 1
+
+
+def test_run_link_constants_take_at_most_20_bytes_per_heard_link():
+    sc = load_scenario(SYNTH_10X200)
+    field = sc.snr_field()
+    carried = run_apc_loop(sc, iterations=1).carry.constants[-1]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        links = rate_links(sc, field)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert carried.index.tobytes() == links.index.tobytes() and links.index.size == 2400
+    assert not (carried.index.flags.writeable or carried.per.flags.writeable)
+    assert held <= 20 * links.index.size + 800, held
 
 
 @pytest.mark.parametrize("carried, resumed", [(_single, _fixture), (_fixture, _single)])

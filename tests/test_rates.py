@@ -18,7 +18,8 @@ from linkalloc.phy import (
     TablePer,
     mcs_data_rate,
 )
-from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
+from linkalloc.harness import run_apc_loop
+from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
 from linkalloc.repro import simulate_dcf_slots
 from linkalloc.scenario import bundled_scenario_path, load_scenario
 from test_harness import _small_scenario_docs
@@ -193,29 +194,88 @@ def test_tensor_matches_scalar_chain_with_table_per(tmp_path):
 _PER_DB = st.integers(-100, 400).map(lambda tenths: tenths / 10)     # -10 to 40 dB
 
 
+def _drawn_per_model(doc, data, tmp):
+    """A drawn PER model of either kind: logistic overrides over the
+    defaults, or a table for every MCS the APs of `doc` run, written as CSV
+    into the directory `tmp`."""
+    if data.draw(st.booleans(), label="tables"):
+        tables = {}
+        for mcs in np.unique(oracles.document_arrays(doc)[1]).tolist():
+            grid = sorted(data.draw(st.sets(_PER_DB, min_size=2, max_size=5)))
+            per = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(grid),
+                                            max_size=len(grid))), reverse=True)
+            path = Path(tmp, f"per{mcs}.csv")
+            path.write_text("esnr_db,per\n" + "".join(
+                f"{x!r},{y!r}\n" for x, y in zip(grid, per)))
+            tables[mcs] = str(path)
+        return {"kind": "table", "tables": tables}
+    return {"slope_per_db": data.draw(st.floats(0.05, 5.0), label="slope"),
+            "midpoints_db": data.draw(st.dictionaries(st.integers(0, 11), _PER_DB),
+                                      label="midpoints")}
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_scenario_docs(), st.data())
 def test_tensor_matches_scalar_chain_with_drawn_per_model(doc, data):
-    # a drawn PER model of either kind: logistic overrides over the defaults,
-    # or a table for every MCS the APs run, written as CSV
     with tempfile.TemporaryDirectory() as tmp:
-        if data.draw(st.booleans(), label="tables"):
-            tables = {}
-            for mcs in np.unique(oracles.document_arrays(doc)[1]).tolist():
-                grid = sorted(data.draw(st.sets(_PER_DB, min_size=2, max_size=5)))
-                per = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(grid),
-                                                max_size=len(grid))), reverse=True)
-                path = Path(tmp, f"per{mcs}.csv")
-                path.write_text("esnr_db,per\n" + "".join(
-                    f"{x!r},{y!r}\n" for x, y in zip(grid, per)))
-                tables[mcs] = str(path)
-            model = {"kind": "table", "tables": tables}
-        else:
-            model = {"slope_per_db": data.draw(st.floats(0.05, 5.0), label="slope"),
-                     "midpoints_db": data.draw(st.dictionaries(st.integers(0, 11), _PER_DB),
-                                               label="midpoints")}
-        doc = dict(doc, per_model=model)
+        doc = dict(doc, per_model=_drawn_per_model(doc, data, tmp))
         _assert_tensor_matches_scalar_chain(load_scenario(io.StringIO(yaml.safe_dump(doc))), doc)
+
+
+def _assert_kernel_is_the_block_build(sc, contenders, snr_field, mcs_override=None, links=None):
+    """The heard-link kernel, given the run's links or deriving its own,
+    against the per-block build of `oracles.build_rate_tensor_blocks`, as
+    bytes."""
+    got = build_rate_tensor(sc, contenders=contenders, snr_field=snr_field,
+                            mcs_override=mcs_override, links=links).values
+    want = oracles.build_rate_tensor_blocks(sc, contenders, snr_field, mcs_override)
+    assert got.tobytes() == want.tobytes(), (contenders, mcs_override)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_scenario_docs(), st.data())
+def test_heard_link_kernel_is_the_block_build_to_the_bit(doc, data):
+    # drawn PER models, APs that mix MCS within a channel, out-of-range
+    # links, an MCS override and 0 to M + 1 contenders per channel
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = dict(doc, per_model=_drawn_per_model(doc, data, tmp))
+        sc = load_scenario(io.StringIO(yaml.safe_dump(doc)))
+        mcs = data.draw(st.one_of(st.none(), st.sampled_from(sorted(sc.per_curves))),
+                        label="mcs_override")
+        field = sc.snr_field(base_db=data.draw(st.sampled_from([-30.0, 0.0, 15.0, 60.0]),
+                                               label="base_db"))
+        links = rate_links(sc, field, mcs)
+        counts = st.lists(st.integers(0, sc.m_stas + 1), min_size=sc.f_count,
+                          max_size=sc.f_count)
+        for contenders in data.draw(st.lists(counts, min_size=1, max_size=4), label="contenders"):
+            _assert_kernel_is_the_block_build(sc, contenders, field, mcs, links)
+        _assert_kernel_is_the_block_build(sc, None, field, mcs)
+
+
+@pytest.mark.parametrize("path", [bundled_scenario_path("scenario_3ap_15sta"),
+                                  bundled_scenario_path("scenario_slo"),
+                                  bundled_scenario_path("scenario_2ap_joint"),
+                                  Path(__file__).parent / "data" / "synth_10x200_seed1.yaml"],
+                         ids=lambda path: path.stem)
+def test_heard_link_kernel_is_the_block_build_on_every_contention_a_run_visits(path):
+    sc = load_scenario(path)
+    field = sc.snr_field()
+    for allocator, mcs in (("pf", None), ("rr", 3), ("slo", None)):
+        result = run_apc_loop(sc, allocator=allocator, iterations=30, mcs_override=mcs)
+        visited = {tuple(r.selection.per_channel_counts().tolist()) for r in result.reports}
+        links = rate_links(sc, field, mcs)
+        for contenders in sorted(visited) + [None]:
+            _assert_kernel_is_the_block_build(sc, contenders, field, mcs, links)
+
+
+def test_links_of_a_channel_that_mixes_mcs_keep_their_rates():
+    # ap1 runs MCS 7 on channel 1 and ap2 MCS 3, so that channel's blocks are
+    # ap2's links, then ap1's: stored block by block, not in (f, n, m) order
+    sc = _load(TWO_BY_TWO_YAML.replace("slo_channel: 1}", "slo_channel: 1, mcs: {1: 7}}"))
+    links = rate_links(sc, sc.snr_field())
+    assert links.block_channel == (0, 0, 1) and links.block_links == (3, 2, 5)
+    assert links.index.tolist() == [3, 4, 5, 0, 1, 6, 7, 9, 10, 11]
+    _assert_kernel_is_the_block_build(sc, [4, 2], sc.snr_field())
 
 
 @pytest.mark.parametrize("dcf, sign", [("{eifs: 1.0e-4}", -1),
