@@ -10,14 +10,15 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 `write_table` serializes every table the package emits.
 
 A step pays only for what changed. The run's constants (`_run_constants`:
-the SNR field from `Scenario.snr_field`, the MCS label, usable links, AP
-capacities, radio budget and the heard links' `RateLinks`, which hold their
-PER) are derived once per run, so a tensor build, a miss, evaluates only the
-contention-dependent throughput over the heard links. The rate
-tensor is a pure function of the scenario, the SNR field, the MCS override
-and the contenders per channel, and the loop revisits the same few contender
-vectors (two on the bundled fixture, three on a 30-AP/1000-STA network). So
-each contention gets one record, built on its first visit: the rates a step
+the contenders a cold start bootstraps from `Scenario.snr_field`, the MCS
+label, SLO's home links, AP capacities, radio budget and the heard links'
+`RateLinks`, which hold their PER) are derived once per run, and the field
+is not kept, so a tensor build, a miss, evaluates only the
+contention-dependent throughput over the heard links. The rate tensor is a
+pure function of the scenario, the SNR field, the MCS override and the
+contenders per channel, and the loop revisits the same few contender vectors
+(two on the bundled fixture, three on a 30-AP/1000-STA network). So each
+contention gets one record, built on its first visit: the rates a step
 reads (the tensor, masked to the home channels under SLO), the pairing input
 weighed from them (which keeps the pairing's start, each station's best AP),
 and the last selection made on it, with its pairing, its served rates and
@@ -56,6 +57,7 @@ import atexit
 import csv
 import io
 import json
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -132,10 +134,10 @@ class LoopCarry:
 
     Besides the averages `phi` (a tuple of one float per channel; a resumed
     run checks them once and moves them with its own scenario's horizon) and
-    the contention it carries the run's constants (`_run_constants`: the SNR
-    field, MCS label, usable links, AP capacities, radio budget and the
-    heard links' `RateLinks` with their PER, all read-only) and its memo: at
-    most `RATE_MEMO_SIZE` records keyed by
+    the contention it carries the run's constants (`_run_constants`: the
+    bootstrap contenders, MCS label, SLO's home links, AP capacities, radio
+    budget and the heard links' `RateLinks` with their PER, all read-only;
+    no SNR field) and its memo: at most `RATE_MEMO_SIZE` records keyed by
     contender tuple, least recently used first, each (rates, PairingInstance,
     selection, served): the rates a step reads under that contention (SLO's
     masked to the home channels), the pairing input weighed from them, the
@@ -145,9 +147,9 @@ class LoopCarry:
     on the run's checked inputs: the scenario object, MCS override,
     SLO-or-not mode, SNR base (by its exact bits) and, for a scenario that
     draws its bases, the seed (`Scenario.run_seed`). Solver and allocator are
-    not in the key, as PF and RR, optimal and greedy share records.
-    The next run reuses them only under an equal key, and ignores them
-    otherwise. A run never alters the carry it was given.
+    not in the key, as PF and RR, optimal and greedy share records. The next
+    run reuses them only under an equal key, and ignores them otherwise. A
+    run never alters the carry it was given.
     """
 
     phi: tuple
@@ -181,28 +183,25 @@ def _mcs_label(scenario: Scenario, mcs_override) -> str:
 
 
 def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
-    """What a run reads but never changes, derived once per run key and
-    read-only, as the carry holds it: the SNR field, the MCS label, the
-    usable links (F, N, 1), their count per AP (N, 1), the AP capacities,
-    the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
+    """What a run reads but never changes, derived once per run key and read-only, as
+    the carry holds it: a cold start's bootstrap contenders (F ints, of the SNR field,
+    which is not kept), the MCS label, SLO's home links (F, N, 1) or None, the AP
+    capacities, the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
     which refuse a link SNR out of the PHY model's range."""
     snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
     links = rate_links(scenario, snr_field, mcs_override)
     if slo:
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
-        usable = np.zeros((scenario.f_count, n_aps), dtype=bool)    # home channels only
-        usable[scenario.home_channel, np.arange(n_aps)] = True
+        home = (np.arange(scenario.f_count)[:, None] == scenario.home_channel)[:, :, None]
+        snr_field = np.where(home, snr_field, np.nan)   # camps on home channels only
         caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
         limits = np.ones(m_stas, dtype=int)
+        for array in (home, caps):
+            array.setflags(write=False)
     else:
-        usable = np.ones((scenario.f_count, scenario.n_aps), dtype=bool)
-        caps = scenario.ap_radios
-        limits = scenario.sta_radios
-    link_usable, usable_count = usable[:, :, None], usable.sum(axis=0)[:, None]
-    for array in (snr_field, link_usable, usable_count, caps):
-        array.setflags(write=False)
-    return (snr_field, _mcs_label(scenario, mcs_override), link_usable, usable_count, caps,
-            RadioBudget(limits), links)
+        home, caps, limits = None, scenario.ap_radios, scenario.sta_radios
+    return (tuple(bootstrap_contenders(scenario, snr_field)), _mcs_label(scenario, mcs_override),
+            home, caps, RadioBudget(limits), links)
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -216,20 +215,25 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
     return recs
 
 
+def _checked_count(name: str, value, below: str | None = None) -> int:
+    """An integer (numpy's too), not a bool, >= 1, returned as an int. Anything else is
+    refused naming the count and its value; a number below 1 with `below` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        low = below is not None and isinstance(value, numbers.Real) and value < 1
+        raise InvalidInputError(below if low else f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _check_run_args(scenario: Scenario, solver: str, allocator: str, iterations: int) -> None:
     """Refuse run arguments and horizons that no loop or sweep round could run with."""
-    horizon = scenario.ewma_horizon_t
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise InvalidInputError(f"ewma_horizon_t must be an integer >= 1, got {horizon!r}")
+    _checked_count("ewma_horizon_t", scenario.ewma_horizon_t)
     if solver not in SOLVERS:
         raise InvalidInputError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if allocator not in ALLOCATORS:
         raise InvalidInputError(f"allocator must be one of {ALLOCATORS}, got {allocator!r}")
     if allocator == "slo" and solver != "optimal":
-        raise InvalidInputError(f"allocator 'slo' pairs with solver 'optimal' only, "
-                                f"got {solver!r}")
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
+        raise InvalidInputError(f"allocator 'slo' pairs with solver 'optimal' only, got {solver!r}")
+    _checked_count("iterations", iterations, "iterations must be >= 1")
 
 
 def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str = "pf",
@@ -243,8 +247,8 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     and all dynamics come from contention feedback and the moving averages.
     Passing the previous run's `carry` continues its averages and contention
     instead of cold-starting, which is how operating changes (say, an MCS
-    switch) are evaluated mid-flight. The carry's SNR field and rate tensors
-    are reused only while the scenario object, the MCS override, the
+    switch) are evaluated mid-flight. The carry's run constants and rate
+    tensors are reused only while the scenario object, the MCS override, the
     SLO-or-not mode, the SNR base and (for a scenario that draws its bases)
     the seed stay the same. `snr_base_db` replaces the scenario's base; a
     scenario that draws each link's base from its `snr_random_range_db`
@@ -274,10 +278,9 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         constants, memo = carry.constants, dict(carry.memo)
     else:
         constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
-    snr_field, label, link_usable, usable_count, caps, budget, links = constants
+    bootstrap, label, home, caps, budget, links = constants
 
-    contenders = tuple(carry.contenders) if carry is not None \
-        else tuple(bootstrap_contenders(scenario, np.where(link_usable, snr_field, np.nan)))
+    contenders = tuple(carry.contenders) if carry is not None else bootstrap
     start_iter = carry.next_iteration if carry is not None else 1
     t = float(scenario.ewma_horizon_t)      # converted once, not at every division
     keep = 1.0 - 1.0 / t
@@ -290,10 +293,10 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             tensor = build_rate_tensor(scenario, contenders=contenders, links=links)
             if phi is None:     # a cold run's first step, as its memo is empty
                 phi = tuple(tensor.values.mean(axis=(1, 2)).tolist())  # first PF metrics near 1
-            rates = RateTensor(tensor.values * link_usable) if slo else tensor
-            # mean over usable channels: the plain channel mean unless SLO masks links
-            record = (rates, PairingInstance(rates.values.sum(axis=0) / usable_count,
-                                             caps, budget.sta_radio_limits), None, None)
+            rates = RateTensor(tensor.values * home) if slo else tensor
+            # mean over the channels an AP serves on: its home channel alone under SLO
+            weights = rates.values.sum(axis=0) / (1 if slo else scenario.f_count)
+            record = (rates, PairingInstance(weights, caps, budget.sta_radio_limits), None, None)
         rates, instance, seen, served = record
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver
@@ -413,18 +416,15 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
 
     With `workers` > 1 and more than one job in all, the jobs run in the
     shared process pool (see the module docstring) and give the serial
-    result. If a worker dies, the sweep
-    raises `concurrent.futures.process.BrokenProcessPool` and the next pooled
-    sweep starts a new pool.
+    result. If a worker dies, the sweep raises `BrokenProcessPool` (from
+    `concurrent.futures.process`) and the next pooled sweep starts a new pool.
     """
     # no explicit base by default: a scenario that draws its bases takes none
     snrs = list(snr_points) if snr_points is not None else [None]
     mcss = [scenario.run_mcs(m) for m in mcs_points] if mcs_points is not None else [None]
     rounds = scenario.monte_carlo_rounds if rounds is None else rounds
-    if rounds < 1:
-        raise InvalidInputError("rounds must be >= 1")
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    rounds = _checked_count("rounds", rounds, "rounds must be >= 1")
+    workers = _checked_count("workers", workers, f"workers must be >= 1, got {workers}")
     _check_run_args(scenario, solver, allocator, iterations)
     if not snrs or not mcss:
         raise InvalidInputError(f"a sweep needs at least one {'MCS' if snrs else 'SNR'} point")
@@ -443,8 +443,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
 
             try:
                 # one message per worker: pickle sends the scenario once per chunk
-                outcomes = list(pool.map(_mc_round, jobs,
-                                         chunksize=-(-len(jobs) // workers)))
+                outcomes = list(pool.map(_mc_round, jobs, chunksize=-(-len(jobs) // workers)))
             except BrokenProcessPool:
                 _shutdown_pool()    # so that the next sweep starts a new pool
                 raise

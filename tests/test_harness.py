@@ -391,6 +391,43 @@ def test_run_arguments_refused_before_the_pool(args, msg):
         run_apc_loop(_fixture(), **args)
 
 
+# one rule for every count a run takes: an integer (numpy's too), not a bool, >= 1;
+# a number below 1 keeps the message it always had, anything else names the count
+@pytest.mark.parametrize("args, msg", [
+    ({"iterations": 2.0}, "iterations must be an integer >= 1, got 2.0"),
+    ({"iterations": True}, "iterations must be an integer >= 1, got True"),
+    ({"iterations": "3"}, "iterations must be an integer >= 1, got '3'"),
+    ({"iterations": 0.5}, "iterations must be >= 1"),
+    ({"iterations": False}, "iterations must be >= 1"),
+    ({"rounds": 2.0}, "rounds must be an integer >= 1, got 2.0"),
+    ({"rounds": np.True_}, "rounds must be an integer >= 1, got np.True_"),
+    ({"rounds": -1.5}, "rounds must be >= 1"),
+    ({"workers": 2.0}, "workers must be an integer >= 1, got 2.0"),
+    ({"workers": None}, "workers must be an integer >= 1, got None"),
+    ({"workers": np.float64(0.0)}, "workers must be >= 1, got 0.0"),
+])
+def test_counts_refused_by_one_rule_before_any_field_or_pool(args, msg):
+    match = f"^{re.escape(msg)}$"
+    with mock.patch.object(Scenario, "snr_field", side_effect=AssertionError("field")), \
+            mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
+            mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")):
+        with pytest.raises(InvalidInputError, match=match):
+            run_monte_carlo(_fixture(), **{"rounds": 2, "workers": 2, **args})
+        if "iterations" in args:
+            with pytest.raises(InvalidInputError, match=match):
+                run_apc_loop(_fixture(), **args)
+
+
+def test_numpy_integer_counts_run_as_python_ints():
+    sc = _fixture()
+    stats = run_monte_carlo(sc, rounds=np.int64(2), iterations=np.int32(2), workers=np.int64(1))
+    assert stats == run_monte_carlo(sc, rounds=2, iterations=2)
+    assert type(stats[0].rounds) is int
+    assert json.loads(emit_sweep_stats(stats, fmt="json"))["sweep"][0]["rounds"] == 2
+    assert emit_results(run_apc_loop(sc, iterations=np.uint8(3)).reports) == \
+        emit_results(run_apc_loop(sc, iterations=3).reports)
+
+
 @pytest.mark.parametrize("solver,allocator", [("optimal", "pf"), ("greedy", "pf"),
                                               ("greedy", "rr")])
 def test_pooled_sweep_equals_serial(solver, allocator):
@@ -598,7 +635,8 @@ def _small_scenario_docs(draw):
     `out-of-range` or a map by channel with the same choices but the map;
     None and `out-of-range`, like the APs and channels left out, are
     out-of-range links. APs may override channel MCSs and name a home
-    channel."""
+    channel. A document may draw each link's SNR base from a range
+    (`snr_random_range_db`) and give RR weights (1-4 slices per channel)."""
     cids = list(range(1, draw(st.integers(1, 3)) + 1))
     ap_ids = [f"ap{n}" for n in range(draw(st.integers(1, 3)))]
     offset = st.integers(-30, 30).map(float)
@@ -636,6 +674,11 @@ def _small_scenario_docs(draw):
         "aps": aps,
         "stas": stas,
     }
+    if draw(st.integers(0, 3)) == 0:
+        lo = float(draw(st.integers(-10, 30)))
+        doc["snr_random_range_db"] = [lo, lo + draw(st.integers(0, 10))]
+    if draw(st.integers(0, 3)) == 0:
+        doc["rr_weights"] = {cid: draw(st.integers(1, 4)) for cid in cids}
     return doc
 
 
@@ -987,7 +1030,9 @@ _ALGORITHMS = [("optimal", "pf"), ("optimal", "rr"), ("greedy", "pf"), ("greedy"
 @st.composite
 def _reference_chains(draw):
     """A small scenario and a chain of 1-4 segments, each with its own
-    algorithm, MCS override and, on a resume, perhaps another horizon."""
+    algorithm, MCS override and, on a resume, perhaps another horizon; and
+    the chain's seed, an int or a list of ints, which a scenario that draws
+    its SNR bases draws them with."""
     _, sc = draw(_small_scenarios())
     feasible = sc.ap_capacities().sum() >= sc.m_stas     # else only SLO pairs everyone
     segments = []
@@ -997,13 +1042,14 @@ def _reference_chains(draw):
             sc = dataclasses.replace(sc, ewma_horizon_t=draw(st.integers(1, 50)))
         segments.append((sc, draw(st.integers(1, 3)), solver, allocator,
                          draw(st.one_of(st.none(), st.integers(0, 11)))))
-    return segments
+    seed = st.integers(0, 2 ** 32)
+    return segments, draw(st.one_of(seed, st.lists(seed, min_size=1, max_size=3)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_reference_chains())
-def test_loop_matches_the_memo_free_reference_on_small_scenarios(segments):
-    _assert_loop_matches_reference(segments)
+def test_loop_matches_the_memo_free_reference_on_small_scenarios(chain):
+    _assert_loop_matches_reference(*chain)
 
 
 def _outputs(result):
@@ -1091,8 +1137,9 @@ def test_run_constants_derived_once_per_run_key():
         return spy.call_count, result
 
     pf = run_apc_loop(fx, iterations=3).carry
-    # the carry holds them, so none may be written through it
-    assert [v.flags.writeable for v in pf.constants if isinstance(v, np.ndarray)] == [False] * 4
+    # the carry holds them, so none may be written through it: a PF run's AP
+    # capacities, and under SLO its home links too
+    assert [v.flags.writeable for v in pf.constants if isinstance(v, np.ndarray)] == [False]
     assert derivations(fx, pf)[0] == 0
     assert derivations(fx, dataclasses.replace(pf, memo=()))[0] == 0
     assert derivations(fx, pf, solver="greedy", allocator="rr")[0] == 0
@@ -1100,7 +1147,8 @@ def test_run_constants_derived_once_per_run_key():
                        (dataclasses.replace(fx), {})]:      # a twin is another object
         assert derivations(sc, pf, **kwargs)[0] == 1, kwargs
     slo = derivations(fx, pf, allocator="slo")[1]
-    assert not any(v.flags.writeable for v in slo.carry.constants if isinstance(v, np.ndarray))
+    assert [v.flags.writeable for v in slo.carry.constants if isinstance(v, np.ndarray)] == \
+        [False] * 2
     assert derivations(fx, slo.carry, allocator="slo")[0] == 0
     assert derivations(fx, slo.carry)[0] == 1      # and back to PF
     # solver and allocator are not in the key: a resume names its own algorithm
@@ -1158,6 +1206,41 @@ def test_run_link_constants_take_at_most_20_bytes_per_heard_link():
     assert carried.index.tobytes() == links.index.tobytes() and links.index.size == 2400
     assert not (carried.index.flags.writeable or carried.per.flags.writeable)
     assert held <= 20 * links.index.size + 800, held
+
+
+def _arrays_in(value) -> list:
+    """Every array in a run's constants, those in tuples and a `RadioBudget` too."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, RadioBudget):
+        value = tuple(vars(value).values())
+    return [a for v in value for a in _arrays_in(v)] if isinstance(value, tuple) else []
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_run_constants_hold_no_snr_field_and_fit_their_bound(allocator):
+    # 20 B per heard link, 8 B per AP and per station, SLO's home links at
+    # one byte per (channel, AP) and a few hundred bytes of Python objects;
+    # the (F, N, M) SNR field alone would take 48,000 B
+    sc = load_scenario(SYNTH_10X200)
+    slo = allocator == "slo"
+    carried = run_apc_loop(sc, allocator=allocator, iterations=1).carry.constants
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        constants = harness._run_constants(sc, None, slo, None, None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    links = constants[-1].index.size
+    assert links == 2400 and carried[-1].index.tobytes() == constants[-1].index.tobytes()
+    bound = 20 * links + 8 * (sc.n_aps + sc.m_stas) + (sc.f_count * sc.n_aps if slo else 0) + 400
+    assert held <= bound, (held, bound)
+    field_shape = (sc.f_count, sc.n_aps, sc.m_stas)
+    for arrays in (_arrays_in(carried), _arrays_in(constants)):
+        # the capacities, SLO's home links, the radio limits, the links' index and PER
+        assert len(arrays) == (5 if slo else 4)
+        assert all(a.shape != field_shape and not a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("carried, resumed", [(_single, _fixture), (_fixture, _single)])

@@ -236,14 +236,17 @@ def _assert_kernel_is_the_block_build(sc, contenders, snr_field, mcs_override=No
 @given(_small_scenario_docs(), st.data())
 def test_heard_link_kernel_is_the_block_build_to_the_bit(doc, data):
     # drawn PER models, APs that mix MCS within a channel, out-of-range
-    # links, an MCS override and 0 to M + 1 contenders per channel
+    # links, drawn SNR bases, an MCS override and 0 to M + 1 contenders per channel
     with tempfile.TemporaryDirectory() as tmp:
         doc = dict(doc, per_model=_drawn_per_model(doc, data, tmp))
         sc = load_scenario(io.StringIO(yaml.safe_dump(doc)))
         mcs = data.draw(st.one_of(st.none(), st.sampled_from(sorted(sc.per_curves))),
                         label="mcs_override")
-        field = sc.snr_field(base_db=data.draw(st.sampled_from([-30.0, 0.0, 15.0, 60.0]),
-                                               label="base_db"))
+        if sc.snr_random_range_db is None:
+            field = sc.snr_field(base_db=data.draw(st.sampled_from([-30.0, 0.0, 15.0, 60.0]),
+                                                   label="base_db"))
+        else:   # it draws its bases and refuses an explicit one: a seed draws them
+            field = sc.snr_field(seed=data.draw(st.integers(0, 100), label="seed"))
         links = rate_links(sc, field, mcs)
         counts = st.lists(st.integers(0, sc.m_stas + 1), min_size=sc.f_count,
                           max_size=sc.f_count)
