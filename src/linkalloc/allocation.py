@@ -23,18 +23,19 @@ served rate over its average, and a carried phi passes `checked_phi` once.
 What depends only on the rates and the pairing is the tensor's
 `paired_links` view, kept for the last pairing object it saw, so PF on a
 revisited decision reads that view and only scores, orders and grants the F
-channels, one channel at a time.
+channels, one channel at a time. Each allocator hands its own read-only int8
+links, 0 or 1 at paired stations only, to `LinkSelection` unchecked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _trusted
 from .pairing import PairingMatrix
 from .rates import PairedLinks, RateTensor
 
@@ -89,9 +90,10 @@ class RadioBudget:
     sta_radio_limits: np.ndarray
 
     def __post_init__(self):
-        lim = np.array(self.sta_radio_limits, dtype=int)
-        if lim.ndim != 1 or (lim < 1).any():
+        lim = np.array(self.sta_radio_limits, dtype=object)     # each entry as given
+        if lim.ndim != 1 or not all(map(_is_count, lim.tolist())):
             raise InvalidInputError("radio limits must be a vector of positive counts")
+        lim = lim.astype(int)
         lim.setflags(write=False)
         object.__setattr__(self, "sta_radio_limits", lim)
 
@@ -101,6 +103,11 @@ class RadioBudget:
         budget = cls(sta_radio_limits=sta_radio_limits)
         _check_budget(pairing, budget)
         return budget
+
+
+def _is_count(value) -> bool:
+    """The count rule: an integer (numpy's too), not a bool, >= 1."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
@@ -151,7 +158,9 @@ def fairness_spread(metrics) -> float:
         raise InvalidInputError("need at least one metric")
     if math.inf in vals or -math.inf in vals:
         return math.inf
-    mean = float(np.add.reduce(vals)) / len(vals)     # numpy's mean, to the bit
+    # numpy's mean to the bit: below 8 values add.reduce sums left to right from 0.0 (numpy 2.4.6)
+    total = reduce(float.__add__, vals, 0.0) if len(vals) < 8 else float(np.add.reduce(vals))
+    mean = total / len(vals)
     if mean != mean:    # a NaN metric, which builtin max and min may skip
         return math.nan
     top, bottom = max(vals), min(vals)
@@ -187,12 +196,14 @@ def allocate_pf(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     view = _paired_links(pairing, budget, rates)
     means = view.means
     score = list(map(pf_ratio, means, checked_phi(phi, rates.f_count)))
-    links = np.zeros((rates.f_count, pairing.m_stas), dtype=bool)
+    links = np.zeros((rates.f_count, pairing.m_stas), dtype=np.int8)
     free = budget.sta_radio_limits.copy()
     for f in sorted(range(rates.f_count), key=lambda f: (-score[f], -means[f], f)):
         links[f] = view.live[f] & (free > 0)
         free -= links[f]
-    return LinkSelection(links, pairing, unallocated_edges=view.unallocated_edges)
+    links.setflags(write=False)
+    return _trusted(LinkSelection, links=links, pairing=pairing,
+                    unallocated_edges=view.unallocated_edges)
 
 
 def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
@@ -208,21 +219,22 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     _paired_links(pairing, budget, rates)
     ms = pairing.paired[1]
     f_count = rates.f_count
-    weights = [int(w) for w in weights]
-    if len(weights) != f_count or any(w < 1 for w in weights):
+    weights = list(weights)
+    if len(weights) != f_count or not all(map(_is_count, weights)):
         raise InvalidInputError("need one positive weight per channel")
-    cycle = [f for f in range(f_count) for _ in range(weights[f])]
+    cycle = [f for f in range(f_count) for _ in range(int(weights[f]))]
 
-    links = np.zeros((f_count, pairing.m_stas), dtype=bool)
+    links = np.zeros((f_count, pairing.m_stas), dtype=np.int8)
     pos = 0
     for m in ms.tolist():
         for _ in range(min(int(budget.sta_radio_limits[m]), f_count)):
             # the link holds fewer than F channels, so the cycle has a free one
             while links[cycle[pos % len(cycle)], m]:
                 pos += 1
-            links[cycle[pos % len(cycle)], m] = True
+            links[cycle[pos % len(cycle)], m] = 1
             pos += 1
-    return LinkSelection(links, pairing)
+    links.setflags(write=False)
+    return _trusted(LinkSelection, links=links, pairing=pairing, unallocated_edges=())
 
 
 def selection_feasible(selection: LinkSelection, pairing: PairingMatrix,

@@ -137,6 +137,8 @@ class AirtimeDurations:
     payload_airtime: float   # E[Pkt]: payload bits at the MCS data rate
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_success, self.t_collision, self.payload_airtime))):
+            raise InvalidInputError("durations must be finite")
         if min(self.t_success, self.t_collision) <= 0:
             raise InvalidInputError("durations must be > 0")
         if self.payload_airtime < 0:

@@ -36,7 +36,12 @@ solver. A decision equal to the last one made under the same contention
 (owner vector and links compared as bytes) shares that one's arrays, so the
 reports of a cycling loop do not grow memory, and reads that one's served
 rates and next contention. A new decision's served rates and network total
-come from one selection x rate product.
+come from one selection x rate product. What a step builds itself (a miss's
+tensor, SLO's masked copy, the pairing weights, the solvers' owners, the
+allocators' links) it hands over read-only past the public constructors'
+checks (`errors._trusted`): rates are finite and >= 0, as `AirtimeDurations`
+refuses a non-finite duration and the kernel a PER outside [0, 1], and
+`_run_constants` checks the capacities and limits once per run.
 
 A sweep's rounds repeat only for a scenario that draws its SNR bases
 (`snr_random_range_db`); on any other, every round would run the same loop,
@@ -68,6 +73,7 @@ import numpy as np
 from .allocation import (
     LinkSelection,
     RadioBudget,
+    _is_count,
     allocate_pf,
     allocate_rr,
     checked_phi,
@@ -75,7 +81,7 @@ from .allocation import (
     instantaneous_rates,
     pf_ratio,
 )
-from .errors import InvalidInputError, ValidationError
+from .errors import InvalidInputError, ValidationError, _trusted
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
 from .rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
 from .scenario import Scenario
@@ -196,10 +202,14 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
         snr_field = np.where(home, snr_field, np.nan)   # camps on home channels only
         caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
         limits = np.ones(m_stas, dtype=int)
-        for array in (home, caps):
-            array.setflags(write=False)
+        home.setflags(write=False)
     else:
         home, caps, limits = None, scenario.ap_radios, scenario.sta_radios
+    caps = np.array(caps, dtype=object)     # checked once: each miss's instance holds it as is
+    if caps.shape != (scenario.n_aps,) or not all(map(_is_count, caps.tolist())):
+        raise InvalidInputError("ap_capacity must hold a positive count per AP")
+    caps = caps.astype(int)
+    caps.setflags(write=False)
     return (tuple(bootstrap_contenders(scenario, snr_field)), _mcs_label(scenario, mcs_override),
             home, caps, RadioBudget(limits), links)
 
@@ -216,9 +226,8 @@ def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> l
 
 
 def _checked_count(name: str, value, below: str | None = None) -> int:
-    """An integer (numpy's too), not a bool, >= 1, returned as an int. Anything else is
-    refused naming the count and its value; a number below 1 with `below` if given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """An `_is_count` value as an int; else refused naming it, or with `below` if below 1."""
+    if not _is_count(value):
         low = below is not None and isinstance(value, numbers.Real) and value < 1
         raise InvalidInputError(below if low else f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
@@ -290,13 +299,18 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         t0 = time.perf_counter() if timing else 0.0
         record = memo.pop(contenders, None)
         if record is None:
-            tensor = build_rate_tensor(scenario, contenders=contenders, links=links)
+            rates = build_rate_tensor(scenario, contenders=contenders, links=links)
             if phi is None:     # a cold run's first step, as its memo is empty
-                phi = tuple(tensor.values.mean(axis=(1, 2)).tolist())  # first PF metrics near 1
-            rates = RateTensor(tensor.values * home) if slo else tensor
+                phi = tuple(rates.values.mean(axis=(1, 2)).tolist())   # first PF metrics near 1
+            if slo:     # rates times 0/1 stay finite and >= 0
+                masked = rates.values * home
+                masked.setflags(write=False)
+                rates = _trusted(RateTensor, values=masked)
             # mean over the channels an AP serves on: its home channel alone under SLO
             weights = rates.values.sum(axis=0) / (1 if slo else scenario.f_count)
-            record = (rates, PairingInstance(weights, caps, budget.sta_radio_limits), None, None)
+            weights.setflags(write=False)
+            record = (rates, _trusted(PairingInstance, d=weights, ap_capacity=caps,
+                                      sta_radio_limits=budget.sta_radio_limits), None, None)
         rates, instance, seen, served = record
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver

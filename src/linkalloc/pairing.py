@@ -12,9 +12,11 @@ as a test oracle). The instance keeps what it fixes, built when first read:
 that start, its loads, the capacity verdict and the loss rows of APs with
 their start stations, so a call on it rebuilds only the rows its own paths
 change. Ties go to the lowest AP index at the start and in the path search;
-no particular optimum among ties is promised. The total unimodularity check
-and the exact joint pairing+allocation solver are reproduction oracles in
-`repro`.
+no particular optimum among ties is promised. Each solver hands its own
+read-only owners to `PairingMatrix` unchecked: `best_ap`, its repaired copy
+and the greedy scan hold only AP indices or -1. The total unimodularity
+check and the exact joint pairing+allocation solver are reproduction oracles
+in `repro`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, _trusted
 
 __all__ = [
     "PairingInstance",
@@ -168,7 +170,9 @@ def pair_greedy(instance: PairingInstance) -> PairingMatrix:
         owner[m] = n
         remaining[n] -= 1
         assigned += 1
-    return PairingMatrix(np.array(owner, dtype=np.intp), n_aps)
+    owner = np.array(owner, dtype=np.intp)
+    owner.setflags(write=False)
+    return _trusted(PairingMatrix, owner=owner, n_aps=n_aps)
 
 
 def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
@@ -198,7 +202,8 @@ def pair_optimal_lp(instance: PairingInstance) -> PairingMatrix:
     if over:
         owner = owner.copy()
         _repair_overflow(instance.d, owner, list(load), caps, kept)
-    return PairingMatrix(owner, len(caps))
+        owner.setflags(write=False)
+    return _trusted(PairingMatrix, owner=owner, n_aps=len(caps))
 
 
 def _loss_row(d: np.ndarray, a: int, stations: list) -> tuple:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import phy
 from .dcf import DcfParams, airtime_durations, normalized_throughput, solve_bianchi_fixed_point
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _trusted
 from .scenario import Scenario
 
 __all__ = [
@@ -59,18 +59,14 @@ class RateTensor:
 
     Equality is identity: the tensor keeps the `PairedLinks` view of the last
     pairing object it was asked about, holding a reference to that pairing.
-    `values` is copied unless it is a read-only float array that owns its
-    data, which the tensor keeps as it is.
+    `values` is copied, as a float array.
     """
 
     values: np.ndarray
     _paired: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
-        v = self.values
-        if not (isinstance(v, np.ndarray) and v.dtype == float and v.base is None
-                and not v.flags.writeable):
-            v = np.array(v, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 3:
             raise InvalidInputError(f"rate tensor must be (F, N, M), got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
@@ -236,5 +232,5 @@ def build_rate_tensor(scenario: Scenario, *, contenders=None,
     out = np.zeros((scenario.f_count, scenario.n_aps, scenario.m_stas))
     out.reshape(-1)[links.index] = normalized_throughput(terms, terms, links.per, params) \
         * terms.rate
-    out.setflags(write=False)   # handed over: the tensor keeps it without a copy
-    return RateTensor(out)
+    out.setflags(write=False)   # finite and >= 0, as per and durations are: kept as it is
+    return _trusted(RateTensor, values=out)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -411,6 +411,41 @@ def test_rr_rejects_bad_weights():
         allocate_rr(pairing, budget, _unit_rates(2, pairing), [1, 0])
 
 
+@pytest.mark.parametrize("weights", [(1.5, 2, 4), (True, 2, 4), (math.nan, 1, 1), ("a", 1, 1),
+                                     (np.float64(2.0), 1, 1), (np.True_, 1, 1), (1, 0, 1)])
+def test_rr_weights_follow_the_count_rule(weights):
+    # an integer (numpy's too), not a bool, >= 1: nothing is rounded or read as 1
+    pairing = _full_pairing(1, 2)
+    budget = RadioBudget.from_pairing(pairing, [1, 1])
+    with pytest.raises(InvalidInputError) as exc:
+        allocate_rr(pairing, budget, _unit_rates(3, pairing), weights)
+    assert type(exc.value) is InvalidInputError
+    assert str(exc.value) == "need one positive weight per channel"
+
+
+def test_rr_weights_take_numpy_integers():
+    pairing = _full_pairing(1, 2)
+    budget = RadioBudget.from_pairing(pairing, [1, 1])
+    got = allocate_rr(pairing, budget, _unit_rates(3, pairing), np.array([1, 2, 4], dtype=np.int32))
+    want = allocate_rr(pairing, budget, _unit_rates(3, pairing), (1, 2, 4))
+    assert got.links.tobytes() == want.links.tobytes()
+
+
+@pytest.mark.parametrize("limits", [np.full(15, 1.5), ["a"] * 15, [True, 1], [1, np.True_],
+                                    np.ones(3, dtype=bool), [1.0, 2], [[1, 2]], 3, [1, None]])
+def test_radio_limits_follow_the_count_rule(limits):
+    with pytest.raises(InvalidInputError) as exc:
+        RadioBudget(limits)
+    assert type(exc.value) is InvalidInputError
+    assert str(exc.value) == "radio limits must be a vector of positive counts"
+
+
+@pytest.mark.parametrize("limits", [[1, 2], (np.int64(1), 2), np.array([1, 2], dtype=np.uint8)])
+def test_radio_limits_take_integers_of_any_kind(limits):
+    lim = RadioBudget(limits).sta_radio_limits
+    assert lim.tolist() == [1, 2] and lim.dtype == int and not lim.flags.writeable
+
+
 def test_fairness_spread_uniform_is_zero():
     for metrics in ([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]):   # all 0: no active link
         assert fairness_spread(metrics) == 0.0
@@ -461,6 +496,44 @@ def test_fairness_spread_equals_numpy_to_the_bit(metrics):
         assert math.isnan(got)
     else:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _spread_by_add_reduce(vals):
+    """fairness_spread's special cases around (max - min) / (add.reduce / n)."""
+    if not vals:
+        raise InvalidInputError("need at least one metric")
+    if math.inf in vals or -math.inf in vals:
+        return math.inf
+    mean = float(np.add.reduce(vals)) / len(vals)
+    if math.isnan(mean):
+        return math.nan
+    if max(vals) == min(vals):
+        return 0.0
+    if mean <= 0:
+        raise InvalidInputError("metrics must have positive mean")
+    return (max(vals) - min(vals)) / mean
+
+
+_ANY_METRIC = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-1e3, 1e3), st.floats(1e-300, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_ANY_METRIC, min_size=1, max_size=7),      # the Python sum
+                 st.lists(_ANY_METRIC, min_size=8, max_size=12)))   # numpy's add.reduce
+@example([1.0, 1e16, -1e16]).via("3 added left to right: 0.0, where 1.0 + (1e16 - 1e16) is 1.0")
+@example([0.1] * 9).via("9 added pairwise: 0.9, where a left fold reads 0.8999999999999999")
+def test_fairness_spread_keeps_add_reduce_bits_at_every_length(metrics):
+    with np.errstate(over="ignore"):    # a sum past the float range is inf either way
+        want = _spread_or_error(_spread_by_add_reduce, metrics)
+        got = _spread_or_error(fairness_spread, metrics)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:   # repr tells NaN and each finite value apart, copysign the sign of a zero
+        assert repr(got) == repr(want) and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 @pytest.mark.parametrize("metrics", [[1.0, math.nan, 1.0], [math.nan], [math.nan, -1.0, 0.0]])

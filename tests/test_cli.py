@@ -58,6 +58,10 @@ def test_run_missing_scenario_is_validation_exit(tmp_path, capsys):
     refusals = {
         "cw_min.yaml": (before_aps("dcf: {cw_min: 0}"),
                         "dcf: need 1 <= cw_min <= cw_max"),
+        # timings whose sum overflows would make every rate inf - inf = NaN, which no
+        # step re-checks: the run is refused when its durations are built
+        "dcf_overflow.yaml": (before_aps("dcf: {sifs: 1.0e308, difs: 1.0e308}"),
+                              "durations must be finite"),
         "per_kind.yaml": (before_aps("per_model: {kind: bogus}"),
                           "per_model.kind: must be 'logistic' or 'table', got 'bogus'"),
         "range_one.yaml": (before_aps("snr_random_range_db: [6.0]"),

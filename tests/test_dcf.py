@@ -217,6 +217,12 @@ _REFUSALS = {
     "mcs_rate_inf": (lambda: airtime_durations(DcfParams(), math.inf),
                      "mcs_rate must be finite and > 0"),
     "durations": (lambda: AirtimeDurations(1e-3, 0.0, 1e-4), "durations must be > 0"),
+    # finite durations keep a rate kernel's rates finite, which no step re-checks
+    "durations_inf": (lambda: AirtimeDurations(math.inf, 1e-3, 1e-4), "durations must be finite"),
+    "durations_nan": (lambda: AirtimeDurations(1e-3, math.nan, 1e-4), "durations must be finite"),
+    "payload_inf": (lambda: AirtimeDurations(1e-3, 1e-3, math.inf), "durations must be finite"),
+    "durations_overflow": (lambda: airtime_durations(DcfParams(sifs=1e308, difs=1e308), 68.8e6),
+                           "durations must be finite"),
     "payload_airtime": (lambda: AirtimeDurations(1e-3, 1e-3, -1e-4),
                         "payload_airtime must be >= 0"),
 }

@@ -26,12 +26,12 @@ from hypothesis import strategies as st
 
 import oracles
 from linkalloc import allocation, harness, pairing, phy
-from linkalloc.allocation import RadioBudget, fairness_spread, selection_feasible
+from linkalloc.allocation import LinkSelection, RadioBudget, fairness_spread, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
-from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError
+from linkalloc.errors import InfeasibleError, InvalidInputError, ValidationError, _trusted
 from linkalloc.pairing import PairingInstance, PairingMatrix, objective_value
-from linkalloc.rates import bootstrap_contenders, build_rate_tensor, rate_links
+from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
 from linkalloc.harness import (
     emit_results,
     emit_sweep_stats,
@@ -1014,6 +1014,85 @@ def test_loop_matches_the_memo_free_reference(path):
                                    rng_seed=4)
 
 
+@pytest.mark.parametrize("path", [bundled_scenario_path("scenario_3ap_15sta"),
+                                  bundled_scenario_path("scenario_slo"),
+                                  bundled_scenario_path("scenario_2ap_joint"), SYNTH_10X200],
+                         ids=lambda path: path.stem)
+def test_what_the_loop_builds_unchecked_passes_the_public_checks(path):
+    # the solvers, allocators and misses build their results past the public
+    # constructors; each result must be one those constructors accept as it is
+    sc = load_scenario(path)
+    for solver, allocator in [("optimal", "pf"), ("greedy", "pf"), ("optimal", "rr"),
+                              ("greedy", "rr"), ("optimal", "slo")]:
+        carry = None
+        for _ in range(12):     # a step per call: every record is read while the memo holds it
+            result = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=1,
+                                  carry=carry)
+            carry, pairing, selection = result.carry, result.final.pairing, result.final.selection
+            owner, links = pairing.owner, selection.links
+            assert owner.dtype.kind in "iu" and not owner.flags.writeable
+            assert links.dtype == np.int8 and not links.flags.writeable
+            assert selection.pairing is pairing
+            assert PairingMatrix(owner, pairing.n_aps).owner.tobytes() == owner.tobytes()
+            public = LinkSelection(links, pairing, selection.unallocated_edges)
+            assert public.links.tobytes() == links.tobytes()
+            for rates, instance, _, _ in dict(carry.memo).values():
+                public = PairingInstance(instance.d, instance.ap_capacity,
+                                         instance.sta_radio_limits)
+                assert public.d.tobytes() == instance.d.tobytes()
+                assert RateTensor(rates.values).values.tobytes() == rates.values.tobytes()
+
+
+def test_trusted_build_holds_every_field():
+    # the init fields as given, each other field at its default, as the constructor sets it
+    values = np.zeros((1, 1, 1))
+    rates = _trusted(RateTensor, values=values)
+    assert vars(rates).keys() == {"values", "_paired"} and rates.values is values
+    assert vars(rates)["_paired"] == (None, None)
+
+    @dataclasses.dataclass(frozen=True)
+    class Listed:
+        items: list = dataclasses.field(default_factory=list, init=False)
+
+    with pytest.raises(TypeError, match="^Listed has a non-init field with no plain default$"):
+        _trusted(Listed)
+
+
+@contextlib.contextmanager
+def _public_checks_counted():
+    """Each public constructor's checks of the four result types, counted as they run."""
+    with contextlib.ExitStack() as stack:
+        yield {cls.__name__: stack.enter_context(mock.patch.object(
+                   cls, "__post_init__", autospec=True, side_effect=cls.__post_init__))
+               for cls in (PairingMatrix, LinkSelection, PairingInstance, RateTensor)}
+
+
+def _spied(name):
+    """`harness.<name>` replaced by a mock that counts its calls and still makes them."""
+    return mock.patch.object(harness, name, side_effect=getattr(harness, name))
+
+
+def test_warm_steps_and_slo_misses_run_no_public_check():
+    none = {"PairingMatrix": 0, "LinkSelection": 0, "PairingInstance": 0, "RateTensor": 0}
+    for path in (bundled_scenario_path("scenario_3ap_15sta"), SYNTH_10X200):
+        sc = load_scenario(path)
+        for solver, pair_name, allocator in [("optimal", "pair_optimal_lp", "pf"),
+                                             ("greedy", "pair_greedy", "rr")]:
+            carry = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=4).carry
+            with _public_checks_counted() as checks, _spied(pair_name) as pair, \
+                    _spied(f"allocate_{allocator}") as allocate:
+                for _ in range(6):
+                    carry = run_apc_loop(sc, solver=solver, allocator=allocator, iterations=1,
+                                         carry=carry).carry
+            assert {k: spy.call_count for k, spy in checks.items()} == none, (path, solver)
+            assert pair.call_count == allocate.call_count == 6     # one each per step
+        # a cold SLO run misses on its first steps
+        with _public_checks_counted() as checks, _spied("build_rate_tensor") as miss:
+            run_slo_baseline(sc, iterations=6)
+        assert miss.call_count >= 1
+        assert {k: spy.call_count for k, spy in checks.items()} == none, path
+
+
 def test_resumed_run_averages_with_its_own_horizon():
     # the fixture averages over T = 300; a resume on a copy with T = 5 moves phi by 1/5
     fx = _fixture()
@@ -1621,6 +1700,14 @@ _REFUSALS = {
     "two_channel_sets": (lambda tmp: emit_results(run_apc_loop(_single(), iterations=1).reports
                                                   + run_apc_loop(_fixture(), iterations=1).reports),
                          InvalidInputError, "reports mix different channel sets"),
+    # capacities of a Scenario built past the loader, checked once per run as the
+    # pairing input each miss builds holds them unchecked
+    **{f"capacity_{name}": (lambda tmp, radios=radios: run_apc_loop(
+        dataclasses.replace(_fixture(), ap_radios=radios), iterations=1),
+        InvalidInputError, "ap_capacity must hold a positive count per AP")
+       for name, radios in (("zero", np.array([5, 0, 5])), ("negative", np.array([5, -1, 5])),
+                            ("float", np.array([5.0, 1.5, 5.0])), ("bool", [5, True, 5]),
+                            ("short", np.array([5, 5])), ("grid", np.full((3, 1), 5)))},
 }
 
 
