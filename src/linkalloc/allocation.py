@@ -30,14 +30,17 @@ links, 0 or 1 at paired stations only, to `LinkSelection` unchecked.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvalidInputError, _trusted
 from .pairing import PairingMatrix
 from .rates import PairedLinks, RateTensor
+from .scenario import MAX_RADIOS
 
 __all__ = [
     "LinkSelection",
@@ -91,7 +94,7 @@ class RadioBudget:
 
     def __post_init__(self):
         lim = np.array(self.sta_radio_limits, dtype=object)     # each entry as given
-        if lim.ndim != 1 or not all(map(_is_count, lim.tolist())):
+        if lim.ndim != 1 or not all(map(_is_radio_count, lim.tolist())):
             raise InvalidInputError("radio limits must be a vector of positive counts")
         lim = lim.astype(int)
         lim.setflags(write=False)
@@ -108,6 +111,11 @@ class RadioBudget:
 def _is_count(value) -> bool:
     """The count rule: an integer (numpy's too), not a bool, >= 1."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
+def _is_radio_count(value) -> bool:
+    """A radio count: the count rule, up to the loader's `MAX_RADIOS`."""
+    return _is_count(value) and value <= MAX_RADIOS
 
 
 def instantaneous_rates(selection: LinkSelection, rates: RateTensor) -> tuple:
@@ -210,11 +218,13 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
                 weights) -> LinkSelection:
     """Weighted round-robin baseline: deal channels from a repeating cycle.
 
-    The cycle holds each channel `weights[f]` times (e.g. weights (1, 2, 4)
-    yield the cycle [0, 1, 1, 2, 2, 2, 2]), and links are dealt in AP-major
-    order, ignoring rates entirely; `rates` only fixes the layout. A cycle
-    position already used by the link is skipped. Every paired link gets
-    min(r(m), F) channels, so no link is left unallocated.
+    The cycle holds each channel `weights[f]` times in a run (e.g. weights
+    (1, 2, 4) yield the cycle [0, 1, 1, 2, 2, 2, 2]), and links are dealt in
+    AP-major order, ignoring rates entirely; `rates` only fixes the layout. A
+    cycle position already used by the link is skipped, with the rest of its
+    channel's run. Every paired link gets min(r(m), F) channels, so no link is
+    left unallocated. A position's channel is found from the runs' ends, so a
+    link costs O(F) at any weight.
     """
     _paired_links(pairing, budget, rates)
     ms = pairing.paired[1]
@@ -222,17 +232,22 @@ def allocate_rr(pairing: PairingMatrix, budget: RadioBudget, rates: RateTensor,
     weights = list(weights)
     if len(weights) != f_count or not all(map(_is_count, weights)):
         raise InvalidInputError("need one positive weight per channel")
-    cycle = [f for f in range(f_count) for _ in range(int(weights[f]))]
-
-    links = np.zeros((f_count, pairing.m_stas), dtype=np.int8)
+    ends = list(accumulate(map(int, weights)))      # channel f's run ends before ends[f]
+    limits = budget.sta_radio_limits.tolist()
+    chans, stas = [], []
     pos = 0
     for m in ms.tolist():
-        for _ in range(min(int(budget.sta_radio_limits[m]), f_count)):
+        held = []
+        for _ in range(min(limits[m], f_count)):
             # the link holds fewer than F channels, so the cycle has a free one
-            while links[cycle[pos % len(cycle)], m]:
-                pos += 1
-            links[cycle[pos % len(cycle)], m] = 1
+            while (f := bisect_right(ends, pos % ends[-1])) in held:
+                pos += ends[f] - pos % ends[-1]
+            held.append(f)
             pos += 1
+        chans += held
+        stas += [m] * len(held)
+    links = np.zeros((f_count, pairing.m_stas), dtype=np.int8)
+    links[chans, stas] = 1
     links.setflags(write=False)
     return _trusted(LinkSelection, links=links, pairing=pairing, unallocated_edges=())
 

@@ -74,6 +74,7 @@ from .allocation import (
     LinkSelection,
     RadioBudget,
     _is_count,
+    _is_radio_count,
     allocate_pf,
     allocate_rr,
     checked_phi,
@@ -206,7 +207,7 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
     else:
         home, caps, limits = None, scenario.ap_radios, scenario.sta_radios
     caps = np.array(caps, dtype=object)     # checked once: each miss's instance holds it as is
-    if caps.shape != (scenario.n_aps,) or not all(map(_is_count, caps.tolist())):
+    if caps.shape != (scenario.n_aps,) or not all(map(_is_radio_count, caps.tolist())):
         raise InvalidInputError("ap_capacity must hold a positive count per AP")
     caps = caps.astype(int)
     caps.setflags(write=False)

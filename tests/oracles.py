@@ -3,8 +3,10 @@
 Everything here is deliberately written with different algorithms (and, where
 possible, different libraries) than the code under test: damped Picard instead
 of bisection, the paper's assignment LP, dynamic programming over capacity
-states and Kuhn-Munkres on repeated AP rows instead of successive shortest
-paths, bit-mask enumeration and a per-station assignment instead of recursive
+states, Kuhn-Munkres on repeated AP rows and a duality certificate from
+Bellman-Ford prices (which needs no scipy) instead of successive shortest
+paths, a sorted scan of every edge instead of a stable argsort, bit-mask
+enumeration and a per-station assignment instead of recursive
 search, plain `math` instead of numpy log-sum-exp. The one exception is the
 dense allocation path at the end: the package's PF, RR and served-rate code
 as it ran on the (N, M) pairing matrix and the (F, N, M) selection, kept to
@@ -149,6 +151,65 @@ def hungarian_assignment_value(d, caps):
     if len(c) != m_stas:
         raise ValueError("capacity cannot hold every station")
     return float(d[rows[r], c].sum())
+
+
+def greedy_scan(d, caps):
+    """The greedy pairing as a plain scan: every (AP, station) edge by
+    descending weight, ties to the lower AP, then the lower station; a
+    station takes the first of its edges whose AP has room. The owner list."""
+    d = np.asarray(d, dtype=float)
+    n_aps, m_stas = d.shape
+    room, owner = [int(c) for c in caps], [-1] * m_stas
+    for _, n, m in sorted((-d[n, m], n, m) for n in range(n_aps) for m in range(m_stas)):
+        if owner[m] < 0 and room[n] > 0:
+            owner[m] = n
+            room[n] -= 1
+    return owner
+
+
+def pairing_prices(d, owner, tol=0.0):
+    """AP prices u >= 0 for the pairing `owner`, by Bellman-Ford over the AP
+    graph, where edge a -> b costs the least loss of moving one of a's
+    stations to b, min over them of d[a, m] - d[b, m]: u is minus the shortest
+    distance to each AP from a source joined to every AP at cost 0. None while
+    a distance still falls by more than `tol` after N + 1 rounds: a cycle of
+    negative cost, round which moving stations would gain."""
+    d, owner = np.asarray(d, dtype=float), np.asarray(owner)
+    n_aps = d.shape[0]
+    cost = np.full((n_aps, n_aps), np.inf)
+    for a in range(n_aps):
+        here = owner == a
+        if here.any():
+            cost[a] = (d[a, here] - d[:, here]).min(axis=1)
+    dist = np.zeros(n_aps)
+    for _ in range(n_aps + 1):
+        relaxed = np.minimum(dist, (dist[:, None] + cost).min(axis=0))
+        if not (relaxed < dist - tol).any():
+            return -dist
+        dist = relaxed
+    return None
+
+
+def pairing_certified(d, caps, owner, rel=1e-12):
+    """Whether `owner` is an optimum of the paper's assignment LP, by duality
+    and with no solver: it pairs every station within R(n), and the prices u
+    of `pairing_prices` are 0 below capacity, put every station at an argmax
+    of d - u, and give the dual objective sum_m max_n (d - u) + sum_n R(n) u
+    equal to the primal sum of d over the pairs, each at `rel` of the largest
+    weight. By weak duality a certified owner is optimal to that tolerance."""
+    d, caps, owner = np.asarray(d, dtype=float), np.asarray(caps), np.asarray(owner)
+    stas = np.arange(d.shape[1])
+    tol = rel * float(d.max(initial=0.0))
+    load = np.bincount(owner[owner >= 0], minlength=len(caps))
+    if (owner < 0).any() or (load > caps).any():
+        return False
+    u = pairing_prices(d, owner, tol)
+    if u is None or (u[load < caps] > tol).any():
+        return False
+    reduced = d - u[:, None]
+    best = reduced.max(axis=0)
+    primal, dual = d[owner, stas].sum(), best.sum() + (caps * u).sum()
+    return bool((reduced[owner, stas] >= best - tol).all() and abs(primal - dual) <= tol)
 
 
 def assignment_lp_vertex(d, caps):

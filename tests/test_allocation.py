@@ -394,6 +394,17 @@ def test_rr_weighted_slices():
     assert selection.per_channel_counts().tolist() == [1, 2, 4]
 
 
+def test_rr_deals_a_weight_past_any_list_by_its_runs():
+    # weights (10**12, 1, 1): positions [0, 10**12) deal channel 0, then one
+    # each of channels 1 and 2. Station 0 takes 0 at 0, skips channel 0's run
+    # to take 1 and 2; station 1 takes 0 at 10**12 + 2, skips to take 1 at
+    # 2 * 10**12 + 2; station 2 takes 2 at 2 * 10**12 + 3; station 3 takes 0
+    pairing = PairingMatrix([0, 0, 0, 0], 1)
+    budget = RadioBudget.from_pairing(pairing, [3, 2, 1, 1])
+    selection = allocate_rr(pairing, budget, _unit_rates(3, pairing), [10**12, 1, 1])
+    assert selection.links.tolist() == [[1, 1, 0, 1], [1, 1, 0, 0], [1, 0, 1, 0]]
+
+
 def test_rr_determinism():
     pairing = PairingMatrix([0, 1, 0], 2)
     budget = RadioBudget.from_pairing(pairing, [2, 2, 1])
@@ -432,8 +443,10 @@ def test_rr_weights_take_numpy_integers():
 
 
 @pytest.mark.parametrize("limits", [np.full(15, 1.5), ["a"] * 15, [True, 1], [1, np.True_],
-                                    np.ones(3, dtype=bool), [1.0, 2], [[1, 2]], 3, [1, None]])
+                                    np.ones(3, dtype=bool), [1.0, 2], [[1, 2]], 3, [1, None],
+                                    [1, 2**31], [10**30] * 15])
 def test_radio_limits_follow_the_count_rule(limits):
+    # the loader's MAX_RADIOS (2**31 - 1) bounds them, so no count passes int64
     with pytest.raises(InvalidInputError) as exc:
         RadioBudget(limits)
     assert type(exc.value) is InvalidInputError
@@ -444,6 +457,7 @@ def test_radio_limits_follow_the_count_rule(limits):
 def test_radio_limits_take_integers_of_any_kind(limits):
     lim = RadioBudget(limits).sta_radio_limits
     assert lim.tolist() == [1, 2] and lim.dtype == int and not lim.flags.writeable
+    assert RadioBudget([2**31 - 1]).sta_radio_limits.tolist() == [2**31 - 1]
 
 
 def test_fairness_spread_uniform_is_zero():

@@ -1456,8 +1456,9 @@ def test_horizon_below_one_refused_before_anything_is_built(horizon):
 
 def test_every_repair_on_a_multi_path_cell_is_optimal():
     # SLO at 20 dB, MCS 3: the start puts 9 of the 15 stations on one AP of
-    # capacity 5, so each step's repair takes four paths; a warm call's first
-    # pop of that AP reads its kept row, and later pops rebuild touched rows
+    # capacity 5, so each step's repair takes four paths; a first call on an
+    # instance builds loss rows from the weights, and a warm call builds none:
+    # it reads the kept rows and orders and moves cursors past what left
     fx = _fixture()
     calls, built = [], []
     solve, row = harness.pair_optimal_lp, pairing._loss_row
@@ -1468,8 +1469,8 @@ def test_every_repair_on_a_multi_path_cell_is_optimal():
         return calls[-1][1]
 
     with mock.patch.object(harness, "pair_optimal_lp", spy), \
-            mock.patch.object(pairing, "_loss_row",
-                              lambda d, a, stations: built.append(a) or row(d, a, stations)):
+            mock.patch.object(pairing, "_loss_row", lambda d, a, stations, whole:
+                              built.append(a) or row(d, a, stations, whole)):
         run_slo_baseline(fx, iterations=10, snr_base_db=20.0, mcs_override=3)
     assert len(calls) == 10
     seen = set()
@@ -1478,54 +1479,62 @@ def test_every_repair_on_a_multi_path_cell_is_optimal():
                           - instance.ap_capacity, 0).sum() == 4
         assert objective_value(got, instance.d) == pytest.approx(
             oracles.hungarian_assignment_value(instance.d, instance.ap_capacity), rel=1e-12)
-        if id(instance) in seen:    # a warm call: kept rows read, touched rows rebuilt
-            assert any(instance._start[4]) and builds > 0
+        assert (builds == 0) == (id(instance) in seen)
+        assert any(instance._start[4])
         seen.add(id(instance))
     assert len(seen) < len(calls)
 
 
 def test_threads_resuming_from_one_carry_share_its_instances():
     # the carry's records hold instances with no kept facts yet, so both
-    # threads build them and fill the same loss-row slots
+    # threads build them and fill the same slots: under PF each step's repair
+    # moves one station, and under SLO at 20 dB, MCS 3 four, which keeps the
+    # over-full AP's start stations in order toward every AP
     fx = _fixture()
-    carry = run_apc_loop(fx, iterations=3).carry
+    for kwargs in ({}, dict(allocator="slo", snr_base_db=20.0, mcs_override=3)):
+        carry = run_apc_loop(fx, iterations=3, **kwargs).carry
 
-    def fresh_instances():
-        return dataclasses.replace(carry, memo=tuple(
-            (key, (rates, PairingInstance(inst.d, inst.ap_capacity, inst.sta_radio_limits))
-             + tuple(rest)) for key, (rates, inst, *rest) in carry.memo))
+        def fresh_instances():
+            return dataclasses.replace(carry, memo=tuple(
+                (key, (rates, PairingInstance(inst.d, inst.ap_capacity, inst.sta_radio_limits))
+                 + tuple(rest)) for key, (rates, inst, *rest) in carry.memo))
 
-    def emitted(start):
-        reports = []
-        for _ in range(200):
-            result = run_apc_loop(fx, iterations=1, carry=start)
-            reports += result.reports
-            start = result.carry
-        return emit_results(reports)
+        def emitted(start):
+            reports = []
+            for _ in range(200):
+                result = run_apc_loop(fx, iterations=1, carry=start, **kwargs)
+                reports += result.reports
+                start = result.carry
+            return emit_results(reports)
 
-    alone = fresh_instances()
-    serial = emitted(alone)
-    shared = fresh_instances()
-    barrier = threading.Barrier(2)
-    outputs = []
+        alone = fresh_instances()
+        serial = emitted(alone)
+        shared = fresh_instances()
+        barrier = threading.Barrier(2)
+        outputs = []
 
-    def resume():
-        barrier.wait()
-        outputs.append(emitted(shared))
+        def resume():
+            barrier.wait()
+            outputs.append(emitted(shared))
 
-    threads = [threading.Thread(target=resume) for _ in range(2)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert outputs == [serial] * 2
-    assert [rec[1]._start for _, rec in shared.memo] == [rec[1]._start for _, rec in alone.memo]
+        threads = [threading.Thread(target=resume) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outputs == [serial] * 2
+        assert [rec[1]._start for _, rec in shared.memo] == \
+            [rec[1]._start for _, rec in alone.memo]
+        slots = [rec[1]._start[4] for _, rec in shared.memo]
+        assert any(slot is not None for kept in slots for slot in kept)
+        if kwargs:
+            assert any(slot[2] is not None for kept in slots for slot in kept if slot)
 
 
 def test_bench_span_targets_resolve(monkeypatch):
@@ -1707,7 +1716,12 @@ _REFUSALS = {
         InvalidInputError, "ap_capacity must hold a positive count per AP")
        for name, radios in (("zero", np.array([5, 0, 5])), ("negative", np.array([5, -1, 5])),
                             ("float", np.array([5.0, 1.5, 5.0])), ("bool", [5, True, 5]),
-                            ("short", np.array([5, 5])), ("grid", np.full((3, 1), 5)))},
+                            ("short", np.array([5, 5])), ("grid", np.full((3, 1), 5)),
+                            # past the loader's MAX_RADIOS, and past int64
+                            ("past_max_radios", [5, 2**31, 5]), ("past_int64", [10**30, 5, 5]))},
+    "sta_radios_past_int64": (lambda tmp: run_apc_loop(
+        dataclasses.replace(_fixture(), sta_radios=[10**30] * 15), iterations=1),
+        InvalidInputError, "radio limits must be a vector of positive counts"),
 }
 
 

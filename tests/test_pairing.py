@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from linkalloc import pairing
 from linkalloc.errors import InfeasibleError, InvalidInputError, SizeLimitError
+from linkalloc.harness import run_slo_baseline
 from linkalloc.pairing import (
     PairingInstance,
     PairingMatrix,
@@ -17,6 +19,7 @@ from linkalloc.pairing import (
 )
 from linkalloc.rates import RateTensor
 from linkalloc.repro import build_incidence, check_total_unimodularity, solve_joint_mmkp_bruteforce
+from linkalloc.scenario import bundled_scenario_path, load_scenario
 
 
 def _instance(d, caps, limits=None):
@@ -96,6 +99,30 @@ def test_greedy_tie_break_low_index_first():
     inst = _instance([[2.0, 2.0], [2.0, 2.0]], [1, 1])
     x = pair_greedy(inst)
     assert x.x.tolist() == [[1, 0], [0, 1]]
+
+
+@st.composite
+def _tie_heavy_instances(draw):
+    """Integer weights 0-3 on N in 1-4 APs and M in 1-10 stations, with
+    capacities that cover M, over-filling the best-AP start or not."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    d = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                 dtype=float).reshape(n, m)
+    caps = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    caps[0] += max(m - sum(caps), 0)
+    return d, caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_instances())
+def test_greedy_is_the_plain_scan(case):
+    # when the best-AP start fits, greedy returns it as it is: the scan's result
+    d, caps = case
+    inst = _instance(d, caps)
+    got = pair_greedy(inst).owner
+    assert got.tolist() == oracles.greedy_scan(d, caps)
+    assert (got is inst.best_ap) == (not (np.bincount(inst.best_ap, minlength=len(caps)) > caps).any())
+    assert not got.flags.writeable
 
 
 def test_infeasible_capacity_same_message_from_both_solvers():
@@ -259,13 +286,81 @@ def test_kept_start_repairs_like_a_fresh_instance(case, other_case, order):
         assert inst.best_ap.tolist() == c[0].argmax(axis=0).tolist()
 
 
+def _planted(d, caps, owner):
+    """The feasible owner one move to an AP with room, or one swap, from
+    `owner` that loses the most weight, and that loss."""
+    stas = np.arange(d.shape[1])
+    own = d[owner, stas]
+    load = np.bincount(owner, minlength=len(caps))
+    worst = (0.0, owner)
+    for m in stas:
+        for b in np.flatnonzero(load < caps):
+            if b != owner[m]:
+                moved = owner.copy()
+                moved[m] = b
+                worst = max(worst, (own[m] - d[b, m], moved), key=lambda t: t[0])
+        for k in stas[:m]:
+            swapped = owner.copy()
+            swapped[[m, k]] = owner[[k, m]]
+            loss = own[m] + own[k] - d[owner[k], m] - d[owner[m], k]
+            worst = max(worst, (loss, swapped), key=lambda t: t[0])
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overfull_instances())
+def test_repair_is_certified_without_scipy(case):
+    # LP duality from Bellman-Ford prices: the repair's owners are certified,
+    # and the worst owner one move or swap away is refused
+    d, caps = case
+    owner = pair_optimal_lp(_instance(d, caps)).owner
+    assert oracles.pairing_certified(d, caps, owner)
+    u = oracles.pairing_prices(d, owner)
+    assert u is not None and (u >= 0).all()
+    loss, planted = _planted(d, caps, owner)
+    if loss > 1e-9 * d.max():
+        assert not oracles.pairing_certified(d, caps, planted)
+
+
+@pytest.mark.parametrize("scenario, kwargs, over", [
+    # SLO at 20 dB, MCS 3 on the fixture: 9 of 15 stations start on one AP of 5
+    (bundled_scenario_path("scenario_3ap_15sta"), dict(snr_base_db=20.0, mcs_override=3), 4),
+    (Path(__file__).parent / "data" / "synth_10x200_seed1.yaml", {}, 30)])
+def test_slo_memo_repairs_are_certified(scenario, kwargs, over):
+    carry = run_slo_baseline(load_scenario(scenario), iterations=10, **kwargs).carry
+    assert carry.memo
+    for _, (_, instance, *_) in carry.memo:
+        caps = instance.ap_capacity
+        assert np.maximum(np.bincount(instance.best_ap, minlength=len(caps)) - caps, 0).sum() \
+            == over
+        # the run's own instance has kept what its calls built; a new one has not
+        fresh = PairingInstance(instance.d, caps, instance.sta_radio_limits)
+        for inst in (instance, fresh):
+            assert oracles.pairing_certified(instance.d, caps, pair_optimal_lp(inst).owner)
+
+
+def test_certificate_refuses_what_is_not_an_optimum():
+    d = np.array([[9.0, 8.0], [7.0, 1.0]])
+    assert oracles.pairing_certified(d, [1, 1], [1, 0])
+    # greedy's pairing is feasible but 5 short: moving the stations round
+    # the cycle 0 -> 1 -> 0 gains, so no prices exist
+    assert oracles.pairing_prices(d, [0, 1]) is None
+    assert not oracles.pairing_certified(d, [1, 1], [0, 1])
+    # over capacity, or a station left unpaired
+    assert not oracles.pairing_certified(d, [1, 1], [0, 0])
+    assert not oracles.pairing_certified(d, [1, 1], [0, -1])
+    # an AP with room whose station could do better elsewhere: its price must be 0
+    assert not oracles.pairing_certified(d, [2, 2], [1, 1])
+
+
 def _row_builds(instance):
-    """The (AP, stations) of each loss row one call on `instance` builds."""
+    """The (AP, start stations, whole order) of each loss row that one call on
+    `instance` builds from the weights."""
     builds = []
     row = pairing._loss_row
     with mock.patch.object(pairing, "_loss_row",
-                           lambda d, a, stations: builds.append((a, list(stations)))
-                           or row(d, a, stations)):
+                           lambda d, a, stations, whole: builds.append((a, stations.tolist(), whole))
+                           or row(d, a, stations, whole)):
         pair_optimal_lp(instance)
     return builds
 
@@ -275,22 +370,28 @@ def test_untouched_aps_build_no_loss_row_on_a_second_call():
     # before AP 2 (7 away), and the one path moves station 1 to AP 2
     d = [[9.0, 8.0, 1.0, 7.0], [5.0, 0.0, 6.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
     inst = _instance(d, [2, 1, 1])
-    assert _row_builds(inst) == [(0, [0, 1, 3]), (1, [2])]
+    assert _row_builds(inst) == [(0, [0, 1, 3], False), (1, [2], False)]
     assert _row_builds(inst) == [] == _row_builds(inst)
     assert pair_optimal_lp(inst).owner.tolist() == [0, 2, 1, 0]
-    # three over from AP 0, which every path leaves: its row and AP 1's, once
-    # full, are rebuilt from the stations the call's own paths left them, and
-    # only the first pop of AP 0 reads a kept row
+    # three over from AP 0, which every path leaves: its start stations are
+    # ordered toward every AP at its first pop, AP 1 starts with none, and
+    # the stations later paths move in and out are compared by cursor, so a
+    # warm call builds nothing from the weights
     d = [[5.0, 4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 5]
     inst = _instance(d, [2, 2, 5])
-    first = _row_builds(inst)
-    later = _row_builds(inst)
-    start = {a: (inst.best_ap == a).nonzero()[0].tolist() for a in range(3)}
-    assert first[0] == (0, start[0]) and later == first[1:]
-    assert all(stations != start[a] for a, stations in later)
-    assert _row_builds(inst) == later
+    assert _row_builds(inst) == [(0, [0, 1, 2, 3, 4], True), (1, [], False)]
+    assert _row_builds(inst) == [] == _row_builds(inst)
     assert pair_optimal_lp(inst).owner.tolist() == \
-        pair_optimal_lp(_instance(d, [2, 2, 5])).owner.tolist()
+        pair_optimal_lp(_instance(d, [2, 2, 5])).owner.tolist() == [0, 0, 2, 1, 1]
+    # APs 0 and 1 are one over each, so their first pops build only their
+    # least-loss rows; the first path moves station 2 from AP 0 to AP 2, and
+    # the second search pops AP 0 again, which orders its start stations to
+    # find the least loss toward each AP once station 2 has left
+    d = [[8.0, 7.0, 9.0, 9.0], [9.0, 9.0, 7.0, 0.0], [2.0, 1.0, 9.0, 1.0]]
+    inst = _instance(d, [1, 1, 2])
+    assert _row_builds(inst) == [(0, [2, 3], False), (1, [0, 1], False), (0, [2, 3], True)]
+    assert _row_builds(inst) == [] == _row_builds(inst)
+    assert pair_optimal_lp(inst).owner.tolist() == [2, 1, 2, 0]
 
 
 def test_lp_dominates_greedy_everywhere():
