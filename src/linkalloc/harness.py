@@ -13,8 +13,10 @@ A step pays only for what changed. The run's constants (`_run_constants`:
 the contenders a cold start bootstraps from `Scenario.snr_field`, the MCS
 label, SLO's home links, AP capacities, radio budget and the heard links'
 `RateLinks`, which hold their PER) are derived once per run, and the field
-is not kept, so a tensor build, a miss, evaluates only the
-contention-dependent throughput over the heard links. The rate tensor is a
+is not kept; the scenario keeps all but the contenders and the PER from its
+first run on (`Scenario.fixed`), per MCS override or per SLO-or-not mode. So
+a tensor build, a miss, evaluates only the contention-dependent throughput
+over the heard links. The rate tensor is a
 pure function of the scenario, the SNR field, the MCS override and the
 contenders per channel, and the loop revisits the same few contender vectors
 (two on the bundled fixture, three on a 30-AP/1000-STA network). So each
@@ -84,7 +86,7 @@ from .allocation import (
 )
 from .errors import InvalidInputError, ValidationError, _trusted
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
-from .rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
+from .rates import RateTensor, _link_layout, bootstrap_contenders, build_rate_tensor, rate_links
 from .scenario import Scenario
 
 __all__ = [
@@ -184,23 +186,12 @@ class RunResult:
         return _recommendations(self.scenario, self.final.pairing, self.final.selection)
 
 
-def _mcs_label(scenario: Scenario, mcs_override) -> str:
-    values = set(np.ravel(scenario.mcs_table if mcs_override is None else mcs_override).tolist())
-    return str(values.pop()) if len(values) == 1 else "mixed"
-
-
-def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
-    """What a run reads but never changes, derived once per run key and read-only, as
-    the carry holds it: a cold start's bootstrap contenders (F ints, of the SNR field,
-    which is not kept), the MCS label, SLO's home links (F, N, 1) or None, the AP
-    capacities, the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
-    which refuse a link SNR out of the PHY model's range."""
-    snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
-    links = rate_links(scenario, snr_field, mcs_override)
+def _limits(scenario: Scenario, slo: bool) -> tuple:
+    """SLO's home links (F, N, 1) or None, the checked AP capacities and the radio
+    limits as a `RadioBudget`, as the scenario keeps them per SLO mode."""
     if slo:
         m_stas, n_aps = scenario.m_stas, scenario.n_aps
         home = (np.arange(scenario.f_count)[:, None] == scenario.home_channel)[:, :, None]
-        snr_field = np.where(home, snr_field, np.nan)   # camps on home channels only
         caps = np.full(n_aps, -(-m_stas // n_aps), dtype=int)   # balanced ceil(M/N)
         limits = np.ones(m_stas, dtype=int)
         home.setflags(write=False)
@@ -211,8 +202,23 @@ def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng
         raise InvalidInputError("ap_capacity must hold a positive count per AP")
     caps = caps.astype(int)
     caps.setflags(write=False)
-    return (tuple(bootstrap_contenders(scenario, snr_field)), _mcs_label(scenario, mcs_override),
-            home, caps, RadioBudget(limits), links)
+    return home, caps, RadioBudget(limits)
+
+
+def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
+    """What a run reads but never changes, derived once per run key and read-only, as
+    the carry holds it: a cold start's bootstrap contenders (F ints, of the SNR field,
+    which is not kept), the MCS label, SLO's home links (F, N, 1) or None, the AP
+    capacities, the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
+    which refuse a link SNR out of the PHY model's range. The scenario keeps all but
+    the contenders and the links' PER (`Scenario.fixed`)."""
+    snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
+    links = rate_links(scenario, snr_field, mcs_override)
+    home, caps, budget = scenario.fixed(_limits, slo)
+    if slo:
+        snr_field = np.where(home, snr_field, np.nan)   # camps on home channels only
+    return (tuple(bootstrap_contenders(scenario, snr_field)),
+            scenario.fixed(_link_layout, mcs_override)[2], home, caps, budget, links)
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -470,7 +476,7 @@ def run_monte_carlo(scenario: Scenario, *, snr_points=None, mcs_points=None,
         tputs, spreads, min_spreads = np.array(outcomes[i * draws:(i + 1) * draws]).T
         stats.append(SweepStat(
             snr_base_db=base,
-            mcs_label=_mcs_label(scenario, mcs),
+            mcs_label=scenario.fixed(_link_layout, mcs)[2],
             rounds=rounds,
             throughput_mean_bps=float(tputs.mean()),
             throughput_std_bps=float(tputs.std()),

@@ -5,11 +5,12 @@ see on channel f if served by AP n, given the channel's MCS, the link SNR,
 and the number of stations currently contending on f. The per-channel MAC
 efficiency comes from the saturated-contention fixed point in `dcf`; the PHY
 error probability comes from the PER curves in `phy`. Only the contention
-changes within a run, so the rest is derived once per SNR field and MCS
-override (`rate_links`): the heard links, their PER and the airtime and MCS
-rate of each block of links that share a channel and an MCS. A tensor build
-then takes each channel's contention terms, spreads them over the links and
-evaluates the DCF throughput over all heard links in one vectorized call.
+changes within a run, so the rest is derived once per run (`rate_links`):
+the heard links' PER at the SNR field, beside what the scenario keeps per MCS
+override, the heard links and the airtime and MCS rate of each block of links
+that share a channel and an MCS. A tensor build then takes each channel's
+contention terms, spreads them over the links and evaluates the DCF
+throughput over all heard links in one vectorized call.
 
 The (F, N, M) layout is the only rate layout: the pairing weights are the
 tensor's mean over channels (N, M), and a selection's (F, M) links read
@@ -113,7 +114,6 @@ def _contention(params: DcfParams, n: int):
     return solve_bianchi_fixed_point(params, n)
 
 
-@lru_cache(maxsize=256)
 def _block_airtime(params: DcfParams, mcs: int, width: int) -> tuple:
     rate = phy.mcs_data_rate(mcs, width)
     d = airtime_durations(params, rate)
@@ -137,49 +137,59 @@ class RateLinks(NamedTuple):
 _LinkTerms = namedtuple("_LinkTerms", "p_tr p_single t_success t_collision payload_airtime rate")
 
 
+def _link_layout(scenario: Scenario, mcs_override: int | None) -> tuple:
+    """What the scenario fixes of its `RateLinks` under a checked MCS override,
+    kept by it (`Scenario.fixed`): the links with no PER, each MCS in use with
+    its links' positions, and the MCS label, that one MCS or "mixed"."""
+    mcs_table = scenario.mcs_table if mcs_override is None \
+        else np.full_like(scenario.mcs_table, mcs_override)
+    index = np.flatnonzero(~np.isnan(scenario.snr_offsets_db.ravel()))
+    ap_keys = [(f, mcs) for f, row in enumerate(mcs_table.tolist()) for mcs in row]
+    blocks = sorted(set(ap_keys))
+    link_block = np.array([blocks.index(key) for key in ap_keys])[index // scenario.m_stas]
+    index = index[np.argsort(link_block, kind="stable")]   # the same unless a channel mixes MCS
+    link_mcs = mcs_table.ravel()[index // scenario.m_stas]
+    in_use = sorted({mcs for _, mcs in blocks})
+    at = tuple((mcs, np.flatnonzero(link_mcs == mcs) if len(in_use) > 1 else slice(None))
+               for mcs in in_use)
+    widths = scenario.bandwidth_mhz.tolist()
+    airtime = [_block_airtime(scenario.dcf, mcs, widths[f]) for f, mcs in blocks]
+    index = index.astype(np.min_scalar_type(scenario.snr_offsets_db.size))
+    index.setflags(write=False)
+    return (RateLinks(index, None, tuple(np.bincount(link_block, minlength=len(blocks)).tolist()),
+                      tuple(f for f, _ in blocks), tuple(zip(*airtime))),
+            at, str(in_use[0]) if len(in_use) == 1 else "mixed")
+
+
 def rate_links(scenario: Scenario, snr_field: np.ndarray,
                mcs_override: int | None = None) -> RateLinks:
     """The `RateLinks` of an SNR field, derived once per run.
 
-    NaN marks an out-of-range link, which is not heard and rates 0. Each
-    heard link is one SINR sample, which must be finite and > 0 in linear
-    scale, checked as the equivalent range in dB; a link SNR outside it (say
-    5000 dB, whose linear value overflows) is a configuration error naming
-    the first such link in (f, n, m) order. The EESM of a single sample is
-    the sample itself, so the link SNR in dB indexes the PER curve directly:
-    one `phy.per_lookup` per MCS in use, over all of its links.
+    The field is read at the heard links alone, those the scenario's offsets
+    do not mark NaN. Each is one SINR sample, which must be finite and > 0 in
+    linear scale, checked as the equivalent range in dB; a link SNR outside
+    it (say 5000 dB, whose linear value overflows, or NaN) is a configuration
+    error naming the first such link in (f, n, m) order. The EESM of a single
+    sample is the sample itself, so the link SNR in dB indexes the PER curve
+    directly: one `phy.per_lookup` per MCS in use, over all of its links.
     """
-    mcs_override = scenario.run_mcs(mcs_override)
-    mcs_table = scenario.mcs_table if mcs_override is None \
-        else np.full_like(scenario.mcs_table, mcs_override)
+    layout, at, _ = scenario.fixed(_link_layout, scenario.run_mcs(mcs_override))
     snr_field = np.asarray(snr_field, dtype=float)
     shape = (scenario.f_count, scenario.n_aps, scenario.m_stas)
     if snr_field.shape != shape:
         raise InvalidInputError(f"snr_field shape {snr_field.shape} != {shape}")
     flat = snr_field.ravel()
-    index = np.flatnonzero(~np.isnan(flat))
-    snr = flat[index]
+    snr = flat[layout.index]
     usable = (snr >= _SNR_FLOOR_DB) & (snr < _SNR_CEILING_DB)
     if not usable.all():
-        raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
-                                f"the PHY model's range: its linear value must be finite and > 0")
-    ap_keys = [(f, mcs) for f, row in enumerate(mcs_table.tolist()) for mcs in row]
-    blocks = sorted(set(ap_keys))
-    link_block = np.array([blocks.index(key) for key in ap_keys])[index // scenario.m_stas]
-    order = np.argsort(link_block, kind="stable")   # the identity unless a channel mixes MCS
-    index, snr = index[order], snr[order]
-    link_mcs = mcs_table.ravel()[index // scenario.m_stas]
-    per = np.empty(index.size)
-    for mcs in sorted({mcs for _, mcs in blocks}):
-        at = link_mcs == mcs
-        per[at] = phy.per_lookup(scenario.per_curves[mcs], snr[at])
-    widths = scenario.bandwidth_mhz.tolist()
-    airtime = [_block_airtime(scenario.dcf, mcs, widths[f]) for f, mcs in blocks]
-    index = index.astype(np.min_scalar_type(flat.size))
-    for array in (index, per):
-        array.setflags(write=False)
-    return RateLinks(index, per, tuple(np.bincount(link_block, minlength=len(blocks)).tolist()),
-                     tuple(f for f, _ in blocks), tuple(zip(*airtime)))
+        first = float(flat[layout.index[~usable].min()])     # in (f, n, m) order
+        raise InvalidInputError(f"a link SNR of {first} dB is out of the PHY model's range: "
+                                "its linear value must be finite and > 0")
+    per = np.empty(snr.size)
+    for mcs, links in at:
+        per[links] = phy.per_lookup(scenario.per_curves[mcs], snr[links])
+    per.setflags(write=False)
+    return layout._replace(per=per)
 
 
 def bootstrap_contenders(scenario: Scenario, snr_field: np.ndarray) -> list:

@@ -23,7 +23,8 @@ and the rest of the package reads the AP and station settings from them only:
 
 `channel_ids[f]` names channel f, `ap_ids[n]` AP n and `sta_ids[m]` station
 m. `stas` is built on each read, for the benchmark's tests alone: per
-station, its id and views of its links' rows of `snr_offsets_db`.
+station, its id and views of its links' rows of `snr_offsets_db`. A scenario
+keeps what runs derive from these arrays alone (`Scenario.fixed`).
 
 Schema (all SNR values in dB)::
 
@@ -75,6 +76,7 @@ import gc
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -112,7 +114,8 @@ _EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+"
 class Scenario:
     """A validated, defaults-filled run configuration, as `load_scenario`
     builds it; the arrays are described in the module docstring.
-    Scenarios compare by identity."""
+    Scenarios compare by identity. A scenario's arrays must not change after its
+    first run, as it keeps what runs derive from them (`fixed`): the loader's are read-only."""
 
     name: str
     rng_seed: int
@@ -161,6 +164,19 @@ class Scenario:
     def sta_radio_limits(self) -> np.ndarray:
         """`sta_radios`, for `bench/workloads.py` and `bench/test_bench.py`, which call it."""
         return self.sta_radios
+
+    @cached_property
+    def _fixed(self) -> dict:
+        return {}
+
+    def fixed(self, derive, arg):
+        """`derive(self, arg)`, of this scenario's fields alone, derived on first use and
+        kept (not by a `dataclasses.replace` copy). An entry is written whole, so two
+        threads can only write equal values; a refusal keeps nothing."""
+        value = self._fixed.get((derive, arg))
+        if value is None:
+            value = self._fixed[derive, arg] = derive(self, arg)
+        return value
 
     def run_seed(self, seed=None) -> tuple | None:
         """The SNR bases' seed: `seed` (an int or a list of ints, each under

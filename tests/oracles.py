@@ -14,7 +14,9 @@ pin the owner-vector form to it: its decisions bit for bit, its served rates
 within 1e-12 relative. Likewise the package's numpy fairness spread, kept to
 pin the Python-float form to it bit for bit, and its rate tensor built one
 (channel, MCS) block at a time, with the range check and the PER lookup
-redone on every build, kept to pin the heard-link kernel to it bit for bit.
+redone on every build, kept to pin the heard-link kernel to it bit for bit,
+and its heard links derived from the SNR field on every run, kept to pin the
+layout a scenario keeps to it bit for bit.
 """
 
 import bisect
@@ -28,7 +30,14 @@ from linkalloc.dcf import airtime_durations, solve_bianchi_fixed_point
 from linkalloc.errors import InvalidInputError
 from linkalloc.pairing import PairingInstance, pair_greedy, pair_optimal_lp
 from linkalloc.phy import TablePer
-from linkalloc.rates import bootstrap_contenders, build_rate_tensor
+from linkalloc.rates import (
+    _SNR_CEILING_DB,
+    _SNR_FLOOR_DB,
+    RateLinks,
+    _block_airtime,
+    bootstrap_contenders,
+    build_rate_tensor,
+)
 
 
 def eesm_scalar(values, beta):
@@ -591,3 +600,47 @@ def build_rate_tensor_blocks(scenario, contenders=None, snr_field=None, mcs_over
             out[f, rows] = _block_rates(snr_field[f, rows], scenario.per_curves[mcs],
                                         phy.mcs_data_rate(mcs, width), state, params)
     return out
+
+
+def rate_links_dense(scenario, snr_field, mcs_override=None):
+    """The `RateLinks` as the package derived them before a scenario kept
+    their layout: the heard links, blocks and airtime found again from the
+    SNR field (its non-NaN entries) on every run."""
+    mcs_override = scenario.run_mcs(mcs_override)
+    mcs_table = scenario.mcs_table if mcs_override is None \
+        else np.full_like(scenario.mcs_table, mcs_override)
+    snr_field = np.asarray(snr_field, dtype=float)
+    shape = (scenario.f_count, scenario.n_aps, scenario.m_stas)
+    if snr_field.shape != shape:
+        raise InvalidInputError(f"snr_field shape {snr_field.shape} != {shape}")
+    flat = snr_field.ravel()
+    index = np.flatnonzero(~np.isnan(flat))
+    snr = flat[index]
+    usable = (snr >= _SNR_FLOOR_DB) & (snr < _SNR_CEILING_DB)
+    if not usable.all():
+        raise InvalidInputError(f"a link SNR of {float(snr[~usable][0])} dB is out of "
+                                f"the PHY model's range: its linear value must be finite and > 0")
+    ap_keys = [(f, mcs) for f, row in enumerate(mcs_table.tolist()) for mcs in row]
+    blocks = sorted(set(ap_keys))
+    link_block = np.array([blocks.index(key) for key in ap_keys])[index // scenario.m_stas]
+    order = np.argsort(link_block, kind="stable")   # the identity unless a channel mixes MCS
+    index, snr = index[order], snr[order]
+    link_mcs = mcs_table.ravel()[index // scenario.m_stas]
+    per = np.empty(index.size)
+    for mcs in sorted({mcs for _, mcs in blocks}):
+        at = link_mcs == mcs
+        per[at] = phy.per_lookup(scenario.per_curves[mcs], snr[at])
+    widths = scenario.bandwidth_mhz.tolist()
+    airtime = [_block_airtime(scenario.dcf, mcs, widths[f]) for f, mcs in blocks]
+    index = index.astype(np.min_scalar_type(flat.size))
+    for array in (index, per):
+        array.setflags(write=False)
+    return RateLinks(index, per, tuple(np.bincount(link_block, minlength=len(blocks)).tolist()),
+                     tuple(f for f, _ in blocks), tuple(zip(*airtime)))
+
+
+def mcs_label_dense(scenario, mcs_override):
+    """A run's MCS label as the package found it on every run: the one MCS
+    the MCS table (or the override) holds, else "mixed"."""
+    values = set(np.ravel(scenario.mcs_table if mcs_override is None else mcs_override).tolist())
+    return str(values.pop()) if len(values) == 1 else "mixed"

@@ -288,6 +288,20 @@ def test_run_extreme_snr_base_outcomes(tmp_path, capsys):
         for snr in ("5001.28", "-4998.72", "5020.0")]
 
 
+def test_snr_base_past_the_phy_range_exits_1_in_one_line():
+    # 1e308 plus each offset stays finite, far above the PHY ceiling: refused in
+    # one line naming the first link's SNR, with no numpy warning under -W error
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(linkalloc.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "linkalloc", "run", "--scenario",
+                           "scenario_3ap_15sta", "--snr-base", "1e308"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "linkalloc: a link SNR of 1e+308 dB is out of the PHY model's range: "
+               "its linear value must be finite and > 0\n")
+
+
 def test_dead_network_runs(tmp_path, capsys):
     # no link is active at these SNRs: every metric is 0, the spread 0.0
     out = str(tmp_path / "out.csv")

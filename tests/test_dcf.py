@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from linkalloc.dcf import (
@@ -102,6 +104,20 @@ def test_residual_small_on_every_accepted_ladder():
             p = DcfParams(cw_min=2 ** k, cw_max=2 ** (k + m), m_max_backoff_stages=m)
             for n in (2, 3, 10, 100, 10 ** 4, 10 ** 7):
                 assert solve_bianchi_fixed_point(p, n).residual < 1e-10, (k, m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 62), st.integers(0, 10), st.integers(2, 10 ** 15))
+@example(1, 0, 2)
+@example(1, 0, 10 ** 15)
+@example(2 ** 62, 0, 2)
+@example(2 ** 62, 0, 10 ** 15)
+def test_residual_within_1e_12_on_every_ladder(w, m, n):
+    # cw_max = W * 2**m, as DcfParams requires: the bisection ends within
+    # 1e-12 of the fixed point on every such ladder and contender count, so
+    # the solve needs no residual guard
+    p = DcfParams(cw_min=w, cw_max=w * 2 ** m, m_max_backoff_stages=m)
+    assert solve_bianchi_fixed_point(p, n).residual <= 1e-12
 
 
 def test_payload_airtime_at_mcs3():

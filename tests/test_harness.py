@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -15,6 +16,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc import allocation, harness, pairing, phy
+from linkalloc import allocation, harness, pairing, phy, rates
 from linkalloc.allocation import LinkSelection, RadioBudget, fairness_spread, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
@@ -1239,6 +1241,87 @@ def test_run_constants_derived_once_per_run_key():
     assert emit_results(rr.reports) == emit_results(run_apc_loop(
         fx, iterations=2, carry=dataclasses.replace(mcs3, run=None), solver="greedy",
         allocator="rr", mcs_override=3).reports)
+
+
+def test_ladder_derives_each_layout_and_each_mode_once():
+    # the algorithm ladder in one process: a sweep per algorithm and an SLO run
+    # per cell over 4 SNRs x MCS 3 and 9, 32 cold runs of one scenario, derive
+    # the links' layout once per MCS override and the limits once per SLO mode
+    sc = _fixture()
+    constants, layout, limits = harness._run_constants, rates._link_layout, harness._limits
+    with mock.patch.object(harness, "_run_constants", side_effect=constants) as runs, \
+            mock.patch.object(rates, "_link_layout", side_effect=layout) as layouts, \
+            mock.patch.object(harness, "_link_layout", layouts), \
+            mock.patch.object(harness, "_limits", side_effect=limits) as modes:
+        for solver, allocator in (("optimal", "pf"), ("greedy", "pf"), ("greedy", "rr")):
+            run_monte_carlo(sc, snr_points=[5.0, 10.0, 15.0, 20.0], mcs_points=[3, 9],
+                            rounds=1, solver=solver, allocator=allocator, iterations=3)
+        for snr in (5.0, 10.0, 15.0, 20.0):
+            for mcs in (3, 9):
+                run_slo_baseline(sc, iterations=3, snr_base_db=snr, mcs_override=mcs)
+    assert runs.call_count == 32
+    assert sorted(c.args[1] for c in layouts.call_args_list) == [3, 9]
+    assert sorted(c.args[1] for c in modes.call_args_list) == [False, True]
+    assert all(c.args[0] is sc for c in layouts.call_args_list + modes.call_args_list)
+
+
+def test_refused_capacities_are_refused_on_every_run():
+    # a refusal keeps nothing, so the next run checks them again
+    bad = dataclasses.replace(_fixture(), ap_radios=[0, 5, 5])
+    for allocator in ("pf", "pf", "rr"):
+        with pytest.raises(InvalidInputError) as exc:
+            run_apc_loop(bad, allocator=allocator, iterations=1)
+        assert str(exc.value) == "ap_capacity must hold a positive count per AP"
+    assert (harness._limits, False) not in vars(bad)["_fixed"]
+    # SLO balances the capacities itself, so its mode is kept
+    assert run_apc_loop(bad, allocator="slo", iterations=1).final.algorithm == "slo"
+    assert (harness._limits, True) in vars(bad)["_fixed"]
+
+
+def test_a_scenario_that_ran_is_freed_with_its_last_reference():
+    # what a scenario keeps it keeps itself: nothing at module level holds it
+    sc = _fixture()
+    for kwargs in ({}, {"allocator": "slo", "mcs_override": 3}):
+        run_apc_loop(sc, iterations=2, **kwargs)
+    assert len(vars(sc)["_fixed"]) == 4
+    kept = weakref.ref(sc)
+    del sc
+    gc.collect()
+    assert kept() is None
+
+
+def test_threads_running_one_scenario_share_what_it_keeps():
+    # 4 threads, more than the cores, start cold runs of one fresh scenario at
+    # once, each from another cell, so they derive its kept entries together:
+    # every run emits what it emits alone, and the entries are a lone scenario's
+    cells = [dict(allocator=allocator, snr_base_db=snr, mcs_override=mcs)
+             for allocator in ("pf", "slo") for snr in (10.0, 20.0) for mcs in (None, 3, 9)]
+    alone = _fixture()
+    serial = [emit_results(run_apc_loop(alone, iterations=3, **c).reports) for c in cells]
+    shared = _fixture()
+    results = {}
+
+    def runs(k):
+        results[k] = [emit_results(run_apc_loop(shared, iterations=3, **c).reports)
+                      for c in cells[k:] + cells[:k]]
+
+    threads = [threading.Thread(target=runs, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: serial[k:] + serial[:k] for k in range(4)}
+    kept, want = vars(shared)["_fixed"], vars(alone)["_fixed"]
+    assert kept.keys() == want.keys() and len(kept) == 5
+    for key in kept:
+        got, ref = (_arrays_in(kept[key][:2]), _arrays_in(want[key][:2]))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref], key
 
 
 def test_per_looked_up_once_per_run_key():

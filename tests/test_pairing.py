@@ -309,6 +309,11 @@ def _planted(d, caps, owner):
 
 @settings(max_examples=150, deadline=None)
 @given(_overfull_instances())
+# two APs over by one each: a repair that raised no prices after its first
+# path would take the second at a reduced cost left negative and end at 238,
+# 1 short of the optimum
+@example((np.array([[0.0, 0.0, 0.0, 83.0], [30.0, 0.0, 61.0, 0.0], [41.0, 58.0, 0.0, 0.0],
+                    [0.0, 53.0, 68.0, 92.0]]), np.array([1, 1, 1, 1])))
 def test_repair_is_certified_without_scipy(case):
     # LP duality from Bellman-Ford prices: the repair's owners are certified,
     # and the worst owner one move or swap away is refused

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -19,6 +20,7 @@ from linkalloc.phy import (
     mcs_data_rate,
 )
 from linkalloc.harness import run_apc_loop
+from linkalloc import rates
 from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor, rate_links
 from linkalloc.repro import simulate_dcf_slots
 from linkalloc.scenario import bundled_scenario_path, load_scenario
@@ -269,6 +271,90 @@ def test_heard_link_kernel_is_the_block_build_on_every_contention_a_run_visits(p
         links = rate_links(sc, field, mcs)
         for contenders in sorted(visited) + [None]:
             _assert_kernel_is_the_block_build(sc, contenders, field, mcs, links)
+
+
+def _link_bytes(links):
+    """A `RateLinks`, field by field: its arrays as their dtype and bytes, its
+    block tuples, and the airtime floats as bytes."""
+    return (links.index.dtype.str, links.index.tobytes(), links.per.dtype.str,
+            links.per.tobytes(), links.block_links, links.block_channel,
+            np.array(links.block_airtime, dtype=float).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_scenario_docs(), st.data())
+def test_kept_link_layout_is_the_dense_derivation_to_the_bit(doc, data):
+    # APs that mix MCS within a channel, an MCS override or none, drawn bases
+    # and PER models of both kinds: the links of a first run, of a second run
+    # on the same scenario (another field, the kept layout) and of a
+    # `dataclasses.replace` copy, which keeps nothing of the original's, are
+    # the ones derived from the field on every run
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = dict(doc, per_model=_drawn_per_model(doc, data, tmp))
+        sc = load_scenario(io.StringIO(yaml.safe_dump(doc)))
+    mcs = data.draw(st.one_of(st.none(), st.sampled_from(sorted(sc.per_curves))),
+                    label="mcs_override")
+    copy = dataclasses.replace(sc)
+    kept = []
+    for run, scenario in enumerate((sc, sc, copy)):
+        if scenario.snr_random_range_db is None:
+            field = scenario.snr_field(base_db=data.draw(
+                st.sampled_from([-30.0, 0.0, 15.0, 60.0]), label=f"base_db {run}"))
+        else:   # it draws its bases and refuses an explicit one: a seed draws them
+            field = scenario.snr_field(seed=data.draw(st.integers(0, 100), label=f"seed {run}"))
+        assert ((rates._link_layout, mcs) in vars(scenario).get("_fixed", {})) == (run == 1)
+        got = rate_links(scenario, field, mcs)
+        assert _link_bytes(got) == _link_bytes(oracles.rate_links_dense(scenario, field, mcs))
+        assert scenario.fixed(rates._link_layout, mcs)[2] \
+            == oracles.mcs_label_dense(scenario, mcs)
+        kept.append(got.index)
+    assert kept[1] is kept[0] and kept[2] is not kept[0]
+
+
+# one channel on which ap2 runs MCS 3 and ap1 MCS 9, so ap2's links come
+# first in the layout; sta1's links to both are far above the rest
+MIXED_ONE_CHANNEL_YAML = """
+name: mixed_one_channel
+snr_base_db: -2000.0
+channels:
+  - {id: 1, band: 5GHz, bandwidth_mhz: 80, mcs: 9}
+aps:
+  - {id: ap1, radios: 2}
+  - {id: ap2, radios: 2, mcs: {1: 3}}
+stas:
+  - {id: sta1, radios: 1, snr_offset_db: {ap1: 4000.0, ap2: 5000.0}}
+  - {id: sta2, radios: 1, snr_offset_db: {ap1: 10.0, ap2: 12.0}}
+"""
+
+
+def test_out_of_range_link_named_in_field_order_not_layout_order():
+    sc = _load(MIXED_ONE_CHANNEL_YAML)
+    assert rate_links(sc, sc.snr_field()).index.tolist() == [2, 3, 0, 1]
+    # at base 0 both of sta1's links pass the ceiling; ap1's is first in (f, n, m)
+    # order, though the layout holds ap2's first
+    field = sc.snr_field(base_db=0.0)
+    want = ("a link SNR of 4000.0 dB is out of the PHY model's range: "
+            "its linear value must be finite and > 0")
+    for call in (lambda: rate_links(sc, field), lambda: oracles.rate_links_dense(sc, field),
+                 lambda: run_apc_loop(sc, iterations=1, snr_base_db=0.0)):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert str(exc.value) == want
+
+
+def test_field_read_at_the_heard_links_alone():
+    # sta3 does not hear ap1: a value there is not read, a NaN at a heard link
+    # is refused as out of range
+    sc = _load(TWO_BY_TWO_YAML)
+    field = sc.snr_field()
+    assert np.isnan(field[:, 0, 2]).all()
+    filled = field.copy()
+    filled[:, 0, 2] = 1e6
+    assert _link_bytes(rate_links(sc, filled)) == _link_bytes(rate_links(sc, field))
+    field[1, 1, 0] = np.nan
+    with pytest.raises(InvalidInputError) as exc:
+        rate_links(sc, field)
+    assert str(exc.value).startswith("a link SNR of nan dB is out of the PHY model's range")
 
 
 def test_links_of_a_channel_that_mixes_mcs_keep_their_rates():

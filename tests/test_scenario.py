@@ -110,6 +110,14 @@ def test_bundled_fixture_matches_reference_topology():
     assert sorted(sc.sta_radio_limits().tolist(), reverse=True) == [3] * 6 + [2] * 6 + [1] * 3
 
 
+def test_loaded_arrays_are_read_only():
+    # a scenario keeps what its runs derive from its arrays, so none may change
+    sc = load_scenario(bundled_scenario_path("scenario_3ap_15sta"))
+    arrays = [getattr(sc, f.name) for f in dataclasses.fields(sc)
+              if isinstance(getattr(sc, f.name), np.ndarray)]
+    assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+
+
 def test_pickled_scenario_is_little_more_than_its_offset_table():
     # a pooled sweep sends each worker the pickled scenario: the stations go
     # as ids beside the offset table, with no per-station object holding views
