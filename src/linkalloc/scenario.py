@@ -1,10 +1,11 @@
 """Scenario configuration: schema, validation, and bundled fixtures.
 
 A scenario is a YAML document describing channels, APs, STAs, per-link SNR,
-MAC parameters, and run settings. `load_scenario` reads it in one pass: it
-checks each schema rule where it reads the value and names the field path
-of a violation (`stas[3].snr_offset_db.ap2[1]: expected a finite number`),
-unknown fields included, so typos fail loudly. All defaults are
+MAC parameters, and run settings. `load_scenario` builds it from the YAML
+parser's events, with no node graph (`_read_yaml`), and reads it in one
+pass: it checks each schema rule where it reads the value and names the
+field path of a violation (`stas[3].snr_offset_db.ap2[1]: expected a finite
+number`), unknown fields included, so typos fail loudly. All defaults are
 materialized at load time, so a loaded `Scenario` echoes the exact numbers
 the pipeline will use.
 
@@ -517,47 +518,88 @@ def _parse_random_range(doc: dict) -> tuple | None:
     return lo, hi
 
 
-class _ScalarMemo:
-    """Over a PyYAML loader: resolve each plain scalar's tag, and construct
-    each core-tagged scalar, once per distinct text in the document. Both
-    depend on the text (and the tag) alone, and the values are immutable."""
-
-    _CORE_TAGS = {f"tag:yaml.org,2002:{t}" for t in ("null", "bool", "int", "float", "str")}
-
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._tags, self._values = {}, {}
-
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode or not implicit[0] or self.yaml_path_resolvers:
-            return super().resolve(kind, value, implicit)
-        if value not in self._tags:
-            self._tags[value] = super().resolve(kind, value, implicit)
-        return self._tags[value]
-
-    def construct_object(self, node, deep=False):
-        if node.tag not in self._CORE_TAGS or not isinstance(node, yaml.ScalarNode):
-            return super().construct_object(node, deep)
-        key = (node.tag, node.value)
-        if key not in self._values:
-            self._values[key] = super().construct_object(node, deep)
-        return self._values[key]
+_CORE_TAGS = {f"tag:yaml.org,2002:{t}" for t in ("null", "bool", "int", "float", "str")}
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+class _Fallback(Exception):
+    """A document the event walk leaves to `yaml.load`."""
+
+
+def _read_yaml(text, base):
+    """`yaml.load(text, Loader=base)`, built as the parser's events arrive, with no node
+    graph: each distinct plain scalar resolved, and each distinct (tag, text) built, once;
+    an alias is its anchor's object. An explicit tag, a tag beyond the core five (a date,
+    `<<`, `=`), a duplicate anchor, an alias of an open collection, a collection as a key,
+    a second document and path resolvers fall back to `yaml.load`."""
+    loader = base(text)
+    get, missing, anchors, memos = loader.get_event, object(), {}, ({}, {})
+    stack = [([], None)]    # the document's own items, then each open collection's: items, anchor
+    try:
+        get()
+        if loader.yaml_path_resolvers or type(get()) is not yaml.DocumentStartEvent:
+            raise _Fallback     # path resolvers, or an empty stream
+        while (kind := type(event := get())) is not yaml.DocumentEndEvent:
+            if kind is yaml.AliasEvent:
+                value, anchor = anchors.get(event.anchor, missing), None
+            elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                value, anchor = stack.pop()
+                if kind is yaml.MappingEndEvent:
+                    try:
+                        value = dict(zip(value[::2], value[1::2]))
+                    except TypeError:   # a collection as a key
+                        raise _Fallback from None
+            elif event.tag is not None:
+                raise _Fallback     # an explicit tag
+            elif kind is yaml.ScalarEvent:
+                # the resolver reads the text and whether it is plain, and nothing else
+                memo, anchor = memos[event.implicit[0]], event.anchor
+                value = memo.get(event.value, missing)
+                if value is missing:
+                    value = memo[event.value] = _construct(loader, event)
+            else:
+                stack.append(([], event.anchor))
+                continue
+            if value is missing or anchor in anchors:   # an undefined or open alias; a duplicate
+                raise _Fallback
+            if anchor is not None:
+                anchors[anchor] = value
+            stack[-1][0].append(value)
+        if type(get()) is not yaml.StreamEndEvent:
+            raise _Fallback     # a second document
+        return stack[0][0][0]
+    except _Fallback:
+        return yaml.load(text, Loader=base)
+    finally:
+        loader.dispose()
+
+
+def _construct(loader, event):
+    """An untagged scalar's value, under the tag the composer resolves; a ValueError,
+    such as an int past Python's digit limit, is marked where the scalar starts."""
+    tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag not in _CORE_TAGS:
+        raise _Fallback
+    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+    try:
+        return loader.yaml_constructors[tag](loader, node)
+    except ValueError as exc:
+        raise yaml.constructor.ConstructorError(None, None, str(exc), event.start_mark) from exc
+
+
+def _yaml_problem(exc: Exception) -> str:
     """One line saying where the parse stopped and why."""
     mark = getattr(exc, "problem_mark", None)
     problem = getattr(exc, "problem", None)
     if mark is not None and problem:
         text = f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
     else:
-        text = str(exc)     # a ReaderError has a reason and a position, no mark
+        text = str(exc)     # a ReaderError has a position but no mark, a ValueError neither
     return " ".join(text.split())
 
 
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a path or an open text stream, with
-    cyclic GC paused: PyYAML's objects would set off whole-heap collections."""
+    cyclic GC paused: the document's objects would set off whole-heap collections."""
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -581,11 +623,9 @@ def _load_scenario(source) -> Scenario:
         base_dir = path.parent
         name_default = path.stem
     try:
-        # libyaml's parser when PyYAML was built with it, under the scalar memo; both
-        # parsers share SafeLoader's constructor and resolver, so they accept the same documents
-        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        doc = yaml.load(text, Loader=type("ScenarioLoader", (_ScalarMemo, base), {}))
-    except yaml.YAMLError as exc:
+        # libyaml when PyYAML has it: both parsers share SafeLoader's constructor and resolver
+        doc = _read_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, ValueError) as exc:     # ValueError: a tagged scalar PyYAML can't build
         raise ValidationError(f"scenario is not valid YAML: {_yaml_problem(exc)}") from exc
     doc = _as_mapping(doc, "scenario")
     _reject_unknown(doc, _TOP_FIELDS, "scenario")

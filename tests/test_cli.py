@@ -160,7 +160,14 @@ def test_yaml_syntax_error_is_one_line(parser, tmp_path, capsys, monkeypatch):
                  "dedented_item": (b"name: bad\nchannels:\n  - id: 1\n - id: 2\n",
                                    "line 4, column 2: "),
                  "control_char": (b"name: bad\x07\n", "unacceptable character #x0007: "),
-                 "not_utf8": (b"name: \xff\n", "position 6")}
+                 "not_utf8": (b"name: \xff\n", "position 6"),
+                 # scalars PyYAML cannot build: a tagged one falls back to yaml.load, which
+                 # marks no place; the walk marks where a plain one starts
+                 "bad_int": (b"seed: !!int abc\n", "invalid literal for int() with base 10"),
+                 "bad_float": (b"snr_base_db: !!float abc\n", "could not convert string to float"),
+                 "bad_date": (b"name: !!timestamp 2001-13-45\n", "month must be in 1..12"),
+                 "long_int": (b"name: x\nseed: " + b"7" * 5000 + b"\n",
+                              "line 2, column 7: Exceeds the limit (4300 digits)")}
     for name, (text, where) in malformed.items():
         path = tmp_path / f"{name}.yaml"
         path.write_bytes(text)

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
 
 from linkalloc import scenario
@@ -42,6 +44,8 @@ stas:
   - {id: sta1, radios: 2, snr_offset_db: 0.0}
   - {id: sta2, radios: 1, snr_offset_db: {ap1: {1: -3.0, 2: out-of-range}}}
 """
+
+SYNTH_10X200 = Path(__file__).parent / "data" / "synth_10x200_seed1.yaml"
 
 
 def _load(text):
@@ -121,7 +125,7 @@ def test_loaded_arrays_are_read_only():
 def test_pickled_scenario_is_little_more_than_its_offset_table():
     # a pooled sweep sends each worker the pickled scenario: the stations go
     # as ids beside the offset table, with no per-station object holding views
-    sc = load_scenario(Path(__file__).parent / "data" / "synth_10x200_seed1.yaml")
+    sc = load_scenario(SYNTH_10X200)
     data = pickle.dumps(sc)
     assert len(data) < 1.25 * sc.snr_offsets_db.nbytes
     assert pickle.loads(data).sta_ids == sc.sta_ids
@@ -159,9 +163,10 @@ def test_libyaml_and_pure_python_parsers_load_equal_scenarios(monkeypatch):
 _BASE_LOADERS = [getattr(yaml, name) for name in ("SafeLoader", "CSafeLoader")
                  if hasattr(yaml, name)]
 
-# documents where a scalar memo keyed too coarsely would part from PyYAML:
-# tags that rest on quoting or an explicit tag, YAML 1.1 number forms,
-# aliases and merge keys, and documents PyYAML refuses
+# documents where the loader's event walk could part from `yaml.load`: tags
+# that rest on quoting or an explicit tag, YAML 1.1 number forms, anchors,
+# aliases and merge keys, directives and document markers, and documents
+# PyYAML refuses
 _EDGE_DOCS = (
     "a: &x 1.5\nb: *x\nc: [*x, 1.5, '1.5', !!str 1.5]\n",
     "base: &b {k: 1, v: yes}\nmerged: {<<: *b, v: 'yes'}\nagain: {<<: *b}\n",
@@ -176,33 +181,98 @@ _EDGE_DOCS = (
     "{a: !!int abc}\n",
     "[!!bool maybe]\n",
     "[1, 2\n",
+    "a: &r [1, *r]\n",                            # a recursive alias
+    "a: &x 1\nb: &x [2]\nc: *x\n",               # a duplicate anchor
+    "a: &x [1, &x 2]\n",                         # a duplicate inside its first collection
+    "a: *nope\n",                                # an undefined alias
+    "[*x, &x 1]\n",                              # an alias before its anchor
+    "a: &m {x: 1}\nb: *m\nc: [*m, *m]\n",        # aliases of closed collections
+    "a: 1\n---\nb: 2\n",                         # two documents
+    "",                                          # an empty stream
+    "---\n",
+    "{<<: {a: 1}, b: 2}\n",
+    "{=: 1}\n",
+    "{a: =}\n",
+    "[! 1, ! a]\n",
+    "!foo {a: 1}\n",
+    "{{a: 1}: v}\n",                             # a collection as a key
+    "%YAML 1.1\n---\na: 1\n",
+    "a: 1\n...\n",
+    "a: 1\n...\n---\nb: 2\n",
+    "[0x_, ._]\n",                               # plain scalars PyYAML cannot build
+    "[1.5, '1.5', yes, 'yes', null, 'null', 1.5]\n",  # one text, plain and quoted
 )
 
 
-def _outcome(text, loader):
-    """The document's repr, which tells 1, 1.0 and True apart, or the error."""
+def _outcome(read, text, base):
+    """The document's repr, which tells 1, 1.0 and True apart, or the error. The
+    walk marks where a scalar it cannot build starts: that reads as the bare
+    ValueError `yaml.load` raises."""
     try:
-        return repr(yaml.load(text, Loader=loader))
+        return repr(read(text, base))
     except Exception as exc:    # compared, not handled
-        return type(exc), str(exc)
+        cause = exc.__cause__ if isinstance(exc.__cause__, ValueError) else exc
+        return type(cause), str(cause)
 
 
-def _assert_memo_loads_like_its_base(text):
+def _assert_walk_loads_like_yaml_load(text):
     for base in _BASE_LOADERS:
-        memo = type("Memo", (scenario._ScalarMemo, base), {})
-        assert _outcome(text, memo) == _outcome(text, base), (base.__name__, text)
+        assert _outcome(scenario._read_yaml, text, base) == _outcome(
+            lambda text, base: yaml.load(text, Loader=base), text, base), (base.__name__, text)
 
 
-def test_scalar_memo_loads_edge_documents_like_its_base():
+def test_event_walk_loads_edge_documents_like_yaml_load():
     texts = [bundled_scenario_path(name).read_text() for name in list_bundled_scenarios()]
     for text in [*_EDGE_DOCS, _multi_station_doc(0), *texts]:
-        _assert_memo_loads_like_its_base(text)
+        _assert_walk_loads_like_yaml_load(text)
+    for base in _BASE_LOADERS:   # an alias is its anchor's object, as in yaml.load
+        doc = scenario._read_yaml("a: &m {x: 1}\nb: *m\nc: [*m, *m]\n", base)
+        assert doc["b"] is doc["a"] and all(m is doc["a"] for m in doc["c"])
+
+
+def _shared_offsets(doc):
+    """`doc` with every station reading the first offset mapping, one object,
+    which `yaml.safe_dump` writes as an anchor and its aliases."""
+    shared = next((s["snr_offset_db"] for s in doc["stas"] if isinstance(s["snr_offset_db"], dict)),
+                  {"ap0": {doc["channels"][0]["id"]: 0.0}})
+    return {**doc, "stas": [{**s, "snr_offset_db": shared} for s in doc["stas"]]}
 
 
 @settings(max_examples=40, deadline=None)
-@given(_small_scenario_docs())
-def test_scalar_memo_loads_scenarios_like_its_base(doc):
-    _assert_memo_loads_like_its_base(yaml.safe_dump(doc))
+@given(_small_scenario_docs(), st.booleans())
+def test_event_walk_loads_scenarios_like_yaml_load(doc, share):
+    text = yaml.safe_dump(_shared_offsets(doc) if share else doc)
+    if share and len(doc["stas"]) > 1:
+        assert "&id001" in text and "*id001" in text
+    _assert_walk_loads_like_yaml_load(text)
+    with mock.patch.object(yaml, "load", side_effect=AssertionError("yaml.load called")):
+        assert _load(text).m_stas == len(doc["stas"])
+
+
+def test_scenarios_load_without_yaml_load():
+    # the walk builds every scenario the package ships or tests at scale, with
+    # libyaml and with PyYAML's parser
+    texts = [bundled_scenario_path(name).read_text() for name in list_bundled_scenarios()]
+    texts += [SYNTH_10X200.read_text(), _multi_station_doc(0), _multi_station_doc(1)]
+    for base in _BASE_LOADERS:
+        with mock.patch.object(yaml, "CSafeLoader", base, create=True), \
+                mock.patch.object(yaml, "load", side_effect=AssertionError("yaml.load called")):
+            for text in texts:
+                _load(text)
+    # and a document that falls back loads as yaml.load builds it
+    assert _load(MINIMAL.replace("seed: 1", "seed: !!int 1")).rng_seed == 1
+
+
+def test_load_builds_no_node_graph():
+    # composed as a node graph first, a 10 x 200 document peaked at 3.4 MB
+    load_scenario(SYNTH_10X200)
+    tracemalloc.start()
+    try:
+        load_scenario(SYNTH_10X200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_each_distinct_scalar_constructed_once(monkeypatch):
