@@ -9,14 +9,14 @@ restricted to each AP's home channel (`run_slo_baseline` is an alias).
 `run_monte_carlo` repeats runs over SNR/MCS grids with per-round seeds, and
 `write_table` serializes every table the package emits.
 
-A step pays only for what changed. The run's constants (`_run_constants`:
-the contenders a cold start bootstraps from `Scenario.snr_field`, the MCS
-label, SLO's home links, AP capacities, radio budget and the heard links'
-`RateLinks`, which hold their PER) are derived once per run, and the field
-is not kept; the scenario keeps all but the contenders and the PER from its
-first run on (`Scenario.fixed`), per MCS override or per SLO-or-not mode. So
-a tensor build, a miss, evaluates only the contention-dependent throughput
-over the heard links. The rate tensor is a
+A step pays only for what changed. The scenario keeps what its fields fix
+from its first run on (`Scenario.fixed`): the link layout and MCS label per
+MCS override, SLO's home links, the checked AP capacities and the radio
+budget per SLO-or-not mode. A run derives the rest once: the heard links'
+`RateLinks`, which hold their PER at the run's `Scenario.snr_field`, and on
+a cold start the contenders it bootstraps from that field, which is not
+kept. So a tensor build, a miss, evaluates only the contention-dependent
+throughput over the heard links. The rate tensor is a
 pure function of the scenario, the SNR field, the MCS override and the
 contenders per channel, and the loop revisits the same few contender vectors
 (two on the bundled fixture, three on a 30-AP/1000-STA network). So each
@@ -24,7 +24,7 @@ contention gets one record, built on its first visit: the rates a step
 reads (the tensor, masked to the home channels under SLO), the pairing input
 weighed from them (which keeps the pairing's start, each station's best AP),
 and the last selection made on it, with its pairing, its served rates and
-the contention it leaves. `LoopCarry` carries the constants and the
+the contention it leaves. `LoopCarry` carries the heard links and the
 records to the next run, which reuses them when it has the same scenario
 object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
 seed. Pairing and allocation still run on every step. Allocation reads the
@@ -43,7 +43,7 @@ tensor, SLO's masked copy, the pairing weights, the solvers' owners, the
 allocators' links) it hands over read-only past the public constructors'
 checks (`errors._trusted`): rates are finite and >= 0, as `AirtimeDurations`
 refuses a non-finite duration and the kernel a PER outside [0, 1], and
-`_run_constants` checks the capacities and limits once per run.
+the scenario's kept limits (`_limits`) were checked when first derived.
 
 A sweep's rounds repeat only for a scenario that draws its SNR bases
 (`snr_random_range_db`); on any other, every round would run the same loop,
@@ -86,7 +86,8 @@ from .allocation import (
 )
 from .errors import InvalidInputError, ValidationError, _trusted
 from .pairing import PairingInstance, pair_greedy, pair_optimal_lp
-from .rates import RateTensor, _link_layout, bootstrap_contenders, build_rate_tensor, rate_links
+from .rates import (RateLinks, RateTensor, _link_layout, bootstrap_contenders, build_rate_tensor,
+                    rate_links)
 from .scenario import Scenario
 
 __all__ = [
@@ -143,29 +144,27 @@ class LoopCarry:
 
     Besides the averages `phi` (a tuple of one float per channel; a resumed
     run checks them once and moves them with its own scenario's horizon) and
-    the contention it carries the run's constants (`_run_constants`: the
-    bootstrap contenders, MCS label, SLO's home links, AP capacities, radio
-    budget and the heard links' `RateLinks` with their PER, all read-only;
-    no SNR field) and its memo: at most `RATE_MEMO_SIZE` records keyed by
-    contender tuple, least recently used first, each (rates, PairingInstance,
-    selection, served): the rates a step reads under that contention (SLO's
-    masked to the home channels), the pairing input weighed from them, the
-    last decision made under it, its pairing included, and that decision's
-    served rates (a tuple of floats) and network total from
-    `instantaneous_rates`, with the contender tuple it leaves. `run` keys both
-    on the run's checked inputs: the scenario object, MCS override,
-    SLO-or-not mode, SNR base (by its exact bits) and, for a scenario that
-    draws its bases, the seed (`Scenario.run_seed`). Solver and allocator are
-    not in the key, as PF and RR, optimal and greedy share records. The next
-    run reuses them only under an equal key, and ignores them otherwise. A
-    run never alters the carry it was given.
+    the contention it carries the run's heard links (`links`, their read-only
+    `RateLinks` with their PER; no SNR field) and its memo: at most
+    `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
+    first, each (rates, PairingInstance, selection, served): the rates a step
+    reads under that contention (SLO's masked to the home channels), the
+    pairing input weighed from them, the last decision made under it, its
+    pairing included, and that decision's served rates (a tuple of floats) and
+    network total from `instantaneous_rates`, with the contender tuple it
+    leaves. `run` keys both on the run's checked inputs: the scenario object,
+    MCS override, SLO-or-not mode, SNR base (by its exact bits) and, for a
+    scenario that draws its bases, the seed (`Scenario.run_seed`). Solver and
+    allocator are not in the key, as PF and RR, optimal and greedy share
+    records. The next run reuses them only under an equal key, and ignores
+    them otherwise. A run never alters the carry it was given.
     """
 
     phi: tuple
     contenders: tuple
     next_iteration: int
     run: tuple | None = None
-    constants: tuple = ()
+    links: RateLinks | None = None
     memo: tuple = ()
 
 
@@ -203,22 +202,6 @@ def _limits(scenario: Scenario, slo: bool) -> tuple:
     caps = caps.astype(int)
     caps.setflags(write=False)
     return home, caps, RadioBudget(limits)
-
-
-def _run_constants(scenario: Scenario, mcs_override, slo: bool, snr_base_db, rng_seed) -> tuple:
-    """What a run reads but never changes, derived once per run key and read-only, as
-    the carry holds it: a cold start's bootstrap contenders (F ints, of the SNR field,
-    which is not kept), the MCS label, SLO's home links (F, N, 1) or None, the AP
-    capacities, the radio limits as a `RadioBudget` and the heard links' `RateLinks`,
-    which refuse a link SNR out of the PHY model's range. The scenario keeps all but
-    the contenders and the links' PER (`Scenario.fixed`)."""
-    snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
-    links = rate_links(scenario, snr_field, mcs_override)
-    home, caps, budget = scenario.fixed(_limits, slo)
-    if slo:
-        snr_field = np.where(home, snr_field, np.nan)   # camps on home channels only
-    return (tuple(bootstrap_contenders(scenario, snr_field)),
-            scenario.fixed(_link_layout, mcs_override)[2], home, caps, budget, links)
 
 
 def _recommendations(scenario: Scenario, pairing, selection: LinkSelection) -> list:
@@ -263,7 +246,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     and all dynamics come from contention feedback and the moving averages.
     Passing the previous run's `carry` continues its averages and contention
     instead of cold-starting, which is how operating changes (say, an MCS
-    switch) are evaluated mid-flight. The carry's run constants and rate
+    switch) are evaluated mid-flight. The carry's heard links and rate
     tensors are reused only while the scenario object, the MCS override, the
     SLO-or-not mode, the SNR base and (for a scenario that draws its bases)
     the seed stay the same. `snr_base_db` replaces the scenario's base; a
@@ -291,13 +274,17 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     algorithm = "slo" if slo else f"{solver}+{allocator}"
     run = (scenario, mcs_override, slo, base_reported.hex(), seed)
     if carry is not None and carry.run == run:
-        constants, memo = carry.constants, dict(carry.memo)
-    else:
-        constants, memo = _run_constants(scenario, mcs_override, slo, snr_base_db, rng_seed), {}
-    bootstrap, label, home, caps, budget, links = constants
-
-    contenders = tuple(carry.contenders) if carry is not None else bootstrap
-    start_iter = carry.next_iteration if carry is not None else 1
+        links, memo = carry.links, dict(carry.memo)
+    else:   # the links refuse an out-of-range SNR before the limits refuse a capacity
+        snr_field = scenario.snr_field(base_db=snr_base_db, seed=rng_seed)
+        links, memo = rate_links(scenario, snr_field, mcs_override), {}
+    home, caps, budget = scenario.fixed(_limits, slo)
+    label = scenario.fixed(_link_layout, mcs_override)[2]
+    if carry is not None:
+        contenders, start_iter = tuple(carry.contenders), carry.next_iteration
+    else:   # a cold start: stations camp on their strongest link, a home link under SLO
+        field = np.where(home, snr_field, np.nan) if slo else snr_field
+        contenders, start_iter = tuple(bootstrap_contenders(scenario, field)), 1
     t = float(scenario.ewma_horizon_t)      # converted once, not at every division
     keep = 1.0 - 1.0 / t
 
@@ -358,7 +345,7 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
 
     carry_out = LoopCarry(phi=phi, contenders=contenders,
                           next_iteration=start_iter + iterations, run=run,
-                          constants=constants, memo=tuple(memo.items()))
+                          links=links, memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 
 

@@ -592,6 +592,8 @@ def _yaml_problem(exc: Exception) -> str:
     problem = getattr(exc, "problem", None)
     if mark is not None and problem:
         text = f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+    elif isinstance(exc, (LookupError, AttributeError)):    # PyYAML reads the text unchecked
+        text = f"a tagged scalar PyYAML cannot build ({type(exc).__name__}: {exc})"
     else:
         text = str(exc)     # a ReaderError has a position but no mark, a ValueError neither
     return " ".join(text.split())
@@ -625,7 +627,7 @@ def _load_scenario(source) -> Scenario:
     try:
         # libyaml when PyYAML has it: both parsers share SafeLoader's constructor and resolver
         doc = _read_yaml(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except (yaml.YAMLError, ValueError) as exc:     # ValueError: a tagged scalar PyYAML can't build
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:  # see _yaml_problem
         raise ValidationError(f"scenario is not valid YAML: {_yaml_problem(exc)}") from exc
     doc = _as_mapping(doc, "scenario")
     _reject_unknown(doc, _TOP_FIELDS, "scenario")

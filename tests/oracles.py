@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from linkalloc import phy
+from linkalloc.allocation import instantaneous_rates
 from linkalloc.dcf import airtime_durations, solve_bianchi_fixed_point
 from linkalloc.errors import InvalidInputError
 from linkalloc.pairing import PairingInstance, pair_greedy, pair_optimal_lp
@@ -34,6 +35,7 @@ from linkalloc.rates import (
     _SNR_CEILING_DB,
     _SNR_FLOOR_DB,
     RateLinks,
+    RateTensor,
     _block_airtime,
     bootstrap_contenders,
     build_rate_tensor,
@@ -539,6 +541,21 @@ def reference_loop(segments, rng_seed=None):
                           "phi": phi.tolist(), "metrics": metrics,
                           "spread": fairness_spread_numpy(metrics)})
     return steps
+
+
+def delivered_total(scenario, report, links):
+    """What the decision of step `report` delivers: its network total from
+    `instantaneous_rates` on a tensor rebuilt with the run's heard `links` at
+    the contention that decision leaves, `report.selection.per_channel_counts()`,
+    masked to each AP's home channel under SLO. The loop reports the total at
+    the contention the step was built under instead."""
+    counts = report.selection.per_channel_counts().tolist()
+    values = build_rate_tensor(scenario, contenders=counts, links=links).values
+    if report.algorithm == "slo":
+        home = np.zeros((scenario.f_count, scenario.n_aps, 1), dtype=bool)
+        home[scenario.home_channel, np.arange(scenario.n_aps)] = True
+        values = values * home
+    return instantaneous_rates(report.selection, RateTensor(values))[1]
 
 
 def fairness_spread_numpy(metrics):

@@ -26,7 +26,7 @@ from linkalloc.errors import InvalidInputError
 from linkalloc.harness import LoopCarry, run_apc_loop
 from linkalloc.pairing import PairingInstance, PairingMatrix
 from linkalloc.phy import TablePer
-from linkalloc.rates import RateTensor, bootstrap_contenders, build_rate_tensor
+from linkalloc.rates import RateLinks, RateTensor, bootstrap_contenders, build_rate_tensor
 from linkalloc.repro import JointSolution
 from linkalloc.scenario import load_scenario
 
@@ -672,7 +672,8 @@ _ARRAY_TYPES = {
     "JointSolution": lambda: JointSolution(np.ones((2, 1, 3)), 6.0),
     "LinkSelection": lambda: LinkSelection([[1, 0, 1]], PairingMatrix([0, -1, 0], 1)),
     "RadioBudget": lambda: RadioBudget([1, 2, 3]),
-    "LoopCarry": lambda: LoopCarry((1.0,), (3,), 2, constants=(np.zeros((1, 1, 3)),)),
+    "LoopCarry": lambda: LoopCarry((1.0,), (3,), 2, links=RateLinks(
+        np.arange(3), np.zeros(3), (3,), (0,), ((1.0,), (1.0,), (1.0,), (1.0,)))),
 }
 
 

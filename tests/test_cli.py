@@ -164,6 +164,13 @@ def test_yaml_syntax_error_is_one_line(parser, tmp_path, capsys, monkeypatch):
                  # scalars PyYAML cannot build: a tagged one falls back to yaml.load, which
                  # marks no place; the walk marks where a plain one starts
                  "bad_int": (b"seed: !!int abc\n", "invalid literal for int() with base 10"),
+                 # PyYAML's constructors read a tagged text unchecked: a bool looks it up,
+                 # an int or float indexes its first character, a date reads a failed match
+                 "bad_bool": (b"seed: !!bool maybe\n",
+                              "a tagged scalar PyYAML cannot build (KeyError: 'maybe')"),
+                 "digit_bool": (b"seed: !!bool 5\n", "(KeyError: '5')"),
+                 "empty_int": (b"seed: !!int ''\n", "(IndexError: string index out of range)"),
+                 "not_a_date": (b"name: !!timestamp abc\n", "(AttributeError: "),
                  "bad_float": (b"snr_base_db: !!float abc\n", "could not convert string to float"),
                  "bad_date": (b"name: !!timestamp 2001-13-45\n", "month must be in 1..12"),
                  "long_int": (b"name: x\nseed: " + b"7" * 5000 + b"\n",

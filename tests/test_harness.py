@@ -1208,34 +1208,49 @@ def test_carry_reuse_rule_counted_in_tensor_builds():
     assert [tuple(map(id, record)) for _, record in pf.memo] == snapshot
 
 
+def _derivations(sc, carry, **kwargs):
+    """Calls of `Scenario.snr_field`, `rate_links`, `phy.per_lookup` and
+    `bootstrap_contenders` in a two-step run, and its result."""
+    field = Scenario.snr_field
+    spies = [mock.patch.object(Scenario, "snr_field", autospec=True, side_effect=field),
+             mock.patch.object(harness, "rate_links", side_effect=harness.rate_links),
+             mock.patch.object(phy, "per_lookup", side_effect=phy.per_lookup),
+             mock.patch.object(harness, "bootstrap_contenders",
+                               side_effect=harness.bootstrap_contenders)]
+    with contextlib.ExitStack() as stack:
+        calls = [stack.enter_context(spy) for spy in spies]
+        result = run_apc_loop(sc, iterations=2, carry=carry, **kwargs)
+    return tuple(c.call_count for c in calls), result
+
+
 def test_run_constants_derived_once_per_run_key():
+    # a run derives its heard links from one SNR field per run key, and a cold
+    # start alone bootstraps its contenders from that field
     fx = _fixture()
-    derive = harness._run_constants
-
-    def derivations(sc, carry, **kwargs):
-        with mock.patch.object(harness, "_run_constants", side_effect=derive) as spy:
-            result = run_apc_loop(sc, iterations=2, carry=carry, **kwargs)
-        return spy.call_count, result
-
+    assert np.unique(fx.mcs_table).tolist() == [9]      # one MCS in use, one PER lookup
+    assert _derivations(fx, None)[0] == (1, 1, 1, 1)
     pf = run_apc_loop(fx, iterations=3).carry
-    # the carry holds them, so none may be written through it: a PF run's AP
-    # capacities, and under SLO its home links too
-    assert [v.flags.writeable for v in pf.constants if isinstance(v, np.ndarray)] == [False]
-    assert derivations(fx, pf)[0] == 0
-    assert derivations(fx, dataclasses.replace(pf, memo=()))[0] == 0
-    assert derivations(fx, pf, solver="greedy", allocator="rr")[0] == 0
+    # the carry holds the links and the scenario the limits, so none may be
+    # written through them: a PF run's AP capacities, and under SLO its home links too
+    assert not (pf.links.index.flags.writeable or pf.links.per.flags.writeable)
+    assert [v.flags.writeable for v in fx.fixed(harness._limits, False)
+            if isinstance(v, np.ndarray)] == [False]
+    assert _derivations(fx, pf)[0] == (0, 0, 0, 0)
+    assert _derivations(fx, dataclasses.replace(pf, memo=()))[0] == (0, 0, 0, 0)
+    assert _derivations(fx, pf, solver="greedy", allocator="rr")[0] == (0, 0, 0, 0)
     for sc, kwargs in [(fx, {"mcs_override": 3}), (fx, {"allocator": "slo"}),
                        (dataclasses.replace(fx), {})]:      # a twin is another object
-        assert derivations(sc, pf, **kwargs)[0] == 1, kwargs
-    slo = derivations(fx, pf, allocator="slo")[1]
-    assert [v.flags.writeable for v in slo.carry.constants if isinstance(v, np.ndarray)] == \
-        [False] * 2
-    assert derivations(fx, slo.carry, allocator="slo")[0] == 0
-    assert derivations(fx, slo.carry)[0] == 1      # and back to PF
+        # a resume under another key keeps its carried contenders: no bootstrap
+        assert _derivations(sc, pf, **kwargs)[0] == (1, 1, 1, 0), kwargs
+    slo = _derivations(fx, pf, allocator="slo")[1]
+    assert [v.flags.writeable for v in fx.fixed(harness._limits, True)
+            if isinstance(v, np.ndarray)] == [False] * 2
+    assert _derivations(fx, slo.carry, allocator="slo")[0] == (0, 0, 0, 0)
+    assert _derivations(fx, slo.carry)[0] == (1, 1, 1, 0)      # and back to PF
     # solver and allocator are not in the key: a resume names its own algorithm
     mcs3 = run_apc_loop(fx, iterations=2, mcs_override=3).carry
-    n, rr = derivations(fx, mcs3, solver="greedy", allocator="rr", mcs_override=3)
-    assert n == 0
+    n, rr = _derivations(fx, mcs3, solver="greedy", allocator="rr", mcs_override=3)
+    assert n == (0, 0, 0, 0)
     assert {(r.algorithm, r.mcs_label, r.channel_ids) for r in rr.reports} == \
         {("greedy+rr", "3", fx.channel_ids)}
     assert emit_results(rr.reports) == emit_results(run_apc_loop(
@@ -1248,8 +1263,8 @@ def test_ladder_derives_each_layout_and_each_mode_once():
     # per cell over 4 SNRs x MCS 3 and 9, 32 cold runs of one scenario, derive
     # the links' layout once per MCS override and the limits once per SLO mode
     sc = _fixture()
-    constants, layout, limits = harness._run_constants, rates._link_layout, harness._limits
-    with mock.patch.object(harness, "_run_constants", side_effect=constants) as runs, \
+    links, layout, limits = harness.rate_links, rates._link_layout, harness._limits
+    with mock.patch.object(harness, "rate_links", side_effect=links) as runs, \
             mock.patch.object(rates, "_link_layout", side_effect=layout) as layouts, \
             mock.patch.object(harness, "_link_layout", layouts), \
             mock.patch.object(harness, "_limits", side_effect=limits) as modes:
@@ -1276,6 +1291,57 @@ def test_refused_capacities_are_refused_on_every_run():
     # SLO balances the capacities itself, so its mode is kept
     assert run_apc_loop(bad, allocator="slo", iterations=1).final.algorithm == "slo"
     assert (harness._limits, True) in vars(bad)["_fixed"]
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_out_of_range_snr_refused_before_a_bad_capacity(allocator):
+    # a cold run derives its heard links before it looks its limits up, so an
+    # out-of-range link SNR is what it names, whichever allocator runs
+    bad = dataclasses.replace(_fixture(), ap_radios=[0, 5, 5])
+    with pytest.raises(InvalidInputError) as exc:
+        run_apc_loop(bad, allocator=allocator, iterations=1, snr_base_db=5000.0)
+    assert str(exc.value) == ("a link SNR of 5001.28 dB is out of the PHY model's range: "
+                              "its linear value must be finite and > 0")
+
+
+def _delivered(sc, allocator, iterations=30):
+    """A run's reports, and each step's delivered total by `oracles.delivered_total`."""
+    result = run_apc_loop(sc, allocator=allocator, iterations=iterations)
+    return result, [oracles.delivered_total(sc, r, result.carry.links) for r in result.reports]
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_delivered_equals_reported_from_step_2_on_the_fixture(allocator):
+    # the reported total is taken at the contention a step was built under, the
+    # delivered one at the contention its decision leaves: on the fixture they
+    # part only at step 1, where the bootstrap contention is not the decision's own
+    result, delivered = _delivered(_fixture(), allocator)
+    reported = [r.aggregate_throughput_bps for r in result.reports]
+    assert delivered[0] != reported[0]
+    assert delivered[1:] == reported[1:]
+
+
+def test_pf_delivered_differs_from_reported_at_every_step_at_10x200():
+    result, delivered = _delivered(load_scenario(SYNTH_10X200), "pf")
+    assert all(d != r.aggregate_throughput_bps for d, r in zip(delivered, result.reports))
+    # on the drawn 2-AP network, at step 1 and at every even step from 14 on
+    result, delivered = _delivered(load_scenario(bundled_scenario_path("scenario_2ap_joint")), "pf")
+    apart = [r.iteration for d, r in zip(delivered, result.reports)
+             if d != r.aggregate_throughput_bps]
+    assert apart == [1, *range(14, 31, 2)]
+
+
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_delivered_total_is_read_off_the_next_contentions_record(allocator):
+    # step t leaves the contention step t + 1 is built under, and the loop keeps
+    # that contention's rates in a memo record: its decision's total on those
+    # rates is the oracle's delivered total, bit for bit
+    for sc in (_fixture(), load_scenario(SYNTH_10X200)):
+        result, delivered = _delivered(sc, allocator)
+        records = dict(result.carry.memo)
+        for report, total in zip(result.reports, delivered):
+            rates = records[tuple(report.selection.per_channel_counts().tolist())][0]
+            assert harness.instantaneous_rates(report.selection, rates)[1] == total
 
 
 def test_a_scenario_that_ran_is_freed_with_its_last_reference():
@@ -1357,7 +1423,7 @@ def test_per_looked_up_once_per_run_key():
 def test_run_link_constants_take_at_most_20_bytes_per_heard_link():
     sc = load_scenario(SYNTH_10X200)
     field = sc.snr_field()
-    carried = run_apc_loop(sc, iterations=1).carry.constants[-1]
+    carried = run_apc_loop(sc, iterations=1).carry.links
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1371,7 +1437,7 @@ def test_run_link_constants_take_at_most_20_bytes_per_heard_link():
 
 
 def _arrays_in(value) -> list:
-    """Every array in a run's constants, those in tuples and a `RadioBudget` too."""
+    """Every array in `value`, those in tuples and a `RadioBudget` too."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, RadioBudget):
@@ -1381,25 +1447,28 @@ def _arrays_in(value) -> list:
 
 @pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
 def test_run_constants_hold_no_snr_field_and_fit_their_bound(allocator):
-    # 20 B per heard link, 8 B per AP and per station, SLO's home links at
-    # one byte per (channel, AP) and a few hundred bytes of Python objects;
-    # the (F, N, M) SNR field alone would take 48,000 B
+    # what a run reads besides the contention: the heard links it derives, and
+    # the limits and MCS label its scenario keeps; 20 B per heard link, 8 B per
+    # AP and per station, SLO's home links at one byte per (channel, AP) and a
+    # few hundred bytes of Python objects; the (F, N, M) SNR field alone would
+    # take 48,000 B
     sc = load_scenario(SYNTH_10X200)
     slo = allocator == "slo"
-    carried = run_apc_loop(sc, allocator=allocator, iterations=1).carry.constants
+    carried = run_apc_loop(sc, allocator=allocator, iterations=1).carry.links
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        constants = harness._run_constants(sc, None, slo, None, None)
+        derived = rate_links(sc, sc.snr_field())
+        kept = sc.fixed(harness._limits, slo), sc.fixed(rates._link_layout, None)[2]
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    links = constants[-1].index.size
-    assert links == 2400 and carried[-1].index.tobytes() == constants[-1].index.tobytes()
+    links = derived.index.size
+    assert links == 2400 and carried.index.tobytes() == derived.index.tobytes()
     bound = 20 * links + 8 * (sc.n_aps + sc.m_stas) + (sc.f_count * sc.n_aps if slo else 0) + 400
     assert held <= bound, (held, bound)
     field_shape = (sc.f_count, sc.n_aps, sc.m_stas)
-    for arrays in (_arrays_in(carried), _arrays_in(constants)):
+    for arrays in (_arrays_in((carried, *kept)), _arrays_in((derived, *kept))):
         # the capacities, SLO's home links, the radio limits, the links' index and PER
         assert len(arrays) == (5 if slo else 4)
         assert all(a.shape != field_shape and not a.flags.writeable for a in arrays)
@@ -1525,7 +1594,9 @@ def test_horizon_below_one_refused_before_anything_is_built(horizon):
     sc = dataclasses.replace(_fixture(), ewma_horizon_t=horizon)
     carry = run_apc_loop(_fixture(), iterations=2).carry
     msg = f"^ewma_horizon_t must be an integer >= 1, got {horizon}$"
-    with mock.patch.object(harness, "_run_constants") as constants, \
+    with mock.patch.object(Scenario, "snr_field") as field, \
+            mock.patch.object(harness, "rate_links") as links, \
+            mock.patch.object(harness, "bootstrap_contenders") as bootstrap, \
             mock.patch.object(harness, "build_rate_tensor") as build, \
             mock.patch.object(harness, "_shared_pool", side_effect=AssertionError("pool")), \
             mock.patch.object(harness, "_mc_round", side_effect=AssertionError("job")):
@@ -1534,7 +1605,7 @@ def test_horizon_below_one_refused_before_anything_is_built(horizon):
                     lambda: run_monte_carlo(sc, snr_points=[5.0, 20.0], workers=2)):
             with pytest.raises(InvalidInputError, match=msg):
                 run()
-    assert constants.call_count == build.call_count == 0
+    assert field.call_count == links.call_count == bootstrap.call_count == build.call_count == 0
 
 
 def test_every_repair_on_a_multi_path_cell_is_optimal():
