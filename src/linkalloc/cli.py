@@ -7,8 +7,8 @@ Subcommands:
   oracle        compare the two-stage pipeline against the exact joint optimum
   check-tu      verify total unimodularity of assignment constraint matrices
 
-Exit codes: 0 success, 1 invalid configuration or input, 2 solver or
-feasibility failure (including a failed validation threshold).
+Exit codes: 0 success, 1 invalid configuration or input, 2 an infeasible
+instance, a size guard, a failed validation threshold or a matrix not TU.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     InfeasibleError,
     InvalidInputError,
     SizeLimitError,
-    SolverError,
     ValidationError,
 )
 from .harness import (
@@ -120,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vdcf = sub.add_parser("validate-dcf",
                           help="slot-simulate contention and compare to the model")
-    vdcf.add_argument("--contenders", type=_comma_list(int), default=[2, 5, 10, 20])
+    vdcf.add_argument("--contenders", type=_comma_list(int), default=[2, 5, 10, 20],
+                      help="contender counts, each from 1 to 2**20 (1048576)")
     vdcf.add_argument("--per", type=_comma_list(float), default=[0.0, 0.1, 0.3])
     vdcf.add_argument("--slots", type=int, default=200_000)
     vdcf.add_argument("--seed", type=int, default=1)
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except (ValidationError, InvalidInputError) as exc:
         print(f"linkalloc: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, InfeasibleError, SizeLimitError) as exc:
+    except (InfeasibleError, SizeLimitError) as exc:
         print(f"linkalloc: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the private way past a type's checks.
 
 The CLI maps these onto exit codes: scenario/config problems exit with 1,
-solver and feasibility problems with 2.
+infeasibility and size guards with 2 (no module raises `SolverError`).
 """
 
 
@@ -33,18 +33,9 @@ class SizeLimitError(LinkAllocError):
     """Problem too large for an enumeration-based routine's guard."""
 
 
-_DEFAULTS = {}  # per class: its non-init fields' defaults, read on first use
-
-
 def _trusted(cls, **given):
     """A frozen dataclass `cls` past its checks and copies, for arrays its caller built,
-    checked and made read-only: its init fields as `given`, the others at their defaults."""
-    if cls not in _DEFAULTS:
-        from dataclasses import MISSING, fields     # here, as the module imports nothing
-        defaults = {f.name: f.default for f in fields(cls) if not f.init}
-        if MISSING in defaults.values():
-            raise TypeError(f"{cls.__name__} has a non-init field with no plain default")
-        _DEFAULTS[cls] = defaults
+    checked and made read-only: its fields as `given`."""
     obj = object.__new__(cls)
-    obj.__dict__.update(_DEFAULTS[cls], **given)
+    obj.__dict__.update(given)
     return obj

@@ -23,7 +23,7 @@ revisits a decision gathers its links once.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -64,7 +64,6 @@ class RateTensor:
     """
 
     values: np.ndarray
-    _paired: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -83,7 +82,7 @@ class RateTensor:
         """The view of `pairing`'s links, rebuilt only when asked about
         another pairing object than last time."""
         # one tuple, read and replaced whole: concurrent callers each get their own pairing's view
-        held, view = self._paired
+        held, view = vars(self).get("_paired", (None, None))
         if held is pairing:
             return view
         f_count, n_aps, m_stas = self.values.shape

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import phy
+from .allocation import _is_count
 from .dcf import AirtimeDurations, DcfParams, airtime_durations, normalized_throughput, \
     solve_bianchi_fixed_point
 from .errors import InvalidInputError, SizeLimitError, ValidationError
@@ -98,8 +99,6 @@ def check_total_unimodularity(matrix, max_submatrix: int = 5) -> TuCheckResult:
         for row_idx in itertools.combinations(range(rows), k):
             sub = a[list(row_idx), :]
             nz = np.flatnonzero(np.any(sub != 0, axis=0))
-            if nz.size < k:
-                continue
             patterns, first = np.unique(sub[:, nz].T, axis=0, return_index=True)
             if patterns.shape[0] < k:
                 continue
@@ -116,14 +115,8 @@ def check_total_unimodularity(matrix, max_submatrix: int = 5) -> TuCheckResult:
                 if bad.any():
                     b = int(np.argmax(bad))
                     witness_cols = tuple(int(orig_cols[j]) for j in batch[b])
-                    return TuCheckResult(
-                        is_tu=False,
-                        witness_rows=tuple(row_idx),
-                        witness_cols=witness_cols,
-                        witness_det=float(dets[b]),
-                    )
+                    return TuCheckResult(False, tuple(row_idx), witness_cols, float(dets[b]))
     return TuCheckResult(is_tu=True)
-
 
 
 # --- joint exact solver ----------------------------------------------------------
@@ -267,13 +260,13 @@ def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
             backoff[i] = rng.randrange(windows[i])
         slots += 1
 
-    total_time = idle_slots * params.slot_time + busy_time
-    if total_time <= 0.0:
-        return 0.0
-    return payload_time / total_time
+    return payload_time / (idle_slots * params.slot_time + busy_time)
 
 
 # --- model validation and exact-solver comparison ---------------------------------
+
+
+MAX_REPLAY_CONTENDERS = 2**20   # the largest contender count `validate_dcf` replays
 
 
 def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: int = 6,
@@ -284,6 +277,10 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
     Returns one record per (n, per) cell with the analytical and simulated
     normalized throughput and their relative error.
     """
+    for n in contenders:    # all before the first cell, as the replay holds two lists of n
+        if not _is_count(n) or n > MAX_REPLAY_CONTENDERS:
+            raise InvalidInputError(f"a contender count must be an integer from 1 to "
+                                    f"{MAX_REPLAY_CONTENDERS}, got {n}")
     params, seed = DcfParams(), check_seed(seed)
     rate = phy.mcs_data_rate(check_mcs(mcs_index, "mcs_index"), bandwidth_mhz)
     durations = airtime_durations(params, rate)
@@ -296,13 +293,8 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
                                      seed=seed, durations=durations)
             rel = abs(sim - analytic) / analytic if analytic > 0 \
                 else 0.0 if sim == analytic else float("inf")
-            records.append({
-                "n_contenders": n,
-                "per": per,
-                "analytic": analytic,
-                "simulated": sim,
-                "rel_err": rel,
-            })
+            records.append({"n_contenders": n, "per": per, "analytic": analytic,
+                            "simulated": sim, "rel_err": rel})
     return records
 
 

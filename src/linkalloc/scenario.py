@@ -73,7 +73,6 @@ an AP's `mcs` and `rr_weights` keys) reads it under that id's rule.
 
 from __future__ import annotations
 
-import gc
 import math
 import re
 from dataclasses import dataclass, fields
@@ -600,18 +599,7 @@ def _yaml_problem(exc: Exception) -> str:
 
 
 def load_scenario(source) -> Scenario:
-    """Load and validate a scenario from a path or an open text stream, with
-    cyclic GC paused: the document's objects would set off whole-heap collections."""
-    gc_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_scenario(source)
-    finally:
-        if gc_enabled:
-            gc.enable()
-
-
-def _load_scenario(source) -> Scenario:
+    """Load and validate a scenario from a path or an open text stream."""
     base_dir = None
     if hasattr(source, "read"):
         text = source.read()

@@ -6,12 +6,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 
 import linkalloc
+from linkalloc import repro
 from linkalloc.cli import main
+from linkalloc.errors import InvalidInputError
 from linkalloc.repro import validate_dcf
 from linkalloc.scenario import bundled_scenario_path
 
@@ -505,6 +508,19 @@ def test_validate_dcf_refuses_a_negative_seed(capsys):
     # the one seed rule, before any simulation
     assert main(["validate-dcf", "--contenders", "2", "--per", "0.0", "--seed", "-1"]) == 1
     assert capsys.readouterr() == ("", "linkalloc: seed must be >= 0, got -1\n")
+
+
+def test_validate_dcf_refuses_a_count_the_replay_cannot_hold(monkeypatch, capsys):
+    # every count is checked before the first cell: nothing is solved, timed or replayed
+    for name in ("solve_bianchi_fixed_point", "airtime_durations", "simulate_dcf_slots"):
+        monkeypatch.setattr(repro, name, mock.Mock(side_effect=AssertionError(name)))
+    cap = repro.MAX_REPLAY_CONTENDERS
+    for n in (2**63, cap + 1, 0):
+        msg = f"a contender count must be an integer from 1 to {cap}, got {n}"
+        with pytest.raises(InvalidInputError, match=f"^{msg}$"):
+            validate_dcf(contenders=[2, n])
+        assert main(["validate-dcf", "--contenders", f"2,{n}"]) == 1
+        assert capsys.readouterr() == ("", f"linkalloc: {msg}\n")
 
 
 def test_solver_failures_exit_2(tmp_path, capsys):

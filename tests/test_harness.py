@@ -1045,19 +1045,23 @@ def test_what_the_loop_builds_unchecked_passes_the_public_checks(path):
                 assert RateTensor(rates.values).values.tobytes() == rates.values.tobytes()
 
 
-def test_trusted_build_holds_every_field():
-    # the init fields as given, each other field at its default, as the constructor sets it
-    values = np.zeros((1, 1, 1))
+def test_trusted_types_declare_only_init_fields():
+    # `_trusted` sets the fields it is given and no other, so each type built
+    # through it declares none that its constructor does not take
+    source = "".join(p.read_text() for p in Path(harness.__file__).parent.glob("*.py"))
+    built = set(re.findall(r"_trusted\(([A-Z]\w*)", source))
+    assert built == {"RateTensor", "PairingInstance", "PairingMatrix", "LinkSelection"}
+    for cls in (RateTensor, PairingInstance, PairingMatrix, LinkSelection):
+        assert all(f.init for f in dataclasses.fields(cls)), cls.__name__
+    # a trusted tensor holds its values alone, and keeps its last pairing's view
+    values = np.array([[[1.0, 0.0], [0.0, 2.0]]])
     rates = _trusted(RateTensor, values=values)
-    assert vars(rates).keys() == {"values", "_paired"} and rates.values is values
-    assert vars(rates)["_paired"] == (None, None)
-
-    @dataclasses.dataclass(frozen=True)
-    class Listed:
-        items: list = dataclasses.field(default_factory=list, init=False)
-
-    with pytest.raises(TypeError, match="^Listed has a non-init field with no plain default$"):
-        _trusted(Listed)
+    assert vars(rates).keys() == {"values"} and rates.values is values
+    first, second = PairingMatrix(np.array([0, 1]), 2), PairingMatrix(np.array([1, 0]), 2)
+    view = rates.paired_links(first)
+    assert rates.paired_links(first) is view and view.means == (1.5,)
+    assert rates.paired_links(second).unallocated_edges == ((0, 1), (1, 0))
+    assert rates.paired_links(second) is not view and rates.paired_links(first) is not view
 
 
 @contextlib.contextmanager
