@@ -14,8 +14,10 @@ instance, a size guard, a failed validation threshold or a matrix not TU.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 from . import __version__
@@ -36,6 +38,7 @@ from .harness import (
 )
 from .phy import DATA_SUBCARRIERS
 from .repro import (
+    MAX_TU_WORK,
     build_incidence,
     check_total_unimodularity,
     compare_joint_vs_two_stage,
@@ -122,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vdcf.add_argument("--contenders", type=_comma_list(int), default=[2, 5, 10, 20],
                       help="contender counts, each from 1 to 2**20 (1048576)")
     vdcf.add_argument("--per", type=_comma_list(float), default=[0.0, 0.1, 0.3])
-    vdcf.add_argument("--slots", type=int, default=200_000)
+    vdcf.add_argument("--slots", type=int, default=200_000, help="<= 10**7 and 2**28 // contenders")
     vdcf.add_argument("--seed", type=int, default=1)
     vdcf.add_argument("--mcs", type=int, default=6)
     vdcf.add_argument("--bandwidth", type=int, default=40, choices=tuple(DATA_SUBCARRIERS))
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tu.add_argument("--aps", type=int, default=6)
     tu.add_argument("--stas", type=int, default=6)
     tu.add_argument("--submatrix", type=int, default=5,
-                    help="largest square submatrix order to enumerate")
+                    help="largest submatrix order; a grid past 2**25 determinants exits 2")
     _add_output_args(tu)
 
     return parser
@@ -199,6 +202,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_tu(args) -> int:
+    # k-row subsets (60 each) and k-sets of their <= k * k // 4 + k distinct columns; k = 1: build
+    work = itertools.accumulate(comb(n + m, k) * (60 + comb(k * k // 4 + k, k))
+                                for n in range(1, args.aps + 1) for m in range(1, args.stas + 1)
+                                for k in range(1, max(1, min(args.submatrix, n + m)) + 1))
+    if any(w > MAX_TU_WORK for w in work):
+        raise SizeLimitError(f"check-tu would reach more than {MAX_TU_WORK} determinants")
     records = []
     worst_ok = True
     for n in range(1, args.aps + 1):

@@ -13,32 +13,30 @@ A step pays only for what changed. The scenario keeps what its fields fix
 from its first run on (`Scenario.fixed`): the link layout and MCS label per
 MCS override, SLO's home links, the checked AP capacities and the radio
 budget per SLO-or-not mode. A run derives the rest once: the heard links'
-`RateLinks`, which hold their PER at the run's `Scenario.snr_field`, and on
-a cold start the contenders it bootstraps from that field, which is not
-kept. So a tensor build, a miss, evaluates only the contention-dependent
-throughput over the heard links. The rate tensor is a
-pure function of the scenario, the SNR field, the MCS override and the
-contenders per channel, and the loop revisits the same few contender vectors
-(two on the bundled fixture, three on a 30-AP/1000-STA network). So each
-contention gets one record, built on its first visit: the rates a step
-reads (the tensor, masked to the home channels under SLO), the pairing input
-weighed from them (which keeps the pairing's start, each station's best AP),
-and the last selection made on it, with its pairing, its served rates and
-the contention it leaves. `LoopCarry` carries the heard links and the
-records to the next run, which reuses them when it has the same scenario
-object, MCS override, SLO-or-not mode, SNR base and (for drawn scenarios)
-seed. Pairing and allocation still run on every step. Allocation reads the
-averages, which move on every step; the rest of what it reads (the paired
-links' rates, their channel means and where they are usable) the record's
-tensor keeps for the last pairing object it saw (`RateTensor.paired_links`),
-so PF on a revisited decision only scores, orders and grants the F channels.
-Pairing is a pure function of the tensor, but each step's pairing stays its
-own call, which the benchmark counts and checks against an independent
-solver. A decision equal to the last one made under the same contention
-(owner vector and links compared as bytes) shares that one's arrays, so the
-reports of a cycling loop do not grow memory, and reads that one's served
-rates and next contention. A new decision's served rates and network total
-come from one selection x rate product. What a step builds itself (a miss's
+`RateLinks`, which hold their PER at the run's `Scenario.snr_field`. So a
+tensor build, a miss, evaluates only the contention-dependent throughput
+over the heard links. The rate tensor is a pure function of the scenario,
+the SNR field, the MCS override and the contenders per channel, and the loop
+revisits the same few contender vectors (two on the bundled fixture, three
+on a 30-AP/1000-STA network). So each contention gets one `_Record`, built
+from its tensor on its first visit and replaced by each new decision under
+it. A cold start is a resume: it bootstraps the contenders from the SNR
+field, which is not kept, builds their record as a miss would, and takes
+the unmasked tensor's channel means as its averages. `LoopCarry` carries
+the heard links and the records to the next run, which reuses them under
+the same scenario object, MCS override, SLO-or-not mode, SNR base and (for
+drawn scenarios) seed. Pairing and allocation still run on every step.
+Allocation reads the averages, which move on every step; the rest of what
+it reads (the paired links' rates, their channel means and where they are
+usable) the record's tensor keeps for the last pairing object it saw
+(`RateTensor.paired_links`), so PF on a revisited decision only scores,
+orders and grants the F channels. Pairing is a pure function of the tensor,
+but each step's pairing stays its own call, which the benchmark counts and
+checks against an independent solver. A decision equal to the last one made
+under the same contention (owner vector and links compared as bytes) shares
+that one's arrays, so the reports of a cycling loop do not grow memory, and
+reads that one's served rates and next contention. A new decision's served
+rates and network total come from one selection x rate product. What a step builds itself (a miss's
 tensor, SLO's masked copy, the pairing weights, the solvers' owners, the
 allocators' links) it hands over read-only past the public constructors'
 checks (`errors._trusted`): rates are finite and >= 0, as `AirtimeDurations`
@@ -69,6 +67,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,6 +137,17 @@ class Recommendation:
     channel_ids: tuple
 
 
+class _Record(NamedTuple):
+    """A contention's rates (SLO's masked), pairing input and last decision with its outcome."""
+
+    rates: RateTensor
+    instance: PairingInstance
+    selection: LinkSelection | None = None
+    served: tuple | None = None
+    total: float | None = None
+    leaves: tuple | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class LoopCarry:
     """Opaque continuation token: resume a loop where it stopped.
@@ -146,13 +156,8 @@ class LoopCarry:
     run checks them once and moves them with its own scenario's horizon) and
     the contention it carries the run's heard links (`links`, their read-only
     `RateLinks` with their PER; no SNR field) and its memo: at most
-    `RATE_MEMO_SIZE` records keyed by contender tuple, least recently used
-    first, each (rates, PairingInstance, selection, served): the rates a step
-    reads under that contention (SLO's masked to the home channels), the
-    pairing input weighed from them, the last decision made under it, its
-    pairing included, and that decision's served rates (a tuple of floats) and
-    network total from `instantaneous_rates`, with the contender tuple it
-    leaves. `run` keys both on the run's checked inputs: the scenario object,
+    `RATE_MEMO_SIZE` `_Record`s keyed by contender tuple, least recently used
+    first. `run` keys both on the run's checked inputs: the scenario object,
     MCS override, SLO-or-not mode, SNR base (by its exact bits) and, for a
     scenario that draws its bases, the seed (`Scenario.run_seed`). Solver and
     allocator are not in the key, as PF and RR, optimal and greedy share
@@ -260,13 +265,15 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
     weights and PF allocation see only the home-channel links, so the
     optimal pairing weighs home-channel rates and each paired link runs on
     its home channel when that rate is > 0. It pairs with the optimal solver
-    only. With `timing`, a report's `wall_time_s` covers its whole step.
+    only. With `timing`, a report's `wall_time_s` covers its whole step, and
+    no step's covers the run's set-up (the first step's tensor included).
     """
     _check_run_args(scenario, solver, allocator, iterations)
-    if carry is not None and len(carry.contenders) != scenario.f_count:
-        raise InvalidInputError(f"carry covers {len(carry.contenders)} channels, but scenario "
-                                f"{scenario.name!r} has {scenario.f_count}")
-    phi = checked_phi(carry.phi, scenario.f_count) if carry is not None else None
+    if carry is not None:   # refused before any SNR field or tensor is built
+        if len(carry.contenders) != scenario.f_count:
+            raise InvalidInputError(f"carry covers {len(carry.contenders)} channels, but "
+                                    f"scenario {scenario.name!r} has {scenario.f_count}")
+        phi = checked_phi(carry.phi, scenario.f_count)
     mcs_override = scenario.run_mcs(mcs_override)
     seed = scenario.run_seed(rng_seed)
     base_reported = scenario.snr_base(snr_base_db)
@@ -280,32 +287,37 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
         links, memo = rate_links(scenario, snr_field, mcs_override), {}
     home, caps, budget = scenario.fixed(_limits, slo)
     label = scenario.fixed(_link_layout, mcs_override)[2]
-    if carry is not None:
-        contenders, start_iter = tuple(carry.contenders), carry.next_iteration
-    else:   # a cold start: stations camp on their strongest link, a home link under SLO
-        field = np.where(home, snr_field, np.nan) if slo else snr_field
-        contenders, start_iter = tuple(bootstrap_contenders(scenario, field)), 1
+
+    def fresh(rates):   # a contention's record, from its tensor
+        if slo:     # rates times 0/1 stay finite and >= 0
+            masked = rates.values * home
+            masked.setflags(write=False)
+            rates = _trusted(RateTensor, values=masked)
+        # mean over the channels an AP serves on: its home channel alone under SLO
+        weights = rates.values.sum(axis=0) / (1 if slo else scenario.f_count)
+        weights.setflags(write=False)
+        return _Record(rates, _trusted(PairingInstance, d=weights, ap_capacity=caps,
+                                       sta_radio_limits=budget.sta_radio_limits))
+
+
+    if carry is None:   # a cold start resumes where stations camp on their strongest link
+        field = np.where(home, snr_field, np.nan) if slo else snr_field     # a home link under SLO
+        contenders = tuple(bootstrap_contenders(scenario, field))
+        rates = build_rate_tensor(scenario, contenders=contenders, links=links)
+        memo[contenders] = fresh(rates)
+        phi = tuple(rates.values.mean(axis=(1, 2)).tolist())   # unmasked: PF metrics near 1
+        carry = LoopCarry(phi=phi, contenders=contenders, next_iteration=1)
+    contenders = tuple(carry.contenders)
     t = float(scenario.ewma_horizon_t)      # converted once, not at every division
     keep = 1.0 - 1.0 / t
 
     reports = []
-    for it in range(start_iter, start_iter + iterations):
+    for it in range(carry.next_iteration, carry.next_iteration + iterations):
         t0 = time.perf_counter() if timing else 0.0
         record = memo.pop(contenders, None)
         if record is None:
-            rates = build_rate_tensor(scenario, contenders=contenders, links=links)
-            if phi is None:     # a cold run's first step, as its memo is empty
-                phi = tuple(rates.values.mean(axis=(1, 2)).tolist())   # first PF metrics near 1
-            if slo:     # rates times 0/1 stay finite and >= 0
-                masked = rates.values * home
-                masked.setflags(write=False)
-                rates = _trusted(RateTensor, values=masked)
-            # mean over the channels an AP serves on: its home channel alone under SLO
-            weights = rates.values.sum(axis=0) / (1 if slo else scenario.f_count)
-            weights.setflags(write=False)
-            record = (rates, _trusted(PairingInstance, d=weights, ap_capacity=caps,
-                                      sta_radio_limits=budget.sta_radio_limits), None, None)
-        rates, instance, seen, served = record
+            record = fresh(build_rate_tensor(scenario, contenders=contenders, links=links))
+        rates, instance, seen = record.rates, record.instance, record.selection
         # an equal decision shares the last one's arrays under this contention; a
         # selection only with its pairing, as a carry may come from the other solver
         pairing = pair_optimal_lp(instance) if solver == "optimal" else pair_greedy(instance)
@@ -313,19 +325,19 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             pairing = seen.pairing
         selection = allocate_rr(pairing, budget, rates, scenario.rr_weights) \
             if allocator == "rr" else allocate_pf(pairing, budget, rates, phi)
-        if seen is not None and selection.pairing is seen.pairing \
-                and selection.links.tobytes() == seen.links.tobytes():
-            selection = seen
-        else:   # a new decision: its served rates and the contention it leaves, kept with it
+        if seen is None or selection.pairing is not seen.pairing \
+                or selection.links.tobytes() != seen.links.tobytes():
+            # a new decision: its served rates and the contention it leaves, kept with it
             inst, total = instantaneous_rates(selection, rates)
-            served = (tuple(inst.tolist()), total, tuple(selection.per_channel_counts().tolist()))
-        memo[contenders] = (rates, instance, selection, served)   # most recent last
+            record = _Record(rates, instance, selection, tuple(inst.tolist()), total,
+                             tuple(selection.per_channel_counts().tolist()))
+        memo[contenders] = record   # most recent last
         if len(memo) > RATE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        inst, total, contenders = served
-        metrics = tuple(map(pf_ratio, inst, phi))
-        # phi[f] <- (1 - 1/T) phi[f] + inst[f] / T; served rates are finite and >= 0
-        phi = tuple(keep * a + r / t for a, r in zip(phi, inst))
+        contenders, served = record.leaves, record.served
+        metrics = tuple(map(pf_ratio, served, phi))
+        # phi[f] <- (1 - 1/T) phi[f] + served[f] / T; served rates are finite and >= 0
+        phi = tuple(keep * a + r / t for a, r in zip(phi, served))
         wall = (time.perf_counter() - t0) if timing else 0.0
 
         reports.append(IterationReport(
@@ -333,18 +345,18 @@ def run_apc_loop(scenario: Scenario, *, solver: str = "optimal", allocator: str 
             algorithm=algorithm,
             snr_base_db=base_reported,
             mcs_label=label,
-            aggregate_throughput_bps=total,
+            aggregate_throughput_bps=record.total,
             fairness_spread=fairness_spread(metrics),
             per_channel_phi=phi,
             per_channel_metric=metrics,
             channel_ids=scenario.channel_ids,
             wall_time_s=wall,
             pairing=pairing,
-            selection=selection,
+            selection=record.selection,
         ))
 
     carry_out = LoopCarry(phi=phi, contenders=contenders,
-                          next_iteration=start_iter + iterations, run=run,
+                          next_iteration=carry.next_iteration + iterations, run=run,
                           links=links, memo=tuple(memo.items()))
     return RunResult(reports=reports, carry=carry_out, scenario=scenario)
 

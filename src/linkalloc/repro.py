@@ -24,7 +24,7 @@ from .dcf import AirtimeDurations, DcfParams, airtime_durations, normalized_thro
 from .errors import InvalidInputError, SizeLimitError, ValidationError
 from .harness import run_apc_loop
 from .pairing import PairingInstance
-from .rates import RateTensor, build_rate_tensor
+from .rates import RateTensor
 from .scenario import Scenario, check_mcs, check_seed
 
 __all__ = [
@@ -267,12 +267,15 @@ def simulate_dcf_slots(params: DcfParams, n_contenders: int, per: float,
 
 
 MAX_REPLAY_CONTENDERS = 2**20   # the largest contender count `validate_dcf` replays
+# a replay cell costs ~0.3 us a slot + 60 ns a slot-contender (2-vCPU x86): ~15 s at a cap
+MAX_REPLAY_SLOTS, MAX_REPLAY_WORK = 10**7, 2**28
+MAX_TU_WORK = 2**25     # `check-tu`'s determinants, a row subset as 60: ~30 s at 1 us each there
 
 
 def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: int = 6,
                  bandwidth_mhz: int = 40, n_slots: int = 200_000, seed: int = 1) -> list:
     """Cross-check the contention fixed point against the slot simulation,
-    both with the default `DcfParams`.
+    both with the default `DcfParams`; a cell past a `MAX_REPLAY_*` cap is refused.
 
     Returns one record per (n, per) cell with the analytical and simulated
     normalized throughput and their relative error.
@@ -281,6 +284,9 @@ def validate_dcf(*, contenders=(2, 5, 10, 20), pers=(0.0, 0.1, 0.3), mcs_index: 
         if not _is_count(n) or n > MAX_REPLAY_CONTENDERS:
             raise InvalidInputError(f"a contender count must be an integer from 1 to "
                                     f"{MAX_REPLAY_CONTENDERS}, got {n}")
+        if n_slots > MAX_REPLAY_SLOTS or n_slots * n > MAX_REPLAY_WORK:
+            raise SizeLimitError(f"{n_slots} slots x {n} contenders exceeds the replay's caps of "
+                                 f"{MAX_REPLAY_SLOTS} slots and {MAX_REPLAY_WORK} slot-contenders")
     params, seed = DcfParams(), check_seed(seed)
     rate = phy.mcs_data_rate(check_mcs(mcs_index, "mcs_index"), bandwidth_mhz)
     durations = airtime_durations(params, rate)
@@ -314,28 +320,25 @@ def compare_joint_vs_two_stage(scenario: Scenario, *, m_stas: int | None = None,
     The two-stage value and wall time are those of the first step of
     `run_apc_loop` (optimal pairing, PF) from a cold start. The joint value
     is the exhaustive-search optimum of the same objective on the rate
-    tensor that step reads: the one at bootstrap contention, rebuilt here as
-    the brute force's input. Both wall times include building that tensor,
-    and neither includes the SNR field.
+    tensor and limits that step read, taken from the run's carry. Neither
+    wall time includes the run's set-up: the SNR field and that tensor.
     """
     if m_stas is not None:
         scenario = truncated(scenario, m_stas)
-    first = run_apc_loop(scenario, iterations=1, rng_seed=rng_seed, timing=True).final
-    snr_field = scenario.snr_field(seed=rng_seed)
+    result = run_apc_loop(scenario, iterations=1, rng_seed=rng_seed, timing=True)
+    _, record = result.carry.memo[0]    # the one contention a one-step run meets
 
     t0 = time.perf_counter()
-    tensor = build_rate_tensor(scenario, snr_field=snr_field)
-    joint = solve_joint_mmkp_bruteforce(tensor, PairingInstance(
-        tensor.values.mean(axis=0), scenario.ap_radios, scenario.sta_radios))
+    joint = solve_joint_mmkp_bruteforce(record.rates, record.instance)
     joint_wall = time.perf_counter() - t0
 
-    two_stage = first.aggregate_throughput_bps
+    two_stage = result.final.aggregate_throughput_bps
     return {
         "m_stas": scenario.m_stas,
         "two_stage_objective_bps": two_stage,
         "joint_objective_bps": joint.objective,
         # both are 0 on a network with no usable link
         "ratio": two_stage / joint.objective if joint.objective > 0 else 1.0,
-        "two_stage_wall_s": first.wall_time_s,
+        "two_stage_wall_s": result.final.wall_time_s,
         "joint_wall_s": joint_wall,
     }

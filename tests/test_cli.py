@@ -8,13 +8,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
 import linkalloc
-from linkalloc import repro
+from linkalloc import cli, repro
 from linkalloc.cli import main
-from linkalloc.errors import InvalidInputError
+from linkalloc.errors import InvalidInputError, SizeLimitError
 from linkalloc.repro import validate_dcf
 from linkalloc.scenario import bundled_scenario_path
 
@@ -521,6 +522,59 @@ def test_validate_dcf_refuses_a_count_the_replay_cannot_hold(monkeypatch, capsys
             validate_dcf(contenders=[2, n])
         assert main(["validate-dcf", "--contenders", f"2,{n}"]) == 1
         assert capsys.readouterr() == ("", f"linkalloc: {msg}\n")
+
+
+def test_validate_dcf_refuses_a_replay_past_its_caps(monkeypatch, capsys):
+    # slots and slots x contenders are checked for every count before the first
+    # cell: nothing is solved, timed or replayed, and inputs at the caps pass
+    for name in ("solve_bianchi_fixed_point", "airtime_durations", "simulate_dcf_slots"):
+        monkeypatch.setattr(repro, name, mock.Mock(side_effect=AssertionError(name)))
+    slots, work = repro.MAX_REPLAY_SLOTS, repro.MAX_REPLAY_WORK
+    for n_slots, counts in ((slots + 1, [1]), (work // 1024 + 1, [2, 1024]),
+                            (work // 2**20 + 1, [2, 2**20])):
+        msg = (f"{n_slots} slots x {counts[-1]} contenders exceeds the replay's caps of "
+               f"{slots} slots and {work} slot-contenders")
+        with pytest.raises(SizeLimitError, match=f"^{msg}$"):
+            validate_dcf(contenders=counts, n_slots=n_slots)
+        argv = ["validate-dcf", "--slots", str(n_slots), "--contenders", ",".join(map(str, counts))]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"linkalloc: {msg}\n")
+    for n_slots, counts in ((slots, [1, 2]), (work // 1024, [1024]), (200_000, [2, 5, 10, 20])):
+        with pytest.raises(AssertionError, match="airtime_durations"):
+            validate_dcf(contenders=counts, n_slots=n_slots)
+
+
+def test_check_tu_refuses_an_enumeration_past_its_cap(monkeypatch, capsys):
+    # the cap is read off the arguments before any matrix is built: order 7
+    # on the default grid is refused, and the defaults and order 6 go on to the enumeration
+    for name in ("build_incidence", "check_total_unimodularity"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(name)))
+    msg = f"linkalloc: check-tu would reach more than {repro.MAX_TU_WORK} determinants\n"
+    for args in (["--submatrix", "7"], ["--aps", "8", "--stas", "8", "--submatrix", "6"],
+                 ["--aps", "1000000000", "--stas", "1000000000", "--submatrix", "1000000000"],
+                 ["--aps", "1000000000", "--stas", "1", "--submatrix", "0"]):
+        assert main(["check-tu", *args]) == 2, args
+        assert capsys.readouterr() == ("", msg)
+    for args in ([], ["--submatrix", "6"], ["--aps", "2", "--stas", "30", "--submatrix", "3"]):
+        with pytest.raises(AssertionError, match="build_incidence"):
+            main(["check-tu", *args])
+
+
+@pytest.mark.parametrize("aps, stas, order", [(3, 3, 4), (2, 5, 3), (4, 3, 5), (1, 4, 6)])
+def test_check_tu_cap_counts_no_less_than_the_enumeration_reaches(monkeypatch, capsys,
+                                                                  aps, stas, order):
+    # the enumeration's row subsets (one np.unique each, counted as 60) and its
+    # determinants, counted as it runs: a cap one below them refuses the grid
+    reached = []
+    unique, det = np.unique, np.linalg.det
+    monkeypatch.setattr(repro.np, "unique", lambda *a, **k: reached.append(60) or unique(*a, **k))
+    monkeypatch.setattr(repro.np.linalg, "det", lambda m: reached.append(len(m)) or det(m))
+    argv = ["check-tu", "--aps", str(aps), "--stas", str(stas), "--submatrix", str(order)]
+    assert main(argv) == 0 and sum(reached) > 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_TU_WORK", sum(reached) - 1)
+    assert main(argv) == 2
+    assert "check-tu would reach more than" in capsys.readouterr().err
 
 
 def test_solver_failures_exit_2(tmp_path, capsys):

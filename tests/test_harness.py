@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from linkalloc import allocation, harness, pairing, phy, rates
+from linkalloc import allocation, harness, pairing, phy, rates, repro
 from linkalloc.allocation import LinkSelection, RadioBudget, fairness_spread, selection_feasible
 from linkalloc.cli import main
 from linkalloc.dcf import DcfParams
@@ -152,17 +152,25 @@ def test_carried_phi_checked_once_per_run(allocator, checks):
         sc, allocator=allocator, iterations=12).reports[2:])
 
 
-def test_cold_start_state_is_channel_mean():
-    # a cold run's first step scores PF against each channel's mean link rate
-    # of the tensor it reads; the averages then move with the scenario's horizon
+@pytest.mark.parametrize("allocator", ["pf", "rr", "slo"])
+def test_cold_start_state_is_channel_mean(allocator):
+    # a cold run's first step scores against each channel's mean link rate of
+    # the tensor at its bootstrap contention, where SLO's stations camp on a
+    # home link; the mean is of every link, SLO's too, and the averages then
+    # move with the scenario's horizon
     sc = _fixture()
     field = sc.snr_field()
-    tensor = build_rate_tensor(sc, contenders=bootstrap_contenders(sc, field), snr_field=field)
+    home = np.arange(sc.f_count)[:, None, None] == sc.home_channel[None, :, None]
+    camp = np.where(home, field, np.nan) if allocator == "slo" else field
+    tensor = build_rate_tensor(sc, contenders=bootstrap_contenders(sc, camp), snr_field=field)
+    phi = tuple(tensor.values.mean(axis=(1, 2)).tolist())
+    if allocator == "slo":  # the masked tensor's means would read otherwise
+        assert phi != tuple((tensor.values * home).mean(axis=(1, 2)).tolist())
     with mock.patch.object(harness, "allocate_pf", wraps=harness.allocate_pf) as allocate:
-        first = run_apc_loop(sc, iterations=1).final
-    phi = allocate.call_args_list[0].args[3]
-    assert phi == tuple(tensor.values.mean(axis=(1, 2)).tolist())
+        first = run_apc_loop(sc, allocator=allocator, iterations=1).final
+    assert [c.args[3] for c in allocate.call_args_list] == ([] if allocator == "rr" else [phi])
     inst = harness.instantaneous_rates(first.selection, tensor)[0]
+    assert first.per_channel_metric == tuple(map(harness.pf_ratio, inst.tolist(), phi))
     assert first.per_channel_phi == tuple(oracles.ewma(phi, inst, sc.ewma_horizon_t).tolist())
 
 
@@ -1038,11 +1046,12 @@ def test_what_the_loop_builds_unchecked_passes_the_public_checks(path):
             assert PairingMatrix(owner, pairing.n_aps).owner.tobytes() == owner.tobytes()
             public = LinkSelection(links, pairing, selection.unallocated_edges)
             assert public.links.tobytes() == links.tobytes()
-            for rates, instance, _, _ in dict(carry.memo).values():
+            for record in dict(carry.memo).values():
+                instance, values = record.instance, record.rates.values
                 public = PairingInstance(instance.d, instance.ap_capacity,
                                          instance.sta_radio_limits)
                 assert public.d.tobytes() == instance.d.tobytes()
-                assert RateTensor(rates.values).values.tobytes() == rates.values.tobytes()
+                assert RateTensor(values).values.tobytes() == values.tobytes()
 
 
 def test_trusted_types_declare_only_init_fields():
@@ -1344,7 +1353,7 @@ def test_delivered_total_is_read_off_the_next_contentions_record(allocator):
         result, delivered = _delivered(sc, allocator)
         records = dict(result.carry.memo)
         for report, total in zip(result.reports, delivered):
-            rates = records[tuple(report.selection.per_channel_counts().tolist())][0]
+            rates = records[tuple(report.selection.per_channel_counts().tolist())].rates
             assert harness.instantaneous_rates(report.selection, rates)[1] == total
 
 
@@ -1654,8 +1663,9 @@ def test_threads_resuming_from_one_carry_share_its_instances():
 
         def fresh_instances():
             return dataclasses.replace(carry, memo=tuple(
-                (key, (rates, PairingInstance(inst.d, inst.ap_capacity, inst.sta_radio_limits))
-                 + tuple(rest)) for key, (rates, inst, *rest) in carry.memo))
+                (key, record._replace(instance=PairingInstance(
+                    record.instance.d, record.instance.ap_capacity,
+                    record.instance.sta_radio_limits))) for key, record in carry.memo))
 
         def emitted(start):
             reports = []
@@ -1687,9 +1697,9 @@ def test_threads_resuming_from_one_carry_share_its_instances():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert outputs == [serial] * 2
-        assert [rec[1]._start for _, rec in shared.memo] == \
-            [rec[1]._start for _, rec in alone.memo]
-        slots = [rec[1]._start[4] for _, rec in shared.memo]
+        assert [rec.instance._start for _, rec in shared.memo] == \
+            [rec.instance._start for _, rec in alone.memo]
+        slots = [rec.instance._start[4] for _, rec in shared.memo]
         assert any(slot is not None for kept in slots for slot in kept)
         if kwargs:
             assert any(slot[2] is not None for kept in slots for slot in kept if slot)
@@ -1789,9 +1799,32 @@ def test_oracle_two_stage_is_the_loops_first_step(m):
         assert out["two_stage_objective_bps"] == first.aggregate_throughput_bps
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_oracle_joint_input_is_the_loops_first_tensor(m):
+    # the brute force reads the record of the one contention a one-step run
+    # meets: the tensor at the bootstrap contention of the run's own SNR field,
+    # and the scenario's AP and station radio counts
+    sc = load_scenario(bundled_scenario_path("scenario_2ap_joint"))
+    for seed in (0, 1, 2):
+        small = truncated(sc, m)
+        expected = build_rate_tensor(small, snr_field=small.snr_field(seed=seed)).values
+        with mock.patch.object(repro, "solve_joint_mmkp_bruteforce", return_value=repro
+                               .JointSolution(selection=None, objective=1.0)) as joint:
+            compare_joint_vs_two_stage(sc, m_stas=m, rng_seed=seed)
+        (rates, instance), = [c.args for c in joint.call_args_list]
+        (_, record), = run_apc_loop(small, iterations=1, rng_seed=seed).carry.memo
+        for got in (rates, record.rates):
+            assert got.values.dtype == expected.dtype and got.values.shape == expected.shape
+            assert got.values.tobytes() == expected.tobytes()
+        for got in (instance, record.instance):
+            assert got.ap_capacity.tolist() == small.ap_radios.tolist()
+            assert got.sta_radio_limits.tolist() == small.sta_radios.tolist()
+
+
 def test_first_comparison_in_a_process_times_only_the_first_step():
-    # the two-stage wall is the loop's first step, its rate tensor included
-    # (about 1.3 ms in a fresh interpreter); no first import (scipy's takes
+    # the two-stage wall is the loop's first step, without the run's set-up:
+    # neither it nor the joint wall includes the rate tensor's build, which
+    # the run makes before its first step; no first import (scipy's takes
     # about 0.5 s) may land in it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

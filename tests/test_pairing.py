@@ -334,7 +334,7 @@ def test_repair_is_certified_without_scipy(case):
 def test_slo_memo_repairs_are_certified(scenario, kwargs, over):
     carry = run_slo_baseline(load_scenario(scenario), iterations=10, **kwargs).carry
     assert carry.memo
-    for _, (_, instance, *_) in carry.memo:
+    for instance in (record.instance for _, record in carry.memo):
         caps = instance.ap_capacity
         assert np.maximum(np.bincount(instance.best_ap, minlength=len(caps)) - caps, 0).sum() \
             == over
